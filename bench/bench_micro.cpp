@@ -9,7 +9,6 @@
 #include "core/routing_table.hpp"
 #include "net/buffer.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/simulator.hpp"
 #include <filesystem>
 
 #include "core/dtn_flow_router.hpp"
@@ -199,23 +198,6 @@ void BM_EventQueueScheduleRun(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1024);
 }
 BENCHMARK(BM_EventQueueScheduleRun);
-
-void BM_EventQueueCallbackScheduleRun(benchmark::State& state) {
-  // The closure compatibility path (slab-pooled std::function slots):
-  // what every event cost under the retired type-erased engine.
-  for (auto _ : state) {
-    dtn::sim::Simulator sim;
-    dtn::Rng rng(6);
-    int sink = 0;
-    for (int i = 0; i < 1024; ++i) {
-      sim.at(rng.uniform(0.0, 1e6), [&sink] { ++sink; });
-    }
-    sim.run();
-    benchmark::DoNotOptimize(sink);
-  }
-  state.SetItemsProcessed(state.iterations() * 1024);
-}
-BENCHMARK(BM_EventQueueCallbackScheduleRun);
 
 void BM_TraceCursorReplay(benchmark::State& state) {
   // Pure merge throughput of the lazy trace cursor (no network on top).

@@ -191,11 +191,14 @@ void Network::schedule_dynamic_events() {
                              cfg_.manual_packets.size() + workload_.size());
 }
 
-void Network::run() {
-  DTN_ASSERT(!ran_);
-  ran_ = true;
+void Network::run() { replay(nullptr); }
 
-  router_.on_init(*this);
+bool Network::run(persist::CheckpointManager& ckpt) { return replay(&ckpt); }
+
+bool Network::replay(persist::CheckpointManager* ckpt) {
+  DTN_ASSERT(!ran_);
+  DTN_ASSERT(ckpt == nullptr || router_.checkpointable());
+  ran_ = true;
 
   // Trace replay: arrivals and departures stream lazily out of the
   // cursor's k-way merge instead of being pre-scheduled one closure per
@@ -203,67 +206,49 @@ void Network::run() {
   // same-time ties order exactly as the retired eager enumeration did.
   trace::TraceCursor cursor(trace_);
   sim_.set_dispatcher(&Network::dispatch_trampoline, this);
-  sim_.set_seq_floor(cursor.total_events());
+  ckpt_mgr_ = ckpt;
+  if (ckpt != nullptr) ckpt_cursor_ = &cursor;
 
-  schedule_dynamic_events();
-
-  // Fault events last: a plan with nothing to inject schedules nothing,
-  // and the workload events above keep the sequence numbers they would
-  // have in a fault-free run.
-  schedule_faults();
-
-  // Batched contact dispatch needs the cursor for lookahead; per-event
-  // auditing must observe every event boundary, so it forces the
-  // unbatched path (mid-batch present_pos_ is deferred).
-  batch_source_ = cfg_.batch_contacts && !auditor_.enabled() ? &cursor
-                                                             : nullptr;
-  sim_.run_until_with(trace_end_, &cursor);
-  batch_source_ = nullptr;
-  drop_expired();
-  // One final audit so short runs (fewer events than the period) still
-  // get checked at least once when auditing is on.
-  if (auditor_.enabled()) auditor_.audit_now();
-}
-
-bool Network::run(persist::CheckpointManager& ckpt) {
-  DTN_ASSERT(!ran_);
-  DTN_ASSERT(router_.checkpointable());
-  ran_ = true;
-
-  trace::TraceCursor cursor(trace_);
-  sim_.set_dispatcher(&Network::dispatch_trampoline, this);
-  ckpt_mgr_ = &ckpt;
-  ckpt_cursor_ = &cursor;
-
-  if (ckpt.has_checkpoint()) {
+  if (ckpt != nullptr && ckpt->has_checkpoint()) {
     // Resume: every piece of live state comes out of the snapshot — no
     // seq floor (the restored queue already carries its next_seq), no
     // scheduling, no build_workload (its RNG splits already happened in
     // the original run; replaying them would desynchronize rng_), no
     // on_init (checkpoint_load performs it).
-    load_checkpoint(ckpt.read_latest(), cursor);
+    load_checkpoint(ckpt->read_latest(), cursor);
   } else {
     router_.on_init(*this);
     sim_.set_seq_floor(cursor.total_events());
     schedule_dynamic_events();
+    // Fault events last: a plan with nothing to inject schedules
+    // nothing, and the workload events above keep the sequence numbers
+    // they would have in a fault-free run.
     schedule_faults();
   }
   ckpt_last_events_ = sim_.events_executed();
   ckpt_last_time_ = sim_.now();
 
-  const bool completed = sim_.run_until(
-      trace_end_, &cursor, &Network::checkpoint_step_trampoline, this);
+  // Batched contact dispatch drains same-time runs from the cursor, so
+  // the step below only ever observes coherent state.
+  batch_source_ = &cursor;
+  const bool completed =
+      sim_.run_until(trace_end_, &cursor, [this, ckpt] {
+        if (ckpt != nullptr && !checkpoint_step()) return false;
+        auditor_.on_boundary(sim_.events_executed());
+        return true;
+      });
+  batch_source_ = nullptr;
   ckpt_mgr_ = nullptr;
-  if (!completed) {
-    // Suspended by stop_after_events; the snapshot of this exact point
-    // is already on disk (checkpoint_step wrote it before stopping).
-    ckpt_cursor_ = nullptr;
-    return false;
+  if (completed) {
+    drop_expired();
+    // One final audit so short runs (fewer events than the period)
+    // still get checked at least once when auditing is on.
+    if (auditor_.enabled()) auditor_.audit_now();
   }
-  drop_expired();
-  if (auditor_.enabled()) auditor_.audit_now();
+  // A suspended run's snapshot of this exact point is already on disk
+  // (checkpoint_step wrote it before stopping).
   ckpt_cursor_ = nullptr;
-  return true;
+  return completed;
 }
 
 void Network::run_sharded(std::size_t num_shards, ThreadPool* pool,
@@ -426,7 +411,7 @@ void Network::run_sharded(std::size_t num_shards, ThreadPool* pool,
         // the trace range), and barrier audits only ever run with every
         // batch completed, so the deferred present_pos_ renumber is
         // never observable.
-        if (cfg_.batch_contacts && (ref.visit_and_phase & 1u) != 0 &&
+        if ((ref.visit_and_phase & 1u) != 0 &&
             ti + 1 < trace_stream.size() &&
             trace_stream[ti + 1].time == ref.time) {
           const trace::Visit& first =
@@ -1286,22 +1271,15 @@ void Network::audit_checkpoint_crc(sim::AuditReport& report) const {
 }
 
 void Network::dispatch(const sim::Event& ev) {
-  auditor_.on_event();
   switch (ev.kind) {
     case sim::EventKind::kArrival: {
       const trace::Visit& visit = trace_.visits(ev.a)[ev.b];
       handle_arrival(visit);
-      if (batch_source_ != nullptr) {
-        drain_arrival_batch(ev.time, visit.landmark);
-      }
+      drain_arrival_batch(ev.time, visit.landmark);
       break;
     }
     case sim::EventKind::kDeparture:
-      if (batch_source_ != nullptr) {
-        dispatch_departure_batched(ev);
-      } else {
-        handle_departure(trace_.visits(ev.a)[ev.b]);
-      }
+      dispatch_departure_batched(ev);
       break;
     case sim::EventKind::kPacketGen: {
       const WorkloadEntry& w = workload_[ev.b];
@@ -2586,23 +2564,24 @@ void Network::handle_departure_batch(const trace::Visit* const* visits,
   const LandmarkId l = visits[0]->landmark;
   StationState& station = stations_[l];
   // One epoch advance for the whole batch (DtnFlowRouter prepays by
-  // `count`, so serialized epoch values stay identical to unbatched
-  // replay); the per-node hooks below then skip their bumps.
+  // `count`, so serialized epoch values stay identical to departing one
+  // node at a time); the per-node hooks below then skip their bumps.
   router_.on_departure_batch_begin(*this, l, count);
   std::size_t min_pos = station.present.size();
   for (std::size_t i = 0; i < count; ++i) {
     const trace::Visit& visit = *visits[i];
     NodeState& node = nodes_[visit.node];
     DTN_ASSERT(node.location == visit.landmark);
-    // Exact unbatched interleaving: each hook runs with every earlier
+    // Exact per-event interleaving: each hook runs with every earlier
     // batch member already erased from the present set.
     router_.on_departure(*this, visit.node, visit.landmark);
     // The full suffix renumber is deferred to the end of the batch, but
     // the *members'* own entries are kept exact as the vector shrinks
     // (next loop): each member then reads its true position here, and
-    // its entry goes stale at exactly the value the unbatched path
-    // leaves behind — present_pos_ is serialized stale entries and all,
-    // so even departed nodes' leftovers must match bit-for-bit.
+    // its entry goes stale at exactly the value repeated
+    // handle_departure calls leave behind — present_pos_ is serialized
+    // stale entries and all, so even departed nodes' leftovers must
+    // match bit-for-bit.
     const std::uint32_t pos = present_pos_[visit.node];
     DTN_ASSERT(pos < station.present.size() &&
                station.present[pos] == visit.node);
@@ -2634,7 +2613,6 @@ void Network::drain_arrival_batch(double time, LandmarkId l) {
     if (visit.landmark != l) break;
     batch_source_->advance();
     sim_.absorb_external_event();
-    auditor_.on_event();
     handle_arrival(visit);
   }
 }
@@ -2665,7 +2643,6 @@ void Network::dispatch_departure_batched(const sim::Event& ev) {
     if (visit.landmark != first.landmark) break;
     batch_source_->advance();
     sim_.absorb_external_event();
-    auditor_.on_event();
     batch.push_back(&visit);
   }
   handle_departure_batch(batch.data(), batch.size());

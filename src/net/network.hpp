@@ -63,21 +63,12 @@ struct WorkloadConfig {
   std::uint64_t seed = 7;
 
   /// >0 runs the invariant auditor every N dispatched events during the
-  /// replay (see invariant_auditor.hpp; DTN_AUDIT / DTN_AUDIT_PERIOD in
-  /// the environment also enable it).  0 = disabled (default).
+  /// replay, at the first batch boundary once N events have passed
+  /// (a same-(time, landmark) contact run is dispatched as one batch,
+  /// docs/simd-hot-path.md); see invariant_auditor.hpp.  DTN_AUDIT /
+  /// DTN_AUDIT_PERIOD in the environment also enable it.  0 = disabled
+  /// (default).
   std::uint64_t audit_period_events = 0;
-
-  /// Group consecutive same-(time, landmark) arrivals/departures from
-  /// the trace into one dispatch (docs/simd-hot-path.md): the
-  /// present-set index and the router's carrier-score cache epoch then
-  /// update once per batch instead of once per event.  Batching is
-  /// state-transparent — final state, counters and digests are
-  /// bit-identical either way (the golden-digest tests force it off and
-  /// compare) — and is automatically disabled while per-event auditing
-  /// or checkpoint stepping needs to observe every event boundary.
-  /// Excluded from the checkpoint config fingerprint for the same
-  /// reason the audit period is.
-  bool batch_contacts = true;
 
   /// Optional per-landmark destination weights for the Poisson
   /// workload; empty = uniform over the other landmarks.  Skewed
@@ -180,8 +171,10 @@ class Network {
   /// newest snapshot when one exists (throwing persist::FormatError if
   /// it is corrupt or was taken under a different configuration),
   /// otherwise starts fresh; writes snapshots at the cadence in
-  /// ckpt.config().  Returns true when the replay reached the trace
-  /// horizon, false when it suspended after
+  /// ckpt.config().  Cadence and stop_after_events fire at the first
+  /// batch boundary at or after their event count, so a snapshot never
+  /// splits a same-(time, landmark) contact run.  Returns true when the
+  /// replay reached the trace horizon, false when it suspended after
   /// CheckpointConfig::stop_after_events (a snapshot of the suspension
   /// point is on disk, so a later process finishes the run — the
   /// deterministic stand-in for a kill).  A run checkpointed and resumed
@@ -339,6 +332,12 @@ class Network {
   bool debug_corrupt_for_test(Corruption kind, int delta = 1);
 
  private:
+  /// The serial replay behind run() and run(CheckpointManager&): one
+  /// Simulator::run_until over the trace cursor whose step, at every
+  /// batch boundary, snapshots when `ckpt` is attached and its cadence
+  /// is due, then runs the periodic audit when that is due.  Returns
+  /// false when the checkpoint cadence suspended the run.
+  bool replay(persist::CheckpointManager* ckpt);
   /// Typed-event dispatch: the simulator hands every engine event
   /// (arrival/departure from the trace cursor, generation ticks, manual
   /// packets, TTL sweeps, time-unit ticks) to this switch.
@@ -423,10 +422,9 @@ class Network {
   /// checkpointed run: ckpt_cursor_ set).
   [[nodiscard]] persist::Writer serialize_state() const;
   void write_snapshot();
+  /// Snapshot when the cadence is due; false once stop_after_events is
+  /// reached (the snapshot of that point is written first).
   bool checkpoint_step();
-  static bool checkpoint_step_trampoline(void* self) {
-    return static_cast<Network*>(self)->checkpoint_step();
-  }
   void load_checkpoint(const std::vector<std::uint8_t>& bytes,
                        trace::TraceCursor& cursor);
   /// Auditor check: when a snapshot exists for exactly this simulation
@@ -598,10 +596,8 @@ class Network {
   /// context's slot).
   std::vector<const trace::Visit*> batch_scratch_;
   /// Live trace cursor to drain same-(time, kind, landmark) runs from,
-  /// set for the duration of a serial run() when batching is on; null
-  /// when batching is off (unbatched config, per-event auditing, or a
-  /// checkpointed run whose step hook must see every event boundary).
-  sim::EventSource* batch_source_ = nullptr;
+  /// set for the duration of a serial replay.
+  trace::TraceCursor* batch_source_ = nullptr;
   RunCounters counters_;
 
   /// Pre-drawn Poisson workload (build_workload), rank order.

@@ -5,8 +5,7 @@
 // closure) keeps the event heap flat in memory and allocation-free.
 // The sim layer defines the *layout* and the total order; the meaning
 // of each kind is owned by the engine that dispatches them (net::
-// Network for the trace-replay kinds, the Simulator itself for
-// kCallback).
+// Network for every kind but kCallback).
 #pragma once
 
 #include <cstdint>
@@ -28,8 +27,10 @@ enum class EventKind : std::uint8_t {
   kTtlSweep,
   /// Measurement time-unit boundary (a = unit ordinal, 1-based).
   kTimeUnitTick,
-  /// Opaque closure held in the Simulator's callback pool
-  /// (a = pool slot).  Cold path: tests, examples, ad-hoc scheduling.
+  /// Opaque closure (a = closure index) owned by a test-only
+  /// scheduler (tests/closure_scheduler.hpp).  The engine never
+  /// schedules one, and checkpoint images reject it; the value keeps
+  /// its slot so every later kind's serialized byte is unchanged.
   kCallback,
   // -- fault events (scheduled only when a FaultPlan is attached and
   //    non-empty; see sim/fault_injector.hpp) --------------------------
@@ -62,21 +63,5 @@ struct Event {
   if (x.time != y.time) return x.time < y.time;
   return x.seq < y.seq;
 }
-
-/// A lazy, time-sorted stream of events merged into the simulation loop
-/// alongside the event queue (e.g. trace::TraceCursor).  The source's
-/// events must be produced in strictly increasing (time, seq) order and
-/// their seq values must never collide with queue-assigned ones — the
-/// engine reserves a disjoint range via EventQueue::set_seq_floor.
-class EventSource {
- public:
-  virtual ~EventSource() = default;
-  /// True when no events remain.
-  [[nodiscard]] virtual bool exhausted() const = 0;
-  /// Earliest pending event; only valid while !exhausted().
-  [[nodiscard]] virtual const Event& peek() const = 0;
-  /// Consume the event returned by peek().
-  virtual void advance() = 0;
-};
 
 }  // namespace dtn::sim

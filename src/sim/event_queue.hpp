@@ -137,7 +137,7 @@ class EventQueue {
   /// events must not be scheduled before it.
   [[nodiscard]] double last_popped() const { return last_popped_; }
 
-  /// Reserve the seq range [0, floor) for an external EventSource whose
+  /// Reserve the seq range [0, floor) for an external event source whose
   /// events must order *before* same-time queue events (the old engine
   /// scheduled the whole trace first, so trace events always carried
   /// the lowest sequence numbers; the lazy cursor keeps that order).

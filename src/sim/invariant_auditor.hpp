@@ -12,11 +12,13 @@
 // periodically during a replay and/or on demand.
 //
 // Gating: auditing is off by default and costs one predicted branch per
-// event.  It is enabled per run (net::WorkloadConfig::audit_period_events)
-// or globally via the environment:
+// replay batch.  It is enabled per run
+// (net::WorkloadConfig::audit_period_events) or globally via the
+// environment:
 //
 //   DTN_AUDIT=1          enable periodic audits (default period below)
-//   DTN_AUDIT_PERIOD=N   audit every N dispatched events
+//   DTN_AUDIT_PERIOD=N   audit every N dispatched events (at the first
+//                        batch boundary once N have passed)
 //
 // On failure the default is to print every violated invariant and
 // abort (the DTN_ASSERT policy: a corrupt simulation must not keep
@@ -94,13 +96,14 @@ class InvariantAuditor {
   [[nodiscard]] const Config& config() const { return cfg_; }
   void set_enabled(bool on) { cfg_.enabled = on; }
 
-  /// Hot-path hook: call once per dispatched event.  Cheap when
-  /// disabled (one branch); every `period_events`-th call runs a full
-  /// audit.
-  void on_event() {
+  /// Replay-loop hook: call at every batch boundary with the run's
+  /// dispatched-event count.  Cheap when disabled (one branch); runs a
+  /// full audit at the first boundary at least `period_events` events
+  /// after the previous periodic audit.
+  void on_boundary(std::uint64_t executed) {
     if (!cfg_.enabled) return;
-    if (++events_since_audit_ < cfg_.period_events) return;
-    events_since_audit_ = 0;
+    if (executed - last_audit_events_ < cfg_.period_events) return;
+    last_audit_events_ = executed;
     audit_now();
   }
 
@@ -117,7 +120,7 @@ class InvariantAuditor {
  private:
   Config cfg_;
   std::vector<std::pair<std::string, Check>> checks_;
-  std::uint64_t events_since_audit_ = 0;
+  std::uint64_t last_audit_events_ = 0;
   std::uint64_t audits_run_ = 0;
 };
 

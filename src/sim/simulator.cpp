@@ -1,86 +1,10 @@
 #include "sim/simulator.hpp"
 
-#include <utility>
-
 #include "persist/serializer.hpp"
 
 namespace dtn::sim {
 
-void Simulator::at(double t, EventFn fn) {
-  DTN_ASSERT(fn);
-  DTN_ASSERT(t >= now_);
-  std::uint32_t slot;
-  if (free_slots_.empty()) {
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back(std::move(fn));
-  } else {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-    slots_[slot] = std::move(fn);
-  }
-  Event ev;
-  ev.time = t;
-  ev.kind = EventKind::kCallback;
-  ev.a = slot;
-  queue_.schedule(ev);
-}
-
-void Simulator::dispatch(const Event& ev) {
-  if (ev.kind == EventKind::kCallback) {
-    // Free the slot before running: the closure may schedule again and
-    // is allowed to reuse it.
-    EventFn fn = std::move(slots_[ev.a]);
-    slots_[ev.a] = nullptr;
-    free_slots_.push_back(ev.a);
-    fn();
-    return;
-  }
-  DTN_ASSERT(dispatch_ != nullptr);
-  dispatch_(dispatch_ctx_, ev);
-}
-
-void Simulator::run_until(double end_time, EventSource* source) {
-  run_until_with(end_time, source);
-}
-
-bool Simulator::run_until(double end_time, EventSource* source, StepFn step,
-                          void* step_ctx) {
-  DTN_ASSERT(step != nullptr);
-  // A separate copy of the merge loop: the unstepped overload stays
-  // branch-free on the hot path, and this one pays one indirect call
-  // per event only when checkpointing is enabled.
-  while (true) {
-    const bool queue_ready = !queue_.empty() && queue_.next_time() <= end_time;
-    const bool source_ready = source != nullptr && !source->exhausted() &&
-                              source->peek().time <= end_time;
-    if (!queue_ready && !source_ready) break;
-    bool take_source = source_ready;
-    if (queue_ready && source_ready) {
-      const Event& head = source->peek();
-      take_source = head.time < queue_.next_time() ||
-                    (head.time == queue_.next_time() &&
-                     head.seq < queue_.next_seq());
-    }
-    Event ev;
-    if (take_source) {
-      ev = source->peek();
-      source->advance();
-    } else {
-      ev = queue_.pop();
-    }
-    now_ = ev.time;
-    ++executed_;
-    dispatch(ev);
-    if (!step(step_ctx)) return false;
-  }
-  now_ = end_time;
-  return true;
-}
-
 void Simulator::save(persist::Writer& w) const {
-  // Live kCallback closures cannot round-trip through a byte stream;
-  // the replay engine never has any pending at a snapshot point.
-  DTN_ASSERT(slots_.size() == free_slots_.size());
   w.f64(now_);
   w.u64(executed_);
   queue_.save(w);
@@ -91,15 +15,6 @@ void Simulator::load(persist::Reader& r) {
   now_ = r.f64();
   executed_ = r.u64();
   queue_.load(r);
-}
-
-void Simulator::run() {
-  while (!queue_.empty()) {
-    const Event ev = queue_.pop();
-    now_ = ev.time;
-    ++executed_;
-    dispatch(ev);
-  }
 }
 
 }  // namespace dtn::sim

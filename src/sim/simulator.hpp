@@ -1,22 +1,17 @@
 // Simulation clock + scheduler facade over the typed event queue.
 //
-// Typed events (the hot path) are dispatched through a single
-// function-pointer dispatcher installed by the owning engine; opaque
-// closures (the cold path: tests, examples, ad-hoc scheduling) ride as
-// kCallback events whose payload indexes a slab pool of std::function
-// slots.  Freed slots are recycled through a free list, so steady-state
-// closure scheduling does not allocate either.
-//
-// `run_until` optionally merges an EventSource (e.g. the lazy trace
-// cursor) with the queue: at each step the earlier of (queue head,
-// source head) in (time, seq) order executes.  This is what lets a
-// month-scale trace replay run without materializing millions of
-// upfront events.
+// Every event is dispatched through a single function-pointer
+// dispatcher installed by the owning engine.  `run_until` is the one
+// event-merge loop: it optionally merges a lazy event source (the trace
+// cursor) with the queue — at each iteration the earlier of (queue
+// head, source head) in (time, seq) order executes — which is what lets
+// a month-scale trace replay run without materializing millions of
+// upfront events.  An optional step observer sees every batch boundary
+// and may suspend the loop; checkpointing and periodic auditing hang
+// off it.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <vector>
 
 #include "sim/event.hpp"
 #include "sim/event_queue.hpp"
@@ -24,21 +19,18 @@
 
 namespace dtn::sim {
 
-using EventFn = std::function<void()>;
-
 class Simulator {
  public:
-  /// Typed-event dispatcher; receives every non-kCallback event.
+  /// Typed-event dispatcher; receives every event.
   using DispatchFn = void (*)(void* ctx, const Event& ev);
 
-  /// Install the typed dispatcher.  Required before any typed event
-  /// fires; kCallback-only simulations (closures) don't need one.
+  /// Install the dispatcher.  Required before any event fires.
   void set_dispatcher(DispatchFn fn, void* ctx) {
     dispatch_ = fn;
     dispatch_ctx_ = ctx;
   }
 
-  /// Reserve seqs [0, floor) for an EventSource (see EventQueue).
+  /// Reserve seqs [0, floor) for an event source (see EventQueue).
   void set_seq_floor(std::uint64_t floor) { queue_.set_seq_floor(floor); }
 
   /// Current simulation time (time of the event being processed, or the
@@ -52,28 +44,36 @@ class Simulator {
     queue_.schedule(ev);
   }
 
-  /// Schedule a closure at an absolute time (>= now).
-  void at(double t, EventFn fn);
-
-  /// Schedule a closure `delay` seconds from now (delay >= 0).
-  void after(double delay, EventFn fn) {
-    DTN_ASSERT(delay >= 0.0);
-    at(now_ + delay, std::move(fn));
-  }
+  /// run_until's defaults: no event source, a step that never suspends.
+  struct NoSource {
+    [[nodiscard]] bool exhausted() const { return true; }
+    [[nodiscard]] const Event& peek() const { return none; }
+    void advance() {}
+    Event none;
+  };
+  struct NoStep {
+    bool operator()() const { return true; }
+  };
 
   /// Run until the queue (and `source`, when given) empties or the
   /// clock passes `end_time`.  Events exactly at `end_time` still run.
-  void run_until(double end_time) { run_until(end_time, nullptr); }
-  void run_until(double end_time, EventSource* source);
-
-  /// Statically-typed run_until: `Source` is the concrete EventSource
-  /// type, so the per-event exhausted()/peek()/advance() calls
-  /// devirtualize (and the header-inline ones inline) instead of going
-  /// through the vtable ~4 times per event.  The merge order is the
-  /// virtual overload's, line for line — the replay engine drives its
-  /// final trace::TraceCursor through this.
-  template <class Source>
-  void run_until_with(double end_time, Source* source) {
+  ///
+  /// `Source` is a lazy stream with exhausted()/peek()/advance() whose
+  /// events come in strictly increasing (time, seq) order, with seqs
+  /// below the queue's floor (set_seq_floor) so they win same-time
+  /// ties; the replay engine passes its trace::TraceCursor, so the
+  /// per-event calls inline.
+  ///
+  /// `step()` runs after every dispatch().  A dispatch is one batch: the
+  /// dispatcher may consume the same-time successors of the event it
+  /// was handed straight from the source (absorb_external_event), so
+  /// the step sees batch boundaries only — the points where engine
+  /// state is coherent.  Returning false suspends the loop with the
+  /// clock at the last event's time.  Returns true when the loop ran to
+  /// completion (clock set to `end_time`), false when `step` suspended
+  /// it.
+  template <class Source = NoSource, class Step = NoStep>
+  bool run_until(double end_time, Source* source = nullptr, Step step = {}) {
     while (true) {
       const bool queue_ready =
           !queue_.empty() && queue_.next_time() <= end_time;
@@ -87,45 +87,30 @@ class Simulator {
                       (head.time == queue_.next_time() &&
                        head.seq < queue_.next_seq());
       }
+      Event ev;
       if (take_source) {
-        const Event ev = source->peek();
+        ev = source->peek();
         source->advance();
-        now_ = ev.time;
-        ++executed_;
-        dispatch(ev);
       } else {
-        const Event ev = queue_.pop();
-        now_ = ev.time;
-        ++executed_;
-        dispatch(ev);
+        ev = queue_.pop();
       }
+      now_ = ev.time;
+      ++executed_;
+      dispatch(ev);
+      if (!step()) return false;
     }
     now_ = end_time;
+    return true;
   }
-
-  /// Observer called after each dispatched event in the stepped
-  /// run_until overload; returning false suspends the loop (the clock
-  /// stays at the last event's time instead of jumping to `end_time`).
-  /// This is how the checkpoint subsystem snapshots mid-run and models
-  /// a deterministic kill (docs/checkpointing.md).
-  using StepFn = bool (*)(void* ctx);
-
-  /// As run_until(end_time, source), with `step` invoked after every
-  /// event.  Returns true when the loop ran to completion (clock set to
-  /// `end_time`), false when `step` suspended it.
-  bool run_until(double end_time, EventSource* source, StepFn step,
-                 void* step_ctx);
-
-  /// Run everything in the queue (no external source).
-  void run();
 
   [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
 
   /// Account one event a dispatcher consumed directly from the active
-  /// EventSource (batched contact dispatch drains same-time runs inside
-  /// one dispatch): keeps events_executed() — and therefore checkpoint
-  /// images — identical to unbatched replay.  Only legal from inside a
-  /// dispatch at the current time, so the clock needs no update.
+  /// source (batched contact dispatch drains same-time runs inside one
+  /// dispatch): events_executed() keeps counting events, not batches,
+  /// so checkpoint images and cadences are the same as if every event
+  /// had gone through the loop.  Only legal from inside a dispatch at
+  /// the current time, so the clock needs no update.
   void absorb_external_event() { ++executed_; }
   [[nodiscard]] std::size_t pending() const { return queue_.size(); }
 
@@ -137,27 +122,23 @@ class Simulator {
   [[nodiscard]] const EventQueue& queue() const { return queue_; }
 
   // -- checkpointing (src/persist/, docs/checkpointing.md) --------------
-  /// Serialize clock + counters + the pending queue image.  kCallback
-  /// events hold closures and cannot be serialized; asserts none are
-  /// live (the replay engine schedules none).
+  /// Serialize clock + counters + the pending queue image.
   void save(persist::Writer& w) const;
   /// Restore into a simulator that has not run yet (the dispatcher is
   /// reinstalled by the owner, not serialized).
   void load(persist::Reader& r);
 
  private:
-  void dispatch(const Event& ev);
+  void dispatch(const Event& ev) {
+    DTN_ASSERT(dispatch_ != nullptr);
+    dispatch_(dispatch_ctx_, ev);
+  }
 
   EventQueue queue_;
   DTN_CKPT_SKIP("dispatch hook; the owner re-registers it before resume")
   DispatchFn dispatch_ = nullptr;
   DTN_CKPT_SKIP("dispatch hook; the owner re-registers it before resume")
   void* dispatch_ctx_ = nullptr;
-  // Slab pool of closure slots for kCallback events.
-  DTN_CKPT_SKIP("no live callbacks at snapshot points (asserted in save)")
-  std::vector<EventFn> slots_;
-  DTN_CKPT_SKIP("no live callbacks at snapshot points (asserted in save)")
-  std::vector<std::uint32_t> free_slots_;
   double now_ = 0.0;
   std::uint64_t executed_ = 0;
 };

@@ -35,16 +35,18 @@ class Reader;
 
 namespace dtn::trace {
 
-class TraceCursor final : public sim::EventSource {
+/// The replay's event source: Simulator::run_until merges it with the
+/// dynamic event queue.
+class TraceCursor {
  public:
   explicit TraceCursor(const Trace& trace);
 
-  [[nodiscard]] bool exhausted() const override { return heap_.empty(); }
-  [[nodiscard]] const sim::Event& peek() const override {
+  [[nodiscard]] bool exhausted() const { return heap_.empty(); }
+  [[nodiscard]] const sim::Event& peek() const {
     DTN_ASSERT(!heap_.empty());
     return current_;
   }
-  void advance() override;
+  void advance();
 
   /// Total events the full replay produces (2 per visit).
   [[nodiscard]] std::uint64_t total_events() const { return total_events_; }

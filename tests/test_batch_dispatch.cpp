@@ -5,20 +5,31 @@
 // per-event dispatch: counters, per-packet vectors, router
 // diagnostics, the event count and the clock.
 //
+// Batching is the only replay path, so per-event dispatch survives here
+// as pinned results: each scenario's counters digest, diagnostics
+// checksum, event count and final clock were recorded from per-event
+// runs, and both the serial and the sharded engine must reproduce them.
+//
 // Generated traces draw visit times continuously, so exact ties are
 // rare there; the generator runs below pin the common case, and a
 // hand-built tie-heavy trace (whole cohorts sharing identical visit
 // windows) forces real multi-event batches through both the serial
-// drain and the sharded lookahead.
+// drain and the sharded lookahead.  The same trace shows that
+// checkpointed and audited runs — which observe the replay at batch
+// boundaries — batch too, without changing a bit.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <filesystem>
+#include <string>
 
 #include "core/dtn_flow_router.hpp"
 #include "net/network.hpp"
+#include "persist/checkpoint.hpp"
 #include "trace/campus_generator.hpp"
 #include "trace/city_generator.hpp"
+#include "trace/cursor.hpp"
 #include "trace/trace.hpp"
 
 namespace dtn {
@@ -37,44 +48,120 @@ struct RunResult {
   double now;
 };
 
-// Order-sensitive FNV-1a digest over the per-packet result vectors —
-// the same probe the golden determinism tests use, so "equal digests"
-// here means the batched path reproduces delivery order bit for bit.
-std::uint64_t digest(const net::RunCounters& c) {
-  std::uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  for (double d : c.delivery_delays) mix(std::bit_cast<std::uint64_t>(d));
-  for (std::uint32_t x : c.delivery_hops) mix(x);
+// Order-sensitive FNV-1a digests.  The counters digest covers every
+// RunCounters field, the per-packet delay/hop vectors included, so
+// "equal digests" means the run reproduces delivery order bit for bit.
+std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
+  h ^= v;
+  h *= 1099511628211ull;
   return h;
+}
+
+std::uint64_t counters_digest(const net::RunCounters& c) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto mix = [&h](std::uint64_t v) { h = fnv_mix(h, v); };
+  const auto mix_f64 = [&mix](double v) {
+    mix(std::bit_cast<std::uint64_t>(v));
+  };
+  mix(c.generated);
+  mix(c.delivered);
+  mix(c.dropped_ttl);
+  mix(c.refused_buffer);
+  mix(c.packet_forwards);
+  mix(c.replications);
+  mix_f64(c.control_entries);
+  mix_f64(c.total_delay);
+  mix(c.delivery_delays.size());
+  for (double d : c.delivery_delays) mix_f64(d);
+  mix(c.delivery_hops.size());
+  for (std::uint32_t x : c.delivery_hops) mix(x);
+  mix(c.evicted_policy);
+  mix(c.evicted_kb);
+  mix(c.admission_shed);
+  mix(c.duplicates_suppressed);
+  mix(c.dedup_refused);
+  mix(c.spilled_bundles);
+  mix(c.recalled_bundles);
+  mix(c.node_crashes);
+  mix(c.node_reboots);
+  mix(c.station_outages);
+  mix(c.station_recoveries);
+  mix(c.packets_lost_fault);
+  mix(c.kb_lost_fault);
+  mix(c.transfers_interrupted);
+  mix(c.transfers_resumed);
+  mix(c.transfers_blocked_fault);
+  mix(c.outage_recovery_delays.size());
+  for (double d : c.outage_recovery_delays) mix_f64(d);
+  return h;
+}
+
+std::uint64_t diag_checksum(const core::DtnFlowDiagnostics& g) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const std::uint64_t v :
+       {g.transits_observed, g.predictions_scored, g.predictions_correct,
+        g.dead_ends_detected, g.loops_detected, g.loops_corrected,
+        g.balancing_diversions, g.station_outages_seen,
+        g.station_recoveries_seen, g.dv_carriers_lost,
+        g.dv_deliveries_deferred, g.stale_origins_expired,
+        g.fallback_next_hops, g.post_outage_reconvergences}) {
+    h = fnv_mix(h, v);
+  }
+  return h;
+}
+
+// Results of a per-event (unbatched) replay of one scenario.
+struct Pinned {
+  std::uint64_t counters;
+  std::uint64_t diag;
+  std::uint64_t events;
+  double now;
+};
+
+void expect_pinned(const RunResult& r, const Pinned& want) {
+  EXPECT_EQ(counters_digest(r.counters), want.counters);
+  EXPECT_EQ(diag_checksum(r.diag), want.diag);
+  EXPECT_EQ(r.events, want.events);
+  EXPECT_EQ(r.now, want.now);
 }
 
 void expect_equal(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.counters, b.counters);
-  EXPECT_EQ(digest(a.counters), digest(b.counters));
   EXPECT_EQ(a.diag, b.diag);
   EXPECT_EQ(a.events, b.events);
   EXPECT_EQ(a.now, b.now);
 }
 
-RunResult run(const trace::Trace& trace, WorkloadConfig cfg, bool batched,
-              std::size_t shards = 1) {
-  cfg.batch_contacts = batched;
+core::DtnFlowConfig router_config() {
   core::DtnFlowConfig rc;
   rc.dead_end_prevention = true;
   rc.load_balancing = true;
   rc.node_to_node_relay = true;
-  core::DtnFlowRouter router(rc);
-  Network net(trace, router, cfg);
-  if (shards <= 1) {
-    net.run();
-  } else {
-    net.run_sharded(shards);
-  }
+  return rc;
+}
+
+RunResult result_of(const Network& net, const core::DtnFlowRouter& router) {
   return {net.counters(), router.diagnostics(), net.events_executed(),
           net.now()};
+}
+
+RunResult run(const trace::Trace& trace, const WorkloadConfig& cfg,
+              std::size_t shards = 1) {
+  core::DtnFlowRouter router(router_config());
+  Network net(trace, router, cfg);
+  net.run_sharded(shards);
+  return result_of(net, router);
+}
+
+// Serial and 4-shard replays must both reproduce the per-event results.
+// Returns the serial run's.
+RunResult expect_both_engines_pinned(const trace::Trace& trace,
+                                     const WorkloadConfig& cfg,
+                                     const Pinned& want) {
+  const RunResult serial = run(trace, cfg);
+  expect_pinned(serial, want);
+  expect_pinned(run(trace, cfg, /*shards=*/4), want);
+  return serial;
 }
 
 WorkloadConfig workload(std::uint32_t seed) {
@@ -97,10 +184,11 @@ TEST(BatchDispatch, CampusReplayMatchesUnbatchedBitForBit) {
   tc.seed = 29;
   const auto trace = trace::generate_campus_trace(tc);
 
-  const RunResult batched = run(trace, workload(3), /*batched=*/true);
-  ASSERT_GT(batched.counters.generated, 50u);
-  ASSERT_GT(batched.counters.delivered, 0u);
-  expect_equal(batched, run(trace, workload(3), /*batched=*/false));
+  const RunResult serial = expect_both_engines_pinned(
+      trace, workload(3),
+      {0x8b3c1952a094c982ull, 0x81d4ce391aa94e36ull, 12212, 853200.0});
+  EXPECT_GT(serial.counters.generated, 50u);
+  EXPECT_GT(serial.counters.delivered, 0u);
 }
 
 TEST(BatchDispatch, CityReplayMatchesUnbatchedBitForBit) {
@@ -119,15 +207,18 @@ TEST(BatchDispatch, CityReplayMatchesUnbatchedBitForBit) {
   cfg.packets_per_landmark_per_day = 2.0;
   cfg.node_memory_kb = 20;
 
-  const RunResult batched = run(trace, cfg, /*batched=*/true);
-  ASSERT_GT(batched.counters.delivered, 0u);
-  expect_equal(batched, run(trace, cfg, /*batched=*/false));
+  const RunResult serial = expect_both_engines_pinned(
+      trace, cfg,
+      {0xa52a1047c44eb632ull, 0x726692af47f9afccull, 12501, 79200.0});
+  EXPECT_GT(serial.counters.delivered, 0u);
 }
 
 // Cohorts of nodes sharing *identical* visit windows: every contact
 // event at a landmark arrives as a same-timestamp run, so the batched
 // path actually takes the multi-event drain (deferred present-set
 // renumber, prepaid epoch) instead of the single-event fast path.
+// Cohort c visits landmark c over [0, 30 min) and landmark c + 1 over
+// [60, 90 min) of every 2 h period, starting at t = 0.
 trace::Trace tie_heavy_trace(double days) {
   constexpr std::uint32_t kCohorts = 3;
   constexpr std::uint32_t kPerCohort = 4;
@@ -166,21 +257,134 @@ WorkloadConfig tie_workload() {
 
 TEST(BatchDispatch, TieHeavyTraceMatchesUnbatchedBitForBit) {
   const auto trace = tie_heavy_trace(8.0);
-  const RunResult batched = run(trace, tie_workload(), /*batched=*/true);
-  ASSERT_GT(batched.counters.delivered, 0u);
-  expect_equal(batched, run(trace, tie_workload(), /*batched=*/false));
+  const RunResult serial = expect_both_engines_pinned(
+      trace, tie_workload(),
+      {0x76c86bc1135ff285ull, 0x580666bd9ecb62ddull, 4668, 689400.0});
+  EXPECT_GT(serial.counters.delivered, 0u);
 }
 
 TEST(BatchDispatch, ShardedTieHeavyReplayMatchesAllOtherModes) {
-  const auto trace = tie_heavy_trace(6.0);
-  const RunResult serial_batched = run(trace, tie_workload(), true);
-  expect_equal(serial_batched, run(trace, tie_workload(), false));
   // The sharded lookahead batches independently of the serial drain;
-  // all four mode combinations must agree.
-  expect_equal(serial_batched,
-               run(trace, tie_workload(), /*batched=*/true, /*shards=*/4));
-  expect_equal(serial_batched,
-               run(trace, tie_workload(), /*batched=*/false, /*shards=*/4));
+  // both must agree with per-event dispatch.
+  const auto trace = tie_heavy_trace(6.0);
+  expect_both_engines_pinned(
+      trace, tie_workload(),
+      {0xb69acbc1135ff285ull, 0xc8433a4bd9a1a21dull, 3508, 516600.0});
+}
+
+// -- checkpointed and audited runs batch too ------------------------------
+
+// Executed-event counts (1-based) of the first and last member of a
+// same-(time, landmark) departure run, derived from the trace and the
+// workload alone: trace events come out of the cursor, and queue
+// events (manual packets, sweep + tick pairs; tie_workload() draws no
+// Poisson traffic) precede a trace event exactly when they are earlier
+// — at equal times the cursor's seqs sort first.
+struct DepartureRun {
+  std::uint64_t first = 0;
+  std::uint64_t last = 0;
+};
+
+std::uint64_t queue_events_before(const WorkloadConfig& cfg, double t) {
+  std::uint64_t n = 0;
+  for (const auto& mp : cfg.manual_packets) n += mp.time < t ? 1 : 0;
+  // The tie-heavy trace starts at t = 0, so unit u ends at u * time_unit.
+  for (double u = cfg.time_unit; u < t; u += cfg.time_unit) n += 2;
+  return n;
+}
+
+DepartureRun first_departure_run_after(const trace::Trace& trace,
+                                       const WorkloadConfig& cfg,
+                                       double after) {
+  trace::TraceCursor cursor(trace);
+  std::uint64_t consumed = 0;
+  while (!cursor.exhausted()) {
+    const sim::Event head = cursor.peek();
+    cursor.advance();
+    ++consumed;
+    if (head.kind != sim::EventKind::kDeparture || head.time <= after) {
+      continue;
+    }
+    const trace::LandmarkId l = trace.visits(head.a)[head.b].landmark;
+    std::uint64_t len = 1;
+    while (!cursor.exhausted() &&
+           cursor.peek().kind == sim::EventKind::kDeparture &&
+           cursor.peek().time == head.time &&
+           trace.visits(cursor.peek().a)[cursor.peek().b].landmark == l) {
+      cursor.advance();
+      ++len;
+    }
+    if (len < 2) continue;
+    const std::uint64_t before = queue_events_before(cfg, head.time);
+    return {consumed + before, consumed + len - 1 + before};
+  }
+  return {};
+}
+
+std::uint64_t executed_from_path(const std::string& path) {
+  // ckpt-<zero padded count>.dtnckpt
+  const auto base = std::filesystem::path(path).stem().string();
+  return std::stoull(base.substr(base.find('-') + 1));
+}
+
+TEST(BatchDispatch, CheckpointedRunSnapshotsAtTheEndOfADepartureRun) {
+  const auto trace = tie_heavy_trace(6.0);
+  const WorkloadConfig cfg = tie_workload();
+  const RunResult full = run(trace, cfg);
+  // The event model above accounts for every event of the replay.
+  ASSERT_EQ(full.events, trace::TraceCursor(trace).total_events() +
+                             queue_events_before(cfg, full.now + 1.0));
+
+  // A run with packets in flight: past the first manual packets.
+  const DepartureRun dep = first_departure_run_after(trace, cfg, 2.5 * kDay);
+  ASSERT_GT(dep.last, dep.first);
+
+  persist::CheckpointConfig cc;
+  cc.dir = (std::filesystem::path(::testing::TempDir()) /
+            "dtn_batch_ckpt_mid_run")
+               .string();
+  std::filesystem::remove_all(cc.dir);
+  // After `first` events the run's first departure has dispatched and
+  // the rest are pending: strictly inside the run.
+  cc.stop_after_events = dep.first;
+  {
+    persist::CheckpointManager mgr(cc);
+    core::DtnFlowRouter router(router_config());
+    Network net(trace, router, cfg);
+    ASSERT_FALSE(net.run(mgr));
+    // The suspension waits for the batch boundary: the run's end.
+    EXPECT_EQ(net.events_executed(), dep.last);
+    const auto files = mgr.list();
+    ASSERT_EQ(files.size(), 1u);
+    EXPECT_EQ(executed_from_path(files.front()), dep.last);
+  }
+  cc.stop_after_events = 0;
+  persist::CheckpointManager mgr(cc);
+  core::DtnFlowRouter router(router_config());
+  Network net(trace, router, cfg);
+  ASSERT_TRUE(net.run(mgr));
+  net.validate_invariants();
+  expect_equal(full, result_of(net, router));
+}
+
+TEST(BatchDispatch, AuditedRunBatchesAndMatchesUnauditedRun) {
+  const auto trace = tie_heavy_trace(6.0);
+  const RunResult plain = run(trace, tie_workload());
+
+  WorkloadConfig cfg = tie_workload();
+  cfg.audit_period_events = 1;  // audit at every batch boundary
+  core::DtnFlowRouter router(router_config());
+  Network net(trace, router, cfg);
+  net.run();  // aborts on the first failed periodic audit
+
+  sim::AuditReport report;
+  net.audit(report);
+  EXPECT_TRUE(report.ok()) << report.to_string();
+  EXPECT_GT(net.auditor().audits_run(), 0u);
+  // One audit per batch boundary plus the final one: multi-event
+  // batches leave fewer boundaries than events.
+  EXPECT_LT(net.auditor().audits_run(), net.events_executed());
+  expect_equal(plain, result_of(net, router));
 }
 
 }  // namespace

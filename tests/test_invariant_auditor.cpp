@@ -13,6 +13,7 @@
 
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "core/dtn_flow_router.hpp"
 #include "core/markov_predictor.hpp"
@@ -52,7 +53,7 @@ TEST(InvariantAuditor, DisabledAuditorNeverRuns) {
                             /*abort_on_failure=*/false});
   int calls = 0;
   auditor.register_check("probe", [&calls](AuditReport&) { ++calls; });
-  for (int i = 0; i < 100; ++i) auditor.on_event();
+  for (std::uint64_t i = 1; i <= 100; ++i) auditor.on_boundary(i);
   EXPECT_EQ(calls, 0);
   EXPECT_EQ(auditor.audits_run(), 0u);
 }
@@ -62,9 +63,26 @@ TEST(InvariantAuditor, PeriodGatesOnEvent) {
                             /*abort_on_failure=*/false});
   int calls = 0;
   auditor.register_check("probe", [&calls](AuditReport&) { ++calls; });
-  for (int i = 0; i < 95; ++i) auditor.on_event();
+  for (std::uint64_t i = 1; i <= 95; ++i) auditor.on_boundary(i);
   EXPECT_EQ(calls, 9);  // every 10th event
   EXPECT_EQ(auditor.audits_run(), 9u);
+}
+
+TEST(InvariantAuditor, PeriodFiresAtFirstBoundaryPastIt) {
+  // Replay batches make boundaries skip event counts: an audit fires at
+  // the first boundary at least one period after the previous audit.
+  InvariantAuditor auditor({/*enabled=*/true, /*period_events=*/10,
+                            /*abort_on_failure=*/false});
+  std::vector<std::uint64_t> audited_at;
+  std::uint64_t executed = 0;
+  auditor.register_check("probe", [&](AuditReport&) {
+    audited_at.push_back(executed);
+  });
+  for (const std::uint64_t boundary : {3u, 7u, 12u, 15u, 21u, 25u, 40u}) {
+    executed = boundary;
+    auditor.on_boundary(executed);
+  }
+  EXPECT_EQ(audited_at, (std::vector<std::uint64_t>{12, 25, 40}));
 }
 
 TEST(InvariantAuditor, ReportAttributesFailuresToChecks) {
@@ -368,9 +386,8 @@ trace::Trace overlapping_trace(double days) {
 // The desync must therefore be seeded from *inside* one of those hooks,
 // right after the inner dispatch ran.  DtnFlowRouter is final; this
 // shim forwards every replay hook to an inner instance and corrupts +
-// audits mid-hook.  Batching is disabled for this run: a mid-batch
-// audit would (correctly) see the deferred present-set renumber as
-// inconsistent.
+// audits mid-hook.  Those hooks run between departure batches, so the
+// mid-hook audit never sees a half-done present-set renumber.
 class CacheCorruptingShim : public net::Router {
  public:
   explicit CacheCorruptingShim(DtnFlowRouter& inner) : inner_(inner) {}
@@ -388,6 +405,10 @@ class CacheCorruptingShim : public net::Router {
   void on_departure(Network& net, net::NodeId node,
                     net::LandmarkId l) override {
     inner_.on_departure(net, node, l);
+  }
+  void on_departure_batch_begin(Network& net, net::LandmarkId l,
+                                std::size_t count) override {
+    inner_.on_departure_batch_begin(net, l, count);
   }
   void on_contact(Network& net, net::NodeId arriving, net::NodeId present,
                   net::LandmarkId l) override {
@@ -427,9 +448,7 @@ TEST(NetworkAudit, DetectsCarrierCacheDesyncMidRun) {
   const auto trace = overlapping_trace(6.0);
   DtnFlowRouter inner;
   CacheCorruptingShim router(inner);
-  auto cfg = chain_workload();
-  cfg.batch_contacts = false;
-  Network net(trace, router, cfg);
+  Network net(trace, router, chain_workload());
   net.run();
   ASSERT_TRUE(router.fired_);
   EXPECT_FALSE(router.report_.ok());

@@ -3,10 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
+
+#include "closure_scheduler.hpp"
 
 namespace dtn::sim {
 namespace {
+
+using dtn::testing::ClosureScheduler;
+
+constexpr double kForever = std::numeric_limits<double>::infinity();
 
 Event typed(double t, std::uint32_t a, EventKind kind = EventKind::kArrival) {
   Event ev;
@@ -79,10 +86,11 @@ TEST(EventQueueDeath, SchedulingInThePastRejected) {
 
 TEST(Simulator, NowTracksEventTime) {
   Simulator sim;
+  ClosureScheduler closures(sim);
   std::vector<double> times;
-  sim.at(1.5, [&] { times.push_back(sim.now()); });
-  sim.at(3.5, [&] { times.push_back(sim.now()); });
-  sim.run();
+  closures.at(1.5, [&] { times.push_back(sim.now()); });
+  closures.at(3.5, [&] { times.push_back(sim.now()); });
+  closures.run();
   ASSERT_EQ(times.size(), 2u);
   EXPECT_DOUBLE_EQ(times[0], 1.5);
   EXPECT_DOUBLE_EQ(times[1], 3.5);
@@ -90,49 +98,76 @@ TEST(Simulator, NowTracksEventTime) {
 
 TEST(Simulator, AfterSchedulesRelative) {
   Simulator sim;
+  ClosureScheduler closures(sim);
   double fired_at = -1.0;
-  sim.at(2.0, [&] {
-    sim.after(3.0, [&] { fired_at = sim.now(); });
+  closures.at(2.0, [&] {
+    closures.after(3.0, [&] { fired_at = sim.now(); });
   });
-  sim.run();
+  closures.run();
   EXPECT_DOUBLE_EQ(fired_at, 5.0);
 }
 
 TEST(Simulator, CallbackTiesRunInScheduleOrder) {
   Simulator sim;
+  ClosureScheduler closures(sim);
   std::vector<int> order;
   for (int i = 0; i < 10; ++i) {
-    sim.at(5.0, [&order, i] { order.push_back(i); });
+    closures.at(5.0, [&order, i] { order.push_back(i); });
   }
-  sim.run();
+  closures.run();
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
 }
 
-TEST(Simulator, CallbackSlotsAreRecycled) {
-  // Closure slots return to the free list after firing; heavy reuse
-  // must not grow the pool beyond the peak number in flight.
+TEST(Simulator, ChainedCallbacksRunToCompletion) {
+  // Each closure schedules its successor while it runs (growing the
+  // scheduler's closure vector under its own feet).
   Simulator sim;
+  ClosureScheduler closures(sim);
   int fired = 0;
   std::function<void()> chain = [&] {
     ++fired;
-    if (fired < 100) sim.after(1.0, chain);
+    if (fired < 100) closures.after(1.0, chain);
   };
-  sim.at(0.0, chain);
-  sim.run();
+  closures.at(0.0, chain);
+  closures.run();
   EXPECT_EQ(fired, 100);
   EXPECT_EQ(sim.events_executed(), 100u);
 }
 
 TEST(Simulator, RunUntilStopsAtDeadline) {
   Simulator sim;
+  ClosureScheduler closures(sim);
   int fired = 0;
-  sim.at(1.0, [&] { ++fired; });
-  sim.at(2.0, [&] { ++fired; });
-  sim.at(10.0, [&] { ++fired; });
-  sim.run_until(2.0);  // inclusive
+  closures.at(1.0, [&] { ++fired; });
+  closures.at(2.0, [&] { ++fired; });
+  closures.at(10.0, [&] { ++fired; });
+  EXPECT_TRUE(sim.run_until(2.0));  // inclusive
   EXPECT_EQ(fired, 2);
   EXPECT_DOUBLE_EQ(sim.now(), 2.0);
   EXPECT_EQ(sim.pending(), 1u);
+}
+
+TEST(Simulator, StepRunsAfterEachDispatchAndCanSuspend) {
+  Simulator sim;
+  ClosureScheduler closures(sim);
+  int fired = 0;
+  for (int i = 1; i <= 5; ++i) {
+    closures.at(static_cast<double>(i), [&] { ++fired; });
+  }
+  std::vector<int> seen;
+  const auto suspend_at_three = [&] {
+    seen.push_back(fired);
+    return fired < 3;
+  };
+  Simulator::NoSource* none = nullptr;
+  EXPECT_FALSE(sim.run_until(kForever, none, suspend_at_three));
+  EXPECT_EQ(seen, (std::vector<int>{1, 2, 3}));
+  // Suspended: the clock stays at the last event instead of jumping.
+  EXPECT_DOUBLE_EQ(sim.now(), 3.0);
+  EXPECT_EQ(sim.pending(), 2u);
+  EXPECT_TRUE(sim.run_until(kForever));
+  EXPECT_EQ(fired, 5);
+  EXPECT_EQ(sim.events_executed(), 5u);
 }
 
 TEST(Simulator, RunUntilOnEmptyQueueAdvancesClock) {
@@ -155,28 +190,26 @@ TEST(Simulator, TypedEventsDispatchThroughInstalledDispatcher) {
   sim.schedule(1.0, ev);
   ev.a = 9;
   sim.schedule(0.5, ev);
-  sim.run();
+  sim.run_until(kForever);
   EXPECT_EQ(seen, (std::vector<std::uint32_t>{9, 7}));
   EXPECT_EQ(sim.events_executed(), 2u);
 }
 
-// A minimal EventSource: a pre-sorted list with seqs below the floor.
-class ListSource final : public EventSource {
+// A minimal event source: a pre-sorted list with seqs below the floor.
+class ListSource {
  public:
   explicit ListSource(std::vector<Event> events)
       : events_(std::move(events)) {}
-  [[nodiscard]] bool exhausted() const override {
-    return next_ >= events_.size();
-  }
-  [[nodiscard]] const Event& peek() const override { return events_[next_]; }
-  void advance() override { ++next_; }
+  [[nodiscard]] bool exhausted() const { return next_ >= events_.size(); }
+  [[nodiscard]] const Event& peek() const { return events_[next_]; }
+  void advance() { ++next_; }
 
  private:
   std::vector<Event> events_;
   std::size_t next_ = 0;
 };
 
-TEST(Simulator, MergesEventSourceWithQueueInTimeSeqOrder) {
+TEST(Simulator, MergesSourceWithQueueInTimeSeqOrder) {
   Simulator sim;
   std::vector<std::pair<EventKind, std::uint32_t>> seen;
   sim.set_dispatcher(

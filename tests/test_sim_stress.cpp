@@ -5,6 +5,7 @@
 
 #include <vector>
 
+#include "closure_scheduler.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
@@ -47,19 +48,21 @@ TEST_P(EventQueueStressTest, RandomScheduleReplaysInOrder) {
 TEST_P(EventQueueStressTest, NestedSchedulingKeepsOrder) {
   Rng rng(GetParam() ^ 0xbeef);
   Simulator sim;
+  dtn::testing::ClosureScheduler closures(sim);
   std::vector<double> fired;
   // Seed events that spawn follow-ups at random future offsets.
   std::function<void(int)> spawn = [&](int depth) {
     fired.push_back(sim.now());
     if (depth < 3) {
       const double delay = 1.0 + static_cast<double>(rng.uniform_index(50));
-      sim.after(delay, [&, depth] { spawn(depth + 1); });
+      closures.after(delay, [&, depth] { spawn(depth + 1); });
     }
   };
   for (int i = 0; i < 200; ++i) {
-    sim.at(static_cast<double>(rng.uniform_index(100)), [&] { spawn(0); });
+    closures.at(static_cast<double>(rng.uniform_index(100)),
+                [&] { spawn(0); });
   }
-  sim.run();
+  closures.run();
   for (std::size_t i = 1; i < fired.size(); ++i) {
     ASSERT_LE(fired[i - 1], fired[i]);
   }
