@@ -109,7 +109,9 @@ void BM_RoutingTableRecompute(benchmark::State& state) {
   // The arrival hot path in miniature: a carried distance vector whose
   // entries barely moved merges into a warm table, then one route is
   // queried.  A full-table recompute pays O(n^2) per iteration here;
-  // the incremental recompute pays O(changed columns x n).
+  // the incremental table pays the merge's changed-cell scan plus O(1)
+  // upkeep per changed cell, and a rescan over the neighbor list only
+  // when the cell raised the cost of the column's best or backup hop.
   const auto n = static_cast<std::size_t>(state.range(0));
   dtn::core::RoutingTable table(0, n);
   dtn::Rng rng(12);

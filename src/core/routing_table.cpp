@@ -16,7 +16,6 @@ RoutingTable::RoutingTable(LandmarkId self, std::size_t num_landmarks)
     : self_(self),
       link_delay_(num_landmarks, kInfiniteDelay),
       advertised_(num_landmarks, num_landmarks, kInfiniteDelay),
-      advertised_T_(num_landmarks, num_landmarks, kInfiniteDelay),
       last_seq_(num_landmarks, 0),
       advertised_time_(num_landmarks, 0.0),
       expired_(num_landmarks, 0),
@@ -29,17 +28,17 @@ RoutingTable::RoutingTable(LandmarkId self, std::size_t num_landmarks)
   // merged anything from it (direct links are usable immediately).
   for (std::size_t v = 0; v < num_landmarks; ++v) {
     advertised_.at(v, v) = 0.0;
-    advertised_T_.at(v, v) = 0.0;
   }
 }
 
-void RoutingTable::rebuild_transposed() {
-  const std::size_t n = link_delay_.size();
-  for (std::size_t o = 0; o < n; ++o) {
-    for (std::size_t d = 0; d < n; ++d) {
-      advertised_T_.at(d, o) = advertised_.at(o, d);
+std::vector<LandmarkId> RoutingTable::finite_links() const {
+  std::vector<LandmarkId> linked;
+  for (std::size_t v = 0; v < link_delay_.size(); ++v) {
+    if (v != self_ && link_delay_[v] != kInfiniteDelay) {
+      linked.push_back(static_cast<LandmarkId>(v));
     }
   }
+  return linked;
 }
 
 void RoutingTable::mark_dirty(LandmarkId dst) {
@@ -59,7 +58,17 @@ void RoutingTable::set_link_delay(LandmarkId neighbor, double delay) {
   DTN_ASSERT(neighbor != self_);
   DTN_ASSERT(delay >= 0.0);
   if (link_delay_[neighbor] != delay) {
+    const bool was_linked = link_delay_[neighbor] != kInfiniteDelay;
     link_delay_[neighbor] = delay;
+    if (was_linked != (delay != kInfiniteDelay)) {
+      const auto at = std::lower_bound(neighbours_.begin(), neighbours_.end(),
+                                       neighbor);
+      if (was_linked) {
+        neighbours_.erase(at);
+      } else {
+        neighbours_.insert(at, neighbor);
+      }
+    }
     // A changed link cost touches every destination routed (or now
     // routable) through `neighbor`, which can be any column.
     mark_all_dirty();
@@ -83,13 +92,12 @@ bool RoutingTable::merge(const DistanceVector& dv, double now) {
   const LandmarkId origin = dv.origin;
   double* row = advertised_.row_ptr(origin);
   const double* in = dv.delay.data();
-  // Apply one incoming cell: advertised matrix, transposed mirror and
-  // dirty marking move together.
+  // Apply one incoming cell: the advertised matrix and the column's
+  // route move together.
   const auto apply = [&](std::size_t d, double incoming) {
     if (row[d] != incoming) {
       row[d] = incoming;
-      advertised_T_.at(d, origin) = incoming;
-      mark_dirty(static_cast<LandmarkId>(d));
+      update_cell(origin, static_cast<LandmarkId>(d));
     }
   };
 #if defined(__GNUC__) && !defined(DTN_SIMD_SCALAR)
@@ -97,7 +105,7 @@ bool RoutingTable::merge(const DistanceVector& dv, double now) {
     // Vectorized changed-cell scan: compare a whole block at a time and
     // fall back to per-cell application only inside blocks that differ.
     // Cells are visited in ascending destination order either way, so
-    // the dirty list grows in exactly the serial order.
+    // columns are updated and marked in exactly the serial order.
     const auto sweep = [&](std::size_t lo, std::size_t hi) {
       std::size_t d = lo;
       for (; d + simd::kDoubleLanes <= hi; d += simd::kDoubleLanes) {
@@ -123,13 +131,52 @@ bool RoutingTable::merge(const DistanceVector& dv, double now) {
   return true;
 }
 
-Route RoutingTable::compute_column_scalar(LandmarkId dst) const {
-  if (dst == self_) {
-    Route r;
-    r.next = self_;
-    r.delay = 0.0;
-    return r;
+namespace {
+
+/// Offer neighbor `v` at `cost` to a running best/backup pair: strict <
+/// with ascending v keeps the first index attaining each of the two
+/// smallest costs, i.e. the top two in (cost, index) order.
+void offer(Route& r, LandmarkId v, double cost) {
+  if (cost < r.delay) {
+    r.backup_next = r.next;
+    r.backup_delay = r.delay;
+    r.next = v;
+    r.delay = cost;
+  } else if (cost < r.backup_delay) {
+    r.backup_next = v;
+    r.backup_delay = cost;
   }
+}
+
+/// Does (cost, v) come before (delay, next) in (cost, index) order?
+/// An infinite cost — from an infinite link or advertisement — never
+/// does, the same exclusion the scans apply.
+bool precedes(double cost, LandmarkId v, double delay, LandmarkId next) {
+  return cost != kInfiniteDelay &&
+         (cost < delay || (cost == delay && v < next));
+}
+
+Route self_route(LandmarkId self) {
+  Route r;
+  r.next = self;
+  r.delay = 0.0;
+  return r;
+}
+
+}  // namespace
+
+Route RoutingTable::finish_column(LandmarkId dst, const Route& organic) const {
+  if (pinned_[dst] == 0) return organic;
+  // The pinned (injected) route replaces the best; the organically
+  // computed best becomes the backup so load balancing still works.
+  Route pr = pin_route_[dst];
+  pr.backup_next = organic.next;
+  pr.backup_delay = organic.delay;
+  return pr;
+}
+
+Route RoutingTable::compute_column_scalar(LandmarkId dst) const {
+  if (dst == self_) return self_route(self_);
   const std::size_t n = link_delay_.size();
   Route r;
   for (std::size_t v = 0; v < n; ++v) {
@@ -138,125 +185,53 @@ Route RoutingTable::compute_column_scalar(LandmarkId dst) const {
     if (ld == kInfiniteDelay) continue;
     const double adv = advertised_.at(v, dst);
     if (adv == kInfiniteDelay) continue;
-    const double cost = ld + adv;
-    if (cost < r.delay) {
-      r.backup_next = r.next;
-      r.backup_delay = r.delay;
-      r.next = static_cast<LandmarkId>(v);
-      r.delay = cost;
-    } else if (cost < r.backup_delay) {
-      r.backup_next = static_cast<LandmarkId>(v);
-      r.backup_delay = cost;
-    }
+    offer(r, static_cast<LandmarkId>(v), ld + adv);
   }
-  if (pinned_[dst] != 0) {
-    // The pinned (injected) route replaces the best; the organically
-    // computed best becomes the backup so load balancing still works.
-    Route pr = pin_route_[dst];
-    pr.backup_next = r.next;
-    pr.backup_delay = r.delay;
-    return pr;
-  }
-  return r;
+  return finish_column(dst, r);
 }
 
 Route RoutingTable::compute_column(LandmarkId dst) const {
-#if defined(__GNUC__) && !defined(DTN_SIMD_SCALAR)
-  if (!simd::kEnabled || simd::scalar_forced()) {
-    return compute_column_scalar(dst);
-  }
-  if (dst == self_) {
-    Route r;
-    r.next = self_;
-    r.delay = 0.0;
-    return r;
-  }
-  // Fused min / second-min sweep over the contiguous cost row
-  // cost[v] = link_delay[v] + advertised_T[dst][v].  Equivalent to the
-  // scalar running best/backup scan: the best hop is the *first* index
-  // attaining the row minimum, the backup the first index attaining the
-  // minimum with the best excluded — exactly the strict-< tie-break
-  // order of the serial loop (docs/simd-hot-path.md).  Excluded
-  // neighbors need no masking: link_delay_[self_] is always infinite,
-  // and any infinite link or advertisement makes cost[v] infinite,
-  // which can never win.  Each lane tracks its two smallest values
-  // (with multiplicity), so one pass yields both the minimum and the
-  // minimum-excluding-one-instance; indices are recovered by short
-  // equality scans that recompute cost with the identical ld + adv
-  // arithmetic (no scratch stores).
+  if (dst == self_) return self_route(self_);
+  // Walk column dst of advertised_ directly; an infinite advertisement
+  // makes the cost infinite, which never passes offer's strict <.
   const std::size_t n = link_delay_.size();
-  const double* ld = link_delay_.data();
-  const double* adv = advertised_T_.row_ptr(dst);
-  // Two independent accumulator pairs break the min/min latency chain;
-  // merging two (smallest, second-smallest) pairs afterwards is the
-  // same multiset-union merge the lane reduction performs.
-  simd::VDouble vm1 = simd::broadcast(kInfiniteDelay);
-  simd::VDouble vm2 = vm1;
-  simd::VDouble wm1 = vm1;
-  simd::VDouble wm2 = vm1;
-  std::size_t v = 0;
-  for (; v + 2 * simd::kDoubleLanes <= n; v += 2 * simd::kDoubleLanes) {
-    const simd::VDouble c0 = simd::loadu(ld + v) + simd::loadu(adv + v);
-    const simd::VDouble c1 = simd::loadu(ld + v + simd::kDoubleLanes) +
-                             simd::loadu(adv + v + simd::kDoubleLanes);
-    vm2 = simd::vmin(vm2, simd::vmax(vm1, c0));
-    vm1 = simd::vmin(vm1, c0);
-    wm2 = simd::vmin(wm2, simd::vmax(wm1, c1));
-    wm1 = simd::vmin(wm1, c1);
-  }
-  for (; v + simd::kDoubleLanes <= n; v += simd::kDoubleLanes) {
-    const simd::VDouble c = simd::loadu(ld + v) + simd::loadu(adv + v);
-    vm2 = simd::vmin(vm2, simd::vmax(vm1, c));
-    vm1 = simd::vmin(vm1, c);
-  }
-  vm2 = simd::vmin(simd::vmin(vm2, wm2), simd::vmax(vm1, wm1));
-  vm1 = simd::vmin(vm1, wm1);
-  // Merge the per-lane pairs, then the scalar tail: for two multisets
-  // with smallest pairs (a1, a2) and (b1, b2), the merged pair is
-  // (min(a1, b1), min(max(a1, b1), a2, b2)).
-  double m1 = kInfiniteDelay;
-  double m2 = kInfiniteDelay;
-  for (std::size_t lane = 0; lane < simd::kDoubleLanes; ++lane) {
-    const double b1 = vm1[lane];
-    const double b2 = vm2[lane];
-    const double hi = m1 > b1 ? m1 : b1;
-    m1 = m1 < b1 ? m1 : b1;
-    m2 = m2 < b2 ? m2 : b2;
-    m2 = m2 < hi ? m2 : hi;
-  }
-  for (; v < n; ++v) {
-    const double c = ld[v] + adv[v];
-    const double hi = m1 > c ? m1 : c;
-    m1 = m1 < c ? m1 : c;
-    m2 = m2 < hi ? m2 : hi;
-  }
+  const double* column = advertised_.raw().data() + dst;
   Route r;
-  if (m1 != kInfiniteDelay) {
-    std::size_t best = 0;
-    while (ld[best] + adv[best] != m1) ++best;
-    r.next = static_cast<LandmarkId>(best);
-    r.delay = ld[best] + adv[best];  // the first-argmin's bits
-    if (m2 != kInfiniteDelay) {
-      std::size_t backup = best == 0 ? 1 : 0;
-      while (backup == best || ld[backup] + adv[backup] != m2) ++backup;
-      r.backup_next = static_cast<LandmarkId>(backup);
-      r.backup_delay = ld[backup] + adv[backup];
-    }
+  for (const LandmarkId v : neighbours_) {
+    offer(r, v, link_delay_[v] + column[v * n]);
   }
-  if (pinned_[dst] != 0) {
-    Route pr = pin_route_[dst];
-    pr.backup_next = r.next;
-    pr.backup_delay = r.delay;
-    return pr;
-  }
-  return r;
-#else
-  return compute_column_scalar(dst);
-#endif
+  return finish_column(dst, r);
 }
 
-void RoutingTable::recompute_column(LandmarkId dst) const {
-  routes_[dst] = compute_column(dst);
+void RoutingTable::update_cell(LandmarkId v, LandmarkId dst) {
+  // Dirty columns are rescanned anyway, and the self route never moves.
+  if (all_dirty_ || column_dirty_[dst] != 0 || dst == self_) return;
+  Route& r = routes_[dst];
+  const double cost = link_delay_[v] + advertised_.at(v, dst);
+  // A pinned column holds the organic best in its backup slot, and a
+  // rise in the best's or backup's cost leaves the next one unknown.
+  if (pinned_[dst] != 0 || (v == r.next && cost > r.delay) ||
+      (v == r.backup_next && cost > r.backup_delay)) {
+    mark_dirty(dst);
+    return;
+  }
+  if (v == r.next) {
+    r.delay = cost;  // the best only got better
+    return;
+  }
+  if (v == r.backup_next) {  // re-inserted below at its lower cost
+    r.backup_next = kNoLandmark;
+    r.backup_delay = kInfiniteDelay;
+  }
+  if (precedes(cost, v, r.delay, r.next)) {
+    r.backup_next = r.next;
+    r.backup_delay = r.delay;
+    r.next = v;
+    r.delay = cost;
+  } else if (precedes(cost, v, r.backup_delay, r.backup_next)) {
+    r.backup_next = v;
+    r.backup_delay = cost;
+  }
 }
 
 void RoutingTable::recompute() const {
@@ -264,12 +239,12 @@ void RoutingTable::recompute() const {
   if (all_dirty_) {
     const std::size_t n = link_delay_.size();
     for (std::size_t d = 0; d < n; ++d) {
-      recompute_column(static_cast<LandmarkId>(d));
+      routes_[d] = compute_column(static_cast<LandmarkId>(d));
     }
     all_dirty_ = false;
   } else {
     for (const LandmarkId d : dirty_columns_) {
-      recompute_column(d);
+      routes_[d] = compute_column(d);
     }
   }
   for (const LandmarkId d : dirty_columns_) column_dirty_[d] = 0;
@@ -331,7 +306,6 @@ std::size_t RoutingTable::expire_stale(double cutoff) {
     if (advertised_time_[o] >= cutoff) continue;
     for (std::size_t d = 0; d < n; ++d) {
       advertised_.at(o, d) = kInfiniteDelay;
-      advertised_T_.at(d, o) = kInfiniteDelay;
     }
     expired_[o] = 1;
     ++expired;
@@ -413,30 +387,17 @@ void RoutingTable::audit(sim::AuditReport& report) const {
   if (all_dirty_ && !dirty_) {
     report.fail("all_dirty_ set on a clean table");
   }
-  // SoA mirror: the transposed advertised matrix must equal advertised_
-  // cell-for-cell, bit-for-bit — a merge path that forgot the mirror
-  // would silently feed the SIMD column sweep stale costs.
-  if (advertised_T_.rows() != n || advertised_T_.cols() != n) {
-    report.fail("transposed advertised mirror has the wrong shape");
-    return;
-  }
-  for (std::size_t o = 0; o < n; ++o) {
-    for (std::size_t d = 0; d < n; ++d) {
-      if (std::bit_cast<std::uint64_t>(advertised_.at(o, d)) !=
-          std::bit_cast<std::uint64_t>(advertised_T_.at(d, o))) {
-        report.fail(prefix(static_cast<LandmarkId>(d)) +
-                    "transposed advertised mirror diverges from "
-                    "advertised_[" + std::to_string(o) + "][" +
-                    std::to_string(d) + "] (" +
-                    std::to_string(advertised_.at(o, d)) + " vs " +
-                    std::to_string(advertised_T_.at(d, o)) + ")");
-      }
-    }
+  // Neighbor list: a missing entry would hide a candidate from every
+  // rescan.
+  if (neighbours_ != finite_links()) {
+    report.fail("table " + std::to_string(self_) + ": neighbour list (" +
+                std::to_string(neighbours_.size()) +
+                " entries) disagrees with the finite links");
   }
   // Correctness: every column *not* marked stale must already equal the
   // from-scratch min-over-neighbors scan, bit for bit.  The reference
-  // is always the *scalar* loop, so this doubles as a SIMD-vs-scalar
-  // cross-check of whatever path produced the cached routes.
+  // scans every landmark rather than the neighbor list, so this checks
+  // both the O(1) merge upkeep and the neighbor-list rescans.
   if (all_dirty_) return;  // every column is legitimately stale
   for (std::size_t d = 0; d < n; ++d) {
     if (column_dirty_[d] != 0) continue;
@@ -465,15 +426,16 @@ void RoutingTable::debug_corrupt_advertised_for_test(LandmarkId origin,
   DTN_ASSERT(origin < link_delay_.size());
   DTN_ASSERT(dst < link_delay_.size());
   advertised_.at(origin, dst) = delay;  // deliberately NOT marked dirty
-  advertised_T_.at(dst, origin) = delay;
 }
 
-void RoutingTable::debug_corrupt_transposed_for_test(LandmarkId origin,
-                                                     LandmarkId dst,
-                                                     double delay) {
-  DTN_ASSERT(origin < link_delay_.size());
-  DTN_ASSERT(dst < link_delay_.size());
-  advertised_T_.at(dst, origin) = delay;  // advertised_ left alone
+void RoutingTable::debug_toggle_neighbour_for_test(LandmarkId v) {
+  DTN_ASSERT(v < link_delay_.size());
+  const auto at = std::lower_bound(neighbours_.begin(), neighbours_.end(), v);
+  if (at != neighbours_.end() && *at == v) {
+    neighbours_.erase(at);  // link_delay_ left alone
+  } else {
+    neighbours_.insert(at, v);
+  }
 }
 
 namespace {
@@ -485,12 +447,26 @@ void write_route(persist::Writer& w, const Route& r) {
   w.f64(r.backup_delay);
 }
 
-void read_route(persist::Reader& r, Route& out) {
-  out.next = r.u32();
+/// A next hop is a landmark index or kNoLandmark; anything else would
+/// index past the per-landmark arrays its consumers keep.
+LandmarkId read_hop(persist::Reader& r, std::size_t n) {
+  const LandmarkId hop = r.u32();
+  if (hop != kNoLandmark && hop >= n) {
+    throw persist::FormatError(
+        "checkpoint routing table next hop out of range");
+  }
+  return hop;
+}
+
+void read_route(persist::Reader& r, std::size_t n, Route& out) {
+  out.next = read_hop(r, n);
   out.delay = r.f64();
-  out.backup_next = r.u32();
+  out.backup_next = read_hop(r, n);
   out.backup_delay = r.f64();
 }
+
+/// Delays are non-negative, possibly infinite; NaN fails every compare.
+bool valid_delay(double d) { return d >= 0.0; }
 
 }  // namespace
 
@@ -526,15 +502,26 @@ void RoutingTable::load(persist::Reader& r) {
     throw persist::FormatError(
         "checkpoint routing table advertised matrix shape mismatch");
   }
+  if (!std::all_of(link_delay_.begin(), link_delay_.end(), valid_delay) ||
+      !std::all_of(advertised_.raw().begin(), advertised_.raw().end(),
+                   valid_delay)) {
+    throw persist::FormatError(
+        "checkpoint routing table delay negative or NaN");
+  }
   for (std::uint64_t& s : last_seq_) s = r.u64();
   for (double& t : advertised_time_) t = r.f64();
   for (std::uint8_t& e : expired_) e = r.u8();
   for (std::uint8_t& p : pinned_) p = r.u8();
-  for (Route& rt : pin_route_) read_route(r, rt);
+  for (Route& rt : pin_route_) read_route(r, n, rt);
   seq_ = r.u64();
-  for (Route& rt : routes_) read_route(r, rt);
+  for (Route& rt : routes_) read_route(r, n, rt);
   for (std::uint8_t& d : column_dirty_) d = r.u8();
-  dirty_columns_.resize(static_cast<std::size_t>(r.u64()));
+  const std::uint64_t listed = r.u64();
+  if (listed > n) {
+    throw persist::FormatError(
+        "checkpoint routing table dirty list longer than the table");
+  }
+  dirty_columns_.resize(static_cast<std::size_t>(listed));
   for (LandmarkId& d : dirty_columns_) {
     d = r.u32();
     if (d >= n) {
@@ -544,9 +531,8 @@ void RoutingTable::load(persist::Reader& r) {
   }
   all_dirty_ = r.boolean();
   dirty_ = r.boolean();
-  // The transposed mirror is derived state and deliberately absent from
-  // the image (the byte layout predates it); rebuild it.
-  rebuild_transposed();
+  // The neighbor list is derived state, absent from the image.
+  neighbours_ = finite_links();
 }
 
 }  // namespace dtn::core

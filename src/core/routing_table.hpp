@@ -12,12 +12,14 @@
 //    vectors (not newer than the last merged from that origin) are
 //    discarded, exactly as §IV-C.1 discards out-of-date tokens.
 //
-// Routes are recomputed lazily as min over neighbors of
-// link_delay(self->v) + advertised_v(dst), and *incrementally*: a
-// merge marks only the destination columns whose advertised delay
-// actually changed, and the next query recomputes just those rows
-// instead of the whole O(n^2) table (docs/routing-hot-path.md).  Link
-// updates invalidate everything (a changed link can flip any route).
+// A route is the top two neighbors v in (cost, index) order, where
+// cost = link_delay(self->v) + advertised_v(dst).  Routes are kept
+// *incrementally* (docs/routing-hot-path.md): a merged cell that changes
+// the cost through one neighbor updates a clean column's best/backup in
+// O(1) — unless it raises the cost of the current best or backup, which
+// marks just that column dirty.  The next query rescans dirty columns
+// over the finite-link neighbor list only.  Link updates invalidate
+// everything (a changed link can flip any route).
 //
 // `pin` force-overrides the next hop of one destination until `unpin`;
 // this is the controlled fault-injection hook used by the routing-loop
@@ -129,46 +131,50 @@ class RoutingTable {
   /// invariant the auditor's CRC check leans on).
   void save(persist::Writer& w) const;
   /// Restore into a table constructed with the same (self,
-  /// num_landmarks).  Throws persist::FormatError on shape mismatches.
+  /// num_landmarks).  Throws persist::FormatError on shape mismatches
+  /// and on impossible state: next hops out of range, negative or NaN
+  /// link delays and advertised cells, a dirty list longer than the
+  /// table.
   void load(persist::Reader& r);
 
   // -- invariant auditing (debug tooling, see invariant_auditor.hpp) ----
   /// Validate the dirty-column bookkeeping (flag array vs compact list)
-  /// and recompute every *clean* column from scratch, comparing the
-  /// cached route bit-for-bit — a clean column that disagrees with the
-  /// full min-over-neighbors scan means a merge/link update forgot to
-  /// mark it dirty.
+  /// and the neighbor list (exactly the finite links, ascending), then
+  /// recompute every *clean* column from scratch over all landmarks,
+  /// comparing the cached route bit-for-bit — a clean column that
+  /// disagrees with the full min-over-neighbors scan means a merge/link
+  /// update kept it wrong or forgot to mark it dirty.
   void audit(sim::AuditReport& report) const;
 
   /// Test-only fault injection for the auditor's negative tests: change
   /// an advertised delay *without* marking the destination column dirty
-  /// (the exact bug class the incremental recompute invites).  Keeps the
-  /// transposed mirror in sync — the mirror is not the bug under test.
+  /// (the exact bug class the incremental upkeep invites).
   void debug_corrupt_advertised_for_test(LandmarkId origin, LandmarkId dst,
                                          double delay);
 
-  /// Test-only fault injection: desynchronize one cell of the transposed
-  /// advertised mirror (the SoA-mirror bug class — a merge path that
-  /// forgot to update the transpose).  The auditor must catch it.
-  void debug_corrupt_transposed_for_test(LandmarkId origin, LandmarkId dst,
-                                         double delay);
+  /// Test-only fault injection: toggle `v`'s membership of the neighbor
+  /// list without touching its link delay (the bug class where a link
+  /// update forgot the list rescans iterate).  The auditor must catch it.
+  void debug_toggle_neighbour_for_test(LandmarkId v);
 
  private:
   /// Bring every dirty destination column up to date (no-op when clean).
   void recompute() const;
-  /// The full min-over-neighbors scan for one destination (pins
-  /// applied); dispatches to the SIMD two-pass sweep or the scalar
-  /// reference loop — both produce bit-identical Routes
-  /// (docs/simd-hot-path.md).
+  /// The min-over-neighbors scan for one destination (pins applied),
+  /// iterating the finite-link neighbor list only.
   [[nodiscard]] Route compute_column(LandmarkId dst) const;
-  /// The scalar reference scan (the pre-SIMD running best/backup loop).
-  /// The auditor always compares against this, so a SIMD divergence in
-  /// the cached routes is caught as a clean-column mismatch.
+  /// The reference scan over every landmark, skipping infinite links.
+  /// The auditor always compares against this, so a neighbor-list or
+  /// upkeep divergence in the cached routes is caught as a clean-column
+  /// mismatch.
   [[nodiscard]] Route compute_column_scalar(LandmarkId dst) const;
-  /// Rebuild advertised_T_ from advertised_ (construction and load).
-  void rebuild_transposed();
-  /// Recompute the route toward one destination into routes_.
-  void recompute_column(LandmarkId dst) const;
+  /// Apply the pin (if any) on top of an organically computed route.
+  [[nodiscard]] Route finish_column(LandmarkId dst, const Route& organic) const;
+  /// Keep a clean column current after the cost through neighbor `v`
+  /// changed; marks the column dirty when O(1) upkeep cannot decide.
+  void update_cell(LandmarkId v, LandmarkId dst);
+  /// Ascending landmarks other than self with a finite link delay.
+  [[nodiscard]] std::vector<LandmarkId> finite_links() const;
   /// Mark one destination column stale.
   void mark_dirty(LandmarkId dst);
   /// Mark every column stale (link-delay changes can flip any route).
@@ -177,13 +183,11 @@ class RoutingTable {
   LandmarkId self_;
   std::vector<double> link_delay_;
   FlatMatrix<double> advertised_;        // [origin][dst]
-  /// Transposed mirror of advertised_ ([dst][origin]) so the per-column
-  /// min scan reads one contiguous row.  Derived state: never
-  /// serialized (checkpoint byte layout is unchanged), rebuilt on load,
-  /// updated cell-for-cell by merge/expire_stale, audited against
-  /// advertised_ bit-for-bit.
-  DTN_CKPT_SKIP("transposed mirror of advertised_; load rebuilds it")
-  FlatMatrix<double> advertised_T_;      // [dst][origin]
+  /// Ascending landmarks v != self with a finite link delay: the only
+  /// candidates a column scan has to visit.  Derived from link_delay_,
+  /// maintained by set_link_delay, audited against it.
+  DTN_CKPT_SKIP("derived from link_delay_; load rebuilds it")
+  std::vector<LandmarkId> neighbours_;
   std::vector<std::uint64_t> last_seq_;  // last merged seq + 1 per origin
   std::vector<double> advertised_time_;  // when each origin last advertised
   std::vector<std::uint8_t> expired_;    // origins withdrawn by expire_stale

@@ -330,18 +330,18 @@ class AbortingCorruptRouter : public net::Router {
   bool fired_ = false;
 };
 
-// -- SIMD-era SoA mirrors (docs/simd-hot-path.md) -----------------------
+// -- derived routing-table state (docs/routing-hot-path.md) -------------
 
-TEST(RoutingTableAudit, DetectsTransposedMirrorDesync) {
+TEST(RoutingTableAudit, DetectsNeighbourListDesync) {
   auto t = converged_table();
-  // Desynchronize one cell of the transposed advertised mirror — the
-  // bug class where a merge path updates advertised_ but forgets the
-  // transpose the SIMD column sweep reads.
-  t.debug_corrupt_transposed_for_test(/*origin=*/1, /*dst=*/2, 3.0);
+  // Drop a linked landmark from the neighbor list without touching its
+  // link delay — the bug class where a link update forgets the list the
+  // column rescans iterate.
+  t.debug_toggle_neighbour_for_test(/*v=*/2);
   AuditReport report;
   t.audit(report);
   EXPECT_FALSE(report.ok());
-  EXPECT_TRUE(any_failure_mentions(report, "transposed advertised mirror"))
+  EXPECT_TRUE(any_failure_mentions(report, "neighbour list"))
       << report.to_string();
 }
 

@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
+#include "persist/serializer.hpp"
+#include "sim/invariant_auditor.hpp"
 #include "util/rng.hpp"
 
 namespace dtn::core {
@@ -299,6 +305,285 @@ TEST(RoutingTableIncremental, RandomizedOpStreamsAgree) {
     if (step % 50 == 49) ExpectSameRoutes(inc, full);
   }
   ExpectSameRoutes(inc, full);
+}
+
+// -- O(1) merge upkeep vs the full reference scan ----------------------
+//
+// merge() keeps clean columns current in place; audit() recomputes every
+// clean column over all landmarks and compares bit for bit.  Small
+// integer delays make equal costs common, so the (cost, index)
+// tie-break of every upkeep branch is exercised.
+
+void ExpectAuditClean(const RoutingTable& t) {
+  sim::AuditReport report;
+  t.audit(report);
+  EXPECT_TRUE(report.ok()) << report.to_string();
+}
+
+TEST(RoutingTableUpkeep, TieHeavyOpStreamStaysAuditClean) {
+  for (const std::uint64_t seed : {7u, 8u, 9u}) {
+    dtn::Rng rng(seed);
+    const std::size_t n = 10;
+    const auto any_other = [&] {
+      return static_cast<LandmarkId>(1 + rng.uniform_index(n - 1));
+    };
+    const auto small_delay = [&] {
+      return static_cast<double>(rng.uniform_index(4));
+    };
+    RoutingTable t(0, n);
+    std::vector<std::uint64_t> seq(n, 0);
+    std::vector<std::vector<double>> last(
+        n, std::vector<double>(n, kInfiniteDelay));
+    double now = 0.0;
+    for (int step = 0; step < 1500; ++step) {
+      now += 1.0;
+      const auto roll = rng.uniform_index(20);
+      if (roll < 4) {  // link change, sometimes a removal
+        const double d =
+            rng.uniform_index(5) == 0 ? kInfiniteDelay : 1.0 + small_delay();
+        t.set_link_delay(any_other(), d);
+      } else if (roll < 15) {  // perturb a few cells of an origin's vector
+        const auto origin = any_other();
+        auto& cells = last[origin];
+        for (std::size_t d = 0; d < n; ++d) {
+          if (rng.uniform_index(4) != 0) continue;
+          cells[d] = rng.uniform_index(6) == 0 ? kInfiniteDelay : small_delay();
+        }
+        cells[origin] = 0.0;
+        const bool stale = rng.uniform_index(6) == 0 && seq[origin] > 0;
+        const DistanceVector dv{origin, stale ? seq[origin] - 1 : seq[origin]++,
+                                cells};
+        EXPECT_EQ(t.merge(dv, now), !stale);
+      } else if (roll < 17) {  // pin / unpin
+        const auto dst = any_other();
+        if (rng.uniform_index(2) == 0) {
+          t.pin(dst, any_other(), small_delay());
+        } else {
+          t.unpin(dst);
+        }
+      } else if (roll == 17) {
+        (void)t.expire_stale(now - 30.0);
+      }
+      // Drain part of the dirty set so clean and dirty columns mix.
+      if (rng.uniform_index(2) == 0) {
+        (void)t.route(static_cast<LandmarkId>(rng.uniform_index(n)));
+      }
+      ExpectAuditClean(t);
+      if (::testing::Test::HasFailure()) {
+        FAIL() << "seed " << seed << ", step " << step;
+      }
+    }
+  }
+}
+
+// Checkpoint payload layout written by save(): self u32 | n u64 | link
+// delays n x f64 | advertised rows u64, cols u64, n*n x f64 | last seq
+// n x u64 | advertised time n x f64 | expired n x u8 | pinned n x u8 |
+// pin routes n x Route | seq u64 | routes n x Route | dirty flags n x u8
+// | ...; a Route is next u32, delay f64, backup_next u32, backup_delay
+// f64.
+struct Layout {
+  explicit Layout(std::size_t n) : n(n) {}
+  std::size_t n;
+  static constexpr std::size_t kRouteBytes = 24;
+  [[nodiscard]] std::size_t link(std::size_t v) const { return 12 + 8 * v; }
+  [[nodiscard]] std::size_t advertised(std::size_t o, std::size_t d) const {
+    return link(n) + 16 + 8 * (o * n + d);
+  }
+  [[nodiscard]] std::size_t pin_route(std::size_t d) const {
+    return advertised(n, 0) + 16 * n + 2 * n + kRouteBytes * d;
+  }
+  [[nodiscard]] std::size_t route(std::size_t d) const {
+    return pin_route(n) + 8 + kRouteBytes * d;
+  }
+  [[nodiscard]] std::size_t dirty_flag(std::size_t d) const {
+    return route(n) + d;
+  }
+  [[nodiscard]] std::size_t dirty_count() const { return dirty_flag(n); }
+};
+
+std::vector<std::uint8_t> saved_payload(const RoutingTable& t) {
+  persist::Writer w;
+  w.begin_section("routing");
+  const std::size_t start = w.buffer().size();
+  t.save(w);
+  return {w.buffer().begin() + static_cast<std::ptrdiff_t>(start),
+          w.buffer().end()};
+}
+
+void load_payload(RoutingTable& t, const std::vector<std::uint8_t>& payload) {
+  persist::Writer w;
+  w.begin_section("routing");
+  for (const std::uint8_t b : payload) w.u8(b);
+  w.end_section();
+  w.finish();
+  persist::Reader r(w.buffer());
+  r.expect_section("routing");
+  t.load(r);
+  r.end_section();
+}
+
+void patch_u32(std::vector<std::uint8_t>& bytes, std::size_t at,
+               std::uint32_t v) {
+  for (std::size_t i = 0; i < 4; ++i) {
+    bytes[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+
+void patch_u64(std::vector<std::uint8_t>& bytes, std::size_t at,
+               std::uint64_t v) {
+  for (std::size_t i = 0; i < 8; ++i) {
+    bytes[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+
+void patch_f64(std::vector<std::uint8_t>& bytes, std::size_t at, double v) {
+  patch_u64(bytes, at, std::bit_cast<std::uint64_t>(v));
+}
+
+bool column_dirty(const RoutingTable& t, LandmarkId dst) {
+  return saved_payload(t)[Layout(t.num_landmarks()).dirty_flag(dst)] != 0;
+}
+
+// self 0 linked to 1, 2 and 3 at delay 1; every column is clean on
+// return.  Toward 4: via 1 costs 6, via 2 costs 8, via 3 costs 10.
+class UpkeepBranch : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    for (LandmarkId v = 1; v <= 3; ++v) t_.set_link_delay(v, 1.0);
+    advertise(1, 5.0);
+    advertise(2, 7.0);
+    advertise(3, 9.0);
+    settle();
+  }
+  void advertise(LandmarkId origin, double to_four) {
+    DistanceVector dv{origin, seq_[origin]++,
+                      std::vector<double>(5, kInfiniteDelay)};
+    dv.delay[origin] = 0.0;
+    dv.delay[4] = to_four;
+    ASSERT_TRUE(t_.merge(dv));
+  }
+  void settle() {
+    (void)t_.route(4);
+    ASSERT_FALSE(column_dirty(t_, 4));
+  }
+  void expect_route(LandmarkId next, double delay, LandmarkId backup,
+                    double backup_delay) {
+    const Route r = t_.route(4);
+    EXPECT_EQ(r.next, next);
+    EXPECT_EQ(r.delay, delay);
+    EXPECT_EQ(r.backup_next, backup);
+    EXPECT_EQ(r.backup_delay, backup_delay);
+  }
+
+  RoutingTable t_{0, 5};
+  std::vector<std::uint64_t> seq_ = std::vector<std::uint64_t>(5, 0);
+};
+
+TEST_F(UpkeepBranch, BestImprovesInPlace) {
+  advertise(1, 3.0);
+  EXPECT_FALSE(column_dirty(t_, 4));
+  ExpectAuditClean(t_);
+  expect_route(1, 4.0, 2, 8.0);
+}
+
+TEST_F(UpkeepBranch, BestWorsensRescans) {
+  advertise(1, 10.0);
+  EXPECT_TRUE(column_dirty(t_, 4));
+  ExpectAuditClean(t_);
+  expect_route(2, 8.0, 3, 10.0);
+}
+
+TEST_F(UpkeepBranch, BackupOvertakesBestOnEqualCostWithLowerIndex) {
+  advertise(2, 4.0);  // via 2 now 5: the backup overtakes at a lower cost
+  EXPECT_FALSE(column_dirty(t_, 4));
+  expect_route(2, 5.0, 1, 6.0);
+  advertise(1, 4.0);  // via 1 now ties the best at 5 with the lower index
+  EXPECT_FALSE(column_dirty(t_, 4));
+  ExpectAuditClean(t_);
+  expect_route(1, 5.0, 2, 5.0);
+}
+
+TEST_F(UpkeepBranch, OutsiderEntersTopTwo) {
+  advertise(3, 6.0);  // via 3 now 7: displaces backup 2 at 8
+  EXPECT_FALSE(column_dirty(t_, 4));
+  ExpectAuditClean(t_);
+  expect_route(1, 6.0, 3, 7.0);
+  advertise(2, 4.0);  // via 2 now 5: takes the best, 1 shifts down
+  EXPECT_FALSE(column_dirty(t_, 4));
+  ExpectAuditClean(t_);
+  expect_route(2, 5.0, 1, 6.0);
+}
+
+TEST_F(UpkeepBranch, CellGoesToInfinity) {
+  advertise(3, kInfiniteDelay);  // an outsider drops out: nothing moves
+  EXPECT_FALSE(column_dirty(t_, 4));
+  ExpectAuditClean(t_);
+  expect_route(1, 6.0, 2, 8.0);
+  advertise(1, kInfiniteDelay);  // the best drops out: rescan
+  EXPECT_TRUE(column_dirty(t_, 4));
+  ExpectAuditClean(t_);
+  expect_route(2, 8.0, kNoLandmark, kInfiniteDelay);
+}
+
+// -- checkpoint load rejects impossible state ---------------------------
+
+RoutingTable image_source() {
+  RoutingTable t(0, 4);
+  t.set_link_delay(1, 10.0);
+  t.set_link_delay(2, 100.0);
+  const DistanceVector dv{1, 0, {10.0, 0.0, 25.0, 60.0}};
+  (void)t.merge(dv);
+  t.pin(3, 2, 1.0);
+  (void)t.route(3);
+  return t;
+}
+
+TEST(RoutingTableLoad, UnpatchedImageRoundTrips) {
+  const RoutingTable src = image_source();
+  RoutingTable dst(0, 4);
+  load_payload(dst, saved_payload(src));
+  EXPECT_EQ(saved_payload(dst), saved_payload(src));
+  ExpectAuditClean(dst);
+  ExpectSameRoutes(dst, src);
+}
+
+TEST(RoutingTableLoad, RejectsNextHopsOutOfRange) {
+  const Layout at(4);
+  for (const std::size_t field :
+       {at.route(2), at.route(2) + 12, at.pin_route(3), at.pin_route(3) + 12}) {
+    for (const std::uint32_t hop : {4u, kNoLandmark - 1}) {
+      auto bytes = saved_payload(image_source());
+      patch_u32(bytes, field, hop);
+      RoutingTable t(0, 4);
+      EXPECT_THROW(load_payload(t, bytes), persist::FormatError)
+          << "field at " << field << ", hop " << hop;
+    }
+  }
+}
+
+TEST(RoutingTableLoad, RejectsNegativeOrNanDelays) {
+  const Layout at(4);
+  for (const std::size_t field : {at.link(1), at.link(3), at.advertised(1, 2),
+                                  at.advertised(3, 0)}) {
+    for (const double bad :
+         {-1.0, std::numeric_limits<double>::quiet_NaN(), -kInfiniteDelay}) {
+      auto bytes = saved_payload(image_source());
+      patch_f64(bytes, field, bad);
+      RoutingTable t(0, 4);
+      EXPECT_THROW(load_payload(t, bytes), persist::FormatError)
+          << "field at " << field << ", value " << bad;
+    }
+  }
+}
+
+TEST(RoutingTableLoad, RejectsOversizedDirtyList) {
+  // A count past the table would otherwise size an allocation from the
+  // image before the truncated payload is noticed.
+  auto bytes = saved_payload(image_source());
+  patch_u64(bytes, Layout(4).dirty_count(), std::uint64_t{1} << 60);
+  RoutingTable t(0, 4);
+  EXPECT_THROW(load_payload(t, bytes), persist::FormatError);
 }
 
 // Property: after synchronous flooding on a random connected graph, DV
