@@ -365,8 +365,8 @@ dtn::trace::CityTraceConfig bench_city_config() {
 
 void BM_CityReplayEventsPerSec(benchmark::State& state) {
   // City-scale twin of BM_EndToEndReplayEventsPerSec: raw engine
-  // throughput on the district-structured trace the sharded engine
-  // targets, no router logic on top.
+  // throughput on the district-structured city trace, no router logic
+  // on top.
   struct NullRouter final : dtn::net::Router {
     [[nodiscard]] std::string name() const override { return "null"; }
   };
@@ -385,33 +385,6 @@ void BM_CityReplayEventsPerSec(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
 }
 BENCHMARK(BM_CityReplayEventsPerSec);
-
-void BM_ShardedReplay(benchmark::State& state) {
-  // Full DTN-FLOW run over the city trace through the sharded engine;
-  // Arg = shard count (1 = the serial golden path).  items_per_second
-  // counts executed events, so the scaling curve across /1 /2 /4 is the
-  // tentpole number the perf gate tracks.  On a multi-core host the
-  // shard loops run concurrently; on a 1-core host they serialize and
-  // the curve measures pure sharding overhead.
-  const auto shards = static_cast<std::size_t>(state.range(0));
-  const auto trace = dtn::trace::generate_city_trace(bench_city_config());
-  dtn::ThreadPool pool(shards);
-  std::uint64_t events = 0;
-  for (auto _ : state) {
-    dtn::core::DtnFlowRouter router;
-    dtn::net::WorkloadConfig wl;
-    wl.packets_per_landmark_per_day = 2.0;
-    wl.time_unit = 0.25 * dtn::trace::kDay;
-    wl.ttl = 0.5 * dtn::trace::kDay;
-    wl.node_memory_kb = 20;
-    dtn::net::Network net(trace, router, wl);
-    net.run_sharded(shards, &pool);
-    events += net.events_executed();
-    benchmark::DoNotOptimize(net.counters().delivered);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(events));
-}
-BENCHMARK(BM_ShardedReplay)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
 
 dtn::net::WorkloadConfig bench_checkpoint_workload() {
   dtn::net::WorkloadConfig wl;

@@ -4,7 +4,7 @@
 //
 //   $ ./simulate --router DTN-FLOW --kind campus --nodes 64
 //         --landmarks 30 --days 32 --rate 30 --memory 40 --ttl-days 4
-//         [--input trace.csv] [--replicates 3] [--seed 1] [--shards 4]
+//         [--input trace.csv] [--replicates 3] [--seed 1]
 //         [--fault-node-crash-rate 0.05 --fault-station-outage-rate 0.1
 //          --fault-transfer-fail 0.02 ...]   (docs/fault-injection.md)
 //         [--station-memory 20 --store-policy drop-oldest --store-dedup
@@ -13,10 +13,7 @@
 // Routers: DTN-FLOW, SimBet, PROPHET, PGR, GeoComm, PER, Direct,
 // Epidemic, SprayWait, or "all".
 //
-// --kind city generates the city-scale tier (districts + buses); with
-// --shards N > 1 the replay runs on the sharded parallel engine
-// (docs/parallel-engine.md), falling back to the serial engine —
-// bit-identically — when the router or workload is not shard-safe.
+// --kind city generates the city-scale tier (districts + buses).
 //
 // --serve turns the run into a long-running service with checkpoint /
 // restore (docs/checkpointing.md): snapshots land in --checkpoint-dir
@@ -79,7 +76,17 @@ int run_service(const dtn::CliOptions& opts, const dtn::trace::Trace& trace,
   } else {
     std::printf("serve: no snapshot in %s, starting fresh\n", cc.dir.c_str());
   }
-  if (!network.run(mgr)) {
+  bool completed = false;
+  try {
+    completed = network.run(mgr);
+  } catch (const dtn::persist::FormatError& e) {
+    // A snapshot from another schema version or configuration, or a
+    // corrupt one: refuse it without touching the directory.
+    std::fprintf(stderr, "simulate: cannot resume from %s: %s\n",
+                 cc.dir.c_str(), e.what());
+    return 2;
+  }
+  if (!completed) {
     std::printf("serve: suspended after %llu events (snapshot written); "
                 "run again with the same arguments to resume\n",
                 static_cast<unsigned long long>(network.events_executed()));
@@ -199,9 +206,8 @@ int main(int argc, char** argv) {
                            "--router all\n");
       return 2;
     }
-    if (opts.get_int("replicates", 1) != 1 || opts.get_int("shards", 1) != 1) {
-      std::fprintf(stderr, "simulate: --serve is single-replicate and "
-                           "serial (resume runs on the serial engine)\n");
+    if (opts.get_int("replicates", 1) != 1) {
+      std::fprintf(stderr, "simulate: --serve is single-replicate\n");
       return 2;
     }
     return run_service(opts, trace, workload, choice);
@@ -216,17 +222,6 @@ int main(int argc, char** argv) {
 
   const auto replicates =
       static_cast<std::size_t>(opts.get_int("replicates", 1));
-  const auto num_shards = static_cast<std::size_t>(opts.get_int("shards", 1));
-  if (num_shards > 1) {
-    if (workload.faults.has_value()) {
-      std::printf("shards: %zu requested, but fault plans are serial-only — "
-                  "running the serial engine (results are identical)\n",
-                  num_shards);
-    } else {
-      std::printf("shards: %zu (sharded engine where the router allows; "
-                  "bit-identical to serial)\n", num_shards);
-    }
-  }
   dtn::TablePrinter table({"router", "success", "avg delay (d)",
                            "P50 delay (d)", "P90 delay (d)", "fwd cost",
                            "total cost"});
@@ -242,7 +237,7 @@ int main(int argc, char** argv) {
       }
       const auto router = dtn::routing::make_router(name);
       const auto res =
-          dtn::metrics::run_experiment(trace, *router, wl, {}, num_shards);
+          dtn::metrics::run_experiment(trace, *router, wl);
       success.add(res.success_rate);
       delay.add(res.avg_delay);
       fwd.add(res.forwarding_cost);

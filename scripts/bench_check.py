@@ -50,7 +50,7 @@ from pathlib import Path
 DEFAULT_FILTER = (
     "BM_EventQueue|BM_TraceCursor|BM_BufferAddRemove|BM_EndToEnd"
     "|BM_MarkovPredict|BM_CarrierSelect|BM_RoutingTableRecompute"
-    "|BM_ShardedReplay|BM_CityReplay|BM_Checkpoint|BM_OverloadReplay"
+    "|BM_CityReplay|BM_Checkpoint|BM_OverloadReplay"
 )
 
 

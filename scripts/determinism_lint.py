@@ -58,11 +58,6 @@ RNG_ALLOWLIST = ("src/util/rng.hpp", "src/util/rng.cpp")
 REQUIRED_COVERED_FILES = (
     "src/sim/fault_injector.hpp",
     "src/sim/fault_injector.cpp",
-    # The shard coordinator's barrier plan fixes the global event order
-    # of sharded runs; any nondeterminism here breaks the
-    # sharded-vs-serial bit-identity contract (docs/parallel-engine.md).
-    "src/sim/shard_coordinator.hpp",
-    "src/sim/shard_coordinator.cpp",
     # The checkpoint layer serializes RNG streams and the event queue;
     # iteration-order or wall-clock nondeterminism here breaks the
     # bit-identical resume contract (docs/checkpointing.md).

@@ -63,46 +63,13 @@ void DtnFlowRouter::on_init(Network& net) {
     landmarks_[l].present_epoch = 1;
     landmarks_[l].carrier_cache.assign(m, {});
   }
-  for (auto& scratch : scratch_slots_) scratch.clear();
-  ensure_arenas(arena_slots_.empty() ? 1 : arena_slots_.size());
+  distribution_scratch_.clear();
+  arena_.reset();
+  epoch_prepaid_ = 0;
   station_down_.assign(m, 0);
   needs_reconvergence_.assign(m, 0);
   accuracy_ = FlatMatrix<double>(n, m, cfg_.accuracy_init);
-  for (auto& slot : diag_slots_) slot = DtnFlowDiagnostics{};
-}
-
-void DtnFlowRouter::ensure_arenas(std::size_t n) {
-  DTN_ASSERT(n >= 1);
-  while (arena_slots_.size() < n) {
-    arena_slots_.push_back(std::make_unique<Arena>());
-  }
-  arena_slots_.resize(n);
-  for (auto& a : arena_slots_) a->reset();
-  // The other per-shard slot set sized alongside the arenas: prepaid
-  // present-epoch balances for batched departures (zero outside a
-  // batch, see on_departure_batch_begin).
-  epoch_prepaid_.assign(n, 0);
-}
-
-DtnFlowDiagnostics DtnFlowRouter::diagnostics() const {
-  DtnFlowDiagnostics total;
-  for (const DtnFlowDiagnostics& d : diag_slots_) {
-    total.transits_observed += d.transits_observed;
-    total.predictions_scored += d.predictions_scored;
-    total.predictions_correct += d.predictions_correct;
-    total.dead_ends_detected += d.dead_ends_detected;
-    total.loops_detected += d.loops_detected;
-    total.loops_corrected += d.loops_corrected;
-    total.balancing_diversions += d.balancing_diversions;
-    total.station_outages_seen += d.station_outages_seen;
-    total.station_recoveries_seen += d.station_recoveries_seen;
-    total.dv_carriers_lost += d.dv_carriers_lost;
-    total.dv_deliveries_deferred += d.dv_deliveries_deferred;
-    total.stale_origins_expired += d.stale_origins_expired;
-    total.fallback_next_hops += d.fallback_next_hops;
-    total.post_outage_reconvergences += d.post_outage_reconvergences;
-  }
-  return total;
+  diag_ = DtnFlowDiagnostics{};
 }
 
 const RoutingTable& DtnFlowRouter::routing_table(LandmarkId l) const {
@@ -208,23 +175,15 @@ void DtnFlowRouter::audit(const net::Network& net,
     }
   }
   // Scratch-arena byte accounting (util/arena.hpp): the incremental
-  // counter must agree with the per-block sums in every shard slot.
+  // counter must agree with the per-block sums.
   report.set_context("router.scratch_arena");
-  for (std::size_t s = 0; s < arena_slots_.size(); ++s) {
-    std::string why;
-    if (!arena_slots_[s]->check(&why)) {
-      report.fail("shard " + std::to_string(s) + ": " + why);
-    }
-  }
+  if (std::string why; !arena_.check(&why)) report.fail(why);
   // Audits run at event boundaries, where every departure batch has
   // consumed its prepaid epoch advances in full.
   report.set_context("router.batch_epoch");
-  for (std::size_t s = 0; s < epoch_prepaid_.size(); ++s) {
-    if (epoch_prepaid_[s] != 0) {
-      report.fail("shard " + std::to_string(s) + ": prepaid epoch balance " +
-                  std::to_string(epoch_prepaid_[s]) +
-                  " left over after a departure batch");
-    }
+  if (epoch_prepaid_ != 0) {
+    report.fail("prepaid epoch balance " + std::to_string(epoch_prepaid_) +
+                " left over after a departure batch");
   }
   // The outage mirror (read by choose_next_hop, which has no Network
   // access) must agree with the injector's ground truth.
@@ -366,7 +325,7 @@ bool DtnFlowRouter::choose_next_hop(LandmarkId l, LandmarkId dst,
     }
     next = r.backup_next;
     delay = r.backup_delay;
-    ++diag().fallback_next_hops;
+    ++diag_.fallback_next_hops;
     return true;
   }
   // Load balancing (§IV-E.3): when the link's incoming rate exceeds
@@ -381,7 +340,7 @@ bool DtnFlowRouter::choose_next_hop(LandmarkId l, LandmarkId dst,
     if (++ls.divert_toggle[r.next] % 2 == 1) {
       next = r.backup_next;
       delay = r.backup_delay;
-      ++diag().balancing_diversions;
+      ++diag_.balancing_diversions;
       // The diverted demand now loads the backup link; recording it
       // keeps the backup's own overload check honest, which caps the
       // diverted volume at the backup's demonstrated capacity.
@@ -403,7 +362,7 @@ void DtnFlowRouter::note_station_ingress(Network& net, LandmarkId l,
 }
 
 void DtnFlowRouter::on_packet_generated(Network& net, PacketId pid) {
-  arena().reset();  // top-level hook entry (util/arena.hpp lifetime rule)
+  arena_.reset();  // top-level hook entry (util/arena.hpp lifetime rule)
   const Packet& p = net.packet(pid);
   DTN_ASSERT(p.state == net::PacketState::kAtStation);
   note_station_ingress(net, p.src, pid);
@@ -483,16 +442,16 @@ void DtnFlowRouter::offer_packets_to_node(Network& net, LandmarkId l,
   const auto span = net.station_packets(l);
   if (span.empty()) return;
   // Hook-local scratch (queue snapshot, delay column, sort order) lives
-  // in the shard's arena: reclaimed wholesale when the enclosing
+  // in the scratch arena: reclaimed wholesale when the enclosing
   // top-level hook resets it, zero steady-state heap traffic.
   ArenaVector<PacketId> queue(span.begin(), span.end(),
-                              ArenaAllocator<PacketId>(arena()));
+                              ArenaAllocator<PacketId>(arena_));
   const double now = net.now();
   // One conditional-distribution fill covers every packet of the offer:
   // the loop below reads P(next-hop | n's context) per packet, and n's
   // prediction state cannot change mid-offer.  The scratch buffer keeps
   // the fill allocation-free.
-  nodes_[n].predictor->next_distribution(distribution_scratch());
+  nodes_[n].predictor->next_distribution(distribution_scratch_);
   const double acc_here = cfg_.refine_carrier_selection
                               ? accuracy_.at(n, l)
                               : 1.0;
@@ -504,10 +463,10 @@ void DtnFlowRouter::offer_packets_to_node(Network& net, LandmarkId l,
   // resulting permutation is bit-identical to the old in-comparator
   // recomputation.
   ArenaVector<double> route_delay(queue.size(),
-                                  ArenaAllocator<double>(arena()));
-  ArenaVector<double> ttl_left(queue.size(), ArenaAllocator<double>(arena()));
+                                  ArenaAllocator<double>(arena_));
+  ArenaVector<double> ttl_left(queue.size(), ArenaAllocator<double>(arena_));
   ArenaVector<std::uint8_t> eligible(queue.size(),
-                                     ArenaAllocator<std::uint8_t>(arena()));
+                                     ArenaAllocator<std::uint8_t>(arena_));
   for (std::size_t i = 0; i < queue.size(); ++i) {
     const Packet& p = net.packet(queue[i]);
     route_delay[i] = landmarks_[l].table->delay_to(p.dst);
@@ -515,7 +474,7 @@ void DtnFlowRouter::offer_packets_to_node(Network& net, LandmarkId l,
     eligible[i] = route_delay[i] <= ttl_left[i] ? 1 : 0;
   }
   ArenaVector<std::size_t> order(queue.size(),
-                                 ArenaAllocator<std::size_t>(arena()));
+                                 ArenaAllocator<std::size_t>(arena_));
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
     if (eligible[a] != eligible[b]) return eligible[a] != 0;
@@ -549,7 +508,7 @@ void DtnFlowRouter::offer_packets_to_node(Network& net, LandmarkId l,
     LandmarkId next = kNoLandmark;
     double delay = kInfiniteDelay;
     if (!choose_next_hop(l, p.dst, next, delay)) continue;
-    const double raw = distribution_scratch()[next];
+    const double raw = distribution_scratch_[next];
     if (nodes_[n].predicted_next != next && raw < kCarrierProbabilityFloor) {
       continue;
     }
@@ -568,10 +527,10 @@ ArenaVector<PacketId> DtnFlowRouter::upload_packets(Network& net, NodeId n,
                                                     bool force_all,
                                                     std::size_t max_count,
                                                     bool only_reached_hop) {
-  ArenaVector<PacketId> uploaded{ArenaAllocator<PacketId>(arena())};
+  ArenaVector<PacketId> uploaded{ArenaAllocator<PacketId>(arena_)};
   const auto carried = net.node_packets(n);
   ArenaVector<PacketId> to_check(carried.begin(), carried.end(),
-                                 ArenaAllocator<PacketId>(arena()));
+                                 ArenaAllocator<PacketId>(arena_));
   // Most-urgent-first upload order (§IV-D.5): smallest remaining TTL.
   // The key is precomputed per packet; sorting (key, pid) pairs makes
   // the same comparator decisions as the old by-pid sort with
@@ -582,7 +541,7 @@ ArenaVector<PacketId> DtnFlowRouter::upload_packets(Network& net, NodeId n,
   // sort order they induce — are unchanged.
   const double now = net.now();
   const std::size_t m = to_check.size();
-  ArenaVector<double> ttl_keys{ArenaAllocator<double>(arena())};
+  ArenaVector<double> ttl_keys{ArenaAllocator<double>(arena_)};
   ttl_keys.resize(m);
   for (std::size_t k = 0; k < m; ++k) {
     ttl_keys[k] = net.packet(to_check[k]).deadline();
@@ -599,7 +558,7 @@ ArenaVector<PacketId> DtnFlowRouter::upload_packets(Network& net, NodeId n,
 #endif
   for (; k < m; ++k) ttl_keys[k] -= now;
   ArenaVector<std::pair<double, PacketId>> keyed{
-      ArenaAllocator<std::pair<double, PacketId>>(arena())};
+      ArenaAllocator<std::pair<double, PacketId>>(arena_)};
   keyed.reserve(m);
   for (std::size_t j = 0; j < m; ++j) {
     keyed.emplace_back(ttl_keys[j], to_check[j]);
@@ -656,7 +615,7 @@ bool DtnFlowRouter::landmark_uploading_mode(LandmarkId l) const {
 }
 
 void DtnFlowRouter::on_arrival(Network& net, NodeId node, LandmarkId l) {
-  arena().reset();  // top-level hook entry (util/arena.hpp lifetime rule)
+  arena_.reset();  // top-level hook entry (util/arena.hpp lifetime rule)
   NodeState& ns = nodes_[node];
   const LandmarkId prev = net.previous_landmark(node);
   // The present set (and the newcomer's prediction state, below) is
@@ -682,15 +641,14 @@ void DtnFlowRouter::on_arrival(Network& net, NodeId node, LandmarkId l) {
   if (prev != kNoLandmark && prev != l) {
     // Transit observed: bandwidth measurement (arrival side).
     bw_.record_transit(prev, l);
-    // shard-check: ok(distributed_bandwidth forces shard_safe()==false)
     if (dbw_.has_value()) dbw_->record_arrival(prev, l);
-    ++diag().transits_observed;
+    ++diag_.transits_observed;
     // Score the prediction made when the node sat at `prev`.
     if (ns.predicted_from == prev && ns.predicted_next != kNoLandmark) {
-      ++diag().predictions_scored;
+      ++diag_.predictions_scored;
       double& acc = accuracy_.at(node, prev);
       if (ns.predicted_next == l) {
-        ++diag().predictions_correct;
+        ++diag_.predictions_correct;
         acc = std::min(1.0, acc * cfg_.accuracy_gain);
       } else {
         acc = std::max(0.05, acc * cfg_.accuracy_loss);
@@ -704,14 +662,14 @@ void DtnFlowRouter::on_arrival(Network& net, NodeId node, LandmarkId l) {
     if (faults != nullptr && faults->draw_dv_delay()) {
       // Injected control-plane delay: the exchange at this association
       // fails, the node keeps carrying the vector to a later landmark.
-      ++diag().dv_deliveries_deferred;
+      ++diag_.dv_deliveries_deferred;
     } else {
       net.account_control(static_cast<double>(ns.carried_dv->entries()));
       const bool merged =
           landmarks_[l].table->merge(*ns.carried_dv, net.now());
       if (merged && needs_reconvergence_[l] != 0) {
         needs_reconvergence_[l] = 0;
-        ++diag().post_outage_reconvergences;
+        ++diag_.post_outage_reconvergences;
       }
       ns.carried_dv.reset();
     }
@@ -724,7 +682,6 @@ void DtnFlowRouter::on_arrival(Network& net, NodeId node, LandmarkId l) {
   if (ns.carried_token.has_value()) {
     if (dbw_.has_value()) {
       net.account_control(1.0);
-      // shard-check: ok(distributed_bandwidth forces shard_safe()==false)
       (void)dbw_->deliver_token(l, *ns.carried_token);
     }
     ns.carried_token.reset();
@@ -785,7 +742,7 @@ void DtnFlowRouter::on_departure_batch_begin(Network& net, LandmarkId l,
   // built against the prepaid epoch while the present set still
   // shrinks (contract in net/router.hpp).
   landmarks_[l].present_epoch += count;
-  epoch_prepaid_[sim::current_shard()] += count;
+  epoch_prepaid_ += count;
 }
 
 void DtnFlowRouter::on_departure(Network& net, NodeId node, LandmarkId l) {
@@ -793,9 +750,8 @@ void DtnFlowRouter::on_departure(Network& net, NodeId node, LandmarkId l) {
   // The departing node leaves the present set once this hook returns.
   // Inside a batch the epoch advance was prepaid by
   // on_departure_batch_begin; consume the balance instead of bumping.
-  if (std::uint64_t& prepaid = epoch_prepaid_[sim::current_shard()];
-      prepaid > 0) {
-    --prepaid;
+  if (epoch_prepaid_ > 0) {
+    --epoch_prepaid_;
   } else {
     ++landmarks_[l].present_epoch;
   }
@@ -827,7 +783,7 @@ void DtnFlowRouter::on_departure(Network& net, NodeId node, LandmarkId l) {
     sim::FaultInjector* faults = net.faults();
     if (faults != nullptr && faults->draw_dv_loss()) {
       ns.carried_dv.reset();
-      ++diag().dv_carriers_lost;
+      ++diag_.dv_carriers_lost;
     }
   } else {
     ns.carried_dv.reset();
@@ -837,7 +793,6 @@ void DtnFlowRouter::on_departure(Network& net, NodeId node, LandmarkId l) {
   // predicted to close (§IV-C.1).
   if (dbw_.has_value() && ns.predicted_from == l &&
       ns.predicted_next != kNoLandmark) {
-    // shard-check: ok(distributed_bandwidth forces shard_safe()==false)
     ns.carried_token = dbw_->issue_token(l, ns.predicted_next);
   }
 
@@ -856,7 +811,7 @@ void DtnFlowRouter::on_node_crash(Network& net, NodeId node) {
   // Control state in transit dies with the carrier.
   if (ns.carried_dv.has_value()) {
     ns.carried_dv.reset();
-    ++diag().dv_carriers_lost;
+    ++diag_.dv_carriers_lost;
   }
   ns.carried_token.reset();
   // A present node's carrier score just collapsed to zero.
@@ -872,14 +827,14 @@ void DtnFlowRouter::on_node_reboot(Network& net, NodeId node) {
 void DtnFlowRouter::on_station_outage(Network& net, LandmarkId l) {
   (void)net;
   station_down_[l] = 1;
-  ++diag().station_outages_seen;
+  ++diag_.station_outages_seen;
 }
 
 void DtnFlowRouter::on_station_recovery(Network& net, LandmarkId l) {
   (void)net;
   station_down_[l] = 0;
   needs_reconvergence_[l] = 1;
-  ++diag().station_recoveries_seen;
+  ++diag_.station_recoveries_seen;
 }
 
 bool DtnFlowRouter::stay_is_dead_end(const NodeState& ns, LandmarkId l,
@@ -906,7 +861,7 @@ void DtnFlowRouter::check_parked_dead_end(Network& net, NodeId n) {
   NodeState& ns = nodes_[n];
   const double stay = net.now() - ns.arrived_at;
   if (!stay_is_dead_end(ns, here, stay)) return;
-  ++diag().dead_ends_detected;
+  ++diag_.dead_ends_detected;
   // Hand everything to the station; the landmark re-routes (§IV-E.1).
   const auto uploaded = upload_packets(net, n, here, /*force_all=*/true);
   for (const PacketId pid : uploaded) {
@@ -930,7 +885,7 @@ void DtnFlowRouter::check_loop(Network& net, LandmarkId l, PacketId pid) {
     }
   }
   if (prev_idx < 0) return;
-  ++diag().loops_detected;
+  ++diag_.loops_detected;
   if (!cfg_.loop_correction) return;
   const std::vector<LandmarkId> cycle(
       path.begin() + prev_idx, path.end() - 1);  // the looped landmarks
@@ -939,7 +894,7 @@ void DtnFlowRouter::check_loop(Network& net, LandmarkId l, PacketId pid) {
 
 void DtnFlowRouter::correct_loop(Network& net, LandmarkId dst,
                                  std::span<const LandmarkId> cycle) {
-  ++diag().loops_corrected;
+  ++diag_.loops_corrected;
   // The loop-correction packet clears the poisoned state and makes the
   // involved landmarks exchange their updated distance vectors
   // repeatedly until the next hop for `dst` settles (§IV-E.2's T_stable
@@ -987,7 +942,7 @@ void DtnFlowRouter::on_contact(Network& net, NodeId arriving, NodeId present,
                                LandmarkId l) {
   (void)l;
   if (!cfg_.node_to_node_relay) return;
-  arena().reset();  // top-level hook entry (util/arena.hpp lifetime rule)
+  arena_.reset();  // top-level hook entry (util/arena.hpp lifetime rule)
   // Suitability vectors travel both ways (accounted like the baselines').
   net.account_control(2.0 * static_cast<double>(net.num_landmarks()));
   relay_between_nodes(net, arriving, present);
@@ -998,7 +953,7 @@ void DtnFlowRouter::relay_between_nodes(Network& net, NodeId from,
                                         NodeId to) {
   const auto carried = net.node_packets(from);
   const ArenaVector<PacketId> pids(carried.begin(), carried.end(),
-                                   ArenaAllocator<PacketId>(arena()));
+                                   ArenaAllocator<PacketId>(arena_));
   for (const PacketId pid : pids) {
     const Packet& p = net.packet(pid);
     if (!net.node_buffer(to).has_space(p.size_kb)) continue;
@@ -1021,7 +976,7 @@ void DtnFlowRouter::relay_between_nodes(Network& net, NodeId from,
 }
 
 void DtnFlowRouter::on_time_unit(Network& net, std::size_t unit_index) {
-  arena().reset();  // top-level hook entry (util/arena.hpp lifetime rule)
+  arena_.reset();  // top-level hook entry (util/arena.hpp lifetime rule)
   for (const auto& inj : cfg_.loop_injections) {
     if (inj.at_unit == unit_index) inject_loop(inj.dst, inj.cycle);
   }
@@ -1048,7 +1003,7 @@ void DtnFlowRouter::on_time_unit(Network& net, std::size_t unit_index) {
     if (cfg_.route_staleness_units > 0.0) {
       const double cutoff =
           net.now() - cfg_.route_staleness_units * time_unit_;
-      diag().stale_origins_expired += ls.table->expire_stale(cutoff);
+      diag_.stale_origins_expired += ls.table->expire_stale(cutoff);
     }
   }
   if (cfg_.dead_end_prevention) {
@@ -1122,7 +1077,7 @@ void DtnFlowRouter::checkpoint_save(persist::Writer& w) const {
   persist::write_vec(w, station_down_);
   persist::write_vec(w, needs_reconvergence_);
   persist::write_matrix(w, accuracy_);
-  const DtnFlowDiagnostics d = diagnostics();
+  const DtnFlowDiagnostics& d = diag_;
   w.u64(d.transits_observed);
   w.u64(d.predictions_scored);
   w.u64(d.predictions_correct);
@@ -1245,9 +1200,7 @@ void DtnFlowRouter::checkpoint_load(persist::Reader& r, Network& net) {
   d.stale_origins_expired = r.u64();
   d.fallback_next_hops = r.u64();
   d.post_outage_reconvergences = r.u64();
-  diag_slots_.assign(1, d);
-  scratch_slots_.assign(1, {});
-  ensure_arenas(1);  // restored runs start serial; prepare_shards regrows
+  diag_ = d;
 }
 
 }  // namespace dtn::core

@@ -32,7 +32,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -43,7 +42,6 @@
 #include "core/routing_table.hpp"
 #include "net/network.hpp"
 #include "net/router.hpp"
-#include "sim/shard_coordinator.hpp"
 #include "util/annotations.hpp"
 #include "util/arena.hpp"
 #include "util/flat_matrix.hpp"
@@ -171,19 +169,6 @@ class DtnFlowRouter final : public net::Router {
 
   [[nodiscard]] std::string name() const override { return "DTN-FLOW"; }
   [[nodiscard]] bool uses_stations() const override { return true; }
-  /// Every per-event write lands in shard-owned state (the landmark's
-  /// table/cache, the arriving node, the (prev, l) bandwidth cell, the
-  /// current shard's diagnostics/scratch slot) — except loop correction
-  /// (rewrites remote landmarks' tables) and the distributed-bandwidth
-  /// protocol (shared token counters), which stay serial-only.
-  [[nodiscard]] bool shard_safe() const override {
-    return !cfg_.loop_correction && !cfg_.distributed_bandwidth;
-  }
-  void prepare_shards(std::size_t num_shards) override {
-    diag_slots_.assign(num_shards, DtnFlowDiagnostics{});
-    scratch_slots_.assign(num_shards, {});
-    ensure_arenas(num_shards);
-  }
 
   void on_init(net::Network& net) override;
   void on_arrival(net::Network& net, net::NodeId node,
@@ -210,7 +195,7 @@ class DtnFlowRouter final : public net::Router {
   /// Serializes both estimators, every node's predictor/prediction/
   /// carried-DV/token/stay state, every landmark's routing table, rate
   /// monitors, channel mode and present epoch, the fault mirrors, the
-  /// accuracy matrix and the (summed) diagnostics.  The carrier-score
+  /// accuracy matrix and the diagnostics.  The carrier-score
   /// cache and scratch buffers are rebuilt lazily from serialized state
   /// and deliberately not stored.
   [[nodiscard]] bool checkpointable() const override { return true; }
@@ -235,8 +220,9 @@ class DtnFlowRouter final : public net::Router {
   [[nodiscard]] RoutingTable& mutable_routing_table(net::LandmarkId l);
   [[nodiscard]] const MarkovPredictor& predictor(net::NodeId n) const;
   [[nodiscard]] double accuracy(net::NodeId n, net::LandmarkId l) const;
-  /// Diagnostics summed over all shard slots (one slot in serial runs).
-  [[nodiscard]] DtnFlowDiagnostics diagnostics() const;
+  [[nodiscard]] const DtnFlowDiagnostics& diagnostics() const {
+    return diag_;
+  }
 
   /// Fault injection for the Table VII experiment: pin a routing cycle
   /// for `dst` through `cycle` (cycle[i] -> cycle[i+1], wrapping).
@@ -247,8 +233,7 @@ class DtnFlowRouter final : public net::Router {
   /// the scratch arena's incremental byte counter (the accounting-drift
   /// bug class `Arena::check` exists to catch).
   void debug_corrupt_arena_accounting_for_test() {
-    DTN_ASSERT(!arena_slots_.empty());
-    arena_slots_[0]->debug_corrupt_accounting_for_test();
+    arena_.debug_corrupt_accounting_for_test();
   }
 
   /// Test-only fault injection: desynchronize one column of a *valid*
@@ -379,8 +364,8 @@ class DtnFlowRouter final : public net::Router {
   /// packet ids.  `max_count` 0 = unlimited; `only_reached_hop`
   /// restricts to packets whose chosen next hop is this landmark
   /// (forwarding-mode uplink restriction, §IV-D.5).  The returned list
-  /// lives in the current shard's scratch arena — valid until the
-  /// enclosing top-level hook returns (util/arena.hpp lifetime rule).
+  /// lives in the scratch arena — valid until the enclosing top-level
+  /// hook returns (util/arena.hpp lifetime rule).
   ArenaVector<net::PacketId> upload_packets(net::Network& net, net::NodeId n,
                                             net::LandmarkId l, bool force_all,
                                             std::size_t max_count = 0,
@@ -414,67 +399,37 @@ class DtnFlowRouter final : public net::Router {
   [[nodiscard]] double link_expected_delay(net::LandmarkId from,
                                            net::LandmarkId to) const;
 
-  // Shard-safety annotations (util/annotations.hpp, tools/analyzer):
-  // LOCAL state is partitioned by the event's landmark/node or by
-  // per-shard slot, so concurrent shard hooks never contend; SHARED
-  // state must not be written from shard-reachable code.  The
-  // annotations are member-granular: loop correction rewriting OTHER
-  // landmarks' rows inside `landmarks_` is below their resolution,
-  // which is exactly why that feature stays behind the runtime
-  // shard_safe() gate.
   DTN_CKPT_SKIP("pinned by the checkpoint config fingerprint")
   DtnFlowConfig cfg_;
-  /// Transit counts land in the (prev, l) cell, owned by the arrival
-  /// event's shard.
-  DTN_SHARD_LOCAL BandwidthEstimator bw_{1, 0.5};  // re-initialized in on_init
-  /// §IV-C.1 token counters are cross-landmark shared state; the
-  /// feature forces shard_safe() == false (serial fallback).
-  DTN_SHARD_SHARED std::optional<DistributedBandwidth> dbw_;
-  DTN_SHARD_LOCAL std::vector<NodeState> nodes_;
-  DTN_SHARD_LOCAL std::vector<LandmarkState> landmarks_;
+  BandwidthEstimator bw_{1, 0.5};  // re-initialized in on_init
+  std::optional<DistributedBandwidth> dbw_;
+  std::vector<NodeState> nodes_;
+  std::vector<LandmarkState> landmarks_;
   /// Mirror of the injector's station-outage set (maintained through the
   /// fault hooks; all zeros without a fault plan).  choose_next_hop has
   /// no Network access, so the fallback check reads this mirror — the
   /// audit hook cross-checks it against the injector's ground truth.
-  DTN_SHARD_SHARED std::vector<std::uint8_t> station_down_;
+  std::vector<std::uint8_t> station_down_;
   /// Landmarks recovered from an outage and waiting for their first
   /// accepted distance vector (re-convergence accounting).
-  /// Cleared per-landmark on the first accepted DV after recovery (the
-  /// event's own landmark cell); set only by the serial fault hooks.
-  DTN_SHARD_LOCAL std::vector<std::uint8_t> needs_reconvergence_;
-  DTN_SHARD_LOCAL FlatMatrix<double> accuracy_;
-  /// Diagnostics, one slot per shard so concurrent shard loops never
-  /// contend (serial runs and the shard coordinator use slot 0).
-  DTN_SHARD_LOCAL std::vector<DtnFlowDiagnostics> diag_slots_{1};
-  [[nodiscard]] DtnFlowDiagnostics& diag() {
-    return diag_slots_[sim::current_shard()];
-  }
+  std::vector<std::uint8_t> needs_reconvergence_;
+  FlatMatrix<double> accuracy_;
+  DtnFlowDiagnostics diag_;
   double time_unit_ = trace::kDay;
-  /// Scratch buffers for per-node conditional distributions (reused by
-  /// offer_packets_to_node; avoids a vector allocation per offer), one
-  /// per shard like diag_slots_.
-  DTN_SHARD_LOCAL DTN_CKPT_SKIP("per-shard scratch, rebuilt empty on resume")
-  std::vector<std::vector<double>> scratch_slots_{1};
-  [[nodiscard]] std::vector<double>& distribution_scratch() {
-    return scratch_slots_[sim::current_shard()];
-  }
-  /// Per-shard scratch arenas for hook-local vector churn (offer
-  /// queues, sort orders, upload lists; util/arena.hpp).  Reset at
-  /// top-level hook entry; hooks never nest, so nothing outlives its
-  /// hook.  unique_ptr because Arena is non-copyable/non-movable.
-  DTN_SHARD_LOCAL DTN_CKPT_SKIP("per-hook scratch arenas, rewound on resume")
-  std::vector<std::unique_ptr<Arena>> arena_slots_;
-  [[nodiscard]] Arena& arena() {
-    return *arena_slots_[sim::current_shard()];
-  }
-  /// Grow/shrink the arena chain to `n` slots and rewind every arena.
-  void ensure_arenas(std::size_t n);
+  /// Scratch buffer for per-node conditional distributions (reused by
+  /// offer_packets_to_node; avoids a vector allocation per offer).
+  DTN_CKPT_SKIP("scratch, rebuilt empty on resume")
+  std::vector<double> distribution_scratch_;
+  /// Scratch arena for hook-local vector churn (offer queues, sort
+  /// orders, upload lists; util/arena.hpp).  Reset at top-level hook
+  /// entry; hooks never nest, so nothing outlives its hook.
+  DTN_CKPT_SKIP("per-hook scratch arena, rewound on resume")
+  Arena arena_;
   /// Present-epoch advances prepaid by on_departure_batch_begin and
-  /// consumed by on_departure, one slot per shard (a departure batch
-  /// never crosses shards).  Always zero at event boundaries — audited,
-  /// never serialized.
-  DTN_SHARD_LOCAL DTN_CKPT_SKIP("always zero at event boundaries (audited)")
-  std::vector<std::uint64_t> epoch_prepaid_{0};
+  /// consumed by on_departure.  Always zero at event boundaries —
+  /// audited, never serialized.
+  DTN_CKPT_SKIP("always zero at event boundaries (audited)")
+  std::uint64_t epoch_prepaid_ = 0;
 };
 
 }  // namespace dtn::core

@@ -52,21 +52,9 @@ RunResult summarize(const net::Network& network,
 
 RunResult run_experiment(const trace::Trace& trace, net::Router& router,
                          const net::WorkloadConfig& workload,
-                         const CostModel& cost, std::size_t num_shards) {
+                         const CostModel& cost) {
   net::Network network(trace, router, workload);
-  // The sharded engine is bit-identical to run(), so falling back when
-  // its preconditions fail (serial-only router features, fault plans,
-  // node-addressed packets) never changes results, only wall-clock.
-  bool landmark_addressed = true;
-  for (const auto& mp : workload.manual_packets) {
-    if (mp.dst_node != trace::kNoNode) landmark_addressed = false;
-  }
-  if (num_shards > 1 && router.shard_safe() && !workload.faults.has_value() &&
-      workload.audit_period_events == 0 && landmark_addressed) {
-    network.run_sharded(num_shards);
-  } else {
-    network.run();
-  }
+  network.run();
   return summarize(network, router.name(), cost);
 }
 

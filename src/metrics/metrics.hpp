@@ -60,13 +60,9 @@ struct RunResult {
                                   const CostModel& cost = {});
 
 /// Convenience: build a network over `trace`, run `router`, summarize.
-/// `num_shards` > 1 uses the sharded replay engine when the router and
-/// workload allow it (docs/parallel-engine.md) — results are
-/// bit-identical to the serial engine either way.
 [[nodiscard]] RunResult run_experiment(const trace::Trace& trace,
                                        net::Router& router,
                                        const net::WorkloadConfig& workload,
-                                       const CostModel& cost = {},
-                                       std::size_t num_shards = 1);
+                                       const CostModel& cost = {});
 
 }  // namespace dtn::metrics

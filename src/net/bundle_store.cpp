@@ -138,7 +138,7 @@ Admit BundleStore::admit(const AdmitRequest& req,
 
 std::size_t BundleStore::pick_victim() const {
   // Deterministic victim selection: a pure function of entry metadata
-  // with admission-sequence tie-breaks, so reruns and shards agree.
+  // with admission-sequence tie-breaks, so reruns agree.
   std::size_t best = meta_.size();
   for (std::size_t i = 0; i < meta_.size(); ++i) {
     const Entry& e = meta_[i];

@@ -21,7 +21,7 @@
 //    expected inter-landmark delay, ties to oldest), ttl-expire
 //    (earliest deadline, ties to oldest) — that free space for an
 //    incoming bundle instead of rejecting it.  Victim order is a pure
-//    function of store contents, so serial and sharded replays evict
+//    function of store contents, so reruns and resumed replays evict
 //    identically.
 //  * A received-id dedup set (sorted flat vector, deterministic
 //    iteration) letting multicopy routers suppress re-admission of

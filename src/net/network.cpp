@@ -4,15 +4,12 @@
 #include <array>
 #include <cmath>
 #include <cstdio>
-#include <limits>
-#include <optional>
 #include <string>
 
 #include "persist/checkpoint.hpp"
 #include "persist/flat_io.hpp"
 #include "persist/serializer.hpp"
 #include "trace/cursor.hpp"
-#include "trace/shard_cursor.hpp"
 #include "util/logging.hpp"
 
 namespace dtn::net {
@@ -94,8 +91,8 @@ void Network::build_workload() {
   // initialization phase (paper: first 1/4 of the trace).  Every draw
   // comes from a per-landmark split stream and happens before the
   // replay, so the randomness a landmark's workload consumes is
-  // independent of event interleaving — the property that lets the
-  // sharded engine replay the identical workload.
+  // independent of event interleaving and of every other landmark's
+  // draws.
   const double mean_gap = trace::kDay / cfg_.packets_per_landmark_per_day;
   const auto num_landmarks = trace_.num_landmarks();
   if (!cfg_.destination_weights.empty()) {
@@ -128,7 +125,7 @@ void Network::build_workload() {
         dst = static_cast<LandmarkId>(
             stream.discrete({weight_data, num_landmarks}));
       }
-      workload_.push_back({t, l, dst, kNoPacket});
+      workload_.push_back({t, l, dst});
     }
   }
   // Rank order = global time order (ties by source landmark; within one
@@ -144,8 +141,7 @@ void Network::schedule_dynamic_events() {
   // Dynamic events take the sequence range above the cursor's in a
   // fixed scheduling order — manual packets, then sweep/tick pairs,
   // then the pre-drawn Poisson workload — so every event's (time, seq)
-  // key is a static function of the config.  The sharded engine
-  // recomputes exactly these ranks (docs/parallel-engine.md).
+  // key is a static function of the config.
   for (std::size_t i = 0; i < cfg_.manual_packets.size(); ++i) {
     const auto& mp = cfg_.manual_packets[i];
     DTN_ASSERT(mp.src < trace_.num_landmarks());
@@ -249,481 +245,6 @@ bool Network::replay(persist::CheckpointManager* ckpt) {
   // (checkpoint_step wrote it before stopping).
   ckpt_cursor_ = nullptr;
   return completed;
-}
-
-void Network::run_sharded(std::size_t num_shards, ThreadPool* pool,
-                          persist::CheckpointManager* ckpt) {
-  if (num_shards <= 1) {
-    if (ckpt != nullptr) {
-      run(*ckpt);
-    } else {
-      run();
-    }
-    return;
-  }
-  DTN_ASSERT(!ran_);
-  DTN_ASSERT(ckpt == nullptr || router_.checkpointable());
-  // Preconditions of the parallel path (docs/parallel-engine.md):
-  // a shard-safe router, no fault plan (fault events are global), no
-  // periodic event-count auditing (the shared event counter would
-  // race; barrier audits below cover the DTN_AUDIT use case) and a
-  // landmark-addressed workload (node-addressed generation reads the
-  // destination node's location, which another shard may own).
-  DTN_ASSERT(router_.shard_safe());
-  DTN_ASSERT(!cfg_.faults.has_value());
-  DTN_ASSERT(cfg_.audit_period_events == 0);
-  for (const auto& mp : cfg_.manual_packets) {
-    DTN_ASSERT(mp.src < trace_.num_landmarks());
-    DTN_ASSERT(mp.dst < trace_.num_landmarks());
-    DTN_ASSERT(mp.src != mp.dst);
-    DTN_ASSERT(mp.dst_node == trace::kNoNode);
-    (void)mp;
-  }
-  ran_ = true;
-
-  // Shard map: balance landmarks by visit count, then split the trace
-  // into per-shard (time, seq)-sorted event streams.
-  const auto weights = trace::landmark_visit_weights(trace_);
-  const auto landmark_shard = sim::assign_shards(weights, num_shards);
-  auto split = trace::split_trace_events(trace_, landmark_shard, num_shards);
-  const std::uint64_t seq_floor = split.total_events;
-
-  // Static sequence ranks mirroring run()'s scheduling order exactly:
-  // manual packets, then sweep/tick pairs, then the Poisson workload.
-  const std::size_t num_manual = cfg_.manual_packets.size();
-  const auto max_units = static_cast<std::size_t>(
-      std::ceil((trace_end_ - trace_begin_) / cfg_.time_unit));
-  std::vector<sim::EventKey> unit_bounds;
-  for (std::size_t u = 1; u <= max_units; ++u) {
-    const double t = trace_begin_ + static_cast<double>(u) * cfg_.time_unit;
-    if (t > trace_end_) break;
-    // The bound sits at the sweep's own key; the coordinator executes
-    // the sweep and the tick (rank + 1) as its barrier phase.
-    unit_bounds.push_back({t, seq_floor + num_manual + 2 * (u - 1)});
-  }
-  build_workload();
-  const std::uint64_t gen_rank0 =
-      seq_floor + num_manual + 2 * unit_bounds.size();
-
-  // Pre-assign packet ids: generation-type events execute in (time,
-  // rank) order, and serial ids are exactly that append order.  Manual
-  // packets scheduled past the trace end keep their rank but never
-  // dispatch, so they get no id.
-  std::vector<sim::Event> dyn;
-  dyn.reserve(num_manual + workload_.size());
-  for (std::size_t i = 0; i < num_manual; ++i) {
-    const auto& mp = cfg_.manual_packets[i];
-    if (mp.time > trace_end_) continue;
-    sim::Event ev{};
-    ev.time = mp.time;
-    ev.seq = seq_floor + i;
-    ev.kind = sim::EventKind::kManualPacket;
-    ev.a = static_cast<std::uint32_t>(i);
-    dyn.push_back(ev);
-  }
-  for (std::size_t j = 0; j < workload_.size(); ++j) {
-    sim::Event ev{};
-    ev.time = workload_[j].time;
-    ev.seq = gen_rank0 + j;
-    ev.kind = sim::EventKind::kPacketGen;
-    ev.a = workload_[j].src;
-    ev.b = static_cast<std::uint32_t>(j);
-    dyn.push_back(ev);
-  }
-  std::sort(dyn.begin(), dyn.end(), [](const sim::Event& a,
-                                       const sim::Event& b) {
-    if (a.time != b.time) return a.time < b.time;
-    return a.seq < b.seq;
-  });
-  manual_pids_.assign(num_manual, kNoPacket);
-  Packet unborn;
-  unborn.state = PacketState::kUnborn;
-  packets_.assign(dyn.size(), unborn);
-  logical_delivered_.assign(dyn.size(), 0);
-  for (std::size_t k = 0; k < dyn.size(); ++k) {
-    const auto pid = static_cast<PacketId>(k);
-    if (dyn[k].kind == sim::EventKind::kManualPacket) {
-      manual_pids_[dyn[k].a] = pid;
-    } else {
-      workload_[dyn[k].b].pid = pid;
-    }
-  }
-
-  // Generation events run on the shard owning their source landmark
-  // (dyn is globally sorted, so each per-shard stream stays sorted).
-  std::vector<std::vector<sim::Event>> dyn_streams(num_shards);
-  for (const sim::Event& ev : dyn) {
-    const LandmarkId src = ev.kind == sim::EventKind::kManualPacket
-                               ? cfg_.manual_packets[ev.a].src
-                               : workload_[ev.b].src;
-    dyn_streams[landmark_shard[src]].push_back(ev);
-  }
-
-  const auto epochs = sim::plan_barriers(
-      std::move(split.migrations), unit_bounds,
-      {trace_end_, std::numeric_limits<std::uint64_t>::max()});
-
-  contexts_ = std::vector<ShardContext>(num_shards);
-  router_.prepare_shards(num_shards);
-  sharded_run_ = true;
-  router_.on_init(*this);
-
-  std::optional<ThreadPool> owned_pool;
-  if (pool == nullptr) {
-    owned_pool.emplace(num_shards);
-    pool = &*owned_pool;
-  }
-
-  std::vector<std::size_t> trace_pos(num_shards, 0);
-  std::vector<std::size_t> dyn_pos(num_shards, 0);
-
-  // Two-pointer merge of one shard's trace and generation streams,
-  // processed strictly below the epoch bound.  Safe to run from any
-  // thread: every write lands in shard-owned state (ScopedShard routes
-  // the counter/diagnostic slots), so the inline fast path below and
-  // the pool path execute identical work.
-  const auto process_shard = [&](std::size_t s, const sim::EventKey& bound) {
-    sim::ScopedShard guard(s);
-    ShardContext& ctx = contexts_[s];
-    const auto& trace_stream = split.events[s];
-    const auto& dyn_stream = dyn_streams[s];
-    std::size_t ti = trace_pos[s];
-    std::size_t di = dyn_pos[s];
-    while (true) {
-      const bool has_trace = ti < trace_stream.size();
-      const bool has_dyn = di < dyn_stream.size();
-      if (!has_trace && !has_dyn) break;
-      bool take_trace = has_trace;
-      if (has_trace && has_dyn) {
-        take_trace = trace_stream[ti].key() <
-                     sim::EventKey{dyn_stream[di].time, dyn_stream[di].seq};
-      }
-      if (take_trace) {
-        const trace::ShardEventRef& ref = trace_stream[ti];
-        if (!(ref.key() < bound)) break;
-        ctx.now = ref.time;
-        ctx.cur_seq = ref.seq;
-        ++ctx.events;
-        // Batched contact dispatch, sharded flavor: consecutive
-        // same-(time, landmark) departures in this shard's stream
-        // collapse into one handle_departure_batch call.  Generation
-        // events cannot interleave (at equal times their seqs sit above
-        // the trace range), and barrier audits only ever run with every
-        // batch completed, so the deferred present_pos_ renumber is
-        // never observable.
-        if ((ref.visit_and_phase & 1u) != 0 &&
-            ti + 1 < trace_stream.size() &&
-            trace_stream[ti + 1].time == ref.time) {
-          const trace::Visit& first =
-              trace_.visits(ref.node)[ref.visit_and_phase >> 1];
-          std::vector<const trace::Visit*>& batch = ctx.batch;
-          batch.clear();
-          batch.push_back(&first);
-          std::size_t tj = ti + 1;
-          for (; tj < trace_stream.size(); ++tj) {
-            const trace::ShardEventRef& next = trace_stream[tj];
-            if (next.time != ref.time || (next.visit_and_phase & 1u) == 0 ||
-                !(next.key() < bound)) {
-              break;
-            }
-            const trace::Visit& visit =
-                trace_.visits(next.node)[next.visit_and_phase >> 1];
-            if (visit.landmark != first.landmark) break;
-            ctx.cur_seq = next.seq;
-            ++ctx.events;
-            batch.push_back(&visit);
-          }
-          if (batch.size() >= 2) {
-            handle_departure_batch(batch.data(), batch.size());
-          } else {
-            handle_departure(first);
-          }
-          ti = tj;
-        } else {
-          dispatch_sharded(trace::materialize(ref));
-          ++ti;
-        }
-      } else {
-        const sim::Event& ev = dyn_stream[di];
-        if (!(sim::EventKey{ev.time, ev.seq} < bound)) break;
-        ctx.now = ev.time;
-        ctx.cur_seq = ev.seq;
-        ++ctx.events;
-        dispatch_sharded(ev);
-        ++di;
-      }
-    }
-    trace_pos[s] = ti;
-    dyn_pos[s] = di;
-  };
-  // Events pending in shard s strictly below the bound (both streams
-  // are key-sorted, so this is two binary searches).
-  const auto pending_below = [&](std::size_t s, const sim::EventKey& bound) {
-    const auto& trace_stream = split.events[s];
-    const auto& dyn_stream = dyn_streams[s];
-    const auto tit = std::lower_bound(
-        trace_stream.begin() + static_cast<std::ptrdiff_t>(trace_pos[s]),
-        trace_stream.end(), bound,
-        [](const trace::ShardEventRef& e, const sim::EventKey& k) {
-          return e.key() < k;
-        });
-    const auto dit = std::lower_bound(
-        dyn_stream.begin() + static_cast<std::ptrdiff_t>(dyn_pos[s]),
-        dyn_stream.end(), bound,
-        [](const sim::Event& e, const sim::EventKey& k) {
-          return sim::EventKey{e.time, e.seq} < k;
-        });
-    return static_cast<std::size_t>(
-        (tit - trace_stream.begin()) - static_cast<std::ptrdiff_t>(trace_pos[s]) +
-        (dit - dyn_stream.begin()) - static_cast<std::ptrdiff_t>(dyn_pos[s]));
-  };
-  // Below this many total pending events an epoch runs inline on the
-  // coordinator thread: a pool barrier costs more than dispatching a
-  // handful of events, and migration stabs usually open sliver epochs
-  // where a single node hands over between two shards.  Shard state is
-  // disjoint, so processing shards sequentially from one thread is
-  // execution-equivalent to the parallel path.
-  constexpr std::size_t kInlineEpochThreshold = 128;
-
-  // Barrier snapshot writer (docs/checkpointing.md): at a unit barrier
-  // every event strictly below the bound has dispatched, so the sharded
-  // state collapses to exactly what a serial run holds right after the
-  // barrier's time-unit tick.  The image is written in serial format —
-  // the resumed process continues on the serial engine — and is
-  // byte-identical to a serial snapshot of the same point: the queue
-  // image is canonical (key-sorted), the pre-assigned packet ids are
-  // stripped (the serial engine re-derives them by appending), and only
-  // the born prefix of the packet table is stored.
-  const auto write_barrier_snapshot = [&](const sim::EpochBound& bound,
-                                          std::size_t units_done,
-                                          std::uint64_t executed) {
-    persist::Writer w;
-    w.begin_section("meta");
-    write_config_fingerprint(w);
-    w.end_section();
-
-    // Pending dynamic events: the unprocessed tails of every shard's
-    // generation stream, the manual packets past the trace horizon
-    // (the serial engine schedules them and never dispatches them, so
-    // they sit in its queue), and the sweep/tick pairs of the units
-    // still ahead.
-    std::vector<sim::Event> pending;
-    std::uint64_t trace_done = 0;
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      trace_done += trace_pos[s];
-      pending.insert(pending.end(),
-                     dyn_streams[s].begin() +
-                         static_cast<std::ptrdiff_t>(dyn_pos[s]),
-                     dyn_streams[s].end());
-    }
-    for (std::size_t i = 0; i < num_manual; ++i) {
-      if (cfg_.manual_packets[i].time <= trace_end_) continue;
-      sim::Event ev{};
-      ev.time = cfg_.manual_packets[i].time;
-      ev.seq = seq_floor + i;
-      ev.kind = sim::EventKind::kManualPacket;
-      ev.a = static_cast<std::uint32_t>(i);
-      pending.push_back(ev);
-    }
-    for (std::size_t idx = units_done; idx < unit_bounds.size(); ++idx) {
-      sim::Event sweep{};
-      sweep.time = unit_bounds[idx].time;
-      sweep.seq = unit_bounds[idx].seq;
-      sweep.kind = sim::EventKind::kTtlSweep;
-      pending.push_back(sweep);
-      sim::Event tick{};
-      tick.time = unit_bounds[idx].time;
-      tick.seq = unit_bounds[idx].seq + 1;
-      tick.kind = sim::EventKind::kTimeUnitTick;
-      tick.a = static_cast<std::uint32_t>(idx + 1);
-      pending.push_back(tick);
-    }
-    std::sort(pending.begin(), pending.end(),
-              [](const sim::Event& a, const sim::Event& b) {
-                if (a.time != b.time) return a.time < b.time;
-                return a.seq < b.seq;
-              });
-    w.begin_section("sim");
-    w.f64(bound.key.time);
-    w.u64(executed);
-    sim::EventQueue::save_image(w, pending.data(), pending.size(),
-                                gen_rank0 + workload_.size(),
-                                executed - trace_done, bound.key.time);
-    w.end_section();
-
-    // Cursor positions re-derived from ground truth: a node sits before
-    // its next arrival (2 * completed visits) or, while present, before
-    // the matching departure.
-    std::vector<std::uint32_t> positions(nodes_.size());
-    for (std::size_t n = 0; n < nodes_.size(); ++n) {
-      positions[n] = static_cast<std::uint32_t>(
-          2 * nodes_[n].history.size() +
-          (nodes_[n].location != kNoLandmark ? 1 : 0));
-    }
-    w.begin_section("cursor");
-    trace::TraceCursor::save_image(w, positions);
-    w.end_section();
-
-    const RunCounters merged = merged_shard_counters(nullptr);
-    const auto born = static_cast<std::size_t>(
-        std::lower_bound(dyn.begin(), dyn.end(), bound.key,
-                         [](const sim::Event& e, const sim::EventKey& k) {
-                           return sim::EventKey{e.time, e.seq} < k;
-                         }) -
-        dyn.begin());
-    save_tail_sections(w, merged, born, /*strip_preassigned=*/true);
-    w.finish();
-    ckpt->write(executed, w.buffer());
-  };
-  std::size_t units_done = 0;
-  std::uint64_t ckpt_last_events = 0;
-  double ckpt_last_time = 0.0;
-
-  std::vector<std::size_t> active;
-  active.reserve(num_shards);
-  for (const sim::EpochBound& bound : epochs) {
-    active.clear();
-    std::size_t pending = 0;
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      const std::size_t p = pending_below(s, bound.key);
-      if (p > 0) active.push_back(s);
-      pending += p;
-    }
-    if (active.size() == 1 || pending <= kInlineEpochThreshold) {
-      for (const std::size_t s : active) process_shard(s, bound.key);
-    } else {
-      parallel_for(*pool, active.size(), [&](std::size_t i) {
-        process_shard(active[i], bound.key);
-      });
-    }
-    // Barrier phase, on the coordinator thread under shard slot 0: the
-    // global TTL sweep and router tick run exactly where their serial
-    // (time, seq) keys place them.
-    if (bound.kind == sim::EpochKind::kUnit) {
-      ShardContext& coord = contexts_[0];
-      coord.now = bound.key.time;
-      coord.cur_seq = bound.key.seq;
-      ++coord.events;
-      drop_expired();
-      coord.cur_seq = bound.key.seq + 1;
-      ++coord.events;
-      router_.on_time_unit(*this, bound.unit_index);
-      ++units_done;
-      if (ckpt != nullptr) {
-        std::uint64_t executed = 2 * units_done;
-        for (std::size_t s = 0; s < num_shards; ++s) {
-          executed += trace_pos[s] + dyn_pos[s];
-        }
-        const persist::CheckpointConfig& cc = ckpt->config();
-        const bool due_events = cc.every_events > 0 &&
-                                executed - ckpt_last_events >= cc.every_events;
-        const bool due_time =
-            cc.every_time > 0.0 &&
-            bound.key.time - ckpt_last_time >= cc.every_time;
-        if (due_events || due_time) {
-          write_barrier_snapshot(bound, units_done, executed);
-          ckpt_last_events = executed;
-          ckpt_last_time = bound.key.time;
-        }
-      }
-    }
-    if (auditor_.enabled()) auditor_.audit_now();
-  }
-
-  // Horizon sweep, as run() does after run_until.
-  contexts_[0].now = trace_end_;
-  drop_expired();
-  merge_shard_contexts();
-  if (auditor_.enabled()) auditor_.audit_now();
-}
-
-void Network::dispatch_sharded(const sim::Event& ev) {
-  switch (ev.kind) {
-    case sim::EventKind::kArrival:
-      handle_arrival(trace_.visits(ev.a)[ev.b]);
-      break;
-    case sim::EventKind::kDeparture:
-      handle_departure(trace_.visits(ev.a)[ev.b]);
-      break;
-    case sim::EventKind::kPacketGen: {
-      const WorkloadEntry& w = workload_[ev.b];
-      generate_packet(w.src, w.dst, cfg_.ttl, trace::kNoNode, w.pid);
-      break;
-    }
-    case sim::EventKind::kManualPacket: {
-      const auto& mp = cfg_.manual_packets[ev.a];
-      const double ttl = mp.ttl > 0.0 ? mp.ttl : cfg_.ttl;
-      generate_packet(mp.src, mp.dst, ttl, trace::kNoNode,
-                      manual_pids_[ev.a]);
-      break;
-    }
-    default:
-      // Sweeps/ticks run at barriers; faults are rejected up front.
-      DTN_ASSERT(false);
-  }
-}
-
-void Network::merge_shard_contexts() {
-  std::uint64_t events = 0;
-  counters_ = merged_shard_counters(&events);
-  sharded_events_ = events;
-}
-
-RunCounters Network::merged_shard_counters(std::uint64_t* events_out) const {
-  RunCounters total;
-  std::vector<DeliveryRecord> records;
-  std::size_t num_records = 0;
-  for (const ShardContext& ctx : contexts_) {
-    num_records += ctx.records.size();
-  }
-  records.reserve(num_records);
-  std::uint64_t events = 0;
-  for (const ShardContext& ctx : contexts_) {
-    const RunCounters& c = ctx.counters;
-    total.generated += c.generated;
-    total.delivered += c.delivered;
-    total.dropped_ttl += c.dropped_ttl;
-    total.refused_buffer += c.refused_buffer;
-    total.packet_forwards += c.packet_forwards;
-    total.replications += c.replications;
-    total.evicted_policy += c.evicted_policy;
-    total.evicted_kb += c.evicted_kb;
-    total.admission_shed += c.admission_shed;
-    total.duplicates_suppressed += c.duplicates_suppressed;
-    total.dedup_refused += c.dedup_refused;
-    total.spilled_bundles += c.spilled_bundles;
-    total.recalled_bundles += c.recalled_bundles;
-    // Every account_control summand is an integer-valued double (entry
-    // counts), so all partial sums are exact and the per-shard
-    // regrouping cannot change the total's bits.
-    total.control_entries += c.control_entries;
-    // Faults are rejected in sharded runs; the resilience counters must
-    // all still be zero.
-    DTN_ASSERT(c.node_crashes == 0 && c.station_outages == 0 &&
-               c.packets_lost_fault == 0 && c.transfers_interrupted == 0 &&
-               c.transfers_blocked_fault == 0);
-    events += ctx.events;
-    records.insert(records.end(), ctx.records.begin(), ctx.records.end());
-  }
-  // Restore the serial delivery order: records sort by the delivering
-  // event's (time, seq) key; several deliveries inside one event share
-  // a key and sit contiguously in one shard's log, so the stable sort
-  // keeps their intra-event order.
-  std::stable_sort(records.begin(), records.end(),
-                   [](const DeliveryRecord& a, const DeliveryRecord& b) {
-                     if (a.time != b.time) return a.time < b.time;
-                     return a.seq < b.seq;
-                   });
-  total.delivery_delays.reserve(records.size());
-  total.delivery_hops.reserve(records.size());
-  for (const DeliveryRecord& r : records) {
-    total.total_delay += r.delay;
-    total.delivery_delays.push_back(r.delay);
-    total.delivery_hops.push_back(r.hops);
-  }
-  DTN_ASSERT(total.delivered == records.size());
-  if (events_out != nullptr) *events_out = events;
-  return total;
 }
 
 // -- checkpointing (src/persist/, docs/checkpointing.md) ----------------
@@ -874,69 +395,56 @@ void Network::check_config_fingerprint(persist::Reader& r) const {
   if (r.str() != router_.name()) mismatch("router");
 }
 
-void Network::save_tail_sections(persist::Writer& w,
-                                 const RunCounters& counters,
-                                 std::size_t num_packets,
-                                 bool strip_preassigned) const {
+void Network::save_tail_sections(persist::Writer& w) const {
   w.begin_section("rng");
   for (const std::uint64_t word : rng_.state()) w.u64(word);
   w.end_section();
 
   // The pre-drawn workload is serialized (not re-drawn on resume): the
   // per-landmark RNG splits that built it already mutated rng_, and
-  // replaying them would desynchronize the stream.  Sharded snapshots
-  // strip the pre-assigned packet ids so the image matches what the
-  // serial engine holds (it assigns ids by appending).
+  // replaying them would desynchronize the stream.
   w.begin_section("workload");
   w.u64(workload_.size());
   for (const WorkloadEntry& e : workload_) {
     w.f64(e.time);
     w.u32(e.src);
     w.u32(e.dst);
-    w.u32(strip_preassigned ? kNoPacket : e.pid);
-  }
-  if (strip_preassigned) {
-    w.u64(0);
-  } else {
-    w.u64(manual_pids_.size());
-    for (const PacketId pid : manual_pids_) w.u32(pid);
   }
   w.end_section();
 
   w.begin_section("counters");
-  w.u64(counters.generated);
-  w.u64(counters.delivered);
-  w.u64(counters.dropped_ttl);
-  w.u64(counters.refused_buffer);
-  w.u64(counters.packet_forwards);
-  w.u64(counters.replications);
-  w.f64(counters.control_entries);
-  w.f64(counters.total_delay);
-  persist::write_vec(w, counters.delivery_delays);
-  persist::write_vec(w, counters.delivery_hops);
-  w.u64(counters.evicted_policy);
-  w.u64(counters.evicted_kb);
-  w.u64(counters.admission_shed);
-  w.u64(counters.duplicates_suppressed);
-  w.u64(counters.dedup_refused);
-  w.u64(counters.spilled_bundles);
-  w.u64(counters.recalled_bundles);
-  w.u64(counters.node_crashes);
-  w.u64(counters.node_reboots);
-  w.u64(counters.station_outages);
-  w.u64(counters.station_recoveries);
-  w.u64(counters.packets_lost_fault);
-  w.u64(counters.kb_lost_fault);
-  w.u64(counters.transfers_interrupted);
-  w.u64(counters.transfers_resumed);
-  w.u64(counters.transfers_blocked_fault);
-  persist::write_vec(w, counters.outage_recovery_delays);
+  w.u64(counters_.generated);
+  w.u64(counters_.delivered);
+  w.u64(counters_.dropped_ttl);
+  w.u64(counters_.refused_buffer);
+  w.u64(counters_.packet_forwards);
+  w.u64(counters_.replications);
+  w.f64(counters_.control_entries);
+  w.f64(counters_.total_delay);
+  persist::write_vec(w, counters_.delivery_delays);
+  persist::write_vec(w, counters_.delivery_hops);
+  w.u64(counters_.evicted_policy);
+  w.u64(counters_.evicted_kb);
+  w.u64(counters_.admission_shed);
+  w.u64(counters_.duplicates_suppressed);
+  w.u64(counters_.dedup_refused);
+  w.u64(counters_.spilled_bundles);
+  w.u64(counters_.recalled_bundles);
+  w.u64(counters_.node_crashes);
+  w.u64(counters_.node_reboots);
+  w.u64(counters_.station_outages);
+  w.u64(counters_.station_recoveries);
+  w.u64(counters_.packets_lost_fault);
+  w.u64(counters_.kb_lost_fault);
+  w.u64(counters_.transfers_interrupted);
+  w.u64(counters_.transfers_resumed);
+  w.u64(counters_.transfers_blocked_fault);
+  persist::write_vec(w, counters_.outage_recovery_delays);
   w.end_section();
 
   w.begin_section("packets");
-  w.u64(num_packets);
-  for (std::size_t i = 0; i < num_packets; ++i) {
-    const Packet& p = packets_[i];
+  w.u64(packets_.size());
+  for (const Packet& p : packets_) {
     w.u32(p.id);
     w.u32(p.src);
     w.u32(p.dst);
@@ -953,8 +461,8 @@ void Network::save_tail_sections(persist::Writer& w,
     w.u32(p.hops);
     w.f64(p.delivered_at);
   }
-  w.u64(num_packets);
-  for (std::size_t i = 0; i < num_packets; ++i) w.u8(logical_delivered_[i]);
+  w.u64(logical_delivered_.size());
+  for (const std::uint8_t flag : logical_delivered_) w.u8(flag);
   w.boolean(any_node_addressed_);
   w.end_section();
 
@@ -1022,18 +530,10 @@ void Network::load_tail_sections(persist::Reader& r) {
     e.time = r.f64();
     e.src = r.u32();
     e.dst = r.u32();
-    e.pid = r.u32();
     if (e.src >= stations_.size() || e.dst >= stations_.size()) {
       throw persist::FormatError(
           "checkpoint workload entry names an unknown landmark");
     }
-  }
-  manual_pids_.resize(static_cast<std::size_t>(r.u64()));
-  for (PacketId& pid : manual_pids_) pid = r.u32();
-  if (!manual_pids_.empty() &&
-      manual_pids_.size() != cfg_.manual_packets.size()) {
-    throw persist::FormatError(
-        "checkpoint manual packet id table has the wrong size");
   }
   r.end_section();
 
@@ -1173,7 +673,6 @@ void Network::load_tail_sections(persist::Reader& r) {
 
 persist::Writer Network::serialize_state() const {
   DTN_ASSERT(ckpt_cursor_ != nullptr);
-  DTN_ASSERT(!sharded_run_);
   persist::Writer w;
   w.begin_section("meta");
   write_config_fingerprint(w);
@@ -1184,8 +683,7 @@ persist::Writer Network::serialize_state() const {
   w.begin_section("cursor");
   ckpt_cursor_->save(w);
   w.end_section();
-  save_tail_sections(w, counters_, packets_.size(),
-                     /*strip_preassigned=*/false);
+  save_tail_sections(w);
   return w;
 }
 
@@ -1250,7 +748,7 @@ void Network::audit_checkpoint_crc(sim::AuditReport& report) const {
   // Only decidable when the most recent snapshot captured exactly this
   // simulation point; in between, live state legitimately diverges from
   // the file.
-  if (ckpt_cursor_ == nullptr || sharded_run_ || last_ckpt_sections_.empty() ||
+  if (ckpt_cursor_ == nullptr || last_ckpt_sections_.empty() ||
       last_ckpt_executed_ != sim_.events_executed()) {
     return;
   }
@@ -1283,15 +781,13 @@ void Network::dispatch(const sim::Event& ev) {
       break;
     case sim::EventKind::kPacketGen: {
       const WorkloadEntry& w = workload_[ev.b];
-      generate_packet(w.src, w.dst, cfg_.ttl, trace::kNoNode, w.pid);
+      generate_packet(w.src, w.dst, cfg_.ttl);
       break;
     }
     case sim::EventKind::kManualPacket: {
       const auto& mp = cfg_.manual_packets[ev.a];
       const double ttl = mp.ttl > 0.0 ? mp.ttl : cfg_.ttl;
-      const PacketId slot =
-          manual_pids_.empty() ? kNoPacket : manual_pids_[ev.a];
-      generate_packet(mp.src, mp.dst, ttl, mp.dst_node, slot);
+      generate_packet(mp.src, mp.dst, ttl, mp.dst_node);
       break;
     }
     case sim::EventKind::kTtlSweep:
@@ -1480,7 +976,7 @@ bool Network::transfer_interrupted(PacketId pid) {
   const std::uint32_t slot = ledger_slot(pid);
   if (slot != kNoLedgerSlot && now < ledger_[slot].next_retry) {
     // Still backing off from the last mid-contact break.
-    ++ctr().transfers_blocked_fault;
+    ++counters_.transfers_blocked_fault;
     return true;
   }
   if (faults_->draw_transfer_failure()) {
@@ -1586,13 +1082,12 @@ Admit Network::store_admit(BundleStore& store, Packet& p, Retention retention,
   req.check_dedup = check_dedup;
   req.allow_spill = allow_spill;
   // Function-local victim list: it only ever allocates when a policy
-  // actually evicts, and per-shard store events are totally ordered so
-  // no shared scratch is needed.
+  // actually evicts.
   std::vector<PacketId> evicted;
   const Admit verdict = store.admit(req, &evicted);
   finalize_evictions(evicted);
-  if (verdict == Admit::kSpilled) ++ctr().spilled_bundles;
-  if (verdict == Admit::kRefusedDuplicate) ++ctr().dedup_refused;
+  if (verdict == Admit::kSpilled) ++counters_.spilled_bundles;
+  if (verdict == Admit::kRefusedDuplicate) ++counters_.dedup_refused;
   return verdict;
 }
 
@@ -1605,8 +1100,8 @@ void Network::finalize_evictions(std::vector<PacketId>& victims) {
     ledger_erase(vid);
     v.state = logical_delivered_[v.logical] != 0 ? PacketState::kObsoleteCopy
                                                  : PacketState::kEvicted;
-    ++ctr().evicted_policy;
-    ctr().evicted_kb += v.size_kb;
+    ++counters_.evicted_policy;
+    counters_.evicted_kb += v.size_kb;
   }
   victims.clear();
 }
@@ -1615,7 +1110,7 @@ void Network::station_remove(LandmarkId l, PacketId pid,
                              std::uint32_t size_kb) {
   std::vector<PacketId> recalled;  // allocates only when a recall fires
   stations_[l].storage.remove(pid, size_kb, &recalled);
-  ctr().recalled_bundles += recalled.size();
+  counters_.recalled_bundles += recalled.size();
 }
 
 bool Network::suppress_delivered_copy(Packet& p) {
@@ -1626,7 +1121,7 @@ bool Network::suppress_delivered_copy(Packet& p) {
   detach_from_holder(p);
   ledger_erase(p.id);
   p.state = PacketState::kObsoleteCopy;
-  ++ctr().duplicates_suppressed;
+  ++counters_.duplicates_suppressed;
   return true;
 }
 
@@ -1666,14 +1161,14 @@ void Network::detach_from_holder(Packet& p) {
 bool Network::drop_if_expired(PacketId pid) {
   Packet& p = packet(pid);
   DTN_ASSERT(!is_terminal(p.state));
-  if (!p.expired(now_())) return false;
+  if (!p.expired(sim_.now())) return false;
   detach_from_holder(p);
   ledger_erase(pid);
   if (logical_delivered_[p.logical] != 0) {
     p.state = PacketState::kObsoleteCopy;
   } else {
     p.state = PacketState::kDroppedTtl;
-    ++ctr().dropped_ttl;
+    ++counters_.dropped_ttl;
   }
   return true;
 }
@@ -1685,7 +1180,7 @@ bool Network::pickup_from_origin(NodeId node, PacketId pid) {
   if (drop_if_expired(pid)) return false;
   if (suppress_delivered_copy(p)) return false;
   if (node_down(node)) {
-    ++ctr().transfers_blocked_fault;
+    ++counters_.transfers_blocked_fault;
     return false;
   }
   if (transfer_interrupted(pid)) return false;
@@ -1693,7 +1188,7 @@ bool Network::pickup_from_origin(NodeId node, PacketId pid) {
     // Picked up by its destination: delivered on the spot.
     detach_from_holder(p);
     ++p.hops;
-    ++ctr().packet_forwards;
+    ++counters_.packet_forwards;
     deliver(pid);
     return true;
   }
@@ -1703,7 +1198,7 @@ bool Network::pickup_from_origin(NodeId node, PacketId pid) {
   if (store_admit(nodes_[node].buffer, p, Retention::kNone,
                   /*allow_spill=*/false,
                   /*check_dedup=*/false) != Admit::kStored) {
-    ++ctr().refused_buffer;
+    ++counters_.refused_buffer;
     return false;
   }
   const auto it = std::find(origin.begin(), origin.end(), pid);
@@ -1712,7 +1207,7 @@ bool Network::pickup_from_origin(NodeId node, PacketId pid) {
   p.state = PacketState::kOnNode;
   p.holder = node;
   ++p.hops;
-  ++ctr().packet_forwards;
+  ++counters_.packet_forwards;
   return true;
 }
 
@@ -1724,14 +1219,14 @@ bool Network::station_to_node(LandmarkId l, NodeId node, PacketId pid) {
   if (drop_if_expired(pid)) return false;
   if (suppress_delivered_copy(p)) return false;
   if (station_down(l) || node_down(node)) {
-    ++ctr().transfers_blocked_fault;
+    ++counters_.transfers_blocked_fault;
     return false;
   }
   if (transfer_interrupted(pid)) return false;
   if (p.dst_node == node) {
     detach_from_holder(p);
     ++p.hops;
-    ++ctr().packet_forwards;
+    ++counters_.packet_forwards;
     deliver(pid);
     note_station_activity(l);
     return true;
@@ -1741,14 +1236,14 @@ bool Network::station_to_node(LandmarkId l, NodeId node, PacketId pid) {
   if (store_admit(nodes_[node].buffer, p, Retention::kNone,
                   /*allow_spill=*/false,
                   /*check_dedup=*/false) != Admit::kStored) {
-    ++ctr().refused_buffer;
+    ++counters_.refused_buffer;
     return false;
   }
   station_remove(l, pid, p.size_kb);
   p.state = PacketState::kOnNode;
   p.holder = node;
   ++p.hops;
-  ++ctr().packet_forwards;
+  ++counters_.packet_forwards;
   note_station_activity(l);
   return true;
 }
@@ -1762,7 +1257,7 @@ bool Network::node_to_station(NodeId node, PacketId pid) {
   if (drop_if_expired(pid)) return false;
   if (suppress_delivered_copy(p)) return false;
   if (node_down(node) || station_down(l)) {
-    ++ctr().transfers_blocked_fault;
+    ++counters_.transfers_blocked_fault;
     return false;
   }
   if (transfer_interrupted(pid)) return false;
@@ -1772,7 +1267,7 @@ bool Network::node_to_station(NodeId node, PacketId pid) {
   if (delivers) {
     nodes_[node].buffer.remove(pid, p.size_kb);
     ++p.hops;
-    ++ctr().packet_forwards;
+    ++counters_.packet_forwards;
     deliver(pid);
     note_station_activity(l);
     return true;
@@ -1784,12 +1279,12 @@ bool Network::node_to_station(NodeId node, PacketId pid) {
       store_admit(stations_[l].storage, p, Retention::kNone,
                   /*allow_spill=*/true, /*check_dedup=*/false);
   if (verdict != Admit::kStored && verdict != Admit::kSpilled) {
-    ++ctr().refused_buffer;
+    ++counters_.refused_buffer;
     return false;
   }
   nodes_[node].buffer.remove(pid, p.size_kb);
   ++p.hops;
-  ++ctr().packet_forwards;
+  ++counters_.packet_forwards;
   p.state = PacketState::kAtStation;
   p.holder = l;
   p.station_path.push_back(l);
@@ -1807,14 +1302,14 @@ bool Network::node_to_node(NodeId from, NodeId to, PacketId pid) {
   if (drop_if_expired(pid)) return false;
   if (suppress_delivered_copy(p)) return false;
   if (node_down(from) || node_down(to)) {
-    ++ctr().transfers_blocked_fault;
+    ++counters_.transfers_blocked_fault;
     return false;
   }
   if (transfer_interrupted(pid)) return false;
   if (p.dst_node == to) {
     detach_from_holder(p);
     ++p.hops;
-    ++ctr().packet_forwards;
+    ++counters_.packet_forwards;
     deliver(pid);
     return true;
   }
@@ -1824,21 +1319,18 @@ bool Network::node_to_node(NodeId from, NodeId to, PacketId pid) {
       store_admit(nodes_[to].buffer, p, Retention::kNone,
                   /*allow_spill=*/false, /*check_dedup=*/true);
   if (verdict != Admit::kStored) {
-    if (verdict == Admit::kRefusedCapacity) ++ctr().refused_buffer;
+    if (verdict == Admit::kRefusedCapacity) ++counters_.refused_buffer;
     return false;
   }
   nodes_[from].buffer.remove(pid, p.size_kb);
   p.holder = to;
   ++p.hops;
-  ++ctr().packet_forwards;
+  ++counters_.packet_forwards;
   return true;
 }
 
 PacketId Network::replicate_node_to_node(NodeId from, NodeId to,
                                          PacketId pid) {
-  // Replication grows the packet table mid-run; only the serial engine
-  // may do that (shard_safe routers are single-copy by contract).
-  DTN_ASSERT(!sharded_run_);
   Packet& src = packet(pid);
   DTN_ASSERT(src.state == PacketState::kOnNode);
   DTN_ASSERT(src.holder == from);
@@ -1850,7 +1342,7 @@ PacketId Network::replicate_node_to_node(NodeId from, NodeId to,
   if (suppress_delivered_copy(src)) return kNoPacket;
   if (drop_if_expired(pid)) return kNoPacket;
   if (node_down(from) || node_down(to)) {
-    ++ctr().transfers_blocked_fault;
+    ++counters_.transfers_blocked_fault;
     return kNoPacket;
   }
   if (transfer_interrupted(pid)) return kNoPacket;
@@ -1863,12 +1355,12 @@ PacketId Network::replicate_node_to_node(NodeId from, NodeId to,
       store_admit(nodes_[to].buffer, copy, Retention::kNone,
                   /*allow_spill=*/false, /*check_dedup=*/true);
   if (verdict != Admit::kStored) {
-    if (verdict == Admit::kRefusedCapacity) ++ctr().refused_buffer;
+    if (verdict == Admit::kRefusedCapacity) ++counters_.refused_buffer;
     return kNoPacket;
   }
   packets_.push_back(std::move(copy));
   logical_delivered_.push_back(0);  // indexed per packet row; unused for copies
-  ++ctr().packet_forwards;
+  ++counters_.packet_forwards;
   ++counters_.replications;
   return packets_.back().id;
 }
@@ -1888,7 +1380,7 @@ bool Network::logical_delivered(PacketId logical) const {
 
 void Network::account_control(double entries) {
   DTN_ASSERT(entries >= 0.0);
-  ctr().control_entries += entries;
+  counters_.control_entries += entries;
 }
 
 void Network::validate_invariants() const {
@@ -2282,22 +1774,14 @@ bool Network::debug_corrupt_for_test(Corruption kind, int delta) {
 }
 
 PacketId Network::generate_packet(LandmarkId src, LandmarkId dst, double ttl,
-                                  NodeId dst_node, PacketId slot) {
+                                  NodeId dst_node) {
   Packet p;
-  if (slot == kNoPacket) {
-    p.id = static_cast<PacketId>(packets_.size());
-  } else {
-    // Pre-assigned id (sharded runs): the slot was allocated before the
-    // replay started, so concurrent shards never touch the table shape.
-    DTN_ASSERT(slot < packets_.size());
-    DTN_ASSERT(packets_[slot].state == PacketState::kUnborn);
-    p.id = slot;
-  }
+  p.id = static_cast<PacketId>(packets_.size());
   p.logical = p.id;
   p.src = src;
   p.dst = dst;
   p.dst_node = dst_node;
-  p.created = now_();
+  p.created = sim_.now();
   p.ttl = ttl;
   p.size_kb = cfg_.packet_size_kb;
   p.holder = src;
@@ -2315,22 +1799,16 @@ PacketId Network::generate_packet(LandmarkId src, LandmarkId dst, double ttl,
       p.station_path.push_back(src);
     } else {
       p.state = PacketState::kEvicted;
-      ++ctr().admission_shed;
+      ++counters_.admission_shed;
     }
   } else {
     p.state = PacketState::kAtOrigin;
     stations_[src].origin.push_back(p.id);
   }
   const PacketId pid = p.id;
-  if (slot == kNoPacket) {
-    packets_.push_back(std::move(p));
-    logical_delivered_.push_back(0);
-  } else {
-    packets_[slot] = std::move(p);
-  }
-  ++ctr().generated;
-  // run_sharded rejects node-addressed workloads, so this global flag
-  // is only ever written on the serial path.
+  packets_.push_back(std::move(p));
+  logical_delivered_.push_back(0);
+  ++counters_.generated;
   if (dst_node != trace::kNoNode) any_node_addressed_ = true;
   // A shed packet never entered any store: it counts as generated
   // (offered load) but is invisible to the router and the handover scan.
@@ -2353,7 +1831,7 @@ PacketId Network::generate_packet(LandmarkId src, LandmarkId dst, double ttl,
       origin.pop_back();
     }
     ++placed.hops;
-    ++ctr().packet_forwards;
+    ++counters_.packet_forwards;
     deliver(pid);
     return pid;
   }
@@ -2365,7 +1843,7 @@ void Network::deliver(PacketId pid) {
   Packet& p = packet(pid);
   DTN_ASSERT(!is_terminal(p.state));
   ledger_erase(pid);
-  p.delivered_at = now_();
+  p.delivered_at = sim_.now();
   if (logical_delivered_[p.logical] != 0) {
     // Another copy got there first: retire silently.
     p.state = PacketState::kObsoleteCopy;
@@ -2374,22 +1852,14 @@ void Network::deliver(PacketId pid) {
   logical_delivered_[p.logical] = 1;
   p.state = PacketState::kDelivered;
   const double delay = p.delivered_at - p.created;
-  if (sharded_run_) {
-    // Per-shard delivery log, keyed by the delivering event so the
-    // merge restores the serial append order bit-for-bit.
-    ShardContext& ctx = contexts_[sim::current_shard()];
-    ++ctx.counters.delivered;
-    ctx.records.push_back({ctx.now, ctx.cur_seq, delay, p.hops});
-  } else {
-    ++counters_.delivered;
-    counters_.total_delay += delay;
-    counters_.delivery_delays.push_back(delay);
-    counters_.delivery_hops.push_back(p.hops);
-  }
+  ++counters_.delivered;
+  counters_.total_delay += delay;
+  counters_.delivery_delays.push_back(delay);
+  counters_.delivery_hops.push_back(p.hops);
 }
 
 void Network::deliver_node_addressed(NodeId arriving, LandmarkId l) {
-  const double now = now_();
+  const double now = sim_.now();
   // Station packets addressed to the arriving node (frozen while the
   // station is in an injected outage).
   if (!station_down(l)) {
@@ -2402,7 +1872,7 @@ void Network::deliver_node_addressed(NodeId arriving, LandmarkId l) {
       if (p.expired(now)) continue;
       station_remove(l, pid, p.size_kb);
       ++p.hops;
-      ++ctr().packet_forwards;
+      ++counters_.packet_forwards;
       deliver(pid);
     }
   }
@@ -2438,7 +1908,7 @@ void Network::deliver_node_addressed(NodeId arriving, LandmarkId l) {
         if (p.expired(now)) continue;
         nodes_[holder].buffer.remove(pid, p.size_kb);
         ++p.hops;
-        ++ctr().packet_forwards;
+        ++counters_.packet_forwards;
         deliver(pid);
       }
     }
@@ -2446,7 +1916,7 @@ void Network::deliver_node_addressed(NodeId arriving, LandmarkId l) {
 }
 
 void Network::drop_expired() {
-  const double now = now_();
+  const double now = sim_.now();
   for (Packet& p : packets_) {
     if (is_terminal(p.state)) continue;
     const bool obsolete = logical_delivered_[p.logical] != 0;
@@ -2473,7 +1943,7 @@ void Network::drop_expired() {
       p.state = PacketState::kObsoleteCopy;
     } else {
       p.state = PacketState::kDroppedTtl;
-      ++ctr().dropped_ttl;
+      ++counters_.dropped_ttl;
     }
   }
 }
@@ -2497,7 +1967,7 @@ void Network::handle_arrival(const trace::Visit& visit) {
   const bool sink_up =
       !router_.uses_stations() || !station_down(visit.landmark);
   if (arriving_up && sink_up) {
-    std::vector<PacketId>& arrived = arrival_scratch();
+    std::vector<PacketId>& arrived = scratch_;
     arrived.clear();
     for (PacketId pid : node.buffer.packets()) {
       if (packets_[pid].dst == visit.landmark &&
@@ -2507,10 +1977,10 @@ void Network::handle_arrival(const trace::Visit& visit) {
     }
     for (PacketId pid : arrived) {
       Packet& p = packets_[pid];
-      if (p.expired(now_())) continue;  // swept later
+      if (p.expired(sim_.now())) continue;  // swept later
       node.buffer.remove(pid, p.size_kb);
       ++p.hops;
-      ++ctr().packet_forwards;
+      ++counters_.packet_forwards;
       deliver(pid);
     }
   }
@@ -2633,7 +2103,7 @@ void Network::dispatch_departure_batched(const sim::Event& ev) {
       return;
     }
   }
-  std::vector<const trace::Visit*>& batch = batch_scratch();
+  std::vector<const trace::Visit*>& batch = batch_scratch_;
   batch.clear();
   batch.push_back(&first);
   while (!batch_source_->exhausted()) {

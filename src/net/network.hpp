@@ -17,16 +17,13 @@
 
 #include "net/buffer.hpp"
 #include "net/bundle_store.hpp"
-#include "util/annotations.hpp"
 #include "net/packet.hpp"
 #include "net/router.hpp"
 #include "sim/fault_injector.hpp"
 #include "sim/invariant_auditor.hpp"
-#include "sim/shard_coordinator.hpp"
 #include "sim/simulator.hpp"
 #include "trace/trace.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace dtn::persist {
 class CheckpointManager;
@@ -183,29 +180,11 @@ class Network {
   /// `router.checkpointable()`.  Call exactly once (instead of run()).
   bool run(persist::CheckpointManager& ckpt);
 
-  /// Replay the whole trace with the event engine sharded by landmark
-  /// partition (docs/parallel-engine.md): each shard replays the events
-  /// of a disjoint landmark set between boundary epochs; every result
-  /// (counters, packet table, delivery order) is bit-identical to
-  /// `run()`.  Requires `router.shard_safe()`, no fault plan, no
-  /// periodic auditing and a landmark-addressed-only workload
-  /// (manual packets must not set dst_node).  `num_shards <= 1` falls
-  /// back to the serial path; a null `pool` creates a private one.
-  /// A non-null `ckpt` writes snapshots at time-unit barriers (the only
-  /// points where the sharded state collapses to a serial-equivalent
-  /// image); they are byte-identical to a serial snapshot of the same
-  /// point and resume on the serial engine.  Sharded runs never resume
-  /// and ignore stop_after_events.  Call exactly once (instead of run()).
-  void run_sharded(std::size_t num_shards, ThreadPool* pool = nullptr,
-                   persist::CheckpointManager* ckpt = nullptr);
-
   // -- introspection ----------------------------------------------------
-  [[nodiscard]] double now() const {
-    return sharded_run_ ? contexts_[sim::current_shard()].now : sim_.now();
-  }
+  [[nodiscard]] double now() const { return sim_.now(); }
   /// Events executed by the replay so far (trace + workload + ticks).
   [[nodiscard]] std::uint64_t events_executed() const {
-    return sharded_run_ ? sharded_events_ : sim_.events_executed();
+    return sim_.events_executed();
   }
   [[nodiscard]] std::size_t num_nodes() const { return nodes_.size(); }
   [[nodiscard]] std::size_t num_landmarks() const { return stations_.size(); }
@@ -351,11 +330,8 @@ class Network {
   bool drop_if_expired(PacketId pid);
   /// Remove `pid` from whatever currently holds it (non-terminal states).
   void detach_from_holder(Packet& p);
-  /// `slot != kNoPacket` fills a pre-allocated (kUnborn) packet row
-  /// instead of appending — the sharded engine assigns ids up front.
   PacketId generate_packet(LandmarkId src, LandmarkId dst, double ttl,
-                           NodeId dst_node = trace::kNoNode,
-                           PacketId slot = kNoPacket);
+                           NodeId dst_node = trace::kNoNode);
   void deliver_node_addressed(NodeId arriving, LandmarkId l);
   void deliver(PacketId pid);
   void drop_expired();
@@ -378,21 +354,15 @@ class Network {
   /// are adjacent in the merged order.
   void drain_arrival_batch(double time, LandmarkId l);
   void dispatch_departure_batched(const sim::Event& ev);
-  [[nodiscard]] std::vector<const trace::Visit*>& batch_scratch() {
-    return sharded_run_ ? contexts_[sim::current_shard()].batch
-                        : batch_scratch_;
-  }
 
-  // -- sharded engine (docs/parallel-engine.md) -------------------------
+  // -- workload ---------------------------------------------------------
   /// One generation event of the pre-drawn Poisson workload.  Drawn
-  /// before the replay from per-landmark RNG streams so serial and
-  /// sharded runs consume identical randomness.
+  /// before the replay from per-landmark split RNG streams, so each
+  /// landmark's draws are independent of event interleaving.
   struct WorkloadEntry {
     double time = 0.0;
     LandmarkId src = 0;
     LandmarkId dst = 0;
-    /// Pre-assigned packet id (sharded runs only; kNoPacket serial).
-    PacketId pid = kNoPacket;
   };
   /// Draw the whole Poisson workload into `workload_`, sorted by
   /// (time, src) — the order the serial scheduler assigns ranks in.
@@ -410,13 +380,8 @@ class Network {
   void write_config_fingerprint(persist::Writer& w) const;
   void check_config_fingerprint(persist::Reader& r) const;
   /// Sections after "cursor": rng, workload, counters, packets, nodes,
-  /// stations, ledger, faults, router.  `num_packets` bounds the packet
-  /// table (sharded snapshots write only the born prefix) and
-  /// `strip_preassigned` clears the shard-only pre-assigned packet ids
-  /// so the image is byte-identical to a serial snapshot.
-  void save_tail_sections(persist::Writer& w, const RunCounters& counters,
-                          std::size_t num_packets,
-                          bool strip_preassigned) const;
+  /// stations, ledger, faults, router.
+  void save_tail_sections(persist::Writer& w) const;
   void load_tail_sections(persist::Reader& r);
   /// Full serial-format snapshot of the live run (requires an active
   /// checkpointed run: ckpt_cursor_ set).
@@ -431,56 +396,6 @@ class Network {
   /// point, a fresh serialization of live state must reproduce its
   /// per-section CRCs.
   void audit_checkpoint_crc(sim::AuditReport& report) const;
-
-  /// A delivery recorded by one shard, keyed by the (time, seq) of the
-  /// event that delivered it so the merge can restore the exact serial
-  /// append order of delivery_delays / delivery_hops / total_delay.
-  struct DeliveryRecord {
-    double time = 0.0;
-    std::uint64_t seq = 0;
-    double delay = 0.0;
-    std::uint32_t hops = 0;
-  };
-  /// Per-shard mutable replay state; slot 0 doubles as the
-  /// coordinator's context during barrier phases.  Cache-line padded so
-  /// neighboring shards never false-share counters.
-  struct alignas(128) ShardContext {
-    // Every member is the owning shard's private slot (selected through
-    // sim::current_shard()); the coordinator only reads them at barrier
-    // phases, after wait_idle() has synchronized the shard loops.
-    DTN_SHARD_LOCAL RunCounters counters;
-    DTN_SHARD_LOCAL std::vector<DeliveryRecord> records;
-    DTN_SHARD_LOCAL std::vector<PacketId> scratch;
-    DTN_SHARD_LOCAL std::vector<const trace::Visit*> batch;
-    DTN_SHARD_LOCAL double now = 0.0;
-    DTN_SHARD_LOCAL std::uint64_t cur_seq = 0;
-    DTN_SHARD_LOCAL std::uint64_t events = 0;
-  };
-  /// Shard-loop event dispatch: only trace and generation events ever
-  /// reach shards (sweeps/ticks run at barriers, faults are rejected).
-  void dispatch_sharded(const sim::Event& ev);
-  /// Fold per-shard counters and delivery records back into `counters_`
-  /// in the serial order.
-  void merge_shard_contexts();
-  /// Non-destructive form of the fold above: the serial-order totals
-  /// without touching the per-shard contexts (barrier snapshots use it
-  /// mid-run).  `events_out`, when non-null, receives the executed
-  /// event total across shards.
-  [[nodiscard]] RunCounters merged_shard_counters(
-      std::uint64_t* events_out) const;
-  /// Active counter sink: the calling shard's slot during a sharded
-  /// run, the plain run counters otherwise.
-  [[nodiscard]] RunCounters& ctr() {
-    return sharded_run_ ? contexts_[sim::current_shard()].counters
-                        : counters_;
-  }
-  /// Simulation clock visible to engine internals (mirrors now()).
-  [[nodiscard]] double now_() const {
-    return sharded_run_ ? contexts_[sim::current_shard()].now : sim_.now();
-  }
-  [[nodiscard]] std::vector<PacketId>& arrival_scratch() {
-    return sharded_run_ ? contexts_[sim::current_shard()].scratch : scratch_;
-  }
 
   // -- fault machinery (see docs/fault-injection.md) --------------------
   /// Schedule the plan's initial fault events (after the workload, so
@@ -592,8 +507,7 @@ class Network {
   bool any_node_addressed_ = false;
   /// Reused per-arrival scratch list (avoids an allocation per event).
   std::vector<PacketId> scratch_;
-  /// Reused departure-batch visit list (serial path; shards use their
-  /// context's slot).
+  /// Reused departure-batch visit list.
   std::vector<const trace::Visit*> batch_scratch_;
   /// Live trace cursor to drain same-(time, kind, landmark) runs from,
   /// set for the duration of a serial replay.
@@ -602,13 +516,6 @@ class Network {
 
   /// Pre-drawn Poisson workload (build_workload), rank order.
   std::vector<WorkloadEntry> workload_;
-  /// Pre-assigned packet id per manual packet (sharded runs only;
-  /// kNoPacket for packets scheduled past the trace end).
-  std::vector<PacketId> manual_pids_;
-  /// Per-shard contexts; non-empty exactly while sharded_run_ is set.
-  std::vector<ShardContext> contexts_;
-  std::uint64_t sharded_events_ = 0;
-  bool sharded_run_ = false;
 
   // -- active checkpointed run (see docs/checkpointing.md) --------------
   persist::CheckpointManager* ckpt_mgr_ = nullptr;

@@ -21,11 +21,6 @@ using PacketId = std::uint32_t;
 inline constexpr PacketId kNoPacket = static_cast<PacketId>(-1);
 
 enum class PacketState : std::uint8_t {
-  /// Pre-allocated slot whose generation event has not fired yet.  The
-  /// sharded engine assigns packet ids up front (so concurrent shards
-  /// never contend on the packet table); unborn slots are invisible to
-  /// TTL sweeps and invariant checks until their generation event runs.
-  kUnborn,
   kAtOrigin,       ///< generated, waiting at the source landmark for a first carrier
   kAtStation,      ///< held by a landmark's central station (DTN-FLOW relays)
   kOnNode,         ///< carried by a mobile node
@@ -44,12 +39,9 @@ enum class PacketState : std::uint8_t {
 };
 
 [[nodiscard]] constexpr bool is_terminal(PacketState s) {
-  // kUnborn counts as terminal so that TTL sweeps, buffer accounting and
-  // invariant checks skip pre-allocated slots; every unborn slot becomes
-  // a live packet before the run ends.
-  return s == PacketState::kUnborn || s == PacketState::kDelivered ||
-         s == PacketState::kDroppedTtl || s == PacketState::kObsoleteCopy ||
-         s == PacketState::kLostFault || s == PacketState::kEvicted;
+  return s == PacketState::kDelivered || s == PacketState::kDroppedTtl ||
+         s == PacketState::kObsoleteCopy || s == PacketState::kLostFault ||
+         s == PacketState::kEvicted;
 }
 
 struct Packet {

@@ -36,19 +36,6 @@ class Router {
   /// origin queue until a carrier picks them up.
   [[nodiscard]] virtual bool uses_stations() const { return false; }
 
-  /// True when every event handler touches only state owned by the
-  /// landmark the event fires at (plus the nodes present there), so the
-  /// sharded engine may run events for disjoint landmark sets
-  /// concurrently between boundary epochs (docs/parallel-engine.md).
-  /// Routers that mutate remote-landmark or global state mid-event must
-  /// return false; `Network::run_sharded` refuses them.
-  [[nodiscard]] virtual bool shard_safe() const { return false; }
-
-  /// Sharded runs call this before the first event so routers can size
-  /// per-shard accumulator slots (diagnostics, scratch buffers).  Serial
-  /// runs never call it; `num_shards >= 1`.
-  virtual void prepare_shards(std::size_t num_shards) { (void)num_shards; }
-
   /// Called once before the first event.
   virtual void on_init(Network& net) { (void)net; }
 

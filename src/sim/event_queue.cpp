@@ -20,30 +20,24 @@ void EventQueue::grow_if_full() {
 }
 
 void EventQueue::save(persist::Writer& w) const {
-  // Canonical image: key-sorted, not the live heap array.  A sorted
-  // array is a valid min-heap, pop order is a pure function of the key
-  // multiset (keys are unique), and the sharded engine writes its
-  // barrier snapshots in exactly this order — so a serial snapshot and
-  // a sharded-barrier snapshot of the same simulation point are
-  // byte-identical.
+  // Canonical image: key-sorted, not the live heap array.  The heap
+  // array's layout depends on the push/pop history, so a resumed queue
+  // (rebuilt from an image) and the uninterrupted one can hold the same
+  // events in different slots.  Keys are unique, so the sorted order is a
+  // pure function of the pending set: snapshots of one simulation point
+  // are byte-identical however the queue got there, and save -> load ->
+  // save reproduces the image (a sorted array is a valid min-heap, so
+  // load keeps it as is).
   std::vector<Event> sorted(pay_.begin(), pay_.end());
   std::sort(sorted.begin(), sorted.end(), [](const Event& a, const Event& b) {
     if (a.time != b.time) return a.time < b.time;
     return a.seq < b.seq;
   });
-  save_image(w, sorted.data(), sorted.size(), next_seq_, popped_,
-             last_popped_);
-}
-
-void EventQueue::save_image(persist::Writer& w, const Event* events,
-                            std::size_t count, std::uint64_t next_seq,
-                            std::uint64_t popped, double last_popped) {
-  w.u64(next_seq);
-  w.u64(popped);
-  w.f64(last_popped);
-  w.u64(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const Event& ev = events[i];
+  w.u64(next_seq_);
+  w.u64(popped_);
+  w.f64(last_popped_);
+  w.u64(sorted.size());
+  for (const Event& ev : sorted) {
     w.f64(ev.time);
     w.u64(ev.seq);
     w.u8(static_cast<std::uint8_t>(ev.kind));

@@ -156,16 +156,8 @@ class EventQueue {
 
   // -- checkpointing (src/persist/, docs/checkpointing.md) --------------
   /// Serialize the queue image: scheduling counters plus every pending
-  /// event in heap array order.  Out of line — never on the hot path.
+  /// event in (time, seq) order.  Out of line — never on the hot path.
   void save(persist::Writer& w) const;
-  /// The same byte layout from an externally assembled pending set (the
-  /// sharded engine snapshots at unit barriers where the queue lives in
-  /// per-shard pieces).  `events` must be arranged so the array is a
-  /// valid min-heap in (time, seq) order; a (time, seq)-sorted array
-  /// always qualifies.
-  static void save_image(persist::Writer& w, const Event* events,
-                         std::size_t count, std::uint64_t next_seq,
-                         std::uint64_t popped, double last_popped);
   /// Restore into a fresh queue (asserts nothing was scheduled yet);
   /// keys are rebuilt from the payloads.  Throws persist::FormatError on
   /// a malformed image.

@@ -11,13 +11,7 @@
 //    home district and occasionally visit shared city hubs (malls,
 //    interchanges) drawn from a Zipf popularity law;
 //  * buses run fixed multi-district routes all day, providing the
-//    high-bandwidth inter-landmark backbone (the paper's vehicles) and
-//    — for the sharded replay engine — the bulk of the cross-shard
-//    node migrations.
-//
-// District locality is what makes these traces shard well: with one
-// shard per district-group most events stay shard-local and only hub
-// trips and bus hops cross the partition (docs/parallel-engine.md).
+//    high-bandwidth inter-landmark backbone (the paper's vehicles).
 #pragma once
 
 #include <cstdint>

@@ -63,12 +63,9 @@ void TraceCursor::rebuild_heap() {
   if (!heap_.empty()) materialize_top();
 }
 
-void TraceCursor::save(persist::Writer& w) const { save_image(w, pos_); }
-
-void TraceCursor::save_image(persist::Writer& w,
-                             const std::vector<std::uint32_t>& positions) {
-  w.u64(positions.size());
-  for (const std::uint32_t p : positions) w.u32(p);
+void TraceCursor::save(persist::Writer& w) const {
+  w.u64(pos_.size());
+  for (const std::uint32_t p : pos_) w.u32(p);
 }
 
 void TraceCursor::load(persist::Reader& r) {

@@ -58,12 +58,7 @@ class TraceCursor {
   /// Serialize the replay positions (the trace itself is immutable input
   /// and is fingerprinted, not stored).
   void save(persist::Writer& w) const;
-  /// The same byte layout from externally derived positions (the
-  /// sharded engine reconstructs them from per-node histories at a unit
-  /// barrier).
-  static void save_image(persist::Writer& w,
-                         const std::vector<std::uint32_t>& positions);
-  /// Restore the positions saved by save()/save_image() and rebuild the
+  /// Restore the positions saved by save() and rebuild the
   /// merge heap.  Throws persist::FormatError on node-count or position
   /// range mismatches.
   void load(persist::Reader& r);

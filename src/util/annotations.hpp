@@ -1,17 +1,6 @@
 // Machine-checked source annotations (docs/static-analysis.md).
 //
-// Three families, all zero-cost at runtime:
-//
-//  * Shard-safety: `DTN_SHARD_LOCAL` / `DTN_SHARD_SHARED` mark the
-//    mutable members of classes that run inside the sharded replay
-//    engine (docs/parallel-engine.md).  LOCAL means every write from a
-//    shard hook lands in state the current shard owns exclusively —
-//    either partitioned by the event's landmark/node or a per-shard
-//    slot indexed by sim::current_shard().  SHARED means concurrent
-//    shards would race on it, so shard-hook-reachable code must not
-//    write it (the analyzer's shard-safety check enforces exactly
-//    that; writes behind a runtime `shard_safe()` gate carry a
-//    `// shard-check: ok(<reason>)` suppression).
+// Two families, both zero-cost at runtime:
 //
 //  * Checkpoint coverage: `DTN_CKPT_SKIP("reason")` marks a data
 //    member of a checkpointable class that is deliberately absent
@@ -24,16 +13,15 @@
 //
 //  * Clang thread-safety analysis (-Wthread-safety): capability
 //    annotations on the annotated `Mutex` below and on the members it
-//    guards.  util::ThreadPool and the shard barrier paths use them so
-//    the clang presets prove lock discipline at compile time.
+//    guards.  util::ThreadPool uses them so the clang presets prove
+//    lock discipline at compile time.
 //
-// The shard/ckpt macros expand to `[[clang::annotate(...)]]` so the
-// libclang frontend of tools/analyzer sees them as attributes; under
-// GCC they expand to nothing (the analyzer's fallback frontend reads
-// the macro spelling straight from the source instead).  They are
-// written BEFORE the member declaration:
+// The ckpt macro expands to `[[clang::annotate(...)]]` so the libclang
+// frontend of tools/analyzer sees it as an attribute; under GCC it
+// expands to nothing (the analyzer's fallback frontend reads the macro
+// spelling straight from the source instead).  It is written BEFORE the
+// member declaration:
 //
-//     DTN_SHARD_LOCAL std::vector<NodeState> nodes_;
 //     DTN_CKPT_SKIP("rebuilt lazily") std::vector<Cache> cache_;
 #pragma once
 
@@ -45,10 +33,6 @@
 #define DTN_ANNOTATE(text)
 #endif
 
-/// Member writes from shard hooks touch only current-shard-owned state.
-#define DTN_SHARD_LOCAL DTN_ANNOTATE("dtn::shard_local")
-/// Member is shared across shards: shard-reachable code must not write it.
-#define DTN_SHARD_SHARED DTN_ANNOTATE("dtn::shard_shared")
 /// Member is deliberately not serialized; the reason is mandatory.
 #define DTN_CKPT_SKIP(reason) DTN_ANNOTATE("dtn::ckpt_skip=" reason)
 

@@ -11,8 +11,8 @@
 // Lifetime rule (enforced by convention, audited by byte accounting):
 // arena-backed containers are reset at *top-level hook entry* and must
 // not outlive the hook that allocated them.  Hooks never nest — the
-// engine calls exactly one router hook at a time per shard — so each
-// shard owns one Arena and resets it as it enters a hook.
+// engine calls exactly one router hook at a time — so a router owns one
+// Arena and resets it as it enters a hook.
 //
 // Determinism: an Arena never influences replay decisions — it only
 // changes where scratch bytes live.  All accounting is derived from

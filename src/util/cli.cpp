@@ -1,10 +1,37 @@
 #include "util/cli.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 
 namespace dtn {
+
+namespace {
+
+[[noreturn]] void reject_number(const std::string& key,
+                                const std::string& value) {
+  std::fprintf(stderr, "option --%s expects a number, got '%s'\n",
+               key.c_str(), value.c_str());
+  std::exit(2);
+}
+
+// Parse the whole of `value` with `parse` (a strto* wrapper); an empty
+// value, trailing characters or an out-of-range number is a usage error.
+template <typename T, typename Parse>
+T parse_number(const std::string& key, const std::string& value,
+               Parse parse) {
+  const char* begin = value.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const T parsed = parse(begin, &end);
+  if (value.empty() || end != begin + value.size() || errno == ERANGE) {
+    reject_number(key, value);
+  }
+  return parsed;
+}
+
+}  // namespace
 
 CliOptions::CliOptions(int argc, const char* const* argv,
                        const std::vector<std::string>& known_flags) {
@@ -46,18 +73,30 @@ std::string CliOptions::get(const std::string& key,
 std::int64_t CliOptions::get_int(const std::string& key,
                                  std::int64_t fallback) const {
   const auto it = values_.find(key);
-  return it == values_.end() ? fallback : std::strtoll(it->second.c_str(), nullptr, 10);
+  if (it == values_.end()) return fallback;
+  return parse_number<std::int64_t>(
+      key, it->second,
+      [](const char* s, char** end) { return std::strtoll(s, end, 10); });
 }
 
 double CliOptions::get_double(const std::string& key, double fallback) const {
   const auto it = values_.find(key);
-  return it == values_.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
+  if (it == values_.end()) return fallback;
+  return parse_number<double>(key, it->second, [](const char* s, char** end) {
+    return std::strtod(s, end);
+  });
 }
 
 std::uint64_t CliOptions::get_seed(std::uint64_t fallback) const {
   const auto it = values_.find("seed");
-  return it == values_.end() ? fallback
-                             : std::strtoull(it->second.c_str(), nullptr, 10);
+  if (it == values_.end()) return fallback;
+  // strtoull silently wraps a minus sign; a seed is unsigned.
+  if (it->second.find('-') != std::string::npos) {
+    reject_number("seed", it->second);
+  }
+  return parse_number<std::uint64_t>(
+      "seed", it->second,
+      [](const char* s, char** end) { return std::strtoull(s, end, 10); });
 }
 
 bool CliOptions::full_scale() const { return get("scale", "quick") == "full"; }

@@ -7,8 +7,7 @@
 //
 // The queue state is guarded by an annotated Mutex (util/annotations.hpp)
 // so the clang presets' -Wthread-safety pass proves the lock discipline
-// of the pool — and of the shard barrier paths built on wait_idle()
-// (docs/parallel-engine.md) — at compile time.
+// of the pool at compile time.
 #pragma once
 
 #include <condition_variable>

@@ -8,15 +8,14 @@
 // Batching is the only replay path, so per-event dispatch survives here
 // as pinned results: each scenario's counters digest, diagnostics
 // checksum, event count and final clock were recorded from per-event
-// runs, and both the serial and the sharded engine must reproduce them.
+// runs, and the batched replay must reproduce them.
 //
 // Generated traces draw visit times continuously, so exact ties are
 // rare there; the generator runs below pin the common case, and a
 // hand-built tie-heavy trace (whole cohorts sharing identical visit
-// windows) forces real multi-event batches through both the serial
-// drain and the sharded lookahead.  The same trace shows that
-// checkpointed and audited runs — which observe the replay at batch
-// boundaries — batch too, without changing a bit.
+// windows) forces real multi-event batches through the drain.  The
+// same trace shows that checkpointed and audited runs — which observe
+// the replay at batch boundaries — batch too, without changing a bit.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -145,23 +144,11 @@ RunResult result_of(const Network& net, const core::DtnFlowRouter& router) {
           net.now()};
 }
 
-RunResult run(const trace::Trace& trace, const WorkloadConfig& cfg,
-              std::size_t shards = 1) {
+RunResult run(const trace::Trace& trace, const WorkloadConfig& cfg) {
   core::DtnFlowRouter router(router_config());
   Network net(trace, router, cfg);
-  net.run_sharded(shards);
+  net.run();
   return result_of(net, router);
-}
-
-// Serial and 4-shard replays must both reproduce the per-event results.
-// Returns the serial run's.
-RunResult expect_both_engines_pinned(const trace::Trace& trace,
-                                     const WorkloadConfig& cfg,
-                                     const Pinned& want) {
-  const RunResult serial = run(trace, cfg);
-  expect_pinned(serial, want);
-  expect_pinned(run(trace, cfg, /*shards=*/4), want);
-  return serial;
 }
 
 WorkloadConfig workload(std::uint32_t seed) {
@@ -184,9 +171,9 @@ TEST(BatchDispatch, CampusReplayMatchesUnbatchedBitForBit) {
   tc.seed = 29;
   const auto trace = trace::generate_campus_trace(tc);
 
-  const RunResult serial = expect_both_engines_pinned(
-      trace, workload(3),
-      {0x8b3c1952a094c982ull, 0x81d4ce391aa94e36ull, 12212, 853200.0});
+  const RunResult serial = run(trace, workload(3));
+  expect_pinned(serial, {0x8b3c1952a094c982ull, 0x81d4ce391aa94e36ull,
+                         12212, 853200.0});
   EXPECT_GT(serial.counters.generated, 50u);
   EXPECT_GT(serial.counters.delivered, 0u);
 }
@@ -207,9 +194,9 @@ TEST(BatchDispatch, CityReplayMatchesUnbatchedBitForBit) {
   cfg.packets_per_landmark_per_day = 2.0;
   cfg.node_memory_kb = 20;
 
-  const RunResult serial = expect_both_engines_pinned(
-      trace, cfg,
-      {0xa52a1047c44eb632ull, 0x726692af47f9afccull, 12501, 79200.0});
+  const RunResult serial = run(trace, cfg);
+  expect_pinned(serial,
+                {0xa52a1047c44eb632ull, 0x726692af47f9afccull, 12501, 79200.0});
   EXPECT_GT(serial.counters.delivered, 0u);
 }
 
@@ -257,19 +244,12 @@ WorkloadConfig tie_workload() {
 
 TEST(BatchDispatch, TieHeavyTraceMatchesUnbatchedBitForBit) {
   const auto trace = tie_heavy_trace(8.0);
-  const RunResult serial = expect_both_engines_pinned(
-      trace, tie_workload(),
-      {0x76c86bc1135ff285ull, 0x580666bd9ecb62ddull, 4668, 689400.0});
+  const RunResult serial = run(trace, tie_workload());
+  expect_pinned(serial,
+                {0x76c86bc1135ff285ull, 0x580666bd9ecb62ddull, 4668, 689400.0});
   EXPECT_GT(serial.counters.delivered, 0u);
-}
-
-TEST(BatchDispatch, ShardedTieHeavyReplayMatchesAllOtherModes) {
-  // The sharded lookahead batches independently of the serial drain;
-  // both must agree with per-event dispatch.
-  const auto trace = tie_heavy_trace(6.0);
-  expect_both_engines_pinned(
-      trace, tie_workload(),
-      {0xb69acbc1135ff285ull, 0xc8433a4bd9a1a21dull, 3508, 516600.0});
+  expect_pinned(run(tie_heavy_trace(6.0), tie_workload()),
+                {0xb69acbc1135ff285ull, 0xc8433a4bd9a1a21dull, 3508, 516600.0});
 }
 
 // -- checkpointed and audited runs batch too ------------------------------

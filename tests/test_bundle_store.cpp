@@ -8,8 +8,8 @@
 //  * audit — every seeded store corruption is detected and the revert
 //    passes again, standalone and through Network::debug_corrupt_for_test;
 //  * system — overloaded replays degrade gracefully (shed/evict instead
-//    of dying), stay bit-identical across reruns and across the sharded
-//    engine, and resume from checkpoints spanning spill files.
+//    of dying), stay bit-identical across reruns, and resume from
+//    checkpoints spanning spill files.
 #include "net/bundle_store.hpp"
 
 #include <gtest/gtest.h>
@@ -639,16 +639,11 @@ trace::Trace overload_trace() {
   return trace::generate_campus_trace(tc);
 }
 
-net::RunCounters run_overload(const WorkloadConfig& cfg,
-                              std::size_t shards = 1) {
+net::RunCounters run_overload(const WorkloadConfig& cfg) {
   const auto trace = overload_trace();
   DtnFlowRouter router;
   Network net(trace, router, cfg);
-  if (shards <= 1) {
-    net.run();
-  } else {
-    net.run_sharded(shards);
-  }
+  net.run();
   net.validate_invariants();
   return net.counters();
 }
@@ -679,16 +674,6 @@ TEST(Overload, EvictionPoliciesDivergeButEachIsDeterministic) {
   const auto ttl = run_overload(cfg);
   EXPECT_GT(ttl.evicted_policy + ttl.admission_shed, 0u);
   EXPECT_EQ(run_overload(cfg), ttl);
-}
-
-TEST(Overload, ShardedOverloadMatchesSerialBitForBit) {
-  auto cfg = overload_workload();
-  cfg.store.station_memory_kb = 12;
-  cfg.store.policy = EvictionPolicy::kDropOldest;
-  const auto serial = run_overload(cfg);
-  ASSERT_GT(serial.evicted_policy + serial.admission_shed, 0u);
-  EXPECT_EQ(run_overload(cfg, 2), serial);
-  EXPECT_EQ(run_overload(cfg, 4), serial);
 }
 
 TEST(Overload, SpillAbsorbsOverflowInsteadOfShedding) {

@@ -6,8 +6,9 @@
 //  * scenario — the headline contract: a run suspended at event N and
 //    resumed from its snapshot finishes with bit-identical counters,
 //    diagnostics and delay records vs. the uninterrupted run, on the
-//    campus tier, under a fault plan spanning the checkpoint, and from
-//    sharded-barrier snapshots resumed on the serial engine;
+//    campus and city tiers and under a fault plan spanning the
+//    checkpoint; periodic snapshots are the bytes a suspension at the
+//    same event count writes, and a resumed run keeps their cadence;
 //  * edge — empty networks, zero pending events, snapshots exactly on a
 //    unit-tick barrier, fingerprint and schema-version rejection.
 #include <algorithm>
@@ -401,8 +402,6 @@ TEST(CheckpointResume, FaultPlanSpanningTheCheckpointIsBitIdentical) {
                                          (3 * full.events) / 4));
 }
 
-// -- sharded-barrier snapshots -------------------------------------------
-
 trace::Trace small_city_trace() {
   trace::CityTraceConfig tc;
   tc.num_pedestrians = 220;
@@ -425,77 +424,103 @@ WorkloadConfig city_workload() {
   return cfg;
 }
 
+TEST(CheckpointResume, CityRunIsBitIdenticalAcrossSuspensions) {
+  // The city tier: buses and dense same-time contact runs, so
+  // suspensions land between batches of a much busier replay.
+  const auto trace = small_city_trace();
+  const auto cfg = city_workload();
+  const RunOutcome full = run_uninterrupted(trace, cfg);
+  ASSERT_GT(full.counters.delivered, 0u);
+  expect_equal(full,
+               run_with_suspension(trace, cfg, "city_third", full.events / 3));
+  expect_equal(full, run_with_suspension(trace, cfg, "city_two_thirds",
+                                         (2 * full.events) / 3));
+}
+
 std::uint64_t executed_from_path(const std::string& path) {
   // ckpt-<zero padded count>.dtnckpt
   const auto base = std::filesystem::path(path).stem().string();
   return std::stoull(base.substr(base.find('-') + 1));
 }
 
-TEST(CheckpointSharded, BarrierSnapshotResumesOnSerialEngine) {
-  const auto trace = small_city_trace();
-  const auto cfg = city_workload();
-  const RunOutcome full = run_uninterrupted(trace, cfg);
-  ASSERT_GT(full.counters.delivered, 0u);
-
+// Runs the scenario writing a snapshot every `every` events into `dir`
+// (keeping them all), resuming from the latest one there if any.
+RunOutcome run_periodic(const trace::Trace& trace, const WorkloadConfig& cfg,
+                        const std::string& dir, std::uint64_t every,
+                        std::uint64_t stop_events = 0) {
   CheckpointConfig cc;
-  cc.dir = fresh_dir("city_sharded").string();
-  cc.every_events = 1;  // snapshot at every unit barrier
-  {
-    CheckpointManager mgr(cc);
-    DtnFlowRouter router(full_router_config());
-    Network net(trace, router, cfg);
-    net.run_sharded(4, nullptr, &mgr);
-    EXPECT_GT(mgr.list().size(), 1u);
-    // The sharded run itself is still bit-identical to serial.
-    EXPECT_EQ(net.counters(), full.counters);
-  }
-  cc.every_events = 0;  // resume without re-snapshotting every event
+  cc.dir = dir;
+  cc.every_events = every;
+  cc.keep = 1000;
+  cc.stop_after_events = stop_events;
   CheckpointManager mgr(cc);
   DtnFlowRouter router(full_router_config());
   Network net(trace, router, cfg);
-  EXPECT_TRUE(net.run(mgr));
-  net.validate_invariants();
-  expect_equal(full, {net.counters(), router.diagnostics(),
-                      net.events_executed(), net.now()});
+  net.run(mgr);
+  return {net.counters(), router.diagnostics(), net.events_executed(),
+          net.now()};
 }
 
-TEST(CheckpointSharded, BarrierSnapshotIsByteIdenticalToSerialSnapshot) {
-  // The satellite edge case "checkpoint exactly on a unit-tick barrier",
-  // proven the strong way: the sharded engine's barrier snapshot and a
-  // serial run suspended at the same executed-event count produce the
-  // same bytes.
+TEST(CheckpointResume, PeriodicSnapshotsMatchSuspensionSnapshotsByteForByte) {
+  // Snapshotting is read-only: a run that snapshots along the way ends
+  // exactly like the uninterrupted run, and each of its snapshots is the
+  // image a run suspended at the same event count writes.
   const auto trace = campus_trace();
   const auto cfg = campus_workload();
+  const RunOutcome full = run_uninterrupted(trace, cfg);
+  const std::string dir = fresh_dir("periodic").string();
+  expect_equal(full, run_periodic(trace, cfg, dir, full.events / 6));
 
-  CheckpointConfig shard_cc;
-  shard_cc.dir = fresh_dir("bytes_sharded").string();
-  shard_cc.every_events = 1;
-  shard_cc.keep = 64;
-  CheckpointManager shard_mgr(shard_cc);
-  {
-    DtnFlowRouter router(full_router_config());
-    Network net(trace, router, cfg);
-    net.run_sharded(4, nullptr, &shard_mgr);
-  }
-  const auto files = shard_mgr.list();
-  ASSERT_GT(files.size(), 2u);
-
+  CheckpointConfig listing;
+  listing.dir = dir;
+  const auto files = CheckpointManager(listing).list();
+  ASSERT_GE(files.size(), 3u);
   for (const auto& file : {files.front(), files[files.size() / 2]}) {
     const std::uint64_t executed = executed_from_path(file);
-    CheckpointConfig serial_cc;
-    serial_cc.dir =
-        fresh_dir("bytes_serial_" + std::to_string(executed)).string();
-    serial_cc.stop_after_events = executed;
-    CheckpointManager serial_mgr(serial_cc);
+    CheckpointConfig cc;
+    cc.dir = fresh_dir("suspend_" + std::to_string(executed)).string();
+    cc.stop_after_events = executed;
+    CheckpointManager mgr(cc);
     DtnFlowRouter router(full_router_config());
     Network net(trace, router, cfg);
-    EXPECT_FALSE(net.run(serial_mgr));
-    std::string serial_path;
-    serial_mgr.read_latest(&serial_path);
+    EXPECT_FALSE(net.run(mgr));
+    std::string path;
+    mgr.read_latest(&path);
+    EXPECT_EQ(executed_from_path(path), executed);
     EXPECT_EQ(CheckpointManager::read_file(file),
-              CheckpointManager::read_file(serial_path))
-        << "sharded barrier snapshot at " << executed
-        << " events differs from the serial snapshot";
+              CheckpointManager::read_file(path))
+        << "periodic snapshot at " << executed
+        << " events differs from the suspension snapshot";
+  }
+}
+
+TEST(CheckpointResume, ResumedPeriodicRunWritesTheSameSnapshots) {
+  // A run suspended on one of its periodic snapshots and resumed keeps
+  // the cadence: the directory ends up holding the same files, byte for
+  // byte, as one uninterrupted periodic run.
+  const auto trace = campus_trace();
+  const auto cfg = campus_workload();
+  const std::uint64_t every = run_uninterrupted(trace, cfg).events / 8;
+  const std::string whole_dir = fresh_dir("periodic_whole").string();
+  const RunOutcome whole = run_periodic(trace, cfg, whole_dir, every);
+  CheckpointConfig listing;
+  listing.dir = whole_dir;
+  const auto whole_files = CheckpointManager(listing).list();
+  ASSERT_GE(whole_files.size(), 4u);
+  const std::uint64_t stop = executed_from_path(whole_files[2]);
+
+  const std::string split_dir = fresh_dir("periodic_split").string();
+  (void)run_periodic(trace, cfg, split_dir, every, stop);
+  expect_equal(whole, run_periodic(trace, cfg, split_dir, every));
+  listing.dir = split_dir;
+  const auto split_files = CheckpointManager(listing).list();
+  ASSERT_EQ(split_files.size(), whole_files.size());
+  for (std::size_t i = 0; i < whole_files.size(); ++i) {
+    EXPECT_EQ(executed_from_path(split_files[i]),
+              executed_from_path(whole_files[i]));
+    EXPECT_EQ(CheckpointManager::read_file(split_files[i]),
+              CheckpointManager::read_file(whole_files[i]))
+        << "snapshot " << i << " differs after the resume";
   }
 }
 
@@ -581,6 +606,42 @@ TEST(CheckpointEdge, SchemaVersionMismatchIsRejected) {
   CheckpointManager probe(cc);
   auto bytes = probe.read_latest(&path);
   bytes[persist::kMagicSize] += 1;
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      .write(reinterpret_cast<const char*>(bytes.data()),
+             static_cast<long>(bytes.size()));
+  cc.stop_after_events = 0;
+  CheckpointManager mgr(cc);
+  DtnFlowRouter router;
+  Network net(trace, router, cfg);
+  EXPECT_THROW(net.run(mgr), FormatError);
+}
+
+TEST(CheckpointEdge, SchemaOneSnapshotIsRefused) {
+  // Schema 1 images carried a pre-assigned packet id per workload entry,
+  // a manual packet id table and one more packet state; schema 2 drops
+  // all three, so an image stamped with version 1 must be refused up
+  // front rather than misparsed.
+  const auto trace = relay_chain_trace(4.0);
+  WorkloadConfig cfg;
+  cfg.packets_per_landmark_per_day = 1.0;
+  cfg.time_unit = 0.5 * kDay;
+  cfg.node_memory_kb = 10;
+  cfg.ttl = 1.0 * kDay;
+  CheckpointConfig cc;
+  cc.dir = fresh_dir("schema_one").string();
+  cc.stop_after_events = 40;
+  {
+    CheckpointManager mgr(cc);
+    DtnFlowRouter router;
+    Network net(trace, router, cfg);
+    EXPECT_FALSE(net.run(mgr));
+  }
+  ASSERT_EQ(persist::kSchemaVersion, 2u);
+  std::string path;
+  CheckpointManager probe(cc);
+  auto bytes = probe.read_latest(&path);
+  // The version is a little-endian u32 right after the magic.
+  bytes[persist::kMagicSize] = 1;
   std::ofstream(path, std::ios::binary | std::ios::trunc)
       .write(reinterpret_cast<const char*>(bytes.data()),
              static_cast<long>(bytes.size()));

@@ -55,5 +55,50 @@ TEST(CliOptions, DoubleParsing) {
   EXPECT_DOUBLE_EQ(opts.get_double("beta", 0.0), 0.75);
 }
 
+TEST(CliOptions, NegativeNumbersParse) {
+  const auto opts = parse({"--shift=-2.5", "--offset=-3"});
+  EXPECT_DOUBLE_EQ(opts.get_double("shift", 0.0), -2.5);
+  EXPECT_EQ(opts.get_int("offset", 0), -3);
+}
+
+// Malformed numeric values are usage errors (exit 2), never a silent 0
+// or a truncated prefix.
+TEST(CliOptionsDeathTest, MalformedIntIsRejected) {
+  const auto expect_rejected = [](const char* value) {
+    EXPECT_EXIT((void)parse({"--nodes", value}).get_int("nodes", 1),
+                ::testing::ExitedWithCode(2),
+                "option --nodes expects a number");
+  };
+  expect_rejected("abc");
+  expect_rejected("12x");
+  expect_rejected("");
+  expect_rejected("99999999999999999999");
+}
+
+TEST(CliOptionsDeathTest, MalformedDoubleIsRejected) {
+  const auto expect_rejected = [](const char* value) {
+    EXPECT_EXIT((void)parse({"--days", value}).get_double("days", 1.0),
+                ::testing::ExitedWithCode(2),
+                "option --days expects a number");
+  };
+  expect_rejected("two");
+  expect_rejected("2x");
+  expect_rejected("");
+  expect_rejected("1e999");
+}
+
+TEST(CliOptionsDeathTest, MalformedSeedIsRejected) {
+  const auto expect_rejected = [](const char* value) {
+    EXPECT_EXIT((void)parse({"--seed", value}).get_seed(1),
+                ::testing::ExitedWithCode(2),
+                "option --seed expects a number");
+  };
+  expect_rejected("seven");
+  expect_rejected("7s");
+  expect_rejected("");
+  expect_rejected("-1");
+  expect_rejected("99999999999999999999");
+}
+
 }  // namespace
 }  // namespace dtn

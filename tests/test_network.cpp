@@ -330,6 +330,45 @@ TEST(Network, DestinationWeightsSkewTraffic) {
   EXPECT_GT(to0, 2 * to2);
 }
 
+TEST(Network, PacketIdsFollowGenerationOrder) {
+  // Ids are handed out at birth: dense, in the order packets are
+  // generated, with manual packets interleaved among the Poisson ones
+  // by time.
+  trace::Trace t(1, 3);
+  for (int d = 0; d < 10; ++d) {
+    t.add_visit({0, static_cast<trace::LandmarkId>(d % 3), d * kDay,
+                 d * kDay + kDay / 2});
+  }
+  t.finalize();
+  RecordingRouter router;
+  WorkloadConfig cfg;
+  cfg.packets_per_landmark_per_day = 3.0;
+  cfg.warmup_fraction = 0.1;
+  cfg.time_unit = kDay;
+  cfg.seed = 5;
+  cfg.manual_packets = {{2, 0, 7.25 * kDay, 0.0}, {0, 1, 3.5 * kDay, 0.0}};
+  Network net(t, router, cfg);
+  net.run();
+
+  std::vector<PacketId> order;
+  for (const auto& e : router.events) {
+    if (e.kind == "packet") order.push_back(e.a);
+  }
+  ASSERT_GT(order.size(), 20u);
+  ASSERT_EQ(order.size(), net.counters().generated);
+  ASSERT_EQ(net.all_packets().size(), order.size());
+  int manual_seen = 0;
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(order[i], i);
+    if (i > 0) {
+      EXPECT_GE(net.packet(order[i]).created, net.packet(order[i - 1]).created);
+    }
+    const double created = net.packet(order[i]).created;
+    if (created == 7.25 * kDay || created == 3.5 * kDay) ++manual_seen;
+  }
+  EXPECT_EQ(manual_seen, 2);
+}
+
 TEST(Network, DeliveryHopsRecorded) {
   const auto trace = script_trace();
   RecordingRouter router;

@@ -160,8 +160,9 @@ TEST(ParallelForStress, UnevenShardShapedWorkloads) {
 }
 
 TEST(ParallelForStress, SingleThreadPoolRunsShardsInOrder) {
-  // With one worker the shard loops must still run — sequentially, in
-  // index order (what run_sharded degrades to on a 1-core host).
+  // With one worker the loop bodies must still run — sequentially, in
+  // index order (what an experiment sweep degrades to on a 1-core
+  // host).
   ThreadPool pool(1);
   std::vector<std::size_t> order;
   parallel_for(pool, 5, [&](std::size_t s) { order.push_back(s); });

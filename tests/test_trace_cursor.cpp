@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
+#include "persist/serializer.hpp"
 #include "sim/simulator.hpp"
 #include "trace/cursor.hpp"
 #include "trace/trace.hpp"
@@ -214,6 +216,92 @@ TEST(TraceCursor, LargeRandomTraceMatchesEagerEnumeration) {
   }
   t.finalize();
   expect_matches_reference(t);
+}
+
+// -- checkpoint image ----------------------------------------------------
+
+std::vector<std::uint8_t> image_of(const TraceCursor& cursor) {
+  persist::Writer w;
+  w.begin_section("cursor");
+  cursor.save(w);
+  w.end_section();
+  w.finish();
+  return w.buffer();
+}
+
+void load_image(TraceCursor& cursor, const std::vector<std::uint8_t>& bytes) {
+  persist::Reader r(bytes);
+  r.expect_section("cursor");
+  cursor.load(r);
+  r.end_section();
+  r.finish();
+}
+
+// Three nodes with tied visit times, so restored merge heaps must break
+// ties exactly like the live one.
+Trace tied_trace() {
+  Trace t(3, 2);
+  t.add_visit({0, 0, 0.0, 10.0});
+  t.add_visit({0, 1, 10.0, 20.0});
+  t.add_visit({1, 0, 0.0, 10.0});
+  t.add_visit({1, 1, 15.0, 20.0});
+  t.add_visit({2, 1, 5.0, 10.0});
+  t.add_visit({2, 0, 20.0, 30.0});
+  t.finalize();
+  return t;
+}
+
+TEST(TraceCursor, SaveLoadResumesTheRemainingStream) {
+  const Trace t = tied_trace();
+  TraceCursor full(t);
+  const auto whole = drain(full);
+  ASSERT_EQ(whole.size(), 12u);
+
+  // Every cut point, including before the first and after the last event.
+  for (std::size_t cut = 0; cut <= whole.size(); ++cut) {
+    TraceCursor live(t);
+    for (std::size_t i = 0; i < cut; ++i) live.advance();
+    const auto bytes = image_of(live);
+
+    TraceCursor restored(t);
+    load_image(restored, bytes);
+    EXPECT_EQ(image_of(restored), bytes) << "cut " << cut;
+    const auto rest = drain(restored);
+    ASSERT_EQ(rest.size(), whole.size() - cut) << "cut " << cut;
+    for (std::size_t i = 0; i < rest.size(); ++i) {
+      const Expected& want = whole[cut + i];
+      EXPECT_EQ(rest[i].time, want.time) << "cut " << cut << " event " << i;
+      EXPECT_EQ(rest[i].seq, want.seq) << "cut " << cut << " event " << i;
+      EXPECT_EQ(rest[i].kind, want.kind) << "cut " << cut << " event " << i;
+      EXPECT_EQ(rest[i].node, want.node) << "cut " << cut << " event " << i;
+      EXPECT_EQ(rest[i].visit, want.visit) << "cut " << cut << " event " << i;
+    }
+  }
+}
+
+TEST(TraceCursor, LoadRejectsImagesOfAnotherTrace) {
+  const Trace t = tied_trace();
+  TraceCursor cursor(t);
+  const auto bytes = image_of(cursor);
+
+  // Another node count.
+  Trace wider(4, 2);
+  wider.add_visit({3, 0, 0.0, 1.0});
+  wider.finalize();
+  TraceCursor other(wider);
+  EXPECT_THROW(load_image(other, bytes), persist::FormatError);
+
+  // A position past the node's last event (two events per visit).
+  persist::Writer w;
+  w.begin_section("cursor");
+  w.u64(3);
+  w.u32(4);  // node 0: both visits done
+  w.u32(5);  // node 1 has only four events
+  w.u32(0);
+  w.end_section();
+  w.finish();
+  TraceCursor fresh(t);
+  EXPECT_THROW(load_image(fresh, w.buffer()), persist::FormatError);
 }
 
 }  // namespace

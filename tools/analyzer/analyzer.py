@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Semantic analyzer driver (docs/static-analysis.md).
 
-Runs the AST-level determinism, shard-safety and checkpoint-coverage
-checks over the repo (or over explicitly listed files, which are then
-treated as replay-critical — that is how the seeded-violation fixtures
-are driven).
+Runs the AST-level determinism and checkpoint-coverage checks over the
+repo (or over explicitly listed files, which are then treated as
+replay-critical — that is how the seeded-violation fixtures are
+driven).
 
 Frontends:
   * clang — libclang via python3-clang (`clang.cindex`), driven off the

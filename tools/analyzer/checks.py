@@ -1,4 +1,4 @@
-"""The three check families (docs/static-analysis.md).
+"""The two check families (docs/static-analysis.md).
 
 Each check consumes only the semantic `Model`, so its behaviour is
 identical whichever frontend produced the facts.  Every function takes
@@ -130,7 +130,7 @@ def check_determinism(model: Model, opts: Options) -> list[Finding]:
     return findings
 
 
-# -- shard-safety -----------------------------------------------------
+# -- checkpoint coverage ----------------------------------------------
 
 def _class_closure(model: Model, entry: Method) -> list[Method]:
     """Entry method plus every same-class method reachable from it."""
@@ -151,51 +151,6 @@ def _class_closure(model: Model, entry: Method) -> list[Method]:
             stack.append(tm)
     return order
 
-
-def check_shard_safety(model: Model, opts: Options) -> list[Finding]:
-    findings: list[Finding] = []
-    for cls_name, ci in model.classes.items():
-        if not ci.has_shard_annotations():
-            continue
-        entries = [m for m in model.class_methods(cls_name)
-                   if m.name in cfg.SHARD_ENTRY_HOOKS]
-        reported: set[tuple[str, int]] = set()
-        for entry in entries:
-            for m in _class_closure(model, entry):
-                for acc in m.members_written():
-                    mem = ci.member(acc.member)
-                    if mem is None or mem.is_static:
-                        continue
-                    key = (acc.member, acc.line)
-                    if key in reported:
-                        continue
-                    if _suppressed(model, "shard-check", m.file, acc.line):
-                        continue
-                    if mem.annotation("shard_local"):
-                        continue
-                    reported.add(key)
-                    if mem.annotation("shard_shared"):
-                        findings.append(Finding(
-                            m.file, acc.line, "shard-safety",
-                            f"{m.qualname} (reachable from shard hook "
-                            f"{entry.name}) writes DTN_SHARD_SHARED member "
-                            f"`{acc.member}`; shared state must not be "
-                            f"mutated on shard threads — gate on "
-                            f"shard_safe() and suppress with "
-                            f"`// shard-check: ok(reason)`, or make it "
-                            f"per-shard"))
-                    else:
-                        findings.append(Finding(
-                            m.file, acc.line, "shard-safety",
-                            f"{m.qualname} (reachable from shard hook "
-                            f"{entry.name}) writes unannotated member "
-                            f"`{acc.member}` of shard-annotated class "
-                            f"{cls_name}; annotate it DTN_SHARD_LOCAL or "
-                            f"DTN_SHARD_SHARED"))
-    return findings
-
-
-# -- checkpoint coverage ----------------------------------------------
 
 def _referenced_closure(model: Model, method: Method) -> set[str]:
     """Members referenced by `method` or by same-class methods it
@@ -243,7 +198,6 @@ def check_ckpt_coverage(model: Model, opts: Options) -> list[Finding]:
 
 CHECKS = {
     "determinism": check_determinism,
-    "shard-safety": check_shard_safety,
     "ckpt-coverage": check_ckpt_coverage,
 }
 

@@ -1,8 +1,7 @@
 """Repo policy for the semantic analyzer (docs/static-analysis.md).
 
 Kept in one place so the CLI, the checks and the tests agree on what is
-replay-critical, which hooks are shard entry points, and which ambient
-calls are banned.  `scripts/determinism_lint.py` keeps its own copy of
+replay-critical and which ambient calls are banned.  `scripts/determinism_lint.py` keeps its own copy of
 the directory policy (it is the fast regex pre-check and must stay
 dependency-free); the analyzer's ctest registration runs both, so a
 drift between the two fails the suite rather than silently narrowing
@@ -50,19 +49,6 @@ AMBIENT_CALLEES = (
 # and locals everywhere, so only an explicit global/std call counts.
 AMBIENT_TIME_CALLEES = ("::time", "std::time")
 
-# Router hooks that run on shard threads during a sharded replay
-# (docs/parallel-engine.md).  on_time_unit and the fault hooks run in
-# coordinator barrier phases / serial-only runs and are deliberately
-# absent.  Any method with one of these names on a class that carries
-# shard annotations is treated as an entry point.
-SHARD_ENTRY_HOOKS = (
-    "on_arrival",
-    "on_departure",
-    "on_departure_batch_begin",
-    "on_contact",
-    "on_packet_generated",
-)
-
 # Method-name pairs that form a checkpoint surface.  A class providing
 # both halves of a pair gets checkpoint-coverage enforcement: every
 # non-static data member must be referenced in both bodies (closed over
@@ -72,20 +58,5 @@ CHECKPOINT_PAIRS = (
     ("save", "load"),
 )
 
-# std:: member functions treated as known mutators when called on a
-# member object (write classification for shard-safety).
-KNOWN_MUTATORS = frozenset({
-    "push_back", "pop_back", "emplace_back", "emplace", "insert", "erase",
-    "clear", "resize", "reserve", "assign", "swap", "reset", "emplace_front",
-    "push_front", "pop_front", "push", "pop", "operator[]", "fill",
-})
-
-# std:: member functions known to be const (never a write).
-KNOWN_CONST_METHODS = frozenset({
-    "size", "empty", "begin", "end", "cbegin", "cend", "rbegin", "rend",
-    "front", "back", "at", "find", "count", "contains", "has_value",
-    "value", "value_or", "data", "capacity", "get",
-})
-
-# Suppression markers, shared with the regex lint where they overlap.
-SUPPRESS_MARKERS = ("det-lint", "shard-check")
+# Suppression markers, shared with the regex lint.
+SUPPRESS_MARKERS = ("det-lint",)

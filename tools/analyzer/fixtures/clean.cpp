@@ -14,8 +14,8 @@ class Reader;
 class CleanRouter {
  public:
   void on_arrival(std::uint32_t node, std::uint32_t landmark) {
-    visits_[landmark] += 1;  // shard-local: fine
-    last_node_ = node;       // shard-local: fine
+    visits_[landmark] += 1;
+    last_node_ = node;
   }
 
   void checkpoint_save(Writer& w) const {
@@ -35,9 +35,9 @@ class CleanRouter {
   }
 
  private:
-  DTN_SHARD_LOCAL std::vector<std::uint64_t> visits_;
-  DTN_SHARD_LOCAL std::uint64_t last_node_ = 0;
-  DTN_SHARD_LOCAL std::map<std::uint32_t, double> delays_;
+  std::vector<std::uint64_t> visits_;
+  std::uint64_t last_node_ = 0;
+  std::map<std::uint32_t, double> delays_;
 };
 
 }  // namespace fixture

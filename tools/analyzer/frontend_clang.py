@@ -20,9 +20,6 @@ from model import (Annotation, Call, ClassInfo, IterationSite, Member,
 import config as cfg
 import frontend_lite  # suppression-comment scanning is shared
 
-ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=",
-              "<<=", ">>="}
-
 DEFAULT_ARGS = ["-x", "c++", "-std=c++20"]
 
 
@@ -74,11 +71,7 @@ def _annotations_of(cursor) -> list[Annotation]:
     for ch in cursor.get_children():
         if ch.kind == ci.CursorKind.ANNOTATE_ATTR:
             text = ch.spelling or ""
-            if text == "dtn::shard_local":
-                out.append(Annotation("shard_local"))
-            elif text == "dtn::shard_shared":
-                out.append(Annotation("shard_shared"))
-            elif text.startswith("dtn::ckpt_skip="):
+            if text.startswith("dtn::ckpt_skip="):
                 out.append(Annotation("ckpt_skip",
                                       text[len("dtn::ckpt_skip="):]))
     return out
@@ -165,9 +158,6 @@ class TUWalker:
             elif k in (ci.CursorKind.CXX_METHOD, ci.CursorKind.CONSTRUCTOR,
                        ci.CursorKind.DESTRUCTOR,
                        ci.CursorKind.FUNCTION_TEMPLATE):
-                info.method_const[ch.spelling] = bool(
-                    ch.is_const_method()) if hasattr(ch, "is_const_method") \
-                    else False
                 rets = getattr(info, "method_returns", None)
                 if rets is None:
                     rets = {}
@@ -188,15 +178,6 @@ class TUWalker:
     def _function(self, cursor, rel: str) -> None:
         ci = self.ci
         if not cursor.is_definition():
-            parent = cursor.semantic_parent
-            if parent is not None and parent.kind in (
-                    ci.CursorKind.CLASS_DECL, ci.CursorKind.STRUCT_DECL,
-                    ci.CursorKind.CLASS_TEMPLATE):
-                qual = _qualified_name(parent)
-                if qual in self.model.classes:
-                    self.model.classes[qual].method_const[
-                        cursor.spelling] = bool(cursor.is_const_method()) \
-                        if hasattr(cursor, "is_const_method") else False
             return
         parent = cursor.semantic_parent
         cls = None
@@ -205,17 +186,14 @@ class TUWalker:
                 ci.CursorKind.CLASS_TEMPLATE):
             cls = _qualified_name(parent)
         qual = _qualified_name(cursor)
-        is_const = bool(cursor.is_const_method()) \
-            if hasattr(cursor, "is_const_method") else False
         method = Method(name=cursor.spelling, qualname=qual, cls=cls,
-                        file=rel, line=cursor.location.line,
-                        is_const=is_const)
+                        file=rel, line=cursor.location.line)
         body = None
         for ch in cursor.get_children():
             if ch.kind == ci.CursorKind.COMPOUND_STMT:
                 body = ch
         if body is not None:
-            self._body(body, method, write=False)
+            self._body(body, method)
         if qual in self.model.methods:
             prev = self.model.methods[qual]
             prev.accesses += method.accesses
@@ -227,19 +205,7 @@ class TUWalker:
 
     # -- body walk ----------------------------------------------------
 
-    def _op_token(self, cursor) -> str:
-        """Operator spelling of a binary/unary operator cursor: the
-        token between (after) its first child's extent."""
-        children = list(cursor.get_children())
-        if not children:
-            return ""
-        first_end = children[0].extent.end.offset
-        for t in cursor.get_tokens():
-            if t.extent.start.offset >= first_end:
-                return t.spelling
-        return ""
-
-    def _body(self, node, method: Method, write: bool) -> None:
+    def _body(self, node, method: Method) -> None:
         ci = self.ci
         k = node.kind
         if k == ci.CursorKind.CXX_FOR_RANGE_STMT:
@@ -255,30 +221,12 @@ class TUWalker:
                     expr=_extent_text(range_expr), container_type=ctype,
                     line=node.location.line, form="range-for"))
             for ch in children:
-                self._body(ch, method, write=False)
+                self._body(ch, method)
             return
-        if k in (ci.CursorKind.BINARY_OPERATOR,
-                 ci.CursorKind.COMPOUND_ASSIGNMENT_OPERATOR):
-            op = self._op_token(node)
-            children = list(node.get_children())
-            if op in ASSIGN_OPS and len(children) == 2:
-                self._body(children[0], method, write=True)
-                self._body(children[1], method, write=False)
-                return
-        if k == ci.CursorKind.UNARY_OPERATOR:
-            toks = [t.spelling for t in node.get_tokens()]
-            if "++" in toks[:1] + toks[-1:] or "--" in toks[:1] + toks[-1:]:
-                for ch in node.get_children():
-                    self._body(ch, method, write=True)
-                return
         if k == ci.CursorKind.CALL_EXPR:
             self._call(node, method)
             ref = node.referenced
-            recv_write = False
             if ref is not None and ref.kind == ci.CursorKind.CXX_METHOD:
-                is_const = bool(ref.is_const_method()) \
-                    if hasattr(ref, "is_const_method") else True
-                recv_write = not is_const
                 if ref.spelling in ("begin", "cbegin", "rbegin", "crbegin"):
                     children = list(node.get_children())
                     if children:
@@ -287,9 +235,8 @@ class TUWalker:
                             expr=_extent_text(recv),
                             container_type=recv.type.get_canonical().spelling,
                             line=node.location.line, form="begin-walk"))
-            children = list(node.get_children())
-            for idx, ch in enumerate(children):
-                self._body(ch, method, write=(recv_write and idx == 0))
+            for ch in node.get_children():
+                self._body(ch, method)
             return
         if k == ci.CursorKind.MEMBER_REF_EXPR:
             ref = node.referenced
@@ -298,19 +245,9 @@ class TUWalker:
                 owner = _qualified_name(ref.semantic_parent)
                 if owner == method.cls:
                     method.accesses.append(MemberAccess(
-                        member=ref.spelling,
-                        kind="write" if write else "read",
-                        line=node.location.line))
+                        member=ref.spelling, line=node.location.line))
             for ch in node.get_children():
-                self._body(ch, method, write=write)
-            return
-        if k in (ci.CursorKind.VAR_DECL,):
-            # Non-const lvalue-reference binding is a potential write
-            # through the bound member.
-            t = node.type.spelling
-            w = t.endswith("&") and "const" not in t
-            for ch in node.get_children():
-                self._body(ch, method, write=w)
+                self._body(ch, method)
             return
         if k == ci.CursorKind.DECL_REF_EXPR:
             ref = node.referenced
@@ -318,11 +255,7 @@ class TUWalker:
                 method.ambient_calls.append(Call(
                     callee="std::random_device", line=node.location.line))
         for ch in node.get_children():
-            self._body(ch, method,
-                       write=write and k in (
-                           ci.CursorKind.ARRAY_SUBSCRIPT_EXPR,
-                           ci.CursorKind.PAREN_EXPR,
-                           ci.CursorKind.UNEXPOSED_EXPR))
+            self._body(ch, method)
 
     def _call(self, node, method: Method) -> None:
         ref = node.referenced

@@ -16,11 +16,11 @@ scoped mini-frontend, tuned for this codebase's idiom:
   members, method return types and alias chains — this is what lets the
   determinism check see through `auto`, typedefs and member aliases the
   regex lint cannot;
-* member accesses are classified read/write (assignment and compound
-  ops, ++/--, mutating method calls, non-const reference bindings);
+* member references are recorded per method (for checkpoint
+  coverage);
 * call sites are recorded for the taint/reachability closures.
 
-Unresolvable constructs degrade to "unknown type" / "read" — the
+Unresolvable constructs degrade to "unknown type" — the
 analyzer never guesses a finding it cannot ground, so lite-mode
 precision errs toward false negatives, with the seeded-violation
 fixtures pinning the cases that must not regress.
@@ -47,12 +47,6 @@ TYPE_PREFIX_KEYWORDS = frozenset({
     "extern", "register", "thread_local", "unsigned", "signed", "struct",
     "class", "enum",
 })
-
-ANNOTATION_MACROS = {
-    "DTN_SHARD_LOCAL": "shard_local",
-    "DTN_SHARD_SHARED": "shard_shared",
-    "DTN_CKPT_SKIP": "ckpt_skip",
-}
 
 SUPPRESS_RES = {
     marker: re.compile(r"//\s*" + re.escape(marker) + r":\s*ok\(([^)]*)\)")
@@ -418,10 +412,7 @@ class FileParser:
         # Leading annotation macros.
         while i < end:
             t = self.toks[i].text
-            if t in ("DTN_SHARD_LOCAL", "DTN_SHARD_SHARED"):
-                annotations.append(Annotation(ANNOTATION_MACROS[t]))
-                i += 1
-            elif t == "DTN_CKPT_SKIP":
+            if t == "DTN_CKPT_SKIP":
                 j = i + 1
                 reason = ""
                 if j < end and self.toks[j].text == "(":
@@ -521,11 +512,9 @@ class FileParser:
         params_end = self.match_balanced(paren_at, "(", ")")
         # Trailing specifiers.
         j = params_end
-        is_const = False
         while j < n:
             t = self.toks[j].text
             if t == "const":
-                is_const = True
                 j += 1
             elif t in ("noexcept", "override", "final", "&", "&&",
                        "mutable", "constexpr"):
@@ -560,14 +549,10 @@ class FileParser:
             owner = self._lookup_class(qual_prefix, ns)
         if j < n and self.toks[j].text == "=":
             # = default / = delete / = 0
-            if owner is not None and simple:
-                owner.method_const.setdefault(simple, is_const)
             return self._statement_end(start)
         if j < n and self.toks[j].text == ";":
-            if owner is not None and simple:
-                owner.method_const[simple] = is_const
-                if ret_text.strip():
-                    self._register_return(owner, simple, ret_text)
+            if owner is not None and simple and ret_text.strip():
+                self._register_return(owner, simple, ret_text)
             return j + 1
         # Ctor init list.
         if j < n and self.toks[j].text == ":":
@@ -590,11 +575,9 @@ class FileParser:
         if j >= n or self.toks[j].text != "{":
             return self._statement_end(start)
         body_end = self.match_balanced(j, "{", "}")
-        if owner is not None and simple:
-            owner.method_const[simple] = is_const
-            if ret_text.strip():
-                self._register_return(owner, simple, ret_text)
-        self._extract_body(simple, name_text, owner, ns, is_const,
+        if owner is not None and simple and ret_text.strip():
+            self._register_return(owner, simple, ret_text)
+        self._extract_body(simple, name_text, owner, ns,
                            paren_at, params_end, j, body_end)
         return body_end
 
@@ -627,7 +610,7 @@ class FileParser:
 
     def _extract_body(self, simple: str, name_text: str,
                       owner: ClassInfo | None, ns: list[str],
-                      is_const: bool, paren_at: int, params_end: int,
+                      paren_at: int, params_end: int,
                       body_open: int, body_end: int) -> None:
         body_lo = self.toks[body_open].pos
         body_hi = self.toks[body_end - 1].pos if body_end - 1 < len(self.toks) \
@@ -639,8 +622,7 @@ class FileParser:
             ("::".join(ns) + "::" + simple if ns else simple)
         method = Method(name=simple, qualname=qual,
                         cls=owner.name if owner else None,
-                        file=self.rel, line=self.line_of(body_lo),
-                        is_const=is_const)
+                        file=self.rel, line=self.line_of(body_lo))
         extractor = BodyExtractor(self, method, owner, params_text,
                                   body, body_lo)
         extractor.run()
@@ -946,64 +928,8 @@ class BodyExtractor:
                 if pre.endswith((".", "->", "::")) and \
                         not pre.endswith("this->"):
                     continue
-                kind = self._classify(mm.end(), mm.start())
                 self.m.accesses.append(MemberAccess(
-                    member=mem.name, kind=kind, line=self.line(mm.start())))
-
-    def _classify(self, after_off: int, start_off: int) -> str:
-        pre = self.body[:start_off].rstrip()
-        if pre.endswith("this->"):
-            pre = pre[:-len("this->")].rstrip()
-        if pre.endswith(("++", "--")):
-            return "write"
-        # Non-const reference binding: `T& x = member...`
-        if re.search(r"[A-Za-z_>]\s*&\s*\w+\s*=\s*$", pre) and \
-                not re.search(r"\bconst\b[^;{}]*$", pre):
-            return "write"
-        rest = self.body[after_off:]
-        # Chained indexing first.
-        while True:
-            rest_l = rest.lstrip()
-            if rest_l.startswith("["):
-                depth = 0
-                for k, c in enumerate(rest_l):
-                    if c == "[":
-                        depth += 1
-                    elif c == "]":
-                        depth -= 1
-                        if depth == 0:
-                            rest = rest_l[k + 1:]
-                            break
-                else:
-                    return "read"
-                continue
-            rest = rest_l
-            break
-        if re.match(r"(=(?!=)|\+=|-=|\*=|/=|%=|&=|\|=|\^=|<<=|>>=|\+\+|--)",
-                    rest):
-            return "write"
-        call = re.match(r"(?:\.|->)\s*([A-Za-z_]\w*)\s*\(", rest)
-        if call:
-            meth = call.group(1)
-            if meth in cfg.KNOWN_MUTATORS:
-                return "write"
-            if meth in cfg.KNOWN_CONST_METHODS:
-                return "read"
-            # Resolve through the repo's own classes when possible.
-            mem_name_m = re.match(r"\w+", self.body[start_off:])
-            if mem_name_m and self.owner:
-                mem = self.owner.member(mem_name_m.group(0))
-                if mem:
-                    cls = self._class_of(mem.type_text,
-                                         "->" if "->" in rest[:4] else ".")
-                    if cls and meth in cls.method_const:
-                        return "read" if cls.method_const[meth] else "write"
-        # `.field = value` — write through a member of a member.
-        field = re.match(r"(?:\.|->)\s*[A-Za-z_]\w*\s*"
-                         r"(=(?!=)|\+=|-=|\*=|/=|\+\+|--)", rest)
-        if field:
-            return "write"
-        return "read"
+                    member=mem.name, line=self.line(mm.start())))
 
 
 # -- type helpers ------------------------------------------------------

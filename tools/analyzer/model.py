@@ -6,14 +6,12 @@ the check families in `checks.py` consume only this model, so a check
 behaves identically whichever frontend produced the facts.
 
 The model is member/method-granular, which is exactly the resolution
-the three check families need:
+the two check families need:
 
 * determinism  — per-method iteration sites with the *canonical*
   (alias-expanded) type of the iterated container, plus call sites;
-* shard-safety — per-method member accesses classified read/write,
-  member annotations, and the intra-class call graph;
-* checkpoint-coverage — per-class member lists and per-method member
-  reference sets (closed over same-class calls).
+* checkpoint-coverage — per-class member lists, member annotations and
+  per-method member reference sets (closed over same-class calls).
 """
 from __future__ import annotations
 
@@ -24,7 +22,7 @@ from dataclasses import dataclass, field
 class Annotation:
     """One DTN_* source annotation attached to a data member."""
 
-    kind: str  # 'shard_local' | 'shard_shared' | 'ckpt_skip'
+    kind: str  # 'ckpt_skip'
     reason: str = ""
 
 
@@ -51,7 +49,6 @@ class MemberAccess:
     """A reference to a member of the enclosing class inside a method."""
 
     member: str
-    kind: str  # 'read' | 'write'
     line: int
 
 
@@ -84,7 +81,6 @@ class Method:
     cls: str | None  # qualified class name, None for free functions
     file: str
     line: int
-    is_const: bool = False
     accesses: list[MemberAccess] = field(default_factory=list)
     calls: list[Call] = field(default_factory=list)
     iterations: list[IterationSite] = field(default_factory=list)
@@ -92,9 +88,6 @@ class Method:
 
     def members_referenced(self) -> set[str]:
         return {a.member for a in self.accesses}
-
-    def members_written(self) -> list[MemberAccess]:
-        return [a for a in self.accesses if a.kind == "write"]
 
 
 @dataclass
@@ -105,22 +98,12 @@ class ClassInfo:
     file: str
     line: int
     members: list[Member] = field(default_factory=list)
-    # Simple name -> const-ness of the declaration (for write
-    # classification of `member_.call()` receivers); overloads merge.
-    method_const: dict[str, bool] = field(default_factory=dict)
 
     def member(self, name: str) -> Member | None:
         for m in self.members:
             if m.name == name:
                 return m
         return None
-
-    def has_shard_annotations(self) -> bool:
-        return any(
-            a.kind in ("shard_local", "shard_shared")
-            for m in self.members
-            for a in m.annotations
-        )
 
 
 @dataclass
@@ -137,7 +120,7 @@ class Model:
     # Repo-relative paths of every file the model covers.
     files: list[str] = field(default_factory=list)
     # file -> {line} carrying a suppression marker, keyed by marker kind
-    # ('det-lint' | 'shard-check').
+    # ('det-lint').
     suppressions: dict[str, dict[str, set[int]]] = field(default_factory=dict)
 
     def class_methods(self, cls: str) -> list[Method]:
@@ -153,7 +136,7 @@ class Finding:
 
     file: str
     line: int
-    check: str  # 'determinism' | 'shard-safety' | 'ckpt-coverage'
+    check: str  # 'determinism' | 'ckpt-coverage'
     message: str
 
     def __str__(self) -> str:

@@ -9,7 +9,7 @@ Covers, with the lite frontend (always available):
   * the clean fixture passes;
   * deleting a serialized member reference from DtnFlowRouter's
     checkpoint_save (without DTN_CKPT_SKIP) fails the coverage check;
-  * `// det-lint: ok(...)` / `// shard-check: ok(...)` suppress;
+  * `// det-lint: ok(...)` suppresses;
 and, when clang.cindex is importable (CI's analyzer job), frontend
 equivalence on the fixtures.
 """
@@ -89,9 +89,6 @@ class FixtureTest(unittest.TestCase):
     def test_bad_alias_iteration(self):
         self._check_bad("bad_alias_iteration.cpp", "determinism")
 
-    def test_bad_shard(self):
-        self._check_bad("bad_shard.cpp", "shard-safety")
-
     def test_bad_ckpt(self):
         self._check_bad("bad_ckpt.cpp", "ckpt-coverage")
 
@@ -138,30 +135,6 @@ class SuppressionTest(unittest.TestCase):
                                           "--root", str(ROOT), str(path))
             self.assertEqual(code, 0, f"stdout:\n{out}\nstderr:\n{err}")
 
-    def test_shard_check_marker_suppresses(self):
-        src = (FIXTURES / "bad_shard.cpp").read_text()
-        src = src.replace(
-            "    total_visits_ += 1;      // LINE: write",
-            "    // shard-check: ok(fixture: behind shard_safe() gate)\n"
-            "    total_visits_ += 1;  // (write",
-            1)
-        src = src.replace(
-            "    scratch_counter_ = node;  // LINE: write to unannotated "
-            "member",
-            "    // shard-check: ok(fixture: scratch)\n"
-            "    scratch_counter_ = node;")
-        src = src.replace(
-            "    global_epoch_ += 1;  // LINE: shared write reached "
-            "through a helper",
-            "    // shard-check: ok(fixture: behind shard_safe() gate)\n"
-            "    global_epoch_ += 1;")
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "suppressed.cpp"
-            path.write_text(src)
-            code, out, err = run_analyzer("--frontend", "lite",
-                                          "--root", str(ROOT), str(path))
-            self.assertEqual(code, 0, f"stdout:\n{out}\nstderr:\n{err}")
-
 
 @unittest.skipUnless(clang_available(), "clang.cindex not importable")
 class FrontendEquivalenceTest(unittest.TestCase):
@@ -178,7 +151,7 @@ class FrontendEquivalenceTest(unittest.TestCase):
 
     def test_fixtures_agree(self):
         for name in ("bad_determinism.cpp", "bad_alias_iteration.cpp",
-                     "bad_shard.cpp", "bad_ckpt.cpp", "clean.cpp"):
+                     "bad_ckpt.cpp", "clean.cpp"):
             path = FIXTURES / name
             _, out_l, _ = run_analyzer("--frontend", "lite",
                                        "--root", str(ROOT), str(path))
