@@ -22,8 +22,16 @@
 // snapshot with bit-identical final metrics.  --serve-exit-after-events N
 // snapshots and exits with status 3 after N events — a deterministic
 // stand-in for kill -9 used by the CI round-trip smoke.
+//
+// Bad input (an unknown --kind, --router or --fault-* option, a count
+// below the generator's minimum, a non-positive --days) exits with
+// status 2 and a one-line message, like CliOptions' own usage errors.
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <stdexcept>
+#include <string>
 
 #include "metrics/experiment.hpp"
 #include "net/bundle_store.hpp"
@@ -39,6 +47,69 @@
 #include "util/stats.hpp"
 
 namespace {
+
+/// A count option, rejected below `min` (the trace generators assert
+/// their minimums rather than report them).
+std::size_t count_arg(const dtn::CliOptions& opts, const std::string& key,
+                      std::int64_t fallback, std::int64_t min) {
+  const std::int64_t v = opts.get_int(key, fallback);
+  if (v < min) {
+    throw std::invalid_argument("--" + key + " must be at least " +
+                                std::to_string(min) + ", got " +
+                                std::to_string(v));
+  }
+  return static_cast<std::size_t>(v);
+}
+
+double days_arg(const dtn::CliOptions& opts, double fallback) {
+  const double days = opts.get_double("days", fallback);
+  if (!(days > 0.0) || !std::isfinite(days)) {
+    throw std::invalid_argument("--days must be positive, got " +
+                                opts.get("days", ""));
+  }
+  return days;
+}
+
+dtn::trace::Trace make_trace(const dtn::CliOptions& opts) {
+  const std::string kind = opts.get("kind", "campus");
+  if (kind != "campus" && kind != "bus" && kind != "city") {
+    throw std::invalid_argument("unknown --kind " + kind +
+                                " (use campus, bus or city)");
+  }
+  const std::string input = opts.get("input", "");
+  if (!input.empty()) return dtn::trace::read_trace_csv(input);
+  if (kind == "bus") {
+    dtn::trace::BusTraceConfig cfg;
+    cfg.num_buses = count_arg(opts, "nodes", 34, 1);
+    // Every route must fit, and some stop must not be a hub.
+    const auto min_landmarks = static_cast<std::int64_t>(
+        std::max(cfg.route_length_max, cfg.num_hubs + 1));
+    cfg.num_landmarks = count_arg(opts, "landmarks", 18, min_landmarks);
+    cfg.days = days_arg(opts, 26.0);
+    cfg.seed = opts.get_seed(1);
+    return dtn::trace::generate_bus_trace(cfg);
+  }
+  if (kind == "city") {
+    dtn::trace::CityTraceConfig cfg;
+    cfg.num_pedestrians = count_arg(opts, "nodes", 2000, 0);
+    cfg.num_buses = count_arg(opts, "buses", 40, 0);
+    if (cfg.num_pedestrians + cfg.num_buses == 0) {
+      throw std::invalid_argument("--nodes plus --buses must be at least 1");
+    }
+    cfg.num_landmarks = count_arg(opts, "landmarks", 400, 2);
+    cfg.num_districts = count_arg(opts, "districts", 16, 1);
+    cfg.days = days_arg(opts, 2.0);
+    cfg.seed = opts.get_seed(1);
+    return dtn::trace::generate_city_trace(cfg);
+  }
+  dtn::trace::CampusTraceConfig cfg;
+  cfg.num_nodes = count_arg(opts, "nodes", 64, 1);
+  cfg.num_landmarks = count_arg(opts, "landmarks", 30, 2);
+  cfg.num_communities = count_arg(opts, "communities", 14, 1);
+  cfg.days = days_arg(opts, 32.0);
+  cfg.seed = opts.get_seed(1);
+  return dtn::trace::generate_campus_trace(cfg);
+}
 
 // One router, one replicate, snapshots on: the service path deliberately
 // bypasses run_experiment so the Network object survives a suspension.
@@ -112,45 +183,8 @@ int run_service(const dtn::CliOptions& opts, const dtn::trace::Trace& trace,
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const dtn::CliOptions opts(argc, argv, {"serve", "store-dedup"});
-
-  dtn::trace::Trace trace;
-  const std::string input = opts.get("input", "");
-  if (!input.empty()) {
-    trace = dtn::trace::read_trace_csv(input);
-  } else if (opts.get("kind", "campus") == "bus") {
-    dtn::trace::BusTraceConfig cfg;
-    cfg.num_buses = static_cast<std::size_t>(opts.get_int("nodes", 34));
-    cfg.num_landmarks =
-        static_cast<std::size_t>(opts.get_int("landmarks", 18));
-    cfg.days = opts.get_double("days", 26.0);
-    cfg.seed = opts.get_seed(1);
-    trace = dtn::trace::generate_bus_trace(cfg);
-  } else if (opts.get("kind", "campus") == "city") {
-    dtn::trace::CityTraceConfig cfg;
-    cfg.num_pedestrians = static_cast<std::size_t>(opts.get_int("nodes", 2000));
-    cfg.num_buses = static_cast<std::size_t>(opts.get_int("buses", 40));
-    cfg.num_landmarks =
-        static_cast<std::size_t>(opts.get_int("landmarks", 400));
-    cfg.num_districts =
-        static_cast<std::size_t>(opts.get_int("districts", 16));
-    cfg.days = opts.get_double("days", 2.0);
-    cfg.seed = opts.get_seed(1);
-    trace = dtn::trace::generate_city_trace(cfg);
-  } else {
-    dtn::trace::CampusTraceConfig cfg;
-    cfg.num_nodes = static_cast<std::size_t>(opts.get_int("nodes", 64));
-    cfg.num_landmarks =
-        static_cast<std::size_t>(opts.get_int("landmarks", 30));
-    cfg.num_communities =
-        static_cast<std::size_t>(opts.get_int("communities", 14));
-    cfg.days = opts.get_double("days", 32.0);
-    cfg.seed = opts.get_seed(1);
-    trace = dtn::trace::generate_campus_trace(cfg);
-  }
+int run(const dtn::CliOptions& opts) {
+  const dtn::trace::Trace trace = make_trace(opts);
   std::printf("trace: %zu nodes, %zu landmarks, %zu visits, %.1f days\n",
               trace.num_nodes(), trace.num_landmarks(), trace.total_visits(),
               trace.duration() / dtn::trace::kDay);
@@ -220,8 +254,7 @@ int main(int argc, char** argv) {
     routers.push_back(choice);
   }
 
-  const auto replicates =
-      static_cast<std::size_t>(opts.get_int("replicates", 1));
+  const std::size_t replicates = count_arg(opts, "replicates", 1, 1);
   dtn::TablePrinter table({"router", "success", "avg delay (d)",
                            "P50 delay (d)", "P90 delay (d)", "fwd cost",
                            "total cost"});
@@ -270,4 +303,17 @@ int main(int argc, char** argv) {
   table.print("simulation results");
   table.write_csv(opts.get("out", ""));
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const dtn::CliOptions opts(argc, argv, {"serve", "store-dedup"});
+  try {
+    return run(opts);
+  } catch (const std::invalid_argument& e) {
+    // Unknown router or fault option, out-of-range count: a usage error.
+    std::fprintf(stderr, "simulate: %s\n", e.what());
+    return 2;
+  }
 }

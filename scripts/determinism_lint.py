@@ -42,8 +42,8 @@ from pathlib import Path
 
 # Directories whose code runs inside the deterministic replay loop:
 # iteration-order hazards are findings here.  src/util is included for
-# the SIMD wrapper and the arena (their lane/accounting semantics are
-# part of the bit-identical contract, docs/simd-hot-path.md).
+# the helpers the replay loop itself runs on (FlatMatrix tables, the
+# seeded RNG streams), which are part of the bit-identical contract.
 REPLAY_CRITICAL_DIRS = ("src/core", "src/sim", "src/routing", "src/net",
                         "src/persist", "src/util")
 # Ambient-nondeterminism calls are findings everywhere under src/ except
@@ -66,12 +66,6 @@ REQUIRED_COVERED_FILES = (
     "src/persist/checkpoint.hpp",
     "src/persist/checkpoint.cpp",
     "src/persist/flat_io.hpp",
-    # The portable SIMD wrapper defines the per-lane operations whose
-    # IEEE-exactness the vectorized hot paths rely on; the arena backs
-    # the router's per-event scratch allocations.  Both sit on the
-    # bit-identical replay path (docs/simd-hot-path.md).
-    "src/util/simd.hpp",
-    "src/util/arena.hpp",
     # The bounded bundle store picks eviction victims and orders its
     # dedup/spill structures; any iteration-order nondeterminism here
     # changes which bundles survive overload (docs/bounded-store.md).

@@ -10,7 +10,6 @@
 #include "sim/invariant_auditor.hpp"
 
 #include "util/logging.hpp"
-#include "util/simd.hpp"
 
 namespace dtn::core {
 
@@ -64,7 +63,6 @@ void DtnFlowRouter::on_init(Network& net) {
     landmarks_[l].carrier_cache.assign(m, {});
   }
   distribution_scratch_.clear();
-  arena_.reset();
   epoch_prepaid_ = 0;
   station_down_.assign(m, 0);
   needs_reconvergence_.assign(m, 0);
@@ -174,10 +172,6 @@ void DtnFlowRouter::audit(const net::Network& net,
       }
     }
   }
-  // Scratch-arena byte accounting (util/arena.hpp): the incremental
-  // counter must agree with the per-block sums.
-  report.set_context("router.scratch_arena");
-  if (std::string why; !arena_.check(&why)) report.fail(why);
   // Audits run at event boundaries, where every departure batch has
   // consumed its prepaid epoch advances in full.
   report.set_context("router.batch_epoch");
@@ -232,10 +226,11 @@ const DtnFlowRouter::CarrierScores& DtnFlowRouter::rebuild_carrier_scores(
   entry.raw.resize(k);
   entry.overall.resize(k);
   entry.predicted_to.resize(k);
-  // Gather pass (necessarily scalar: every present node reads its own
-  // predictor and accuracy cell).  The overall column temporarily holds
-  // the per-node accuracy factor; the fused sweep below turns it into
-  // the ranking key in place.
+  // Every present node reads its own predictor and accuracy cell.  The
+  // ranking key is the same arithmetic as overall_transit_probability (a
+  // present node's location is l), so cached scores compare
+  // bit-identically.
+  const bool refine = cfg_.refine_carrier_selection;
   for (std::size_t i = 0; i < k; ++i) {
     const NodeId n = present[i];
     // A crashed node is no carrier at all; Network bumps the present
@@ -243,38 +238,16 @@ const DtnFlowRouter::CarrierScores& DtnFlowRouter::rebuild_carrier_scores(
     // invalidated the instant the radio comes back.
     if (net.node_down(n)) {
       entry.raw[i] = 0.0;
-      entry.overall[i] = 1.0;  // dead lane: zeroed by the raw<=0 select
+      entry.overall[i] = 0.0;
       entry.predicted_to[i] = 0;
       continue;
     }
     const NodeState& ns = nodes_[n];
-    entry.raw[i] = ns.predictor->probability_of(to);
-    entry.overall[i] = accuracy_.at(n, l);
+    const double raw = ns.predictor->probability_of(to);
+    entry.raw[i] = raw;
+    entry.overall[i] =
+        raw > 0.0 ? (refine ? raw * accuracy_.at(n, l) : raw) : 0.0;
     entry.predicted_to[i] = ns.predicted_next == to ? 1 : 0;
-  }
-  // Fused refinement sweep over the packed columns:
-  //   overall[i] = raw[i] > 0 ? (refine ? raw[i] * acc[i] : raw[i]) : 0
-  // — identical arithmetic to overall_transit_probability (a present
-  // node's location is l), so cached scores compare bit-identically.
-  // The vector path uses only per-lane multiply/compare/select, which
-  // are IEEE-identical to the scalar statement (docs/simd-hot-path.md).
-  const bool refine = cfg_.refine_carrier_selection;
-  double* overall = entry.overall.data();
-  const double* raw = entry.raw.data();
-  std::size_t i = 0;
-#if defined(__GNUC__) && !defined(DTN_SIMD_SCALAR)
-  if (simd::kEnabled && !simd::scalar_forced()) {
-    const simd::VDouble zero = simd::broadcast(0.0);
-    for (; i + simd::kDoubleLanes <= k; i += simd::kDoubleLanes) {
-      const simd::VDouble r = simd::loadu(raw + i);
-      const simd::VDouble a = simd::loadu(overall + i);
-      const simd::VDouble refined = refine ? r * a : r;
-      simd::storeu(overall + i, simd::vselect(r > zero, refined, zero));
-    }
-  }
-#endif
-  for (; i < k; ++i) {
-    overall[i] = raw[i] > 0.0 ? (refine ? raw[i] * overall[i] : raw[i]) : 0.0;
   }
   return entry;
 }
@@ -362,7 +335,6 @@ void DtnFlowRouter::note_station_ingress(Network& net, LandmarkId l,
 }
 
 void DtnFlowRouter::on_packet_generated(Network& net, PacketId pid) {
-  arena_.reset();  // top-level hook entry (util/arena.hpp lifetime rule)
   const Packet& p = net.packet(pid);
   DTN_ASSERT(p.state == net::PacketState::kAtStation);
   note_station_ingress(net, p.src, pid);
@@ -441,11 +413,6 @@ void DtnFlowRouter::offer_packets_to_node(Network& net, LandmarkId l,
                                           NodeId n) {
   const auto span = net.station_packets(l);
   if (span.empty()) return;
-  // Hook-local scratch (queue snapshot, delay column, sort order) lives
-  // in the scratch arena: reclaimed wholesale when the enclosing
-  // top-level hook resets it, zero steady-state heap traffic.
-  ArenaVector<PacketId> queue(span.begin(), span.end(),
-                              ArenaAllocator<PacketId>(arena_));
   const double now = net.now();
   // One conditional-distribution fill covers every packet of the offer:
   // the loop below reads P(next-hop | n's context) per packet, and n's
@@ -457,37 +424,36 @@ void DtnFlowRouter::offer_packets_to_node(Network& net, LandmarkId l,
                               : 1.0;
   // §IV-D.5 forwarding priority: packets whose expected delay fits the
   // remaining TTL first, by smallest remaining TTL.  Both sort keys are
-  // precomputed into packed columns: the comparator then reads two
-  // doubles and a flag instead of chasing the packet store per
-  // comparison.  The comparator's decisions are unchanged, so the
-  // resulting permutation is bit-identical to the old in-comparator
-  // recomputation.
-  ArenaVector<double> route_delay(queue.size(),
-                                  ArenaAllocator<double>(arena_));
-  ArenaVector<double> ttl_left(queue.size(), ArenaAllocator<double>(arena_));
-  ArenaVector<std::uint8_t> eligible(queue.size(),
-                                     ArenaAllocator<std::uint8_t>(arena_));
-  for (std::size_t i = 0; i < queue.size(); ++i) {
-    const Packet& p = net.packet(queue[i]);
-    route_delay[i] = landmarks_[l].table->delay_to(p.dst);
-    ttl_left[i] = p.remaining_ttl(now);
-    eligible[i] = route_delay[i] <= ttl_left[i] ? 1 : 0;
+  // precomputed, so the comparator reads a flag and a double instead of
+  // chasing the packet store per comparison.  The comparator's decisions
+  // are unchanged, so the resulting permutation is bit-identical to the
+  // old in-comparator recomputation.  The copy also snapshots the queue,
+  // which the handovers below shrink.
+  struct Offer {
+    bool eligible;
+    double ttl_left;
+    PacketId pid;
+  };
+  std::vector<Offer> offers;
+  offers.reserve(span.size());
+  for (const PacketId pid : span) {
+    const Packet& p = net.packet(pid);
+    const double ttl_left = p.remaining_ttl(now);
+    offers.push_back(
+        {landmarks_[l].table->delay_to(p.dst) <= ttl_left, ttl_left, pid});
   }
-  ArenaVector<std::size_t> order(queue.size(),
-                                 ArenaAllocator<std::size_t>(arena_));
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (eligible[a] != eligible[b]) return eligible[a] != 0;
-    return ttl_left[a] < ttl_left[b];
+  std::sort(offers.begin(), offers.end(), [](const Offer& a, const Offer& b) {
+    if (a.eligible != b.eligible) return a.eligible;
+    return a.ttl_left < b.ttl_left;
   });
 
   std::size_t handed = 0;
-  for (const std::size_t i : order) {
+  for (const Offer& offer : offers) {
     if (cfg_.max_downloads_per_arrival != 0 &&
         handed >= cfg_.max_downloads_per_arrival) {
       break;
     }
-    const PacketId pid = queue[i];
+    const PacketId pid = offer.pid;
     Packet& p = net.packet(pid);
     if (p.state != net::PacketState::kAtStation) continue;  // moved already
     if (p.dst == l && p.dst_node != trace::kNoNode) continue;  // waiting here
@@ -522,51 +488,27 @@ void DtnFlowRouter::offer_packets_to_node(Network& net, LandmarkId l,
   }
 }
 
-ArenaVector<PacketId> DtnFlowRouter::upload_packets(Network& net, NodeId n,
+std::vector<PacketId> DtnFlowRouter::upload_packets(Network& net, NodeId n,
                                                     LandmarkId l,
                                                     bool force_all,
                                                     std::size_t max_count,
                                                     bool only_reached_hop) {
-  ArenaVector<PacketId> uploaded{ArenaAllocator<PacketId>(arena_)};
-  const auto carried = net.node_packets(n);
-  ArenaVector<PacketId> to_check(carried.begin(), carried.end(),
-                                 ArenaAllocator<PacketId>(arena_));
+  std::vector<PacketId> uploaded;
   // Most-urgent-first upload order (§IV-D.5): smallest remaining TTL.
-  // The key is precomputed per packet; sorting (key, pid) pairs makes
-  // the same comparator decisions as the old by-pid sort with
-  // in-comparator TTL recomputation, so the order is bit-identical.
-  // Keys are computed as a gather of deadlines followed by a blockwise
-  // `deadline - now`: the per-lane IEEE subtraction is the exact
-  // operation remaining_ttl(now) performs, so key values — and the
-  // sort order they induce — are unchanged.
+  // The key `deadline - now` is exactly what remaining_ttl(now) computes;
+  // sorting (key, pid) pairs makes the same comparator decisions as a
+  // by-pid sort with in-comparator TTL recomputation.  The sorted copy
+  // also outlives the uploads, which shrink the node's packet list.
   const double now = net.now();
-  const std::size_t m = to_check.size();
-  ArenaVector<double> ttl_keys{ArenaAllocator<double>(arena_)};
-  ttl_keys.resize(m);
-  for (std::size_t k = 0; k < m; ++k) {
-    ttl_keys[k] = net.packet(to_check[k]).deadline();
-  }
-  std::size_t k = 0;
-#if defined(__GNUC__) && !defined(DTN_SIMD_SCALAR)
-  if (simd::kEnabled && !simd::scalar_forced()) {
-    const simd::VDouble vnow = simd::broadcast(now);
-    for (; k + simd::kDoubleLanes <= m; k += simd::kDoubleLanes) {
-      simd::storeu(ttl_keys.data() + k,
-                   simd::loadu(ttl_keys.data() + k) - vnow);
-    }
-  }
-#endif
-  for (; k < m; ++k) ttl_keys[k] -= now;
-  ArenaVector<std::pair<double, PacketId>> keyed{
-      ArenaAllocator<std::pair<double, PacketId>>(arena_)};
-  keyed.reserve(m);
-  for (std::size_t j = 0; j < m; ++j) {
-    keyed.emplace_back(ttl_keys[j], to_check[j]);
+  const auto carried = net.node_packets(n);
+  std::vector<std::pair<double, PacketId>> keyed;
+  keyed.reserve(carried.size());
+  for (const PacketId pid : carried) {
+    keyed.emplace_back(net.packet(pid).deadline() - now, pid);
   }
   std::sort(keyed.begin(), keyed.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (std::size_t i = 0; i < keyed.size(); ++i) to_check[i] = keyed[i].second;
-  for (const PacketId pid : to_check) {
+  for (const auto& [key, pid] : keyed) {
     if (max_count != 0 && uploaded.size() >= max_count) break;
     Packet& p = net.packet(pid);
     bool upload = force_all;
@@ -615,7 +557,6 @@ bool DtnFlowRouter::landmark_uploading_mode(LandmarkId l) const {
 }
 
 void DtnFlowRouter::on_arrival(Network& net, NodeId node, LandmarkId l) {
-  arena_.reset();  // top-level hook entry (util/arena.hpp lifetime rule)
   NodeState& ns = nodes_[node];
   const LandmarkId prev = net.previous_landmark(node);
   // The present set (and the newcomer's prediction state, below) is
@@ -942,7 +883,6 @@ void DtnFlowRouter::on_contact(Network& net, NodeId arriving, NodeId present,
                                LandmarkId l) {
   (void)l;
   if (!cfg_.node_to_node_relay) return;
-  arena_.reset();  // top-level hook entry (util/arena.hpp lifetime rule)
   // Suitability vectors travel both ways (accounted like the baselines').
   net.account_control(2.0 * static_cast<double>(net.num_landmarks()));
   relay_between_nodes(net, arriving, present);
@@ -952,8 +892,7 @@ void DtnFlowRouter::on_contact(Network& net, NodeId arriving, NodeId present,
 void DtnFlowRouter::relay_between_nodes(Network& net, NodeId from,
                                         NodeId to) {
   const auto carried = net.node_packets(from);
-  const ArenaVector<PacketId> pids(carried.begin(), carried.end(),
-                                   ArenaAllocator<PacketId>(arena_));
+  const std::vector<PacketId> pids(carried.begin(), carried.end());
   for (const PacketId pid : pids) {
     const Packet& p = net.packet(pid);
     if (!net.node_buffer(to).has_space(p.size_kb)) continue;
@@ -976,7 +915,6 @@ void DtnFlowRouter::relay_between_nodes(Network& net, NodeId from,
 }
 
 void DtnFlowRouter::on_time_unit(Network& net, std::size_t unit_index) {
-  arena_.reset();  // top-level hook entry (util/arena.hpp lifetime rule)
   for (const auto& inj : cfg_.loop_injections) {
     if (inj.at_unit == unit_index) inject_loop(inj.dst, inj.cycle);
   }

@@ -43,7 +43,6 @@
 #include "net/network.hpp"
 #include "net/router.hpp"
 #include "util/annotations.hpp"
-#include "util/arena.hpp"
 #include "util/flat_matrix.hpp"
 
 namespace dtn::core {
@@ -175,7 +174,7 @@ class DtnFlowRouter final : public net::Router {
                   net::LandmarkId l) override;
   void on_departure(net::Network& net, net::NodeId node,
                     net::LandmarkId l) override;
-  /// Batched contact dispatch (docs/simd-hot-path.md): prepay the
+  /// Batched contact dispatch (docs/event-engine.md): prepay the
   /// present-epoch advance for a whole same-(time, l) departure batch
   /// so on_departure skips its per-node bump; serialized epoch values
   /// stay identical to unbatched replay.  The prepaid balance is always
@@ -229,13 +228,6 @@ class DtnFlowRouter final : public net::Router {
   void inject_loop(net::LandmarkId dst,
                    std::span<const net::LandmarkId> cycle);
 
-  /// Test-only fault injection for the auditor's negative tests: skew
-  /// the scratch arena's incremental byte counter (the accounting-drift
-  /// bug class `Arena::check` exists to catch).
-  void debug_corrupt_arena_accounting_for_test() {
-    arena_.debug_corrupt_accounting_for_test();
-  }
-
   /// Test-only fault injection: desynchronize one column of a *valid*
   /// carrier-cache entry without bumping the present epoch (the
   /// SoA-mirror bug class — a score column updated without its
@@ -274,10 +266,9 @@ class DtnFlowRouter final : public net::Router {
   /// The present nodes' cached suitability as carriers toward a given
   /// target landmark, snapshotted in present order (the scan order the
   /// deterministic-replay contract fixes).  Structure-of-arrays: each
-  /// score component is one contiguous column, so the refinement sweep
-  /// in carrier_scores and the dispatch scans read packed doubles
-  /// instead of striding over an array of structs
-  /// (docs/simd-hot-path.md).  Valid iff `epoch` matches the owning
+  /// score component is one contiguous column, so the dispatch scans
+  /// read packed doubles instead of striding over an array of structs
+  /// (docs/routing-hot-path.md).  Valid iff `epoch` matches the owning
   /// landmark's present_epoch.
   struct CarrierScores {
     std::uint64_t epoch = 0;
@@ -363,10 +354,8 @@ class DtnFlowRouter final : public net::Router {
   /// Upload from node to station per the step-5 rules; returns uploaded
   /// packet ids.  `max_count` 0 = unlimited; `only_reached_hop`
   /// restricts to packets whose chosen next hop is this landmark
-  /// (forwarding-mode uplink restriction, §IV-D.5).  The returned list
-  /// lives in the scratch arena — valid until the enclosing top-level
-  /// hook returns (util/arena.hpp lifetime rule).
-  ArenaVector<net::PacketId> upload_packets(net::Network& net, net::NodeId n,
+  /// (forwarding-mode uplink restriction, §IV-D.5).
+  std::vector<net::PacketId> upload_packets(net::Network& net, net::NodeId n,
                                             net::LandmarkId l, bool force_all,
                                             std::size_t max_count = 0,
                                             bool only_reached_hop = false);
@@ -420,11 +409,6 @@ class DtnFlowRouter final : public net::Router {
   /// offer_packets_to_node; avoids a vector allocation per offer).
   DTN_CKPT_SKIP("scratch, rebuilt empty on resume")
   std::vector<double> distribution_scratch_;
-  /// Scratch arena for hook-local vector churn (offer queues, sort
-  /// orders, upload lists; util/arena.hpp).  Reset at top-level hook
-  /// entry; hooks never nest, so nothing outlives its hook.
-  DTN_CKPT_SKIP("per-hook scratch arena, rewound on resume")
-  Arena arena_;
   /// Present-epoch advances prepaid by on_departure_batch_begin and
   /// consumed by on_departure.  Always zero at event boundaries —
   /// audited, never serialized.

@@ -6,7 +6,6 @@
 #include "persist/serializer.hpp"
 #include "sim/invariant_auditor.hpp"
 #include "util/assert.hpp"
-#include "util/simd.hpp"
 
 namespace dtn::core {
 
@@ -152,27 +151,6 @@ void MarkovPredictor::next_distribution(std::vector<double>& out) const {
   const SuccRow& succ = successors_[current_ctx_];
   const auto total = static_cast<double>(context_count_[current_ctx_]);
   const std::size_t n = succ.size();
-#if defined(__GNUC__) && !defined(DTN_SIMD_SCALAR)
-  if (simd::kEnabled && !simd::scalar_forced() && n >= simd::kDoubleLanes) {
-    // SoA pass: convert + divide the contiguous count column a vector
-    // at a time (per-lane u32->f64 convert and divide are exactly the
-    // scalar results), then scatter through the landmark column.
-    const simd::VDouble vtotal = simd::broadcast(total);
-    double probs[simd::kDoubleLanes];
-    std::size_t i = 0;
-    for (; i + simd::kDoubleLanes <= n; i += simd::kDoubleLanes) {
-      simd::VU32 counts = simd::loadu_u32(&succ.count[i]);
-      simd::storeu(probs, simd::to_double(counts) / vtotal);
-      for (std::size_t j = 0; j < simd::kDoubleLanes; ++j) {
-        out[succ.landmark[i + j]] = probs[j];
-      }
-    }
-    for (; i < n; ++i) {
-      out[succ.landmark[i]] = static_cast<double>(succ.count[i]) / total;
-    }
-    return;
-  }
-#endif
   for (std::size_t i = 0; i < n; ++i) {
     out[succ.landmark[i]] = static_cast<double>(succ.count[i]) / total;
   }

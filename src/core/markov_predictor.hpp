@@ -63,7 +63,7 @@ class MarkovPredictor {
   // The four query entry points below are defined in-class: the replay
   // hot loop calls them once per (carrier, destination) pair, so the
   // call itself must inline down to a handful of array reads
-  // (docs/simd-hot-path.md).
+  // (docs/routing-hot-path.md).
 
   /// True when the current context has been seen before (a prediction
   /// can be made).
@@ -138,8 +138,8 @@ class MarkovPredictor {
  private:
   /// Successors observed after some context, with their (k+1)-gram
   /// counts N(c . l), in first-observation order.  Structure-of-arrays:
-  /// the count column is contiguous so `next_distribution` can sweep it
-  /// with SIMD (docs/simd-hot-path.md); checkpoints still serialize the
+  /// `next_distribution` sweeps the contiguous count column in one plain
+  /// loop (docs/routing-hot-path.md); checkpoints still serialize the
   /// row interleaved (landmark, count) pairwise, so the byte layout is
   /// unchanged from the array-of-structs era.
   struct SuccRow {

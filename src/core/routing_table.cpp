@@ -8,7 +8,6 @@
 #include "persist/serializer.hpp"
 #include "sim/invariant_auditor.hpp"
 #include "util/assert.hpp"
-#include "util/simd.hpp"
 
 namespace dtn::core {
 
@@ -92,42 +91,31 @@ bool RoutingTable::merge(const DistanceVector& dv, double now) {
   const LandmarkId origin = dv.origin;
   double* row = advertised_.row_ptr(origin);
   const double* in = dv.delay.data();
-  // Apply one incoming cell: the advertised matrix and the column's
-  // route move together.
+  // Cells are visited in ascending destination order; the advertised
+  // matrix and the column's route move together.  A neighbor advertises
+  // delay 0 to itself regardless of payload.
   const auto apply = [&](std::size_t d, double incoming) {
     if (row[d] != incoming) {
       row[d] = incoming;
       update_cell(origin, static_cast<LandmarkId>(d));
     }
   };
-#if defined(__GNUC__) && !defined(DTN_SIMD_SCALAR)
-  if (simd::kEnabled && !simd::scalar_forced()) {
-    // Vectorized changed-cell scan: compare a whole block at a time and
-    // fall back to per-cell application only inside blocks that differ.
-    // Cells are visited in ascending destination order either way, so
-    // columns are updated and marked in exactly the serial order.
-    const auto sweep = [&](std::size_t lo, std::size_t hi) {
-      std::size_t d = lo;
-      for (; d + simd::kDoubleLanes <= hi; d += simd::kDoubleLanes) {
-        const simd::VMask diff = simd::loadu(row + d) != simd::loadu(in + d);
-        if (!simd::any(diff)) continue;
-        for (std::size_t j = d; j < d + simd::kDoubleLanes; ++j) {
-          apply(j, in[j]);
-        }
-      }
-      for (; d < hi; ++d) apply(d, in[d]);
-    };
-    // A neighbor advertises delay 0 to itself regardless of payload, so
-    // the origin cell splits the row into two plain compare segments.
-    sweep(0, origin);
-    apply(origin, 0.0);
-    sweep(origin + 1, n);
-    return true;
-  }
-#endif
-  for (std::size_t d = 0; d < n; ++d) {
-    apply(d, d == origin ? 0.0 : in[d]);
-  }
+  // Most merges change a handful of cells, so unchanged cells are
+  // skipped four at a time: `&` (not `&&`) keeps the block test to one
+  // branch, which BM_RoutingTableRecompute needs to stay inside its gate.
+  const auto sweep = [&](std::size_t lo, std::size_t hi) {
+    std::size_t d = lo;
+    for (; d + 4 <= hi; d += 4) {
+      const bool same = (row[d] == in[d]) & (row[d + 1] == in[d + 1]) &
+                        (row[d + 2] == in[d + 2]) & (row[d + 3] == in[d + 3]);
+      if (same) continue;
+      for (std::size_t j = d; j < d + 4; ++j) apply(j, in[j]);
+    }
+    for (; d < hi; ++d) apply(d, in[d]);
+  };
+  sweep(0, origin);
+  apply(origin, 0.0);
+  sweep(origin + 1, n);
   return true;
 }
 

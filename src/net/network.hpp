@@ -62,7 +62,7 @@ struct WorkloadConfig {
   /// >0 runs the invariant auditor every N dispatched events during the
   /// replay, at the first batch boundary once N events have passed
   /// (a same-(time, landmark) contact run is dispatched as one batch,
-  /// docs/simd-hot-path.md); see invariant_auditor.hpp.  DTN_AUDIT /
+  /// docs/event-engine.md); see invariant_auditor.hpp.  DTN_AUDIT /
   /// DTN_AUDIT_PERIOD in the environment also enable it.  0 = disabled
   /// (default).
   std::uint64_t audit_period_events = 0;
@@ -338,7 +338,7 @@ class Network {
   void handle_arrival(const trace::Visit& visit);
   void handle_departure(const trace::Visit& visit);
 
-  // -- batched contact dispatch (docs/simd-hot-path.md) -----------------
+  // -- batched contact dispatch (docs/event-engine.md) ------------------
   /// Depart every visit in `visits` (all same (time, landmark),
   /// consecutive in the merged event order) with the exact per-node
   /// hook -> erase interleaving of repeated handle_departure calls, but

@@ -33,7 +33,7 @@ class FlatMatrix {
 
   void fill(const T& value) { std::fill(data_.begin(), data_.end(), value); }
 
-  /// Contiguous row access for vectorized sweeps (docs/simd-hot-path.md).
+  /// Contiguous row access for whole-row sweeps (RoutingTable::merge).
   [[nodiscard]] T* row_ptr(std::size_t r) {
     DTN_ASSERT(r < rows_);
     return data_.data() + r * cols_;

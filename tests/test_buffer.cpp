@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "persist/serializer.hpp"
 
@@ -64,15 +66,17 @@ TEST(Buffer, PacketsSpanReflectsContents) {
   ASSERT_EQ(span.size(), 2u);
 }
 
-// Loads a Buffer image with the given capacity/byte accounting and no
-// ids (such states can only enter through a checkpoint, which is
-// exactly where adversarial values come from).
-Buffer buffer_from_image(std::uint64_t capacity_kb, std::uint64_t used_kb) {
+// Loads a Buffer image with the given capacity/byte accounting and ids
+// (such states can only enter through a checkpoint, which is exactly
+// where adversarial values come from).
+Buffer buffer_from_image(std::uint64_t capacity_kb, std::uint64_t used_kb,
+                         const std::vector<PacketId>& ids = {}) {
   persist::Writer w;
   w.begin_section("buffer");
   w.u64(capacity_kb);
   w.u64(used_kb);
-  w.u64(0);  // id count
+  w.u64(ids.size());
+  for (const PacketId pid : ids) w.u32(pid);
   w.end_section();
   w.finish();
   auto bytes = w.buffer();
@@ -102,6 +106,48 @@ TEST(Buffer, HasSpaceRejectsOverfullAccounting) {
   // wrapping comparison must not resurrect space.
   const Buffer b = buffer_from_image(10, std::numeric_limits<std::uint64_t>::max());
   EXPECT_FALSE(b.has_space(1));
+}
+
+TEST(Buffer, IndexOfMatchesStdFindAcrossBlockBoundaries) {
+  // The id scan compares 16-id steps, then 4-id blocks, then a scalar
+  // tail; lengths 0-70 put every position in each of the three parts.
+  constexpr PacketId kAbsent = 999;
+  for (std::size_t len = 0; len <= 70; ++len) {
+    std::vector<PacketId> ids;
+    Buffer b(0);
+    for (std::size_t i = 0; i < len; ++i) {
+      ids.push_back(static_cast<PacketId>(7 * i + 3));
+      ASSERT_TRUE(b.add(ids.back(), 1));
+    }
+    EXPECT_EQ(b.index_of(kAbsent), len);
+    EXPECT_FALSE(b.contains(kAbsent));
+    for (std::size_t pos = 0; pos < len; ++pos) {
+      const PacketId pid = ids[pos];
+      const auto expected = static_cast<std::size_t>(
+          std::find(ids.begin(), ids.end(), pid) - ids.begin());
+      ASSERT_EQ(b.index_of(pid), expected) << "len " << len;
+      EXPECT_TRUE(b.contains(pid));
+
+      // A later duplicate (only a checkpoint image can hold one) must
+      // not win over the first occurrence.
+      std::vector<PacketId> dup = ids;
+      dup.back() = pid;
+      EXPECT_EQ(buffer_from_image(0, len, dup).index_of(pid), pos)
+          << "len " << len;
+
+      // remove() is a swap-erase at the found position.
+      Buffer removed = b;
+      removed.remove(pid, 1);
+      std::vector<PacketId> want = ids;
+      want[pos] = want.back();
+      want.pop_back();
+      EXPECT_TRUE(std::equal(want.begin(), want.end(),
+                             removed.packets().begin(),
+                             removed.packets().end()))
+          << "len " << len << " pos " << pos;
+      EXPECT_EQ(removed.used_kb(), len - 1);
+    }
+  }
 }
 
 TEST(BufferDeath, RemovingAbsentPacketRejected) {

@@ -345,18 +345,6 @@ TEST(RoutingTableAudit, DetectsNeighbourListDesync) {
       << report.to_string();
 }
 
-TEST(NetworkAudit, DetectsArenaAccountingDrift) {
-  const auto trace = relay_chain_trace(6.0);
-  DtnFlowRouter router;
-  Network net(trace, router, chain_workload());
-  net.run();
-  router.debug_corrupt_arena_accounting_for_test();
-  AuditReport report;
-  net.audit(report);
-  EXPECT_FALSE(report.ok());
-  EXPECT_TRUE(any_failure_mentions(report, "arena")) << report.to_string();
-}
-
 // Overlapping visit windows (unlike the never-co-located relay chain):
 // node 0 departs landmark 0 while node 1 is still present, so the
 // departure-time dispatch rebuilds carrier scores over a non-empty

@@ -973,7 +973,7 @@ def template_args(type_text: str) -> list[str]:
 SMART_HEADS = ("std::optional", "optional", "std::unique_ptr", "unique_ptr",
                "std::shared_ptr", "shared_ptr")
 SEQ_HEADS = ("std::vector", "vector", "std::array", "array", "std::span",
-             "span", "std::deque", "deque", "ArenaVector", "dtn::ArenaVector")
+             "span", "std::deque", "deque")
 
 
 def smart_pointee(canon: str) -> str | None:
