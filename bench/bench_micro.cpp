@@ -91,11 +91,11 @@ void BM_RoutingTableMerge(benchmark::State& state) {
     table.set_link_delay(static_cast<dtn::trace::LandmarkId>(j),
                          rng.uniform(1.0, 100.0));
   }
-  dtn::core::DistanceVector dv;
-  dv.origin = 1;
-  dv.delay.resize(n);
-  for (auto& d : dv.delay) d = rng.uniform(1.0, 100.0);
-  dv.delay[1] = 0.0;
+  // An unpublished (version 0) payload: every merge sweeps the row.
+  auto delay = std::make_shared<std::vector<double>>(n);
+  for (auto& d : *delay) d = rng.uniform(1.0, 100.0);
+  (*delay)[1] = 0.0;
+  dtn::core::DistanceVector dv{1, 0, delay};
   for (auto _ : state) {
     ++dv.seq;
     benchmark::DoNotOptimize(table.merge(dv));
@@ -119,18 +119,20 @@ void BM_RoutingTableRecompute(benchmark::State& state) {
     table.set_link_delay(static_cast<dtn::trace::LandmarkId>(j),
                          rng.uniform(1.0, 100.0));
   }
-  dtn::core::DistanceVector dv;
-  dv.origin = 1;
-  dv.delay.resize(n);
-  for (auto& d : dv.delay) d = rng.uniform(1.0, 100.0);
-  dv.delay[1] = 0.0;
+  // The payload stays unpublished (version 0) and is edited in place
+  // through `delay`, so every merge sweeps the row, as a drifting vector
+  // from a neighbor would.
+  auto delay = std::make_shared<std::vector<double>>(n);
+  for (auto& d : *delay) d = rng.uniform(1.0, 100.0);
+  (*delay)[1] = 0.0;
+  dtn::core::DistanceVector dv{1, 0, delay};
   // Warm the table so the loop below never pays first-touch costs.
   (void)table.merge(dv);
   (void)table.route(2);
   std::size_t k = 2;
   for (auto _ : state) {
     ++dv.seq;
-    dv.delay[k] += 0.25;  // one destination's advertisement drifts
+    (*delay)[k] += 0.25;  // one destination's advertisement drifts
     benchmark::DoNotOptimize(table.merge(dv));
     benchmark::DoNotOptimize(
         table.route(static_cast<dtn::trace::LandmarkId>(k)));
@@ -140,6 +142,7 @@ void BM_RoutingTableRecompute(benchmark::State& state) {
 BENCHMARK(BM_RoutingTableRecompute)->Arg(18)->Arg(159);
 
 void BM_RoutingTableSnapshot(benchmark::State& state) {
+  // An unchanged table: every snapshot shares the published payload.
   const std::size_t n = 159;
   dtn::core::RoutingTable table(0, n);
   dtn::Rng rng(5);
@@ -152,6 +155,29 @@ void BM_RoutingTableSnapshot(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RoutingTableSnapshot);
+
+void BM_RoutingTableSnapshotDirty(benchmark::State& state) {
+  // One link changes before every snapshot: the full-table recompute,
+  // the content check and the republish of a fresh payload.
+  const std::size_t n = 159;
+  dtn::core::RoutingTable table(0, n);
+  dtn::Rng rng(5);
+  for (std::size_t j = 1; j < n; ++j) {
+    table.set_link_delay(static_cast<dtn::trace::LandmarkId>(j),
+                         rng.uniform(1.0, 100.0));
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    // Each link rises by 0.25 on one pass over the links, falls back on
+    // the next.
+    const auto link = static_cast<dtn::trace::LandmarkId>(1 + i % (n - 1));
+    const double step = (i / (n - 1)) % 2 == 0 ? 0.25 : -0.25;
+    table.set_link_delay(link, table.link_delay(link) + step);
+    benchmark::DoNotOptimize(table.snapshot());
+    ++i;
+  }
+}
+BENCHMARK(BM_RoutingTableSnapshotDirty);
 
 void BM_CarrierSelect(benchmark::State& state) {
   // Carrier-selection-dominated end-to-end run: few landmarks, dense

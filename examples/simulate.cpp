@@ -23,9 +23,10 @@
 // snapshots and exits with status 3 after N events — a deterministic
 // stand-in for kill -9 used by the CI round-trip smoke.
 //
-// Bad input (an unknown --kind, --router or --fault-* option, a count
-// below the generator's minimum, a non-positive --days) exits with
-// status 2 and a one-line message, like CliOptions' own usage errors.
+// Bad input (an unknown option, an unknown --kind, --router or --fault-*
+// name, a count below the generator's minimum, a non-positive --days)
+// exits with status 2 and a one-line message, like CliOptions' own
+// usage errors.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -309,6 +310,16 @@ int run(const dtn::CliOptions& opts) {
 
 int main(int argc, char** argv) {
   const dtn::CliOptions opts(argc, argv, {"serve", "store-dedup"});
+  // fault-* keys are checked by fault_plan_from_cli, which names the
+  // family in its message.
+  opts.reject_unknown(
+      "simulate",
+      {"kind", "input", "nodes", "buses", "landmarks", "districts",
+       "communities", "days", "seed", "router", "replicates", "rate",
+       "ttl-days", "memory", "unit-days", "warmup", "station-memory",
+       "store-policy", "store-dedup", "spill-dir", "out", "serve",
+       "checkpoint-dir", "checkpoint-every-events", "checkpoint-every-days",
+       "checkpoint-keep", "serve-exit-after-events", "fault-*"});
   try {
     return run(opts);
   } catch (const std::invalid_argument& e) {

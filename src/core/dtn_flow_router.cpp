@@ -987,7 +987,7 @@ void DtnFlowRouter::checkpoint_save(persist::Writer& w) const {
     if (ns.carried_dv.has_value()) {
       w.u32(ns.carried_dv->origin);
       w.u64(ns.carried_dv->seq);
-      persist::write_vec(w, ns.carried_dv->delay);
+      persist::write_vec(w, ns.carried_dv->delay());
     }
     w.boolean(ns.carried_token.has_value());
     if (ns.carried_token.has_value()) {
@@ -1054,16 +1054,16 @@ void DtnFlowRouter::checkpoint_load(persist::Reader& r, Network& net) {
     ns.predicted_from = r.u32();
     ns.arrived_at = r.f64();
     if (r.boolean()) {
-      DistanceVector dv;
-      dv.origin = r.u32();
-      dv.seq = r.u64();
-      persist::read_vec(r, dv.delay);
-      if (dv.origin >= landmarks_.size() ||
-          dv.delay.size() != landmarks_.size()) {
+      const LandmarkId origin = r.u32();
+      const std::uint64_t seq = r.u64();
+      std::vector<double> delay;
+      persist::read_vec(r, delay);
+      if (origin >= landmarks_.size() || delay.size() != landmarks_.size()) {
         throw persist::FormatError(
             "checkpoint router section: malformed carried distance vector");
       }
-      ns.carried_dv = std::move(dv);
+      // Restored unpublished (version 0): its first merge sweeps.
+      ns.carried_dv.emplace(origin, seq, std::move(delay));
     } else {
       ns.carried_dv.reset();
     }

@@ -1,6 +1,7 @@
 #include "core/routing_table.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <string>
 
@@ -21,7 +22,8 @@ RoutingTable::RoutingTable(LandmarkId self, std::size_t num_landmarks)
       pinned_(num_landmarks, 0),
       pin_route_(num_landmarks),
       routes_(num_landmarks),
-      column_dirty_(num_landmarks, 0) {
+      column_dirty_(num_landmarks, 0),
+      applied_version_(num_landmarks, 0) {
   DTN_ASSERT(self < num_landmarks);
   // A neighbor always advertises delay 0 to itself even before we have
   // merged anything from it (direct links are usable immediately).
@@ -42,6 +44,7 @@ std::vector<LandmarkId> RoutingTable::finite_links() const {
 
 void RoutingTable::mark_dirty(LandmarkId dst) {
   dirty_ = true;
+  publish_stale_ = true;
   if (all_dirty_ || column_dirty_[dst] != 0) return;
   column_dirty_[dst] = 1;
   dirty_columns_.push_back(dst);
@@ -49,6 +52,7 @@ void RoutingTable::mark_dirty(LandmarkId dst) {
 
 void RoutingTable::mark_all_dirty() {
   dirty_ = true;
+  publish_stale_ = true;
   all_dirty_ = true;
 }
 
@@ -81,16 +85,22 @@ double RoutingTable::link_delay(LandmarkId neighbor) const {
 
 bool RoutingTable::merge(const DistanceVector& dv, double now) {
   DTN_ASSERT(dv.origin < link_delay_.size());
-  DTN_ASSERT(dv.delay.size() == link_delay_.size());
+  DTN_ASSERT(dv.payload != nullptr && dv.entries() == link_delay_.size());
   if (dv.origin == self_) return false;
   if (dv.seq + 1 <= last_seq_[dv.origin]) return false;  // stale
   last_seq_[dv.origin] = dv.seq + 1;
   advertised_time_[dv.origin] = now;
   expired_[dv.origin] = 0;  // a fresh vector revives a withdrawn origin
-  const std::size_t n = dv.delay.size();
+  // The row already holds this exact payload (ids are never reused, and
+  // every other write to the row forgets the id): nothing can change.
+  if (dv.version != 0 && applied_version_[dv.origin] == dv.version) {
+    return true;
+  }
+  applied_version_[dv.origin] = dv.version;
+  const std::size_t n = dv.entries();
   const LandmarkId origin = dv.origin;
   double* row = advertised_.row_ptr(origin);
-  const double* in = dv.delay.data();
+  const double* in = dv.delay().data();
   // Cells are visited in ascending destination order; the advertised
   // matrix and the column's route move together.  A neighbor advertises
   // delay 0 to itself regardless of payload.
@@ -192,6 +202,7 @@ Route RoutingTable::compute_column(LandmarkId dst) const {
 }
 
 void RoutingTable::update_cell(LandmarkId v, LandmarkId dst) {
+  publish_stale_ = true;
   // Dirty columns are rescanned anyway, and the self route never moves.
   if (all_dirty_ || column_dirty_[dst] != 0 || dst == self_) return;
   Route& r = routes_[dst];
@@ -248,17 +259,42 @@ Route RoutingTable::route(LandmarkId dst) const {
 
 double RoutingTable::delay_to(LandmarkId dst) const { return route(dst).delay; }
 
+namespace {
+
+/// Process-unique payload ids, never 0.  Which id a payload gets has no
+/// effect on any result; uniqueness is all a merge memo relies on.
+std::uint64_t next_payload_version() {
+  static std::atomic<std::uint64_t> last{0};
+  return last.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
+}  // namespace
+
+void RoutingTable::publish() {
+  publish_stale_ = false;
+  const std::size_t n = routes_.size();
+  const auto advertised = [this](std::size_t d) {
+    return d == self_ ? 0.0 : routes_[d].delay;
+  };
+  if (published_ != nullptr) {
+    const std::vector<double>& current = *published_;
+    std::size_t d = 0;
+    while (d < n && std::bit_cast<std::uint64_t>(current[d]) ==
+                        std::bit_cast<std::uint64_t>(advertised(d))) {
+      ++d;
+    }
+    if (d == n) return;  // same content, same id
+  }
+  auto fresh = std::make_shared<std::vector<double>>(n);
+  for (std::size_t d = 0; d < n; ++d) (*fresh)[d] = advertised(d);
+  published_ = std::move(fresh);
+  published_version_ = next_payload_version();
+}
+
 DistanceVector RoutingTable::snapshot() {
   recompute();
-  DistanceVector dv;
-  dv.origin = self_;
-  dv.seq = seq_++;
-  dv.delay.resize(link_delay_.size());
-  for (std::size_t d = 0; d < dv.delay.size(); ++d) {
-    dv.delay[d] = routes_[d].delay;
-  }
-  dv.delay[self_] = 0.0;
-  return dv;
+  if (publish_stale_) publish();
+  return DistanceVector(self_, seq_++, published_, published_version_);
 }
 
 double RoutingTable::coverage() const {
@@ -295,6 +331,7 @@ std::size_t RoutingTable::expire_stale(double cutoff) {
     for (std::size_t d = 0; d < n; ++d) {
       advertised_.at(o, d) = kInfiniteDelay;
     }
+    applied_version_[o] = 0;  // the row no longer holds that payload
     expired_[o] = 1;
     ++expired;
   }
@@ -414,6 +451,7 @@ void RoutingTable::debug_corrupt_advertised_for_test(LandmarkId origin,
   DTN_ASSERT(origin < link_delay_.size());
   DTN_ASSERT(dst < link_delay_.size());
   advertised_.at(origin, dst) = delay;  // deliberately NOT marked dirty
+  applied_version_[origin] = 0;
 }
 
 void RoutingTable::debug_toggle_neighbour_for_test(LandmarkId v) {
@@ -479,6 +517,11 @@ void RoutingTable::save(persist::Writer& w) const {
 }
 
 void RoutingTable::load(persist::Reader& r) {
+  // The merge memo describes the rows being overwritten (even by a load
+  // that throws halfway), and the routes may no longer match what was
+  // published.
+  publish_stale_ = true;
+  std::fill(applied_version_.begin(), applied_version_.end(), 0);
   const std::size_t n = link_delay_.size();
   if (r.u32() != self_ || r.u64() != n) {
     throw persist::FormatError(

@@ -29,6 +29,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "trace/trace.hpp"
@@ -52,13 +53,36 @@ using trace::kNoLandmark;
 inline constexpr double kInfiniteDelay = std::numeric_limits<double>::infinity();
 
 /// The vector a landmark advertises to its neighbors: its own best
-/// expected delay to every destination.
+/// expected delay to every destination.  The delays sit in a shared,
+/// immutable payload, so every carrier of one table version holds the
+/// same one; `version` names that payload (docs/routing-hot-path.md,
+/// "Publish-once distance vectors").  Version 0 — a hand-built vector or
+/// one restored from a checkpoint — is never taken for an applied one.
 struct DistanceVector {
+  using Payload = std::shared_ptr<const std::vector<double>>;
+
+  DistanceVector() = default;
+  /// A fresh, unpublished (version 0) payload holding `delays`.
+  DistanceVector(LandmarkId from, std::uint64_t sequence,
+                 std::vector<double> delays)
+      : origin(from),
+        seq(sequence),
+        payload(std::make_shared<const std::vector<double>>(
+            std::move(delays))) {}
+  /// Share an existing payload.  A nonzero `id` must name exactly this
+  /// content for as long as the payload lives; only
+  /// RoutingTable::snapshot hands them out.
+  DistanceVector(LandmarkId from, std::uint64_t sequence, Payload shared,
+                 std::uint64_t id = 0)
+      : origin(from), seq(sequence), payload(std::move(shared)), version(id) {}
+
   LandmarkId origin = kNoLandmark;
   std::uint64_t seq = 0;
-  std::vector<double> delay;  // per destination; delay[origin] == 0
+  Payload payload;  // per destination; delay()[origin] == 0
+  std::uint64_t version = 0;
 
-  [[nodiscard]] std::size_t entries() const { return delay.size(); }
+  [[nodiscard]] const std::vector<double>& delay() const { return *payload; }
+  [[nodiscard]] std::size_t entries() const { return payload->size(); }
 };
 
 struct Route {
@@ -85,7 +109,9 @@ class RoutingTable {
   /// Merge a neighbor's advertised vector; returns false when the
   /// vector is stale (or self-originated) and was discarded.  `now`
   /// stamps the origin's row for the staleness expiry below (callers
-  /// without a clock pass the default and never expire anything).
+  /// without a clock pass the default and never expire anything).  A
+  /// fresh vector carrying the version last applied from its origin
+  /// only stamps the row: its cells already hold that payload.
   bool merge(const DistanceVector& dv, double now = 0.0);
 
   // -- graceful degradation under faults (docs/fault-injection.md) ------
@@ -107,7 +133,12 @@ class RoutingTable {
   [[nodiscard]] double delay_to(LandmarkId dst) const;
 
   /// Produce the vector to advertise; each call increments the sequence
-  /// number (one snapshot per carrying node).
+  /// number (one snapshot per carrying node).  The delays are published
+  /// once per table version: while no merge, link, pin or expiry change
+  /// has touched the routes since the last publish, every snapshot
+  /// shares that payload and its version id.  A change re-checks the
+  /// routes and republishes under a fresh id only when some advertised
+  /// delay differs bit for bit, so equal content keeps its id.
   [[nodiscard]] DistanceVector snapshot();
 
   /// Fraction of other landmarks with a finite-delay route (Fig. 8
@@ -179,6 +210,9 @@ class RoutingTable {
   void mark_dirty(LandmarkId dst);
   /// Mark every column stale (link-delay changes can flip any route).
   void mark_all_dirty();
+  /// Re-check the advertised delays against the published payload and
+  /// publish a new payload under a fresh id when they differ.
+  void publish();
 
   LandmarkId self_;
   std::vector<double> link_delay_;
@@ -203,6 +237,21 @@ class RoutingTable {
   mutable std::vector<LandmarkId> dirty_columns_;
   mutable bool all_dirty_ = true;
   mutable bool dirty_ = true;
+
+  /// Publish-once advertisement: the payload snapshot() hands out and
+  /// its process-unique id, a cache of routes_ re-checked after a load.
+  DTN_CKPT_SKIP("publish cache; load marks it for a re-check")
+  DistanceVector::Payload published_;
+  DTN_CKPT_SKIP("id of the publish cache; kept with its payload on load")
+  std::uint64_t published_version_ = 0;
+  /// Set by every change that may move an advertised delay (update_cell,
+  /// mark_dirty, mark_all_dirty, load); snapshot() re-checks only then.
+  DTN_CKPT_SKIP("publish cache flag; load sets it to force a re-check")
+  bool publish_stale_ = true;
+  /// Per origin, the version whose payload the advertised row holds (0:
+  /// unknown).  A hit skips the merge sweep; a miss only costs it.
+  DTN_CKPT_SKIP("merge-skip memo; load clears it, costing one sweep each")
+  std::vector<std::uint64_t> applied_version_;
 };
 
 }  // namespace dtn::core

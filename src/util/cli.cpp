@@ -103,6 +103,24 @@ bool CliOptions::full_scale() const { return get("scale", "quick") == "full"; }
 
 std::string CliOptions::csv_dir() const { return get("csv", ""); }
 
+void CliOptions::reject_unknown(const std::string& program,
+                                const std::vector<std::string>& accepted) const {
+  for (const auto& [key, value] : values_) {
+    const bool known = std::any_of(
+        accepted.begin(), accepted.end(), [&key](const std::string& entry) {
+          if (!entry.empty() && entry.back() == '*') {
+            return key.rfind(entry.substr(0, entry.size() - 1), 0) == 0;
+          }
+          return key == entry;
+        });
+    if (!known) {
+      std::fprintf(stderr, "%s: unknown option --%s\n", program.c_str(),
+                   key.c_str());
+      std::exit(2);
+    }
+  }
+}
+
 std::vector<std::string> CliOptions::keys_with_prefix(
     const std::string& prefix) const {
   std::vector<std::string> keys;

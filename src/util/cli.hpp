@@ -1,7 +1,10 @@
 // Tiny command-line option parser shared by benches and examples.
 //
-// Supports `--key value` and `--flag` forms; anything unrecognised is an
-// error so typos in sweep scripts fail loudly.
+// Supports `--key=value`, `--key value` and `--flag` forms.  Malformed
+// input — a positional argument, a trailing key without its value, a
+// value that is not the number a getter asks for — exits with status 2.
+// Keys are not checked by default: a misspelt option is ignored unless
+// the binary lists its accepted keys through reject_unknown().
 #pragma once
 
 #include <cstdint>
@@ -33,6 +36,13 @@ class CliOptions {
 
   /// Directory for CSV mirrors ("" disables CSV output).
   [[nodiscard]] std::string csv_dir() const;
+
+  /// Exit with status 2 and "<program>: unknown option --KEY" when a
+  /// parsed key is not in `accepted`.  An entry ending in '*' accepts
+  /// every key with that prefix: a family whose own parser reports its
+  /// typos (e.g. "fault-*").
+  void reject_unknown(const std::string& program,
+                      const std::vector<std::string>& accepted) const;
 
   /// All parsed option keys starting with `prefix`, in sorted order
   /// (lets grouped parsers like the --fault-* family reject typos).

@@ -100,5 +100,24 @@ TEST(CliOptionsDeathTest, MalformedSeedIsRejected) {
   expect_rejected("99999999999999999999");
 }
 
+// Keys are only checked when a binary opts in with its accepted list.
+TEST(CliOptions, UnknownKeysPassUnlessRejected) {
+  const auto opts = parse({"--rate", "5", "--fault-seed", "3", "--typo", "1"});
+  EXPECT_EQ(opts.get("typo", ""), "1");
+  const auto known = parse({"--rate", "5", "--fault-seed", "3", "--dry"},
+                           {"dry"});
+  known.reject_unknown("prog", {"rate", "dry", "fault-*"});  // returns
+}
+
+TEST(CliOptionsDeathTest, UnknownKeyIsRejectedWhenAcceptedKeysAreGiven) {
+  EXPECT_EXIT(parse({"--rate", "5", "--no-such-flag", "7"})
+                  .reject_unknown("prog", {"rate"}),
+              ::testing::ExitedWithCode(2), "prog: unknown option --no-such-flag");
+  // A prefix entry covers its family only, not the bare prefix's
+  // neighbours.
+  EXPECT_EXIT(parse({"--faults", "1"}).reject_unknown("prog", {"fault-*"}),
+              ::testing::ExitedWithCode(2), "prog: unknown option --faults");
+}
+
 }  // namespace
 }  // namespace dtn

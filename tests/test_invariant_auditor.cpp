@@ -189,10 +189,7 @@ RoutingTable converged_table() {
   RoutingTable t(/*self=*/0, /*num_landmarks=*/4);
   t.set_link_delay(1, 10.0);
   t.set_link_delay(2, 100.0);
-  DistanceVector dv;
-  dv.origin = 1;
-  dv.seq = 0;
-  dv.delay = {10.0, 0.0, 25.0, 60.0};
+  const DistanceVector dv{1, 0, {10.0, 0.0, 25.0, 60.0}};
   (void)t.merge(dv);
   (void)t.route(3);  // force a full recompute: every column is clean
   return t;

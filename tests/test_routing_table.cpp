@@ -50,29 +50,23 @@ TEST(RoutingTable, PaperFigureSevenExample) {
   t.set_link_delay(7, 6.0);
   t.set_link_delay(6, 7.0);
   // Prior state: routes to 4 and 9 go through 7 (adv 14 and 28).
-  DistanceVector from7;
-  from7.origin = 7;
-  from7.seq = 0;
-  from7.delay.assign(10, kInfiniteDelay);
-  from7.delay[7] = 0.0;
-  from7.delay[4] = 14.0;
-  from7.delay[9] = 28.0;
-  ASSERT_TRUE(t.merge(from7));
+  std::vector<double> adv7(10, kInfiniteDelay);
+  adv7[7] = 0.0;
+  adv7[4] = 14.0;
+  adv7[9] = 28.0;
+  ASSERT_TRUE(t.merge(DistanceVector{7, 0, adv7}));
   EXPECT_EQ(t.route(4).next, 7u);
   EXPECT_DOUBLE_EQ(t.route(4).delay, 20.0);
   EXPECT_EQ(t.route(9).next, 7u);
   EXPECT_DOUBLE_EQ(t.route(9).delay, 34.0);
 
   // Now the table from l6 arrives: (3, 10), (9, 30), (4, 11).
-  DistanceVector from6;
-  from6.origin = 6;
-  from6.seq = 0;
-  from6.delay.assign(10, kInfiniteDelay);
-  from6.delay[6] = 0.0;
-  from6.delay[3] = 10.0;
-  from6.delay[9] = 30.0;
-  from6.delay[4] = 11.0;
-  ASSERT_TRUE(t.merge(from6));
+  std::vector<double> adv6(10, kInfiniteDelay);
+  adv6[6] = 0.0;
+  adv6[3] = 10.0;
+  adv6[9] = 30.0;
+  adv6[4] = 11.0;
+  ASSERT_TRUE(t.merge(DistanceVector{6, 0, adv6}));
 
   EXPECT_EQ(t.route(1).next, 1u);
   EXPECT_DOUBLE_EQ(t.route(1).delay, 8.0);
@@ -89,15 +83,11 @@ TEST(RoutingTable, PaperFigureSevenExample) {
 TEST(RoutingTable, StaleVectorDiscarded) {
   RoutingTable t(0, 3);
   t.set_link_delay(1, 1.0);
-  DistanceVector dv;
-  dv.origin = 1;
-  dv.seq = 5;
-  dv.delay = {2.0, 0.0, 3.0};
+  DistanceVector dv{1, 5, {2.0, 0.0, 3.0}};
   ASSERT_TRUE(t.merge(dv));
   EXPECT_DOUBLE_EQ(t.delay_to(2), 4.0);
   // Older vector with a better-looking delay must be ignored.
-  dv.seq = 4;
-  dv.delay = {2.0, 0.0, 0.5};
+  dv = DistanceVector{1, 4, {2.0, 0.0, 0.5}};
   EXPECT_FALSE(t.merge(dv));
   EXPECT_DOUBLE_EQ(t.delay_to(2), 4.0);
   // Newer one is accepted.
@@ -108,10 +98,7 @@ TEST(RoutingTable, StaleVectorDiscarded) {
 
 TEST(RoutingTable, SelfOriginVectorIgnored) {
   RoutingTable t(0, 2);
-  DistanceVector dv;
-  dv.origin = 0;
-  dv.seq = 0;
-  dv.delay = {0.0, 1.0};
+  const DistanceVector dv{0, 0, {0.0, 1.0}};
   EXPECT_FALSE(t.merge(dv));
 }
 
@@ -135,9 +122,9 @@ TEST(RoutingTable, SnapshotAdvertisesOwnDelays) {
   t.set_link_delay(1, 4.0);
   const DistanceVector dv = t.snapshot();
   EXPECT_EQ(dv.origin, 0u);
-  EXPECT_DOUBLE_EQ(dv.delay[0], 0.0);
-  EXPECT_DOUBLE_EQ(dv.delay[1], 4.0);
-  EXPECT_TRUE(std::isinf(dv.delay[2]));
+  EXPECT_DOUBLE_EQ(dv.delay()[0], 0.0);
+  EXPECT_DOUBLE_EQ(dv.delay()[1], 4.0);
+  EXPECT_TRUE(std::isinf(dv.delay()[2]));
   const DistanceVector dv2 = t.snapshot();
   EXPECT_GT(dv2.seq, dv.seq);
 }
@@ -276,16 +263,16 @@ TEST(RoutingTableIncremental, RandomizedOpStreamsAgree) {
       full.set_link_delay(v, d);
     } else if (roll < 8) {  // merge a random (sometimes stale) vector
       const auto origin = static_cast<LandmarkId>(1 + rng.uniform_index(n - 1));
-      DistanceVector dv;
-      dv.origin = origin;
-      dv.seq = rng.uniform_index(4) == 0 && seq[origin] > 0
-                   ? seq[origin] - 1  // stale: must be a no-op on both
-                   : seq[origin]++;
-      dv.delay.assign(n, kInfiniteDelay);
-      dv.delay[origin] = 0.0;
+      const std::uint64_t s =
+          rng.uniform_index(4) == 0 && seq[origin] > 0
+              ? seq[origin] - 1  // stale: must be a no-op on both
+              : seq[origin]++;
+      std::vector<double> delay(n, kInfiniteDelay);
+      delay[origin] = 0.0;
       for (std::size_t d = 0; d < n; ++d) {
-        if (rng.uniform_index(3) != 0) dv.delay[d] = rng.uniform(0.0, 30.0);
+        if (rng.uniform_index(3) != 0) delay[d] = rng.uniform(0.0, 30.0);
       }
+      const DistanceVector dv{origin, s, std::move(delay)};
       EXPECT_EQ(inc.merge(dv), full.merge(dv));
     } else if (roll == 8) {  // pin / unpin
       const auto dst = static_cast<LandmarkId>(1 + rng.uniform_index(n - 1));
@@ -457,11 +444,10 @@ class UpkeepBranch : public ::testing::Test {
     settle();
   }
   void advertise(LandmarkId origin, double to_four) {
-    DistanceVector dv{origin, seq_[origin]++,
-                      std::vector<double>(5, kInfiniteDelay)};
-    dv.delay[origin] = 0.0;
-    dv.delay[4] = to_four;
-    ASSERT_TRUE(t_.merge(dv));
+    std::vector<double> delay(5, kInfiniteDelay);
+    delay[origin] = 0.0;
+    delay[4] = to_four;
+    ASSERT_TRUE(t_.merge(DistanceVector{origin, seq_[origin]++, delay}));
   }
   void settle() {
     (void)t_.route(4);
@@ -584,6 +570,291 @@ TEST(RoutingTableLoad, RejectsOversizedDirtyList) {
   patch_u64(bytes, Layout(4).dirty_count(), std::uint64_t{1} << 60);
   RoutingTable t(0, 4);
   EXPECT_THROW(load_payload(t, bytes), persist::FormatError);
+}
+
+// -- publish-once distance vectors --------------------------------------
+//
+// snapshot() shares one immutable payload per table version, and merge()
+// skips the sweep of a version it already applied from that origin.
+// Both are caches: nothing a table computes or saves may depend on them.
+
+/// The same vector with its payload deep-copied: version 0, never
+/// memoised, so every merge of it sweeps.
+DistanceVector unpublished_copy(const DistanceVector& dv) {
+  return DistanceVector{dv.origin, dv.seq, dv.delay()};
+}
+
+/// A snapshot advertises the table's current best delays, 0 to itself.
+void ExpectAdvertisesRoutes(const RoutingTable& t, const DistanceVector& dv) {
+  ASSERT_EQ(dv.entries(), t.num_landmarks());
+  for (std::size_t d = 0; d < dv.entries(); ++d) {
+    const auto dst = static_cast<LandmarkId>(d);
+    EXPECT_EQ(dv.delay()[d], dst == t.self() ? 0.0 : t.route(dst).delay)
+        << "table " << t.self() << ", dst " << d;
+  }
+}
+
+TEST(PublishOnce, UnchangedTableSharesOnePayloadAndId) {
+  RoutingTable t(0, 4);
+  t.set_link_delay(1, 4.0);
+  t.set_link_delay(2, 6.0);
+  const DistanceVector a = t.snapshot();
+  const DistanceVector b = t.snapshot();
+  EXPECT_NE(a.version, 0u);
+  EXPECT_EQ(a.payload, b.payload);
+  EXPECT_EQ(a.version, b.version);
+  EXPECT_GT(b.seq, a.seq);
+
+  // A delay change republishes under a fresh id; the old payload that
+  // carriers still hold is left as it was.
+  t.set_link_delay(1, 3.0);
+  const DistanceVector c = t.snapshot();
+  EXPECT_NE(c.payload, a.payload);
+  EXPECT_NE(c.version, a.version);
+  EXPECT_EQ(c.delay()[1], 3.0);
+  EXPECT_EQ(a.delay()[1], 4.0);
+  EXPECT_GT(c.seq, b.seq);
+
+  // Changes that land on equal content keep the id: a link moved and
+  // moved back, a pin lifted before the next snapshot, and a merge that
+  // only moves a backup hop.
+  t.set_link_delay(2, 9.0);
+  t.set_link_delay(2, 6.0);
+  t.pin(3, 2, 0.5);
+  t.unpin(3);
+  ASSERT_TRUE(t.merge(
+      DistanceVector{2, 0, {kInfiniteDelay, 1.0, 0.0, kInfiniteDelay}}));
+  EXPECT_EQ(t.route(1).next, 1u);
+  EXPECT_EQ(t.route(1).backup_next, 2u);
+  const DistanceVector d = t.snapshot();
+  EXPECT_EQ(d.payload, c.payload);
+  EXPECT_EQ(d.version, c.version);
+
+  // A pin advertises its injected delay.
+  t.pin(3, 2, 0.5);
+  const DistanceVector e = t.snapshot();
+  EXPECT_NE(e.version, d.version);
+  ExpectAdvertisesRoutes(t, e);
+  EXPECT_EQ(e.delay()[3], 0.5);
+}
+
+TEST(PublishOnce, ReappliedVersionStampsTheOrigin) {
+  RoutingTable src(1, 3);
+  src.set_link_delay(2, 2.0);
+  RoutingTable dst(0, 3);
+  dst.set_link_delay(1, 1.0);
+  const DistanceVector first = src.snapshot();
+  ASSERT_TRUE(dst.merge(first, 5.0));
+  EXPECT_EQ(dst.advertised_time(1), 5.0);
+  const Route before = dst.route(2);
+
+  const DistanceVector again = src.snapshot();
+  ASSERT_EQ(again.version, first.version);
+  EXPECT_TRUE(dst.merge(again, 9.0));
+  EXPECT_EQ(dst.advertised_time(1), 9.0);
+  EXPECT_FALSE(dst.merge(again, 12.0));  // the same seq is stale
+  EXPECT_EQ(dst.advertised_time(1), 9.0);
+  const Route after = dst.route(2);
+  EXPECT_EQ(after.next, before.next);
+  EXPECT_EQ(after.delay, 3.0);
+  ExpectAuditClean(dst);
+
+  // A cell written behind the table's back is no longer the payload's:
+  // the next delivery of that version must sweep and repair it.
+  dst.debug_corrupt_advertised_for_test(1, 2, 0.5);
+  ASSERT_TRUE(dst.merge(src.snapshot(), 13.0));
+  ExpectAuditClean(dst);
+  EXPECT_EQ(dst.route(2).delay, 3.0);
+}
+
+TEST(PublishOnce, ExpiredOriginIsRestoredByTheSameVersion) {
+  RoutingTable src(1, 4);
+  src.set_link_delay(2, 2.0);
+  src.set_link_delay(3, 5.0);
+  RoutingTable dst(0, 4);
+  dst.set_link_delay(1, 1.0);
+  const DistanceVector dv = src.snapshot();
+  ASSERT_TRUE(dst.merge(dv, 1.0));
+  EXPECT_EQ(dst.route(3).delay, 6.0);
+  const std::vector<std::uint8_t> live = saved_payload(dst);
+
+  ASSERT_EQ(dst.expire_stale(10.0), 1u);
+  EXPECT_TRUE(dst.origin_expired(1));
+  EXPECT_FALSE(dst.route(3).reachable());
+  EXPECT_FALSE(dst.route(1).reachable());  // the diagonal went too
+
+  const DistanceVector again = src.snapshot();
+  ASSERT_EQ(again.version, dv.version);
+  ASSERT_TRUE(dst.merge(again, 11.0));
+  EXPECT_FALSE(dst.origin_expired(1));
+  EXPECT_EQ(dst.route(1).delay, 1.0);
+  EXPECT_EQ(dst.route(2).delay, 3.0);
+  EXPECT_EQ(dst.route(3).delay, 6.0);
+  ExpectAuditClean(dst);
+
+  // Only the seq and time stamps differ from before the expiry.
+  RoutingTable twin(0, 4);
+  twin.set_link_delay(1, 1.0);
+  ASSERT_TRUE(twin.merge(unpublished_copy(dv), 1.0));
+  ASSERT_EQ(twin.expire_stale(10.0), 1u);
+  (void)twin.route(3);
+  ASSERT_TRUE(twin.merge(unpublished_copy(again), 11.0));
+  (void)twin.route(3);
+  EXPECT_EQ(saved_payload(dst), saved_payload(twin));
+  EXPECT_NE(saved_payload(dst), live);
+}
+
+TEST(PublishOnce, LoadForgetsAppliedVersions) {
+  RoutingTable src(1, 4);
+  src.set_link_delay(2, 2.0);
+  src.set_link_delay(3, 5.0);
+  const DistanceVector old_dv = src.snapshot();
+  src.set_link_delay(3, 1.0);
+  const DistanceVector new_dv = src.snapshot();
+  ASSERT_NE(old_dv.version, new_dv.version);
+
+  // The image holds the row of old_dv; the live table then applies
+  // new_dv, and loading the image puts old_dv's row back.
+  RoutingTable t(0, 4);
+  t.set_link_delay(1, 1.0);
+  ASSERT_TRUE(t.merge(old_dv, 1.0));
+  (void)t.route(3);
+  const std::vector<std::uint8_t> image = saved_payload(t);
+  ASSERT_TRUE(t.merge(new_dv, 2.0));
+  EXPECT_EQ(t.route(3).delay, 2.0);
+  load_payload(t, image);
+  EXPECT_EQ(t.route(3).delay, 6.0);
+
+  // new_dv is the version t applied last, yet the restored row is
+  // old_dv's: the merge must sweep it, not trust the pre-load memo.
+  ASSERT_TRUE(t.merge(new_dv, 2.0));
+  EXPECT_EQ(t.route(3).delay, 2.0);
+  ExpectAuditClean(t);
+
+  RoutingTable twin(0, 4);
+  twin.set_link_delay(1, 1.0);
+  ASSERT_TRUE(twin.merge(old_dv, 1.0));
+  (void)twin.route(3);
+  ASSERT_TRUE(twin.merge(new_dv, 2.0));
+  (void)twin.route(3);
+  EXPECT_EQ(saved_payload(t), saved_payload(twin));
+
+  // What t advertises follows the load, too.
+  const DistanceVector published = t.snapshot();
+  EXPECT_EQ(published.delay()[3], 2.0);
+  load_payload(t, image);
+  const DistanceVector republished = t.snapshot();
+  EXPECT_NE(republished.version, published.version);
+  ExpectAdvertisesRoutes(t, republished);
+  EXPECT_EQ(republished.delay()[3], 6.0);
+}
+
+// Differential: receiver `shared` merges the sources' published
+// snapshots, `copied` merges version-0 deep copies of the same vectors.
+// Sources change links and merge each other's vectors, so versions both
+// repeat and move on; snapshots are delivered out of order, so stale and
+// re-delivered versions are common.  Receivers change links, pin, expire
+// origins, reload their own images and advertise.  After every op both
+// receivers must save the same bytes and route alike.
+TEST(PublishOnce, SharedAndCopiedPayloadsMergeIdentically) {
+  for (const std::uint64_t seed : {21u, 22u, 23u}) {
+    dtn::Rng rng(seed);
+    const std::size_t n = 8;
+    const auto any_other = [&] {
+      return static_cast<LandmarkId>(1 + rng.uniform_index(n - 1));
+    };
+    std::vector<RoutingTable> sources;
+    sources.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      sources.emplace_back(static_cast<LandmarkId>(i), n);
+    }
+    for (std::size_t i = 1; i < n; ++i) {
+      sources[i].set_link_delay(static_cast<LandmarkId>(i % (n - 1) + 1),
+                                rng.uniform(1.0, 9.0));
+    }
+    RoutingTable shared(0, n);
+    RoutingTable copied(0, n);
+    const auto both = [&](auto&& op) {
+      op(shared);
+      op(copied);
+    };
+    both([](RoutingTable& t) { t.set_link_delay(1, 1.0); });
+    both([](RoutingTable& t) { t.set_link_delay(2, 3.0); });
+    std::vector<DistanceVector> in_flight;
+    std::vector<std::uint64_t> last_version(n, 0);
+    double now = 0.0;
+    std::size_t repeats = 0;  // fresh deliveries of a version already merged
+    for (int step = 0; step < 600; ++step) {
+      now += 1.0;
+      const auto roll = rng.uniform_index(21);
+      if (roll < 2) {  // a source's link moves (or is set to its value)
+        RoutingTable& s = sources[any_other()];
+        const auto v = any_other();
+        if (v != s.self()) {
+          const double d = rng.uniform_index(3) == 0
+                               ? s.link_delay(v)
+                               : static_cast<double>(1 + rng.uniform_index(6));
+          s.set_link_delay(v, d);
+        }
+      } else if (roll < 4) {  // sources exchange vectors
+        const auto from = any_other();
+        const auto to = any_other();
+        if (from != to) (void)sources[to].merge(sources[from].snapshot(), now);
+      } else if (roll < 8) {  // a carrier picks up a source's vector
+        RoutingTable& s = sources[any_other()];
+        in_flight.push_back(s.snapshot());
+        ExpectAdvertisesRoutes(s, in_flight.back());
+      } else if (roll < 13 && !in_flight.empty()) {  // ...and delivers it
+        const auto at = rng.uniform_index(in_flight.size());
+        const DistanceVector dv = in_flight[at];
+        if (rng.uniform_index(3) != 0) {
+          in_flight.erase(in_flight.begin() + static_cast<std::ptrdiff_t>(at));
+        }
+        const bool fresh = copied.merge(unpublished_copy(dv), now);
+        EXPECT_EQ(shared.merge(dv, now), fresh);
+        if (fresh) {
+          if (dv.version == last_version[dv.origin]) ++repeats;
+          last_version[dv.origin] = dv.version;
+        }
+      } else if (roll < 15) {  // a receiver's link moves
+        const auto v = any_other();
+        const double d = rng.uniform_index(5) == 0
+                             ? kInfiniteDelay
+                             : static_cast<double>(1 + rng.uniform_index(6));
+        both([&](RoutingTable& t) { t.set_link_delay(v, d); });
+      } else if (roll < 17) {  // pin / unpin
+        const auto dst = any_other();
+        const auto via = any_other();
+        const bool pin = rng.uniform_index(2) == 0;
+        both([&](RoutingTable& t) {
+          if (pin) {
+            t.pin(dst, via, 0.5);
+          } else {
+            t.unpin(dst);
+          }
+        });
+      } else if (roll < 19) {
+        const double cutoff = now - 20.0;
+        both([&](RoutingTable& t) { (void)t.expire_stale(cutoff); });
+      } else if (roll < 20) {  // checkpoint round trip of the sharer
+        load_payload(shared, saved_payload(shared));
+      } else {
+        const DistanceVector mine = shared.snapshot();
+        ExpectAdvertisesRoutes(shared, mine);
+        EXPECT_EQ(mine.delay(), copied.snapshot().delay());
+      }
+      if (rng.uniform_index(2) == 0) {  // drain part of the dirty set
+        const auto dst = static_cast<LandmarkId>(rng.uniform_index(n));
+        both([&](RoutingTable& t) { (void)t.route(dst); });
+      }
+      EXPECT_EQ(saved_payload(shared), saved_payload(copied));
+      ExpectSameRoutes(shared, copied);
+      if (::testing::Test::HasFailure()) {
+        FAIL() << "seed " << seed << ", step " << step;
+      }
+    }
+    EXPECT_GT(repeats, 20u) << "seed " << seed;
+  }
 }
 
 // Property: after synchronous flooding on a random connected graph, DV
