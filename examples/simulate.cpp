@@ -24,9 +24,9 @@
 // stand-in for kill -9 used by the CI round-trip smoke.
 //
 // Bad input (an unknown option, an unknown --kind, --router or --fault-*
-// name, a count below the generator's minimum, a non-positive --days)
-// exits with status 2 and a one-line message, like CliOptions' own
-// usage errors.
+// name, a count below the generator's minimum, a non-positive --days,
+// an --input trace CSV that fails validation) exits with status 2 and a
+// one-line message, like CliOptions' own usage errors.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -78,7 +78,14 @@ dtn::trace::Trace make_trace(const dtn::CliOptions& opts) {
                                 " (use campus, bus or city)");
   }
   const std::string input = opts.get("input", "");
-  if (!input.empty()) return dtn::trace::read_trace_csv(input);
+  if (!input.empty()) {
+    // A malformed trace file is bad input like a bad flag: exit 2.
+    try {
+      return dtn::trace::read_trace_csv(input);
+    } catch (const std::runtime_error& e) {
+      throw std::invalid_argument(e.what());
+    }
+  }
   if (kind == "bus") {
     dtn::trace::BusTraceConfig cfg;
     cfg.num_buses = count_arg(opts, "nodes", 34, 1);

@@ -181,6 +181,10 @@ class DtnFlowRouter final : public net::Router {
   /// zero at event boundaries (audited).
   void on_departure_batch_begin(net::Network& net, net::LandmarkId l,
                                 std::size_t count) override;
+  /// Contacts matter only with node-to-node relay on.
+  [[nodiscard]] bool observes_contacts() const override {
+    return cfg_.node_to_node_relay;
+  }
   void on_contact(net::Network& net, net::NodeId arriving,
                   net::NodeId present, net::LandmarkId l) override;
   void on_packet_generated(net::Network& net, net::PacketId pid) override;

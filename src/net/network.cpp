@@ -196,14 +196,15 @@ bool Network::replay(persist::CheckpointManager* ckpt) {
   DTN_ASSERT(ckpt == nullptr || router_.checkpointable());
   ran_ = true;
 
-  // Trace replay: arrivals and departures stream lazily out of the
-  // cursor's k-way merge instead of being pre-scheduled one closure per
+  // Trace replay: arrivals and departures stream out of the cursor's
+  // presorted array instead of being pre-scheduled one closure per
   // visit.  The cursor owns the sequence range [0, total_events()), so
   // same-time ties order exactly as the retired eager enumeration did.
   trace::TraceCursor cursor(trace_);
   sim_.set_dispatcher(&Network::dispatch_trampoline, this);
   ckpt_mgr_ = ckpt;
   if (ckpt != nullptr) ckpt_cursor_ = &cursor;
+  observes_contacts_ = router_.observes_contacts();
 
   if (ckpt != nullptr && ckpt->has_checkpoint()) {
     // Resume: every piece of live state comes out of the snapshot — no
@@ -1996,8 +1997,8 @@ void Network::handle_arrival(const trace::Visit& visit) {
   router_.on_arrival(*this, visit.node, visit.landmark);
 
   // Node-node contacts with everyone already present (crashed radios,
-  // either side, make no contact).
-  if (arriving_up) {
+  // either side, make no contact), unless the router ignores them.
+  if (arriving_up && observes_contacts_) {
     for (NodeId other : station.present) {
       if (other == visit.node || node_down(other)) continue;
       router_.on_contact(*this, visit.node, other, visit.landmark);

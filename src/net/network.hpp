@@ -505,6 +505,9 @@ class Network {
   /// false, every arrival skips the node-addressed handover scans
   /// entirely (the standard workload is landmark-addressed only).
   bool any_node_addressed_ = false;
+  /// Router::observes_contacts(), read once per replay: while false,
+  /// arrivals skip the node-node contact fan-out.
+  bool observes_contacts_ = true;
   /// Reused per-arrival scratch list (avoids an allocation per event).
   std::vector<PacketId> scratch_;
   /// Reused departure-batch visit list.

@@ -64,6 +64,12 @@ class Router {
     (void)net; (void)l; (void)count;
   }
 
+  /// False when on_contact is a no-op for this router's configuration:
+  /// the engine then skips the per-arrival contact fan-out.  Read once
+  /// per replay.  Must be honest — a router that returns false must
+  /// behave identically when every contact is delivered anyway.
+  [[nodiscard]] virtual bool observes_contacts() const { return true; }
+
   /// `arriving` just arrived at `l` where `present` already is.  Called
   /// once per (arriving, present) pair; routers handle both directions.
   virtual void on_contact(Network& net, NodeId arriving, NodeId present,

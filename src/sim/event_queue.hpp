@@ -140,7 +140,7 @@ class EventQueue {
   /// Reserve the seq range [0, floor) for an external event source whose
   /// events must order *before* same-time queue events (the old engine
   /// scheduled the whole trace first, so trace events always carried
-  /// the lowest sequence numbers; the lazy cursor keeps that order).
+  /// the lowest sequence numbers; the trace cursor keeps that order).
   /// Must be called before the first schedule().
   void set_seq_floor(std::uint64_t floor) {
     DTN_ASSERT(next_seq_ == 0 && keys_.empty());

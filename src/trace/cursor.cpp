@@ -1,8 +1,10 @@
 #include "trace/cursor.hpp"
 
-#include <algorithm>
 #include <bit>
+#include <cmath>
+#include <limits>
 #include <string>
+#include <utility>
 
 #include "persist/serializer.hpp"
 
@@ -10,57 +12,75 @@ namespace dtn::trace {
 
 namespace {
 
-[[nodiscard]] inline bool earlier_head(std::uint64_t ta, std::uint64_t sa,
-                                       std::uint64_t tb, std::uint64_t sb) {
-  // Packed comparison: time bit patterns order like the doubles they
-  // encode (non-negative times only, asserted where heads are built).
-  if (ta != tb) return ta < tb;
-  return sa < sb;
+constexpr int kDigitBits = 16;
+constexpr std::size_t kBuckets = std::size_t{1} << kDigitBits;
+constexpr int kDigits = 64 / kDigitBits;
+
+[[nodiscard]] inline std::size_t digit(std::uint64_t key, int d) {
+  return static_cast<std::size_t>(key >> (d * kDigitBits)) & (kBuckets - 1);
+}
+
+/// Stable LSD radix sort by `time_bits`, 16 bits per pass.  A pass
+/// whose digit every key shares cannot move anything and is skipped
+/// (e.g. the low digit of whole-second times).
+template <class T>
+void stable_radix_sort(std::vector<T>& items) {
+  const std::size_t n = items.size();
+  if (n < 2) return;
+  DTN_ASSERT(n <= std::numeric_limits<std::uint32_t>::max());
+  std::vector<std::uint32_t> slots(kDigits * kBuckets, 0);
+  for (const T& it : items) {
+    for (int d = 0; d < kDigits; ++d) {
+      ++slots[d * kBuckets + digit(it.time_bits, d)];
+    }
+  }
+  std::vector<T> buffer;
+  for (int d = 0; d < kDigits; ++d) {
+    std::uint32_t* slot = &slots[d * kBuckets];
+    if (slot[digit(items.front().time_bits, d)] == n) continue;
+    std::uint32_t sum = 0;  // counts -> first output slot per bucket
+    for (std::size_t b = 0; b < kBuckets; ++b) {
+      const std::uint32_t count = slot[b];
+      slot[b] = sum;
+      sum += count;
+    }
+    buffer.resize(n);
+    for (const T& it : items) buffer[slot[digit(it.time_bits, d)]++] = it;
+    items.swap(buffer);
+  }
 }
 
 }  // namespace
 
-TraceCursor::TraceCursor(const Trace& trace) : trace_(&trace) {
+TraceCursor::TraceCursor(const Trace& trace) {
   DTN_ASSERT(trace.finalized());
   const std::size_t n = trace.num_nodes();
-  pos_.resize(n, 0);
-  seq_base_.resize(n, 0);
-  std::uint64_t base = 0;
+  pos_.assign(n, 0);
+  seq_base_.resize(n + 1);
+  order_.reserve(2 * trace.total_visits());
+  // Listed in seq order, so the stable sort breaks time ties by seq.
   for (std::size_t i = 0; i < n; ++i) {
-    seq_base_[i] = base;
-    base += 2 * trace.visits(static_cast<NodeId>(i)).size();
+    const auto node = static_cast<NodeId>(i);
+    seq_base_[i] = order_.size();
+    const auto add = [this, node](std::uint32_t index, double t) {
+      DTN_ASSERT(t >= 0.0 && !std::signbit(t));  // the key order needs it
+      order_.push_back({std::bit_cast<std::uint64_t>(t), node, index});
+    };
+    const auto visits = trace.visits(node);
+    for (std::uint32_t v = 0; v < visits.size(); ++v) {
+      add(2 * v, visits[v].start);
+      add(2 * v + 1, visits[v].end);
+    }
   }
-  total_events_ = base;
+  seq_base_[n] = order_.size();
+  stable_radix_sort(order_);
   reset();
 }
 
-TraceCursor::Head TraceCursor::head_of(NodeId n, std::uint32_t e) const {
-  const Visit& v = trace_->visits(n)[e / 2];
-  const double t = (e % 2 == 0) ? v.start : v.end;
-  DTN_ASSERT(t >= 0.0);  // the packed-key ordering needs this
-  return Head{std::bit_cast<std::uint64_t>(t), seq_base_[n] + e, n};
-}
-
 void TraceCursor::reset() {
-  for (std::size_t i = 0; i < pos_.size(); ++i) pos_[i] = 0;
-  rebuild_heap();
-}
-
-void TraceCursor::rebuild_heap() {
-  heap_.clear();
-  for (std::size_t i = 0; i < pos_.size(); ++i) {
-    const auto n = static_cast<NodeId>(i);
-    if (pos_[i] < 2 * trace_->visits(n).size()) {
-      heap_.push_back(head_of(n, pos_[i]));
-    }
-  }
-  // Floyd heap construction over the quaternary layout: every internal
-  // node is a parent of heap_.size() - 1 or earlier, i.e. at most
-  // (size - 2) / 4.
-  if (heap_.size() >= 2) {
-    for (std::size_t i = (heap_.size() - 2) / 4 + 1; i-- > 0;) sift_down(i);
-  }
-  if (!heap_.empty()) materialize_top();
+  pos_.assign(pos_.size(), 0);
+  next_ = 0;
+  if (!exhausted()) materialize();
 }
 
 void TraceCursor::save(persist::Writer& w) const {
@@ -74,73 +94,29 @@ void TraceCursor::load(persist::Reader& r) {
     throw persist::FormatError(
         "checkpoint cursor image disagrees with the trace node count");
   }
+  std::vector<std::uint32_t> pos(n);
+  std::size_t done = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t p = r.u32();
-    if (p > 2 * trace_->visits(static_cast<NodeId>(i)).size()) {
+    pos[i] = r.u32();
+    if (pos[i] > seq_base_[i + 1] - seq_base_[i]) {
       throw persist::FormatError(
           "checkpoint cursor position out of range for node " +
           std::to_string(i));
     }
-    pos_[i] = p;
+    done += pos[i];
   }
-  rebuild_heap();
-}
-
-void TraceCursor::materialize_top() {
-  const Head& top = heap_.front();
-  const std::uint32_t e = pos_[top.node];
-  current_.time = std::bit_cast<double>(top.time_bits);
-  current_.seq = top.seq;
-  current_.kind = (e % 2 == 0) ? sim::EventKind::kArrival
-                               : sim::EventKind::kDeparture;
-  current_.a = top.node;
-  current_.b = e / 2;  // visit index
-}
-
-void TraceCursor::advance() {
-  DTN_ASSERT(!heap_.empty());
-  const NodeId n = heap_.front().node;
-  const std::uint32_t e = ++pos_[n];
-  if (e < 2 * trace_->visits(n).size()) {
-    // Replace the top with the node's next event and restore the heap:
-    // one sift instead of a pop + push pair.
-    heap_.front() = head_of(n, e);
-    sift_down(0);
-  } else {
-    heap_.front() = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) sift_down(0);
+  // A consistent image is a prefix of the replay order: among its first
+  // `done` events, each node owns exactly its saved position.
+  std::vector<std::uint32_t> seen(n, 0);
+  for (std::size_t k = 0; k < done; ++k) ++seen[order_[k].node];
+  if (seen != pos) {
+    throw persist::FormatError(
+        "checkpoint cursor positions are no prefix of the trace's replay "
+        "order");
   }
-  if (!heap_.empty()) materialize_top();
-}
-
-void TraceCursor::sift_down(std::size_t i) {
-  // Quaternary layout: half the levels of a binary heap, so the
-  // replace-top sift after every advance() touches half the cache
-  // lines.  The heap's internal arrangement never leaks — extraction
-  // follows the total (time_bits, seq) order (seq is unique), so the
-  // replay event order is identical to the binary layout's.
-  const std::size_t n = heap_.size();
-  Head item = heap_[i];
-  while (true) {
-    const std::size_t first = 4 * i + 1;
-    if (first >= n) break;
-    const std::size_t last = std::min(first + 4, n);
-    std::size_t child = first;
-    for (std::size_t c = first + 1; c < last; ++c) {
-      if (earlier_head(heap_[c].time_bits, heap_[c].seq,
-                       heap_[child].time_bits, heap_[child].seq)) {
-        child = c;
-      }
-    }
-    if (!earlier_head(heap_[child].time_bits, heap_[child].seq,
-                      item.time_bits, item.seq)) {
-      break;
-    }
-    heap_[i] = heap_[child];
-    i = child;
-  }
-  heap_[i] = item;
+  pos_ = std::move(pos);
+  next_ = done;
+  if (!exhausted()) materialize();
 }
 
 }  // namespace dtn::trace

@@ -1,6 +1,8 @@
 #include "trace/trace_io.hpp"
 
+#include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -30,6 +32,7 @@ struct RawVisit {
   std::uint32_t landmark;
   double start;
   double end;
+  int line_no;
 };
 
 std::vector<std::string_view> split_fields(std::string_view line) {
@@ -108,7 +111,21 @@ Trace read_trace_csv(std::istream& in, const std::string& source) {
     RawVisit v{parse_u32(fields[0], source, line_no),
                parse_u32(fields[1], source, line_no),
                parse_double(fields[2], source, line_no),
-               parse_double(fields[3], source, line_no)};
+               parse_double(fields[3], source, line_no), line_no};
+    // from_chars accepts "nan" and "inf"; neither is a time.
+    if (!std::isfinite(v.start) || !std::isfinite(v.end)) {
+      throw std::runtime_error("trace CSV: " + source +
+                               ": non-finite time at line " +
+                               std::to_string(line_no));
+    }
+    if (v.start < 0.0) {
+      throw std::runtime_error("trace CSV: " + source +
+                               ": negative start at line " +
+                               std::to_string(line_no));
+    }
+    // `-0` is a valid zero, but its sign bit would order it after every
+    // positive time in the replay cursor's bit-pattern key.
+    if (v.start == 0.0) v.start = 0.0;
     if (v.end <= v.start) {
       throw std::runtime_error("trace CSV: " + source +
                                ": end <= start at line " +
@@ -129,6 +146,22 @@ Trace read_trace_csv(std::istream& in, const std::string& source) {
         std::to_string(line_no) +
         " (no trailing newline; file cut mid-record?)");
   }
+  // A node is at one place at a time: its visits must not overlap.
+  std::sort(raw.begin(), raw.end(), [](const RawVisit& a, const RawVisit& b) {
+    if (a.node != b.node) return a.node < b.node;
+    return a.start < b.start;
+  });
+  for (std::size_t i = 1; i < raw.size(); ++i) {
+    const RawVisit& prev = raw[i - 1];
+    const RawVisit& cur = raw[i];
+    if (cur.node == prev.node && cur.start < prev.end) {
+      throw std::runtime_error(
+          "trace CSV: " + source + ": visits of node " +
+          std::to_string(cur.node) + " overlap at lines " +
+          std::to_string(std::min(prev.line_no, cur.line_no)) + " and " +
+          std::to_string(std::max(prev.line_no, cur.line_no)));
+    }
+  }
   Trace trace(raw.empty() ? 0 : max_node + 1, raw.empty() ? 0 : max_landmark + 1);
   for (const auto& v : raw) {
     trace.add_visit(Visit{v.node, v.landmark, v.start, v.end});
@@ -139,7 +172,7 @@ Trace read_trace_csv(std::istream& in, const std::string& source) {
 
 Trace read_trace_csv(const std::string& path) {
   std::ifstream in(path);
-  if (!in) throw std::runtime_error("read_trace_csv: cannot open " + path);
+  if (!in) throw std::runtime_error("trace CSV: cannot open " + path);
   // Thread the path into every parse error: "bad number at line 7" is
   // useless in a batch run over a directory of traces.
   return read_trace_csv(in, path);

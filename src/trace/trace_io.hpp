@@ -18,7 +18,9 @@ void write_trace_csv(const Trace& trace, std::ostream& out);
 
 /// Read a CSV trace.  Node/landmark universe sizes are taken as
 /// (max id + 1) unless explicit sizes are given.  Throws
-/// std::runtime_error on malformed input; the message names the file
+/// std::runtime_error on malformed input — unparsable rows, non-finite
+/// or negative times, end <= start, overlapping visits of one node —
+/// and accepts a `-0` start as +0.0; the message names the file
 /// (or `source` for the stream overload) and the offending line, so a
 /// bad row in a multi-trace batch is attributable without re-running.
 [[nodiscard]] Trace read_trace_csv(const std::string& path);

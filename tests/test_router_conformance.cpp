@@ -5,6 +5,7 @@
 
 #include <cmath>
 
+#include "core/dtn_flow_router.hpp"
 #include "metrics/metrics.hpp"
 #include "net/network.hpp"
 #include "routing/factory.hpp"
@@ -150,6 +151,87 @@ TEST_P(RouterConformanceTest, NoControlTrafficWithoutEvents) {
   EXPECT_EQ(net.counters().generated, 0u);
   EXPECT_EQ(net.counters().packet_forwards, 0u);
   EXPECT_DOUBLE_EQ(net.counters().control_entries, 0.0);
+}
+
+// Forwards every hook to a factory router but claims to observe
+// contacts, so the engine runs the full contact fan-out whatever the
+// inner router declares.
+class ContactObservingShim final : public net::Router {
+ public:
+  explicit ContactObservingShim(net::Router& inner) : inner_(inner) {}
+
+  [[nodiscard]] std::string name() const override { return inner_.name(); }
+  [[nodiscard]] bool uses_stations() const override {
+    return inner_.uses_stations();
+  }
+  [[nodiscard]] bool observes_contacts() const override { return true; }
+  void on_init(net::Network& net) override { inner_.on_init(net); }
+  void on_arrival(net::Network& net, net::NodeId node,
+                  net::LandmarkId l) override {
+    inner_.on_arrival(net, node, l);
+  }
+  void on_departure(net::Network& net, net::NodeId node,
+                    net::LandmarkId l) override {
+    inner_.on_departure(net, node, l);
+  }
+  void on_departure_batch_begin(net::Network& net, net::LandmarkId l,
+                                std::size_t count) override {
+    inner_.on_departure_batch_begin(net, l, count);
+  }
+  void on_contact(net::Network& net, net::NodeId arriving,
+                  net::NodeId present, net::LandmarkId l) override {
+    inner_.on_contact(net, arriving, present, l);
+  }
+  void on_packet_generated(net::Network& net, net::PacketId pid) override {
+    inner_.on_packet_generated(net, pid);
+  }
+  void on_time_unit(net::Network& net, std::size_t unit_index) override {
+    inner_.on_time_unit(net, unit_index);
+  }
+  void on_node_crash(net::Network& net, net::NodeId node) override {
+    inner_.on_node_crash(net, node);
+  }
+  void on_node_reboot(net::Network& net, net::NodeId node) override {
+    inner_.on_node_reboot(net, node);
+  }
+  void on_station_outage(net::Network& net, net::LandmarkId l) override {
+    inner_.on_station_outage(net, l);
+  }
+  void on_station_recovery(net::Network& net, net::LandmarkId l) override {
+    inner_.on_station_recovery(net, l);
+  }
+  void audit(const net::Network& net, sim::AuditReport& report) const override {
+    inner_.audit(net, report);
+  }
+
+ private:
+  net::Router& inner_;
+};
+
+TEST_P(RouterConformanceTest, SkippingContactsMatchesObservingThem) {
+  // A router that declares observes_contacts() == false must run
+  // identically when the engine delivers every contact anyway.
+  const auto trace = make_trace();
+  const auto plain_router = routing::make_router(router_name());
+  net::Network plain(trace, *plain_router, conformance_workload());
+  plain.run();
+
+  const auto inner = routing::make_router(router_name());
+  ContactObservingShim shim(*inner);
+  net::Network observed(trace, shim, conformance_workload());
+  observed.run();
+  EXPECT_EQ(plain.counters(), observed.counters());
+}
+
+TEST(RouterContactDeclaration, DtnFlowObservesContactsOnlyWithNodeRelay) {
+  EXPECT_FALSE(core::DtnFlowRouter().observes_contacts());
+  core::DtnFlowConfig cfg;
+  cfg.node_to_node_relay = true;
+  EXPECT_TRUE(core::DtnFlowRouter(cfg).observes_contacts());
+  for (const char* name : {"SimBet", "PROPHET", "PGR", "GeoComm", "PER",
+                           "Direct", "Epidemic", "SprayWait"}) {
+    EXPECT_TRUE(routing::make_router(name)->observes_contacts()) << name;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

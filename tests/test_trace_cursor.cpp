@@ -1,9 +1,11 @@
-// TraceCursor: the lazy k-way merge must emit exactly the event stream
-// the retired eager enumeration produced — same times, same kinds, and
-// the same node-major sequence numbers (tie order at equal timestamps).
+// TraceCursor: the presorted event array must emit exactly the event
+// stream the retired eager enumeration produced — same times, same
+// kinds, and the same node-major sequence numbers (tie order at equal
+// timestamps).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -194,7 +196,7 @@ TEST(TraceCursor, RunUntilBoundaryIsInclusive) {
 }
 
 TEST(TraceCursor, LargeRandomTraceMatchesEagerEnumeration) {
-  // Property check at a size where merge-heap bugs would surface.
+  // Property check at a size where ordering bugs would surface.
   Trace t(17, 5);
   std::uint64_t state = 0x243f6a8885a308d3ull;  // fixed xorshift stream
   auto next = [&state] {
@@ -218,6 +220,45 @@ TEST(TraceCursor, LargeRandomTraceMatchesEagerEnumeration) {
   expect_matches_reference(t);
 }
 
+TEST(TraceCursor, FractionalTimesMatchEagerEnumeration) {
+  // Full-width mantissas across many binades, so every 16-bit digit of
+  // the time key varies and no radix pass is skipped.
+  Trace t(9, 3);
+  std::uint64_t state = 0x9e3779b97f4a7c15ull;
+  auto uniform = [&state] {  // [0, 1) from a fixed xorshift stream
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return static_cast<double>(state >> 11) * 0x1.0p-53;
+  };
+  for (NodeId n = 0; n < 9; ++n) {
+    double at = uniform() * 1e-3;
+    for (int v = 0; v < 40; ++v) {
+      const double start = at + uniform() * (1.0 + at);
+      const double end = start + uniform() * 50.0 + 1e-6;
+      t.add_visit({n, static_cast<LandmarkId>(v % 3), start, end});
+      at = end;
+    }
+  }
+  t.finalize();
+  expect_matches_reference(t);
+}
+
+TEST(TraceCursor, TimesOneUlpApartSortByTime) {
+  // Arrivals a few ulps apart, in reverse node order: only the radix
+  // pass over the lowest 16 bits of the key tells them apart.
+  Trace t(4, 1);
+  for (NodeId n = 0; n < 4; ++n) {
+    double start = 1000.5;
+    for (NodeId k = n; k < 3; ++k) start = std::nextafter(start, 2000.0);
+    t.add_visit({n, 0, start, 1010.0 + n});
+  }
+  t.finalize();
+  expect_matches_reference(t);
+  TraceCursor cursor(t);
+  EXPECT_EQ(cursor.peek().a, 3u);
+}
+
 // -- checkpoint image ----------------------------------------------------
 
 std::vector<std::uint8_t> image_of(const TraceCursor& cursor) {
@@ -237,7 +278,7 @@ void load_image(TraceCursor& cursor, const std::vector<std::uint8_t>& bytes) {
   r.finish();
 }
 
-// Three nodes with tied visit times, so restored merge heaps must break
+// Three nodes with tied visit times, so restored cursors must break
 // ties exactly like the live one.
 Trace tied_trace() {
   Trace t(3, 2);
@@ -302,6 +343,19 @@ TEST(TraceCursor, LoadRejectsImagesOfAnotherTrace) {
   w.finish();
   TraceCursor fresh(t);
   EXPECT_THROW(load_image(fresh, w.buffer()), persist::FormatError);
+
+  // Positions each in range, but no prefix of the replay order: node 2
+  // has both events up to t = 10 done while node 0's arrival at t = 0
+  // is still pending.
+  persist::Writer skew;
+  skew.begin_section("cursor");
+  skew.u64(3);
+  skew.u32(0);
+  skew.u32(0);
+  skew.u32(2);
+  skew.end_section();
+  skew.finish();
+  EXPECT_THROW(load_image(fresh, skew.buffer()), persist::FormatError);
 }
 
 }  // namespace

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
+
+#include "trace/cursor.hpp"
 
 namespace dtn::trace {
 namespace {
@@ -158,6 +161,62 @@ TEST(TraceIo, RejectsTruncatedTrailingRecord) {
 TEST(TraceIo, RejectsTrailingRecordCutMidFields) {
   std::stringstream cut("node,landmark,start,end\n0,0,0,1\n1,1");
   EXPECT_THROW((void)read_trace_csv(cut), std::runtime_error);
+}
+
+// Rows that parse as numbers but cannot be replayed are rejected with
+// their line number instead of aborting later in Trace or the cursor.
+void expect_rejected(const std::string& body, const std::string& needle) {
+  std::stringstream buf("node,landmark,start,end\n" + body);
+  try {
+    (void)read_trace_csv(buf);
+    FAIL() << "expected an error for: " << body;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(TraceIo, RejectsNonFiniteTimes) {
+  expect_rejected("0,1,0,100\n0,1,200,nan\n", "non-finite time at line 3");
+  expect_rejected("0,1,nan,200\n", "non-finite time at line 2");
+  expect_rejected("0,1,0,inf\n", "non-finite time at line 2");
+  expect_rejected("0,1,-inf,5\n", "non-finite time at line 2");
+}
+
+TEST(TraceIo, RejectsNegativeStart) {
+  expect_rejected("0,1,-5,100\n", "negative start at line 2");
+  expect_rejected("1,0,3,4\n0,1,-0.5,1\n", "negative start at line 3");
+}
+
+TEST(TraceIo, RejectsOverlappingVisitsOfOneNode) {
+  expect_rejected("0,0,0,100\n1,1,10,20\n0,1,50,150\n",
+                  "visits of node 0 overlap at lines 2 and 4");
+  // Listed out of time order, and with identical starts.
+  expect_rejected("2,0,50,60\n2,1,0,100\n", "overlap at lines 2 and 3");
+  expect_rejected("0,0,7,8\n0,1,7,9\n", "overlap at lines 2 and 3");
+}
+
+TEST(TraceIo, AcceptsBackToBackVisitsAndCrossNodeOverlap) {
+  // Leaving one landmark and reaching the next at the same instant is
+  // no overlap, and different nodes may share any interval.
+  std::stringstream buf(
+      "node,landmark,start,end\n0,0,0,10\n0,1,10,20\n1,1,5,15\n");
+  const Trace t = read_trace_csv(buf);
+  EXPECT_EQ(t.total_visits(), 3u);
+  ASSERT_EQ(t.visits(0).size(), 2u);
+  EXPECT_EQ(t.visits(0)[1].start, 10.0);
+}
+
+TEST(TraceIo, NegativeZeroStartBecomesPositiveZero) {
+  std::stringstream buf("node,landmark,start,end\n0,1,-0,5\n1,0,0.5,2\n");
+  const Trace t = read_trace_csv(buf);
+  ASSERT_EQ(t.visits(0).size(), 1u);
+  EXPECT_EQ(t.visits(0)[0].start, 0.0);
+  EXPECT_FALSE(std::signbit(t.visits(0)[0].start));
+  // The replay cursor's bit-pattern key then orders it first.
+  TraceCursor cursor(t);
+  EXPECT_EQ(cursor.peek().a, 0u);
+  EXPECT_EQ(cursor.peek().time, 0.0);
 }
 
 }  // namespace
