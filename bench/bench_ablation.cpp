@@ -12,7 +12,8 @@
 #include "core/dtn_flow_router.hpp"
 
 int main(int argc, char** argv) {
-  const dtn::CliOptions opts(argc, argv);
+  const dtn::CliOptions opts =
+      dtn::bench::parse_cli(argc, argv, "bench_ablation");
   const auto scenario =
       dtn::bench::make_dart_scenario(opts.full_scale(), opts.get_seed(1));
 

@@ -72,6 +72,16 @@ Scenario make_dnet_scenario(bool full_scale, std::uint64_t seed) {
   return s;
 }
 
+CliOptions parse_cli(int argc, const char* const* argv,
+                     const std::string& program,
+                     const std::vector<std::string>& extra_keys) {
+  CliOptions opts(argc, argv);
+  std::vector<std::string> accepted = {"scale", "csv", "seed"};
+  accepted.insert(accepted.end(), extra_keys.begin(), extra_keys.end());
+  opts.reject_unknown(program, accepted);
+  return opts;
+}
+
 std::vector<Scenario> make_scenarios(const CliOptions& opts) {
   const bool full = opts.full_scale();
   const std::uint64_t seed = opts.get_seed(1);

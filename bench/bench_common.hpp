@@ -6,6 +6,9 @@
 //   --csv <dir>          mirror printed tables to CSV files
 //   --seed <n>           override the trace seed
 //
+// The memory and rate sweeps also take --replicates and --threads; any
+// other option exits with status 2 (parse_cli).
+//
 // "DART" is the synthetic campus trace standing in for the Dartmouth
 // WLAN log, "DNET" the synthetic bus trace standing in for the UMass
 // DieselNet log (see DESIGN.md for the substitution argument).
@@ -33,6 +36,12 @@ struct Scenario {
   /// Packet-rate sweep values matching Figs. 13-14's x axis.
   std::vector<double> rate_sweep;
 };
+
+/// Parse argv, exiting with status 2 and "<program>: unknown option
+/// --KEY" on a key outside the shared options above and `extra_keys`.
+[[nodiscard]] CliOptions parse_cli(
+    int argc, const char* const* argv, const std::string& program,
+    const std::vector<std::string>& extra_keys = {});
 
 /// The campus scenario (DART stand-in).
 [[nodiscard]] Scenario make_dart_scenario(bool full_scale, std::uint64_t seed);

@@ -7,7 +7,8 @@
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
-  const dtn::CliOptions opts(argc, argv);
+  const dtn::CliOptions opts = dtn::bench::parse_cli(
+      argc, argv, "bench_fig11_12_memory", {"replicates", "threads"});
   const auto factories = dtn::bench::standard_factories();
 
   for (const auto& scenario : dtn::bench::make_scenarios(opts)) {

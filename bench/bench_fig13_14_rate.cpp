@@ -6,7 +6,8 @@
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
-  const dtn::CliOptions opts(argc, argv);
+  const dtn::CliOptions opts = dtn::bench::parse_cli(
+      argc, argv, "bench_fig13_14_rate", {"replicates", "threads"});
   const auto factories = dtn::bench::standard_factories();
 
   for (const auto& scenario : dtn::bench::make_scenarios(opts)) {

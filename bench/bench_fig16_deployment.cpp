@@ -51,7 +51,8 @@ dtn::trace::Trace deployment_trace(double days, std::uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const dtn::CliOptions opts(argc, argv);
+  const dtn::CliOptions opts =
+      dtn::bench::parse_cli(argc, argv, "bench_fig16_deployment");
   const double days = opts.full_scale() ? 30.0 : 12.0;
   const auto trace = deployment_trace(days, opts.get_seed(21));
 

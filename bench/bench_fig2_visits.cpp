@@ -14,7 +14,8 @@
 #include "trace/trace_stats.hpp"
 
 int main(int argc, char** argv) {
-  const dtn::CliOptions opts(argc, argv);
+  const dtn::CliOptions opts =
+      dtn::bench::parse_cli(argc, argv, "bench_fig2_visits");
   for (const auto& scenario : dtn::bench::make_scenarios(opts)) {
     const auto counts = dtn::trace::visit_count_matrix(scenario.trace);
     const auto popular = dtn::trace::landmarks_by_popularity(scenario.trace);

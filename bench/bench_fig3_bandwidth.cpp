@@ -11,7 +11,8 @@
 #include "trace/trace_stats.hpp"
 
 int main(int argc, char** argv) {
-  const dtn::CliOptions opts(argc, argv);
+  const dtn::CliOptions opts =
+      dtn::bench::parse_cli(argc, argv, "bench_fig3_bandwidth");
   for (const auto& scenario : dtn::bench::make_scenarios(opts)) {
     const double unit = scenario.workload.time_unit;
     const auto links = dtn::trace::link_bandwidths(scenario.trace, unit);

@@ -12,8 +12,7 @@
 #include "trace/geo_generator.hpp"
 
 int main(int argc, char** argv) {
-  const dtn::CliOptions opts(argc, argv);
-  (void)opts;
+  (void)dtn::bench::parse_cli(argc, argv, "bench_fig5_subareas");
   const auto landmarks = dtn::trace::fig15_positions();
 
   // Grid over the bounding box (with margin).

@@ -13,7 +13,8 @@
 #include "util/stats.hpp"
 
 int main(int argc, char** argv) {
-  const dtn::CliOptions opts(argc, argv);
+  const dtn::CliOptions opts =
+      dtn::bench::parse_cli(argc, argv, "bench_fig6_predictor");
   dtn::TablePrinter avg_table({"trace", "order-1", "order-2", "order-3"});
   dtn::TablePrinter quant_table(
       {"trace", "min", "Q1", "mean", "Q3", "max", "nodes"});

@@ -80,7 +80,8 @@ class ObservedDtnFlow final : public dtn::net::Router {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const dtn::CliOptions opts(argc, argv);
+  const dtn::CliOptions opts =
+      dtn::bench::parse_cli(argc, argv, "bench_fig8_routing_table");
   for (const auto& scenario : dtn::bench::make_scenarios(opts)) {
     ObservedDtnFlow router(10);
     dtn::net::Network net(scenario.trace, router, scenario.workload);

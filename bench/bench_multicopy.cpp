@@ -9,7 +9,8 @@
 #include "routing/factory.hpp"
 
 int main(int argc, char** argv) {
-  const dtn::CliOptions opts(argc, argv);
+  const dtn::CliOptions opts =
+      dtn::bench::parse_cli(argc, argv, "bench_multicopy");
   for (const auto& scenario : dtn::bench::make_scenarios(opts)) {
     // Flooding only bounds delivery when buffers are not the binding
     // constraint; compare in a lighter-load regime (multi-copy schemes

@@ -32,7 +32,8 @@ Cell run_cell(const dtn::bench::Scenario& scenario,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const dtn::CliOptions opts(argc, argv);
+  const dtn::CliOptions opts =
+      dtn::bench::parse_cli(argc, argv, "bench_overload");
   const auto scenario =
       dtn::bench::make_dart_scenario(opts.full_scale(), opts.get_seed(1));
 

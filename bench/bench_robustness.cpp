@@ -13,7 +13,8 @@
 #include "util/rng.hpp"
 
 int main(int argc, char** argv) {
-  const dtn::CliOptions opts(argc, argv);
+  const dtn::CliOptions opts =
+      dtn::bench::parse_cli(argc, argv, "bench_robustness");
   const auto scenario =
       dtn::bench::make_dart_scenario(opts.full_scale(), opts.get_seed(1));
 

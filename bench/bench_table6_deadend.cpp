@@ -55,7 +55,8 @@ dtn::trace::Trace inject_dead_ends(const dtn::trace::Trace& trace,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const dtn::CliOptions opts(argc, argv);
+  const dtn::CliOptions opts =
+      dtn::bench::parse_cli(argc, argv, "bench_table6_deadend");
   for (auto& scenario : dtn::bench::make_scenarios(opts)) {
     // Enough parked stays to matter: ~2 per node on average.
     const std::size_t events = scenario.trace.num_nodes() * 2;

@@ -14,7 +14,8 @@
 #include "util/rng.hpp"
 
 int main(int argc, char** argv) {
-  const dtn::CliOptions opts(argc, argv);
+  const dtn::CliOptions opts =
+      dtn::bench::parse_cli(argc, argv, "bench_table7_loops");
   for (const auto& scenario : dtn::bench::make_scenarios(opts)) {
     dtn::TablePrinter table({"variant", "success rate", "O.delay (days)",
                              "loops detected", "loops corrected"});

@@ -11,7 +11,8 @@
 #include "core/dtn_flow_router.hpp"
 
 int main(int argc, char** argv) {
-  const dtn::CliOptions opts(argc, argv);
+  const dtn::CliOptions opts =
+      dtn::bench::parse_cli(argc, argv, "bench_table8_9_loadbalance");
   for (const auto& scenario : dtn::bench::make_scenarios(opts)) {
     // Overload rates: 1100..1500 at paper scale; 2.2x..3x the default
     // rate at quick scale (the same ratio to the Figs. 13/14 axis).

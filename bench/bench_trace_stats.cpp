@@ -8,7 +8,8 @@
 #include "trace/trace_stats.hpp"
 
 int main(int argc, char** argv) {
-  const dtn::CliOptions opts(argc, argv);
+  const dtn::CliOptions opts =
+      dtn::bench::parse_cli(argc, argv, "bench_trace_stats");
   dtn::TablePrinter table({"trace", "nodes", "landmarks", "visits", "transits",
                            "days", "mean visit (min)", "transits/node/day"});
   for (const auto& scenario : dtn::bench::make_scenarios(opts)) {

@@ -23,6 +23,7 @@
 
 int main(int argc, char** argv) {
   const dtn::CliOptions opts(argc, argv);
+  opts.reject_unknown("campus_data_collection", {"days", "seed"});
   dtn::Rng rng(opts.get_seed(7));
 
   // -- 1. plan the landmark deployment ---------------------------------

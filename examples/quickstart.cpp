@@ -11,6 +11,7 @@
 
 int main(int argc, char** argv) {
   const dtn::CliOptions opts(argc, argv);
+  opts.reject_unknown("quickstart", {"seed"});
 
   // 1. A mobility trace: who visited which landmark when.  Here a
   //    synthetic campus; real traces load via trace::read_trace_csv.

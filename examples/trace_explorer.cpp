@@ -22,6 +22,7 @@
 
 int main(int argc, char** argv) {
   const dtn::CliOptions opts(argc, argv);
+  opts.reject_unknown("trace_explorer", {"input", "kind", "save", "seed"});
 
   dtn::trace::Trace trace;
   const std::string input = opts.get("input", "");

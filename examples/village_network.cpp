@@ -20,6 +20,7 @@
 
 int main(int argc, char** argv) {
   const dtn::CliOptions opts(argc, argv);
+  opts.reject_unknown("village_network", {"seed"});
 
   // Villages as landmarks; buses on market routes plus villagers who
   // mostly shuttle between their home village and the district town.

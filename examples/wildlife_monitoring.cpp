@@ -22,6 +22,7 @@
 
 int main(int argc, char** argv) {
   const dtn::CliOptions opts(argc, argv);
+  opts.reject_unknown("wildlife_monitoring", {"days", "seed"});
 
   // The savanna: a ranger base plus nine waterholes / feeding grounds
   // spread over ~20 km.

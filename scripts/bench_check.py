@@ -31,6 +31,11 @@ the refreshed baseline's host_context, so the provenance of a big win
 (e.g. a SIMD pass) survives in the checked-in numbers instead of
 silently shifting the floor.
 
+Every benchmark runs REPETITIONS (3) times (google-benchmark's
+--benchmark_repetitions), and the median of those runs, not whichever
+repetition happened to come last, is compared against the baseline.
+A baseline recorded without repetitions is compared by its single row.
+
 Usage (normally via the `bench-check` CMake target):
     scripts/bench_check.py --bench build/bench/bench_micro
     scripts/bench_check.py --bench build/bench/bench_micro \
@@ -53,12 +58,16 @@ DEFAULT_FILTER = (
     "|BM_CityReplay|BM_Checkpoint|BM_OverloadReplay"
 )
 
+# Runs per benchmark; the median of them is compared.
+REPETITIONS = 3
+
 
 def run_benchmarks(bench: Path, bench_filter: str) -> dict:
     cmd = [
         str(bench),
         f"--benchmark_filter={bench_filter}",
         "--benchmark_format=json",
+        f"--benchmark_repetitions={REPETITIONS}",
     ]
     try:
         proc = subprocess.run(cmd, capture_output=True, text=True)
@@ -107,12 +116,18 @@ def validate_report(report: object, source: str) -> None:
 
 
 def by_name(report: dict) -> dict[str, dict]:
+    """One row per benchmark: its `median` aggregate when the run had
+    repetitions, else its single iteration row."""
     out = {}
+    medians = {}
     for b in report["benchmarks"]:
-        # Skip aggregate rows (mean/median/stddev) if repetitions are on.
         if b.get("run_type") == "aggregate":
+            # mean/stddev/cv are not compared; the median is.
+            if b.get("aggregate_name") == "median":
+                medians[b.get("run_name", b["name"])] = b
             continue
         out[b["name"]] = b
+    out.update(medians)
     return out
 
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <string>
 
 #include "persist/flat_io.hpp"
@@ -23,6 +24,27 @@ namespace {
 // Minimum raw transit probability for a node that is *not* predicted to
 // head to the next hop to still be usable as its carrier.
 constexpr double kCarrierProbabilityFloor = 0.30;
+
+// The route leads somewhere at a finite delay.
+bool routable(const Route& r) {
+  return r.reachable() && r.delay != kInfiniteDelay;
+}
+
+// The route's backup may take load-balanced traffic (§IV-E.3): it
+// exists, is finite and is not drastically worse than the primary.
+bool backup_balances(const Route& r) {
+  return r.backup_next != kNoLandmark && r.backup_delay != kInfiniteDelay &&
+         r.backup_delay <= 3.0 * r.delay;
+}
+
+// An arriving node carries packets toward `next` when it is predicted to
+// go there or its raw transit probability `raw` reaches the floor, and
+// the probability and its product with the node's accuracy are positive.
+bool carrier_accepts(LandmarkId predicted, LandmarkId next, double raw,
+                     double acc) {
+  if (predicted != next && raw < kCarrierProbabilityFloor) return false;
+  return !(raw <= 0.0 || raw * acc <= 0.0);
+}
 }  // namespace
 
 DtnFlowRouter::DtnFlowRouter(DtnFlowConfig config) : cfg_(config) {
@@ -283,7 +305,7 @@ bool DtnFlowRouter::choose_next_hop(LandmarkId l, LandmarkId dst,
                                     LandmarkId& next, double& delay) {
   LandmarkState& ls = landmarks_[l];
   const Route r = ls.table->route(dst);
-  if (!r.reachable() || r.delay == kInfiniteDelay) return false;
+  if (!routable(r)) return false;
   next = r.next;
   delay = r.delay;
   // Graceful degradation: the primary next hop's station is in an
@@ -306,10 +328,8 @@ bool DtnFlowRouter::choose_next_hop(LandmarkId l, LandmarkId dst,
   // hop.  Diverting everything would just overload the (usually slower)
   // backup, so packets alternate between the two routes while the
   // overload lasts, and only when the backup is not drastically worse.
-  if (cfg_.load_balancing && r.backup_next != kNoLandmark &&
-      r.backup_delay != kInfiniteDelay &&
-      r.backup_delay <= 3.0 * r.delay && link_overloaded(ls, r.next) &&
-      !link_overloaded(ls, r.backup_next)) {
+  if (cfg_.load_balancing && backup_balances(r) &&
+      link_overloaded(ls, r.next) && !link_overloaded(ls, r.backup_next)) {
     if (++ls.divert_toggle[r.next] % 2 == 1) {
       next = r.backup_next;
       delay = r.backup_delay;
@@ -422,38 +442,77 @@ void DtnFlowRouter::offer_packets_to_node(Network& net, LandmarkId l,
   const double acc_here = cfg_.refine_carrier_selection
                               ? accuracy_.at(n, l)
                               : 1.0;
-  // §IV-D.5 forwarding priority: packets whose expected delay fits the
-  // remaining TTL first, by smallest remaining TTL.  Both sort keys are
-  // precomputed, so the comparator reads a flag and a double instead of
-  // chasing the packet store per comparison.  The comparator's decisions
-  // are unchanged, so the resulting permutation is bit-identical to the
-  // old in-comparator recomputation.  The copy also snapshots the queue,
-  // which the handovers below shrink.
-  struct Offer {
-    bool eligible;
-    double ttl_left;
-    PacketId pid;
+  const LandmarkId predicted = nodes_[n].predicted_next;
+  const RoutingTable& table = *landmarks_[l].table;
+
+  // Classify (docs/routing-hot-path.md, "Arrival offers and uploads"):
+  // a candidate is a packet the walk below could hand over or on whose
+  // behalf choose_next_hop could touch router state.  Every other packet
+  // is one the walk would pass over with `continue` and no side effect,
+  // so leaving it out of the sort and the walk changes nothing.
+  const auto could_move = [&](const Packet& p, const Route& r) {
+    if (cfg_.direct_delivery && predicted == p.dst) return true;
+    if (!routable(r)) return false;
+    // Outage fallback or a load-balancing diversion may fire.
+    if (station_down_[r.next] != 0) return true;
+    if (cfg_.load_balancing && backup_balances(r)) return true;
+    return carrier_accepts(predicted, r.next, distribution_scratch_[r.next],
+                           acc_here);
   };
-  std::vector<Offer> offers;
-  offers.reserve(span.size());
+  offer_keys_.clear();
+  auto min_candidate_kb = std::numeric_limits<std::uint32_t>::max();
+  std::uint32_t max_other_kb = 0;
   for (const PacketId pid : span) {
     const Packet& p = net.packet(pid);
+    const Route r = table.route(p.dst);
+    const bool skipped = p.state != net::PacketState::kAtStation ||
+                         (p.dst == l && p.dst_node != trace::kNoNode);
+    if (skipped && !offer_every_packet_) continue;
     const double ttl_left = p.remaining_ttl(now);
-    offers.push_back(
-        {landmarks_[l].table->delay_to(p.dst) <= ttl_left, ttl_left, pid});
+    const bool candidate = offer_every_packet_ || could_move(p, r);
+    offer_keys_.push_back({ttl_left, pid, r.delay <= ttl_left, candidate});
+    if (candidate) {
+      min_candidate_kb = std::min(min_candidate_kb, p.size_kb);
+    } else {
+      max_other_kb = std::max(max_other_kb, p.size_kb);
+    }
   }
-  std::sort(offers.begin(), offers.end(), [](const Offer& a, const Offer& b) {
-    if (a.eligible != b.eligible) return a.eligible;
-    return a.ttl_left < b.ttl_left;
-  });
+  // The walk breaks at the first packet the node has no space for, so a
+  // non-candidate could end it early.  Free space falls only at
+  // handovers, which only candidates make, so a non-candidate no larger
+  // than the smallest candidate breaks only where the next candidate
+  // would break too.  A larger one joins the walk.  With one packet
+  // size per run this never fires.
+  if (max_other_kb > min_candidate_kb) {
+    for (OfferKey& key : offer_keys_) {
+      key.candidate =
+          key.candidate || net.packet(key.pid).size_kb > min_candidate_kb;
+    }
+  }
+
+  // Sort the candidates by the §IV-D.5 forwarding priority: packets
+  // whose expected delay fits the remaining TTL first, by smallest
+  // remaining TTL, ties by packet id.  The order is total, so the
+  // candidates keep the relative order they would have in a full sort.
+  // The key list also snapshots the queue, which the handovers below
+  // shrink.
+  const auto last =
+      std::partition(offer_keys_.begin(), offer_keys_.end(),
+                     [](const OfferKey& k) { return k.candidate; });
+  std::sort(offer_keys_.begin(), last,
+            [](const OfferKey& a, const OfferKey& b) {
+              if (a.eligible != b.eligible) return a.eligible;
+              if (a.ttl_left != b.ttl_left) return a.ttl_left < b.ttl_left;
+              return a.pid < b.pid;
+            });
 
   std::size_t handed = 0;
-  for (const Offer& offer : offers) {
+  for (auto it = offer_keys_.begin(); it != last; ++it) {
     if (cfg_.max_downloads_per_arrival != 0 &&
         handed >= cfg_.max_downloads_per_arrival) {
       break;
     }
-    const PacketId pid = offer.pid;
+    const PacketId pid = it->pid;
     Packet& p = net.packet(pid);
     if (p.state != net::PacketState::kAtStation) continue;  // moved already
     if (p.dst == l && p.dst_node != trace::kNoNode) continue;  // waiting here
@@ -474,11 +533,10 @@ void DtnFlowRouter::offer_packets_to_node(Network& net, LandmarkId l,
     LandmarkId next = kNoLandmark;
     double delay = kInfiniteDelay;
     if (!choose_next_hop(l, p.dst, next, delay)) continue;
-    const double raw = distribution_scratch_[next];
-    if (nodes_[n].predicted_next != next && raw < kCarrierProbabilityFloor) {
+    if (!carrier_accepts(nodes_[n].predicted_next, next,
+                         distribution_scratch_[next], acc_here)) {
       continue;
     }
-    if (raw <= 0.0 || raw * acc_here <= 0.0) continue;
     if (net.station_to_node(l, n, pid)) {
       p.next_hop = next;
       p.expected_delay = delay;
@@ -494,21 +552,17 @@ std::vector<PacketId> DtnFlowRouter::upload_packets(Network& net, NodeId n,
                                                     std::size_t max_count,
                                                     bool only_reached_hop) {
   std::vector<PacketId> uploaded;
-  // Most-urgent-first upload order (§IV-D.5): smallest remaining TTL.
-  // The key `deadline - now` is exactly what remaining_ttl(now) computes;
-  // sorting (key, pid) pairs makes the same comparator decisions as a
-  // by-pid sort with in-comparator TTL recomputation.  The sorted copy
-  // also outlives the uploads, which shrink the node's packet list.
+  // Most-urgent-first upload order (§IV-D.5): smallest remaining TTL,
+  // ties by packet id (the pair order).  `deadline - now` is exactly
+  // remaining_ttl(now).  The key list outlives the uploads, which shrink
+  // the node's packet list.
   const double now = net.now();
-  const auto carried = net.node_packets(n);
-  std::vector<std::pair<double, PacketId>> keyed;
-  keyed.reserve(carried.size());
-  for (const PacketId pid : carried) {
-    keyed.emplace_back(net.packet(pid).deadline() - now, pid);
+  upload_keys_.clear();
+  for (const PacketId pid : net.node_packets(n)) {
+    upload_keys_.emplace_back(net.packet(pid).deadline() - now, pid);
   }
-  std::sort(keyed.begin(), keyed.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (const auto& [key, pid] : keyed) {
+  std::sort(upload_keys_.begin(), upload_keys_.end());
+  for (const auto& [ttl_left, pid] : upload_keys_) {
     if (max_count != 0 && uploaded.size() >= max_count) break;
     Packet& p = net.packet(pid);
     bool upload = force_all;

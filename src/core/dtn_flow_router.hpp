@@ -34,6 +34,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/bandwidth.hpp"
@@ -240,6 +241,12 @@ class DtnFlowRouter final : public net::Router {
   bool debug_corrupt_carrier_cache_for_test(net::LandmarkId l,
                                             net::LandmarkId to);
 
+  /// Test-only: classify every station packet of an offer as a
+  /// candidate, so the walk visits the full sorted queue.  Conformance
+  /// tests compare this against the filtered walk
+  /// (docs/routing-hot-path.md).
+  void debug_offer_every_packet_for_test() { offer_every_packet_ = true; }
+
   /// §IV-E.4 helper: the destination node's most frequently visited
   /// landmarks (up to `count`), the places to address node-bound packets
   /// to.
@@ -351,7 +358,18 @@ class DtnFlowRouter final : public net::Router {
   bool dispatch_packet(net::Network& net, net::LandmarkId l,
                        net::PacketId pid);
 
-  /// Offer station packets to one (newly arrived) node.
+  /// Sort keys of one station packet in an arrival offer (§IV-D.5
+  /// forwarding priority), plus whether the walk could act on it.
+  struct OfferKey {
+    double ttl_left;
+    net::PacketId pid;
+    /// The landmark's expected delay to the destination fits ttl_left.
+    bool eligible;
+    bool candidate;
+  };
+
+  /// Offer station packets to one (newly arrived) node: classify every
+  /// packet, sort only the candidates, then walk them most urgent first.
   void offer_packets_to_node(net::Network& net, net::LandmarkId l,
                              net::NodeId n);
 
@@ -413,6 +431,15 @@ class DtnFlowRouter final : public net::Router {
   /// offer_packets_to_node; avoids a vector allocation per offer).
   DTN_CKPT_SKIP("scratch, rebuilt empty on resume")
   std::vector<double> distribution_scratch_;
+  /// Scratch key lists of offer_packets_to_node and upload_packets
+  /// (reused so an arrival allocates no key vector).
+  DTN_CKPT_SKIP("scratch, rebuilt empty on resume")
+  std::vector<OfferKey> offer_keys_;
+  DTN_CKPT_SKIP("scratch, rebuilt empty on resume")
+  std::vector<std::pair<double, net::PacketId>> upload_keys_;
+  /// Set only by debug_offer_every_packet_for_test.
+  DTN_CKPT_SKIP("test-only switch, never set in a replay")
+  bool offer_every_packet_ = false;
   /// Present-epoch advances prepaid by on_departure_batch_begin and
   /// consumed by on_departure.  Always zero at event boundaries —
   /// audited, never serialized.

@@ -58,9 +58,14 @@ std::size_t Buffer::index_of(PacketId pid) const {
 bool Buffer::add(PacketId pid, std::uint32_t size_kb) {
   if (!has_space(size_kb)) return false;
   DTN_ASSERT(!contains(pid));
+  append(pid, size_kb);
+  return true;
+}
+
+void Buffer::append(PacketId pid, std::uint32_t size_kb) {
+  DTN_ASSERT(has_space(size_kb));
   packets_.push_back(pid);
   used_kb_ += size_kb;
-  return true;
 }
 
 void Buffer::remove(PacketId pid, std::uint32_t size_kb) {

@@ -41,6 +41,10 @@ class Buffer {
 
   /// Insert; returns false (and leaves the buffer unchanged) on overflow.
   [[nodiscard]] bool add(PacketId pid, std::uint32_t size_kb);
+  /// Insert a packet that fits and that the caller has already checked
+  /// is absent, skipping add()'s duplicate scan (BundleStore runs its
+  /// own check over memory and spill).
+  void append(PacketId pid, std::uint32_t size_kb);
 
   /// Remove a packet that must be present.
   void remove(PacketId pid, std::uint32_t size_kb);

@@ -99,8 +99,7 @@ bool BundleStore::seen_logical(PacketId logical) const {
 }
 
 void BundleStore::place(PacketId pid, const Entry& e) {
-  const bool ok = core_.add(pid, e.size_kb);
-  DTN_ASSERT(ok);
+  core_.append(pid, e.size_kb);
   meta_.push_back(e);
   if (e.retention != Retention::kNone) ++retained_;
   note_seen(e.logical);
@@ -316,6 +315,7 @@ void BundleStore::recall_while_fits(std::vector<PacketId>* recalled_out) {
     DTN_ASSERT(spilled_kb_ >= rec.entry.size_kb);
     spilled_kb_ -= rec.entry.size_kb;
     const Entry e = spill_fetch(rec);
+    DTN_ASSERT(!core_.contains(rec.pid));
     place(rec.pid, e);
     if (recalled_out != nullptr) recalled_out->push_back(rec.pid);
   }

@@ -253,7 +253,9 @@ class BundleStore {
   };
 
   void note_seen(PacketId logical);
-  /// Store `pid` in memory with `e`'s metadata (space must exist).
+  /// Store `pid` in memory with `e`'s metadata.  Space must exist and
+  /// the caller must have checked that `pid` is absent: the one
+  /// duplicate scan per admission is admit()'s (or the recall path's).
   void place(PacketId pid, const Entry& e);
   /// Evicts retention-free victims per `policy_` until `size_kb` fits;
   /// false (store unchanged beyond prior victims) when it cannot.

@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "metrics/metrics.hpp"
 #include "test_helpers.hpp"
@@ -406,6 +411,123 @@ TEST(DtnFlowRouter, NodeToNodeRelayHandsOffToBetterCarrier) {
   const auto [delivered_on, delay_on] = run_with(true);
   EXPECT_GE(delivered_on, delivered_off);
   EXPECT_LT(delay_on, delay_off);
+}
+
+// -- tie order ------------------------------------------------------------
+//
+// The §IV-D.5 priority breaks remaining-TTL ties by packet id, so the
+// order never depends on where swap-erase left a packet in a store.
+
+// Forwards the hooks a fault-free chain replay uses to a DTN-FLOW router
+// and reports every arrival before and after the router handles it.
+class ArrivalProbe final : public net::Router {
+ public:
+  using Callback = std::function<void(const Network&, net::NodeId,
+                                      net::LandmarkId, bool handled)>;
+  ArrivalProbe(DtnFlowRouter& inner, Callback probe)
+      : inner_(inner), probe_(std::move(probe)) {}
+
+  [[nodiscard]] std::string name() const override { return inner_.name(); }
+  [[nodiscard]] bool uses_stations() const override { return true; }
+  [[nodiscard]] bool observes_contacts() const override {
+    return inner_.observes_contacts();
+  }
+  void on_init(Network& net) override { inner_.on_init(net); }
+  void on_arrival(Network& net, net::NodeId node,
+                  net::LandmarkId l) override {
+    probe_(net, node, l, false);
+    inner_.on_arrival(net, node, l);
+    probe_(net, node, l, true);
+  }
+  void on_departure(Network& net, net::NodeId node,
+                    net::LandmarkId l) override {
+    inner_.on_departure(net, node, l);
+  }
+  void on_departure_batch_begin(Network& net, net::LandmarkId l,
+                                std::size_t count) override {
+    inner_.on_departure_batch_begin(net, l, count);
+  }
+  void on_packet_generated(Network& net, net::PacketId pid) override {
+    inner_.on_packet_generated(net, pid);
+  }
+  void on_time_unit(Network& net, std::size_t unit_index) override {
+    inner_.on_time_unit(net, unit_index);
+  }
+
+ private:
+  DtnFlowRouter& inner_;
+  Callback probe_;
+};
+
+using Ids = std::vector<net::PacketId>;
+
+Ids ids(std::span<const net::PacketId> span) {
+  return {span.begin(), span.end()};
+}
+
+// Units of 4.75 h put a TTL sweep at 156.75 h, while node 0 is between
+// its 156 h visit to L0 and its 157 h visit to L1 (relay_chain_trace).
+WorkloadConfig tie_workload() {
+  WorkloadConfig cfg = chain_workload();
+  cfg.time_unit = 4.75 * kHour;
+  return cfg;
+}
+
+TEST(DtnFlowRouter, OfferBreaksTtlTiesByPacketId) {
+  const auto trace = relay_chain_trace(10.0);
+  DtnFlowRouter router;
+  auto cfg = tie_workload();
+  // Packet 0 expires at L0's station before the 156.75 h sweep, which
+  // swap-erases it and leaves the tied packets 1 and 2 in the order
+  // (2, 1).  Node 0 comes back at 158 h and takes both.
+  cfg.manual_packets = {{0, 1, 156.0 * kHour + 31.0 * kMinute, 10.0 * kMinute},
+                        {0, 1, 156.0 * kHour + 35.0 * kMinute, 1.0 * kDay},
+                        {0, 1, 156.0 * kHour + 35.0 * kMinute, 1.0 * kDay}};
+  Ids station_before;
+  Ids carried_after;
+  ArrivalProbe probe(router, [&](const Network& net, net::NodeId node,
+                                 net::LandmarkId l, bool handled) {
+    if (node != 0 || l != 0 || net.now() != 158.0 * kHour) return;
+    if (handled) {
+      carried_after = ids(net.node_packets(0));
+    } else {
+      station_before = ids(net.station_packets(0));
+    }
+  });
+  Network net(trace, probe, cfg);
+  net.run();
+  ASSERT_EQ(station_before, (Ids{2, 1}));
+  EXPECT_EQ(carried_after, (Ids{1, 2}));
+  EXPECT_EQ(net.counters().delivered, 2u);
+}
+
+TEST(DtnFlowRouter, UploadBreaksTtlTiesByPacketId) {
+  const auto trace = relay_chain_trace(10.0);
+  DtnFlowRouter router;
+  auto cfg = tie_workload();
+  // All three wait at L0 for node 0's 156 h visit, which takes packet 0
+  // (the most urgent) first.  The 156.75 h sweep drops it from node 0,
+  // leaving the tied packets 1 and 2 carried in the order (2, 1).  At
+  // L1 their next hop is reached, and L1's carrier to L2 is away.
+  const double created = 154.0 * kHour + 40.0 * kMinute;
+  cfg.manual_packets = {{0, 2, created, 2.0 * kHour},
+                        {0, 2, created, 2.0 * kHour + 35.0 * kMinute},
+                        {0, 2, created, 2.0 * kHour + 35.0 * kMinute}};
+  Ids carried_before;
+  Ids station_after;
+  ArrivalProbe probe(router, [&](const Network& net, net::NodeId node,
+                                 net::LandmarkId l, bool handled) {
+    if (node != 0 || l != 1 || net.now() != 157.0 * kHour) return;
+    if (handled) {
+      station_after = ids(net.station_packets(1));
+    } else {
+      carried_before = ids(net.node_packets(0));
+    }
+  });
+  Network net(trace, probe, cfg);
+  net.run();
+  ASSERT_EQ(carried_before, (Ids{2, 1}));
+  EXPECT_EQ(station_after, (Ids{1, 2}));
 }
 
 TEST(DtnFlowRouterDeath, InvalidConfigRejected) {

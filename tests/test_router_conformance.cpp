@@ -4,11 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "core/dtn_flow_router.hpp"
 #include "metrics/metrics.hpp"
 #include "net/network.hpp"
 #include "routing/factory.hpp"
+#include "sim/fault_injector.hpp"
 #include "trace/bus_generator.hpp"
 #include "trace/campus_generator.hpp"
 
@@ -233,6 +237,120 @@ TEST(RouterContactDeclaration, DtnFlowObservesContactsOnlyWithNodeRelay) {
     EXPECT_TRUE(routing::make_router(name)->observes_contacts()) << name;
   }
 }
+
+// -- DTN-FLOW arrival classifier -------------------------------------------
+//
+// Arrival offers sort and walk only the station packets that can move
+// (docs/routing-hot-path.md, "Arrival offers and uploads").  Each case
+// runs twice, once with the test seam that makes every station packet a
+// candidate (a full sorted walk), and both runs must agree on counters,
+// diagnostics and every packet's fate.
+
+const char* const kClassifierCases[] = {
+    "default",        "load_balancing",    "loop_correction",
+    "scheduled_caps", "dead_end",          "no_direct_delivery",
+    "no_refinement",  "tiny_node_memory",  "station_reject",
+    "station_drop_oldest", "station_drop_largest_delay",
+    "station_ttl_expire",  "station_outages"};
+
+struct ClassifierSetup {
+  core::DtnFlowConfig router;
+  net::WorkloadConfig workload;
+};
+
+ClassifierSetup classifier_setup(const std::string& name) {
+  ClassifierSetup s;
+  s.workload = conformance_workload();
+  // Enough traffic that arriving carriers meet long station queues.
+  s.workload.packets_per_landmark_per_day = 40.0;
+  const auto bounded = [&](net::EvictionPolicy policy) {
+    s.workload.store.station_memory_kb = 25;
+    s.workload.store.policy = policy;
+  };
+  if (name == "load_balancing") {
+    s.router.load_balancing = true;
+    s.router.overload_lambda = 1.0;
+  } else if (name == "loop_correction") {
+    s.router.loop_correction = true;
+    s.router.loop_injections = {{3, {0, 1}, 4}};
+  } else if (name == "scheduled_caps") {
+    s.router.scheduled_communication = true;
+    s.router.max_uploads_per_arrival = 3;
+    s.router.max_downloads_per_arrival = 2;
+  } else if (name == "dead_end") {
+    s.router.dead_end_prevention = true;
+  } else if (name == "no_direct_delivery") {
+    s.router.direct_delivery = false;
+  } else if (name == "no_refinement") {
+    s.router.refine_carrier_selection = false;
+  } else if (name == "tiny_node_memory") {
+    s.workload.node_memory_kb = 3;  // the offer walk breaks often
+  } else if (name == "station_reject") {
+    bounded(net::EvictionPolicy::kReject);
+  } else if (name == "station_drop_oldest") {
+    bounded(net::EvictionPolicy::kDropOldest);
+  } else if (name == "station_drop_largest_delay") {
+    bounded(net::EvictionPolicy::kDropLargestExpectedDelay);
+  } else if (name == "station_ttl_expire") {
+    bounded(net::EvictionPolicy::kTtlExpire);
+  } else if (name == "station_outages") {
+    sim::FaultPlan plan;
+    plan.station_outage_rate_per_day = 0.5;
+    plan.station_mean_outage = 0.25 * kDay;
+    plan.transfer_failure_prob = 0.05;
+    s.workload.faults = plan;
+  }
+  return s;
+}
+
+struct ClassifierOutcome {
+  net::RunCounters counters;
+  core::DtnFlowDiagnostics diagnostics;
+  std::vector<std::tuple<net::PacketState, std::uint32_t, std::uint32_t>>
+      packets;  // state, holder, hops
+};
+
+ClassifierOutcome run_classifier_case(const trace::Trace& trace,
+                                      const ClassifierSetup& setup,
+                                      bool every_packet) {
+  core::DtnFlowRouter router(setup.router);
+  if (every_packet) router.debug_offer_every_packet_for_test();
+  net::Network net(trace, router, setup.workload);
+  net.run();
+  ClassifierOutcome out{net.counters(), router.diagnostics(), {}};
+  for (const auto& p : net.all_packets()) {
+    out.packets.emplace_back(p.state, p.holder, p.hops);
+  }
+  return out;
+}
+
+using ClassifierCase = std::tuple<const char*, const char*>;
+
+class DtnFlowClassifierTest
+    : public ::testing::TestWithParam<ClassifierCase> {};
+
+TEST_P(DtnFlowClassifierTest, FilteredWalksMatchFullSortedWalks) {
+  const auto trace = conformance_trace(std::get<1>(GetParam()));
+  const ClassifierSetup setup = classifier_setup(std::get<0>(GetParam()));
+  const ClassifierOutcome filtered = run_classifier_case(trace, setup, false);
+  const ClassifierOutcome full = run_classifier_case(trace, setup, true);
+  EXPECT_GT(filtered.counters.packet_forwards, 0u);
+  EXPECT_EQ(filtered.counters, full.counters);
+  EXPECT_EQ(filtered.diagnostics, full.diagnostics);
+  ASSERT_EQ(filtered.packets.size(), full.packets.size());
+  for (std::size_t i = 0; i < full.packets.size(); ++i) {
+    EXPECT_EQ(filtered.packets[i], full.packets[i]) << "packet " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Configs, DtnFlowClassifierTest,
+    ::testing::Combine(::testing::ValuesIn(kClassifierCases),
+                       ::testing::ValuesIn(kTraceKinds)),
+    [](const ::testing::TestParamInfo<ClassifierCase>& info) {
+      return std::string(std::get<0>(info.param)) + "_" +
+             std::get<1>(info.param);
+    });
 
 INSTANTIATE_TEST_SUITE_P(
     AllRouters, RouterConformanceTest,
