@@ -83,6 +83,43 @@ void BM_MarkovPredict(benchmark::State& state) {
 }
 BENCHMARK(BM_MarkovPredict)->Arg(1)->Arg(2);
 
+/// A neighbor's vector whose advertisement to one destination drifts
+/// before every merge.  The table holds the last merged payload as its
+/// row, so two buffers alternate: each drift goes into the one the
+/// table does not hold, after that buffer catches up with the previous
+/// drift.  Every merge then sweeps the row and finds one changed cell.
+class DriftingVector {
+ public:
+  DriftingVector(std::size_t n, dtn::Rng& rng) {
+    std::vector<double> delay(n);
+    for (auto& d : delay) d = rng.uniform(1.0, 100.0);
+    delay[1] = 0.0;
+    for (int i = 0; i < 2; ++i) {
+      buffers_[i] = std::make_shared<std::vector<double>>(delay);
+      vectors_[i] = dtn::core::DistanceVector{1, 0, buffers_[i]};
+    }
+  }
+
+  /// The next vector from landmark 1, with destination `k` drifted.
+  const dtn::core::DistanceVector& drift(std::size_t k) {
+    const std::vector<double>& held = *buffers_[held_];
+    held_ = 1 - held_;
+    std::vector<double>& free = *buffers_[held_];
+    free[last_] = held[last_];
+    free[k] = held[k] + 0.25;
+    last_ = k;
+    vectors_[held_].seq = seq_++;
+    return vectors_[held_];
+  }
+
+ private:
+  std::shared_ptr<std::vector<double>> buffers_[2];
+  dtn::core::DistanceVector vectors_[2];
+  std::size_t held_ = 0;
+  std::size_t last_ = 0;
+  std::uint64_t seq_ = 0;
+};
+
 void BM_RoutingTableMerge(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   dtn::core::RoutingTable table(0, n);
@@ -91,16 +128,13 @@ void BM_RoutingTableMerge(benchmark::State& state) {
     table.set_link_delay(static_cast<dtn::trace::LandmarkId>(j),
                          rng.uniform(1.0, 100.0));
   }
-  // An unpublished (version 0) payload: every merge sweeps the row.
-  auto delay = std::make_shared<std::vector<double>>(n);
-  for (auto& d : *delay) d = rng.uniform(1.0, 100.0);
-  (*delay)[1] = 0.0;
-  dtn::core::DistanceVector dv{1, 0, delay};
+  DriftingVector vector(n, rng);
+  std::size_t i = 0;
   for (auto _ : state) {
-    ++dv.seq;
-    benchmark::DoNotOptimize(table.merge(dv));
-    benchmark::DoNotOptimize(table.route(static_cast<dtn::trace::LandmarkId>(
-        dv.seq % n)));
+    ++i;
+    benchmark::DoNotOptimize(table.merge(vector.drift(2 + i % (n - 2))));
+    benchmark::DoNotOptimize(
+        table.route(static_cast<dtn::trace::LandmarkId>(i % n)));
   }
 }
 BENCHMARK(BM_RoutingTableMerge)->Arg(18)->Arg(159);
@@ -119,21 +153,14 @@ void BM_RoutingTableRecompute(benchmark::State& state) {
     table.set_link_delay(static_cast<dtn::trace::LandmarkId>(j),
                          rng.uniform(1.0, 100.0));
   }
-  // The payload stays unpublished (version 0) and is edited in place
-  // through `delay`, so every merge sweeps the row, as a drifting vector
-  // from a neighbor would.
-  auto delay = std::make_shared<std::vector<double>>(n);
-  for (auto& d : *delay) d = rng.uniform(1.0, 100.0);
-  (*delay)[1] = 0.0;
-  dtn::core::DistanceVector dv{1, 0, delay};
+  DriftingVector vector(n, rng);
   // Warm the table so the loop below never pays first-touch costs.
-  (void)table.merge(dv);
+  (void)table.merge(vector.drift(2));
   (void)table.route(2);
   std::size_t k = 2;
   for (auto _ : state) {
-    ++dv.seq;
-    (*delay)[k] += 0.25;  // one destination's advertisement drifts
-    benchmark::DoNotOptimize(table.merge(dv));
+    // One destination's advertisement drifts.
+    benchmark::DoNotOptimize(table.merge(vector.drift(k)));
     benchmark::DoNotOptimize(
         table.route(static_cast<dtn::trace::LandmarkId>(k)));
     k = 2 + (k - 1) % (n - 2);

@@ -24,9 +24,10 @@
 // stand-in for kill -9 used by the CI round-trip smoke.
 //
 // Bad input (an unknown option, an unknown --kind, --router or --fault-*
-// name, a count below the generator's minimum, a non-positive --days,
-// an --input trace CSV that fails validation) exits with status 2 and a
-// one-line message, like CliOptions' own usage errors.
+// name, a count below the generator's minimum, a negative size or rate,
+// a non-positive --days, --ttl-days or --unit-days, a --warmup outside
+// [0, 1), an --input trace CSV that fails validation) exits with status
+// 2 and a one-line message, like CliOptions' own usage errors.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -49,8 +50,9 @@
 
 namespace {
 
-/// A count option, rejected below `min` (the trace generators assert
-/// their minimums rather than report them).
+/// A count or size option, rejected below `min`: the trace generators
+/// assert their minimums rather than report them, and a negative size
+/// would wrap to a huge unsigned one.
 std::size_t count_arg(const dtn::CliOptions& opts, const std::string& key,
                       std::int64_t fallback, std::int64_t min) {
   const std::int64_t v = opts.get_int(key, fallback);
@@ -62,13 +64,25 @@ std::size_t count_arg(const dtn::CliOptions& opts, const std::string& key,
   return static_cast<std::size_t>(v);
 }
 
-double days_arg(const dtn::CliOptions& opts, double fallback) {
-  const double days = opts.get_double("days", fallback);
-  if (!(days > 0.0) || !std::isfinite(days)) {
-    throw std::invalid_argument("--days must be positive, got " +
-                                opts.get("days", ""));
+bool positive(double v) { return v > 0.0; }
+bool non_negative(double v) { return v >= 0.0; }
+bool fraction(double v) { return v >= 0.0 && v < 1.0; }
+
+/// A finite real option, rejected unless `ok` holds; `rule` says what
+/// `ok` asks for (the network asserts these ranges rather than report
+/// them).
+double real_arg(const dtn::CliOptions& opts, const std::string& key,
+                double fallback, bool (*ok)(double), const char* rule) {
+  const double v = opts.get_double(key, fallback);
+  if (!std::isfinite(v) || !ok(v)) {
+    throw std::invalid_argument("--" + key + " must be " + rule + ", got " +
+                                opts.get(key, ""));
   }
-  return days;
+  return v;
+}
+
+double days_arg(const dtn::CliOptions& opts, double fallback) {
+  return real_arg(opts, "days", fallback, positive, "positive");
 }
 
 dtn::trace::Trace make_trace(const dtn::CliOptions& opts) {
@@ -130,13 +144,12 @@ int run_service(const dtn::CliOptions& opts, const dtn::trace::Trace& trace,
     std::fprintf(stderr, "simulate: --serve requires --checkpoint-dir\n");
     return 2;
   }
-  cc.every_events = static_cast<std::uint64_t>(
-      opts.get_int("checkpoint-every-events", 250000));
-  cc.every_time =
-      opts.get_double("checkpoint-every-days", 0.0) * dtn::trace::kDay;
-  cc.keep = static_cast<std::size_t>(opts.get_int("checkpoint-keep", 4));
-  cc.stop_after_events = static_cast<std::uint64_t>(
-      opts.get_int("serve-exit-after-events", 0));
+  cc.every_events = count_arg(opts, "checkpoint-every-events", 250000, 0);
+  cc.every_time = real_arg(opts, "checkpoint-every-days", 0.0, non_negative,
+                           "at least 0") *
+                  dtn::trace::kDay;
+  cc.keep = count_arg(opts, "checkpoint-keep", 4, 0);
+  cc.stop_after_events = count_arg(opts, "serve-exit-after-events", 0, 0);
   dtn::persist::CheckpointManager mgr(cc);
 
   const auto router = dtn::routing::make_router(router_name);
@@ -198,18 +211,19 @@ int run(const dtn::CliOptions& opts) {
               trace.duration() / dtn::trace::kDay);
 
   dtn::net::WorkloadConfig workload;
-  workload.packets_per_landmark_per_day = opts.get_double("rate", 30.0);
-  workload.ttl = opts.get_double("ttl-days", 4.0) * dtn::trace::kDay;
-  workload.node_memory_kb =
-      static_cast<std::uint64_t>(opts.get_int("memory", 40));
-  workload.time_unit =
-      opts.get_double("unit-days", 1.0) * dtn::trace::kDay;
-  workload.warmup_fraction = opts.get_double("warmup", 0.25);
+  workload.packets_per_landmark_per_day =
+      real_arg(opts, "rate", 30.0, non_negative, "at least 0");
+  workload.ttl = real_arg(opts, "ttl-days", 4.0, positive, "positive") *
+                 dtn::trace::kDay;
+  workload.node_memory_kb = count_arg(opts, "memory", 40, 0);
+  workload.time_unit = real_arg(opts, "unit-days", 1.0, positive, "positive") *
+                       dtn::trace::kDay;
+  workload.warmup_fraction = real_arg(opts, "warmup", 0.25, fraction,
+                                      "at least 0 and below 1");
   workload.seed = opts.get_seed(1) * 97 + 3;
   // Bounded-store overload knobs (docs/bounded-store.md); the defaults
   // keep stations unbounded and every policy off.
-  workload.store.station_memory_kb =
-      static_cast<std::uint64_t>(opts.get_int("station-memory", 0));
+  workload.store.station_memory_kb = count_arg(opts, "station-memory", 0, 0);
   const std::string policy_name = opts.get("store-policy", "reject");
   if (!dtn::net::parse_eviction_policy(policy_name, &workload.store.policy)) {
     std::fprintf(stderr,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <limits>
 #include <string>
 
 #include "persist/flat_io.hpp"
@@ -460,8 +459,6 @@ void DtnFlowRouter::offer_packets_to_node(Network& net, LandmarkId l,
                            acc_here);
   };
   offer_keys_.clear();
-  auto min_candidate_kb = std::numeric_limits<std::uint32_t>::max();
-  std::uint32_t max_other_kb = 0;
   for (const PacketId pid : span) {
     const Packet& p = net.packet(pid);
     const Route r = table.route(p.dst);
@@ -471,24 +468,11 @@ void DtnFlowRouter::offer_packets_to_node(Network& net, LandmarkId l,
     const double ttl_left = p.remaining_ttl(now);
     const bool candidate = offer_every_packet_ || could_move(p, r);
     offer_keys_.push_back({ttl_left, pid, r.delay <= ttl_left, candidate});
-    if (candidate) {
-      min_candidate_kb = std::min(min_candidate_kb, p.size_kb);
-    } else {
-      max_other_kb = std::max(max_other_kb, p.size_kb);
-    }
   }
-  // The walk breaks at the first packet the node has no space for, so a
-  // non-candidate could end it early.  Free space falls only at
-  // handovers, which only candidates make, so a non-candidate no larger
-  // than the smallest candidate breaks only where the next candidate
-  // would break too.  A larger one joins the walk.  With one packet
-  // size per run this never fires.
-  if (max_other_kb > min_candidate_kb) {
-    for (OfferKey& key : offer_keys_) {
-      key.candidate =
-          key.candidate || net.packet(key.pid).size_kb > min_candidate_kb;
-    }
-  }
+  // The walk breaks at the first packet the node has no space for, yet
+  // no non-candidate can end it early: every packet of a run has the
+  // same size (Network enforces it, on load too), so a non-candidate
+  // finds no space exactly where the next candidate would not either.
 
   // Sort the candidates by the §IV-D.5 forwarding priority: packets
   // whose expected delay fits the remaining TTL first, by smallest
@@ -1116,7 +1100,7 @@ void DtnFlowRouter::checkpoint_load(persist::Reader& r, Network& net) {
         throw persist::FormatError(
             "checkpoint router section: malformed carried distance vector");
       }
-      // Restored unpublished (version 0): its first merge sweeps.
+      // Restored as a fresh payload: its first merge sweeps.
       ns.carried_dv.emplace(origin, seq, std::move(delay));
     } else {
       ns.carried_dv.reset();

@@ -100,9 +100,9 @@ class MarkovPredictor {
   void next_distribution(std::vector<double>& out) const;
 
   /// Allocating convenience overload of the above.  TEST-ONLY: replay
-  /// code must use the scratch-buffer overload (the determinism lint
-  /// rejects this spelling outside tests/ — see
-  /// scripts/determinism_lint.py).
+  /// code must use the scratch-buffer overload (the semantic analyzer's
+  /// `policy` check rejects this spelling in replay code — see
+  /// docs/static-analysis.md).
   [[nodiscard]] std::vector<double> next_distribution() const;
 
   /// The landmark of the most recent visit (kNoLandmark before any).
@@ -113,7 +113,7 @@ class MarkovPredictor {
   // -- checkpointing (src/persist/, docs/checkpointing.md) --------------
   /// Serialize the full flat store and query cache.  The hash map is
   /// *not* written (iterating it would be order-nondeterministic, see
-  /// scripts/determinism_lint.py); the dense id -> packed key vector
+  /// docs/static-analysis.md); the dense id -> packed key vector
   /// `context_keys_` carries the same information in insertion order.
   void save(persist::Writer& w) const;
   /// Restore into a predictor constructed with the same (num_landmarks,

@@ -1,11 +1,10 @@
 #include "core/routing_table.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <string>
+#include <utility>
 
-#include "persist/flat_io.hpp"
 #include "persist/serializer.hpp"
 #include "sim/invariant_auditor.hpp"
 #include "util/assert.hpp"
@@ -15,21 +14,20 @@ namespace dtn::core {
 RoutingTable::RoutingTable(LandmarkId self, std::size_t num_landmarks)
     : self_(self),
       link_delay_(num_landmarks, kInfiniteDelay),
-      advertised_(num_landmarks, num_landmarks, kInfiniteDelay),
+      unheard_(row_of(std::make_shared<const std::vector<double>>(
+          num_landmarks, kInfiniteDelay))),
       last_seq_(num_landmarks, 0),
       advertised_time_(num_landmarks, 0.0),
       expired_(num_landmarks, 0),
       pinned_(num_landmarks, 0),
       pin_route_(num_landmarks),
       routes_(num_landmarks),
-      column_dirty_(num_landmarks, 0),
-      applied_version_(num_landmarks, 0) {
+      column_dirty_(num_landmarks, 0) {
   DTN_ASSERT(self < num_landmarks);
-  // A neighbor always advertises delay 0 to itself even before we have
-  // merged anything from it (direct links are usable immediately).
-  for (std::size_t v = 0; v < num_landmarks; ++v) {
-    advertised_.at(v, v) = 0.0;
-  }
+  // A neighbor advertises delay 0 to itself even before we have merged
+  // anything from it (direct links are usable immediately); advertised()
+  // supplies that cell.
+  rows_.assign(num_landmarks, unheard_);
 }
 
 std::vector<LandmarkId> RoutingTable::finite_links() const {
@@ -87,28 +85,24 @@ bool RoutingTable::merge(const DistanceVector& dv, double now) {
   DTN_ASSERT(dv.origin < link_delay_.size());
   DTN_ASSERT(dv.payload != nullptr && dv.entries() == link_delay_.size());
   if (dv.origin == self_) return false;
-  if (dv.seq + 1 <= last_seq_[dv.origin]) return false;  // stale
-  last_seq_[dv.origin] = dv.seq + 1;
-  advertised_time_[dv.origin] = now;
-  expired_[dv.origin] = 0;  // a fresh vector revives a withdrawn origin
-  // The row already holds this exact payload (ids are never reused, and
-  // every other write to the row forgets the id): nothing can change.
-  if (dv.version != 0 && applied_version_[dv.origin] == dv.version) {
-    return true;
-  }
-  applied_version_[dv.origin] = dv.version;
-  const std::size_t n = dv.entries();
   const LandmarkId origin = dv.origin;
-  double* row = advertised_.row_ptr(origin);
+  if (dv.seq + 1 <= last_seq_[origin]) return false;  // stale
+  last_seq_[origin] = dv.seq + 1;
+  advertised_time_[origin] = now;
+  // The row already is this payload: payloads are immutable, and the
+  // row's reference keeps the address from being reused by another one.
   const double* in = dv.delay().data();
-  // Cells are visited in ascending destination order; the advertised
-  // matrix and the column's route move together.  A neighbor advertises
-  // delay 0 to itself regardless of payload.
-  const auto apply = [&](std::size_t d, double incoming) {
-    if (row[d] != incoming) {
-      row[d] = incoming;
-      update_cell(origin, static_cast<LandmarkId>(d));
-    }
+  if (rows_[origin].get() == in) return true;
+  const bool revived = expired_[origin] != 0;
+  expired_[origin] = 0;  // a fresh vector revives a withdrawn origin
+  const Row old = std::exchange(rows_[origin], row_of(dv.payload));
+  const std::size_t n = dv.entries();
+  const double* was = old.get();
+  // Cells are visited in ascending destination order, each changed one
+  // handed to the column's upkeep.  The origin's own cell is not read
+  // from the row: it changes only when the vector revives the origin.
+  const auto apply = [&](std::size_t d) {
+    if (was[d] != in[d]) update_cell(origin, static_cast<LandmarkId>(d));
   };
   // Most merges change a handful of cells, so unchanged cells are
   // skipped four at a time: `&` (not `&&`) keeps the block test to one
@@ -116,15 +110,15 @@ bool RoutingTable::merge(const DistanceVector& dv, double now) {
   const auto sweep = [&](std::size_t lo, std::size_t hi) {
     std::size_t d = lo;
     for (; d + 4 <= hi; d += 4) {
-      const bool same = (row[d] == in[d]) & (row[d + 1] == in[d + 1]) &
-                        (row[d + 2] == in[d + 2]) & (row[d + 3] == in[d + 3]);
+      const bool same = (was[d] == in[d]) & (was[d + 1] == in[d + 1]) &
+                        (was[d + 2] == in[d + 2]) & (was[d + 3] == in[d + 3]);
       if (same) continue;
-      for (std::size_t j = d; j < d + 4; ++j) apply(j, in[j]);
+      for (std::size_t j = d; j < d + 4; ++j) apply(j);
     }
-    for (; d < hi; ++d) apply(d, in[d]);
+    for (; d < hi; ++d) apply(d);
   };
   sweep(0, origin);
-  apply(origin, 0.0);
+  if (revived) update_cell(origin, origin);
   sweep(origin + 1, n);
   return true;
 }
@@ -181,7 +175,7 @@ Route RoutingTable::compute_column_scalar(LandmarkId dst) const {
     if (v == self_) continue;
     const double ld = link_delay_[v];
     if (ld == kInfiniteDelay) continue;
-    const double adv = advertised_.at(v, dst);
+    const double adv = advertised(static_cast<LandmarkId>(v), dst);
     if (adv == kInfiniteDelay) continue;
     offer(r, static_cast<LandmarkId>(v), ld + adv);
   }
@@ -190,13 +184,11 @@ Route RoutingTable::compute_column_scalar(LandmarkId dst) const {
 
 Route RoutingTable::compute_column(LandmarkId dst) const {
   if (dst == self_) return self_route(self_);
-  // Walk column dst of advertised_ directly; an infinite advertisement
-  // makes the cost infinite, which never passes offer's strict <.
-  const std::size_t n = link_delay_.size();
-  const double* column = advertised_.raw().data() + dst;
+  // An infinite advertisement makes the cost infinite, which never
+  // passes offer's strict <.
   Route r;
   for (const LandmarkId v : neighbours_) {
-    offer(r, v, link_delay_[v] + column[v * n]);
+    offer(r, v, link_delay_[v] + advertised(v, dst));
   }
   return finish_column(dst, r);
 }
@@ -206,7 +198,7 @@ void RoutingTable::update_cell(LandmarkId v, LandmarkId dst) {
   // Dirty columns are rescanned anyway, and the self route never moves.
   if (all_dirty_ || column_dirty_[dst] != 0 || dst == self_) return;
   Route& r = routes_[dst];
-  const double cost = link_delay_[v] + advertised_.at(v, dst);
+  const double cost = link_delay_[v] + advertised(v, dst);
   // A pinned column holds the organic best in its backup slot, and a
   // rise in the best's or backup's cost leaves the next one unknown.
   if (pinned_[dst] != 0 || (v == r.next && cost > r.delay) ||
@@ -259,17 +251,6 @@ Route RoutingTable::route(LandmarkId dst) const {
 
 double RoutingTable::delay_to(LandmarkId dst) const { return route(dst).delay; }
 
-namespace {
-
-/// Process-unique payload ids, never 0.  Which id a payload gets has no
-/// effect on any result; uniqueness is all a merge memo relies on.
-std::uint64_t next_payload_version() {
-  static std::atomic<std::uint64_t> last{0};
-  return last.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
-}  // namespace
-
 void RoutingTable::publish() {
   publish_stale_ = false;
   const std::size_t n = routes_.size();
@@ -283,18 +264,17 @@ void RoutingTable::publish() {
                         std::bit_cast<std::uint64_t>(advertised(d))) {
       ++d;
     }
-    if (d == n) return;  // same content, same id
+    if (d == n) return;  // same content, same payload
   }
   auto fresh = std::make_shared<std::vector<double>>(n);
   for (std::size_t d = 0; d < n; ++d) (*fresh)[d] = advertised(d);
   published_ = std::move(fresh);
-  published_version_ = next_payload_version();
 }
 
 DistanceVector RoutingTable::snapshot() {
   recompute();
   if (publish_stale_) publish();
-  return DistanceVector(self_, seq_++, published_, published_version_);
+  return DistanceVector(self_, seq_++, published_);
 }
 
 double RoutingTable::coverage() const {
@@ -328,10 +308,7 @@ std::size_t RoutingTable::expire_stale(double cutoff) {
     if (last_seq_[o] == 0) continue;  // never advertised: bootstrap row stays
     if (expired_[o] != 0) continue;
     if (advertised_time_[o] >= cutoff) continue;
-    for (std::size_t d = 0; d < n; ++d) {
-      advertised_.at(o, d) = kInfiniteDelay;
-    }
-    applied_version_[o] = 0;  // the row no longer holds that payload
+    rows_[o] = unheard_;
     expired_[o] = 1;
     ++expired;
   }
@@ -450,8 +427,16 @@ void RoutingTable::debug_corrupt_advertised_for_test(LandmarkId origin,
                                                      double delay) {
   DTN_ASSERT(origin < link_delay_.size());
   DTN_ASSERT(dst < link_delay_.size());
-  advertised_.at(origin, dst) = delay;  // deliberately NOT marked dirty
-  applied_version_[origin] = 0;
+  const double* cells = rows_[origin].get();
+  auto row = std::make_shared<std::vector<double>>(
+      cells, cells + link_delay_.size());
+  (*row)[dst] = delay;
+  rows_[origin] = row_of(row);  // deliberately NOT marked dirty
+}
+
+bool RoutingTable::debug_column_dirty_for_test(LandmarkId dst) const {
+  DTN_ASSERT(dst < link_delay_.size());
+  return all_dirty_ || column_dirty_[dst] != 0;
 }
 
 void RoutingTable::debug_toggle_neighbour_for_test(LandmarkId v) {
@@ -466,13 +451,6 @@ void RoutingTable::debug_toggle_neighbour_for_test(LandmarkId v) {
 
 namespace {
 
-void write_route(persist::Writer& w, const Route& r) {
-  w.u32(r.next);
-  w.f64(r.delay);
-  w.u32(r.backup_next);
-  w.f64(r.backup_delay);
-}
-
 /// A next hop is a landmark index or kNoLandmark; anything else would
 /// index past the per-landmark arrays its consumers keep.
 LandmarkId read_hop(persist::Reader& r, std::size_t n) {
@@ -482,13 +460,6 @@ LandmarkId read_hop(persist::Reader& r, std::size_t n) {
         "checkpoint routing table next hop out of range");
   }
   return hop;
-}
-
-void read_route(persist::Reader& r, std::size_t n, Route& out) {
-  out.next = read_hop(r, n);
-  out.delay = r.f64();
-  out.backup_next = read_hop(r, n);
-  out.backup_delay = r.f64();
 }
 
 /// Delays are non-negative, possibly infinite; NaN fails every compare.
@@ -501,67 +472,63 @@ void RoutingTable::save(persist::Writer& w) const {
   w.u32(self_);
   w.u64(n);
   for (const double d : link_delay_) w.f64(d);
-  persist::write_matrix(w, advertised_);
+  for (const Row& row : rows_) {
+    const bool heard = row != unheard_;
+    w.boolean(heard);
+    if (!heard) continue;
+    for (std::size_t d = 0; d < n; ++d) w.f64(row.get()[d]);
+  }
   for (const std::uint64_t s : last_seq_) w.u64(s);
   for (const double t : advertised_time_) w.f64(t);
   for (const std::uint8_t e : expired_) w.u8(e);
   for (const std::uint8_t p : pinned_) w.u8(p);
-  for (const Route& r : pin_route_) write_route(w, r);
+  for (const Route& r : pin_route_) {
+    w.u32(r.next);
+    w.f64(r.delay);
+    w.u32(r.backup_next);
+    w.f64(r.backup_delay);
+  }
   w.u64(seq_);
-  for (const Route& r : routes_) write_route(w, r);
-  for (const std::uint8_t d : column_dirty_) w.u8(d);
-  w.u64(dirty_columns_.size());
-  for (const LandmarkId d : dirty_columns_) w.u32(d);
-  w.boolean(all_dirty_);
-  w.boolean(dirty_);
 }
 
 void RoutingTable::load(persist::Reader& r) {
-  // The merge memo describes the rows being overwritten (even by a load
-  // that throws halfway), and the routes may no longer match what was
-  // published.
-  publish_stale_ = true;
-  std::fill(applied_version_.begin(), applied_version_.end(), 0);
+  // The routes and what was published derive from the state being
+  // overwritten (even by a load that throws halfway).
+  mark_all_dirty();
   const std::size_t n = link_delay_.size();
   if (r.u32() != self_ || r.u64() != n) {
     throw persist::FormatError(
         "checkpoint routing table shape (self, num_landmarks) mismatch");
   }
   for (double& d : link_delay_) d = r.f64();
-  persist::read_matrix(r, advertised_);
-  if (advertised_.rows() != n || advertised_.cols() != n) {
+  if (!std::all_of(link_delay_.begin(), link_delay_.end(), valid_delay)) {
     throw persist::FormatError(
-        "checkpoint routing table advertised matrix shape mismatch");
+        "checkpoint routing table link delay negative or NaN");
   }
-  if (!std::all_of(link_delay_.begin(), link_delay_.end(), valid_delay) ||
-      !std::all_of(advertised_.raw().begin(), advertised_.raw().end(),
-                   valid_delay)) {
-    throw persist::FormatError(
-        "checkpoint routing table delay negative or NaN");
+  for (Row& row : rows_) {
+    if (!r.boolean()) {
+      row = unheard_;
+      continue;
+    }
+    std::vector<double> cells(n);
+    for (double& d : cells) d = r.f64();
+    if (!std::all_of(cells.begin(), cells.end(), valid_delay)) {
+      throw persist::FormatError(
+          "checkpoint routing table advertised delay negative or NaN");
+    }
+    row = row_of(std::make_shared<const std::vector<double>>(std::move(cells)));
   }
   for (std::uint64_t& s : last_seq_) s = r.u64();
   for (double& t : advertised_time_) t = r.f64();
   for (std::uint8_t& e : expired_) e = r.u8();
   for (std::uint8_t& p : pinned_) p = r.u8();
-  for (Route& rt : pin_route_) read_route(r, n, rt);
+  for (Route& rt : pin_route_) {
+    rt.next = read_hop(r, n);
+    rt.delay = r.f64();
+    rt.backup_next = read_hop(r, n);
+    rt.backup_delay = r.f64();
+  }
   seq_ = r.u64();
-  for (Route& rt : routes_) read_route(r, n, rt);
-  for (std::uint8_t& d : column_dirty_) d = r.u8();
-  const std::uint64_t listed = r.u64();
-  if (listed > n) {
-    throw persist::FormatError(
-        "checkpoint routing table dirty list longer than the table");
-  }
-  dirty_columns_.resize(static_cast<std::size_t>(listed));
-  for (LandmarkId& d : dirty_columns_) {
-    d = r.u32();
-    if (d >= n) {
-      throw persist::FormatError(
-          "checkpoint routing table dirty column out of range");
-    }
-  }
-  all_dirty_ = r.boolean();
-  dirty_ = r.boolean();
   // The neighbor list is derived state, absent from the image.
   neighbours_ = finite_links();
 }

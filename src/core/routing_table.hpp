@@ -13,8 +13,10 @@
 //    discarded, exactly as §IV-C.1 discards out-of-date tokens.
 //
 // A route is the top two neighbors v in (cost, index) order, where
-// cost = link_delay(self->v) + advertised_v(dst).  Routes are kept
-// *incrementally* (docs/routing-hot-path.md): a merged cell that changes
+// cost = link_delay(self->v) + advertised_v(dst).  The advertised row of
+// each origin is the shared payload last merged from it, held by
+// reference (docs/routing-hot-path.md, "Rows by reference").  Routes are
+// kept *incrementally* (same document): a merged cell that changes
 // the cost through one neighbor updates a clean column's best/backup in
 // O(1) — unless it raises the cost of the current best or backup, which
 // marks just that column dirty.  The next query rescans dirty columns
@@ -34,7 +36,6 @@
 
 #include "trace/trace.hpp"
 #include "util/annotations.hpp"
-#include "util/flat_matrix.hpp"
 
 namespace dtn::sim {
 class AuditReport;
@@ -55,31 +56,26 @@ inline constexpr double kInfiniteDelay = std::numeric_limits<double>::infinity()
 /// The vector a landmark advertises to its neighbors: its own best
 /// expected delay to every destination.  The delays sit in a shared,
 /// immutable payload, so every carrier of one table version holds the
-/// same one; `version` names that payload (docs/routing-hot-path.md,
-/// "Publish-once distance vectors").  Version 0 — a hand-built vector or
-/// one restored from a checkpoint — is never taken for an applied one.
+/// same one, and a receiving table keeps it as the origin's row
+/// (docs/routing-hot-path.md, "Publish-once distance vectors").
 struct DistanceVector {
   using Payload = std::shared_ptr<const std::vector<double>>;
 
   DistanceVector() = default;
-  /// A fresh, unpublished (version 0) payload holding `delays`.
+  /// A fresh payload holding `delays`.
   DistanceVector(LandmarkId from, std::uint64_t sequence,
                  std::vector<double> delays)
       : origin(from),
         seq(sequence),
         payload(std::make_shared<const std::vector<double>>(
             std::move(delays))) {}
-  /// Share an existing payload.  A nonzero `id` must name exactly this
-  /// content for as long as the payload lives; only
-  /// RoutingTable::snapshot hands them out.
-  DistanceVector(LandmarkId from, std::uint64_t sequence, Payload shared,
-                 std::uint64_t id = 0)
-      : origin(from), seq(sequence), payload(std::move(shared)), version(id) {}
+  /// Share an existing payload.
+  DistanceVector(LandmarkId from, std::uint64_t sequence, Payload shared)
+      : origin(from), seq(sequence), payload(std::move(shared)) {}
 
   LandmarkId origin = kNoLandmark;
   std::uint64_t seq = 0;
   Payload payload;  // per destination; delay()[origin] == 0
-  std::uint64_t version = 0;
 
   [[nodiscard]] const std::vector<double>& delay() const { return *payload; }
   [[nodiscard]] std::size_t entries() const { return payload->size(); }
@@ -110,19 +106,19 @@ class RoutingTable {
   /// vector is stale (or self-originated) and was discarded.  `now`
   /// stamps the origin's row for the staleness expiry below (callers
   /// without a clock pass the default and never expire anything).  A
-  /// fresh vector carrying the version last applied from its origin
-  /// only stamps the row: its cells already hold that payload.
+  /// fresh vector carrying the very payload the origin's row holds only
+  /// stamps the origin: nothing in the row can change.
   bool merge(const DistanceVector& dv, double now = 0.0);
 
   // -- graceful degradation under faults (docs/fault-injection.md) ------
   /// Withdraw every route advertised by origins whose last merged
   /// vector is older than `cutoff`: their whole advertised row (the
-  /// origin's own delay-0 diagonal included) goes to infinity, so
+  /// origin's own delay-0 cell included) goes to infinity, so
   /// routes *to* and *through* a silent — possibly dead — landmark
   /// expire instead of being trusted forever.  Origins that never
-  /// advertised keep their bootstrap diagonal (direct links stay
-  /// usable before the first exchange).  A later fresh vector from the
-  /// origin restores it.  Returns how many origins were expired.
+  /// advertised keep their bootstrap delay 0 to themselves (direct links
+  /// stay usable before the first exchange).  A later fresh vector from
+  /// the origin restores it.  Returns how many origins were expired.
   std::size_t expire_stale(double cutoff);
   [[nodiscard]] bool origin_expired(LandmarkId origin) const;
   /// Time of the last accepted vector from `origin` (0 before any).
@@ -136,9 +132,9 @@ class RoutingTable {
   /// number (one snapshot per carrying node).  The delays are published
   /// once per table version: while no merge, link, pin or expiry change
   /// has touched the routes since the last publish, every snapshot
-  /// shares that payload and its version id.  A change re-checks the
-  /// routes and republishes under a fresh id only when some advertised
-  /// delay differs bit for bit, so equal content keeps its id.
+  /// shares that payload.  A change re-checks the routes and publishes a
+  /// new payload only when some advertised delay differs bit for bit, so
+  /// equal content keeps the old one.
   [[nodiscard]] DistanceVector snapshot();
 
   /// Fraction of other landmarks with a finite-delay route (Fig. 8
@@ -155,17 +151,18 @@ class RoutingTable {
   [[nodiscard]] bool is_pinned(LandmarkId dst) const;
 
   // -- checkpointing (src/persist/, docs/checkpointing.md) --------------
-  /// Serialize everything, *including* the mutable dirty/route cache and
-  /// the advertised-time bookkeeping: the cached routes are a pure
-  /// function of advertised_ + link_delay_ + pins, but writing them
-  /// verbatim makes restore-then-reserialize byte-identical (the
-  /// invariant the auditor's CRC check leans on).
+  /// Serialize the inputs only: link delays, the row heard from each
+  /// origin, the per-origin seq/time/expiry stamps, the pins and the
+  /// sequence counter.  The routes and the dirty bookkeeping are a pure
+  /// function of those, so load rebuilds them, and restore-then-
+  /// reserialize stays byte-identical (the invariant the auditor's CRC
+  /// check leans on).
   void save(persist::Writer& w) const;
   /// Restore into a table constructed with the same (self,
-  /// num_landmarks).  Throws persist::FormatError on shape mismatches
-  /// and on impossible state: next hops out of range, negative or NaN
-  /// link delays and advertised cells, a dirty list longer than the
-  /// table.
+  /// num_landmarks); every column is stale afterwards.  Throws
+  /// persist::FormatError on shape mismatches and on impossible state:
+  /// negative or NaN link delays and row cells, pinned next hops out of
+  /// range.
   void load(persist::Reader& r);
 
   // -- invariant auditing (debug tooling, see invariant_auditor.hpp) ----
@@ -179,9 +176,14 @@ class RoutingTable {
 
   /// Test-only fault injection for the auditor's negative tests: change
   /// an advertised delay *without* marking the destination column dirty
-  /// (the exact bug class the incremental upkeep invites).
+  /// (the exact bug class the incremental upkeep invites).  The row is
+  /// copied first, so other holders of its payload are left alone.
   void debug_corrupt_advertised_for_test(LandmarkId origin, LandmarkId dst,
                                          double delay);
+
+  /// Test-only probe: is column `dst` stale, to be rescanned by the next
+  /// query?
+  [[nodiscard]] bool debug_column_dirty_for_test(LandmarkId dst) const;
 
   /// Test-only fault injection: toggle `v`'s membership of the neighbor
   /// list without touching its link delay (the bug class where a link
@@ -189,6 +191,12 @@ class RoutingTable {
   void debug_toggle_neighbour_for_test(LandmarkId v);
 
  private:
+  /// Cell (origin, dst) of the advertised rows.  An origin advertises 0
+  /// to itself, or infinity while it is expired, whatever its row holds.
+  [[nodiscard]] double advertised(LandmarkId origin, LandmarkId dst) const {
+    if (origin == dst) return expired_[origin] != 0 ? kInfiniteDelay : 0.0;
+    return rows_[origin].get()[dst];
+  }
   /// Bring every dirty destination column up to date (no-op when clean).
   void recompute() const;
   /// The min-over-neighbors scan for one destination (pins applied),
@@ -211,12 +219,23 @@ class RoutingTable {
   /// Mark every column stale (link-delay changes can flip any route).
   void mark_all_dirty();
   /// Re-check the advertised delays against the published payload and
-  /// publish a new payload under a fresh id when they differ.
+  /// publish a new payload when they differ.
   void publish();
 
   LandmarkId self_;
   std::vector<double> link_delay_;
-  FlatMatrix<double> advertised_;        // [origin][dst]
+  /// A row: the first delay of a payload, sharing ownership of it, so a
+  /// column scan reaches a cell in one step.
+  using Row = std::shared_ptr<const double>;
+  [[nodiscard]] static Row row_of(const DistanceVector::Payload& payload) {
+    return {payload, payload->data()};
+  }
+  /// Per origin, the payload last merged from it, or `unheard_` for an
+  /// origin never heard from or expired.  Payloads are immutable, so a
+  /// row is never written: a merge swaps the pointer.
+  std::vector<Row> rows_;
+  /// All infinite; the row of every origin with nothing to advertise.
+  Row unheard_;
   /// Ascending landmarks v != self with a finite link delay: the only
   /// candidates a column scan has to visit.  Derived from link_delay_,
   /// maintained by set_link_delay, audited against it.
@@ -229,29 +248,28 @@ class RoutingTable {
   std::vector<Route> pin_route_;
   std::uint64_t seq_ = 0;
 
+  DTN_CKPT_SKIP("derived routes; load marks every column dirty")
   mutable std::vector<Route> routes_;
   /// Incremental-recompute bookkeeping: the set of stale destination
   /// columns (dense flag per column + compact list for iteration).
   /// `all_dirty_` short-circuits the list after link updates.
+  DTN_CKPT_SKIP("derived bookkeeping; load marks every column dirty")
   mutable std::vector<std::uint8_t> column_dirty_;
+  DTN_CKPT_SKIP("derived bookkeeping; load marks every column dirty")
   mutable std::vector<LandmarkId> dirty_columns_;
+  DTN_CKPT_SKIP("derived bookkeeping; load sets it")
   mutable bool all_dirty_ = true;
+  DTN_CKPT_SKIP("derived bookkeeping; load sets it")
   mutable bool dirty_ = true;
 
-  /// Publish-once advertisement: the payload snapshot() hands out and
-  /// its process-unique id, a cache of routes_ re-checked after a load.
+  /// Publish-once advertisement: the payload snapshot() hands out, a
+  /// cache of routes_ re-checked after a load.
   DTN_CKPT_SKIP("publish cache; load marks it for a re-check")
   DistanceVector::Payload published_;
-  DTN_CKPT_SKIP("id of the publish cache; kept with its payload on load")
-  std::uint64_t published_version_ = 0;
   /// Set by every change that may move an advertised delay (update_cell,
   /// mark_dirty, mark_all_dirty, load); snapshot() re-checks only then.
   DTN_CKPT_SKIP("publish cache flag; load sets it to force a re-check")
   bool publish_stale_ = true;
-  /// Per origin, the version whose payload the advertised row holds (0:
-  /// unknown).  A hit skips the merge sweep; a miss only costs it.
-  DTN_CKPT_SKIP("merge-skip memo; load clears it, costing one sweep each")
-  std::vector<std::uint64_t> applied_version_;
 };
 
 }  // namespace dtn::core

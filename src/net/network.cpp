@@ -584,6 +584,12 @@ void Network::load_tail_sections(persist::Reader& r) {
     if (p.id != i || state > static_cast<std::uint8_t>(PacketState::kEvicted)) {
       throw persist::FormatError("checkpoint packet table row is malformed");
     }
+    // Every packet of a run has the fingerprinted size; the routers'
+    // offer walks rely on it.
+    if (p.size_kb != cfg_.packet_size_kb) {
+      throw persist::FormatError(
+          "checkpoint packet size differs from the configured packet size");
+    }
     p.state = static_cast<PacketState>(state);
     p.holder = r.u32();
     p.next_hop = r.u32();

@@ -33,16 +33,6 @@ class FlatMatrix {
 
   void fill(const T& value) { std::fill(data_.begin(), data_.end(), value); }
 
-  /// Contiguous row access for whole-row sweeps (RoutingTable::merge).
-  [[nodiscard]] T* row_ptr(std::size_t r) {
-    DTN_ASSERT(r < rows_);
-    return data_.data() + r * cols_;
-  }
-  [[nodiscard]] const T* row_ptr(std::size_t r) const {
-    DTN_ASSERT(r < rows_);
-    return data_.data() + r * cols_;
-  }
-
   /// Sum over one row (requires T to be additive).
   [[nodiscard]] T row_sum(std::size_t r) const {
     DTN_ASSERT(r < rows_);

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -585,15 +586,19 @@ TEST(CheckpointEdge, FingerprintMismatchIsRejected) {
   EXPECT_THROW(net.run(mgr), FormatError);
 }
 
-TEST(CheckpointEdge, SchemaVersionMismatchIsRejected) {
+// Suspends a small relay-chain run after 40 events, lets `patch` edit
+// the snapshot bytes, then resumes from them: the resume must throw.
+template <typename Patch>
+void expect_patched_snapshot_refused(const std::string& name, Patch patch) {
   const auto trace = relay_chain_trace(4.0);
   WorkloadConfig cfg;
   cfg.packets_per_landmark_per_day = 1.0;
   cfg.time_unit = 0.5 * kDay;
   cfg.node_memory_kb = 10;
   cfg.ttl = 1.0 * kDay;
+  cfg.manual_packets = {{0, 1, 0.0}};  // delivered within the 40 events
   CheckpointConfig cc;
-  cc.dir = fresh_dir("schema").string();
+  cc.dir = fresh_dir(name).string();
   cc.stop_after_events = 40;
   {
     CheckpointManager mgr(cc);
@@ -601,11 +606,10 @@ TEST(CheckpointEdge, SchemaVersionMismatchIsRejected) {
     Network net(trace, router, cfg);
     EXPECT_FALSE(net.run(mgr));
   }
-  // Bump the version field in place; the resume must refuse the file.
   std::string path;
   CheckpointManager probe(cc);
   auto bytes = probe.read_latest(&path);
-  bytes[persist::kMagicSize] += 1;
+  patch(bytes, cfg);
   std::ofstream(path, std::ios::binary | std::ios::trunc)
       .write(reinterpret_cast<const char*>(bytes.data()),
              static_cast<long>(bytes.size()));
@@ -616,70 +620,109 @@ TEST(CheckpointEdge, SchemaVersionMismatchIsRejected) {
   EXPECT_THROW(net.run(mgr), FormatError);
 }
 
-TEST(CheckpointEdge, SchemaOneSnapshotIsRefused) {
-  // Schema 1 images carried a pre-assigned packet id per workload entry,
-  // a manual packet id table and one more packet state; schema 2 drops
-  // all three, so an image stamped with version 1 must be refused up
-  // front rather than misparsed.
-  const auto trace = relay_chain_trace(4.0);
-  WorkloadConfig cfg;
-  cfg.packets_per_landmark_per_day = 1.0;
-  cfg.time_unit = 0.5 * kDay;
-  cfg.node_memory_kb = 10;
-  cfg.ttl = 1.0 * kDay;
-  CheckpointConfig cc;
-  cc.dir = fresh_dir("schema_one").string();
-  cc.stop_after_events = 40;
-  {
-    CheckpointManager mgr(cc);
-    DtnFlowRouter router;
-    Network net(trace, router, cfg);
-    EXPECT_FALSE(net.run(mgr));
+std::uint64_t load_le(const std::vector<std::uint8_t>& bytes, std::size_t at,
+                      std::size_t width) {
+  std::uint64_t v = 0;
+  for (std::size_t i = 0; i < width; ++i) {
+    v |= static_cast<std::uint64_t>(bytes[at + i]) << (8 * i);
   }
-  ASSERT_EQ(persist::kSchemaVersion, 2u);
-  std::string path;
-  CheckpointManager probe(cc);
-  auto bytes = probe.read_latest(&path);
-  // The version is a little-endian u32 right after the magic.
-  bytes[persist::kMagicSize] = 1;
-  std::ofstream(path, std::ios::binary | std::ios::trunc)
-      .write(reinterpret_cast<const char*>(bytes.data()),
-             static_cast<long>(bytes.size()));
-  cc.stop_after_events = 0;
-  CheckpointManager mgr(cc);
-  DtnFlowRouter router;
-  Network net(trace, router, cfg);
-  EXPECT_THROW(net.run(mgr), FormatError);
+  return v;
+}
+
+void store_le(std::vector<std::uint8_t>& bytes, std::size_t at,
+              std::size_t width, std::uint64_t v) {
+  for (std::size_t i = 0; i < width; ++i) {
+    bytes[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+
+// Hands the payload of section `name` (its offset in `bytes`) to `edit`,
+// then re-seals the section's CRC, so only the semantic checks of the
+// resume can refuse the image.
+template <typename Edit>
+void edit_section(std::vector<std::uint8_t>& bytes, const std::string& name,
+                  Edit edit) {
+  std::size_t at = persist::kMagicSize + 8;  // past magic, version, flags
+  for (;;) {
+    const auto name_len = static_cast<std::size_t>(load_le(bytes, at, 4));
+    ASSERT_NE(name_len, 0u) << "no section " << name;
+    const auto name_at = bytes.begin() + static_cast<long>(at + 4);
+    const std::string section(name_at, name_at + static_cast<long>(name_len));
+    at += 4 + name_len;
+    const auto len = static_cast<std::size_t>(load_le(bytes, at, 8));
+    at += 8;
+    if (section == name) {
+      edit(at);
+      store_le(bytes, at + len, 4,
+               persist::crc32(std::span<const std::uint8_t>(bytes.data() + at,
+                                                            len)));
+      return;
+    }
+    at += len + 4;
+  }
+}
+
+TEST(CheckpointEdge, OlderSchemaSnapshotsAreRefused) {
+  // Schema 1 images carried a pre-assigned packet id per workload entry,
+  // a manual packet id table and one more packet state.  Schema 2 images
+  // held every routing table's dense advertised matrix and its derived
+  // routes and dirty bookkeeping.  Schema 3 has none of these, so an
+  // image stamped with an older version must be refused up front rather
+  // than misparsed.
+  ASSERT_EQ(persist::kSchemaVersion, 3u);
+  for (const std::uint8_t older : {1, 2}) {
+    expect_patched_snapshot_refused(
+        "schema_" + std::to_string(older),
+        [&](std::vector<std::uint8_t>& bytes, const WorkloadConfig&) {
+          // The version is a little-endian u32 right after the magic.
+          bytes[persist::kMagicSize] = older;
+        });
+  }
+}
+
+TEST(CheckpointEdge, PacketOfAnotherSizeIsRefused) {
+  // The packet size is pinned by the fingerprint; a packet table row
+  // disagreeing with it would bring a second size into the run.  The
+  // patched packet is a delivered one: no buffer holds it, so no
+  // accounting audit can notice the size, only the load's own check.
+  expect_patched_snapshot_refused(
+      "packet_size",
+      [](std::vector<std::uint8_t>& bytes, const WorkloadConfig& cfg) {
+        edit_section(bytes, "packets", [&](std::size_t at) {
+          // count u64, then per packet: id, src, dst, dst_node u32 |
+          // created, ttl f64 | size_kb, logical u32 | state u8 | holder,
+          // next_hop u32 | expected_delay f64 | station path u64 count +
+          // count x u32 | hops u32 | delivered_at f64.
+          const std::uint64_t count = load_le(bytes, at, 8);
+          at += 8;
+          for (std::uint64_t i = 0; i < count; ++i) {
+            const std::size_t size_kb = at + 32;
+            const std::size_t path = at + 57;
+            if (bytes[at + 40] ==
+                static_cast<std::uint8_t>(net::PacketState::kDelivered)) {
+              ASSERT_EQ(load_le(bytes, size_kb, 4), cfg.packet_size_kb);
+              store_le(bytes, size_kb, 4, cfg.packet_size_kb + 1);
+              return;
+            }
+            at = path + 8 + 4 * load_le(bytes, path, 8) + 12;
+          }
+          FAIL() << "no delivered packet to patch";
+        });
+      });
+}
+
+TEST(CheckpointEdge, SchemaVersionMismatchIsRejected) {
+  expect_patched_snapshot_refused(
+      "schema", [](std::vector<std::uint8_t>& bytes, const WorkloadConfig&) {
+        bytes[persist::kMagicSize] += 1;  // a future version
+      });
 }
 
 TEST(CheckpointEdge, CorruptSnapshotPayloadIsRejectedOnResume) {
-  const auto trace = relay_chain_trace(4.0);
-  WorkloadConfig cfg;
-  cfg.packets_per_landmark_per_day = 1.0;
-  cfg.time_unit = 0.5 * kDay;
-  cfg.node_memory_kb = 10;
-  cfg.ttl = 1.0 * kDay;
-  CheckpointConfig cc;
-  cc.dir = fresh_dir("corrupt").string();
-  cc.stop_after_events = 40;
-  {
-    CheckpointManager mgr(cc);
-    DtnFlowRouter router;
-    Network net(trace, router, cfg);
-    EXPECT_FALSE(net.run(mgr));
-  }
-  std::string path;
-  CheckpointManager probe(cc);
-  auto bytes = probe.read_latest(&path);
-  bytes[bytes.size() / 2] ^= 0x40;  // flip a bit mid-stream
-  std::ofstream(path, std::ios::binary | std::ios::trunc)
-      .write(reinterpret_cast<const char*>(bytes.data()),
-             static_cast<long>(bytes.size()));
-  cc.stop_after_events = 0;
-  CheckpointManager mgr(cc);
-  DtnFlowRouter router;
-  Network net(trace, router, cfg);
-  EXPECT_THROW(net.run(mgr), FormatError);
+  expect_patched_snapshot_refused(
+      "corrupt", [](std::vector<std::uint8_t>& bytes, const WorkloadConfig&) {
+        bytes[bytes.size() / 2] ^= 0x40;  // flip a bit mid-stream
+      });
 }
 
 }  // namespace

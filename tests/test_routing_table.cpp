@@ -364,29 +364,37 @@ TEST(RoutingTableUpkeep, TieHeavyOpStreamStaysAuditClean) {
 }
 
 // Checkpoint payload layout written by save(): self u32 | n u64 | link
-// delays n x f64 | advertised rows u64, cols u64, n*n x f64 | last seq
-// n x u64 | advertised time n x f64 | expired n x u8 | pinned n x u8 |
-// pin routes n x Route | seq u64 | routes n x Route | dirty flags n x u8
-// | ...; a Route is next u32, delay f64, backup_next u32, backup_delay
-// f64.
-struct Layout {
-  explicit Layout(std::size_t n) : n(n) {}
-  std::size_t n;
-  static constexpr std::size_t kRouteBytes = 24;
+// delays n x f64 | per origin a heard flag u8, then for a heard row
+// n x f64 | last seq n x u64 | advertised time n x f64 |
+// expired n x u8 | pinned n x u8 | pin routes n x Route | seq u64; a
+// Route is next u32, delay f64, backup_next u32, backup_delay f64.
+class Layout {
+ public:
+  /// Offsets into `image`, whose heard flags place every later field.
+  explicit Layout(const std::vector<std::uint8_t>& image) {
+    for (std::size_t i = 0; i < 8; ++i) {
+      n_ |= static_cast<std::size_t>(image[4 + i]) << (8 * i);
+    }
+    std::size_t at = link(n_);
+    for (std::size_t o = 0; o < n_; ++o) {
+      rows_.push_back(at);
+      at += image[at] != 0 ? 1 + 8 * n_ : 1;
+    }
+    stamps_ = at;
+  }
   [[nodiscard]] std::size_t link(std::size_t v) const { return 12 + 8 * v; }
-  [[nodiscard]] std::size_t advertised(std::size_t o, std::size_t d) const {
-    return link(n) + 16 + 8 * (o * n + d);
+  [[nodiscard]] std::size_t heard(std::size_t o) const { return rows_[o]; }
+  [[nodiscard]] std::size_t cell(std::size_t o, std::size_t d) const {
+    return rows_[o] + 1 + 8 * d;
   }
   [[nodiscard]] std::size_t pin_route(std::size_t d) const {
-    return advertised(n, 0) + 16 * n + 2 * n + kRouteBytes * d;
+    return stamps_ + 18 * n_ + 24 * d;
   }
-  [[nodiscard]] std::size_t route(std::size_t d) const {
-    return pin_route(n) + 8 + kRouteBytes * d;
-  }
-  [[nodiscard]] std::size_t dirty_flag(std::size_t d) const {
-    return route(n) + d;
-  }
-  [[nodiscard]] std::size_t dirty_count() const { return dirty_flag(n); }
+
+ private:
+  std::size_t n_ = 0;
+  std::vector<std::size_t> rows_;
+  std::size_t stamps_ = 0;
 };
 
 std::vector<std::uint8_t> saved_payload(const RoutingTable& t) {
@@ -428,10 +436,6 @@ void patch_f64(std::vector<std::uint8_t>& bytes, std::size_t at, double v) {
   patch_u64(bytes, at, std::bit_cast<std::uint64_t>(v));
 }
 
-bool column_dirty(const RoutingTable& t, LandmarkId dst) {
-  return saved_payload(t)[Layout(t.num_landmarks()).dirty_flag(dst)] != 0;
-}
-
 // self 0 linked to 1, 2 and 3 at delay 1; every column is clean on
 // return.  Toward 4: via 1 costs 6, via 2 costs 8, via 3 costs 10.
 class UpkeepBranch : public ::testing::Test {
@@ -451,7 +455,7 @@ class UpkeepBranch : public ::testing::Test {
   }
   void settle() {
     (void)t_.route(4);
-    ASSERT_FALSE(column_dirty(t_, 4));
+    ASSERT_FALSE(t_.debug_column_dirty_for_test(4));
   }
   void expect_route(LandmarkId next, double delay, LandmarkId backup,
                     double backup_delay) {
@@ -468,46 +472,46 @@ class UpkeepBranch : public ::testing::Test {
 
 TEST_F(UpkeepBranch, BestImprovesInPlace) {
   advertise(1, 3.0);
-  EXPECT_FALSE(column_dirty(t_, 4));
+  EXPECT_FALSE(t_.debug_column_dirty_for_test(4));
   ExpectAuditClean(t_);
   expect_route(1, 4.0, 2, 8.0);
 }
 
 TEST_F(UpkeepBranch, BestWorsensRescans) {
   advertise(1, 10.0);
-  EXPECT_TRUE(column_dirty(t_, 4));
+  EXPECT_TRUE(t_.debug_column_dirty_for_test(4));
   ExpectAuditClean(t_);
   expect_route(2, 8.0, 3, 10.0);
 }
 
 TEST_F(UpkeepBranch, BackupOvertakesBestOnEqualCostWithLowerIndex) {
   advertise(2, 4.0);  // via 2 now 5: the backup overtakes at a lower cost
-  EXPECT_FALSE(column_dirty(t_, 4));
+  EXPECT_FALSE(t_.debug_column_dirty_for_test(4));
   expect_route(2, 5.0, 1, 6.0);
   advertise(1, 4.0);  // via 1 now ties the best at 5 with the lower index
-  EXPECT_FALSE(column_dirty(t_, 4));
+  EXPECT_FALSE(t_.debug_column_dirty_for_test(4));
   ExpectAuditClean(t_);
   expect_route(1, 5.0, 2, 5.0);
 }
 
 TEST_F(UpkeepBranch, OutsiderEntersTopTwo) {
   advertise(3, 6.0);  // via 3 now 7: displaces backup 2 at 8
-  EXPECT_FALSE(column_dirty(t_, 4));
+  EXPECT_FALSE(t_.debug_column_dirty_for_test(4));
   ExpectAuditClean(t_);
   expect_route(1, 6.0, 3, 7.0);
   advertise(2, 4.0);  // via 2 now 5: takes the best, 1 shifts down
-  EXPECT_FALSE(column_dirty(t_, 4));
+  EXPECT_FALSE(t_.debug_column_dirty_for_test(4));
   ExpectAuditClean(t_);
   expect_route(2, 5.0, 1, 6.0);
 }
 
 TEST_F(UpkeepBranch, CellGoesToInfinity) {
   advertise(3, kInfiniteDelay);  // an outsider drops out: nothing moves
-  EXPECT_FALSE(column_dirty(t_, 4));
+  EXPECT_FALSE(t_.debug_column_dirty_for_test(4));
   ExpectAuditClean(t_);
   expect_route(1, 6.0, 2, 8.0);
   advertise(1, kInfiniteDelay);  // the best drops out: rescan
-  EXPECT_TRUE(column_dirty(t_, 4));
+  EXPECT_TRUE(t_.debug_column_dirty_for_test(4));
   ExpectAuditClean(t_);
   expect_route(2, 8.0, kNoLandmark, kInfiniteDelay);
 }
@@ -534,10 +538,25 @@ TEST(RoutingTableLoad, UnpatchedImageRoundTrips) {
   ExpectSameRoutes(dst, src);
 }
 
+TEST(RoutingTableLoad, ImageHoldsInputsNotTheQuerySchedule) {
+  // The same inputs, queried or not: the routes and dirty bookkeeping
+  // differ, the images must not.
+  RoutingTable queried = image_source();
+  RoutingTable untouched(0, 4);
+  untouched.set_link_delay(1, 10.0);
+  untouched.set_link_delay(2, 100.0);
+  (void)untouched.merge(DistanceVector{1, 0, {10.0, 0.0, 25.0, 60.0}});
+  untouched.pin(3, 2, 1.0);
+  ASSERT_TRUE(untouched.debug_column_dirty_for_test(2));
+  (void)queried.route(2);
+  ASSERT_FALSE(queried.debug_column_dirty_for_test(2));
+  EXPECT_EQ(saved_payload(queried), saved_payload(untouched));
+}
+
 TEST(RoutingTableLoad, RejectsNextHopsOutOfRange) {
-  const Layout at(4);
-  for (const std::size_t field :
-       {at.route(2), at.route(2) + 12, at.pin_route(3), at.pin_route(3) + 12}) {
+  const Layout at(saved_payload(image_source()));
+  for (const std::size_t field : {at.pin_route(2), at.pin_route(2) + 12,
+                                  at.pin_route(3), at.pin_route(3) + 12}) {
     for (const std::uint32_t hop : {4u, kNoLandmark - 1}) {
       auto bytes = saved_payload(image_source());
       patch_u32(bytes, field, hop);
@@ -549,9 +568,9 @@ TEST(RoutingTableLoad, RejectsNextHopsOutOfRange) {
 }
 
 TEST(RoutingTableLoad, RejectsNegativeOrNanDelays) {
-  const Layout at(4);
-  for (const std::size_t field : {at.link(1), at.link(3), at.advertised(1, 2),
-                                  at.advertised(3, 0)}) {
+  const Layout at(saved_payload(image_source()));
+  for (const std::size_t field :
+       {at.link(1), at.link(3), at.cell(1, 2), at.cell(1, 0), at.cell(1, 1)}) {
     for (const double bad :
          {-1.0, std::numeric_limits<double>::quiet_NaN(), -kInfiniteDelay}) {
       auto bytes = saved_payload(image_source());
@@ -563,11 +582,28 @@ TEST(RoutingTableLoad, RejectsNegativeOrNanDelays) {
   }
 }
 
-TEST(RoutingTableLoad, RejectsOversizedDirtyList) {
-  // A count past the table would otherwise size an allocation from the
-  // image before the truncated payload is noticed.
+TEST(RoutingTableLoad, RejectsRowsOfTheWrongLength) {
+  // Only origin 1 was heard from, so only its row is in the image.  A
+  // row holds exactly n cells, so one cell short or one cell long
+  // shifts every later field and leaves the section over- or under-read.
+  const Layout at(saved_payload(image_source()));
+  const auto row_end = static_cast<std::ptrdiff_t>(at.cell(1, 4));
+  {
+    auto bytes = saved_payload(image_source());
+    ASSERT_EQ(bytes[at.heard(1)], 1u);
+    bytes.erase(bytes.begin() + row_end - 8, bytes.begin() + row_end);
+    RoutingTable t(0, 4);
+    EXPECT_THROW(load_payload(t, bytes), persist::FormatError) << "short";
+  }
+  {
+    auto bytes = saved_payload(image_source());
+    bytes.insert(bytes.begin() + row_end, 8, std::uint8_t{0});
+    RoutingTable t(0, 4);
+    EXPECT_THROW(load_payload(t, bytes), persist::FormatError) << "long";
+  }
+  // A heard flag is a boolean; anything else is corruption.
   auto bytes = saved_payload(image_source());
-  patch_u64(bytes, Layout(4).dirty_count(), std::uint64_t{1} << 60);
+  bytes[at.heard(2)] = 2;
   RoutingTable t(0, 4);
   EXPECT_THROW(load_payload(t, bytes), persist::FormatError);
 }
@@ -575,11 +611,11 @@ TEST(RoutingTableLoad, RejectsOversizedDirtyList) {
 // -- publish-once distance vectors --------------------------------------
 //
 // snapshot() shares one immutable payload per table version, and merge()
-// skips the sweep of a version it already applied from that origin.
-// Both are caches: nothing a table computes or saves may depend on them.
+// skips the sweep of the payload the origin's row already holds.  Both
+// are shortcuts: nothing a table computes or saves may depend on them.
 
-/// The same vector with its payload deep-copied: version 0, never
-/// memoised, so every merge of it sweeps.
+/// The same vector with its payload deep-copied: never the payload a
+/// row holds, so every merge of it sweeps.
 DistanceVector unpublished_copy(const DistanceVector& dv) {
   return DistanceVector{dv.origin, dv.seq, dv.delay()};
 }
@@ -594,28 +630,26 @@ void ExpectAdvertisesRoutes(const RoutingTable& t, const DistanceVector& dv) {
   }
 }
 
-TEST(PublishOnce, UnchangedTableSharesOnePayloadAndId) {
+TEST(PublishOnce, UnchangedTableSharesOnePayload) {
   RoutingTable t(0, 4);
   t.set_link_delay(1, 4.0);
   t.set_link_delay(2, 6.0);
   const DistanceVector a = t.snapshot();
   const DistanceVector b = t.snapshot();
-  EXPECT_NE(a.version, 0u);
+  ASSERT_NE(a.payload, nullptr);
   EXPECT_EQ(a.payload, b.payload);
-  EXPECT_EQ(a.version, b.version);
   EXPECT_GT(b.seq, a.seq);
 
-  // A delay change republishes under a fresh id; the old payload that
-  // carriers still hold is left as it was.
+  // A delay change publishes a new payload; the old one that carriers
+  // still hold is left as it was.
   t.set_link_delay(1, 3.0);
   const DistanceVector c = t.snapshot();
   EXPECT_NE(c.payload, a.payload);
-  EXPECT_NE(c.version, a.version);
   EXPECT_EQ(c.delay()[1], 3.0);
   EXPECT_EQ(a.delay()[1], 4.0);
   EXPECT_GT(c.seq, b.seq);
 
-  // Changes that land on equal content keep the id: a link moved and
+  // Changes that land on equal content keep the payload: a link moved and
   // moved back, a pin lifted before the next snapshot, and a merge that
   // only moves a backup hop.
   t.set_link_delay(2, 9.0);
@@ -628,17 +662,16 @@ TEST(PublishOnce, UnchangedTableSharesOnePayloadAndId) {
   EXPECT_EQ(t.route(1).backup_next, 2u);
   const DistanceVector d = t.snapshot();
   EXPECT_EQ(d.payload, c.payload);
-  EXPECT_EQ(d.version, c.version);
 
   // A pin advertises its injected delay.
   t.pin(3, 2, 0.5);
   const DistanceVector e = t.snapshot();
-  EXPECT_NE(e.version, d.version);
+  EXPECT_NE(e.payload, d.payload);
   ExpectAdvertisesRoutes(t, e);
   EXPECT_EQ(e.delay()[3], 0.5);
 }
 
-TEST(PublishOnce, ReappliedVersionStampsTheOrigin) {
+TEST(PublishOnce, ReappliedPayloadStampsTheOrigin) {
   RoutingTable src(1, 3);
   src.set_link_delay(2, 2.0);
   RoutingTable dst(0, 3);
@@ -649,7 +682,7 @@ TEST(PublishOnce, ReappliedVersionStampsTheOrigin) {
   const Route before = dst.route(2);
 
   const DistanceVector again = src.snapshot();
-  ASSERT_EQ(again.version, first.version);
+  ASSERT_EQ(again.payload, first.payload);
   EXPECT_TRUE(dst.merge(again, 9.0));
   EXPECT_EQ(dst.advertised_time(1), 9.0);
   EXPECT_FALSE(dst.merge(again, 12.0));  // the same seq is stale
@@ -659,15 +692,17 @@ TEST(PublishOnce, ReappliedVersionStampsTheOrigin) {
   EXPECT_EQ(after.delay, 3.0);
   ExpectAuditClean(dst);
 
-  // A cell written behind the table's back is no longer the payload's:
-  // the next delivery of that version must sweep and repair it.
+  // A cell written behind the table's back goes into a copy of the row,
+  // which is no longer the payload: the next delivery of that payload
+  // must sweep and repair it.  The payload itself is untouched.
   dst.debug_corrupt_advertised_for_test(1, 2, 0.5);
+  EXPECT_EQ(first.delay()[2], 2.0);
   ASSERT_TRUE(dst.merge(src.snapshot(), 13.0));
   ExpectAuditClean(dst);
   EXPECT_EQ(dst.route(2).delay, 3.0);
 }
 
-TEST(PublishOnce, ExpiredOriginIsRestoredByTheSameVersion) {
+TEST(PublishOnce, ExpiredOriginIsRestoredByTheSamePayload) {
   RoutingTable src(1, 4);
   src.set_link_delay(2, 2.0);
   src.set_link_delay(3, 5.0);
@@ -684,7 +719,7 @@ TEST(PublishOnce, ExpiredOriginIsRestoredByTheSameVersion) {
   EXPECT_FALSE(dst.route(1).reachable());  // the diagonal went too
 
   const DistanceVector again = src.snapshot();
-  ASSERT_EQ(again.version, dv.version);
+  ASSERT_EQ(again.payload, dv.payload);
   ASSERT_TRUE(dst.merge(again, 11.0));
   EXPECT_FALSE(dst.origin_expired(1));
   EXPECT_EQ(dst.route(1).delay, 1.0);
@@ -704,14 +739,14 @@ TEST(PublishOnce, ExpiredOriginIsRestoredByTheSameVersion) {
   EXPECT_NE(saved_payload(dst), live);
 }
 
-TEST(PublishOnce, LoadForgetsAppliedVersions) {
+TEST(PublishOnce, LoadRestoresRowsAsFreshPayloads) {
   RoutingTable src(1, 4);
   src.set_link_delay(2, 2.0);
   src.set_link_delay(3, 5.0);
   const DistanceVector old_dv = src.snapshot();
   src.set_link_delay(3, 1.0);
   const DistanceVector new_dv = src.snapshot();
-  ASSERT_NE(old_dv.version, new_dv.version);
+  ASSERT_NE(old_dv.payload, new_dv.payload);
 
   // The image holds the row of old_dv; the live table then applies
   // new_dv, and loading the image puts old_dv's row back.
@@ -725,8 +760,8 @@ TEST(PublishOnce, LoadForgetsAppliedVersions) {
   load_payload(t, image);
   EXPECT_EQ(t.route(3).delay, 6.0);
 
-  // new_dv is the version t applied last, yet the restored row is
-  // old_dv's: the merge must sweep it, not trust the pre-load memo.
+  // new_dv is the payload t merged last, yet the restored row is a copy
+  // of old_dv's: the merge must sweep it.
   ASSERT_TRUE(t.merge(new_dv, 2.0));
   EXPECT_EQ(t.route(3).delay, 2.0);
   ExpectAuditClean(t);
@@ -744,16 +779,16 @@ TEST(PublishOnce, LoadForgetsAppliedVersions) {
   EXPECT_EQ(published.delay()[3], 2.0);
   load_payload(t, image);
   const DistanceVector republished = t.snapshot();
-  EXPECT_NE(republished.version, published.version);
+  EXPECT_NE(republished.payload, published.payload);
   ExpectAdvertisesRoutes(t, republished);
   EXPECT_EQ(republished.delay()[3], 6.0);
 }
 
 // Differential: receiver `shared` merges the sources' published
-// snapshots, `copied` merges version-0 deep copies of the same vectors.
-// Sources change links and merge each other's vectors, so versions both
-// repeat and move on; snapshots are delivered out of order, so stale and
-// re-delivered versions are common.  Receivers change links, pin, expire
+// snapshots, `copied` merges deep copies of the same vectors.  Sources
+// change links and merge each other's vectors, so payloads both repeat
+// and move on; snapshots are delivered out of order, so stale and
+// re-delivered payloads are common.  Receivers change links, pin, expire
 // origins, reload their own images and advertise.  After every op both
 // receivers must save the same bytes and route alike.
 TEST(PublishOnce, SharedAndCopiedPayloadsMergeIdentically) {
@@ -781,9 +816,9 @@ TEST(PublishOnce, SharedAndCopiedPayloadsMergeIdentically) {
     both([](RoutingTable& t) { t.set_link_delay(1, 1.0); });
     both([](RoutingTable& t) { t.set_link_delay(2, 3.0); });
     std::vector<DistanceVector> in_flight;
-    std::vector<std::uint64_t> last_version(n, 0);
+    std::vector<DistanceVector::Payload> last_payload(n);
     double now = 0.0;
-    std::size_t repeats = 0;  // fresh deliveries of a version already merged
+    std::size_t repeats = 0;  // fresh deliveries of a payload already merged
     for (int step = 0; step < 600; ++step) {
       now += 1.0;
       const auto roll = rng.uniform_index(21);
@@ -813,8 +848,8 @@ TEST(PublishOnce, SharedAndCopiedPayloadsMergeIdentically) {
         const bool fresh = copied.merge(unpublished_copy(dv), now);
         EXPECT_EQ(shared.merge(dv, now), fresh);
         if (fresh) {
-          if (dv.version == last_version[dv.origin]) ++repeats;
-          last_version[dv.origin] = dv.version;
+          if (dv.payload == last_payload[dv.origin]) ++repeats;
+          last_payload[dv.origin] = dv.payload;
         }
       } else if (roll < 15) {  // a receiver's link moves
         const auto v = any_other();

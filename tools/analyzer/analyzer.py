@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Semantic analyzer driver (docs/static-analysis.md).
 
-Runs the AST-level determinism and checkpoint-coverage checks over the
-repo (or over explicitly listed files, which are then treated as
-replay-critical — that is how the seeded-violation fixtures are
-driven).
+Runs the AST-level determinism and checkpoint-coverage checks and the
+repo-policy check over every source under src/ (or over explicitly
+listed files, which are then treated as replay-critical — that is how
+the seeded-violation fixtures are driven).
 
 Frontends:
   * clang — libclang via python3-clang (`clang.cindex`), driven off the
@@ -31,14 +31,11 @@ SOURCE_SUFFIXES = (".hpp", ".h", ".cpp", ".cc", ".cxx")
 
 
 def discover_sources(root: Path) -> list[Path]:
-    files: list[Path] = []
-    for d in cfg.REPLAY_CRITICAL_DIRS:
-        base = root / d
-        if not base.is_dir():
-            continue
-        files.extend(p for p in sorted(base.rglob("*"))
-                     if p.suffix in SOURCE_SUFFIXES and p.is_file())
-    return files
+    base = root / cfg.SOURCE_DIR
+    if not base.is_dir():
+        return []
+    return [p for p in sorted(base.rglob("*"))
+            if p.suffix in SOURCE_SUFFIXES and p.is_file()]
 
 
 def clang_available() -> bool:
@@ -55,8 +52,8 @@ def main(argv: list[str] | None = None) -> int:
         formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("files", nargs="*",
                     help="explicit files to analyze (treated as "
-                         "replay-critical); default: replay-critical "
-                         "sources under --root")
+                         "replay-critical); default: every source "
+                         "under --root's src/")
     ap.add_argument("--root", type=Path,
                     default=Path(__file__).resolve().parents[2],
                     help="repository root (default: two levels up)")
@@ -96,6 +93,7 @@ def main(argv: list[str] | None = None) -> int:
             opts.forced_critical.add(rel)
     else:
         files = discover_sources(root)
+        opts.repo_head = True
         if not files:
             print(f"analyzer: no sources under {root}", file=sys.stderr)
             return 2

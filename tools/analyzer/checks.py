@@ -1,11 +1,13 @@
-"""The two check families (docs/static-analysis.md).
+"""The three check families (docs/static-analysis.md).
 
 Each check consumes only the semantic `Model`, so its behaviour is
 identical whichever frontend produced the facts.  Every function takes
 the model plus an `Options` describing which files are replay-critical
 for this run (fixture files passed explicitly on the command line are
 forced replay-critical so seeded violations fire without living under
-src/).
+src/).  Ambient and test-only calls are findings anywhere under src/;
+unordered iteration and checkpoint coverage only in the replay-critical
+directories.
 """
 from __future__ import annotations
 
@@ -19,6 +21,12 @@ from model import Finding, Method, Model
 class Options:
     # Files forced replay-critical regardless of directory (fixtures).
     forced_critical: set[str] = field(default_factory=set)
+    # The run covers the discovered repo head, not explicit files.
+    repo_head: bool = False
+
+
+def _under(path: str, d: str) -> bool:
+    return path.startswith(d + "/") or path == d
 
 
 def is_replay_critical(path: str, opts: Options) -> bool:
@@ -26,8 +34,14 @@ def is_replay_critical(path: str, opts: Options) -> bool:
         return True
     if path in cfg.RNG_ALLOWLIST:
         return False
-    return any(path.startswith(d + "/") or path == d
-               for d in cfg.REPLAY_CRITICAL_DIRS)
+    return any(_under(path, d) for d in cfg.REPLAY_CRITICAL_DIRS)
+
+
+def is_checked_source(path: str, opts: Options) -> bool:
+    """Where the src/-wide rules (ambient and test-only calls) apply."""
+    if path in opts.forced_critical:
+        return True
+    return path not in cfg.RNG_ALLOWLIST and _under(path, cfg.SOURCE_DIR)
 
 
 def _suppressed(model: Model, marker: str, file: str, line: int) -> bool:
@@ -92,10 +106,12 @@ def check_determinism(model: Model, opts: Options) -> list[Finding]:
                     break
 
     for q, m in model.methods.items():
-        if not is_replay_critical(m.file, opts):
+        if not is_checked_source(m.file, opts):
             continue
-        # Unordered-container iteration, type-resolved.
-        for it in m.iterations:
+        # Unordered-container iteration, type-resolved, in replay-critical
+        # code only.
+        critical = is_replay_critical(m.file, opts)
+        for it in m.iterations if critical else []:
             head = _unordered(it.container_type)
             if head is None:
                 continue
@@ -164,6 +180,8 @@ def _referenced_closure(model: Model, method: Method) -> set[str]:
 def check_ckpt_coverage(model: Model, opts: Options) -> list[Finding]:
     findings: list[Finding] = []
     for cls_name, ci in model.classes.items():
+        if not is_replay_critical(ci.file, opts):
+            continue
         pair = None
         for save_name, load_name in cfg.CHECKPOINT_PAIRS:
             save_q = cls_name + "::" + save_name
@@ -196,9 +214,44 @@ def check_ckpt_coverage(model: Model, opts: Options) -> list[Finding]:
     return findings
 
 
+# -- repo policy ------------------------------------------------------
+
+def check_policy(model: Model, opts: Options) -> list[Finding]:
+    findings: list[Finding] = []
+    # Coverage that must not silently narrow: only a run over the repo
+    # head (not over explicit files) can tell a file went missing.
+    if opts.repo_head:
+        for req in cfg.REQUIRED_COVERED_FILES:
+            if req not in model.files or not is_replay_critical(req, opts):
+                findings.append(Finding(
+                    req, 1, "policy",
+                    "required replay-critical file is not analyzed as "
+                    "replay-critical: moved or renamed without updating "
+                    "REQUIRED_COVERED_FILES, or its directory left "
+                    "REPLAY_CRITICAL_DIRS?"))
+    for file, calls in model.test_only_calls.items():
+        if not is_checked_source(file, opts):
+            continue
+        for call in calls:
+            if _suppressed(model, "det-lint", file, call.line):
+                continue
+            _, why = cfg.TEST_ONLY_CALLS[call.callee]
+            findings.append(Finding(
+                file, call.line, "policy",
+                f"test-only `{call.callee}` called from src/: {why}"))
+    for file, per_marker in model.bare_suppressions.items():
+        for marker, lines in per_marker.items():
+            findings.extend(Finding(
+                file, line, "policy",
+                f"{marker} suppression without a reason; use "
+                f"`// {marker}: ok(<reason>)`") for line in sorted(lines))
+    return findings
+
+
 CHECKS = {
     "determinism": check_determinism,
     "ckpt-coverage": check_ckpt_coverage,
+    "policy": check_policy,
 }
 
 

@@ -1,8 +1,8 @@
-// Regression fixture for the regex-lint false negative that motivated
-// the semantic analyzer (docs/static-analysis.md): a range-for over a
-// member whose unordered-container type hides behind a two-level class
-// alias AND behind an `auto&` local binding.  The regex lint sees
-// neither spelling; the analyzer must resolve both.
+// Regression fixture for the false negative of a pattern-matching lint
+// that motivated the semantic analyzer (docs/static-analysis.md): a
+// range-for over a member whose unordered-container type hides behind a
+// two-level class alias AND behind an `auto&` local binding.  A pattern
+// match sees neither spelling; the analyzer must resolve both.
 #include <string>
 #include <unordered_map>
 

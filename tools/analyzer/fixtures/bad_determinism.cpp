@@ -1,7 +1,7 @@
 // Seeded violations for the determinism check (test_analyzer.py).
-// Every construct here is invisible to the regex lint's literal
-// pattern match: the container type hides behind an alias, and the
-// ambient reach hides behind a same-file helper call.
+// Every construct here is invisible to a literal pattern match: the
+// container type hides behind an alias, and the ambient reach hides
+// behind a same-file helper call.
 #include <chrono>
 #include <cstdlib>
 #include <unordered_map>

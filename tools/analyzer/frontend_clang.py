@@ -18,7 +18,7 @@ from pathlib import Path
 from model import (Annotation, Call, ClassInfo, IterationSite, Member,
                    MemberAccess, Method, Model)
 import config as cfg
-import frontend_lite  # suppression-comment scanning is shared
+import frontend_lite  # the text scan (scan_text) is shared
 
 DEFAULT_ARGS = ["-x", "c++", "-std=c++20"]
 
@@ -292,16 +292,8 @@ def build_model(root: Path, files: list[Path],
             else p.as_posix()
         rel_of[str(p.resolve())] = rel
         model.files.append(rel)
-        # Suppression markers come from the raw text (same scan as the
-        # lite frontend, so the checks see identical suppression sets).
-        raw = p.read_text(encoding="utf-8", errors="replace")
-        per_marker: dict[str, set[int]] = {}
-        for line_no, line in enumerate(raw.split("\n"), start=1):
-            for marker, rx in frontend_lite.SUPPRESS_RES.items():
-                if rx.search(line):
-                    per_marker.setdefault(marker, set()).add(line_no)
-        if per_marker:
-            model.suppressions[rel] = per_marker
+        frontend_lite.scan_text(
+            model, rel, p.read_text(encoding="utf-8", errors="replace"))
     index = ci.Index.create()
     walker = TUWalker(model, rel_of)
     for p in files:

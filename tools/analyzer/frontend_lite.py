@@ -14,11 +14,13 @@ scoped mini-frontend, tuned for this codebase's idiom:
 * inside bodies it extracts range-for / `.begin()` iteration sites with
   the iterated expression's type *resolved* through locals, parameters,
   members, method return types and alias chains — this is what lets the
-  determinism check see through `auto`, typedefs and member aliases the
-  regex lint cannot;
+  determinism check see through `auto`, typedefs and member aliases a
+  literal pattern match cannot;
 * member references are recorded per method (for checkpoint
   coverage);
-* call sites are recorded for the taint/reachability closures.
+* call sites are recorded for the taint/reachability closures;
+* suppression markers and test-only call sites are read from the text
+  (`scan_text`, shared with the clang frontend).
 
 Unresolvable constructs degrade to "unknown type" — the
 analyzer never guesses a finding it cannot ground, so lite-mode
@@ -48,10 +50,14 @@ TYPE_PREFIX_KEYWORDS = frozenset({
     "class", "enum",
 })
 
+# `ok` with its optional `(reason)`; a missing or blank reason is bare.
 SUPPRESS_RES = {
-    marker: re.compile(r"//\s*" + re.escape(marker) + r":\s*ok\(([^)]*)\)")
+    marker: re.compile(r"//\s*" + re.escape(marker) +
+                       r":\s*ok(?:\(([^)]*)\))?")
     for marker in cfg.SUPPRESS_MARKERS
 }
+TEST_ONLY_RES = {name: re.compile(rx)
+                 for name, (rx, _) in cfg.TEST_ONLY_CALLS.items()}
 
 TOKEN_RE = re.compile(r"[A-Za-z_]\w*|::|<=>|<<=|>>=|->\*?|\+\+|--|&&|\|\|"
                       r"|[+\-*/%&|^!=<>]=|<<|>>|::|[0-9][\w.+-]*|\S")
@@ -221,17 +227,7 @@ class FileParser:
     # -- parsing -----------------------------------------------------
 
     def parse(self) -> None:
-        self._collect_suppressions()
         self._parse_scope(0, len(self.toks), [], None)
-
-    def _collect_suppressions(self) -> None:
-        per_marker: dict[str, set[int]] = {}
-        for line_no, line in enumerate(self.raw.split("\n"), start=1):
-            for marker, rx in SUPPRESS_RES.items():
-                if rx.search(line):
-                    per_marker.setdefault(marker, set()).add(line_no)
-        if per_marker:
-            self.model.suppressions[self.rel] = per_marker
 
     def _statement_end(self, i: int) -> int:
         """Index past the ';' ending the statement starting at i,
@@ -1031,6 +1027,26 @@ def finalize(model: Model) -> None:
                                               ci.name)
 
 
+def scan_text(model: Model, rel: str, raw: str) -> None:
+    """Record the facts read from the text rather than the syntax tree:
+    suppression markers (with or without their reason) and test-only
+    call sites outside comments and strings.  Both frontends call this,
+    so the checks see identical sets."""
+    clean_lines = clean_source(raw).split("\n")
+    for line_no, line in enumerate(raw.split("\n"), start=1):
+        for marker, rx in SUPPRESS_RES.items():
+            m = rx.search(line)
+            if m is None:
+                continue
+            facts = model.suppressions if (m.group(1) or "").strip() \
+                else model.bare_suppressions
+            facts.setdefault(rel, {}).setdefault(marker, set()).add(line_no)
+        for name, rx in TEST_ONLY_RES.items():
+            if rx.search(clean_lines[line_no - 1]):
+                model.test_only_calls.setdefault(rel, []).append(
+                    Call(callee=name, line=line_no))
+
+
 def build_model(root: Path, files: list[Path]) -> Model:
     """Parse `files` (paths under `root`) into one Model."""
     model = Model()
@@ -1041,6 +1057,7 @@ def build_model(root: Path, files: list[Path]) -> Model:
         rel = path.relative_to(root).as_posix() if path.is_relative_to(root) \
             else path.as_posix()
         model.files.append(rel)
+        scan_text(model, rel, raw)
         parsers.append(FileParser(rel, raw, clean, model))
     # Two passes: headers first so out-of-line bodies in .cpp files can
     # resolve their owning classes (and second pass re-runs everything

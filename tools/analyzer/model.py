@@ -122,6 +122,11 @@ class Model:
     # file -> {line} carrying a suppression marker, keyed by marker kind
     # ('det-lint').
     suppressions: dict[str, dict[str, set[int]]] = field(default_factory=dict)
+    # Same shape: markers missing their mandatory reason.
+    bare_suppressions: dict[str, dict[str, set[int]]] = field(
+        default_factory=dict)
+    # file -> call sites of config.TEST_ONLY_CALLS (callee = its name).
+    test_only_calls: dict[str, list[Call]] = field(default_factory=dict)
 
     def class_methods(self, cls: str) -> list[Method]:
         return [m for m in self.methods.values() if m.cls == cls]
@@ -136,7 +141,7 @@ class Finding:
 
     file: str
     line: int
-    check: str  # 'determinism' | 'ckpt-coverage'
+    check: str  # 'determinism' | 'ckpt-coverage' | 'policy'
     message: str
 
     def __str__(self) -> str:

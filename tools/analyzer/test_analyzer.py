@@ -9,6 +9,10 @@ Covers, with the lite frontend (always available):
   * the clean fixture passes;
   * deleting a serialized member reference from DtnFlowRouter's
     checkpoint_save (without DTN_CKPT_SKIP) fails the coverage check;
+  * moving a required replay-critical file out of the replay-critical
+    directories fails the policy check;
+  * ambient calls, test-only calls and bare markers are caught in
+    src/ files outside the replay-critical directories too;
   * `// det-lint: ok(...)` suppresses;
 and, when clang.cindex is importable (CI's analyzer job), frontend
 equivalence on the fixtures.
@@ -92,6 +96,12 @@ class FixtureTest(unittest.TestCase):
     def test_bad_ckpt(self):
         self._check_bad("bad_ckpt.cpp", "ckpt-coverage")
 
+    def test_bad_test_only_call(self):
+        self._check_bad("bad_test_only_call.cpp", "policy")
+
+    def test_bad_suppression(self):
+        self._check_bad("bad_suppression.cpp", "policy")
+
     def test_clean_fixture(self):
         code, out, err = run_analyzer("--frontend", "lite",
                                       "--root", str(ROOT),
@@ -119,6 +129,57 @@ class MutationTest(unittest.TestCase):
             self.assertEqual(code, 1, f"mutation not caught:\n{out}")
             self.assertIn("needs_reconvergence_", out)
             self.assertIn("[ckpt-coverage]", out)
+
+
+class RequiredCoverageTest(unittest.TestCase):
+    """A REQUIRED_COVERED_FILES entry that leaves the replay-critical
+    directories must fail the repo-head run, not narrow it silently."""
+
+    def test_moved_required_file_is_caught(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp_root = Path(tmp)
+            shutil.copytree(ROOT / "src", tmp_root / "src")
+            moved = tmp_root / "src/trace/flat_io.hpp"
+            (tmp_root / "src/persist/flat_io.hpp").rename(moved)
+            code, out, _ = run_analyzer("--frontend", "lite",
+                                        "--root", str(tmp_root))
+            self.assertEqual(code, 1, f"move not caught:\n{out}")
+            self.assertIn("src/persist/flat_io.hpp:1: [policy]", out)
+
+
+class SourceWideRulesTest(unittest.TestCase):
+    """The ambient-call, test-only-call and bare-marker rules cover all
+    of src/, not only the replay-critical directories: the trace
+    generators' output is what the golden digests pin."""
+
+    def test_violations_outside_replay_critical_dirs_are_caught(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp_root = Path(tmp)
+            shutil.copytree(ROOT / "src", tmp_root / "src")
+            gen = tmp_root / "src/trace/campus_generator.cpp"
+            gen.write_text(gen.read_text() + (
+                "\nnamespace dtn::trace {\n"
+                "int injected_jitter() { return std::rand() % 7; }\n"
+                "}  // namespace dtn::trace\n"))
+            metrics = tmp_root / "src/metrics/metrics.cpp"
+            metrics.write_text(metrics.read_text() + (
+                "\nnamespace dtn::metrics {\n"
+                "std::size_t injected(const core::MarkovPredictor& p) {\n"
+                "  return p.next_distribution().size();  // det-lint: ok\n"
+                "}\n"
+                "}  // namespace dtn::metrics\n"))
+            code, out, _ = run_analyzer("--frontend", "lite",
+                                        "--root", str(tmp_root))
+            self.assertEqual(code, 1, f"violations not caught:\n{out}")
+            self.assertRegex(
+                out, r"src/trace/campus_generator\.cpp:\d+: \[determinism\]"
+                     r" ambient nondeterminism `std::rand`")
+            self.assertRegex(
+                out, r"src/metrics/metrics\.cpp:\d+: \[policy\] "
+                     r"test-only `MarkovPredictor::next_distribution\(\)`")
+            self.assertRegex(
+                out, r"src/metrics/metrics\.cpp:\d+: \[policy\] "
+                     r"det-lint suppression without a reason")
 
 
 class SuppressionTest(unittest.TestCase):
@@ -151,7 +212,8 @@ class FrontendEquivalenceTest(unittest.TestCase):
 
     def test_fixtures_agree(self):
         for name in ("bad_determinism.cpp", "bad_alias_iteration.cpp",
-                     "bad_ckpt.cpp", "clean.cpp"):
+                     "bad_ckpt.cpp", "bad_test_only_call.cpp",
+                     "bad_suppression.cpp", "clean.cpp"):
             path = FIXTURES / name
             _, out_l, _ = run_analyzer("--frontend", "lite",
                                        "--root", str(ROOT), str(path))
