@@ -440,6 +440,40 @@ void BM_CityReplayEventsPerSec(benchmark::State& state) {
 }
 BENCHMARK(BM_CityReplayEventsPerSec);
 
+void BM_PredictorFleetRecordVisit(benchmark::State& state) {
+  // The city tier's predictor update pattern: one order-1 predictor per
+  // node of the 1,224-node, 96-landmark city trace that moves at all,
+  // each fed its own visiting sequence (cycled), one visit per iteration
+  // on a pseudo-random node.
+  // BM_PredictorRecordVisit trains a single L1-resident predictor; here
+  // the fleet's rows do not stay in cache, as in a city replay.  Not in
+  // bench_check.py's gated set.
+  const auto trace = dtn::trace::generate_city_trace(bench_city_config());
+  std::vector<std::vector<dtn::trace::LandmarkId>> seqs;
+  std::vector<dtn::core::MarkovPredictor> fleet;
+  for (dtn::trace::NodeId n = 0; n < trace.num_nodes(); ++n) {
+    auto seq = dtn::core::visiting_sequence(trace.visits(n));
+    if (seq.size() < 2) continue;
+    fleet.emplace_back(trace.num_landmarks(), 1);
+    for (const auto l : seq) fleet.back().record_visit(l);  // warm up
+    seqs.push_back(std::move(seq));
+  }
+  std::vector<std::size_t> pos(seqs.size(), 0);
+  dtn::Rng rng(5);
+  std::vector<std::uint32_t> nodes(1 << 16);
+  for (auto& n : nodes) {
+    n = static_cast<std::uint32_t>(rng.uniform_index(seqs.size()));
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const std::uint32_t n = nodes[i++ & (nodes.size() - 1)];
+    fleet[n].record_visit(seqs[n][pos[n]]);
+    if (++pos[n] == seqs[n].size()) pos[n] = 0;
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_PredictorFleetRecordVisit);
+
 void BM_TraceCursorBuild(benchmark::State& state) {
   // Per-replay cursor cost on the city trace: build (list + radix sort)
   // and drain a fresh cursor each iteration.  BM_TraceCursorReplay

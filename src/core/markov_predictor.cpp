@@ -24,135 +24,127 @@ constexpr std::size_t kInitialProbeCap = 64;
 [[nodiscard]] inline std::size_t probe_index(std::uint64_t key) {
   return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >> 32);
 }
+
+// Move the argmax (best, best_count) to (l, count) when the count beats
+// it or ties it with a smaller landmark id.
+inline void raise_argmax(LandmarkId& best, std::uint32_t& best_count,
+                         LandmarkId l, std::uint32_t count) {
+  if (count > best_count || (count == best_count && l < best)) {
+    best = l;
+    best_count = count;
+  }
+}
 }  // namespace
 
 MarkovPredictor::MarkovPredictor(std::size_t num_landmarks, std::size_t order)
-    : num_landmarks_(num_landmarks),
-      order_(order),
-      successor_pos_(num_landmarks, 0),
-      successor_stamp_(num_landmarks, 0) {
+    : num_landmarks_(num_landmarks), order_(order) {
   DTN_ASSERT(order_ >= 1 && order_ <= 3);
   DTN_ASSERT(num_landmarks_ > 0 && num_landmarks_ < (1ULL << kSlotBits));
-  context_.reserve(order_ + 1);
-  probe_keys_.assign(kInitialProbeCap, kEmptyProbe);
-  probe_ids_.assign(kInitialProbeCap, 0);
-  // Stamp 0 marks "never seen"; real stamps start at 1.
-  stamp_ = 0;
+  probe_.assign(kInitialProbeCap, Probe{kEmptyProbe, 0});
 }
 
 std::uint64_t MarkovPredictor::context_key() const {
   // Called only on a full context (length == order): exactly `order_`
   // 20-bit slots, injective — no tag needed, no aliasing possible.
-  DTN_ASSERT(context_.size() == order_);
+  DTN_ASSERT(context_len_ == order_);
   std::uint64_t key = 0;
-  for (const LandmarkId l : context_) {
-    key = (key << kSlotBits) | (static_cast<std::uint64_t>(l) & kSlotMask);
+  for (std::size_t i = 0; i < order_; ++i) {
+    key = (key << kSlotBits) |
+          (static_cast<std::uint64_t>(context_[i]) & kSlotMask);
   }
   return key;
 }
 
-std::uint32_t MarkovPredictor::intern_context(std::uint64_t key) {
-  DTN_ASSERT(key != kEmptyProbe);
-  const std::size_t mask = probe_keys_.size() - 1;
+std::size_t MarkovPredictor::probe_slot(std::uint64_t key) const {
+  const std::size_t mask = probe_.size() - 1;
   std::size_t i = probe_index(key) & mask;
-  while (probe_keys_[i] != key) {
-    if (probe_keys_[i] == kEmptyProbe) {
-      const auto id = static_cast<std::uint32_t>(context_count_.size());
-      probe_keys_[i] = key;
-      probe_ids_[i] = id;
-      context_keys_.push_back(key);
-      context_count_.push_back(0);
-      successors_.emplace_back();
-      best_successor_.push_back(kNoLandmark);
-      best_count_.push_back(0);
-      // Grow at 1/2 load: linear probing stays ~2 slot reads per miss.
-      if (2 * context_keys_.size() >= probe_keys_.size()) {
-        probe_rehash(2 * probe_keys_.size());
-      }
-      return id;
-    }
+  while (probe_[i].key != key && probe_[i].key != kEmptyProbe) {
     i = (i + 1) & mask;
   }
-  return probe_ids_[i];
+  return i;
+}
+
+std::uint32_t MarkovPredictor::intern_context(std::uint64_t key) {
+  DTN_ASSERT(key != kEmptyProbe);
+  Probe& slot = probe_[probe_slot(key)];
+  if (slot.key == key) return slot.id;
+  const auto id = static_cast<std::uint32_t>(rows_.size());
+  slot = Probe{key, id};
+  rows_.emplace_back().key = key;
+  // Grow at 1/2 load: linear probing stays ~2 slot reads per miss.
+  if (2 * rows_.size() >= probe_.size()) probe_rehash(2 * probe_.size());
+  return id;
 }
 
 void MarkovPredictor::probe_rehash(std::size_t capacity) {
   DTN_ASSERT((capacity & (capacity - 1)) == 0 &&
-             capacity >= 2 * context_keys_.size());
-  probe_keys_.assign(capacity, kEmptyProbe);
-  probe_ids_.assign(capacity, 0);
-  const std::size_t mask = capacity - 1;
-  for (std::uint32_t id = 0; id < context_keys_.size(); ++id) {
-    std::size_t i = probe_index(context_keys_[id]) & mask;
-    while (probe_keys_[i] != kEmptyProbe) i = (i + 1) & mask;
-    probe_keys_[i] = context_keys_[id];
-    probe_ids_[i] = id;
-  }
-}
-
-void MarkovPredictor::switch_context(std::uint32_t ctx) {
-  current_ctx_ = ctx;
-  ++stamp_;
-  const SuccRow& succ = successors_[ctx];
-  for (std::uint32_t i = 0; i < succ.size(); ++i) {
-    successor_pos_[succ.landmark[i]] = i;
-    successor_stamp_[succ.landmark[i]] = stamp_;
+             capacity > 2 * rows_.size());
+  probe_.assign(capacity, Probe{kEmptyProbe, 0});
+  for (std::uint32_t id = 0; id < rows_.size(); ++id) {
+    probe_[probe_slot(rows_[id].key)] = Probe{rows_[id].key, id};
   }
 }
 
 void MarkovPredictor::record_visit(LandmarkId l) {
   DTN_ASSERT(l < num_landmarks_);
-  if (!context_.empty() && context_.back() == l) return;  // not a transit
-  if (context_.size() == order_) {
+  if (context_len_ != 0 && context_[context_len_ - 1] == l) {
+    return;  // not a transit
+  }
+  if (context_len_ == order_) {
     // A full context precedes l: count the (k+1)-gram c.l in the
-    // current context's contiguous successor row.
-    DTN_ASSERT(current_ctx_ != kNoContext);
-    SuccRow& succ = successors_[current_ctx_];
-    std::uint32_t pos;
-    if (successor_stamp_[l] == stamp_) {
-      pos = successor_pos_[l];
-    } else {
-      pos = static_cast<std::uint32_t>(succ.size());
-      succ.landmark.push_back(l);
-      succ.count.push_back(0);
-      successor_pos_[l] = pos;
-      successor_stamp_[l] = stamp_;
-    }
-    const std::uint32_t count = ++succ.count[pos];
+    // outgoing context's row.
+    Row& row = rows_[current_ctx_];
+    auto it = std::find_if(row.succ.begin(), row.succ.end(),
+                           [l](const Succ& s) { return s.landmark == l; });
+    if (it == row.succ.end()) it = row.succ.insert(it, Succ{l, 0});
     // Maintain the argmax incrementally.  Counts only ever grow by one,
     // so "new count beats the best, or ties it with a smaller id" keeps
-    // best_successor_ equal to the full-scan argmax with
-    // smaller-id tie-breaking at all times.
-    if (count > best_count_[current_ctx_] ||
-        (count == best_count_[current_ctx_] &&
-         l < best_successor_[current_ctx_])) {
-      best_count_[current_ctx_] = count;
-      best_successor_[current_ctx_] = l;
-    }
+    // `best` equal to the full-scan argmax at all times.
+    raise_argmax(row.best, row.best_count, l, ++it->count);
+    std::copy(context_.begin() + 1, context_.begin() + order_,
+              context_.begin());
+    context_[order_ - 1] = l;
+  } else {
+    context_[context_len_++] = l;
   }
-  context_.push_back(l);
-  if (context_.size() > order_) context_.erase(context_.begin());
   ++history_len_;
   // Count the context as a substring occurrence the moment it forms —
   // eqs. (2)-(3) count *all* occurrences of the k-subsequence in L,
   // including the trailing one (so conditional probabilities over a
   // just-formed context sum to (N(c)-1)/N(c), as in the Song et al.
-  // predictor the paper adopts).
-  if (context_.size() == order_) {
-    const std::uint32_t ctx = intern_context(context_key());
-    ++context_count_[ctx];
-    switch_context(ctx);
+  // predictor the paper adopts).  The bumped history length retires the
+  // query index.
+  if (context_len_ == order_) {
+    current_ctx_ = intern_context(context_key());
+    ++rows_[current_ctx_].n;
   }
+}
+
+void MarkovPredictor::build_index() const {
+  if (index_prob_.empty()) index_prob_.assign(num_landmarks_, 0.0);
+  if (indexed_ctx_ != kNoContext) {
+    for (const Succ& s : rows_[indexed_ctx_].succ) {
+      index_prob_[s.landmark] = 0.0;
+    }
+  }
+  if (current_ctx_ != kNoContext) {
+    const Row& row = rows_[current_ctx_];
+    const auto total = static_cast<double>(row.n);
+    for (const Succ& s : row.succ) {
+      index_prob_[s.landmark] = static_cast<double>(s.count) / total;
+    }
+  }
+  indexed_ctx_ = current_ctx_;
+  indexed_at_ = history_len_;
 }
 
 void MarkovPredictor::next_distribution(std::vector<double>& out) const {
   out.assign(num_landmarks_, 0.0);
-  if (context_.size() < order_) return;
-  const SuccRow& succ = successors_[current_ctx_];
-  const auto total = static_cast<double>(context_count_[current_ctx_]);
-  const std::size_t n = succ.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    out[succ.landmark[i]] = static_cast<double>(succ.count[i]) / total;
+  if (current_ctx_ == kNoContext) return;
+  const Row& row = rows_[current_ctx_];
+  const auto total = static_cast<double>(row.n);
+  for (const Succ& s : row.succ) {
+    out[s.landmark] = static_cast<double>(s.count) / total;
   }
 }
 
@@ -166,212 +158,191 @@ void MarkovPredictor::save(persist::Writer& w) const {
   w.u64(num_landmarks_);
   w.u64(order_);
   w.u64(history_len_);
-  w.u64(context_.size());
-  for (const LandmarkId l : context_) w.u32(l);
-  w.u64(context_keys_.size());
-  for (const std::uint64_t k : context_keys_) w.u64(k);
-  for (const std::uint32_t c : context_count_) w.u32(c);
-  for (const SuccRow& row : successors_) {
-    // Interleaved (landmark, count) pairs: the SoA split must not change
-    // the checkpoint byte layout.
-    w.u64(row.size());
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      w.u32(row.landmark[i]);
-      w.u32(row.count[i]);
+  w.u64(context_len_);
+  for (std::size_t i = 0; i < context_len_; ++i) w.u32(context_[i]);
+  w.u64(rows_.size());
+  for (const Row& row : rows_) {
+    w.u64(row.key);
+    w.u32(row.n);
+    w.u32(static_cast<std::uint32_t>(row.succ.size()));
+    for (const Succ& s : row.succ) {
+      w.u32(s.landmark);
+      w.u32(s.count);
     }
   }
-  for (const LandmarkId l : best_successor_) w.u32(l);
-  for (const std::uint32_t c : best_count_) w.u32(c);
   w.u32(current_ctx_);
-  w.u64(stamp_);
-  for (const std::uint32_t p : successor_pos_) w.u32(p);
-  for (const std::uint64_t s : successor_stamp_) w.u64(s);
+}
+
+std::string MarkovPredictor::row_defect(const Row& row,
+                                        std::vector<std::uint8_t>& seen) const {
+  // N(c) counts every occurrence of the context, including trailing
+  // ones not (yet) followed by a successor, so the row can sum to at
+  // most N(c) and a counted context must have been seen.
+  if (row.n == 0) return "N(c) == 0";
+  std::string defect;
+  std::uint64_t sum = 0;
+  for (const Succ& s : row.succ) {
+    const char* what =
+        s.landmark >= num_landmarks_ ? "out-of-range successor landmark "
+        : seen[s.landmark]++ != 0    ? "duplicate successor "
+        : s.count == 0               ? "zero count for successor "
+                                     : nullptr;
+    if (what != nullptr) {
+      defect = what + std::to_string(s.landmark);
+      break;
+    }
+    sum += s.count;
+  }
+  for (const Succ& s : row.succ) {
+    if (s.landmark < num_landmarks_) seen[s.landmark] = 0;
+  }
+  if (defect.empty() && sum > row.n) {
+    defect = "successor counts (" + std::to_string(sum) + ") exceed N(c) (" +
+             std::to_string(row.n) + ")";
+  }
+  return defect;
 }
 
 void MarkovPredictor::load(persist::Reader& r) {
+  using persist::FormatError;
   if (r.u64() != num_landmarks_ || r.u64() != order_) {
-    throw persist::FormatError(
+    throw FormatError(
         "checkpoint predictor shape (num_landmarks, order) mismatch");
   }
   history_len_ = static_cast<std::size_t>(r.u64());
-  context_.resize(static_cast<std::size_t>(r.u64()));
-  if (context_.size() > order_) {
-    throw persist::FormatError("checkpoint predictor context too long");
+  const std::uint64_t context_len = r.u64();
+  if (context_len != std::min<std::uint64_t>(order_, history_len_)) {
+    throw FormatError(
+        "checkpoint predictor context length disagrees with its history");
   }
-  for (LandmarkId& l : context_) l = r.u32();
-  const auto contexts = static_cast<std::size_t>(r.u64());
-  context_keys_.resize(contexts);
-  for (std::uint64_t& k : context_keys_) k = r.u64();
-  context_count_.resize(contexts);
-  for (std::uint32_t& c : context_count_) c = r.u32();
-  successors_.assign(contexts, {});
-  for (SuccRow& row : successors_) {
-    const auto len = static_cast<std::size_t>(r.u64());
-    row.landmark.resize(len);
-    row.count.resize(len);
-    for (std::size_t i = 0; i < len; ++i) {
-      row.landmark[i] = r.u32();
-      row.count[i] = r.u32();
+  context_len_ = static_cast<std::size_t>(context_len);
+  for (std::size_t i = 0; i < context_len_; ++i) {
+    context_[i] = r.u32();
+    if (context_[i] >= num_landmarks_) {
+      throw FormatError(
+          "checkpoint predictor context landmark out of range");
     }
   }
-  best_successor_.resize(contexts);
-  for (LandmarkId& l : best_successor_) l = r.u32();
-  best_count_.resize(contexts);
-  for (std::uint32_t& c : best_count_) c = r.u32();
-  current_ctx_ = r.u32();
-  stamp_ = r.u64();
-  successor_pos_.resize(num_landmarks_);
-  for (std::uint32_t& p : successor_pos_) p = r.u32();
-  successor_stamp_.resize(num_landmarks_);
-  for (std::uint64_t& s : successor_stamp_) s = r.u64();
-  if (current_ctx_ != kNoContext && current_ctx_ >= contexts) {
-    throw persist::FormatError("checkpoint predictor current context id out of range");
+  // Every context id came from a visit, so there are at most as many
+  // as the history is long.  Rows and probe slots then grow one read
+  // row at a time, so a forged count runs into the end of the section
+  // before it can claim memory.
+  const std::uint64_t contexts = r.u64();
+  if (contexts > history_len_) {
+    throw FormatError("checkpoint predictor has more contexts than visits");
   }
-  // Rebuild the (deliberately unserialized) probe table from the dense
-  // key vector; duplicate or over-wide keys mean a corrupt image (a
-  // valid key has exactly `order_` 20-bit slots, so it can never equal
-  // the empty-slot sentinel either).
-  std::size_t capacity = kInitialProbeCap;
-  while (capacity < 2 * (contexts + 1)) capacity *= 2;
-  probe_keys_.assign(capacity, kEmptyProbe);
-  probe_ids_.assign(capacity, 0);
-  const std::size_t mask = capacity - 1;
+  rows_.clear();
+  probe_.assign(kInitialProbeCap, Probe{kEmptyProbe, 0});
+  std::vector<std::uint8_t> seen(num_landmarks_);
   for (std::uint32_t id = 0; id < contexts; ++id) {
-    const std::uint64_t key = context_keys_[id];
-    if ((key >> (kSlotBits * order_)) != 0) {  // shift <= 60, well-defined
-      throw persist::FormatError("checkpoint predictor context key out of range");
+    Row row;
+    row.key = r.u64();
+    // A valid key has exactly `order_` 20-bit slots, so it can never
+    // equal the empty-slot sentinel either.
+    if ((row.key >> (kSlotBits * order_)) != 0) {  // shift <= 60, well-defined
+      throw FormatError(
+          "checkpoint predictor context key out of range");
     }
-    std::size_t i = probe_index(key) & mask;
-    while (probe_keys_[i] != kEmptyProbe) {
-      if (probe_keys_[i] == key) {
-        throw persist::FormatError("checkpoint predictor has duplicate context keys");
-      }
-      i = (i + 1) & mask;
+    Probe& slot = probe_[probe_slot(row.key)];
+    if (slot.key == row.key) {
+      throw FormatError(
+          "checkpoint predictor has duplicate context keys");
     }
-    probe_keys_[i] = key;
-    probe_ids_[i] = id;
+    slot = Probe{row.key, id};
+    row.n = r.u32();
+    const std::uint32_t len = r.u32();
+    if (len > num_landmarks_) {
+      throw FormatError(
+          "checkpoint predictor row length above the landmark count");
+    }
+    row.succ.resize(len);
+    for (Succ& s : row.succ) {
+      s.landmark = r.u32();
+      s.count = r.u32();
+    }
+    if (const std::string defect = row_defect(row, seen); !defect.empty()) {
+      throw FormatError("checkpoint predictor context " + std::to_string(id) +
+                        ": " + defect);
+    }
+    for (const Succ& s : row.succ) {
+      raise_argmax(row.best, row.best_count, s.landmark, s.count);
+    }
+    rows_.push_back(std::move(row));
+    if (2 * rows_.size() >= probe_.size()) probe_rehash(2 * probe_.size());
   }
+  // A context that is not yet full has no id; a full one has its key's.
+  current_ctx_ = r.u32();
+  if (context_len_ == order_ && current_ctx_ >= rows_.size()) {
+    throw FormatError("checkpoint predictor current context id out of range");
+  }
+  if (context_len_ < order_ ? current_ctx_ != kNoContext
+                            : rows_[current_ctx_].key != context_key()) {
+    throw FormatError(
+        "checkpoint predictor current context id is not its context's id");
+  }
+  indexed_at_ = kNotIndexed;
+  indexed_ctx_ = kNoContext;
+  std::fill(index_prob_.begin(), index_prob_.end(), 0.0);
 }
 
 void MarkovPredictor::audit(sim::AuditReport& report) const {
-  const std::size_t contexts = context_count_.size();
-  std::size_t probe_occupied = 0;
-  for (const std::uint64_t k : probe_keys_) {
-    if (k != kEmptyProbe) ++probe_occupied;
-  }
-  if (successors_.size() != contexts || best_successor_.size() != contexts ||
-      best_count_.size() != contexts || probe_occupied != contexts) {
-    report.fail("flat-store arrays disagree in size (contexts=" +
-                std::to_string(contexts) + ")");
+  const std::size_t contexts = rows_.size();
+  const auto occupied = static_cast<std::size_t>(
+      std::count_if(probe_.begin(), probe_.end(),
+                    [](const Probe& p) { return p.key != kEmptyProbe; }));
+  if (occupied != contexts) {
+    report.fail("probe table holds " + std::to_string(occupied) +
+                " keys for " + std::to_string(contexts) + " contexts");
     return;
   }
-  // Every dense key must resolve to its own id through the probe table
-  // (the bug class: a rehash or insert that desynchronizes the mirror).
-  const std::size_t probe_mask = probe_keys_.size() - 1;
+  std::vector<std::uint8_t> seen(num_landmarks_);
   for (std::uint32_t id = 0; id < contexts; ++id) {
-    std::size_t i = probe_index(context_keys_[id]) & probe_mask;
-    while (probe_keys_[i] != context_keys_[id]) {
-      if (probe_keys_[i] == kEmptyProbe) break;
-      i = (i + 1) & probe_mask;
+    const Row& row = rows_[id];
+    const std::string ctx = "context " + std::to_string(id);
+    // Every key must resolve to its own id through the probe table (the
+    // bug class: a rehash or insert that desynchronizes the two).
+    const Probe& slot = probe_[probe_slot(row.key)];
+    if (slot.key != row.key || slot.id != id) {
+      report.fail(ctx + ": key does not resolve to its id");
     }
-    if (probe_keys_[i] != context_keys_[id] || probe_ids_[i] != id) {
-      report.fail("context key " + std::to_string(context_keys_[id]) +
-                  " does not resolve to dense id " + std::to_string(id) +
-                  " through the probe table");
-      return;
-    }
-  }
-  std::vector<std::uint8_t> seen(num_landmarks_, 0);
-  for (std::size_t ctx = 0; ctx < contexts; ++ctx) {
-    const SuccRow& row = successors_[ctx];
-    if (row.landmark.size() != row.count.size()) {
-      report.fail("context " + std::to_string(ctx) +
-                  ": SoA successor columns disagree in length (" +
-                  std::to_string(row.landmark.size()) + " landmarks vs " +
-                  std::to_string(row.count.size()) + " counts)");
+    if (const std::string defect = row_defect(row, seen); !defect.empty()) {
+      report.fail(ctx + ": " + defect);
       continue;
     }
     // Full-scan argmax with the same tie-break the hot path maintains
     // incrementally; the two must agree at all times.
     LandmarkId best = kNoLandmark;
     std::uint32_t best_count = 0;
-    std::uint64_t row_sum = 0;
-    std::fill(seen.begin(), seen.end(), std::uint8_t{0});
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      const LandmarkId lm = row.landmark[i];
-      const std::uint32_t cnt = row.count[i];
-      if (lm >= num_landmarks_) {
-        report.fail("context " + std::to_string(ctx) +
-                    ": successor landmark out of range");
-        continue;
-      }
-      if (seen[lm] != 0) {
-        report.fail("context " + std::to_string(ctx) +
-                    ": duplicate successor row entry for landmark " +
-                    std::to_string(lm));
-      }
-      seen[lm] = 1;
-      if (cnt == 0) {
-        report.fail("context " + std::to_string(ctx) +
-                    ": zero-count successor row entry for landmark " +
-                    std::to_string(lm));
-      }
-      row_sum += cnt;
-      if (cnt > best_count || (cnt == best_count && lm < best)) {
-        best = lm;
-        best_count = cnt;
-      }
+    for (const Succ& s : row.succ) {
+      raise_argmax(best, best_count, s.landmark, s.count);
     }
-    if (best != best_successor_[ctx] || best_count != best_count_[ctx]) {
-      report.fail("context " + std::to_string(ctx) +
-                  ": cached argmax (landmark " +
-                  std::to_string(best_successor_[ctx]) + ", count " +
-                  std::to_string(best_count_[ctx]) +
+    if (best != row.best || best_count != row.best_count) {
+      report.fail(ctx + ": cached argmax (landmark " +
+                  std::to_string(row.best) + ", count " +
+                  std::to_string(row.best_count) +
                   ") disagrees with full row scan (landmark " +
                   std::to_string(best) + ", count " +
                   std::to_string(best_count) + ")");
     }
-    // N(c) counts every occurrence of the context, including trailing
-    // ones not (yet) followed by a successor, so the row can sum to at
-    // most N(c) and a counted context must have been seen.
-    if (context_count_[ctx] == 0) {
-      report.fail("context " + std::to_string(ctx) + ": N(c) == 0");
-    }
-    if (row_sum > context_count_[ctx]) {
-      report.fail("context " + std::to_string(ctx) + ": successor counts (" +
-                  std::to_string(row_sum) + ") exceed N(c) (" +
-                  std::to_string(context_count_[ctx]) + ")");
-    }
   }
-  // Dense successor index of the current context, both directions.
-  if (current_ctx_ != kNoContext) {
-    if (current_ctx_ >= contexts) {
-      report.fail("current context id out of range");
-      return;
-    }
-    const SuccRow& row = successors_[current_ctx_];
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      const LandmarkId l = row.landmark[i];
-      if (successor_stamp_[l] != stamp_ || successor_pos_[l] != i) {
-        report.fail("dense index stale for successor landmark " +
-                    std::to_string(l) + " of the current context");
-      }
-    }
-    for (LandmarkId l = 0; l < num_landmarks_; ++l) {
-      if (successor_stamp_[l] != stamp_) continue;
-      if (successor_pos_[l] >= row.size() ||
-          row.landmark[successor_pos_[l]] != l) {
-        report.fail("dense index points landmark " + std::to_string(l) +
-                    " at the wrong successor row slot");
-      }
-    }
+  if (current_ctx_ != kNoContext &&
+      (current_ctx_ >= contexts || context_len_ != order_ ||
+       rows_[current_ctx_].key != context_key())) {
+    report.fail("current context id does not match the context");
+    return;
+  }
+  if (indexed_at_ != history_len_) return;  // no index built since the switch
+  std::vector<double> dist;
+  next_distribution(dist);
+  if (dist != index_prob_) {
+    report.fail("query index disagrees with the current row");
   }
 }
 
 bool MarkovPredictor::debug_corrupt_argmax_for_test() {
-  for (std::size_t ctx = 0; ctx < successors_.size(); ++ctx) {
-    if (successors_[ctx].empty()) continue;
-    ++best_count_[ctx];  // a count the row cannot justify
+  for (Row& row : rows_) {
+    if (row.succ.empty()) continue;
+    ++row.best_count;  // a count the row cannot justify
     return true;
   }
   return false;

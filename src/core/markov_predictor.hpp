@@ -12,19 +12,22 @@
 // how the paper's accuracy metric treats it (predictions / correct
 // predictions are only counted when a prediction is made).
 //
-// Storage is a flat per-context transition store (docs/routing-hot-path.md):
-// packed context keys are interned to dense ids the moment a context
-// forms, each context owns a contiguous array of successor counts plus
-// an incrementally maintained argmax, and a dense successor index of
-// the *current* context is refreshed on `record_visit`.  The query
-// path — `predict()`, `probability_of()`, `next_distribution()` —
-// therefore performs only array reads: the single hash lookup left in
-// the class sits on the update path (context interning), never on a
-// query.  Keys are exact (20 bits per landmark id, order <= 3), so
+// Storage is laid out for update cost (docs/routing-hot-path.md): the
+// router records every inter-landmark transit but queries only when a
+// landmark has a packet to hand over.  Packed context keys are interned
+// to dense ids the moment a context forms; each id owns one `Row` —
+// N(c), its (landmark, count) successors in first-seen order and an
+// incrementally maintained argmax.  `record_visit` scans the outgoing
+// context's row and keeps no query index; `predict()` reads the cached
+// argmax, and `probability_of()` reads a dense landmark -> probability
+// index of the current row that the first query after a context switch
+// builds.  Keys are exact (20 bits per landmark id, order <= 3), so
 // distinct (context, successor) pairs can never alias.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "trace/trace.hpp"
@@ -68,29 +71,22 @@ class MarkovPredictor {
   /// True when the current context has been seen before (a prediction
   /// can be made).
   [[nodiscard]] bool can_predict() const {
-    return context_.size() == order_ && current_ctx_ != kNoContext &&
-           !successors_[current_ctx_].empty();
+    return current_ctx_ != kNoContext && !rows_[current_ctx_].succ.empty();
   }
 
   /// Most probable next landmark, or kNoLandmark when no prediction can
   /// be made.  Ties break toward the smaller landmark id (determinism).
-  /// (`current_ctx_ == kNoContext` iff the context has never been full —
-  /// one sentinel load instead of recomputing the context length.)
+  /// (`current_ctx_ == kNoContext` iff the context has never been full.)
   [[nodiscard]] LandmarkId predict() const {
     if (current_ctx_ == kNoContext) return kNoLandmark;
-    return best_successor_[current_ctx_];  // kNoLandmark until a successor
+    return rows_[current_ctx_].best;  // kNoLandmark until a successor
   }
 
   /// P(next = l | current context); 0 when no prediction can be made.
   [[nodiscard]] double probability_of(LandmarkId l) const {
     DTN_ASSERT(l < num_landmarks_);
-    // Sentinel guard first: before any full context stamp_ is still 0
-    // and would spuriously match the zero-initialized stamp array.
-    if (current_ctx_ == kNoContext) return 0.0;
-    if (successor_stamp_[l] != stamp_) return 0.0;  // l never followed c
-    const SuccRow& succ = successors_[current_ctx_];
-    return static_cast<double>(succ.count[successor_pos_[l]]) /
-           static_cast<double>(context_count_[current_ctx_]);
+    if (indexed_at_ != history_len_) build_index();
+    return index_prob_[l];
   }
 
   /// Full conditional distribution over landmarks (all zeros when the
@@ -107,26 +103,28 @@ class MarkovPredictor {
 
   /// The landmark of the most recent visit (kNoLandmark before any).
   [[nodiscard]] LandmarkId current() const {
-    return context_.empty() ? kNoLandmark : context_.back();
+    return context_len_ == 0 ? kNoLandmark : context_[context_len_ - 1];
   }
 
   // -- checkpointing (src/persist/, docs/checkpointing.md) --------------
-  /// Serialize the full flat store and query cache.  The hash map is
-  /// *not* written (iterating it would be order-nondeterministic, see
-  /// docs/static-analysis.md); the dense id -> packed key vector
-  /// `context_keys_` carries the same information in insertion order.
+  /// Serialize the inputs only: history length, the context, and per
+  /// context id its key, N(c) and (landmark, count) successors, then the
+  /// current context id.  Argmax, probe table and query index are
+  /// derived and rebuilt on load.
   void save(persist::Writer& w) const;
   /// Restore into a predictor constructed with the same (num_landmarks,
-  /// order); the hash map is rebuilt from the key vector.  Throws
-  /// persist::FormatError on shape mismatches.
+  /// order).  Throws persist::FormatError on a shape mismatch or on any
+  /// field that could not have come from `save` (out-of-range ids or
+  /// lengths, duplicate keys or successors, counts that do not add up),
+  /// checked before the field is used.
   void load(persist::Reader& r);
 
   // -- invariant auditing (debug tooling, see invariant_auditor.hpp) ----
-  /// Re-derive every incrementally maintained structure from the flat
-  /// store and compare: per-context argmax (count + smaller-id
-  /// tie-break) vs best_successor_/best_count_, successor-row count
-  /// sums vs N(c), row uniqueness, and the stamped dense index of the
-  /// current context (both directions).
+  /// Re-derive every incrementally maintained structure from the rows
+  /// and compare: per-context argmax (count + smaller-id tie-break),
+  /// successor-count sums vs N(c), row uniqueness, the probe table, the
+  /// current context id and, when built, the query index (against
+  /// `next_distribution`).
   void audit(sim::AuditReport& report) const;
 
   /// Test-only fault injection for the auditor's negative tests: skew
@@ -136,17 +134,26 @@ class MarkovPredictor {
   bool debug_corrupt_argmax_for_test();
 
  private:
-  /// Successors observed after some context, with their (k+1)-gram
-  /// counts N(c . l), in first-observation order.  Structure-of-arrays:
-  /// `next_distribution` sweeps the contiguous count column in one plain
-  /// loop (docs/routing-hot-path.md); checkpoints still serialize the
-  /// row interleaved (landmark, count) pairwise, so the byte layout is
-  /// unchanged from the array-of-structs era.
-  struct SuccRow {
-    std::vector<LandmarkId> landmark;
-    std::vector<std::uint32_t> count;
-    [[nodiscard]] std::size_t size() const { return landmark.size(); }
-    [[nodiscard]] bool empty() const { return landmark.empty(); }
+  /// A successor observed after some context, with its (k+1)-gram count
+  /// N(c . l).
+  struct Succ {
+    LandmarkId landmark;
+    std::uint32_t count;
+  };
+  /// Everything known about one context: its packed key, N(c), the
+  /// successors in first-seen order, and the argmax over them (the most
+  /// frequent successor, ties toward the smaller landmark id).
+  struct Row {
+    std::uint64_t key = 0;
+    std::vector<Succ> succ;
+    std::uint32_t n = 0;
+    LandmarkId best = kNoLandmark;
+    std::uint32_t best_count = 0;
+  };
+  /// One probe-table slot: packed key -> dense context id.
+  struct Probe {
+    std::uint64_t key;
+    std::uint32_t id;
   };
 
   static constexpr std::uint32_t kNoContext = 0xffffffffu;
@@ -156,58 +163,58 @@ class MarkovPredictor {
   /// for order <= 3 and ids < 2^20, so no two contexts share a key.
   [[nodiscard]] std::uint64_t context_key() const;
 
-  /// Dense id for `key`, allocating flat-store rows on first sight.
+  /// Slot holding `key`, or the empty slot where it would go.
+  [[nodiscard]] std::size_t probe_slot(std::uint64_t key) const;
+
+  /// Dense id for `key`, appending a row on first sight.
   std::uint32_t intern_context(std::uint64_t key);
 
-  /// Double the probe table and reinsert every key from the dense
-  /// context_keys_ mirror.
+  /// Resize the probe table and reinsert every row's key.
   void probe_rehash(std::size_t capacity);
 
-  /// Make `ctx` the current context: refresh the dense successor index
-  /// used by the O(1) query path.
-  void switch_context(std::uint32_t ctx);
+  /// Index the current row: clear the previously indexed row's entries,
+  /// write N(c . l) / N(c) for each successor l (cold path of
+  /// `probability_of`; allocates the index on first use).
+  void build_index() const;
+
+  /// First defect of `row` as a message (successor landmark out of
+  /// range, duplicate successor, zero count, N(c) == 0, counts above
+  /// N(c)), or "" when sound.  `seen` is num_landmarks zeros, left zeroed.
+  [[nodiscard]] std::string row_defect(const Row& row,
+                                       std::vector<std::uint8_t>& seen) const;
 
   std::size_t num_landmarks_;
   std::size_t order_;
   std::size_t history_len_ = 0;
-  /// Last `order` landmarks, oldest first.
-  std::vector<LandmarkId> context_;
+  /// Last `context_len_` (<= order) landmarks, oldest first.
+  std::array<LandmarkId, 3> context_{};
+  std::size_t context_len_ = 0;
 
-  // -- flat per-context transition store --------------------------------
-  /// Packed context key -> dense context id: open-addressing
-  /// linear-probe table (power-of-two capacity, all-ones empty
-  /// sentinel — valid keys fit in 60 bits, 3 x 20-bit slots).  A flat
-  /// table keeps the once-per-transit intern at ~one cache line
-  /// instead of std::unordered_map's bucket chase.  Never serialized
-  /// and never iterated (slot order is capacity-dependent);
-  /// context_keys_ below mirrors the same information in the
-  /// deterministic insertion order.  Touched only by `record_visit`
-  /// (update path); queries never hash.
-  DTN_CKPT_SKIP("probe table derived from context_keys_; load rebuilds it")
-  std::vector<std::uint64_t> probe_keys_;
-  DTN_CKPT_SKIP("probe table derived from context_keys_; load rebuilds it")
-  std::vector<std::uint32_t> probe_ids_;
-  /// Dense context id -> packed key (insertion order).  The
-  /// deterministic mirror of the probe table, used by checkpointing.
-  std::vector<std::uint64_t> context_keys_;
-  /// N(c) per context id.
-  std::vector<std::uint32_t> context_count_;
-  /// Successor-count rows per context id (contiguous, first-seen order).
-  std::vector<SuccRow> successors_;
-  /// Incrementally maintained argmax per context id: the most frequent
-  /// successor (ties toward the smaller landmark id) and its count.
-  std::vector<LandmarkId> best_successor_;
-  std::vector<std::uint32_t> best_count_;
-
-  // -- current-context query cache --------------------------------------
+  /// Per dense context id, in first-formed order.
+  std::vector<Row> rows_;
   /// Dense id of the current context (kNoContext until one forms).
   std::uint32_t current_ctx_ = kNoContext;
-  /// `successor_pos_[l]` is l's index in the current context's successor
-  /// row, valid iff `successor_stamp_[l] == stamp_` (stamps avoid
-  /// clearing the dense index on every context switch).
-  std::uint64_t stamp_ = 0;
-  std::vector<std::uint32_t> successor_pos_;
-  std::vector<std::uint64_t> successor_stamp_;
+
+  /// Packed key -> dense id: open-addressing linear-probe table
+  /// (power-of-two capacity, all-ones empty sentinel — valid keys fit in
+  /// 60 bits).  Never serialized (slot order is capacity-dependent);
+  /// probed on the update path only, never by a query.
+  DTN_CKPT_SKIP("probe table derived from the row keys; load rebuilds it")
+  std::vector<Probe> probe_;
+
+  // -- on-demand query index of the current row -------------------------
+  static constexpr std::size_t kNotIndexed = ~std::size_t{0};
+  /// `index_prob_[l]` is P(next = l) in row `indexed_ctx_` (all zeros
+  /// for kNoContext), built at history length `indexed_at_`.  Every
+  /// transit bumps the history, so the index is current iff
+  /// `indexed_at_ == history_len_`; rows change only when left and only
+  /// grow, so clearing the old row's successors zeroes the index.
+  DTN_CKPT_SKIP("query index derived from the current row; rebuilt on demand")
+  mutable std::size_t indexed_at_ = kNotIndexed;
+  DTN_CKPT_SKIP("query index derived from the current row; rebuilt on demand")
+  mutable std::uint32_t indexed_ctx_ = kNoContext;
+  DTN_CKPT_SKIP("query index derived from the current row; rebuilt on demand")
+  mutable std::vector<double> index_prob_;
 };
 
 /// Measured per-node prediction accuracy over a visiting sequence:

@@ -31,7 +31,7 @@
 
 namespace dtn::persist {
 
-inline constexpr std::uint32_t kSchemaVersion = 3;
+inline constexpr std::uint32_t kSchemaVersion = 4;
 inline constexpr std::size_t kMagicSize = 8;
 
 const std::uint8_t* magic();  // kMagicSize bytes

@@ -99,7 +99,15 @@ std::uint64_t CliOptions::get_seed(std::uint64_t fallback) const {
       [](const char* s, char** end) { return std::strtoull(s, end, 10); });
 }
 
-bool CliOptions::full_scale() const { return get("scale", "quick") == "full"; }
+bool CliOptions::full_scale() const {
+  const std::string scale = get("scale", "quick");
+  if (scale != "quick" && scale != "full") {
+    std::fprintf(stderr, "option --scale expects quick or full, got '%s'\n",
+                 scale.c_str());
+    std::exit(2);
+  }
+  return scale == "full";
+}
 
 std::string CliOptions::csv_dir() const { return get("csv", ""); }
 

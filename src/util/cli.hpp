@@ -32,6 +32,7 @@ class CliOptions {
   [[nodiscard]] std::uint64_t get_seed(std::uint64_t fallback) const;
 
   /// "quick" (default) or "full" — benches scale their workloads by this.
+  /// Any other value exits with status 2.
   [[nodiscard]] bool full_scale() const;
 
   /// Directory for CSV mirrors ("" disables CSV output).

@@ -666,11 +666,12 @@ TEST(CheckpointEdge, OlderSchemaSnapshotsAreRefused) {
   // Schema 1 images carried a pre-assigned packet id per workload entry,
   // a manual packet id table and one more packet state.  Schema 2 images
   // held every routing table's dense advertised matrix and its derived
-  // routes and dirty bookkeeping.  Schema 3 has none of these, so an
-  // image stamped with an older version must be refused up front rather
-  // than misparsed.
-  ASSERT_EQ(persist::kSchemaVersion, 3u);
-  for (const std::uint8_t older : {1, 2}) {
+  // routes and dirty bookkeeping.  Schema 3 predictor images held the
+  // argmax, the stamp and the dense successor index of every node.
+  // Schema 4 has none of these, so an image stamped with an older
+  // version must be refused up front rather than misparsed.
+  ASSERT_EQ(persist::kSchemaVersion, 4u);
+  for (const std::uint8_t older : {1, 2, 3}) {
     expect_patched_snapshot_refused(
         "schema_" + std::to_string(older),
         [&](std::vector<std::uint8_t>& bytes, const WorkloadConfig&) {

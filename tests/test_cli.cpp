@@ -45,6 +45,14 @@ TEST(CliOptions, ScaleDefaultsQuick) {
   EXPECT_TRUE(parse({"--scale", "full"}).full_scale());
 }
 
+TEST(CliOptionsDeathTest, BadScaleIsRejected) {
+  for (const char* value : {"huge", "Full", ""}) {
+    EXPECT_EXIT((void)parse({"--scale", value}).full_scale(),
+                ::testing::ExitedWithCode(2),
+                "option --scale expects quick or full");
+  }
+}
+
 TEST(CliOptions, CsvDir) {
   EXPECT_EQ(parse({}).csv_dir(), "");
   EXPECT_EQ(parse({"--csv", "/tmp/out"}).csv_dir(), "/tmp/out");
