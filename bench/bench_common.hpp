@@ -6,8 +6,9 @@
 //   --csv <dir>          mirror printed tables to CSV files
 //   --seed <n>           override the trace seed
 //
-// The memory and rate sweeps also take --replicates and --threads; any
-// other option exits with status 2 (parse_cli).
+// The memory and rate sweeps also take --replicates (at least 1) and
+// --threads (0 to kMaxThreads); a value outside those bounds, or any
+// other option, exits with status 2.
 //
 // "DART" is the synthetic campus trace standing in for the Dartmouth
 // WLAN log, "DNET" the synthetic bus trace standing in for the UMass
@@ -26,6 +27,9 @@
 #include "util/csv.hpp"
 
 namespace dtn::bench {
+
+/// Cap on the sweeps' --threads (0 picks the hardware concurrency).
+inline constexpr std::int64_t kMaxThreads = 256;
 
 struct Scenario {
   std::string name;              // "DART" or "DNET"

@@ -9,6 +9,10 @@
 int main(int argc, char** argv) {
   const dtn::CliOptions opts = dtn::bench::parse_cli(
       argc, argv, "bench_fig11_12_memory", {"replicates", "threads"});
+  // Read before any trace is built: a bad count exits at once.
+  const std::size_t replicates = opts.get_count("replicates", 1, 1);
+  const std::size_t threads =
+      opts.get_count("threads", 0, 0, dtn::bench::kMaxThreads);
   const auto factories = dtn::bench::standard_factories();
 
   for (const auto& scenario : dtn::bench::make_scenarios(opts)) {
@@ -17,9 +21,8 @@ int main(int argc, char** argv) {
     sweep.apply = [](dtn::net::WorkloadConfig& cfg, double v) {
       cfg.node_memory_kb = static_cast<std::uint64_t>(v);
     };
-    sweep.replicates =
-        static_cast<std::size_t>(opts.get_int("replicates", 1));
-    sweep.threads = static_cast<std::size_t>(opts.get_int("threads", 0));
+    sweep.replicates = replicates;
+    sweep.threads = threads;
     const auto cells = dtn::metrics::run_sweep(scenario.trace,
                                                scenario.workload, factories,
                                                sweep);

@@ -50,20 +50,6 @@
 
 namespace {
 
-/// A count or size option, rejected below `min`: the trace generators
-/// assert their minimums rather than report them, and a negative size
-/// would wrap to a huge unsigned one.
-std::size_t count_arg(const dtn::CliOptions& opts, const std::string& key,
-                      std::int64_t fallback, std::int64_t min) {
-  const std::int64_t v = opts.get_int(key, fallback);
-  if (v < min) {
-    throw std::invalid_argument("--" + key + " must be at least " +
-                                std::to_string(min) + ", got " +
-                                std::to_string(v));
-  }
-  return static_cast<std::size_t>(v);
-}
-
 bool positive(double v) { return v > 0.0; }
 bool non_negative(double v) { return v >= 0.0; }
 bool fraction(double v) { return v >= 0.0 && v < 1.0; }
@@ -102,32 +88,32 @@ dtn::trace::Trace make_trace(const dtn::CliOptions& opts) {
   }
   if (kind == "bus") {
     dtn::trace::BusTraceConfig cfg;
-    cfg.num_buses = count_arg(opts, "nodes", 34, 1);
+    cfg.num_buses = opts.get_count("nodes", 34, 1);
     // Every route must fit, and some stop must not be a hub.
     const auto min_landmarks = static_cast<std::int64_t>(
         std::max(cfg.route_length_max, cfg.num_hubs + 1));
-    cfg.num_landmarks = count_arg(opts, "landmarks", 18, min_landmarks);
+    cfg.num_landmarks = opts.get_count("landmarks", 18, min_landmarks);
     cfg.days = days_arg(opts, 26.0);
     cfg.seed = opts.get_seed(1);
     return dtn::trace::generate_bus_trace(cfg);
   }
   if (kind == "city") {
     dtn::trace::CityTraceConfig cfg;
-    cfg.num_pedestrians = count_arg(opts, "nodes", 2000, 0);
-    cfg.num_buses = count_arg(opts, "buses", 40, 0);
+    cfg.num_pedestrians = opts.get_count("nodes", 2000, 0);
+    cfg.num_buses = opts.get_count("buses", 40, 0);
     if (cfg.num_pedestrians + cfg.num_buses == 0) {
       throw std::invalid_argument("--nodes plus --buses must be at least 1");
     }
-    cfg.num_landmarks = count_arg(opts, "landmarks", 400, 2);
-    cfg.num_districts = count_arg(opts, "districts", 16, 1);
+    cfg.num_landmarks = opts.get_count("landmarks", 400, 2);
+    cfg.num_districts = opts.get_count("districts", 16, 1);
     cfg.days = days_arg(opts, 2.0);
     cfg.seed = opts.get_seed(1);
     return dtn::trace::generate_city_trace(cfg);
   }
   dtn::trace::CampusTraceConfig cfg;
-  cfg.num_nodes = count_arg(opts, "nodes", 64, 1);
-  cfg.num_landmarks = count_arg(opts, "landmarks", 30, 2);
-  cfg.num_communities = count_arg(opts, "communities", 14, 1);
+  cfg.num_nodes = opts.get_count("nodes", 64, 1);
+  cfg.num_landmarks = opts.get_count("landmarks", 30, 2);
+  cfg.num_communities = opts.get_count("communities", 14, 1);
   cfg.days = days_arg(opts, 32.0);
   cfg.seed = opts.get_seed(1);
   return dtn::trace::generate_campus_trace(cfg);
@@ -144,12 +130,12 @@ int run_service(const dtn::CliOptions& opts, const dtn::trace::Trace& trace,
     std::fprintf(stderr, "simulate: --serve requires --checkpoint-dir\n");
     return 2;
   }
-  cc.every_events = count_arg(opts, "checkpoint-every-events", 250000, 0);
+  cc.every_events = opts.get_count("checkpoint-every-events", 250000, 0);
   cc.every_time = real_arg(opts, "checkpoint-every-days", 0.0, non_negative,
                            "at least 0") *
                   dtn::trace::kDay;
-  cc.keep = count_arg(opts, "checkpoint-keep", 4, 0);
-  cc.stop_after_events = count_arg(opts, "serve-exit-after-events", 0, 0);
+  cc.keep = opts.get_count("checkpoint-keep", 4, 0);
+  cc.stop_after_events = opts.get_count("serve-exit-after-events", 0, 0);
   dtn::persist::CheckpointManager mgr(cc);
 
   const auto router = dtn::routing::make_router(router_name);
@@ -215,7 +201,7 @@ int run(const dtn::CliOptions& opts) {
       real_arg(opts, "rate", 30.0, non_negative, "at least 0");
   workload.ttl = real_arg(opts, "ttl-days", 4.0, positive, "positive") *
                  dtn::trace::kDay;
-  workload.node_memory_kb = count_arg(opts, "memory", 40, 0);
+  workload.node_memory_kb = opts.get_count("memory", 40, 0);
   workload.time_unit = real_arg(opts, "unit-days", 1.0, positive, "positive") *
                        dtn::trace::kDay;
   workload.warmup_fraction = real_arg(opts, "warmup", 0.25, fraction,
@@ -223,7 +209,7 @@ int run(const dtn::CliOptions& opts) {
   workload.seed = opts.get_seed(1) * 97 + 3;
   // Bounded-store overload knobs (docs/bounded-store.md); the defaults
   // keep stations unbounded and every policy off.
-  workload.store.station_memory_kb = count_arg(opts, "station-memory", 0, 0);
+  workload.store.station_memory_kb = opts.get_count("station-memory", 0, 0);
   const std::string policy_name = opts.get("store-policy", "reject");
   if (!dtn::net::parse_eviction_policy(policy_name, &workload.store.policy)) {
     std::fprintf(stderr,
@@ -276,7 +262,7 @@ int run(const dtn::CliOptions& opts) {
     routers.push_back(choice);
   }
 
-  const std::size_t replicates = count_arg(opts, "replicates", 1, 1);
+  const std::size_t replicates = opts.get_count("replicates", 1, 1);
   dtn::TablePrinter table({"router", "success", "avg delay (d)",
                            "P50 delay (d)", "P90 delay (d)", "fwd cost",
                            "total cost"});

@@ -1,6 +1,5 @@
 #include "core/bandwidth.hpp"
 
-#include "persist/flat_io.hpp"
 #include "persist/serializer.hpp"
 #include "util/assert.hpp"
 
@@ -61,24 +60,18 @@ std::uint32_t BandwidthEstimator::open_unit_count(trace::LandmarkId from,
   return counts_.at(from, to);
 }
 
-void BandwidthEstimator::save(persist::Writer& w) const {
-  w.f64(rho_);
-  persist::write_matrix(w, counts_);
-  persist::write_matrix(w, ewma_);
-  w.u64(units_closed_);
+template <class Ar>
+void BandwidthEstimator::fields(Ar& ar) {
+  ar.value("bandwidth rho", rho_);
+  ar.matrix("bandwidth open counts", counts_);
+  ar.matrix("bandwidth ewma", ewma_);
+  ar.value("bandwidth units closed", units_closed_);
 }
 
-void BandwidthEstimator::load(persist::Reader& r) {
-  const std::size_t n = ewma_.rows();
-  rho_ = r.f64();
-  persist::read_matrix(r, counts_);
-  persist::read_matrix(r, ewma_);
-  if (counts_.rows() != n || counts_.cols() != n || ewma_.rows() != n ||
-      ewma_.cols() != n) {
-    throw persist::FormatError(
-        "checkpoint bandwidth estimator shape mismatch");
-  }
-  units_closed_ = static_cast<std::size_t>(r.u64());
+void BandwidthEstimator::save(persist::Writer& w) const {
+  const_cast<BandwidthEstimator*>(this)->fields(w);
 }
+
+void BandwidthEstimator::load(persist::Reader& r) { fields(r); }
 
 }  // namespace dtn::core

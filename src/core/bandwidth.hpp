@@ -76,6 +76,9 @@ class BandwidthEstimator {
   void load(persist::Reader& r);
 
  private:
+  template <class Ar>
+  void fields(Ar& ar);
+
   double rho_;
   FlatMatrix<std::uint32_t> counts_;
   FlatMatrix<double> ewma_;

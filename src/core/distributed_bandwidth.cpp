@@ -2,7 +2,6 @@
 
 #include <limits>
 
-#include "persist/flat_io.hpp"
 #include "persist/serializer.hpp"
 #include "util/assert.hpp"
 
@@ -116,37 +115,25 @@ std::vector<trace::LandmarkId> DistributedBandwidth::neighbors(
   return out;
 }
 
-void DistributedBandwidth::save(persist::Writer& w) const {
-  w.f64(rho_);
-  w.u64(unit_);
-  persist::write_matrix(w, open_counts_);
-  persist::write_matrix(w, closed_counts_);
-  persist::write_matrix(w, incoming_ewma_);
-  persist::write_matrix(w, outgoing_ewma_);
-  persist::write_matrix(w, report_count_);
-  persist::write_matrix(w, report_unit_);
-  persist::write_matrix(w, report_used_);
-  w.u64(tokens_accepted_);
-  w.u64(tokens_stale_);
+template <class Ar>
+void DistributedBandwidth::fields(Ar& ar) {
+  ar.value("bandwidth rho", rho_);
+  ar.value("bandwidth unit", unit_);
+  ar.matrix("bandwidth open counts", open_counts_);
+  ar.matrix("bandwidth closed counts", closed_counts_);
+  ar.matrix("bandwidth incoming ewma", incoming_ewma_);
+  ar.matrix("bandwidth outgoing ewma", outgoing_ewma_);
+  ar.matrix("bandwidth report counts", report_count_);
+  ar.matrix("bandwidth report units", report_unit_);
+  ar.matrix("bandwidth reports used", report_used_);
+  ar.value("bandwidth tokens accepted", tokens_accepted_);
+  ar.value("bandwidth tokens stale", tokens_stale_);
 }
 
-void DistributedBandwidth::load(persist::Reader& r) {
-  const std::size_t n = incoming_ewma_.rows();
-  rho_ = r.f64();
-  unit_ = r.u64();
-  persist::read_matrix(r, open_counts_);
-  persist::read_matrix(r, closed_counts_);
-  persist::read_matrix(r, incoming_ewma_);
-  persist::read_matrix(r, outgoing_ewma_);
-  persist::read_matrix(r, report_count_);
-  persist::read_matrix(r, report_unit_);
-  persist::read_matrix(r, report_used_);
-  if (open_counts_.rows() != n || report_used_.cols() != n) {
-    throw persist::FormatError(
-        "checkpoint distributed bandwidth shape mismatch");
-  }
-  tokens_accepted_ = r.u64();
-  tokens_stale_ = r.u64();
+void DistributedBandwidth::save(persist::Writer& w) const {
+  const_cast<DistributedBandwidth*>(this)->fields(w);
 }
+
+void DistributedBandwidth::load(persist::Reader& r) { fields(r); }
 
 }  // namespace dtn::core

@@ -95,6 +95,9 @@ class DistributedBandwidth {
   void load(persist::Reader& r);
 
  private:
+  template <class Ar>
+  void fields(Ar& ar);
+
   double rho_;
   std::uint64_t unit_ = 0;
   // Observed at the arrival side.

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <string>
 
-#include "persist/flat_io.hpp"
 #include "persist/serializer.hpp"
 #include "sim/invariant_auditor.hpp"
 
@@ -1009,65 +1008,85 @@ std::vector<LandmarkId> DtnFlowRouter::frequent_landmarks(const Network& net,
 
 // -- checkpointing ------------------------------------------------------
 
+template <class Ar>
+void DtnFlowRouter::fields(Ar& ar) {
+  constexpr bool loading = Ar::loading;
+  const std::size_t m = landmarks_.size();
+  ar.expect("router node count", nodes_.size());
+  ar.expect("router landmark count", m);
+  ar.value("router time unit", time_unit_);
+  ar.object(bw_);
+  ar.expect("router distributed bandwidth", dbw_.has_value());
+  if (dbw_.has_value()) ar.object(*dbw_);
+  for (NodeState& ns : nodes_) {
+    ar.object(*ns.predictor);
+    ar.index_or_none("node predicted next", ns.predicted_next, m);
+    ar.index_or_none("node predicted from", ns.predicted_from, m);
+    ar.value("node arrival time", ns.arrived_at);
+    bool has_dv = ns.carried_dv.has_value();
+    ar.value("node carries a vector", has_dv);
+    if (has_dv) {
+      LandmarkId origin = loading ? 0 : ns.carried_dv->origin;
+      std::uint64_t seq = loading ? 0 : ns.carried_dv->seq;
+      std::vector<double> delay =
+          loading ? std::vector<double>(m) : ns.carried_dv->delay();
+      ar.index("carried vector origin", origin, m);
+      ar.value("carried vector seq", seq);
+      ar.fixed("carried vector delays", delay);
+      // Restored as a fresh payload: its first merge sweeps.
+      if constexpr (loading) {
+        ns.carried_dv.emplace(origin, seq, std::move(delay));
+      }
+    }
+    bool has_token = ns.carried_token.has_value();
+    ar.value("node carries a token", has_token);
+    if (has_token) {
+      if constexpr (loading) ns.carried_token.emplace();
+      BandwidthToken& tok = *ns.carried_token;
+      ar.index("carried token link from", tok.link_from, m);
+      ar.index("carried token link to", tok.link_to, m);
+      ar.value("carried token count", tok.count);
+      ar.value("carried token unit", tok.unit);
+    }
+    ar.fixed("node departures since vector", ns.departures_since_dv);
+    ar.fixed("node stay sums", ns.stay_sum);
+    ar.fixed("node stay counts", ns.stay_count);
+    ar.value("node total stay", ns.total_stay);
+    ar.value("node stays", ns.total_stays);
+  }
+  for (LandmarkState& ls : landmarks_) {
+    ar.object(*ls.table);
+    ar.fixed("landmark incoming rates", ls.incoming);
+    ar.fixed("landmark outgoing rates", ls.outgoing);
+    ar.fixed("landmark previous incoming rates", ls.prev_incoming);
+    ar.fixed("landmark previous outgoing rates", ls.prev_outgoing);
+    ar.fixed("landmark divert toggles", ls.divert_toggle);
+    ar.value("landmark uploading mode", ls.uploading_mode);
+    ar.value("landmark present epoch", ls.present_epoch);
+    ar.check(ls.present_epoch != 0, "landmark present epoch is zero");
+  }
+  ar.fixed("router station down", station_down_);
+  ar.fixed("router needs reconvergence", needs_reconvergence_);
+  ar.matrix("router accuracy", accuracy_);
+  DtnFlowDiagnostics& d = diag_;
+  ar.value("transits observed", d.transits_observed);
+  ar.value("predictions scored", d.predictions_scored);
+  ar.value("predictions correct", d.predictions_correct);
+  ar.value("dead ends detected", d.dead_ends_detected);
+  ar.value("loops detected", d.loops_detected);
+  ar.value("loops corrected", d.loops_corrected);
+  ar.value("balancing diversions", d.balancing_diversions);
+  ar.value("station outages seen", d.station_outages_seen);
+  ar.value("station recoveries seen", d.station_recoveries_seen);
+  ar.value("vector carriers lost", d.dv_carriers_lost);
+  ar.value("vector deliveries deferred", d.dv_deliveries_deferred);
+  ar.value("stale origins expired", d.stale_origins_expired);
+  ar.value("fallback next hops", d.fallback_next_hops);
+  ar.value("post-outage reconvergences", d.post_outage_reconvergences);
+}
+
 void DtnFlowRouter::checkpoint_save(persist::Writer& w) const {
-  w.u64(nodes_.size());
-  w.u64(landmarks_.size());
-  w.f64(time_unit_);
-  bw_.save(w);
-  w.boolean(dbw_.has_value());
-  if (dbw_.has_value()) dbw_->save(w);
-  for (const NodeState& ns : nodes_) {
-    ns.predictor->save(w);
-    w.u32(ns.predicted_next);
-    w.u32(ns.predicted_from);
-    w.f64(ns.arrived_at);
-    w.boolean(ns.carried_dv.has_value());
-    if (ns.carried_dv.has_value()) {
-      w.u32(ns.carried_dv->origin);
-      w.u64(ns.carried_dv->seq);
-      persist::write_vec(w, ns.carried_dv->delay());
-    }
-    w.boolean(ns.carried_token.has_value());
-    if (ns.carried_token.has_value()) {
-      w.u32(ns.carried_token->link_from);
-      w.u32(ns.carried_token->link_to);
-      w.f64(ns.carried_token->count);
-      w.u64(ns.carried_token->unit);
-    }
-    persist::write_vec(w, ns.departures_since_dv);
-    persist::write_vec(w, ns.stay_sum);
-    persist::write_vec(w, ns.stay_count);
-    w.f64(ns.total_stay);
-    w.u32(ns.total_stays);
-  }
-  for (const LandmarkState& ls : landmarks_) {
-    ls.table->save(w);
-    persist::write_vec(w, ls.incoming);
-    persist::write_vec(w, ls.outgoing);
-    persist::write_vec(w, ls.prev_incoming);
-    persist::write_vec(w, ls.prev_outgoing);
-    persist::write_vec(w, ls.divert_toggle);
-    w.boolean(ls.uploading_mode);
-    w.u64(ls.present_epoch);
-  }
-  persist::write_vec(w, station_down_);
-  persist::write_vec(w, needs_reconvergence_);
-  persist::write_matrix(w, accuracy_);
-  const DtnFlowDiagnostics& d = diag_;
-  w.u64(d.transits_observed);
-  w.u64(d.predictions_scored);
-  w.u64(d.predictions_correct);
-  w.u64(d.dead_ends_detected);
-  w.u64(d.loops_detected);
-  w.u64(d.loops_corrected);
-  w.u64(d.balancing_diversions);
-  w.u64(d.station_outages_seen);
-  w.u64(d.station_recoveries_seen);
-  w.u64(d.dv_carriers_lost);
-  w.u64(d.dv_deliveries_deferred);
-  w.u64(d.stale_origins_expired);
-  w.u64(d.fallback_next_hops);
-  w.u64(d.post_outage_reconvergences);
+  const_cast<DtnFlowRouter*>(this)->fields(w);
 }
 
 void DtnFlowRouter::checkpoint_load(persist::Reader& r, Network& net) {
@@ -1076,107 +1095,7 @@ void DtnFlowRouter::checkpoint_load(persist::Reader& r, Network& net) {
   // born with epoch 0, stale against every serialized present_epoch
   // (>= 1), so they rebuild lazily with identical contents.
   on_init(net);
-  if (r.u64() != nodes_.size() || r.u64() != landmarks_.size()) {
-    throw persist::FormatError("checkpoint router section: topology mismatch");
-  }
-  time_unit_ = r.f64();
-  bw_.load(r);
-  if (r.boolean() != dbw_.has_value()) {
-    throw persist::FormatError(
-        "checkpoint router section: distributed-bandwidth config mismatch");
-  }
-  if (dbw_.has_value()) dbw_->load(r);
-  for (NodeState& ns : nodes_) {
-    ns.predictor->load(r);
-    ns.predicted_next = r.u32();
-    ns.predicted_from = r.u32();
-    ns.arrived_at = r.f64();
-    if (r.boolean()) {
-      const LandmarkId origin = r.u32();
-      const std::uint64_t seq = r.u64();
-      std::vector<double> delay;
-      persist::read_vec(r, delay);
-      if (origin >= landmarks_.size() || delay.size() != landmarks_.size()) {
-        throw persist::FormatError(
-            "checkpoint router section: malformed carried distance vector");
-      }
-      // Restored as a fresh payload: its first merge sweeps.
-      ns.carried_dv.emplace(origin, seq, std::move(delay));
-    } else {
-      ns.carried_dv.reset();
-    }
-    if (r.boolean()) {
-      BandwidthToken tok;
-      tok.link_from = r.u32();
-      tok.link_to = r.u32();
-      tok.count = r.f64();
-      tok.unit = r.u64();
-      if (tok.link_from >= landmarks_.size() ||
-          tok.link_to >= landmarks_.size()) {
-        throw persist::FormatError(
-            "checkpoint router section: malformed carried bandwidth token");
-      }
-      ns.carried_token = tok;
-    } else {
-      ns.carried_token.reset();
-    }
-    persist::read_vec(r, ns.departures_since_dv);
-    persist::read_vec(r, ns.stay_sum);
-    persist::read_vec(r, ns.stay_count);
-    ns.total_stay = r.f64();
-    ns.total_stays = r.u32();
-    if (ns.departures_since_dv.size() != landmarks_.size() ||
-        ns.stay_sum.size() != landmarks_.size() ||
-        ns.stay_count.size() != landmarks_.size()) {
-      throw persist::FormatError(
-          "checkpoint router section: per-node vector size mismatch");
-    }
-  }
-  for (LandmarkState& ls : landmarks_) {
-    ls.table->load(r);
-    persist::read_vec(r, ls.incoming);
-    persist::read_vec(r, ls.outgoing);
-    persist::read_vec(r, ls.prev_incoming);
-    persist::read_vec(r, ls.prev_outgoing);
-    persist::read_vec(r, ls.divert_toggle);
-    ls.uploading_mode = r.boolean();
-    ls.present_epoch = r.u64();
-    if (ls.incoming.size() != landmarks_.size() ||
-        ls.outgoing.size() != landmarks_.size() ||
-        ls.prev_incoming.size() != landmarks_.size() ||
-        ls.prev_outgoing.size() != landmarks_.size() ||
-        ls.divert_toggle.size() != landmarks_.size() ||
-        ls.present_epoch == 0) {
-      throw persist::FormatError(
-          "checkpoint router section: per-landmark state mismatch");
-    }
-  }
-  persist::read_vec(r, station_down_);
-  persist::read_vec(r, needs_reconvergence_);
-  persist::read_matrix(r, accuracy_);
-  if (station_down_.size() != landmarks_.size() ||
-      needs_reconvergence_.size() != landmarks_.size() ||
-      accuracy_.rows() != nodes_.size() ||
-      accuracy_.cols() != landmarks_.size()) {
-    throw persist::FormatError(
-        "checkpoint router section: fault-mirror/accuracy shape mismatch");
-  }
-  DtnFlowDiagnostics d;
-  d.transits_observed = r.u64();
-  d.predictions_scored = r.u64();
-  d.predictions_correct = r.u64();
-  d.dead_ends_detected = r.u64();
-  d.loops_detected = r.u64();
-  d.loops_corrected = r.u64();
-  d.balancing_diversions = r.u64();
-  d.station_outages_seen = r.u64();
-  d.station_recoveries_seen = r.u64();
-  d.dv_carriers_lost = r.u64();
-  d.dv_deliveries_deferred = r.u64();
-  d.stale_origins_expired = r.u64();
-  d.fallback_next_hops = r.u64();
-  d.post_outage_reconvergences = r.u64();
-  diag_ = d;
+  fields(r);
 }
 
 }  // namespace dtn::core

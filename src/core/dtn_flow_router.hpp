@@ -196,12 +196,8 @@ class DtnFlowRouter final : public net::Router {
   void on_station_recovery(net::Network& net, net::LandmarkId l) override;
 
   // -- checkpointing (src/persist/, docs/checkpointing.md) --------------
-  /// Serializes both estimators, every node's predictor/prediction/
-  /// carried-DV/token/stay state, every landmark's routing table, rate
-  /// monitors, channel mode and present epoch, the fault mirrors, the
-  /// accuracy matrix and the diagnostics.  The carrier-score
-  /// cache and scratch buffers are rebuilt lazily from serialized state
-  /// and deliberately not stored.
+  /// The carrier-score cache and scratch buffers are not stored: they
+  /// rebuild lazily from the stored state.
   [[nodiscard]] bool checkpointable() const override { return true; }
   void checkpoint_save(persist::Writer& w) const override;
   void checkpoint_load(persist::Reader& r, net::Network& net) override;
@@ -325,6 +321,9 @@ class DtnFlowRouter final : public net::Router {
 
   /// The node's overall probability of transiting to `to` from its
   /// current landmark (transit probability, optionally x accuracy).
+  template <class Ar>
+  void fields(Ar& ar);
+
   [[nodiscard]] double overall_transit_probability(const net::Network& net,
                                                    net::NodeId n,
                                                    net::LandmarkId to) const;

@@ -154,25 +154,6 @@ std::vector<double> MarkovPredictor::next_distribution() const {
   return dist;
 }
 
-void MarkovPredictor::save(persist::Writer& w) const {
-  w.u64(num_landmarks_);
-  w.u64(order_);
-  w.u64(history_len_);
-  w.u64(context_len_);
-  for (std::size_t i = 0; i < context_len_; ++i) w.u32(context_[i]);
-  w.u64(rows_.size());
-  for (const Row& row : rows_) {
-    w.u64(row.key);
-    w.u32(row.n);
-    w.u32(static_cast<std::uint32_t>(row.succ.size()));
-    for (const Succ& s : row.succ) {
-      w.u32(s.landmark);
-      w.u32(s.count);
-    }
-  }
-  w.u32(current_ctx_);
-}
-
 std::string MarkovPredictor::row_defect(const Row& row,
                                         std::vector<std::uint8_t>& seen) const {
   // N(c) counts every occurrence of the context, including trailing
@@ -203,87 +184,84 @@ std::string MarkovPredictor::row_defect(const Row& row,
   return defect;
 }
 
-void MarkovPredictor::load(persist::Reader& r) {
-  using persist::FormatError;
-  if (r.u64() != num_landmarks_ || r.u64() != order_) {
-    throw FormatError(
-        "checkpoint predictor shape (num_landmarks, order) mismatch");
-  }
-  history_len_ = static_cast<std::size_t>(r.u64());
-  const std::uint64_t context_len = r.u64();
-  if (context_len != std::min<std::uint64_t>(order_, history_len_)) {
-    throw FormatError(
-        "checkpoint predictor context length disagrees with its history");
-  }
-  context_len_ = static_cast<std::size_t>(context_len);
+template <class Ar>
+void MarkovPredictor::fields(Ar& ar) {
+  constexpr bool loading = Ar::loading;
+  ar.expect("predictor landmark count", num_landmarks_);
+  ar.expect("predictor order", order_);
+  ar.value("predictor history length", history_len_);
+  ar.value("predictor context length", context_len_);
+  ar.check(context_len_ == std::min(order_, history_len_),
+           "predictor context length disagrees with its history");
   for (std::size_t i = 0; i < context_len_; ++i) {
-    context_[i] = r.u32();
-    if (context_[i] >= num_landmarks_) {
-      throw FormatError(
-          "checkpoint predictor context landmark out of range");
-    }
+    ar.index("predictor context landmark", context_[i], num_landmarks_);
   }
   // Every context id came from a visit, so there are at most as many
   // as the history is long.  Rows and probe slots then grow one read
   // row at a time, so a forged count runs into the end of the section
   // before it can claim memory.
-  const std::uint64_t contexts = r.u64();
-  if (contexts > history_len_) {
-    throw FormatError("checkpoint predictor has more contexts than visits");
+  std::size_t contexts = rows_.size();
+  ar.count("predictor contexts", contexts, 16);  // key, N(c), row length
+  ar.check(contexts <= history_len_,
+           "predictor has more contexts than visits");
+  if constexpr (loading) {
+    rows_.clear();
+    probe_.assign(kInitialProbeCap, Probe{kEmptyProbe, 0});
   }
-  rows_.clear();
-  probe_.assign(kInitialProbeCap, Probe{kEmptyProbe, 0});
-  std::vector<std::uint8_t> seen(num_landmarks_);
+  std::vector<std::uint8_t> seen(loading ? num_landmarks_ : 0);
   for (std::uint32_t id = 0; id < contexts; ++id) {
-    Row row;
-    row.key = r.u64();
-    // A valid key has exactly `order_` 20-bit slots, so it can never
-    // equal the empty-slot sentinel either.
-    if ((row.key >> (kSlotBits * order_)) != 0) {  // shift <= 60, well-defined
-      throw FormatError(
-          "checkpoint predictor context key out of range");
+    if constexpr (loading) rows_.emplace_back();
+    Row& row = rows_[id];
+    ar.value("predictor context key", row.key);
+    if constexpr (loading) {
+      // A valid key has exactly `order_` 20-bit slots, so it can never
+      // equal the empty-slot sentinel either (the shift is <= 60 bits).
+      ar.check((row.key >> (kSlotBits * order_)) == 0,
+               "predictor context key out of range");
+      Probe& slot = probe_[probe_slot(row.key)];
+      ar.check(slot.key != row.key, "predictor has duplicate context keys");
+      slot = Probe{row.key, id};
     }
-    Probe& slot = probe_[probe_slot(row.key)];
-    if (slot.key == row.key) {
-      throw FormatError(
-          "checkpoint predictor has duplicate context keys");
-    }
-    slot = Probe{row.key, id};
-    row.n = r.u32();
-    const std::uint32_t len = r.u32();
-    if (len > num_landmarks_) {
-      throw FormatError(
-          "checkpoint predictor row length above the landmark count");
-    }
-    row.succ.resize(len);
+    ar.value("predictor context count", row.n);
+    auto len = static_cast<std::uint32_t>(row.succ.size());
+    ar.value("predictor row length", len);
+    ar.check(len <= num_landmarks_,
+             "predictor row length above the landmark count");
+    if constexpr (loading) row.succ.resize(len);
     for (Succ& s : row.succ) {
-      s.landmark = r.u32();
-      s.count = r.u32();
+      ar.value("predictor successor landmark", s.landmark);
+      ar.value("predictor successor count", s.count);
     }
-    if (const std::string defect = row_defect(row, seen); !defect.empty()) {
-      throw FormatError("checkpoint predictor context " + std::to_string(id) +
-                        ": " + defect);
+    if constexpr (loading) {
+      if (const std::string defect = row_defect(row, seen); !defect.empty()) {
+        ar.fail("predictor context " + std::to_string(id) + ": " + defect);
+      }
+      for (const Succ& s : row.succ) {
+        raise_argmax(row.best, row.best_count, s.landmark, s.count);
+      }
+      if (2 * rows_.size() >= probe_.size()) probe_rehash(2 * probe_.size());
     }
-    for (const Succ& s : row.succ) {
-      raise_argmax(row.best, row.best_count, s.landmark, s.count);
-    }
-    rows_.push_back(std::move(row));
-    if (2 * rows_.size() >= probe_.size()) probe_rehash(2 * probe_.size());
   }
-  // A context that is not yet full has no id; a full one has its key's.
-  current_ctx_ = r.u32();
-  if (context_len_ == order_ && current_ctx_ >= rows_.size()) {
-    throw FormatError("checkpoint predictor current context id out of range");
+  ar.value("predictor current context", current_ctx_);
+  if constexpr (loading) {
+    // A context that is not yet full has no id; a full one has its key's.
+    ar.check(context_len_ < order_ || current_ctx_ < rows_.size(),
+             "predictor current context id out of range");
+    ar.check(context_len_ < order_
+                 ? current_ctx_ == kNoContext
+                 : rows_[current_ctx_].key == context_key(),
+             "predictor current context id is not its context's id");
+    indexed_at_ = kNotIndexed;
+    indexed_ctx_ = kNoContext;
+    std::fill(index_prob_.begin(), index_prob_.end(), 0.0);
   }
-  if (context_len_ < order_ ? current_ctx_ != kNoContext
-                            : rows_[current_ctx_].key != context_key()) {
-    throw FormatError(
-        "checkpoint predictor current context id is not its context's id");
-  }
-  indexed_at_ = kNotIndexed;
-  indexed_ctx_ = kNoContext;
-  std::fill(index_prob_.begin(), index_prob_.end(), 0.0);
 }
+
+void MarkovPredictor::save(persist::Writer& w) const {
+  const_cast<MarkovPredictor*>(this)->fields(w);
+}
+
+void MarkovPredictor::load(persist::Reader& r) { fields(r); }
 
 void MarkovPredictor::audit(sim::AuditReport& report) const {
   const std::size_t contexts = rows_.size();

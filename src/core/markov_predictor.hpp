@@ -107,16 +107,11 @@ class MarkovPredictor {
   }
 
   // -- checkpointing (src/persist/, docs/checkpointing.md) --------------
-  /// Serialize the inputs only: history length, the context, and per
-  /// context id its key, N(c) and (landmark, count) successors, then the
-  /// current context id.  Argmax, probe table and query index are
-  /// derived and rebuilt on load.
+  /// The image holds inputs only; argmax, probe table and query index
+  /// are rebuilt.  `load` needs the same (num_landmarks, order) and
+  /// throws persist::FormatError on any field `save` could not have
+  /// written, before the field is used.
   void save(persist::Writer& w) const;
-  /// Restore into a predictor constructed with the same (num_landmarks,
-  /// order).  Throws persist::FormatError on a shape mismatch or on any
-  /// field that could not have come from `save` (out-of-range ids or
-  /// lengths, duplicate keys or successors, counts that do not add up),
-  /// checked before the field is used.
   void load(persist::Reader& r);
 
   // -- invariant auditing (debug tooling, see invariant_auditor.hpp) ----
@@ -134,6 +129,9 @@ class MarkovPredictor {
   bool debug_corrupt_argmax_for_test();
 
  private:
+  template <class Ar>
+  void fields(Ar& ar);
+
   /// A successor observed after some context, with its (k+1)-gram count
   /// N(c . l).
   struct Succ {

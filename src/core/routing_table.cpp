@@ -449,88 +449,48 @@ void RoutingTable::debug_toggle_neighbour_for_test(LandmarkId v) {
   }
 }
 
-namespace {
-
-/// A next hop is a landmark index or kNoLandmark; anything else would
-/// index past the per-landmark arrays its consumers keep.
-LandmarkId read_hop(persist::Reader& r, std::size_t n) {
-  const LandmarkId hop = r.u32();
-  if (hop != kNoLandmark && hop >= n) {
-    throw persist::FormatError(
-        "checkpoint routing table next hop out of range");
-  }
-  return hop;
-}
-
-/// Delays are non-negative, possibly infinite; NaN fails every compare.
-bool valid_delay(double d) { return d >= 0.0; }
-
-}  // namespace
-
-void RoutingTable::save(persist::Writer& w) const {
-  const std::size_t n = link_delay_.size();
-  w.u32(self_);
-  w.u64(n);
-  for (const double d : link_delay_) w.f64(d);
-  for (const Row& row : rows_) {
-    const bool heard = row != unheard_;
-    w.boolean(heard);
-    if (!heard) continue;
-    for (std::size_t d = 0; d < n; ++d) w.f64(row.get()[d]);
-  }
-  for (const std::uint64_t s : last_seq_) w.u64(s);
-  for (const double t : advertised_time_) w.f64(t);
-  for (const std::uint8_t e : expired_) w.u8(e);
-  for (const std::uint8_t p : pinned_) w.u8(p);
-  for (const Route& r : pin_route_) {
-    w.u32(r.next);
-    w.f64(r.delay);
-    w.u32(r.backup_next);
-    w.f64(r.backup_delay);
-  }
-  w.u64(seq_);
-}
-
-void RoutingTable::load(persist::Reader& r) {
+template <class Ar>
+void RoutingTable::fields(Ar& ar) {
   // The routes and what was published derive from the state being
   // overwritten (even by a load that throws halfway).
-  mark_all_dirty();
+  if constexpr (Ar::loading) mark_all_dirty();
   const std::size_t n = link_delay_.size();
-  if (r.u32() != self_ || r.u64() != n) {
-    throw persist::FormatError(
-        "checkpoint routing table shape (self, num_landmarks) mismatch");
-  }
-  for (double& d : link_delay_) d = r.f64();
-  if (!std::all_of(link_delay_.begin(), link_delay_.end(), valid_delay)) {
-    throw persist::FormatError(
-        "checkpoint routing table link delay negative or NaN");
-  }
+  ar.expect("routing table self", self_);
+  ar.expect("routing table size", n);
+  for (double& d : link_delay_) ar.non_negative("routing table link delay", d);
   for (Row& row : rows_) {
-    if (!r.boolean()) {
-      row = unheard_;
-      continue;
+    bool heard = row != unheard_;
+    ar.value("routing table row heard", heard);
+    // A heard row is n cells, read over a copy of the row it replaces
+    // (every row holds n cells) and loaded as a fresh payload.
+    std::vector<double> cells;
+    if (heard) cells.assign(row.get(), row.get() + n);
+    for (double& d : cells) ar.non_negative("routing table row cell", d);
+    if constexpr (Ar::loading) {
+      row = heard ? row_of(std::make_shared<const std::vector<double>>(
+                        std::move(cells)))
+                  : unheard_;
     }
-    std::vector<double> cells(n);
-    for (double& d : cells) d = r.f64();
-    if (!std::all_of(cells.begin(), cells.end(), valid_delay)) {
-      throw persist::FormatError(
-          "checkpoint routing table advertised delay negative or NaN");
-    }
-    row = row_of(std::make_shared<const std::vector<double>>(std::move(cells)));
   }
-  for (std::uint64_t& s : last_seq_) s = r.u64();
-  for (double& t : advertised_time_) t = r.f64();
-  for (std::uint8_t& e : expired_) e = r.u8();
-  for (std::uint8_t& p : pinned_) p = r.u8();
+  ar.array("routing table last seq", last_seq_);
+  ar.array("routing table advertised time", advertised_time_);
+  ar.array("routing table expired", expired_);
+  ar.array("routing table pinned", pinned_);
   for (Route& rt : pin_route_) {
-    rt.next = read_hop(r, n);
-    rt.delay = r.f64();
-    rt.backup_next = read_hop(r, n);
-    rt.backup_delay = r.f64();
+    ar.index_or_none("routing table next hop", rt.next, n);
+    ar.value("routing table pinned delay", rt.delay);
+    ar.index_or_none("routing table backup next hop", rt.backup_next, n);
+    ar.value("routing table pinned backup delay", rt.backup_delay);
   }
-  seq_ = r.u64();
+  ar.value("routing table seq", seq_);
   // The neighbor list is derived state, absent from the image.
-  neighbours_ = finite_links();
+  if constexpr (Ar::loading) neighbours_ = finite_links();
 }
+
+void RoutingTable::save(persist::Writer& w) const {
+  const_cast<RoutingTable*>(this)->fields(w);
+}
+
+void RoutingTable::load(persist::Reader& r) { fields(r); }
 
 }  // namespace dtn::core

@@ -151,18 +151,11 @@ class RoutingTable {
   [[nodiscard]] bool is_pinned(LandmarkId dst) const;
 
   // -- checkpointing (src/persist/, docs/checkpointing.md) --------------
-  /// Serialize the inputs only: link delays, the row heard from each
-  /// origin, the per-origin seq/time/expiry stamps, the pins and the
-  /// sequence counter.  The routes and the dirty bookkeeping are a pure
-  /// function of those, so load rebuilds them, and restore-then-
-  /// reserialize stays byte-identical (the invariant the auditor's CRC
-  /// check leans on).
+  /// The image holds inputs only: routes and dirty bookkeeping are a
+  /// pure function of them, so restore-then-reserialize is byte-identical
+  /// (the auditor's CRC check leans on it).  `load` needs the same (self,
+  /// num_landmarks) and leaves every column stale.
   void save(persist::Writer& w) const;
-  /// Restore into a table constructed with the same (self,
-  /// num_landmarks); every column is stale afterwards.  Throws
-  /// persist::FormatError on shape mismatches and on impossible state:
-  /// negative or NaN link delays and row cells, pinned next hops out of
-  /// range.
   void load(persist::Reader& r);
 
   // -- invariant auditing (debug tooling, see invariant_auditor.hpp) ----
@@ -191,6 +184,9 @@ class RoutingTable {
   void debug_toggle_neighbour_for_test(LandmarkId v);
 
  private:
+  template <class Ar>
+  void fields(Ar& ar);
+
   /// Cell (origin, dst) of the advertised rows.  An origin advertises 0
   /// to itself, or infinity while it is expired, whatever its row holds.
   [[nodiscard]] double advertised(LandmarkId origin, LandmarkId dst) const {

@@ -82,18 +82,17 @@ void Buffer::remove_at(std::size_t i, std::uint32_t size_kb) {
   used_kb_ -= size_kb;
 }
 
-void Buffer::save(persist::Writer& w) const {
-  w.u64(capacity_kb_);
-  w.u64(used_kb_);
-  w.u64(packets_.size());
-  for (const PacketId pid : packets_) w.u32(pid);
+template <class Ar>
+void Buffer::fields(Ar& ar) {
+  ar.value("buffer capacity", capacity_kb_);
+  ar.value("buffer used", used_kb_);
+  ar.vec("buffer packets", packets_);
 }
 
-void Buffer::load(persist::Reader& r) {
-  capacity_kb_ = r.u64();
-  used_kb_ = r.u64();
-  packets_.resize(static_cast<std::size_t>(r.u64()));
-  for (PacketId& pid : packets_) pid = r.u32();
+void Buffer::save(persist::Writer& w) const {
+  const_cast<Buffer*>(this)->fields(w);
 }
+
+void Buffer::load(persist::Reader& r) { fields(r); }
 
 }  // namespace dtn::net

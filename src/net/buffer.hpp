@@ -52,8 +52,8 @@ class Buffer {
   void remove_at(std::size_t i, std::uint32_t size_kb);
 
   // -- checkpointing (src/persist/, docs/checkpointing.md) --------------
-  /// Serialize capacity, byte accounting and the id list verbatim (the
-  /// id *order* matters: TTL sweeps and crash flushes iterate it).
+  /// The id list is stored in order: TTL sweeps and crash flushes
+  /// iterate it.
   void save(persist::Writer& w) const;
   void load(persist::Reader& r);
 
@@ -67,6 +67,9 @@ class Buffer {
   }
 
  private:
+  template <class Ar>
+  void fields(Ar& ar);
+
   std::uint64_t capacity_kb_;
   std::uint64_t used_kb_ = 0;
   std::vector<PacketId> packets_;

@@ -248,16 +248,11 @@ void BundleStore::spill_reset() {
   spill_tail_ = 0;
 }
 
-std::uint64_t BundleStore::spill_append(PacketId pid, const Entry& e) {
+std::uint64_t BundleStore::spill_append(PacketId pid, Entry e) {
   persist::Writer w;
   w.begin_section(kSpillSection);
-  w.u32(pid);
-  w.u32(e.size_kb);
-  w.u64(e.admit_seq);
-  w.u8(static_cast<std::uint8_t>(e.retention));
-  w.f64(e.expected_delay);
-  w.f64(e.deadline);
-  w.u32(e.logical);
+  w.value("spilled packet", pid);
+  e.fields(w);
   w.end_section();
   w.finish();
   std::ofstream out(spill_path_, std::ios::binary | std::ios::app);
@@ -278,14 +273,10 @@ BundleStore::Entry BundleStore::spill_fetch(const SpillRecord& rec) const {
   DTN_ASSERT(in.gcount() == static_cast<std::streamsize>(bytes.size()));
   persist::Reader r(std::move(bytes));
   r.expect_section(kSpillSection);
+  PacketId pid = kNoPacket;
+  r.value("spilled packet", pid);
   Entry e;
-  const PacketId pid = r.u32();
-  e.size_kb = r.u32();
-  e.admit_seq = r.u64();
-  e.retention = static_cast<Retention>(r.u8());
-  e.expected_delay = r.f64();
-  e.deadline = r.f64();
-  e.logical = r.u32();
+  e.fields(r);
   r.end_section();
   r.finish();
   // The file is load-bearing: a recall whose on-disk record disagrees
@@ -323,77 +314,53 @@ void BundleStore::recall_while_fits(std::vector<PacketId>* recalled_out) {
 
 // -- checkpointing -----------------------------------------------------
 
-void BundleStore::save(persist::Writer& w) const {
-  core_.save(w);
-  for (const Entry& e : meta_) {
-    w.u64(e.admit_seq);
-    w.f64(e.expected_delay);
-    w.f64(e.deadline);
-    w.u32(e.logical);
-    w.u32(e.size_kb);
-    w.u8(static_cast<std::uint8_t>(e.retention));
-  }
-  w.u64(next_admit_seq_);
-  w.u64(retained_);
-  w.u64(seen_.size());
-  for (const PacketId id : seen_) w.u32(id);
-  w.u64(spill_.size());
+template <class Ar>
+void BundleStore::Entry::fields(Ar& ar) {
+  ar.value("bundle admit seq", admit_seq);
+  ar.value("bundle expected delay", expected_delay);
+  ar.value("bundle deadline", deadline);
+  ar.value("bundle logical id", logical);
+  ar.value("bundle size", size_kb);
+  ar.index("bundle retention", retention,
+           static_cast<std::size_t>(Retention::kForwardPending) + 1);
+}
+
+template <class Ar>
+void BundleStore::fields(Ar& ar) {
+  ar.object(core_);
+  if constexpr (Ar::loading) meta_.resize(core_.count());
+  for (Entry& e : meta_) e.fields(ar);
+  ar.value("store admission counter", next_admit_seq_);
+  ar.value("store retained count", retained_);
+  ar.vec("store dedup set", seen_);
   // Offsets/lengths are artifacts of the local file (it may contain
   // holes from removed records); load rewrites a compacted file and
   // recomputes them, which keeps save→load→save byte-identical.
-  for (const SpillRecord& rec : spill_) {
-    w.u32(rec.pid);
-    w.u64(rec.entry.admit_seq);
-    w.f64(rec.entry.expected_delay);
-    w.f64(rec.entry.deadline);
-    w.u32(rec.entry.logical);
-    w.u32(rec.entry.size_kb);
-    w.u8(static_cast<std::uint8_t>(rec.entry.retention));
+  ar.seq("store spill index", spill_, [&](SpillRecord& rec) {
+    ar.value("spilled packet", rec.pid);
+    rec.entry.fields(ar);
+  });
+  if constexpr (Ar::loading) {
+    ar.check(spill_.empty() || spill_enabled(),
+             "bundle store has spilled bundles but spill is disabled");
+    // Rewrite the (freshly truncated) spill file from the snapshot so
+    // resume does not depend on the original machine's file.
+    if (spill_enabled()) spill_reset();
+    spilled_kb_ = 0;
+    for (SpillRecord& rec : spill_) {
+      rec.offset = spill_tail_;
+      rec.length = spill_append(rec.pid, rec.entry);
+      spill_tail_ += rec.length;
+      spilled_kb_ += rec.entry.size_kb;
+    }
   }
 }
 
-void BundleStore::load(persist::Reader& r) {
-  core_.load(r);
-  meta_.resize(core_.count());
-  retained_ = 0;
-  for (Entry& e : meta_) {
-    e.admit_seq = r.u64();
-    e.expected_delay = r.f64();
-    e.deadline = r.f64();
-    e.logical = r.u32();
-    e.size_kb = r.u32();
-    e.retention = static_cast<Retention>(r.u8());
-    if (e.retention > Retention::kForwardPending) {
-      throw persist::FormatError("bundle store: bad retention value");
-    }
-  }
-  next_admit_seq_ = r.u64();
-  retained_ = r.u64();
-  seen_.resize(static_cast<std::size_t>(r.u64()));
-  for (PacketId& id : seen_) id = r.u32();
-  spill_.resize(static_cast<std::size_t>(r.u64()));
-  if (!spill_.empty() && !spill_enabled()) {
-    throw persist::FormatError(
-        "bundle store: snapshot has spilled bundles but spill is disabled");
-  }
-  if (spill_enabled()) spill_reset();
-  spilled_kb_ = 0;
-  for (SpillRecord& rec : spill_) {
-    rec.pid = r.u32();
-    rec.entry.admit_seq = r.u64();
-    rec.entry.expected_delay = r.f64();
-    rec.entry.deadline = r.f64();
-    rec.entry.logical = r.u32();
-    rec.entry.size_kb = r.u32();
-    rec.entry.retention = static_cast<Retention>(r.u8());
-    // Rewrite the (freshly truncated) spill file from the snapshot so
-    // resume does not depend on the original machine's file.
-    rec.offset = spill_tail_;
-    rec.length = spill_append(rec.pid, rec.entry);
-    spill_tail_ += rec.length;
-    spilled_kb_ += rec.entry.size_kb;
-  }
+void BundleStore::save(persist::Writer& w) const {
+  const_cast<BundleStore*>(this)->fields(w);
 }
+
+void BundleStore::load(persist::Reader& r) { fields(r); }
 
 // -- invariant auditing ------------------------------------------------
 

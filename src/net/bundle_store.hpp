@@ -198,10 +198,8 @@ class BundleStore {
   [[nodiscard]] EvictionPolicy policy() const { return policy_; }
 
   // -- checkpointing (src/persist/, docs/checkpointing.md) --------------
-  /// Layout: the embedded Buffer image, then per-entry metadata in id
-  /// order, the admission counter, the dedup set, and the spill index
-  /// (metadata only — offsets are an artifact of the local file and are
-  /// recomputed by load, which rewrites a compacted spill file).
+  /// The spill index is stored without file offsets: load rewrites a
+  /// compacted spill file and recomputes them.
   void save(persist::Writer& w) const;
   void load(persist::Reader& r);
 
@@ -241,6 +239,10 @@ class BundleStore {
     PacketId logical = kNoPacket;
     std::uint32_t size_kb = 0;
     Retention retention = Retention::kNone;
+
+    /// The bundle metadata image, shared by snapshots and spill records.
+    template <class Ar>
+    void fields(Ar& ar);
   };
   /// Spill index row: full metadata lives here (the checkpoint
   /// serializes the index, not the file), plus where the framed record
@@ -251,6 +253,9 @@ class BundleStore {
     std::uint64_t offset = 0;
     std::uint64_t length = 0;
   };
+
+  template <class Ar>
+  void fields(Ar& ar);
 
   void note_seen(PacketId logical);
   /// Store `pid` in memory with `e`'s metadata.  Space must exist and
@@ -264,7 +269,7 @@ class BundleStore {
   void spill_out(PacketId pid, const Entry& e);
   void recall_while_fits(std::vector<PacketId>* recalled_out);
   /// Appends one framed record to the spill file; returns its length.
-  std::uint64_t spill_append(PacketId pid, const Entry& e);
+  std::uint64_t spill_append(PacketId pid, Entry e);
   /// Reads a record back and cross-checks it against the index row.
   [[nodiscard]] Entry spill_fetch(const SpillRecord& rec) const;
   /// Truncate/create the spill file and reset the append tail.

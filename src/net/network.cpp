@@ -7,7 +7,6 @@
 #include <string>
 
 #include "persist/checkpoint.hpp"
-#include "persist/flat_io.hpp"
 #include "persist/serializer.hpp"
 #include "trace/cursor.hpp"
 #include "util/logging.hpp"
@@ -250,447 +249,237 @@ bool Network::replay(persist::CheckpointManager* ckpt) {
 
 // -- checkpointing (src/persist/, docs/checkpointing.md) ----------------
 
-void Network::write_config_fingerprint(persist::Writer& w) const {
-  // Everything the snapshot depends on but does not store.  The audit
-  // period is deliberately excluded: auditing is read-only, so a resume
-  // may turn it on or off.
-  w.u64(trace_.num_nodes());
-  w.u64(trace_.num_landmarks());
-  w.u64(trace_.total_visits());
-  w.f64(trace_begin_);
-  w.f64(trace_end_);
-  w.f64(cfg_.packets_per_landmark_per_day);
-  w.f64(cfg_.ttl);
-  w.u32(cfg_.packet_size_kb);
-  w.u64(cfg_.node_memory_kb);
+template <class Ar>
+void Network::fields(Ar& ar, trace::TraceCursor& cursor) {
+  constexpr bool loading = Ar::loading;
+  const std::size_t landmarks = stations_.size();
+  const auto all_below = [](const auto& ids, std::size_t n) {
+    return std::all_of(ids.begin(), ids.end(), [n](auto id) { return id < n; });
+  };
+
+  // Everything the snapshot depends on but does not store: a resume must
+  // be handed all of it unchanged, and the first field that disagrees
+  // is named.  The audit period is deliberately excluded: auditing is
+  // read-only, so a resume may turn it on or off.
+  ar.begin_section("meta");
+  ar.expect("trace node count", trace_.num_nodes());
+  ar.expect("trace landmark count", trace_.num_landmarks());
+  ar.expect("trace visit count", trace_.total_visits());
+  ar.expect("trace begin time", trace_begin_);
+  ar.expect("trace end time", trace_end_);
+  ar.expect("workload packet rate", cfg_.packets_per_landmark_per_day);
+  ar.expect("packet TTL", cfg_.ttl);
+  ar.expect("configured packet size", cfg_.packet_size_kb);
+  ar.expect("node memory", cfg_.node_memory_kb);
   // Bounded-store configuration (docs/bounded-store.md).  The spill
   // *directory* is deliberately excluded: resume rewrites its spill
   // files from the snapshot, so the directory is relocatable — only
   // whether spilling is enabled is pinned.
-  w.u64(cfg_.store.station_memory_kb);
-  w.u8(static_cast<std::uint8_t>(cfg_.store.policy));
-  w.boolean(cfg_.store.dedup);
-  w.boolean(!cfg_.store.spill_dir.empty());
-  w.f64(cfg_.warmup_fraction);
-  w.f64(cfg_.time_unit);
-  w.u64(cfg_.seed);
-  persist::write_vec(w, cfg_.destination_weights);
-  w.u64(cfg_.manual_packets.size());
-  for (const auto& mp : cfg_.manual_packets) {
-    w.u32(mp.src);
-    w.u32(mp.dst);
-    w.f64(mp.time);
-    w.f64(mp.ttl);
-    w.u32(mp.dst_node);
-  }
-  w.boolean(cfg_.faults.has_value());
-  if (cfg_.faults.has_value()) {
-    const sim::FaultPlan& fp = *cfg_.faults;
-    w.u64(fp.seed);
-    w.u64(fp.node_crashes.size());
-    for (const auto& c : fp.node_crashes) {
-      w.u32(c.node);
-      w.f64(c.time);
-      w.f64(c.downtime);
-    }
-    w.f64(fp.node_crash_rate_per_day);
-    w.f64(fp.node_mean_downtime);
-    w.f64(fp.crash_buffer_loss);
-    w.u64(fp.station_outages.size());
-    for (const auto& o : fp.station_outages) {
-      w.u32(o.station);
-      w.f64(o.start);
-      w.f64(o.end);
-    }
-    w.f64(fp.station_outage_rate_per_day);
-    w.f64(fp.station_mean_outage);
-    w.f64(fp.transfer_failure_prob);
-    w.f64(fp.retry_backoff);
-    w.f64(fp.retry_backoff_max);
-    w.f64(fp.dv_loss_prob);
-    w.f64(fp.dv_delay_prob);
-  }
-  w.str(router_.name());
-}
-
-void Network::check_config_fingerprint(persist::Reader& r) const {
-  // Field-by-field mirror of write_config_fingerprint; the first
-  // disagreement names what changed.  Doubles compare by bit pattern.
-  const auto mismatch = [](const char* what) {
-    throw persist::FormatError(
-        std::string("checkpoint fingerprint mismatch: ") + what +
-        " differs from this run's configuration");
-  };
-  const auto want_u32 = [&](std::uint32_t expect, const char* what) {
-    if (r.u32() != expect) mismatch(what);
-  };
-  const auto want_u64 = [&](std::uint64_t expect, const char* what) {
-    if (r.u64() != expect) mismatch(what);
-  };
-  const auto want_f64 = [&](double expect, const char* what) {
-    if (std::bit_cast<std::uint64_t>(r.f64()) !=
-        std::bit_cast<std::uint64_t>(expect)) {
-      mismatch(what);
-    }
-  };
-  const auto want_bool = [&](bool expect, const char* what) {
-    if (r.boolean() != expect) mismatch(what);
-  };
-  want_u64(trace_.num_nodes(), "trace node count");
-  want_u64(trace_.num_landmarks(), "trace landmark count");
-  want_u64(trace_.total_visits(), "trace visit count");
-  want_f64(trace_begin_, "trace begin time");
-  want_f64(trace_end_, "trace end time");
-  want_f64(cfg_.packets_per_landmark_per_day, "workload packet rate");
-  want_f64(cfg_.ttl, "packet TTL");
-  want_u32(cfg_.packet_size_kb, "packet size");
-  want_u64(cfg_.node_memory_kb, "node memory");
-  want_u64(cfg_.store.station_memory_kb, "station memory");
-  if (r.u8() != static_cast<std::uint8_t>(cfg_.store.policy)) {
-    mismatch("eviction policy");
-  }
-  want_bool(cfg_.store.dedup, "store dedup");
-  want_bool(!cfg_.store.spill_dir.empty(), "store spill enabled");
-  want_f64(cfg_.warmup_fraction, "warmup fraction");
-  want_f64(cfg_.time_unit, "time unit");
-  want_u64(cfg_.seed, "workload seed");
-  want_u64(cfg_.destination_weights.size(), "destination weight count");
+  ar.expect("station memory", cfg_.store.station_memory_kb);
+  ar.expect("eviction policy", cfg_.store.policy);
+  ar.expect("store dedup", cfg_.store.dedup);
+  ar.expect("store spill enabled", !cfg_.store.spill_dir.empty());
+  ar.expect("warmup fraction", cfg_.warmup_fraction);
+  ar.expect("time unit", cfg_.time_unit);
+  ar.expect("workload seed", cfg_.seed);
+  ar.expect("destination weight count", cfg_.destination_weights.size());
   for (const double v : cfg_.destination_weights) {
-    want_f64(v, "destination weights");
+    ar.expect("destination weights", v);
   }
-  want_u64(cfg_.manual_packets.size(), "manual packet count");
+  ar.expect("manual packet count", cfg_.manual_packets.size());
   for (const auto& mp : cfg_.manual_packets) {
-    want_u32(mp.src, "manual packet source");
-    want_u32(mp.dst, "manual packet destination");
-    want_f64(mp.time, "manual packet time");
-    want_f64(mp.ttl, "manual packet TTL");
-    want_u32(mp.dst_node, "manual packet destination node");
+    ar.expect("manual packet source", mp.src);
+    ar.expect("manual packet destination", mp.dst);
+    ar.expect("manual packet time", mp.time);
+    ar.expect("manual packet TTL", mp.ttl);
+    ar.expect("manual packet destination node", mp.dst_node);
   }
-  want_bool(cfg_.faults.has_value(), "fault plan presence");
+  ar.expect("fault plan presence", cfg_.faults.has_value());
   if (cfg_.faults.has_value()) {
     const sim::FaultPlan& fp = *cfg_.faults;
-    want_u64(fp.seed, "fault seed");
-    want_u64(fp.node_crashes.size(), "scheduled crash count");
+    ar.expect("fault seed", fp.seed);
+    ar.expect("scheduled crash count", fp.node_crashes.size());
     for (const auto& c : fp.node_crashes) {
-      want_u32(c.node, "scheduled crash node");
-      want_f64(c.time, "scheduled crash time");
-      want_f64(c.downtime, "scheduled crash downtime");
+      ar.expect("scheduled crash node", c.node);
+      ar.expect("scheduled crash time", c.time);
+      ar.expect("scheduled crash downtime", c.downtime);
     }
-    want_f64(fp.node_crash_rate_per_day, "crash rate");
-    want_f64(fp.node_mean_downtime, "mean downtime");
-    want_f64(fp.crash_buffer_loss, "crash buffer loss");
-    want_u64(fp.station_outages.size(), "scheduled outage count");
+    ar.expect("crash rate", fp.node_crash_rate_per_day);
+    ar.expect("mean downtime", fp.node_mean_downtime);
+    ar.expect("crash buffer loss", fp.crash_buffer_loss);
+    ar.expect("scheduled outage count", fp.station_outages.size());
     for (const auto& o : fp.station_outages) {
-      want_u32(o.station, "scheduled outage station");
-      want_f64(o.start, "scheduled outage start");
-      want_f64(o.end, "scheduled outage end");
+      ar.expect("scheduled outage station", o.station);
+      ar.expect("scheduled outage start", o.start);
+      ar.expect("scheduled outage end", o.end);
     }
-    want_f64(fp.station_outage_rate_per_day, "outage rate");
-    want_f64(fp.station_mean_outage, "mean outage");
-    want_f64(fp.transfer_failure_prob, "transfer failure probability");
-    want_f64(fp.retry_backoff, "retry backoff");
-    want_f64(fp.retry_backoff_max, "retry backoff cap");
-    want_f64(fp.dv_loss_prob, "DV loss probability");
-    want_f64(fp.dv_delay_prob, "DV delay probability");
+    ar.expect("outage rate", fp.station_outage_rate_per_day);
+    ar.expect("mean outage", fp.station_mean_outage);
+    ar.expect("transfer failure probability", fp.transfer_failure_prob);
+    ar.expect("retry backoff", fp.retry_backoff);
+    ar.expect("retry backoff cap", fp.retry_backoff_max);
+    ar.expect("DV loss probability", fp.dv_loss_prob);
+    ar.expect("DV delay probability", fp.dv_delay_prob);
   }
-  if (r.str() != router_.name()) mismatch("router");
-}
+  ar.expect("router", router_.name());
+  ar.end_section();
 
-void Network::save_tail_sections(persist::Writer& w) const {
-  w.begin_section("rng");
-  for (const std::uint64_t word : rng_.state()) w.u64(word);
-  w.end_section();
+  ar.begin_section("sim");
+  ar.object(sim_);
+  ar.end_section();
+
+  ar.begin_section("cursor");
+  ar.object(cursor);
+  ar.end_section();
+
+  ar.begin_section("rng");
+  ar.rng("workload rng", rng_);
+  ar.end_section();
 
   // The pre-drawn workload is serialized (not re-drawn on resume): the
   // per-landmark RNG splits that built it already mutated rng_, and
   // replaying them would desynchronize the stream.
-  w.begin_section("workload");
-  w.u64(workload_.size());
-  for (const WorkloadEntry& e : workload_) {
-    w.f64(e.time);
-    w.u32(e.src);
-    w.u32(e.dst);
-  }
-  w.end_section();
+  ar.begin_section("workload");
+  ar.seq("workload entries", workload_, [&](WorkloadEntry& e) {
+    ar.value("workload time", e.time);
+    ar.index("workload source", e.src, landmarks);
+    ar.index("workload destination", e.dst, landmarks);
+  });
+  ar.end_section();
 
-  w.begin_section("counters");
-  w.u64(counters_.generated);
-  w.u64(counters_.delivered);
-  w.u64(counters_.dropped_ttl);
-  w.u64(counters_.refused_buffer);
-  w.u64(counters_.packet_forwards);
-  w.u64(counters_.replications);
-  w.f64(counters_.control_entries);
-  w.f64(counters_.total_delay);
-  persist::write_vec(w, counters_.delivery_delays);
-  persist::write_vec(w, counters_.delivery_hops);
-  w.u64(counters_.evicted_policy);
-  w.u64(counters_.evicted_kb);
-  w.u64(counters_.admission_shed);
-  w.u64(counters_.duplicates_suppressed);
-  w.u64(counters_.dedup_refused);
-  w.u64(counters_.spilled_bundles);
-  w.u64(counters_.recalled_bundles);
-  w.u64(counters_.node_crashes);
-  w.u64(counters_.node_reboots);
-  w.u64(counters_.station_outages);
-  w.u64(counters_.station_recoveries);
-  w.u64(counters_.packets_lost_fault);
-  w.u64(counters_.kb_lost_fault);
-  w.u64(counters_.transfers_interrupted);
-  w.u64(counters_.transfers_resumed);
-  w.u64(counters_.transfers_blocked_fault);
-  persist::write_vec(w, counters_.outage_recovery_delays);
-  w.end_section();
+  ar.begin_section("counters");
+  RunCounters& c = counters_;
+  ar.value("generated", c.generated);
+  ar.value("delivered", c.delivered);
+  ar.value("dropped ttl", c.dropped_ttl);
+  ar.value("refused buffer", c.refused_buffer);
+  ar.value("packet forwards", c.packet_forwards);
+  ar.value("replications", c.replications);
+  ar.value("control entries", c.control_entries);
+  ar.value("total delay", c.total_delay);
+  ar.vec("delivery delays", c.delivery_delays);
+  ar.vec("delivery hops", c.delivery_hops);
+  ar.value("evicted policy", c.evicted_policy);
+  ar.value("evicted kb", c.evicted_kb);
+  ar.value("admission shed", c.admission_shed);
+  ar.value("duplicates suppressed", c.duplicates_suppressed);
+  ar.value("dedup refused", c.dedup_refused);
+  ar.value("spilled bundles", c.spilled_bundles);
+  ar.value("recalled bundles", c.recalled_bundles);
+  ar.value("node crashes", c.node_crashes);
+  ar.value("node reboots", c.node_reboots);
+  ar.value("station outages", c.station_outages);
+  ar.value("station recoveries", c.station_recoveries);
+  ar.value("packets lost fault", c.packets_lost_fault);
+  ar.value("kb lost fault", c.kb_lost_fault);
+  ar.value("transfers interrupted", c.transfers_interrupted);
+  ar.value("transfers resumed", c.transfers_resumed);
+  ar.value("transfers blocked fault", c.transfers_blocked_fault);
+  ar.vec("outage recovery delays", c.outage_recovery_delays);
+  ar.end_section();
 
-  w.begin_section("packets");
-  w.u64(packets_.size());
-  for (const Packet& p : packets_) {
-    w.u32(p.id);
-    w.u32(p.src);
-    w.u32(p.dst);
-    w.u32(p.dst_node);
-    w.f64(p.created);
-    w.f64(p.ttl);
-    w.u32(p.size_kb);
-    w.u32(p.logical);
-    w.u8(static_cast<std::uint8_t>(p.state));
-    w.u32(p.holder);
-    w.u32(p.next_hop);
-    w.f64(p.expected_delay);
-    persist::write_vec(w, p.station_path);
-    w.u32(p.hops);
-    w.f64(p.delivered_at);
-  }
-  w.u64(logical_delivered_.size());
-  for (const std::uint8_t flag : logical_delivered_) w.u8(flag);
-  w.boolean(any_node_addressed_);
-  w.end_section();
+  ar.begin_section("packets");
+  PacketId next_id = 0;
+  ar.seq("packets", packets_, [&](Packet& p) {
+    ar.value("packet id", p.id);
+    ar.check(p.id == next_id++, "packet table row is out of order");
+    ar.index("packet source", p.src, landmarks);
+    ar.index("packet destination", p.dst, landmarks);
+    ar.index_or_none("packet destination node", p.dst_node, nodes_.size());
+    ar.value("packet created", p.created);
+    ar.value("packet ttl", p.ttl);
+    ar.value("packet size", p.size_kb);
+    // Every packet of a run has the fingerprinted size; the routers'
+    // offer walks rely on it.
+    ar.check(p.size_kb == cfg_.packet_size_kb,
+             "packet size differs from the configured packet size");
+    ar.index("packet logical id", p.logical, std::size_t{p.id} + 1);
+    ar.index("packet state", p.state,
+             static_cast<std::size_t>(PacketState::kEvicted) + 1);
+    ar.value("packet holder", p.holder);
+    ar.check(is_terminal(p.state) ||
+                 p.holder < (p.state == PacketState::kOnNode ? nodes_.size()
+                                                             : landmarks),
+             "packet holder out of range");
+    ar.index_or_none("packet next hop", p.next_hop, landmarks);
+    ar.value("packet expected delay", p.expected_delay);
+    ar.vec("packet station path", p.station_path);
+    ar.check(all_below(p.station_path, landmarks),
+             "packet station path out of range");
+    ar.value("packet hops", p.hops);
+    ar.value("packet delivered at", p.delivered_at);
+  });
+  if constexpr (loading) logical_delivered_.resize(packets_.size());
+  ar.fixed("logical delivered flags", logical_delivered_);
+  ar.value("any node addressed", any_node_addressed_);
+  ar.end_section();
 
-  w.begin_section("nodes");
-  w.u64(nodes_.size());
-  for (const NodeState& n : nodes_) {
-    n.buffer.save(w);
-    w.u32(n.location);
-    w.u32(n.previous);
-    w.u64(n.history.size());
-    for (const trace::Visit& v : n.history) {
-      w.u32(v.node);
-      w.u32(v.landmark);
-      w.f64(v.start);
-      w.f64(v.end);
-    }
+  ar.begin_section("nodes");
+  ar.expect("node count", nodes_.size());
+  for (NodeState& n : nodes_) {
+    ar.object(n.buffer);
+    ar.check(all_below(n.buffer.packets(), packets_.size()),
+             "node buffer packet out of range");
+    ar.index_or_none("node location", n.location, landmarks);
+    ar.index_or_none("node previous landmark", n.previous, landmarks);
+    ar.seq("node history", n.history, [&](trace::Visit& v) {
+      ar.index("visit node", v.node, nodes_.size());
+      ar.index("visit landmark", v.landmark, landmarks);
+      ar.value("visit start", v.start);
+      ar.value("visit end", v.end);
+    });
   }
-  w.end_section();
+  ar.end_section();
 
-  w.begin_section("stations");
-  w.u64(stations_.size());
-  for (const StationState& s : stations_) {
-    s.storage.save(w);
-    persist::write_vec(w, s.origin);
-    persist::write_vec(w, s.present);
+  ar.begin_section("stations");
+  ar.expect("station count", stations_.size());
+  for (StationState& st : stations_) {
+    ar.object(st.storage);
+    ar.check(all_below(st.storage.packets(), packets_.size()) &&
+                 all_below(st.storage.spilled_ids(), packets_.size()),
+             "station storage packet out of range");
+    ar.vec("station origin queue", st.origin);
+    ar.check(all_below(st.origin, packets_.size()),
+             "station origin queue packet out of range");
+    ar.vec("station present nodes", st.present);
+    ar.check(all_below(st.present, nodes_.size()),
+             "station present node out of range");
   }
-  persist::write_vec(w, present_pos_);
-  w.end_section();
+  ar.fixed("present positions", present_pos_);
+  ar.end_section();
 
-  w.begin_section("ledger");
-  w.u64(ledger_.size());
-  for (const LedgerEntry& e : ledger_) {
-    w.u32(e.pid);
-    w.u32(e.attempts);
-    w.f64(e.next_retry);
-  }
-  persist::write_vec(w, ledger_index_);
-  persist::write_vec(w, outage_recovery_pending_);
-  w.end_section();
+  ar.begin_section("ledger");
+  ar.seq("ledger entries", ledger_, [&](LedgerEntry& e) {
+    ar.value("ledger packet", e.pid);
+    ar.value("ledger attempts", e.attempts);
+    ar.value("ledger next retry", e.next_retry);
+  });
+  ar.vec("ledger index", ledger_index_);
+  ar.fixed("outage recovery pending", outage_recovery_pending_);
+  ar.end_section();
 
   // The fault plan is configuration (fingerprinted above); only the
   // injector's runtime state — RNG streams mid-sequence, outage sets —
   // lives here.
-  w.begin_section("faults");
-  w.boolean(faults_.has_value());
-  if (faults_.has_value()) faults_->save(w);
-  w.end_section();
+  ar.begin_section("faults");
+  ar.expect("fault injector presence", faults_.has_value());
+  if (faults_.has_value()) ar.object(*faults_);
+  ar.end_section();
 
-  w.begin_section("router");
-  w.str(router_.name());
-  router_.checkpoint_save(w);
-  w.end_section();
-}
-
-void Network::load_tail_sections(persist::Reader& r) {
-  r.expect_section("rng");
-  std::array<std::uint64_t, 4> words{};
-  for (std::uint64_t& word : words) word = r.u64();
-  rng_.set_state(words);
-  r.end_section();
-
-  r.expect_section("workload");
-  workload_.resize(static_cast<std::size_t>(r.u64()));
-  for (WorkloadEntry& e : workload_) {
-    e.time = r.f64();
-    e.src = r.u32();
-    e.dst = r.u32();
-    if (e.src >= stations_.size() || e.dst >= stations_.size()) {
-      throw persist::FormatError(
-          "checkpoint workload entry names an unknown landmark");
-    }
+  ar.begin_section("router");
+  ar.expect("router", router_.name());
+  if constexpr (loading) {
+    router_.checkpoint_load(ar, *this);
+  } else {
+    router_.checkpoint_save(ar);
   }
-  r.end_section();
-
-  r.expect_section("counters");
-  counters_.generated = r.u64();
-  counters_.delivered = r.u64();
-  counters_.dropped_ttl = r.u64();
-  counters_.refused_buffer = r.u64();
-  counters_.packet_forwards = r.u64();
-  counters_.replications = r.u64();
-  counters_.control_entries = r.f64();
-  counters_.total_delay = r.f64();
-  persist::read_vec(r, counters_.delivery_delays);
-  persist::read_vec(r, counters_.delivery_hops);
-  counters_.evicted_policy = r.u64();
-  counters_.evicted_kb = r.u64();
-  counters_.admission_shed = r.u64();
-  counters_.duplicates_suppressed = r.u64();
-  counters_.dedup_refused = r.u64();
-  counters_.spilled_bundles = r.u64();
-  counters_.recalled_bundles = r.u64();
-  counters_.node_crashes = r.u64();
-  counters_.node_reboots = r.u64();
-  counters_.station_outages = r.u64();
-  counters_.station_recoveries = r.u64();
-  counters_.packets_lost_fault = r.u64();
-  counters_.kb_lost_fault = r.u64();
-  counters_.transfers_interrupted = r.u64();
-  counters_.transfers_resumed = r.u64();
-  counters_.transfers_blocked_fault = r.u64();
-  persist::read_vec(r, counters_.outage_recovery_delays);
-  r.end_section();
-
-  r.expect_section("packets");
-  packets_.resize(static_cast<std::size_t>(r.u64()));
-  for (std::size_t i = 0; i < packets_.size(); ++i) {
-    Packet& p = packets_[i];
-    p.id = r.u32();
-    p.src = r.u32();
-    p.dst = r.u32();
-    p.dst_node = r.u32();
-    p.created = r.f64();
-    p.ttl = r.f64();
-    p.size_kb = r.u32();
-    p.logical = r.u32();
-    const std::uint8_t state = r.u8();
-    if (p.id != i || state > static_cast<std::uint8_t>(PacketState::kEvicted)) {
-      throw persist::FormatError("checkpoint packet table row is malformed");
-    }
-    // Every packet of a run has the fingerprinted size; the routers'
-    // offer walks rely on it.
-    if (p.size_kb != cfg_.packet_size_kb) {
-      throw persist::FormatError(
-          "checkpoint packet size differs from the configured packet size");
-    }
-    p.state = static_cast<PacketState>(state);
-    p.holder = r.u32();
-    p.next_hop = r.u32();
-    p.expected_delay = r.f64();
-    persist::read_vec(r, p.station_path);
-    p.hops = r.u32();
-    p.delivered_at = r.f64();
-  }
-  if (static_cast<std::size_t>(r.u64()) != packets_.size()) {
-    throw persist::FormatError(
-        "checkpoint delivery flags disagree with the packet table size");
-  }
-  logical_delivered_.resize(packets_.size());
-  for (std::uint8_t& flag : logical_delivered_) flag = r.u8();
-  any_node_addressed_ = r.boolean();
-  r.end_section();
-
-  r.expect_section("nodes");
-  if (static_cast<std::size_t>(r.u64()) != nodes_.size()) {
-    throw persist::FormatError("checkpoint node count mismatch");
-  }
-  for (NodeState& n : nodes_) {
-    n.buffer.load(r);
-    n.location = r.u32();
-    n.previous = r.u32();
-    if ((n.location != kNoLandmark && n.location >= stations_.size()) ||
-        (n.previous != kNoLandmark && n.previous >= stations_.size())) {
-      throw persist::FormatError(
-          "checkpoint node state names an unknown landmark");
-    }
-    n.history.resize(static_cast<std::size_t>(r.u64()));
-    for (trace::Visit& v : n.history) {
-      v.node = r.u32();
-      v.landmark = r.u32();
-      v.start = r.f64();
-      v.end = r.f64();
-    }
-  }
-  r.end_section();
-
-  r.expect_section("stations");
-  if (static_cast<std::size_t>(r.u64()) != stations_.size()) {
-    throw persist::FormatError("checkpoint station count mismatch");
-  }
-  for (StationState& s : stations_) {
-    s.storage.load(r);
-    persist::read_vec(r, s.origin);
-    persist::read_vec(r, s.present);
-  }
-  persist::read_vec(r, present_pos_);
-  if (present_pos_.size() != nodes_.size()) {
-    throw persist::FormatError(
-        "checkpoint present-position index has the wrong size");
-  }
-  r.end_section();
-
-  r.expect_section("ledger");
-  ledger_.resize(static_cast<std::size_t>(r.u64()));
-  for (LedgerEntry& e : ledger_) {
-    e.pid = r.u32();
-    e.attempts = r.u32();
-    e.next_retry = r.f64();
-  }
-  persist::read_vec(r, ledger_index_);
-  persist::read_vec(r, outage_recovery_pending_);
-  if (outage_recovery_pending_.size() != stations_.size()) {
-    throw persist::FormatError(
-        "checkpoint outage-recovery table has the wrong size");
-  }
-  r.end_section();
-
-  r.expect_section("faults");
-  if (r.boolean() != faults_.has_value()) {
-    throw persist::FormatError(
-        "checkpoint fault-injector presence disagrees with this run");
-  }
-  if (faults_.has_value()) faults_->load(r);
-  r.end_section();
-
-  r.expect_section("router");
-  if (r.str() != router_.name()) {
-    throw persist::FormatError(
-        "checkpoint was written by a different router");
-  }
-  router_.checkpoint_load(r, *this);
-  r.end_section();
+  ar.end_section();
 }
 
 persist::Writer Network::serialize_state() const {
   DTN_ASSERT(ckpt_cursor_ != nullptr);
   persist::Writer w;
-  w.begin_section("meta");
-  write_config_fingerprint(w);
-  w.end_section();
-  w.begin_section("sim");
-  sim_.save(w);
-  w.end_section();
-  w.begin_section("cursor");
-  ckpt_cursor_->save(w);
-  w.end_section();
-  save_tail_sections(w);
+  const_cast<Network*>(this)->fields(w, *ckpt_cursor_);
   return w;
 }
 
@@ -720,16 +509,7 @@ bool Network::checkpoint_step() {
 void Network::load_checkpoint(const std::vector<std::uint8_t>& bytes,
                               trace::TraceCursor& cursor) {
   persist::Reader r(bytes);
-  r.expect_section("meta");
-  check_config_fingerprint(r);
-  r.end_section();
-  r.expect_section("sim");
-  sim_.load(r);
-  r.end_section();
-  r.expect_section("cursor");
-  cursor.load(r);
-  r.end_section();
-  load_tail_sections(r);
+  fields(r, cursor);
   r.finish();
 
   // Restored-state verification: before a single event is dispatched, a
@@ -1701,6 +1481,22 @@ void Network::audit_bundle_stores(sim::AuditReport& report) const {
     check_retention(stations_[l].storage, true, static_cast<std::uint32_t>(l),
                     what);
   }
+}
+
+void Network::debug_restore_for_test(const std::vector<std::uint8_t>& image,
+                                     persist::Writer* out) {
+  DTN_ASSERT(!ran_);
+  ran_ = true;
+  trace::TraceCursor cursor(trace_);
+  ckpt_cursor_ = &cursor;
+  try {
+    load_checkpoint(image, cursor);
+    if (out != nullptr) fields(*out, cursor);
+  } catch (...) {
+    ckpt_cursor_ = nullptr;  // never left aiming at the local cursor
+    throw;
+  }
+  ckpt_cursor_ = nullptr;
 }
 
 bool Network::debug_corrupt_for_test(Corruption kind, int delta) {

@@ -310,6 +310,13 @@ class Network {
   /// one callback to leave the replay unharmed.
   bool debug_corrupt_for_test(Corruption kind, int delta = 1);
 
+  /// Test seam for checkpoint mutation tests: restore `image` into this
+  /// network as a resume does (load, re-serialize check, audit) without
+  /// replaying, then re-serialize the restored state into `out` when
+  /// given (a persist::Recorder maps the image field by field).
+  void debug_restore_for_test(const std::vector<std::uint8_t>& image,
+                              persist::Writer* out = nullptr);
+
  private:
   /// The serial replay behind run() and run(CheckpointManager&): one
   /// Simulator::run_until over the trace cursor whose step, at every
@@ -373,16 +380,13 @@ class Network {
   void schedule_dynamic_events();
 
   // -- checkpointing (src/persist/, docs/checkpointing.md) --------------
-  /// The "meta" section: everything the checkpoint does NOT store but a
-  /// resume must be handed unchanged (trace shape, workload config,
-  /// fault plan, router identity).  check_* throws persist::FormatError
-  /// on the first field that disagrees.
-  void write_config_fingerprint(persist::Writer& w) const;
-  void check_config_fingerprint(persist::Reader& r) const;
-  /// Sections after "cursor": rng, workload, counters, packets, nodes,
-  /// stations, ledger, faults, router.
-  void save_tail_sections(persist::Writer& w) const;
-  void load_tail_sections(persist::Reader& r);
+  /// The snapshot's field list, section by section: "meta" (a
+  /// fingerprint of everything the checkpoint does NOT store but a
+  /// resume must be handed unchanged: trace shape, workload config,
+  /// fault plan, router identity), "sim", "cursor", then rng, workload,
+  /// counters, packets, nodes, stations, ledger, faults, router.
+  template <class Ar>
+  void fields(Ar& ar, trace::TraceCursor& cursor);
   /// Full serial-format snapshot of the live run (requires an active
   /// checkpointed run: ckpt_cursor_ set).
   [[nodiscard]] persist::Writer serialize_state() const;

@@ -94,9 +94,12 @@ void Writer::u64(std::uint64_t v) {
   }
 }
 
-void Writer::str(std::string_view s) {
+void Writer::str(std::string_view s, const char* name) {
+  const std::size_t at = buf_.size();
   u32(static_cast<std::uint32_t>(s.size()));
+  note(name, at, true);
   buf_.insert(buf_.end(), s.begin(), s.end());
+  if (!s.empty()) note(name, at + 4, false);
 }
 
 Reader::Reader(std::vector<std::uint8_t> data) : data_(std::move(data)) {
@@ -116,9 +119,25 @@ Reader::Reader(std::vector<std::uint8_t> data) : data_(std::move(data)) {
   raw_u32();  // flags, reserved
 }
 
+std::size_t Reader::remaining() const {
+  return (in_section_ ? section_end_ : data_.size()) - pos_;
+}
+
+void Reader::fail(const std::string& what) {
+  throw FormatError("checkpoint " + what);
+}
+
+void Reader::count(const char* name, std::size_t& n, std::size_t width) {
+  const std::uint64_t c = u64();
+  if (width > 0 && c > remaining() / width) {
+    fail(std::string(name) + " count " + std::to_string(c) +
+         " exceeds the bytes left");
+  }
+  n = static_cast<std::size_t>(c);
+}
+
 void Reader::need(std::size_t n) const {
-  const std::size_t limit = in_section_ ? section_end_ : data_.size();
-  if (pos_ + n > limit) {
+  if (n > remaining()) {
     throw FormatError(in_section_
                           ? "checkpoint section '" + section_name_ +
                                 "' truncated: read past payload end"

@@ -19,7 +19,14 @@ void EventQueue::grow_if_full() {
   pay_.reserve(want);
 }
 
-void EventQueue::save(persist::Writer& w) const {
+template <class Ar>
+void EventQueue::fields(Ar& ar) {
+  if constexpr (Ar::loading) {
+    DTN_ASSERT(keys_.empty() && next_seq_ == 0 && popped_ == 0);
+  }
+  ar.value("queue next seq", next_seq_);
+  ar.value("queue popped count", popped_);
+  ar.value("queue last popped time", last_popped_);
   // Canonical image: key-sorted, not the live heap array.  The heap
   // array's layout depends on the push/pop history, so a resumed queue
   // (rebuilt from an image) and the uninterrupted one can hold the same
@@ -28,56 +35,38 @@ void EventQueue::save(persist::Writer& w) const {
   // are byte-identical however the queue got there, and save -> load ->
   // save reproduces the image (a sorted array is a valid min-heap, so
   // load keeps it as is).
-  std::vector<Event> sorted(pay_.begin(), pay_.end());
-  std::sort(sorted.begin(), sorted.end(), [](const Event& a, const Event& b) {
-    if (a.time != b.time) return a.time < b.time;
-    return a.seq < b.seq;
+  std::vector<Event> sorted = pay_;  // empty when loading
+  std::sort(sorted.begin(), sorted.end(), happens_before);
+  ar.seq("queue events", sorted, [&](Event& ev) {
+    ar.non_negative("queue event time", ev.time);
+    ar.value("queue event seq", ev.seq);
+    ar.index("queue event kind", ev.kind,
+             static_cast<std::size_t>(EventKind::kStationUp) + 1);
+    ar.check(ev.kind != EventKind::kCallback,
+             "queue image holds a closure event");
+    ar.value("queue event a", ev.a);
+    ar.value("queue event b", ev.b);
   });
-  w.u64(next_seq_);
-  w.u64(popped_);
-  w.f64(last_popped_);
-  w.u64(sorted.size());
-  for (const Event& ev : sorted) {
-    w.f64(ev.time);
-    w.u64(ev.seq);
-    w.u8(static_cast<std::uint8_t>(ev.kind));
-    w.u32(ev.a);
-    w.u32(ev.b);
+  if constexpr (Ar::loading) {
+    keys_.reserve(sorted.size());
+    for (const Event& ev : sorted) {
+      keys_.push_back(Key{std::bit_cast<std::uint64_t>(ev.time), ev.seq});
+    }
+    pay_ = std::move(sorted);
+    // The image was written key-sorted, which is a valid heap; verify
+    // rather than trust the file.
+    for (std::size_t i = 1; i < keys_.size(); ++i) {
+      ar.check(!less(keys_[i], keys_[(i - 1) / 2]),
+               "queue image is not in heap order");
+    }
   }
 }
 
-void EventQueue::load(persist::Reader& r) {
-  DTN_ASSERT(keys_.empty() && next_seq_ == 0 && popped_ == 0);
-  next_seq_ = r.u64();
-  popped_ = r.u64();
-  last_popped_ = r.f64();
-  const auto count = static_cast<std::size_t>(r.u64());
-  keys_.reserve(count);
-  pay_.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    Event ev;
-    ev.time = r.f64();
-    ev.seq = r.u64();
-    ev.kind = static_cast<EventKind>(r.u8());
-    ev.a = r.u32();
-    ev.b = r.u32();
-    if (!(ev.time >= 0.0) || ev.kind > EventKind::kStationUp ||
-        ev.kind == EventKind::kCallback) {
-      throw persist::FormatError(
-          "checkpoint queue image holds an invalid event");
-    }
-    keys_.push_back(Key{std::bit_cast<std::uint64_t>(ev.time), ev.seq});
-    pay_.push_back(ev);
-  }
-  // The image was written in heap array order (or key-sorted, which is
-  // also a valid heap); verify rather than trust the file.
-  for (std::size_t i = 1; i < keys_.size(); ++i) {
-    if (less(keys_[i], keys_[(i - 1) / 2])) {
-      throw persist::FormatError(
-          "checkpoint queue image is not in heap order");
-    }
-  }
+void EventQueue::save(persist::Writer& w) const {
+  const_cast<EventQueue*>(this)->fields(w);
 }
+
+void EventQueue::load(persist::Reader& r) { fields(r); }
 
 void EventQueue::audit(AuditReport& report) const {
   const std::size_t n = keys_.size();

@@ -155,12 +155,9 @@ class EventQueue {
   [[nodiscard]] std::size_t capacity() const { return keys_.capacity(); }
 
   // -- checkpointing (src/persist/, docs/checkpointing.md) --------------
-  /// Serialize the queue image: scheduling counters plus every pending
-  /// event in (time, seq) order.  Out of line — never on the hot path.
+  /// The image lists the pending events key-sorted (canonical); `load`
+  /// needs a fresh queue and rebuilds the keys.
   void save(persist::Writer& w) const;
-  /// Restore into a fresh queue (asserts nothing was scheduled yet);
-  /// keys are rebuilt from the payloads.  Throws persist::FormatError on
-  /// a malformed image.
   void load(persist::Reader& r);
 
   // -- invariant auditing (debug tooling, see invariant_auditor.hpp) ----
@@ -177,6 +174,9 @@ class EventQueue {
   void debug_corrupt_key_for_test(std::size_t index, double new_time);
 
  private:
+  template <class Ar>
+  void fields(Ar& ar);
+
   /// 16-byte heap key: (time bit pattern, seq).  For times >= 0 the
   /// integer order of the bit pattern equals the double order.
   struct Key {

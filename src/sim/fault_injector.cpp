@@ -268,49 +268,22 @@ void FaultInjector::audit(AuditReport& report) const {
   }
 }
 
-namespace {
-
-void write_rng(persist::Writer& w, const dtn::Rng& rng) {
-  for (const std::uint64_t word : rng.state()) w.u64(word);
+template <class Ar>
+void FaultInjector::fields(Ar& ar) {
+  ar.rng("crash rng", crash_rng_);
+  ar.rng("outage rng", outage_rng_);
+  ar.rng("transfer rng", transfer_rng_);
+  ar.rng("control rng", control_rng_);
+  ar.fixed("down nodes", node_down_);
+  ar.fixed("down stations", station_down_);
+  ar.value("down node count", nodes_down_count_);
+  ar.value("down station count", stations_down_count_);
 }
-
-void read_rng(persist::Reader& r, dtn::Rng& rng) {
-  std::array<std::uint64_t, 4> state;
-  for (std::uint64_t& word : state) word = r.u64();
-  rng.set_state(state);
-}
-
-}  // namespace
 
 void FaultInjector::save(persist::Writer& w) const {
-  write_rng(w, crash_rng_);
-  write_rng(w, outage_rng_);
-  write_rng(w, transfer_rng_);
-  write_rng(w, control_rng_);
-  w.u64(node_down_.size());
-  for (const std::uint8_t d : node_down_) w.u8(d);
-  w.u64(station_down_.size());
-  for (const std::uint8_t d : station_down_) w.u8(d);
-  w.u64(nodes_down_count_);
-  w.u64(stations_down_count_);
+  const_cast<FaultInjector*>(this)->fields(w);
 }
 
-void FaultInjector::load(persist::Reader& r) {
-  read_rng(r, crash_rng_);
-  read_rng(r, outage_rng_);
-  read_rng(r, transfer_rng_);
-  read_rng(r, control_rng_);
-  if (r.u64() != node_down_.size()) {
-    throw persist::FormatError("checkpoint fault-injector node count mismatch");
-  }
-  for (std::uint8_t& d : node_down_) d = r.u8();
-  if (r.u64() != station_down_.size()) {
-    throw persist::FormatError(
-        "checkpoint fault-injector station count mismatch");
-  }
-  for (std::uint8_t& d : station_down_) d = r.u8();
-  nodes_down_count_ = static_cast<std::size_t>(r.u64());
-  stations_down_count_ = static_cast<std::size_t>(r.u64());
-}
+void FaultInjector::load(persist::Reader& r) { fields(r); }
 
 }  // namespace dtn::sim

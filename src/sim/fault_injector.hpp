@@ -184,14 +184,15 @@ class FaultInjector {
   void audit(AuditReport& report) const;
 
   // -- checkpointing (src/persist/, docs/checkpointing.md) --------------
-  /// Serialize the runtime state: the four RNG streams mid-sequence and
-  /// the outage sets.  The plan itself is configuration — the engine
-  /// fingerprints it instead of storing it, so a resume must be handed
-  /// the same plan it crashed under.
+  /// Runtime state only: the plan is configuration, fingerprinted by the
+  /// engine, so a resume must be handed the plan it crashed under.
   void save(persist::Writer& w) const;
   void load(persist::Reader& r);
 
  private:
+  template <class Ar>
+  void fields(Ar& ar);
+
   DTN_CKPT_SKIP("construction-time plan; resume rebuilds the injector from it")
   FaultPlan plan_;
   Rng crash_rng_;

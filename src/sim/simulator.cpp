@@ -4,17 +4,18 @@
 
 namespace dtn::sim {
 
-void Simulator::save(persist::Writer& w) const {
-  w.f64(now_);
-  w.u64(executed_);
-  queue_.save(w);
+template <class Ar>
+void Simulator::fields(Ar& ar) {
+  if constexpr (Ar::loading) DTN_ASSERT(executed_ == 0 && queue_.empty());
+  ar.value("clock", now_);
+  ar.value("executed events", executed_);
+  ar.object(queue_);
 }
 
-void Simulator::load(persist::Reader& r) {
-  DTN_ASSERT(executed_ == 0 && queue_.empty());
-  now_ = r.f64();
-  executed_ = r.u64();
-  queue_.load(r);
+void Simulator::save(persist::Writer& w) const {
+  const_cast<Simulator*>(this)->fields(w);
 }
+
+void Simulator::load(persist::Reader& r) { fields(r); }
 
 }  // namespace dtn::sim

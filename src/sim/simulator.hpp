@@ -122,13 +122,15 @@ class Simulator {
   [[nodiscard]] const EventQueue& queue() const { return queue_; }
 
   // -- checkpointing (src/persist/, docs/checkpointing.md) --------------
-  /// Serialize clock + counters + the pending queue image.
+  /// `load` needs a simulator that has not run; the owner reinstalls the
+  /// dispatcher.
   void save(persist::Writer& w) const;
-  /// Restore into a simulator that has not run yet (the dispatcher is
-  /// reinstalled by the owner, not serialized).
   void load(persist::Reader& r);
 
  private:
+  template <class Ar>
+  void fields(Ar& ar);
+
   void dispatch(const Event& ev) {
     DTN_ASSERT(dispatch_ != nullptr);
     dispatch_(dispatch_ctx_, ev);

@@ -83,40 +83,32 @@ void TraceCursor::reset() {
   if (!exhausted()) materialize();
 }
 
-void TraceCursor::save(persist::Writer& w) const {
-  w.u64(pos_.size());
-  for (const std::uint32_t p : pos_) w.u32(p);
+template <class Ar>
+void TraceCursor::fields(Ar& ar) {
+  ar.expect("cursor node count", pos_.size());
+  std::vector<std::uint32_t> pos = pos_;
+  for (std::size_t i = 0; i < pos.size(); ++i) {
+    ar.index("cursor position", pos[i], seq_base_[i + 1] - seq_base_[i] + 1);
+  }
+  if constexpr (Ar::loading) {
+    // A consistent image is a prefix of the replay order: among its
+    // first `done` events, each node owns exactly its saved position.
+    std::size_t done = 0;
+    for (const std::uint32_t p : pos) done += p;
+    std::vector<std::uint32_t> seen(pos.size(), 0);
+    for (std::size_t k = 0; k < done; ++k) ++seen[order_[k].node];
+    ar.check(seen == pos,
+             "cursor positions are no prefix of the trace's replay order");
+    pos_ = std::move(pos);
+    next_ = done;
+    if (!exhausted()) materialize();
+  }
 }
 
-void TraceCursor::load(persist::Reader& r) {
-  const auto n = static_cast<std::size_t>(r.u64());
-  if (n != pos_.size()) {
-    throw persist::FormatError(
-        "checkpoint cursor image disagrees with the trace node count");
-  }
-  std::vector<std::uint32_t> pos(n);
-  std::size_t done = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    pos[i] = r.u32();
-    if (pos[i] > seq_base_[i + 1] - seq_base_[i]) {
-      throw persist::FormatError(
-          "checkpoint cursor position out of range for node " +
-          std::to_string(i));
-    }
-    done += pos[i];
-  }
-  // A consistent image is a prefix of the replay order: among its first
-  // `done` events, each node owns exactly its saved position.
-  std::vector<std::uint32_t> seen(n, 0);
-  for (std::size_t k = 0; k < done; ++k) ++seen[order_[k].node];
-  if (seen != pos) {
-    throw persist::FormatError(
-        "checkpoint cursor positions are no prefix of the trace's replay "
-        "order");
-  }
-  pos_ = std::move(pos);
-  next_ = done;
-  if (!exhausted()) materialize();
+void TraceCursor::save(persist::Writer& w) const {
+  const_cast<TraceCursor*>(this)->fields(w);
 }
+
+void TraceCursor::load(persist::Reader& r) { fields(r); }
 
 }  // namespace dtn::trace

@@ -58,15 +58,16 @@ class TraceCursor {
   void reset();
 
   // -- checkpointing (src/persist/, docs/checkpointing.md) --------------
-  /// Serialize the per-node replay positions (the trace itself is
-  /// immutable input and is fingerprinted, not stored).
+  /// The per-node replay positions (the trace is fingerprinted, not
+  /// stored); `load` refuses positions that are no prefix of this
+  /// trace's replay order.
   void save(persist::Writer& w) const;
-  /// Restore the positions saved by save().  Throws persist::FormatError
-  /// on a node-count mismatch, a position out of range, or positions
-  /// that are no prefix of this trace's replay order.
   void load(persist::Reader& r);
 
  private:
+  template <class Ar>
+  void fields(Ar& ar);
+
   /// One trace event, keyed by its time's IEEE-754 bit pattern: for the
   /// non-negative finite times a finalized trace holds, the bits order
   /// exactly like the double.

@@ -35,6 +35,10 @@ T parse_number(const std::string& key, const std::string& value,
 
 CliOptions::CliOptions(int argc, const char* const* argv,
                        const std::vector<std::string>& known_flags) {
+  if (argc > 0) {
+    program_ = argv[0];
+    program_.erase(0, program_.rfind('/') + 1);
+  }
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {
@@ -97,6 +101,19 @@ std::uint64_t CliOptions::get_seed(std::uint64_t fallback) const {
   return parse_number<std::uint64_t>(
       "seed", it->second,
       [](const char* s, char** end) { return std::strtoull(s, end, 10); });
+}
+
+std::size_t CliOptions::get_count(const std::string& key, std::int64_t fallback,
+                                  std::int64_t min, std::int64_t max) const {
+  const std::int64_t v = get_int(key, fallback);
+  if (v < min || v > max) {
+    std::fprintf(stderr, "%s: --%s must be at %s %lld, got %lld\n",
+                 program_.c_str(), key.c_str(), v < min ? "least" : "most",
+                 static_cast<long long>(v < min ? min : max),
+                 static_cast<long long>(v));
+    std::exit(2);
+  }
+  return static_cast<std::size_t>(v);
 }
 
 bool CliOptions::full_scale() const {

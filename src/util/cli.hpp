@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -30,6 +31,11 @@ class CliOptions {
   [[nodiscard]] double get_double(const std::string& key,
                                   double fallback) const;
   [[nodiscard]] std::uint64_t get_seed(std::uint64_t fallback) const;
+  /// A count in [min, max]; anything else exits with status 2 and
+  /// "<program>: --KEY must be at least MIN, got V" (or "at most MAX").
+  [[nodiscard]] std::size_t get_count(
+      const std::string& key, std::int64_t fallback, std::int64_t min,
+      std::int64_t max = std::numeric_limits<std::int64_t>::max()) const;
 
   /// "quick" (default) or "full" — benches scale their workloads by this.
   /// Any other value exits with status 2.
@@ -51,6 +57,7 @@ class CliOptions {
       const std::string& prefix) const;
 
  private:
+  std::string program_;  ///< argv[0] without its directory
   std::map<std::string, std::string> values_;
 };
 

@@ -21,13 +21,17 @@
 
 #include <gtest/gtest.h>
 
+#include "core/bandwidth.hpp"
 #include "core/dtn_flow_router.hpp"
+#include "net/buffer.hpp"
 #include "net/network.hpp"
 #include "persist/checkpoint.hpp"
 #include "persist/serializer.hpp"
+#include "sim/event_queue.hpp"
 #include "test_helpers.hpp"
 #include "trace/campus_generator.hpp"
 #include "trace/city_generator.hpp"
+#include "util/rng.hpp"
 
 namespace dtn {
 namespace {
@@ -724,6 +728,226 @@ TEST(CheckpointEdge, CorruptSnapshotPayloadIsRejectedOnResume) {
       "corrupt", [](std::vector<std::uint8_t>& bytes, const WorkloadConfig&) {
         bytes[bytes.size() / 2] ^= 0x40;  // flip a bit mid-stream
       });
+}
+
+
+// -- forged counts and shapes --------------------------------------------
+
+// Saves `object` into a one-section image, lets `patch` edit the payload
+// (re-sealing the CRC), and loads the result into `into`, which must
+// refuse it with FormatError: a forged length is a format error, never
+// a crash, a std::length_error or a huge allocation.
+template <typename T, typename Patch>
+void expect_forged_image_refused(const T& object, T& into, Patch patch) {
+  Writer w;
+  w.begin_section("object");
+  object.save(w);
+  w.end_section();
+  w.finish();
+  std::vector<std::uint8_t> bytes = w.buffer();
+  edit_section(bytes, "object", [&](std::size_t at) { patch(bytes, at); });
+  Reader r(bytes);
+  r.expect_section("object");
+  EXPECT_THROW(into.load(r), FormatError);
+}
+
+TEST(Serializer, ForgedMatrixShapeIsRefused) {
+  // rho f64, then the counts matrix: rows u64, cols u64.  2^32 x 2^32
+  // cells wrap to a zero-sized allocation if the shape is trusted.
+  const core::BandwidthEstimator est(4, 0.5);
+  core::BandwidthEstimator into(4, 0.5);
+  expect_forged_image_refused(
+      est, into, [](std::vector<std::uint8_t>& bytes, std::size_t at) {
+        store_le(bytes, at + 8, 8, std::uint64_t{1} << 32);
+        store_le(bytes, at + 16, 8, std::uint64_t{1} << 32);
+      });
+}
+
+TEST(Serializer, ForgedBufferCountIsRefused) {
+  // capacity u64, used u64, then the id count u64.
+  net::Buffer buf(100);
+  ASSERT_TRUE(buf.add(3, 1));
+  net::Buffer into;
+  expect_forged_image_refused(
+      buf, into, [](std::vector<std::uint8_t>& bytes, std::size_t at) {
+        store_le(bytes, at + 16, 8, std::uint64_t{1} << 62);
+      });
+}
+
+TEST(Serializer, ForgedEventCountIsRefused) {
+  // next seq u64, popped u64, last popped f64, then the event count u64.
+  sim::EventQueue queue;
+  queue.schedule(sim::Event{1.0, 0, sim::EventKind::kTtlSweep, 0, 0});
+  sim::EventQueue into;
+  expect_forged_image_refused(
+      queue, into, [](std::vector<std::uint8_t>& bytes, std::size_t at) {
+        store_le(bytes, at + 24, 8, std::uint64_t{1} << 62);
+      });
+}
+
+// -- field-boundary mutations ----------------------------------------------
+
+// A small campus run whose every snapshot section is non-trivial: a
+// fault plan, and bounded drop-oldest stations that deduplicate and
+// spill.
+struct MutationRun {
+  trace::Trace trace;
+  WorkloadConfig cfg;
+  DtnFlowConfig router;
+};
+
+MutationRun mutation_run(const std::string& spill_dir) {
+  trace::CampusTraceConfig tc;
+  tc.num_nodes = 16;
+  tc.num_landmarks = 8;
+  tc.num_communities = 3;
+  tc.days = 6.0;
+  tc.seed = 9;
+  MutationRun run{generate_campus_trace(tc), campus_workload(),
+                  full_router_config()};
+  run.cfg.packets_per_landmark_per_day = 30.0;
+  run.cfg.node_memory_kb = 6;
+  run.cfg.store.station_memory_kb = 6;
+  run.cfg.store.policy = net::EvictionPolicy::kDropOldest;
+  run.cfg.store.dedup = true;
+  run.cfg.store.spill_dir = spill_dir;
+  sim::FaultPlan plan;
+  plan.seed = 5;
+  plan.node_crash_rate_per_day = 0.3;
+  plan.station_outage_rate_per_day = 0.3;
+  plan.transfer_failure_prob = 0.1;
+  plan.dv_loss_prob = 0.05;
+  plan.dv_delay_prob = 0.05;
+  run.cfg.faults = plan;
+  run.router.distributed_bandwidth = true;
+  run.router.loop_correction = true;
+  return run;
+}
+
+// Restores `image` into a fresh network: true when it loads, false on
+// FormatError.  Any other exception propagates (and fails the caller).
+bool restores(const MutationRun& run, const std::vector<std::uint8_t>& image,
+              persist::Writer* out = nullptr) {
+  DtnFlowRouter router(run.router);
+  Network net(run.trace, router, run.cfg);
+  try {
+    net.debug_restore_for_test(image, out);
+  } catch (const FormatError&) {
+    return false;
+  }
+  return true;
+}
+
+TEST(CheckpointEdge, FieldBoundaryMutationsAreFormatErrorsOrLoad) {
+  const auto dir = fresh_dir("mutation");
+  std::filesystem::create_directories(dir / "spill");
+  const MutationRun run = mutation_run((dir / "spill").string());
+  CheckpointConfig cc;
+  cc.dir = (dir / "ckpt").string();
+  {
+    DtnFlowRouter router(run.router);
+    Network net(run.trace, router, run.cfg);
+    net.run();
+    cc.stop_after_events = net.events_executed() / 2;
+    const RunCounters& c = net.counters();
+    ASSERT_GT(c.spilled_bundles, 0u);
+    ASSERT_GT(c.dedup_refused, 0u);
+    ASSERT_GT(c.node_crashes, 0u);
+    ASSERT_GT(c.station_outages, 0u);
+  }
+  {
+    CheckpointManager mgr(cc);
+    DtnFlowRouter router(run.router);
+    Network net(run.trace, router, run.cfg);
+    ASSERT_FALSE(net.run(mgr));
+  }
+  const std::vector<std::uint8_t> image = CheckpointManager(cc).read_latest();
+
+  // Map the image: restoring it and re-serializing into a Recorder must
+  // reproduce it byte for byte, field by field.
+  persist::Recorder rec;
+  ASSERT_TRUE(restores(run, image, &rec));
+  rec.finish();
+  ASSERT_EQ(rec.buffer(), image);
+
+  // Section payload bounds, to re-seal a CRC or cut a section short.
+  struct Section {
+    std::size_t len_at, begin, end;
+  };
+  std::vector<Section> sections;
+  for (std::size_t at = persist::kMagicSize + 8;;) {
+    const auto name_len = static_cast<std::size_t>(load_le(image, at, 4));
+    if (name_len == 0) break;
+    const std::size_t len_at = at + 4 + name_len;
+    const auto len = static_cast<std::size_t>(load_le(image, len_at, 8));
+    sections.push_back({len_at, len_at + 8, len_at + 8 + len});
+    at = len_at + 8 + len + 4;
+  }
+  const auto section_of = [&](std::size_t at) {
+    return *std::find_if(sections.begin(), sections.end(),
+                         [&](const Section& s) { return at < s.end; });
+  };
+  const auto reseal = [](std::vector<std::uint8_t>& bytes, const Section& s) {
+    store_le(bytes, s.end, 4,
+             persist::crc32(std::span<const std::uint8_t>(
+                 bytes.data() + s.begin, s.end - s.begin)));
+  };
+
+  // One seeded occurrence of every field (a name, and whether it is a
+  // length: a packet table holds hundreds of rows of the same fields),
+  // each mutated three ways.
+  std::vector<std::vector<persist::FieldSpan>> by_name;
+  for (const persist::FieldSpan& f : rec.fields()) {
+    auto it = std::find_if(by_name.begin(), by_name.end(), [&](const auto& v) {
+      return std::string(v.front().name) == f.name &&
+             v.front().length == f.length;
+    });
+    if (it == by_name.end()) {
+      by_name.push_back({f});
+    } else {
+      it->push_back(f);
+    }
+  }
+  ASSERT_GT(by_name.size(), 150u);
+  Rng rng(2024);
+  for (const auto& spans : by_name) {
+    const persist::FieldSpan f = spans[rng.uniform_index(spans.size())];
+    const Section s = section_of(f.offset);
+    const auto restore = [&](const std::vector<std::uint8_t>& bytes,
+                             const char* how) {
+      SCOPED_TRACE(std::string(how) + " field '" + f.name + "' at " +
+                   std::to_string(f.offset));
+      try {
+        return restores(run, bytes);
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "not a FormatError: " << e.what();
+        return false;
+      }
+    };
+    // Truncated at the field: the section ends where the field begins.
+    std::vector<std::uint8_t> cut(
+        image.begin(), image.begin() + static_cast<std::ptrdiff_t>(f.offset));
+    store_le(cut, s.len_at, 8, f.offset - s.begin);
+    cut.resize(cut.size() + 4);
+    cut.insert(cut.end(),
+               image.begin() + static_cast<std::ptrdiff_t>(s.end + 4),
+               image.end());
+    reseal(cut, {s.len_at, s.begin, f.offset});
+    EXPECT_FALSE(restore(cut, "truncated at")) << "a cut section loaded";
+    // One byte flipped inside the field.
+    std::vector<std::uint8_t> flipped = image;
+    flipped[f.offset + rng.uniform_index(f.width)] ^=
+        static_cast<std::uint8_t>(1 + rng.uniform_index(255));
+    reseal(flipped, s);
+    restore(flipped, "flipped");
+    // A length set to its maximum.
+    if (f.length) {
+      std::vector<std::uint8_t> longest = image;
+      store_le(longest, f.offset, f.width, ~std::uint64_t{0});
+      reseal(longest, s);
+      restore(longest, "maximal length of");
+    }
+  }
 }
 
 }  // namespace

@@ -53,6 +53,17 @@ TEST(CliOptionsDeathTest, BadScaleIsRejected) {
   }
 }
 
+TEST(CliOptionsDeathTest, CountOutsideItsBoundsIsRejected) {
+  EXPECT_EQ(parse({"--threads", "8"}).get_count("threads", 0, 0, 256), 8u);
+  EXPECT_EQ(parse({}).get_count("threads", 3, 0, 256), 3u);
+  EXPECT_EXIT((void)parse({"--threads", "-1"}).get_count("threads", 0, 0, 256),
+              ::testing::ExitedWithCode(2),
+              "prog: --threads must be at least 0, got -1");
+  EXPECT_EXIT((void)parse({"--threads", "257"}).get_count("threads", 0, 0, 256),
+              ::testing::ExitedWithCode(2),
+              "prog: --threads must be at most 256, got 257");
+}
+
 TEST(CliOptions, CsvDir) {
   EXPECT_EQ(parse({}).csv_dir(), "");
   EXPECT_EQ(parse({"--csv", "/tmp/out"}).csv_dir(), "/tmp/out");

@@ -39,7 +39,6 @@ REQUIRED_COVERED_FILES = (
     "src/persist/serializer.cpp",
     "src/persist/checkpoint.hpp",
     "src/persist/checkpoint.cpp",
-    "src/persist/flat_io.hpp",
     # The bounded bundle store picks eviction victims and orders its
     # dedup/spill structures (docs/bounded-store.md).
     "src/net/bundle_store.hpp",

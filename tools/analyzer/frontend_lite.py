@@ -638,6 +638,8 @@ RANGE_FOR_RE = re.compile(r"\bfor\s*\(")
 CALL_RE = re.compile(r"(?<![\w.>])((?:[A-Za-z_]\w*\s*::\s*)*[A-Za-z_]\w*)"
                      r"\s*\(")
 MEMBER_CALL_RE = re.compile(r"(?:\.|->)\s*([A-Za-z_]\w*)\s*\(")
+OWN_RECEIVER_RE = re.compile(
+    r"(?:\bthis|\bconst_cast\s*<[^<>()]*>\s*\(\s*this\s*\))$")
 BEGIN_WALK_RE = re.compile(
     r"((?:[A-Za-z_]\w*(?:\[[^\[\]]*\])?\s*(?:\.|->)\s*)*"
     r"[A-Za-z_]\w*(?:\[[^\[\]]*\])?(?:\s*\(\s*\))?)\s*"
@@ -884,9 +886,11 @@ class BodyExtractor:
             self.m.calls.append(Call(callee=name, line=line))
             self._note_ambient(name, mm.end(), line)
         for mm in MEMBER_CALL_RE.finditer(self.body):
-            # `this->foo(` counts as an unqualified own call.
+            # `this->foo(` counts as an unqualified own call, and so does
+            # `const_cast<T*>(this)->foo(` (a const method forwarding to
+            # a non-const one, as save() does to fields()).
             before = self.body[:mm.start()].rstrip()
-            if before.endswith("this"):
+            if OWN_RECEIVER_RE.search(before):
                 self.m.calls.append(Call(callee=mm.group(1),
                                          line=self.line(mm.start())))
             else:

@@ -110,25 +110,40 @@ class FixtureTest(unittest.TestCase):
 
 
 class MutationTest(unittest.TestCase):
-    """Acceptance criterion: removing a serialized member from
-    DtnFlowRouter::checkpoint_save without DTN_CKPT_SKIP must fail."""
+    """Acceptance criterion: dropping a member from a type's field list
+    without DTN_CKPT_SKIP must fail.  The lists are template members
+    (`template <class Ar> void fields(Ar&)`) reached from save/load, so
+    this also pins that the frontend reads member references inside a
+    template body and follows `const_cast<T*>(this)->fields(w)`."""
 
-    def test_dropped_save_reference_is_caught(self):
+    DROPS = (
+        ("src/core/bandwidth.cpp",
+         '  ar.matrix("bandwidth ewma", ewma_);\n', "ewma_",
+         "BandwidthEstimator"),
+        ("src/core/dtn_flow_router.cpp",
+         '  ar.fixed("router needs reconvergence", needs_reconvergence_);\n',
+         "needs_reconvergence_", "DtnFlowRouter"),
+    )
+
+    def test_dropped_field_is_caught(self):
         with tempfile.TemporaryDirectory() as tmp:
             tmp_root = Path(tmp)
             shutil.copytree(ROOT / "src", tmp_root / "src")
-            router = tmp_root / "src/core/dtn_flow_router.cpp"
-            text = router.read_text()
-            mutated = text.replace(
-                "  persist::write_vec(w, needs_reconvergence_);\n", "", 1)
-            self.assertNotEqual(text, mutated,
-                                "expected the write_vec line to exist")
-            router.write_text(mutated)
+            for rel, line, _, _ in self.DROPS:
+                path = tmp_root / rel
+                text = path.read_text()
+                mutated = text.replace(line, "", 1)
+                self.assertNotEqual(text, mutated,
+                                    f"expected {line.strip()} in {rel}")
+                path.write_text(mutated)
             code, out, _ = run_analyzer("--frontend", "lite",
                                         "--root", str(tmp_root))
             self.assertEqual(code, 1, f"mutation not caught:\n{out}")
-            self.assertIn("needs_reconvergence_", out)
-            self.assertIn("[ckpt-coverage]", out)
+            for _, _, member, cls in self.DROPS:
+                self.assertRegex(
+                    out, r"\[ckpt-coverage\] member `" + member + r"` of "
+                         r"dtn::core::" + cls + r" is not referenced in "
+                         r"\w*save")
 
 
 class RequiredCoverageTest(unittest.TestCase):
@@ -139,12 +154,12 @@ class RequiredCoverageTest(unittest.TestCase):
         with tempfile.TemporaryDirectory() as tmp:
             tmp_root = Path(tmp)
             shutil.copytree(ROOT / "src", tmp_root / "src")
-            moved = tmp_root / "src/trace/flat_io.hpp"
-            (tmp_root / "src/persist/flat_io.hpp").rename(moved)
+            moved = tmp_root / "src/trace/checkpoint.hpp"
+            (tmp_root / "src/persist/checkpoint.hpp").rename(moved)
             code, out, _ = run_analyzer("--frontend", "lite",
                                         "--root", str(tmp_root))
             self.assertEqual(code, 1, f"move not caught:\n{out}")
-            self.assertIn("src/persist/flat_io.hpp:1: [policy]", out)
+            self.assertIn("src/persist/checkpoint.hpp:1: [policy]", out)
 
 
 class SourceWideRulesTest(unittest.TestCase):
