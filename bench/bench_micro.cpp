@@ -4,10 +4,13 @@
 // paper-scale (--scale full) runs stay tractable.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "core/bandwidth.hpp"
 #include "core/markov_predictor.hpp"
 #include "core/routing_table.hpp"
 #include "net/buffer.hpp"
+#include "net/bundle_store.hpp"
 #include "sim/event_queue.hpp"
 #include <filesystem>
 
@@ -291,6 +294,42 @@ void BM_BufferAddRemove(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BufferAddRemove);
+
+// One station-to-node transfer's store work, repeated: a ~300-bundle
+// unbounded station store (the busiest campus stations) removes one
+// bundle and admits another, ids in shuffled order so removals land at
+// scattered positions.  Not gated (no baseline entry).
+void BM_StationStoreTransfer(benchmark::State& state) {
+  constexpr std::size_t kHeld = 300;
+  std::vector<dtn::net::PacketId> ids(2 * kHeld);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    ids[i] = static_cast<dtn::net::PacketId>(i * 37 + 11);
+  }
+  dtn::Rng rng(5);
+  for (std::size_t i = ids.size() - 1; i > 0; --i) {
+    std::swap(ids[i], ids[rng.uniform_index(i + 1)]);
+  }
+  dtn::net::BundleStore store;
+  dtn::net::BundleStore::AdmitRequest req;
+  req.check_dedup = false;
+  const auto admit = [&](dtn::net::PacketId pid) {
+    req.pid = pid;
+    req.logical = pid;
+    benchmark::DoNotOptimize(store.admit(req, nullptr));
+  };
+  for (std::size_t i = 0; i < kHeld; ++i) admit(ids[i]);
+  for (auto _ : state) {
+    // Remove the resident half in admission order while admitting the
+    // other half, then swap halves for the next round.
+    for (std::size_t i = 0; i < kHeld; ++i) {
+      store.remove(ids[i], 1);
+      admit(ids[kHeld + i]);
+    }
+    std::rotate(ids.begin(), ids.begin() + kHeld, ids.end());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kHeld));
+}
+BENCHMARK(BM_StationStoreTransfer);
 
 void BM_BandwidthCloseUnit(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

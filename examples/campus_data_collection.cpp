@@ -11,6 +11,7 @@
 //
 //   $ ./campus_data_collection [--seed N] [--days D]
 #include <cstdio>
+#include <stdexcept>
 #include <vector>
 
 #include "core/dtn_flow_router.hpp"
@@ -21,9 +22,9 @@
 #include "util/csv.hpp"
 #include "util/rng.hpp"
 
-int main(int argc, char** argv) {
-  const dtn::CliOptions opts(argc, argv);
-  opts.reject_unknown("campus_data_collection", {"days", "seed"});
+namespace {
+
+int run(const dtn::CliOptions& opts) {
   dtn::Rng rng(opts.get_seed(7));
 
   // -- 1. plan the landmark deployment ---------------------------------
@@ -109,4 +110,18 @@ int main(int argc, char** argv) {
   }
   table.print("per-building delivery to the library");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const dtn::CliOptions opts(argc, argv);
+  opts.reject_unknown("campus_data_collection", {"days", "seed"});
+  try {
+    return run(opts);
+  } catch (const std::invalid_argument& e) {
+    // A --days the trace generator refuses is a usage error.
+    std::fprintf(stderr, "campus_data_collection: %s\n", e.what());
+    return 2;
+  }
 }

@@ -12,6 +12,7 @@
 //
 //   $ ./wildlife_monitoring [--seed N] [--days D]
 #include <cstdio>
+#include <stdexcept>
 
 #include "core/dtn_flow_router.hpp"
 #include "metrics/metrics.hpp"
@@ -20,10 +21,9 @@
 #include "util/cli.hpp"
 #include "util/csv.hpp"
 
-int main(int argc, char** argv) {
-  const dtn::CliOptions opts(argc, argv);
-  opts.reject_unknown("wildlife_monitoring", {"days", "seed"});
+namespace {
 
+int run(const dtn::CliOptions& opts) {
   // The savanna: a ranger base plus nine waterholes / feeding grounds
   // spread over ~20 km.
   dtn::trace::GeoTraceConfig cfg;
@@ -103,4 +103,18 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const dtn::CliOptions opts(argc, argv);
+  opts.reject_unknown("wildlife_monitoring", {"days", "seed"});
+  try {
+    return run(opts);
+  } catch (const std::invalid_argument& e) {
+    // A --days the trace generator refuses is a usage error.
+    std::fprintf(stderr, "wildlife_monitoring: %s\n", e.what());
+    return 2;
+  }
 }

@@ -457,16 +457,16 @@ void DtnFlowRouter::offer_packets_to_node(Network& net, LandmarkId l,
     return carrier_accepts(predicted, r.next, distribution_scratch_[r.next],
                            acc_here);
   };
+  // Only candidates get a key (offer_every_packet_ keys every packet).
   offer_keys_.clear();
   for (const PacketId pid : span) {
     const Packet& p = net.packet(pid);
     const Route r = table.route(p.dst);
     const bool skipped = p.state != net::PacketState::kAtStation ||
                          (p.dst == l && p.dst_node != trace::kNoNode);
-    if (skipped && !offer_every_packet_) continue;
+    if (!offer_every_packet_ && (skipped || !could_move(p, r))) continue;
     const double ttl_left = p.remaining_ttl(now);
-    const bool candidate = offer_every_packet_ || could_move(p, r);
-    offer_keys_.push_back({ttl_left, pid, r.delay <= ttl_left, candidate});
+    offer_keys_.push_back({ttl_left, pid, r.delay <= ttl_left});
   }
   // The walk breaks at the first packet the node has no space for, yet
   // no non-candidate can end it early: every packet of a run has the
@@ -479,10 +479,7 @@ void DtnFlowRouter::offer_packets_to_node(Network& net, LandmarkId l,
   // candidates keep the relative order they would have in a full sort.
   // The key list also snapshots the queue, which the handovers below
   // shrink.
-  const auto last =
-      std::partition(offer_keys_.begin(), offer_keys_.end(),
-                     [](const OfferKey& k) { return k.candidate; });
-  std::sort(offer_keys_.begin(), last,
+  std::sort(offer_keys_.begin(), offer_keys_.end(),
             [](const OfferKey& a, const OfferKey& b) {
               if (a.eligible != b.eligible) return a.eligible;
               if (a.ttl_left != b.ttl_left) return a.ttl_left < b.ttl_left;
@@ -490,12 +487,12 @@ void DtnFlowRouter::offer_packets_to_node(Network& net, LandmarkId l,
             });
 
   std::size_t handed = 0;
-  for (auto it = offer_keys_.begin(); it != last; ++it) {
+  for (const OfferKey& key : offer_keys_) {
     if (cfg_.max_downloads_per_arrival != 0 &&
         handed >= cfg_.max_downloads_per_arrival) {
       break;
     }
-    const PacketId pid = it->pid;
+    const PacketId pid = key.pid;
     Packet& p = net.packet(pid);
     if (p.state != net::PacketState::kAtStation) continue;  // moved already
     if (p.dst == l && p.dst_node != trace::kNoNode) continue;  // waiting here
@@ -529,12 +526,11 @@ void DtnFlowRouter::offer_packets_to_node(Network& net, LandmarkId l,
   }
 }
 
-std::vector<PacketId> DtnFlowRouter::upload_packets(Network& net, NodeId n,
-                                                    LandmarkId l,
-                                                    bool force_all,
-                                                    std::size_t max_count,
-                                                    bool only_reached_hop) {
-  std::vector<PacketId> uploaded;
+std::span<const PacketId> DtnFlowRouter::upload_packets(
+    Network& net, NodeId n, LandmarkId l, bool force_all,
+    std::size_t max_count, bool only_reached_hop) {
+  std::vector<PacketId>& uploaded = uploaded_;
+  uploaded.clear();
   // Most-urgent-first upload order (§IV-D.5): smallest remaining TTL,
   // ties by packet id (the pair order).  `deadline - now` is exactly
   // remaining_ttl(now).  The key list outlives the uploads, which shrink
@@ -678,11 +674,10 @@ void DtnFlowRouter::on_arrival(Network& net, NodeId node, LandmarkId l) {
   if (cfg_.scheduled_communication) {
     update_channel_mode(net, l);
     const bool uploading = landmarks_[l].uploading_mode;
-    const auto uploaded = upload_packets(
-        net, node, l, /*force_all=*/false,
-        uploading ? cfg_.max_uploads_per_arrival : 0,
-        /*only_reached_hop=*/!uploading);
-    for (const PacketId pid : uploaded) {
+    for (const PacketId pid :
+         upload_packets(net, node, l, /*force_all=*/false,
+                        uploading ? cfg_.max_uploads_per_arrival : 0,
+                        /*only_reached_hop=*/!uploading)) {
       if (net.packet(pid).state == net::PacketState::kAtStation) {
         dispatch_packet(net, l, pid);
       }
@@ -691,8 +686,8 @@ void DtnFlowRouter::on_arrival(Network& net, NodeId node, LandmarkId l) {
       offer_packets_to_node(net, l, node);
     }
   } else {
-    const auto uploaded = upload_packets(net, node, l, /*force_all=*/false);
-    for (const PacketId pid : uploaded) {
+    for (const PacketId pid :
+         upload_packets(net, node, l, /*force_all=*/false)) {
       if (net.packet(pid).state == net::PacketState::kAtStation) {
         dispatch_packet(net, l, pid);
       }
@@ -841,8 +836,7 @@ void DtnFlowRouter::check_parked_dead_end(Network& net, NodeId n) {
   if (!stay_is_dead_end(ns, here, stay)) return;
   ++diag_.dead_ends_detected;
   // Hand everything to the station; the landmark re-routes (§IV-E.1).
-  const auto uploaded = upload_packets(net, n, here, /*force_all=*/true);
-  for (const PacketId pid : uploaded) {
+  for (const PacketId pid : upload_packets(net, n, here, /*force_all=*/true)) {
     if (net.packet(pid).state == net::PacketState::kAtStation) {
       dispatch_packet(net, here, pid);
     }

@@ -357,29 +357,29 @@ class DtnFlowRouter final : public net::Router {
   bool dispatch_packet(net::Network& net, net::LandmarkId l,
                        net::PacketId pid);
 
-  /// Sort keys of one station packet in an arrival offer (§IV-D.5
-  /// forwarding priority), plus whether the walk could act on it.
+  /// Sort keys of one candidate station packet in an arrival offer
+  /// (§IV-D.5 forwarding priority).
   struct OfferKey {
     double ttl_left;
     net::PacketId pid;
     /// The landmark's expected delay to the destination fits ttl_left.
     bool eligible;
-    bool candidate;
   };
 
   /// Offer station packets to one (newly arrived) node: classify every
-  /// packet, sort only the candidates, then walk them most urgent first.
+  /// packet, key and sort only the candidates, then walk them most
+  /// urgent first.
   void offer_packets_to_node(net::Network& net, net::LandmarkId l,
                              net::NodeId n);
 
-  /// Upload from node to station per the step-5 rules; returns uploaded
-  /// packet ids.  `max_count` 0 = unlimited; `only_reached_hop`
+  /// Upload from node to station per the step-5 rules; returns the
+  /// uploaded packet ids, a view of a scratch list that the next call
+  /// overwrites.  `max_count` 0 = unlimited; `only_reached_hop`
   /// restricts to packets whose chosen next hop is this landmark
   /// (forwarding-mode uplink restriction, §IV-D.5).
-  std::vector<net::PacketId> upload_packets(net::Network& net, net::NodeId n,
-                                            net::LandmarkId l, bool force_all,
-                                            std::size_t max_count = 0,
-                                            bool only_reached_hop = false);
+  std::span<const net::PacketId> upload_packets(
+      net::Network& net, net::NodeId n, net::LandmarkId l, bool force_all,
+      std::size_t max_count = 0, bool only_reached_hop = false);
 
   /// Recompute the §IV-D.5 channel mode of landmark `l` with hysteresis.
   void update_channel_mode(const net::Network& net, net::LandmarkId l);
@@ -430,12 +430,14 @@ class DtnFlowRouter final : public net::Router {
   /// offer_packets_to_node; avoids a vector allocation per offer).
   DTN_CKPT_SKIP("scratch, rebuilt empty on resume")
   std::vector<double> distribution_scratch_;
-  /// Scratch key lists of offer_packets_to_node and upload_packets
-  /// (reused so an arrival allocates no key vector).
+  /// Scratch lists of offer_packets_to_node and upload_packets (reused
+  /// so an arrival allocates no key or result vector).
   DTN_CKPT_SKIP("scratch, rebuilt empty on resume")
   std::vector<OfferKey> offer_keys_;
   DTN_CKPT_SKIP("scratch, rebuilt empty on resume")
   std::vector<std::pair<double, net::PacketId>> upload_keys_;
+  DTN_CKPT_SKIP("scratch, rebuilt empty on resume")
+  std::vector<net::PacketId> uploaded_;
   /// Set only by debug_offer_every_packet_for_test.
   DTN_CKPT_SKIP("test-only switch, never set in a replay")
   bool offer_every_packet_ = false;

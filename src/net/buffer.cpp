@@ -1,85 +1,105 @@
 #include "net/buffer.hpp"
 
-#include <cstring>
+#include <bit>
 
 #include "persist/serializer.hpp"
+#include "util/assert.hpp"
 
 namespace dtn::net {
 
-namespace {
+// -- SlotIndex ---------------------------------------------------------
 
-// Index of the first `needle` in p[0, n), or n when absent: exactly what
-// std::find returns.  add() runs this scan too (the duplicate-id assert
-// is always on), so it is the whole cost of BM_BufferAddRemove.  The GNU
-// vector path compares 16 ids per step and, on a hit, rescans that step
-// in order, so the first match wins just as in the scalar tail.
-std::size_t find_id(const PacketId* p, std::size_t n, PacketId needle) {
-  std::size_t i = 0;
-#if defined(__GNUC__)
-  using V = std::uint32_t __attribute__((vector_size(16)));
-  using Wide = std::int64_t __attribute__((vector_size(16)));
-  const V want = {needle, needle, needle, needle};
-  const auto eq = [p, want](std::size_t at) {
-    V v;
-    std::memcpy(&v, p + at, sizeof v);
-    return v == want;
-  };
-  // Reduce a compare mask through 64-bit lanes: half the lane extracts.
-  const auto any = [](auto m) {
-    const Wide w = reinterpret_cast<Wide>(m);
-    return (w[0] | w[1]) != 0;
-  };
-  for (; i + 16 <= n; i += 16) {
-    if (!any((eq(i) | eq(i + 4)) | (eq(i + 8) | eq(i + 12)))) continue;
-    for (std::size_t j = i; j < i + 16; ++j) {
-      if (p[j] == needle) return j;
+std::size_t Buffer::SlotIndex::cell_of(PacketId pid) const {
+  DTN_ASSERT(size_ != 0);
+  for (std::size_t i = home(pid);; i = (i + 1) & mask()) {
+    if (cells_[i].pid == pid) return i;
+    DTN_ASSERT(cells_[i].pid != kNoPacket && "index: packet not present");
+  }
+}
+
+void Buffer::SlotIndex::insert(PacketId pid, std::uint32_t slot) {
+  DTN_ASSERT(pid != kNoPacket);
+  if (2 * (size_ + 1) > cells_.size()) grow();
+  std::size_t i = home(pid);
+  for (; cells_[i].pid != kNoPacket; i = (i + 1) & mask()) {
+    // The always-on duplicate-admission check: one store never holds
+    // a packet twice.
+    DTN_ASSERT(cells_[i].pid != pid && "index: packet already present");
+  }
+  cells_[i] = Cell{pid, slot};
+  ++size_;
+}
+
+void Buffer::SlotIndex::move(PacketId pid, std::uint32_t slot) {
+  cells_[cell_of(pid)].slot = slot;
+}
+
+void Buffer::SlotIndex::erase(PacketId pid) {
+  std::size_t hole = cell_of(pid);
+  // Backward shift: pull each later cell of the probe run into the hole
+  // unless its home lies cyclically after the hole, so every remaining
+  // id stays reachable from its home without tombstones.
+  for (std::size_t j = (hole + 1) & mask(); cells_[j].pid != kNoPacket;
+       j = (j + 1) & mask()) {
+    const std::size_t from_home = (j - home(cells_[j].pid)) & mask();
+    if (from_home >= ((j - hole) & mask())) {
+      cells_[hole] = cells_[j];
+      hole = j;
     }
   }
-  for (; i + 4 <= n; i += 4) {
-    if (any(eq(i))) break;
+  cells_[hole] = Cell{};
+  --size_;
+}
+
+void Buffer::SlotIndex::grow() {
+  std::vector<Cell> old = std::move(cells_);
+  const std::size_t capacity = old.empty() ? 16 : 2 * old.size();
+  cells_.assign(capacity, Cell{});
+  shift_ = 32 - static_cast<unsigned>(std::countr_zero(capacity));
+  size_ = 0;
+  for (const Cell& c : old) {
+    if (c.pid != kNoPacket) insert(c.pid, c.slot);
   }
-#endif
-  for (; i < n; ++i) {
-    if (p[i] == needle) return i;
-  }
-  return n;
 }
 
-}  // namespace
-
-bool Buffer::contains(PacketId pid) const {
-  return find_id(packets_.data(), packets_.size(), pid) != packets_.size();
-}
-
-std::size_t Buffer::index_of(PacketId pid) const {
-  return find_id(packets_.data(), packets_.size(), pid);
-}
+// -- Buffer ------------------------------------------------------------
 
 bool Buffer::add(PacketId pid, std::uint32_t size_kb) {
   if (!has_space(size_kb)) return false;
-  DTN_ASSERT(!contains(pid));
   append(pid, size_kb);
   return true;
 }
 
 void Buffer::append(PacketId pid, std::uint32_t size_kb) {
   DTN_ASSERT(has_space(size_kb));
+  index_.insert(pid, static_cast<std::uint32_t>(packets_.size()));
   packets_.push_back(pid);
   used_kb_ += size_kb;
 }
 
 void Buffer::remove(PacketId pid, std::uint32_t size_kb) {
-  remove_at(find_id(packets_.data(), packets_.size(), pid), size_kb);
+  remove_at(index_of(pid), size_kb);
 }
 
 void Buffer::remove_at(std::size_t i, std::uint32_t size_kb) {
   DTN_ASSERT(i < packets_.size());
   // Swap-erase: buffer order is not meaningful; routers that need a
   // priority order sort a copy.
-  packets_[i] = packets_.back();
+  index_.erase(packets_[i]);
+  if (i + 1 != packets_.size()) {
+    packets_[i] = packets_.back();
+    index_.move(packets_[i], static_cast<std::uint32_t>(i));
+  }
   packets_.pop_back();
   DTN_ASSERT(used_kb_ >= size_kb);
   used_kb_ -= size_kb;
+}
+
+void Buffer::debug_corrupt_index_for_test(int delta) {
+  DTN_ASSERT(!packets_.empty());
+  const PacketId first = packets_.front();
+  index_.move(first, static_cast<std::uint32_t>(
+                         static_cast<std::int64_t>(index_.find(first)) + delta));
 }
 
 template <class Ar>
@@ -87,6 +107,15 @@ void Buffer::fields(Ar& ar) {
   ar.value("buffer capacity", capacity_kb_);
   ar.value("buffer used", used_kb_);
   ar.vec("buffer packets", packets_);
+  if constexpr (Ar::loading) {
+    index_ = {};
+    for (std::size_t i = 0; i < packets_.size(); ++i) {
+      ar.check(packets_[i] != kNoPacket &&
+                   index_.find(packets_[i]) == SlotIndex::kAbsent,
+               "buffer holds a packet id twice");
+      index_.insert(packets_[i], static_cast<std::uint32_t>(i));
+    }
+  }
 }
 
 void Buffer::save(persist::Writer& w) const {

@@ -306,7 +306,6 @@ void BundleStore::recall_while_fits(std::vector<PacketId>* recalled_out) {
     DTN_ASSERT(spilled_kb_ >= rec.entry.size_kb);
     spilled_kb_ -= rec.entry.size_kb;
     const Entry e = spill_fetch(rec);
-    DTN_ASSERT(!core_.contains(rec.pid));
     place(rec.pid, e);
     if (recalled_out != nullptr) recalled_out->push_back(rec.pid);
   }
@@ -385,6 +384,19 @@ void BundleStore::audit(sim::AuditReport& report,
       fail("entry " + std::to_string(core_.packets()[i]) +
            " admit_seq beyond the admission counter");
     }
+  }
+  // Index: every id found at its own position, and nothing else in it.
+  for (std::size_t i = 0; i < core_.count(); ++i) {
+    const std::size_t at = core_.index_of(core_.packets()[i]);
+    if (at != i) {
+      fail("index maps packet " + std::to_string(core_.packets()[i]) +
+           " to position " + std::to_string(at) + ", id list holds it at " +
+           std::to_string(i));
+    }
+  }
+  if (core_.indexed_count() != core_.count()) {
+    fail("index holds " + std::to_string(core_.indexed_count()) +
+         " ids for " + std::to_string(core_.count()) + " in the id list");
   }
   if (bytes != core_.used_kb()) {
     fail("slab bytes " + std::to_string(bytes) + " != used_kb " +

@@ -1,13 +1,14 @@
 // Bounded-memory bundle store (docs/bounded-store.md).
 //
 // Replaces naive per-packet Buffer entries on nodes and (newly
-// boundable) landmark stations.  The id list and byte accounting stay
-// in the embedded net::Buffer — its swap-erase order is the replay
-// contract routers observe — and a parallel slab of POD entry metadata
-// (admission sequence, retention constraint, expected delay, TTL
-// deadline, logical id) rides along under the same swap-erase, so
-// admission and eviction stay O(1)/O(n-scan) with no per-entry
-// allocation.
+// boundable) landmark stations.  The id list, its id -> position index
+// and the byte accounting stay in the embedded net::Buffer — its
+// swap-erase order is the replay contract routers observe — and a
+// parallel slab of POD entry metadata (admission sequence, retention
+// constraint, expected delay, TTL deadline, logical id) rides along
+// under the same swap-erase.  Admission, removal and membership are
+// O(1) with no per-entry allocation; only eviction scans the slab for
+// a victim.
 //
 // On top of the pooled entries sit the robustness features, all off by
 // default so the stock configuration replays bit-identical to the
@@ -205,7 +206,9 @@ class BundleStore {
 
   // -- invariant auditing (sim/invariant_auditor.hpp) -------------------
   /// Re-derives the pool accounting (metadata slab parallel to the id
-  /// list, byte totals, capacity bound), the retained-count cache, the
+  /// list, byte totals, capacity bound), the id -> position index (every
+  /// id found at its own position, no other id indexed), the
+  /// retained-count cache, the
   /// dedup set's sorted-unique and membership invariants, and the spill
   /// index (sizes, strictly increasing offsets, id disjointness from
   /// memory).  `label` prefixes failure details ("node 3", "station 7").
@@ -230,6 +233,10 @@ class BundleStore {
   /// +1: skew the first entry's slab size against the Buffer
   /// accounting; -1: undo.
   void debug_corrupt_pool_size_for_test(int delta);
+  /// Re-point the first id's index entry by `delta` slots.
+  void debug_corrupt_index_for_test(int delta) {
+    core_.debug_corrupt_index_for_test(delta);
+  }
 
  private:
   struct Entry {
@@ -259,8 +266,7 @@ class BundleStore {
 
   void note_seen(PacketId logical);
   /// Store `pid` in memory with `e`'s metadata.  Space must exist and
-  /// the caller must have checked that `pid` is absent: the one
-  /// duplicate scan per admission is admit()'s (or the recall path's).
+  /// `pid` must be absent (the Buffer's index insert aborts otherwise).
   void place(PacketId pid, const Entry& e);
   /// Evicts retention-free victims per `policy_` until `size_kb` fits;
   /// false (store unchanged beyond prior victims) when it cannot.

@@ -302,6 +302,8 @@ class Network {
     kStoreDedupOrder,
     /// Skew one pooled entry's slab size against the byte accounting.
     kStorePoolSize,
+    /// Re-point the first non-empty store's id -> position index entry.
+    kStoreIndex,
   };
   /// Seed `kind` by skewing the targeted counter by `delta`; returns
   /// false when no eligible state exists (e.g. no node is present
@@ -396,6 +398,11 @@ class Network {
   bool checkpoint_step();
   void load_checkpoint(const std::vector<std::uint8_t>& bytes,
                        trace::TraceCursor& cursor);
+  /// Load check of the restored queue: every pending event's payload
+  /// names what its kind indexes in this run (workload entry and its
+  /// source, manual packet, node or station, scheduled fault), and no
+  /// trace event sits in the queue.  Throws FormatError otherwise.
+  void check_pending_events() const;
   /// Auditor check: when a snapshot exists for exactly this simulation
   /// point, a fresh serialization of live state must reproduce its
   /// per-section CRCs.

@@ -31,6 +31,7 @@
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "sim/event.hpp"
@@ -129,6 +130,9 @@ class EventQueue {
     DTN_ASSERT(!keys_.empty());
     return keys_.front().seq;
   }
+
+  /// The pending events, in heap (not pop) order.
+  [[nodiscard]] std::span<const Event> pending() const { return pay_; }
 
   /// Number of events popped so far.
   [[nodiscard]] std::uint64_t popped() const { return popped_; }

@@ -79,6 +79,14 @@ void FaultPlan::validate(std::size_t num_nodes,
           "retry_backoff must be > 0, got " + std::to_string(retry_backoff));
   require(retry_backoff_max >= retry_backoff,
           "retry_backoff_max must be >= retry_backoff");
+  // A scheduled window and a stochastic one of the same family could
+  // overlap on one id, and the second would find it already down.
+  require(node_crashes.empty() || node_crash_rate_per_day == 0.0,
+          "scheduled node crashes cannot be combined with "
+          "node_crash_rate_per_day > 0");
+  require(station_outages.empty() || station_outage_rate_per_day == 0.0,
+          "scheduled station outages cannot be combined with "
+          "station_outage_rate_per_day > 0");
 
   std::vector<IdWindow> crash_windows;
   crash_windows.reserve(node_crashes.size());
@@ -170,7 +178,8 @@ FaultInjector::FaultInjector(const FaultPlan& plan, std::size_t num_nodes,
 
 void FaultInjector::mark_node_down(std::uint32_t node) {
   DTN_ASSERT(node < node_down_.size());
-  // Double crash: the plan crashed a node that is already down.
+  // Double crash: the plan crashed a node that is already down
+  // (validate() refuses every plan that could).
   DTN_ASSERT(node_down_[node] == 0);
   node_down_[node] = 1;
   ++nodes_down_count_;
@@ -185,8 +194,9 @@ void FaultInjector::mark_node_up(std::uint32_t node) {
 
 void FaultInjector::mark_station_down(std::uint32_t station) {
   DTN_ASSERT(station < station_down_.size());
-  // Overlapping outages: validated away for schedules, impossible for
-  // the stochastic process (the next outage is drawn at recovery).
+  // Overlapping outages: validated away for schedules and for mixes of
+  // scheduled and stochastic outages, impossible for the stochastic
+  // process alone (the next outage is drawn at recovery).
   DTN_ASSERT(station_down_[station] == 0);
   station_down_[station] = 1;
   ++stations_down_count_;

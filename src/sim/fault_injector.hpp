@@ -111,8 +111,9 @@ struct FaultPlan {
 
   /// Reject malformed plans with std::invalid_argument: negative or
   /// out-of-range rates/probabilities, non-positive durations, unknown
-  /// node/station ids, and overlapping scheduled windows for the same
-  /// node or station.
+  /// node/station ids, overlapping scheduled windows for the same
+  /// node or station, and scheduled crashes (outages) mixed with a
+  /// positive crash (outage) rate, whose windows could overlap.
   void validate(std::size_t num_nodes, std::size_t num_landmarks) const;
 };
 
@@ -148,7 +149,8 @@ class FaultInjector {
 
   /// Crash bookkeeping; a double crash of an already-down node is a
   /// plan bug and aborts via DTN_ASSERT (stochastic crashes cannot
-  /// double-fire by construction; scheduled ones are validated).
+  /// double-fire by construction; scheduled ones, alone or mixed with
+  /// the stochastic process, are validated).
   void mark_node_down(std::uint32_t node);
   void mark_node_up(std::uint32_t node);
   void mark_station_down(std::uint32_t station);

@@ -43,6 +43,7 @@ std::vector<std::vector<LandmarkId>> make_bus_routes(const BusTraceConfig& cfg) 
 
 Trace generate_bus_trace(const BusTraceConfig& cfg) {
   DTN_ASSERT(cfg.num_buses > 0);
+  require_valid_days(cfg.days);
   const auto routes = make_bus_routes(cfg);
   Rng rng(cfg.seed);
 

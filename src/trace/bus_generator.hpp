@@ -52,6 +52,7 @@ struct BusTraceConfig {
 /// defaults already match; provided for symmetry with the campus module.
 [[nodiscard]] BusTraceConfig dnet_scale_config(std::uint64_t seed = 2);
 
+/// Throws std::invalid_argument when `days` is not finite and positive.
 [[nodiscard]] Trace generate_bus_trace(const BusTraceConfig& config);
 
 /// The per-route stop sequences the generator would use (exposed for

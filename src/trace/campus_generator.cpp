@@ -102,6 +102,7 @@ Trace generate_campus_trace(const CampusTraceConfig& cfg) {
   DTN_ASSERT(cfg.num_landmarks >= 2);
   DTN_ASSERT(cfg.num_communities > 0);
   DTN_ASSERT(cfg.habit_probability >= 0.0 && cfg.habit_probability <= 1.0);
+  require_valid_days(cfg.days);
 
   Rng rng(cfg.seed);
   const ZipfSampler zipf(cfg.num_landmarks, cfg.zipf_exponent);

@@ -71,6 +71,7 @@ struct CampusTraceConfig {
 /// Paper-scale configuration (320 nodes, 159 landmarks, 119 days).
 [[nodiscard]] CampusTraceConfig dart_scale_config(std::uint64_t seed = 1);
 
+/// Throws std::invalid_argument when `days` is not finite and positive.
 [[nodiscard]] Trace generate_campus_trace(const CampusTraceConfig& config);
 
 }  // namespace dtn::trace

@@ -57,7 +57,7 @@ Trace generate_city_trace(const CityTraceConfig& cfg) {
   DTN_ASSERT(cfg.num_pedestrians + cfg.num_buses > 0);
   DTN_ASSERT(cfg.num_landmarks >= 2);
   DTN_ASSERT(cfg.num_districts > 0);
-  DTN_ASSERT(cfg.days > 0.0);
+  require_valid_days(cfg.days);
 
   const CityLayout layout = make_layout(cfg);
   Rng rng(cfg.seed);

@@ -55,6 +55,7 @@ struct CityTraceConfig {
 /// benchmark-tier workload — tests should scale `CityTraceConfig` down.
 [[nodiscard]] CityTraceConfig city_scale_config(std::uint64_t seed = 1);
 
+/// Throws std::invalid_argument when `days` is not finite and positive.
 [[nodiscard]] Trace generate_city_trace(const CityTraceConfig& config);
 
 }  // namespace dtn::trace

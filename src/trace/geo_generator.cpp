@@ -37,6 +37,7 @@ Trace generate_geo_trace(const GeoTraceConfig& cfg) {
   DTN_ASSERT(cfg.speed_m_per_s > 0.0);
   DTN_ASSERT(cfg.attraction.empty() || cfg.attraction.size() == m);
   DTN_ASSERT(cfg.homes.empty() || cfg.homes.size() == cfg.num_nodes);
+  require_valid_days(cfg.days);
 
   std::vector<double> attraction = cfg.attraction;
   if (attraction.empty()) attraction.assign(m, 1.0);

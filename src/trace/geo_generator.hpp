@@ -50,6 +50,7 @@ struct GeoTraceConfig {
   double miss_probability = 0.05;
 };
 
+/// Throws std::invalid_argument when `days` is not finite and positive.
 [[nodiscard]] Trace generate_geo_trace(const GeoTraceConfig& config);
 
 /// The eight-landmark layout of the paper's Fig. 15(a) campus

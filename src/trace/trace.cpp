@@ -3,8 +3,17 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 namespace dtn::trace {
+
+void require_valid_days(double days) {
+  if (!std::isfinite(days) || days <= 0.0) {
+    throw std::invalid_argument("days must be positive and finite, got " +
+                                std::to_string(days));
+  }
+}
 
 Trace::Trace(std::size_t num_nodes, std::size_t num_landmarks)
     : num_landmarks_(num_landmarks), per_node_(num_nodes) {}

@@ -102,4 +102,9 @@ class Trace {
   bool finalized_ = false;
 };
 
+/// The synthetic generators' length check: throws std::invalid_argument
+/// unless `days` is finite and positive (their per-day loops would not
+/// end on NaN or a negative length).
+void require_valid_days(double days);
+
 }  // namespace dtn::trace

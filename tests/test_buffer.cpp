@@ -108,9 +108,9 @@ TEST(Buffer, HasSpaceRejectsOverfullAccounting) {
   EXPECT_FALSE(b.has_space(1));
 }
 
-TEST(Buffer, IndexOfMatchesStdFindAcrossBlockBoundaries) {
-  // The id scan compares 16-id steps, then 4-id blocks, then a scalar
-  // tail; lengths 0-70 put every position in each of the three parts.
+TEST(Buffer, IndexOfMatchesStdFindAfterEverySwapErase) {
+  // Lengths 0-70 cross the index's growth points (16, 32, 64, 128
+  // cells at most half full); every position is removed once.
   constexpr PacketId kAbsent = 999;
   for (std::size_t len = 0; len <= 70; ++len) {
     std::vector<PacketId> ids;
@@ -121,33 +121,50 @@ TEST(Buffer, IndexOfMatchesStdFindAcrossBlockBoundaries) {
     }
     EXPECT_EQ(b.index_of(kAbsent), len);
     EXPECT_FALSE(b.contains(kAbsent));
+    EXPECT_FALSE(b.contains(kNoPacket));
+    EXPECT_EQ(b.indexed_count(), len);
     for (std::size_t pos = 0; pos < len; ++pos) {
-      const PacketId pid = ids[pos];
-      const auto expected = static_cast<std::size_t>(
-          std::find(ids.begin(), ids.end(), pid) - ids.begin());
-      ASSERT_EQ(b.index_of(pid), expected) << "len " << len;
-      EXPECT_TRUE(b.contains(pid));
+      ASSERT_EQ(b.index_of(ids[pos]), pos) << "len " << len;
+      EXPECT_TRUE(b.contains(ids[pos]));
 
-      // A later duplicate (only a checkpoint image can hold one) must
-      // not win over the first occurrence.
-      std::vector<PacketId> dup = ids;
-      dup.back() = pid;
-      EXPECT_EQ(buffer_from_image(0, len, dup).index_of(pid), pos)
-          << "len " << len;
-
-      // remove() is a swap-erase at the found position.
+      // remove() is a swap-erase at the found position, and the index
+      // follows the moved id.
       Buffer removed = b;
-      removed.remove(pid, 1);
+      removed.remove(ids[pos], 1);
       std::vector<PacketId> want = ids;
       want[pos] = want.back();
       want.pop_back();
-      EXPECT_TRUE(std::equal(want.begin(), want.end(),
+      ASSERT_TRUE(std::equal(want.begin(), want.end(),
                              removed.packets().begin(),
                              removed.packets().end()))
           << "len " << len << " pos " << pos;
       EXPECT_EQ(removed.used_kb(), len - 1);
+      EXPECT_EQ(removed.indexed_count(), len - 1);
+      EXPECT_FALSE(removed.contains(ids[pos]));
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        ASSERT_EQ(removed.index_of(want[i]), i)
+            << "len " << len << " pos " << pos;
+      }
     }
   }
+}
+
+TEST(Buffer, LoadRebuildsTheIndex) {
+  const Buffer b = buffer_from_image(0, 3, {40, 7, 1000003});
+  EXPECT_EQ(b.indexed_count(), 3u);
+  EXPECT_EQ(b.index_of(40), 0u);
+  EXPECT_EQ(b.index_of(7), 1u);
+  EXPECT_EQ(b.index_of(1000003), 2u);
+  EXPECT_FALSE(b.contains(8));
+}
+
+TEST(Buffer, LoadRefusesAnIdListNamingAPacketTwice) {
+  // Only a checkpoint image can hold a duplicate; one store never
+  // holds a packet twice, so the image is corrupt.
+  EXPECT_THROW((void)buffer_from_image(0, 3, {5, 9, 5}),
+               persist::FormatError);
+  EXPECT_THROW((void)buffer_from_image(0, 1, {kNoPacket}),
+               persist::FormatError);
 }
 
 TEST(BufferDeath, RemovingAbsentPacketRejected) {
@@ -159,6 +176,8 @@ TEST(BufferDeath, DoubleAddRejected) {
   Buffer b(10);
   ASSERT_TRUE(b.add(1, 1));
   EXPECT_DEATH((void)b.add(1, 1), "DTN_ASSERT");
+  // append() skips no check: the index insert refuses the duplicate.
+  EXPECT_DEATH(b.append(1, 1), "DTN_ASSERT");
 }
 
 }  // namespace

@@ -14,8 +14,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <filesystem>
+#include <iterator>
+#include <map>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/dtn_flow_router.hpp"
@@ -26,6 +32,7 @@
 #include "sim/invariant_auditor.hpp"
 #include "test_helpers.hpp"
 #include "trace/campus_generator.hpp"
+#include "util/rng.hpp"
 
 namespace dtn {
 namespace {
@@ -367,6 +374,274 @@ TEST(BundleStore, LoadRejectsSpilledRecordsWithoutSpillBackend) {
   EXPECT_THROW(b.load(r), persist::FormatError);
 }
 
+// -- differential test against a reference set ---------------------------
+
+// What the store should hold, tracked from the outcomes it reports:
+// memory entries and the spill FIFO (id -> size, retention) and, with
+// dedup on, the logicals it has admitted.
+struct ReferenceStore {
+  struct Held {
+    std::uint32_t size_kb;
+    Retention retention;
+  };
+  std::map<PacketId, Held> memory;
+  std::deque<std::pair<PacketId, Held>> spill;
+  std::set<PacketId> seen;
+
+  [[nodiscard]] bool spilled(PacketId pid) const {
+    return std::any_of(spill.begin(), spill.end(),
+                       [pid](const auto& e) { return e.first == pid; });
+  }
+  [[nodiscard]] bool holds(PacketId pid) const {
+    return memory.count(pid) != 0 || spilled(pid);
+  }
+};
+
+// Compares every observable of `s` with `ref`: membership of `probes`,
+// the id list, per-id retention, byte and retention totals, the spill
+// FIFO, and the audit (which cross-checks the index).
+void expect_matches(const BundleStore& s, const ReferenceStore& ref,
+                    const std::vector<PacketId>& probes) {
+  ASSERT_EQ(s.count(), ref.memory.size());
+  const std::set<PacketId> listed(s.packets().begin(), s.packets().end());
+  ASSERT_EQ(listed.size(), ref.memory.size());
+  std::uint64_t used = 0;
+  std::uint64_t retained = 0;
+  for (const auto& [pid, held] : ref.memory) {
+    ASSERT_TRUE(listed.count(pid) != 0) << "packet " << pid;
+    ASSERT_EQ(s.retention(pid), held.retention) << "packet " << pid;
+    used += held.size_kb;
+    retained += held.retention != Retention::kNone ? 1 : 0;
+  }
+  ASSERT_EQ(s.used_kb(), used);
+  std::vector<PacketId> spilled;
+  std::uint64_t spilled_kb = 0;
+  for (const auto& [pid, held] : ref.spill) {
+    spilled.push_back(pid);
+    spilled_kb += held.size_kb;
+  }
+  ASSERT_EQ(s.spilled_ids(), spilled);
+  ASSERT_EQ(s.spilled_kb(), spilled_kb);
+  // Only in-memory bundles count as retained.
+  ASSERT_EQ(s.retained_count(), retained);
+  for (const PacketId pid : probes) {
+    ASSERT_EQ(s.contains(pid), ref.holds(pid)) << "packet " << pid;
+    ASSERT_EQ(s.spilled(pid), ref.spilled(pid)) << "packet " << pid;
+  }
+  AuditReport report;
+  s.audit(report, "store");
+  ASSERT_TRUE(report.ok()) << report.to_string();
+}
+
+// save -> load into a fresh store with the same configuration (and
+// another spill file); the reloaded store must save the same bytes.
+void reload(BundleStore& s, std::uint64_t capacity, EvictionPolicy policy,
+            bool dedup, const std::string& spill_path) {
+  const auto image = [](const BundleStore& store) {
+    persist::Writer w;
+    w.begin_section("store");
+    store.save(w);
+    w.end_section();
+    w.finish();
+    return w.buffer();
+  };
+  const std::vector<std::uint8_t> bytes = image(s);
+  BundleStore fresh;
+  fresh.configure(capacity, policy, dedup, spill_path);
+  persist::Reader r(bytes);
+  r.expect_section("store");
+  fresh.load(r);
+  r.end_section();
+  r.finish();
+  ASSERT_EQ(image(fresh), bytes);
+  s = std::move(fresh);
+}
+
+TEST(BundleStoreDifferential, MatchesAReferenceSetUnderRandomTraffic) {
+  const auto dir = fresh_dir("differential");
+  constexpr PacketId kUniverse = 700;
+  constexpr int kOps = 2000;
+  std::vector<PacketId> everything(kUniverse);
+  for (PacketId pid = 0; pid < kUniverse; ++pid) everything[pid] = pid;
+  // Unbounded stores grow the index to a few hundred ids; bounded ones
+  // evict, spill and recall.
+  for (const std::uint64_t capacity : {0u, 24u, 300u}) {
+    for (const EvictionPolicy policy :
+         {EvictionPolicy::kReject, EvictionPolicy::kDropOldest,
+          EvictionPolicy::kDropLargestExpectedDelay,
+          EvictionPolicy::kTtlExpire}) {
+      for (const bool spill : {false, true}) {
+        for (const bool dedup : {false, true}) {
+          SCOPED_TRACE("capacity " + std::to_string(capacity) + " policy " +
+                       to_string(policy) + " spill " + std::to_string(spill) +
+                       " dedup " + std::to_string(dedup));
+          Rng rng(capacity * 131 + static_cast<std::uint64_t>(policy) * 17 +
+                  (spill ? 2 : 0) + (dedup ? 1 : 0));
+          int generation = 0;
+          const auto spill_path = [&] {
+            return spill ? (dir / ("s" + std::to_string(generation % 2) +
+                                   ".spill"))
+                               .string()
+                         : std::string();
+          };
+          BundleStore s;
+          s.configure(capacity, policy, dedup, spill_path());
+          ReferenceStore ref;
+          std::size_t evictions = 0;
+          std::size_t recalls = 0;
+          std::size_t peak = 0;
+          PacketId touched = 0;
+          for (int op = 0; op < kOps; ++op) {
+            peak = std::max(peak, ref.memory.size());
+            // Everything every 25 steps; every 250, all ids and a
+            // save -> load -> continue.
+            if (op % 25 == 0) expect_matches(s, ref, {touched});
+            if (op % 250 == 0 && op > 0) {
+              expect_matches(s, ref, everything);
+              ++generation;
+              reload(s, capacity, policy, dedup, spill_path());
+              expect_matches(s, ref, everything);
+            }
+            const std::uint64_t roll = rng.uniform_index(100);
+            // Mostly admissions for the first half of the run (until
+            // the store is full; unbounded ones stop at 350 ids), then
+            // mostly churn.
+            const std::uint64_t admit_share = op < kOps / 2 ? 85 : 55;
+            if (roll < admit_share &&
+                (capacity != 0 || ref.memory.size() < 350)) {
+              const auto pid =
+                  static_cast<PacketId>(rng.uniform_index(kUniverse));
+              if (ref.holds(pid)) continue;
+              BundleStore::AdmitRequest req;
+              req.pid = pid;
+              req.logical = pid;
+              req.size_kb =
+                  static_cast<std::uint32_t>(1 + rng.uniform_index(3));
+              req.retention = rng.bernoulli(0.15) ? Retention::kDispatchPending
+                                                  : Retention::kNone;
+              req.expected_delay = static_cast<double>(rng.uniform_index(50));
+              req.deadline = static_cast<double>(rng.uniform_index(50));
+              req.check_dedup = rng.bernoulli(0.5);
+              // Spilling stores are stations, whose every admission
+              // may spill (Network's call sites).
+              req.allow_spill = spill || rng.bernoulli(0.5);
+              const bool seen = ref.seen.count(pid) != 0;
+              std::vector<PacketId> evicted;
+              const Admit verdict = s.admit(req, &evicted);
+              evictions += evicted.size();
+              for (const PacketId v : evicted) {
+                const auto it = ref.memory.find(v);
+                ASSERT_NE(it, ref.memory.end()) << "evicted absent " << v;
+                ASSERT_EQ(it->second.retention, Retention::kNone);
+                ref.memory.erase(it);
+              }
+              const ReferenceStore::Held held{req.size_kb, req.retention};
+              switch (verdict) {
+                case Admit::kStored:
+                  ASSERT_FALSE(dedup && req.check_dedup && seen);
+                  ref.memory[pid] = held;
+                  break;
+                case Admit::kSpilled:
+                  ASSERT_TRUE(spill && capacity != 0 && req.allow_spill);
+                  ref.spill.emplace_back(pid, held);
+                  break;
+                case Admit::kRefusedDuplicate:
+                  ASSERT_TRUE(dedup && req.check_dedup && seen);
+                  break;
+                case Admit::kRefusedCapacity:
+                  ASSERT_TRUE(evicted.empty());
+                  ASSERT_FALSE(s.has_space(req.size_kb));
+                  break;
+              }
+              if (dedup && (verdict == Admit::kStored ||
+                            verdict == Admit::kSpilled)) {
+                ref.seen.insert(pid);
+              }
+              touched = pid;
+            } else if (roll < 90) {
+              // A held id, half the time a spilled one (TTL sweeps
+              // reach them through the packet table).
+              if (ref.memory.empty() && ref.spill.empty()) continue;
+              const bool from_spill =
+                  ref.memory.empty() ||
+                  (!ref.spill.empty() && rng.bernoulli(0.5));
+              PacketId pid = net::kNoPacket;
+              std::uint32_t size_kb = 0;
+              if (!from_spill) {
+                auto it = ref.memory.begin();
+                std::advance(it, static_cast<std::ptrdiff_t>(
+                                     rng.uniform_index(ref.memory.size())));
+                pid = it->first;
+                size_kb = it->second.size_kb;
+                ref.memory.erase(it);
+              } else {
+                const auto it = ref.spill.begin() +
+                                static_cast<std::ptrdiff_t>(
+                                    rng.uniform_index(ref.spill.size()));
+                pid = it->first;
+                size_kb = it->second.size_kb;
+                ref.spill.erase(it);
+              }
+              std::vector<PacketId> recalled;
+              s.remove(pid, size_kb, &recalled);
+              recalls += recalled.size();
+              for (const PacketId r : recalled) {
+                ASSERT_FALSE(ref.spill.empty());
+                ASSERT_EQ(ref.spill.front().first, r) << "recall is FIFO";
+                ref.memory[r] = ref.spill.front().second;
+                ref.spill.pop_front();
+              }
+              touched = pid;
+            } else if (!ref.memory.empty()) {
+              auto it = ref.memory.begin();
+              std::advance(it, static_cast<std::ptrdiff_t>(
+                                   rng.uniform_index(ref.memory.size())));
+              const auto r = static_cast<Retention>(rng.uniform_index(3));
+              s.set_retention_if_held(it->first, r);
+              it->second.retention = r;
+              touched = it->first;
+            }
+            ASSERT_EQ(s.contains(touched), ref.holds(touched));
+            ASSERT_EQ(s.count(), ref.memory.size());
+          }
+          expect_matches(s, ref, everything);
+          // Every configuration exercised what it exists for.
+          if (capacity == 0) {
+            EXPECT_GE(peak, 300u);
+          }
+          if (capacity != 0 && spill) {
+            EXPECT_GT(recalls, 0u);
+          }
+          if (capacity != 0 && !spill && policy != EvictionPolicy::kReject) {
+            EXPECT_GT(evictions, 0u);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(BundleStoreDeath, DoubleAdmissionAborts) {
+  // In memory: the admission check and the index insert both refuse.
+  BundleStore s;
+  s.configure(10, EvictionPolicy::kReject, false, {});
+  std::vector<PacketId> evicted;
+  ASSERT_EQ(s.admit(request(1), &evicted), Admit::kStored);
+  EXPECT_DEATH((void)s.admit(request(1), &evicted), "DTN_ASSERT");
+  EXPECT_DEATH((void)s.add(1, 1), "DTN_ASSERT");
+
+  // Spilled: the bundle is in no id list, yet it is still held.
+  const auto dir = fresh_dir("double_admission");
+  BundleStore t;
+  t.configure(1, EvictionPolicy::kReject, false,
+              (dir / "t.spill").string());
+  ASSERT_EQ(t.admit(request(0), &evicted), Admit::kStored);
+  auto over = request(1);
+  over.allow_spill = true;
+  ASSERT_EQ(t.admit(over, &evicted), Admit::kSpilled);
+  EXPECT_DEATH((void)t.admit(over, &evicted), "DTN_ASSERT");
+}
+
 // -- standalone audit negatives -----------------------------------------
 
 // Build a store exercising every feature, seed each corruption, prove
@@ -415,6 +690,16 @@ TEST(BundleStoreAudit, EverySeededCorruptionIsDetectedAndRevertible) {
   s.debug_corrupt_pool_size_for_test(+1);
   EXPECT_FALSE(audit_ok());
   s.debug_corrupt_pool_size_for_test(-1);
+  EXPECT_TRUE(audit_ok());
+
+  s.debug_corrupt_index_for_test(+1);
+  AuditReport index_report;
+  s.audit(index_report, "store");
+  EXPECT_FALSE(index_report.ok());
+  EXPECT_NE(index_report.to_string().find("index maps packet"),
+            std::string::npos)
+      << index_report.to_string();
+  s.debug_corrupt_index_for_test(-1);
   EXPECT_TRUE(audit_ok());
 }
 
@@ -529,6 +814,10 @@ TEST(NetworkStoreAudit, DetectsDedupOrderCorruptionMidRun) {
 
 TEST(NetworkStoreAudit, DetectsPoolSizeCorruptionMidRun) {
   run_mid_run_corruption(Network::Corruption::kStorePoolSize, "slab");
+}
+
+TEST(NetworkStoreAudit, DetectsIndexCorruptionMidRun) {
+  run_mid_run_corruption(Network::Corruption::kStoreIndex, "index");
 }
 
 // -- duplicate-delivery suppression (multicopy) --------------------------

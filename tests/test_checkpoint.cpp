@@ -838,10 +838,10 @@ bool restores(const MutationRun& run, const std::vector<std::uint8_t>& image,
   return true;
 }
 
-TEST(CheckpointEdge, FieldBoundaryMutationsAreFormatErrorsOrLoad) {
-  const auto dir = fresh_dir("mutation");
-  std::filesystem::create_directories(dir / "spill");
-  const MutationRun run = mutation_run((dir / "spill").string());
+// The snapshot `run` writes halfway through its events, written under
+// `dir`.
+std::vector<std::uint8_t> mid_run_image(const MutationRun& run,
+                                        const std::filesystem::path& dir) {
   CheckpointConfig cc;
   cc.dir = (dir / "ckpt").string();
   {
@@ -850,18 +850,25 @@ TEST(CheckpointEdge, FieldBoundaryMutationsAreFormatErrorsOrLoad) {
     net.run();
     cc.stop_after_events = net.events_executed() / 2;
     const RunCounters& c = net.counters();
-    ASSERT_GT(c.spilled_bundles, 0u);
-    ASSERT_GT(c.dedup_refused, 0u);
-    ASSERT_GT(c.node_crashes, 0u);
-    ASSERT_GT(c.station_outages, 0u);
+    EXPECT_GT(c.spilled_bundles, 0u);
+    EXPECT_GT(c.dedup_refused, 0u);
+    EXPECT_GT(c.node_crashes, 0u);
+    EXPECT_GT(c.station_outages, 0u);
   }
   {
     CheckpointManager mgr(cc);
     DtnFlowRouter router(run.router);
     Network net(run.trace, router, run.cfg);
-    ASSERT_FALSE(net.run(mgr));
+    EXPECT_FALSE(net.run(mgr));
   }
-  const std::vector<std::uint8_t> image = CheckpointManager(cc).read_latest();
+  return CheckpointManager(cc).read_latest();
+}
+
+TEST(CheckpointEdge, FieldBoundaryMutationsAreFormatErrorsOrLoad) {
+  const auto dir = fresh_dir("mutation");
+  std::filesystem::create_directories(dir / "spill");
+  const MutationRun run = mutation_run((dir / "spill").string());
+  const std::vector<std::uint8_t> image = mid_run_image(run, dir);
 
   // Map the image: restoring it and re-serializing into a Recorder must
   // reproduce it byte for byte, field by field.
@@ -946,6 +953,102 @@ TEST(CheckpointEdge, FieldBoundaryMutationsAreFormatErrorsOrLoad) {
       store_le(longest, f.offset, f.width, ~std::uint64_t{0});
       reseal(longest, s);
       restore(longest, "maximal length of");
+    }
+  }
+}
+
+TEST(CheckpointEdge, PendingEventsNamingNothingOfTheRunAreRefused) {
+  const auto dir = fresh_dir("queue_events");
+  std::filesystem::create_directories(dir / "spill");
+  const MutationRun run = mutation_run((dir / "spill").string());
+  const std::vector<std::uint8_t> image = mid_run_image(run, dir);
+  ASSERT_TRUE(restores(run, image));
+
+  // Where each pending event's kind, a and b sit in the image.
+  persist::Recorder rec;
+  ASSERT_TRUE(restores(run, image, &rec));
+  struct Queued {
+    sim::EventKind kind;
+    std::uint32_t a, b;
+    std::size_t kind_at, a_at, b_at;
+  };
+  std::vector<Queued> queued;
+  for (const persist::FieldSpan& f : rec.fields()) {
+    const std::string name = f.name;
+    if (name == "queue event kind") {
+      queued.push_back({static_cast<sim::EventKind>(image[f.offset]), 0, 0,
+                        f.offset, 0, 0});
+    } else if (name == "queue event a") {
+      queued.back().a = static_cast<std::uint32_t>(load_le(image, f.offset, 4));
+      queued.back().a_at = f.offset;
+    } else if (name == "queue event b") {
+      queued.back().b = static_cast<std::uint32_t>(load_le(image, f.offset, 4));
+      queued.back().b_at = f.offset;
+    }
+  }
+  const auto first = [&](auto pred) {
+    const auto it = std::find_if(queued.begin(), queued.end(), pred);
+    EXPECT_NE(it, queued.end());
+    return it == queued.end() ? Queued{} : *it;
+  };
+  const Queued gen = first(
+      [](const Queued& q) { return q.kind == sim::EventKind::kPacketGen; });
+  const Queued tick = first([](const Queued& q) {
+    return q.kind == sim::EventKind::kTtlSweep ||
+           q.kind == sim::EventKind::kTimeUnitTick;
+  });
+  const Queued crash = first([](const Queued& q) {
+    return q.kind == sim::EventKind::kNodeCrash ||
+           q.kind == sim::EventKind::kNodeReboot;
+  });
+  const Queued outage = first([](const Queued& q) {
+    return q.kind == sim::EventKind::kStationDown ||
+           q.kind == sim::EventKind::kStationUp;
+  });
+  const auto landmarks =
+      static_cast<std::uint32_t>(run.trace.num_landmarks());
+  const auto nodes = static_cast<std::uint32_t>(run.trace.num_nodes());
+
+  struct Edit {
+    std::size_t at, width;
+    std::uint64_t value;
+  };
+  struct Patch {
+    const char* what;
+    std::vector<Edit> edits;
+  };
+  const auto kind = [](sim::EventKind k) {
+    return static_cast<std::uint64_t>(k);
+  };
+  const std::vector<Patch> patches = {
+      {"generation whose source is not its workload entry's",
+       {{gen.a_at, 4, (gen.a + 1) % landmarks}}},
+      {"generation past the workload table", {{gen.b_at, 4, 1u << 30}}},
+      {"crash of a node the trace does not have", {{crash.a_at, 4, nodes}}},
+      // The plan schedules no crash, so b names no scheduled window.
+      {"crash naming a scheduled crash the plan lacks", {{crash.b_at, 4, 1}}},
+      {"outage of a landmark the trace does not have",
+       {{outage.a_at, 4, landmarks}}},
+      {"outage naming a scheduled outage the plan lacks",
+       {{outage.b_at, 4, 1}}},
+      {"trace arrival in the queue",
+       {{tick.kind_at, 1, kind(sim::EventKind::kArrival)}}},
+      {"trace departure in the queue",
+       {{tick.kind_at, 1, kind(sim::EventKind::kDeparture)}}},
+      {"manual packet the workload lacks",
+       {{tick.kind_at, 1, kind(sim::EventKind::kManualPacket)},
+        {tick.a_at, 4, run.cfg.manual_packets.size()}}},
+  };
+  for (const Patch& p : patches) {
+    SCOPED_TRACE(p.what);
+    std::vector<std::uint8_t> patched = image;
+    for (const Edit& e : p.edits) store_le(patched, e.at, e.width, e.value);
+    ASSERT_NE(patched, image);
+    edit_section(patched, "sim", [](std::size_t) {});
+    try {
+      EXPECT_FALSE(restores(run, patched));
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "not a FormatError: " << e.what();
     }
   }
 }

@@ -24,6 +24,7 @@
 #include "net/network.hpp"
 #include "sim/invariant_auditor.hpp"
 #include "test_helpers.hpp"
+#include "trace/campus_generator.hpp"
 #include "util/cli.hpp"
 
 namespace dtn {
@@ -165,6 +166,85 @@ TEST(FaultPlan, ValidationRejectsOverlappingWindows) {
   r.node_crashes.push_back({0, 1.0 * kDay, 12.0 * kHour});
   r.node_crashes.push_back({1, 1.0 * kDay, 12.0 * kHour});
   EXPECT_EQ(validation_error(r), "");
+}
+
+TEST(FaultPlan, ValidationRejectsScheduledMixedWithStochasticOfOneFamily) {
+  FaultPlan p;
+  p.node_crashes.push_back({0, 1.0 * kDay, kHour});
+  p.node_crash_rate_per_day = 0.3;
+  EXPECT_NE(validation_error(p).find("node_crash_rate_per_day"),
+            std::string::npos)
+      << validation_error(p);
+
+  FaultPlan q;
+  q.station_outages.push_back({1, 1.0 * kDay, 2.0 * kDay});
+  q.station_outage_rate_per_day = 0.3;
+  EXPECT_NE(validation_error(q).find("station_outage_rate_per_day"),
+            std::string::npos)
+      << validation_error(q);
+
+  // Scheduled crashes with stochastic outages (and the reverse) cannot
+  // collide: each family has its own down set.
+  FaultPlan r;
+  r.node_crashes.push_back({0, 1.0 * kDay, kHour});
+  r.station_outage_rate_per_day = 0.3;
+  EXPECT_EQ(validation_error(r), "");
+  FaultPlan t;
+  t.station_outages.push_back({1, 1.0 * kDay, 2.0 * kDay});
+  t.node_crash_rate_per_day = 0.3;
+  EXPECT_EQ(validation_error(t), "");
+}
+
+TEST(FaultPlan, MixedCrashPlanIsRefusedInsteadOfAbortingMidRun) {
+  // Regression: this plan passed validation, and the uninterrupted run
+  // aborted on the double-crash assertion when node 2's scheduled crash
+  // overlapped a stochastic one.
+  trace::CampusTraceConfig tc;
+  tc.num_nodes = 16;
+  tc.num_landmarks = 8;
+  tc.num_communities = 3;
+  tc.days = 6.0;
+  tc.seed = 9;
+  const trace::Trace trace = trace::generate_campus_trace(tc);
+  WorkloadConfig cfg;
+  cfg.packets_per_landmark_per_day = 30.0;
+  cfg.ttl = 6.0 * kDay;
+  cfg.time_unit = 1.5 * kDay;
+  cfg.node_memory_kb = 6;
+  cfg.seed = 11;
+  FaultPlan plan;
+  plan.seed = 5;
+  plan.node_crashes = {{2, 2.0 * kDay, 0.5 * kDay}};
+  plan.node_crash_rate_per_day = 0.3;
+  cfg.faults = plan;
+  {
+    DtnFlowRouter router;
+    EXPECT_THROW(Network(trace, router, cfg), std::invalid_argument);
+  }
+
+  // Each half alone is a valid plan, and the run completes.
+  for (const bool scheduled : {true, false}) {
+    FaultPlan half = plan;
+    if (scheduled) {
+      half.node_crash_rate_per_day = 0.0;
+    } else {
+      half.node_crashes.clear();
+    }
+    cfg.faults = half;
+    DtnFlowRouter router;
+    Network net(trace, router, cfg);
+    net.run();
+    EXPECT_GT(net.counters().node_crashes, 0u) << "scheduled " << scheduled;
+  }
+
+  // The station-outage family is refused the same way.
+  FaultPlan outages;
+  outages.seed = 5;
+  outages.station_outages = {{2, 2.0 * kDay, 2.5 * kDay}};
+  outages.station_outage_rate_per_day = 0.3;
+  cfg.faults = outages;
+  DtnFlowRouter router;
+  EXPECT_THROW(Network(trace, router, cfg), std::invalid_argument);
 }
 
 TEST(FaultPlan, NetworkConstructionRejectsMalformedPlan) {

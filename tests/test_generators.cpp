@@ -8,9 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
+#include <stdexcept>
 
 #include "core/markov_predictor.hpp"
+#include "trace/city_generator.hpp"
+#include "trace/geo_generator.hpp"
 #include "trace/trace_stats.hpp"
 #include "util/stats.hpp"
 
@@ -225,6 +229,28 @@ TEST(DnetScaleConfig, MatchesPaperTableOne) {
   EXPECT_EQ(cfg.num_buses, 34u);
   EXPECT_EQ(cfg.num_landmarks, 18u);
   EXPECT_DOUBLE_EQ(cfg.days, 26.0);
+}
+
+TEST(Generators, RejectNonFiniteOrNonPositiveDays) {
+  // Each generator casts the day count to an unsigned loop bound, which
+  // never ends (or is undefined) for NaN and negative lengths.
+  for (const double days : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(days);
+    CampusTraceConfig campus = small_campus(1);
+    campus.days = days;
+    EXPECT_THROW((void)generate_campus_trace(campus), std::invalid_argument);
+    BusTraceConfig bus = small_bus(1);
+    bus.days = days;
+    EXPECT_THROW((void)generate_bus_trace(bus), std::invalid_argument);
+    CityTraceConfig city;
+    city.days = days;
+    EXPECT_THROW((void)generate_city_trace(city), std::invalid_argument);
+    GeoTraceConfig geo;
+    geo.landmark_positions = {{0.0, 0.0}, {500.0, 0.0}};
+    geo.days = days;
+    EXPECT_THROW((void)generate_geo_trace(geo), std::invalid_argument);
+  }
 }
 
 }  // namespace
