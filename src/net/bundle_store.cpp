@@ -189,11 +189,21 @@ bool BundleStore::evict_for(std::uint32_t size_kb,
   while (!core_.has_space(size_kb)) {
     const std::size_t victim = pick_victim();
     DTN_ASSERT(victim != meta_.size());  // guaranteed by the pre-check
-    const PacketId pid = core_.packets()[victim];
-    evicted_out->push_back(pid);
-    remove(pid, meta_[victim].size_kb, nullptr);
+    evicted_out->push_back(core_.packets()[victim]);
+    erase_resident(victim);
   }
   return true;
+}
+
+void BundleStore::erase_resident(std::size_t i) {
+  if (meta_[i].retention != Retention::kNone) {
+    DTN_ASSERT(retained_ > 0);
+    --retained_;
+  }
+  core_.remove_at(i, meta_[i].size_kb);
+  // Mirror the Buffer's swap-erase so the slab stays parallel.
+  meta_[i] = meta_.back();
+  meta_.pop_back();
 }
 
 void BundleStore::remove(PacketId pid, std::uint32_t size_kb,
@@ -201,14 +211,7 @@ void BundleStore::remove(PacketId pid, std::uint32_t size_kb,
   const std::size_t i = core_.index_of(pid);
   if (i != core_.count()) {
     DTN_ASSERT(meta_[i].size_kb == size_kb);
-    if (meta_[i].retention != Retention::kNone) {
-      DTN_ASSERT(retained_ > 0);
-      --retained_;
-    }
-    core_.remove_at(i, size_kb);
-    // Mirror the Buffer's swap-erase so the slab stays parallel.
-    meta_[i] = meta_.back();
-    meta_.pop_back();
+    erase_resident(i);
     recall_while_fits(recalled_out);
     return;
   }

@@ -269,8 +269,11 @@ class BundleStore {
   /// `pid` must be absent (the Buffer's index insert aborts otherwise).
   void place(PacketId pid, const Entry& e);
   /// Evicts retention-free victims per `policy_` until `size_kb` fits;
-  /// false (store unchanged beyond prior victims) when it cannot.
+  /// false (store unchanged) when it cannot.  Evicting recalls nothing:
+  /// the space it frees is the incoming bundle's.
   bool evict_for(std::uint32_t size_kb, std::vector<PacketId>* evicted_out);
+  /// Drop the in-memory bundle at id-list position `i` (no recall).
+  void erase_resident(std::size_t i);
   [[nodiscard]] std::size_t pick_victim() const;
   void spill_out(PacketId pid, const Entry& e);
   void recall_while_fits(std::vector<PacketId>* recalled_out);

@@ -2,14 +2,17 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <string>
+#include <utility>
 
 #include "persist/checkpoint.hpp"
 #include "persist/serializer.hpp"
 #include "trace/cursor.hpp"
 #include "util/logging.hpp"
+#include "util/rng.hpp"
 
 namespace dtn::net {
 
@@ -22,7 +25,7 @@ constexpr std::size_t kStationPathReserve = 8;
 
 Network::Network(const trace::Trace& trace, Router& router,
                  WorkloadConfig config)
-    : trace_(trace), router_(router), cfg_(config), rng_(config.seed) {
+    : trace_(trace), router_(router), cfg_(config) {
   DTN_ASSERT(trace.finalized());
   DTN_ASSERT(cfg_.warmup_fraction >= 0.0 && cfg_.warmup_fraction < 1.0);
   DTN_ASSERT(cfg_.time_unit > 0.0);
@@ -56,6 +59,9 @@ Network::Network(const trace::Trace& trace, Router& router,
   auditor_.register_check(
       "network.bundle_store",
       [this](sim::AuditReport& r) { audit_bundle_stores(r); });
+  auditor_.register_check(
+      "network.sweep_watermark",
+      [this](sim::AuditReport& r) { audit_sweep_watermark(r); });
   // Fault plan: engage the injector (which validates the plan against
   // the trace's node/landmark universe, throwing std::invalid_argument
   // on malformed config).
@@ -88,109 +94,158 @@ Network::Network(const trace::Trace& trace, Router& router,
       trace_begin_ + cfg_.warmup_fraction * (trace_end_ - trace_begin_);
 }
 
-void Network::build_workload() {
-  workload_.clear();
-  if (cfg_.packets_per_landmark_per_day <= 0.0 || trace_.num_landmarks() <= 1) {
-    return;
-  }
-  // Independent Poisson process per landmark, starting after the
-  // initialization phase (paper: first 1/4 of the trace).  Every draw
-  // comes from a per-landmark split stream and happens before the
-  // replay, so the randomness a landmark's workload consumes is
-  // independent of event interleaving and of every other landmark's
-  // draws.
-  const double mean_gap = trace::kDay / cfg_.packets_per_landmark_per_day;
+std::vector<sim::Event> Network::build_static_schedule(
+    std::uint64_t seq_base) const {
+  // Every event known before the run, in runs that are each already in
+  // (time, schedule order): the manual packets, the sweep/tick pairs,
+  // then one run per landmark of its pre-drawn Poisson workload.
+  // Schedule order assigns seqs class by class — manual packets, then
+  // sweep/tick pairs, then generations ranked by (time, source) — so a
+  // k-way merge keyed by (time, run) yields exactly the (time, seq)
+  // order, and a generation's seq is its rank in the merged output.
+  const auto& manual = cfg_.manual_packets;
   const auto num_landmarks = trace_.num_landmarks();
-  if (!cfg_.destination_weights.empty()) {
-    DTN_ASSERT(cfg_.destination_weights.size() == num_landmarks);
-  }
-  std::vector<double> weights;
-  for (LandmarkId l = 0; l < num_landmarks; ++l) {
-    Rng stream = rng_.split(l);
-    const double* weight_data = nullptr;
-    if (!cfg_.destination_weights.empty()) {
-      weights = cfg_.destination_weights;
-      weights[l] = 0.0;
-      double total = 0.0;
-      for (const double w : weights) total += w;
-      // All demand from this landmark targets itself (e.g. the
-      // collection sink): nothing to send.
-      if (total <= 0.0) continue;
-      weight_data = weights.data();
-    }
-    double t = workload_start_;
-    while (true) {
-      t += stream.exponential(mean_gap);
-      if (t > trace_end_) break;
-      LandmarkId dst;
-      if (weight_data == nullptr) {
-        // Uniformly random destination among the others (§V-A.1).
-        dst = static_cast<LandmarkId>(stream.uniform_index(num_landmarks - 1));
-        if (dst >= l) ++dst;
-      } else {
-        dst = static_cast<LandmarkId>(
-            stream.discrete({weight_data, num_landmarks}));
-      }
-      workload_.push_back({t, l, dst});
-    }
-  }
-  // Rank order = global time order (ties by source landmark; within one
-  // landmark the stable sort keeps the generation order).
-  std::stable_sort(workload_.begin(), workload_.end(),
-                   [](const WorkloadEntry& a, const WorkloadEntry& b) {
-                     if (a.time != b.time) return a.time < b.time;
-                     return a.src < b.src;
-                   });
-}
+  const auto units = static_cast<std::size_t>(
+      std::ceil((trace_end_ - trace_begin_) / cfg_.time_unit));
+  // Both arrays are sized up front from the workload's expected count
+  // (a Poisson total stays within a few percent of its mean): no
+  // reallocation copies, and two large blocks taken while the trace
+  // cursor's freed sort buffers can still serve them.
+  const double expected =
+      std::max(0.0, cfg_.packets_per_landmark_per_day) *
+      static_cast<double>(num_landmarks) * (trace_end_ - workload_start_) /
+      trace::kDay;
+  const std::size_t estimate = manual.size() + 2 * units + 64 +
+                               static_cast<std::size_t>(1.05 * expected);
+  std::vector<sim::Event> merged;
+  merged.reserve(estimate);
+  std::vector<sim::Event> drawn;
+  drawn.reserve(estimate);
+  std::vector<std::size_t> run_end;  // end offset of each run in `drawn`
 
-void Network::schedule_dynamic_events() {
-  // Dynamic events take the sequence range above the cursor's in a
-  // fixed scheduling order — manual packets, then sweep/tick pairs,
-  // then the pre-drawn Poisson workload — so every event's (time, seq)
-  // key is a static function of the config.
-  for (std::size_t i = 0; i < cfg_.manual_packets.size(); ++i) {
-    const auto& mp = cfg_.manual_packets[i];
-    DTN_ASSERT(mp.src < trace_.num_landmarks());
-    DTN_ASSERT(mp.dst < trace_.num_landmarks());
+  for (std::uint32_t i = 0; i < manual.size(); ++i) {
+    const auto& mp = manual[i];
+    DTN_ASSERT(mp.time >= 0.0);
+    DTN_ASSERT(mp.src < num_landmarks);
+    DTN_ASSERT(mp.dst < num_landmarks);
     DTN_ASSERT(mp.src != mp.dst || mp.dst_node != trace::kNoNode);
-    sim::Event ev;
-    ev.kind = sim::EventKind::kManualPacket;
-    ev.a = static_cast<std::uint32_t>(i);
-    sim_.schedule(mp.time, ev);
+    // -0.0 -> +0.0, as the event queue stored it.
+    drawn.push_back({mp.time == 0.0 ? 0.0 : mp.time, seq_base + i,
+                     sim::EventKind::kManualPacket, i, 0});
   }
+  // By time; equal times stay in index (= seq) order.
+  std::stable_sort(drawn.begin(), drawn.end(),
+                   [](const sim::Event& x, const sim::Event& y) {
+                     return x.time < y.time;
+                   });
+  run_end.push_back(drawn.size());
 
   // Measurement time-unit ticks for bandwidth / routing-table updates,
   // each preceded by a TTL expiry sweep at the same instant (the sweep
-  // is scheduled first, so it keeps the lower sequence number).
-  const auto units = static_cast<std::size_t>(
-      std::ceil((trace_end_ - trace_begin_) / cfg_.time_unit));
+  // keeps the lower sequence number).
+  std::uint64_t seq = seq_base + manual.size();
   for (std::size_t u = 1; u <= units; ++u) {
     const double t = trace_begin_ + static_cast<double>(u) * cfg_.time_unit;
     if (t > trace_end_) break;
-    sim::Event sweep;
-    sweep.kind = sim::EventKind::kTtlSweep;
-    sim_.schedule(t, sweep);
-    sim::Event tick;
-    tick.kind = sim::EventKind::kTimeUnitTick;
-    tick.a = static_cast<std::uint32_t>(u);
-    sim_.schedule(t, tick);
+    drawn.push_back({t, seq++, sim::EventKind::kTtlSweep, 0, 0});
+    drawn.push_back({t, seq++, sim::EventKind::kTimeUnitTick,
+                     static_cast<std::uint32_t>(u), 0});
+  }
+  run_end.push_back(drawn.size());
+
+  // Independent Poisson process per landmark, starting after the
+  // initialization phase (paper: first 1/4 of the trace).  Every draw
+  // comes from a per-landmark split stream of the workload seed, so the
+  // randomness a landmark's workload consumes is independent of event
+  // interleaving and of every other landmark's draws.  A generation
+  // carries its source in a and its destination in b.
+  if (cfg_.packets_per_landmark_per_day > 0.0 && num_landmarks > 1) {
+    const double mean_gap = trace::kDay / cfg_.packets_per_landmark_per_day;
+    if (!cfg_.destination_weights.empty()) {
+      DTN_ASSERT(cfg_.destination_weights.size() == num_landmarks);
+    }
+    Rng rng(cfg_.seed);
+    std::vector<double> weights;
+    for (LandmarkId l = 0; l < num_landmarks; ++l) {
+      Rng stream = rng.split(l);
+      const double* weight_data = nullptr;
+      if (!cfg_.destination_weights.empty()) {
+        weights = cfg_.destination_weights;
+        weights[l] = 0.0;
+        double total = 0.0;
+        for (const double w : weights) total += w;
+        // All demand from this landmark targets itself (e.g. the
+        // collection sink): nothing to send.
+        if (total <= 0.0) continue;
+        weight_data = weights.data();
+      }
+      double t = workload_start_;
+      while (true) {
+        t += stream.exponential(mean_gap);
+        if (t > trace_end_) break;
+        LandmarkId dst;
+        if (weight_data == nullptr) {
+          // Uniformly random destination among the others (§V-A.1).
+          dst = static_cast<LandmarkId>(
+              stream.uniform_index(num_landmarks - 1));
+          if (dst >= l) ++dst;
+        } else {
+          dst = static_cast<LandmarkId>(
+              stream.discrete({weight_data, num_landmarks}));
+        }
+        drawn.push_back({t, 0, sim::EventKind::kPacketGen, l, dst});
+      }
+      run_end.push_back(drawn.size());
+    }
   }
 
-  build_workload();
-  for (std::size_t j = 0; j < workload_.size(); ++j) {
-    sim::Event ev;
-    ev.kind = sim::EventKind::kPacketGen;
-    ev.a = workload_[j].src;
-    ev.b = static_cast<std::uint32_t>(j);
-    sim_.schedule(workload_[j].time, ev);
+  // K-way merge over the runs' heads, keyed by (time, run): a run's
+  // index breaks time ties (manual < sweep/tick < generations by
+  // source); within a run the drawn order stands.  The heads form a
+  // binary min-heap whose top is replaced in place, one sift-down per
+  // event.
+  using Head = std::pair<double, std::size_t>;  // (time, run)
+  std::vector<Head> heads;
+  std::vector<std::size_t> next(run_end.size());
+  for (std::size_t r = 0; r < run_end.size(); ++r) {
+    next[r] = r == 0 ? 0 : run_end[r - 1];
+    if (next[r] < run_end[r]) heads.emplace_back(drawn[next[r]].time, r);
   }
-  // The serial packet table grows by exactly one row per generation
-  // event; without the upfront reservation every reallocation copies
-  // the whole table, station_path vectors included.
-  packets_.reserve(packets_.size() + cfg_.manual_packets.size() +
-                   workload_.size());
-  logical_delivered_.reserve(logical_delivered_.size() +
-                             cfg_.manual_packets.size() + workload_.size());
+  std::sort(heads.begin(), heads.end());  // a sorted array is a min-heap
+  while (!heads.empty()) {
+    const std::size_t r = heads.front().second;
+    sim::Event& ev = merged.emplace_back(drawn[next[r]++]);
+    if (r >= 2) ev.seq = seq++;  // a generation: its seq is its rank
+    Head top;
+    if (next[r] < run_end[r]) {
+      top = {drawn[next[r]].time, r};
+    } else {
+      top = heads.back();
+      heads.pop_back();
+    }
+    std::size_t i = 0;
+    for (std::size_t c = 1; c < heads.size(); c = 2 * i + 1) {
+      if (c + 1 < heads.size() && heads[c + 1] < heads[c]) ++c;
+      if (!(heads[c] < top)) break;
+      heads[i] = heads[c];
+      i = c;
+    }
+    if (!heads.empty()) heads[i] = top;
+  }
+  return merged;
+}
+
+std::uint64_t Network::static_schedule_digest() const {
+  std::uint64_t h = 1469598103934665603ull;  // FNV-1a over every field
+  const auto mix = [&h](std::uint64_t v) { h = (h ^ v) * 1099511628211ull; };
+  for (const sim::Event& ev : sim_.static_schedule()) {
+    mix(std::bit_cast<std::uint64_t>(ev.time));
+    mix(ev.seq);
+    mix(static_cast<std::uint64_t>(ev.kind));
+    mix(ev.a);
+    mix(ev.b);
+  }
+  return h;
 }
 
 void Network::run() { replay(nullptr); }
@@ -206,7 +261,10 @@ bool Network::replay(persist::CheckpointManager* ckpt) {
   // presorted array instead of being pre-scheduled one closure per
   // visit.  The cursor owns the sequence range [0, total_events()), so
   // same-time ties order exactly as the retired eager enumeration did.
+  // The static schedule takes the range above it; both are pure
+  // functions of the run's inputs, so a resume rebuilds them too.
   trace::TraceCursor cursor(trace_);
+  sim_.set_static_schedule(build_static_schedule(cursor.total_events()));
   sim_.set_dispatcher(&Network::dispatch_trampoline, this);
   ckpt_mgr_ = ckpt;
   if (ckpt != nullptr) ckpt_cursor_ = &cursor;
@@ -215,17 +273,22 @@ bool Network::replay(persist::CheckpointManager* ckpt) {
   if (ckpt != nullptr && ckpt->has_checkpoint()) {
     // Resume: every piece of live state comes out of the snapshot — no
     // seq floor (the restored queue already carries its next_seq), no
-    // scheduling, no build_workload (its RNG splits already happened in
-    // the original run; replaying them would desynchronize rng_), no
-    // on_init (checkpoint_load performs it).
+    // fault scheduling (its draws already advanced the injector's
+    // streams), no on_init (checkpoint_load performs it).
     load_checkpoint(ckpt->read_latest(), cursor);
   } else {
     router_.on_init(*this);
-    sim_.set_seq_floor(cursor.total_events());
-    schedule_dynamic_events();
-    // Fault events last: a plan with nothing to inject schedules
-    // nothing, and the workload events above keep the sequence numbers
-    // they would have in a fault-free run.
+    const std::size_t static_events = sim_.static_schedule().size();
+    sim_.set_seq_floor(cursor.total_events() + static_events);
+    // The serial packet table grows by one row per generation event
+    // (a static event); without the upfront reservation every
+    // reallocation copies the whole table, station_path vectors
+    // included.
+    packets_.reserve(packets_.size() + static_events);
+    logical_delivered_.reserve(logical_delivered_.size() + static_events);
+    // Fault events go to the queue, above the static range: a plan with
+    // nothing to inject schedules nothing, and every other event keeps
+    // the sequence number it has in a fault-free run.
     schedule_faults();
   }
   ckpt_last_events_ = sim_.events_executed();
@@ -334,26 +397,19 @@ void Network::fields(Ar& ar, trace::TraceCursor& cursor) {
   ar.begin_section("sim");
   ar.object(sim_);
   ar.end_section();
+  if constexpr (loading) check_pending_events();
 
   ar.begin_section("cursor");
   ar.object(cursor);
   ar.end_section();
 
-  ar.begin_section("rng");
-  ar.rng("workload rng", rng_);
-  ar.end_section();
-
-  // The pre-drawn workload is serialized (not re-drawn on resume): the
-  // per-landmark RNG splits that built it already mutated rng_, and
-  // replaying them would desynchronize the stream.
+  // The static schedule is rebuilt from the inputs `meta` pins, not
+  // stored; its digest refuses an image whose schedule a different
+  // build would draw differently.
   ar.begin_section("workload");
-  ar.seq("workload entries", workload_, [&](WorkloadEntry& e) {
-    ar.value("workload time", e.time);
-    ar.index("workload source", e.src, landmarks);
-    ar.index("workload destination", e.dst, landmarks);
-  });
+  ar.expect("static event count", sim_.static_schedule().size());
+  ar.expect("static schedule digest", static_schedule_digest());
   ar.end_section();
-  if constexpr (loading) check_pending_events();
 
   ar.begin_section("counters");
   RunCounters& c = counters_;
@@ -417,7 +473,11 @@ void Network::fields(Ar& ar, trace::TraceCursor& cursor) {
     ar.value("packet hops", p.hops);
     ar.value("packet delivered at", p.delivered_at);
   });
-  if constexpr (loading) logical_delivered_.resize(packets_.size());
+  if constexpr (loading) {
+    logical_delivered_.resize(packets_.size());
+    sweep_watermark_ = 0;
+    advance_sweep_watermark();
+  }
   ar.fixed("logical delivered flags", logical_delivered_);
   ar.value("any node addressed", any_node_addressed_);
   ar.end_section();
@@ -542,21 +602,14 @@ void Network::load_checkpoint(const std::vector<std::uint8_t>& bytes,
 void Network::check_pending_events() const {
   const sim::FaultPlan* plan =
       faults_.has_value() ? &faults_->plan() : nullptr;
-  // A fault event's b is 0 for the stochastic process (which must be
-  // on) or 1 + the index of a scheduled window on the same id.
+  // Only fault events are scheduled into the queue: trace events come
+  // from the cursor, and every packet, sweep and tick event from the
+  // static schedule.  A fault event's b is 0 for the stochastic process
+  // (which must be on) or 1 + the index of a scheduled window on the
+  // same id.
   for (const sim::Event& ev : sim_.queue().pending()) {
     bool ok = false;
     switch (ev.kind) {
-      case sim::EventKind::kPacketGen:
-        ok = ev.b < workload_.size() && workload_[ev.b].src == ev.a;
-        break;
-      case sim::EventKind::kManualPacket:
-        ok = ev.a < cfg_.manual_packets.size();
-        break;
-      case sim::EventKind::kTtlSweep:
-      case sim::EventKind::kTimeUnitTick:
-        ok = true;
-        break;
       case sim::EventKind::kNodeCrash:
       case sim::EventKind::kNodeReboot:
         ok = plan != nullptr && ev.a < nodes_.size() &&
@@ -571,9 +624,7 @@ void Network::check_pending_events() const {
                         : ev.b <= plan->station_outages.size() &&
                               plan->station_outages[ev.b - 1].station == ev.a);
         break;
-      case sim::EventKind::kArrival:    // the trace cursor replays these
-      case sim::EventKind::kDeparture:
-      case sim::EventKind::kCallback:
+      default:
         break;
     }
     if (!ok) {
@@ -620,11 +671,9 @@ void Network::dispatch(const sim::Event& ev) {
     case sim::EventKind::kDeparture:
       dispatch_departure_batched(ev);
       break;
-    case sim::EventKind::kPacketGen: {
-      const WorkloadEntry& w = workload_[ev.b];
-      generate_packet(w.src, w.dst, cfg_.ttl);
+    case sim::EventKind::kPacketGen:
+      generate_packet(ev.a, ev.b, cfg_.ttl);
       break;
-    }
     case sim::EventKind::kManualPacket: {
       const auto& mp = cfg_.manual_packets[ev.a];
       const double ttl = mp.ttl > 0.0 ? mp.ttl : cfg_.ttl;
@@ -1304,6 +1353,26 @@ void Network::audit(sim::AuditReport& report) const {
   router_.audit(*this, report);
   report.set_context("network.fault_state");
   audit_fault_state(report);
+  report.set_context("network.sweep_watermark");
+  audit_sweep_watermark(report);
+}
+
+void Network::audit_sweep_watermark(sim::AuditReport& report) const {
+  if (sweep_watermark_ > packets_.size()) {
+    report.fail("sweep watermark " + std::to_string(sweep_watermark_) +
+                " is past the packet table (" +
+                std::to_string(packets_.size()) + " packets)");
+    return;
+  }
+  for (std::size_t pid = 0; pid < sweep_watermark_; ++pid) {
+    if (!is_terminal(packets_[pid].state)) {
+      report.fail("packet " + std::to_string(pid) +
+                  " is live below the sweep watermark " +
+                  std::to_string(sweep_watermark_) +
+                  ": TTL sweeps would never reach it");
+      return;
+    }
+  }
 }
 
 void Network::audit_fault_state(sim::AuditReport& report) const {
@@ -1542,6 +1611,7 @@ void Network::debug_restore_for_test(const std::vector<std::uint8_t>& image,
   DTN_ASSERT(!ran_);
   ran_ = true;
   trace::TraceCursor cursor(trace_);
+  sim_.set_static_schedule(build_static_schedule(cursor.total_events()));
   ckpt_cursor_ = &cursor;
   try {
     load_checkpoint(image, cursor);
@@ -1640,6 +1710,16 @@ bool Network::debug_corrupt_for_test(Corruption kind, int delta) {
         return true;
       }
       return false;
+    case Corruption::kSweepWatermark:
+      // The bug class this simulates: the watermark advanced past a
+      // packet that was still live, so no sweep would expire it.
+      if (delta > 0) {
+        advance_sweep_watermark();
+        if (sweep_watermark_ == packets_.size()) return false;
+      }
+      sweep_watermark_ = static_cast<std::size_t>(
+          static_cast<std::int64_t>(sweep_watermark_) + delta);
+      return true;
   }
   return false;
 }
@@ -1790,9 +1870,21 @@ void Network::deliver_node_addressed(NodeId arriving, LandmarkId l) {
   }
 }
 
+void Network::advance_sweep_watermark() {
+  while (sweep_watermark_ < packets_.size() &&
+         is_terminal(packets_[sweep_watermark_].state)) {
+    ++sweep_watermark_;
+  }
+}
+
 void Network::drop_expired() {
   const double now = sim_.now();
-  for (Packet& p : packets_) {
+  // Packets leave circulation roughly in creation order (one TTL for
+  // the whole workload), so the terminal prefix grows with the clock
+  // and the sweep only walks the packets younger than it.
+  advance_sweep_watermark();
+  for (std::size_t pid = sweep_watermark_; pid < packets_.size(); ++pid) {
+    Packet& p = packets_[pid];
     if (is_terminal(p.state)) continue;
     const bool obsolete = logical_delivered_[p.logical] != 0;
     if (!obsolete && !p.expired(now)) continue;

@@ -23,7 +23,6 @@
 #include "sim/invariant_auditor.hpp"
 #include "sim/simulator.hpp"
 #include "trace/trace.hpp"
-#include "util/rng.hpp"
 
 namespace dtn::persist {
 class CheckpointManager;
@@ -304,6 +303,9 @@ class Network {
     kStorePoolSize,
     /// Re-point the first non-empty store's id -> position index entry.
     kStoreIndex,
+    /// Move the TTL sweep's watermark past the oldest live packet (first
+    /// advancing it to that packet; needs one).
+    kSweepWatermark,
   };
   /// Seed `kind` by skewing the targeted counter by `delta`; returns
   /// false when no eligible state exists (e.g. no node is present
@@ -344,6 +346,8 @@ class Network {
   void deliver_node_addressed(NodeId arriving, LandmarkId l);
   void deliver(PacketId pid);
   void drop_expired();
+  /// Advance sweep_watermark_ past the terminal packets it points at.
+  void advance_sweep_watermark();
   void handle_arrival(const trace::Visit& visit);
   void handle_departure(const trace::Visit& visit);
 
@@ -357,36 +361,34 @@ class Network {
                               std::size_t count);
   /// Serial-path drains: while the next cursor event continues the
   /// current same-(time, kind, landmark) run, consume it inside this
-  /// dispatch.  Sound because queue events can never interleave — at
-  /// equal times every queue seq sits above the cursor's seq range
-  /// (Simulator::set_seq_floor), so consecutive same-time cursor events
-  /// are adjacent in the merged order.
+  /// dispatch.  Sound because static and queue events can never
+  /// interleave — at equal times the cursor's seqs sort first
+  /// (Simulator::run_until), so consecutive same-time cursor events are
+  /// adjacent in the merged order.
   void drain_arrival_batch(double time, LandmarkId l);
   void dispatch_departure_batched(const sim::Event& ev);
 
-  // -- workload ---------------------------------------------------------
-  /// One generation event of the pre-drawn Poisson workload.  Drawn
-  /// before the replay from per-landmark split RNG streams, so each
-  /// landmark's draws are independent of event interleaving.
-  struct WorkloadEntry {
-    double time = 0.0;
-    LandmarkId src = 0;
-    LandmarkId dst = 0;
-  };
-  /// Draw the whole Poisson workload into `workload_`, sorted by
-  /// (time, src) — the order the serial scheduler assigns ranks in.
-  void build_workload();
-  /// Schedule every dynamic event of a fresh run in the fixed rank
-  /// order (manual packets, sweep/tick pairs, the Poisson workload);
-  /// shared by run() and a non-resuming checkpointed run.
-  void schedule_dynamic_events();
+  // -- static schedule (docs/event-engine.md) ---------------------------
+  /// Every event known before the run, sorted by (time, seq), with seqs
+  /// from `seq_base` up in schedule order: manual packets, sweep/tick
+  /// pairs, then the Poisson workload ranked by (time, source).  The
+  /// workload is drawn from per-landmark split streams of the workload
+  /// seed, so each landmark's draws are independent of event
+  /// interleaving; a generation event carries (a = source, b =
+  /// destination).  A pure function of the run's inputs.
+  [[nodiscard]] std::vector<sim::Event> build_static_schedule(
+      std::uint64_t seq_base) const;
+  /// FNV-1a digest of the installed static schedule (the snapshot's
+  /// "workload" check).
+  [[nodiscard]] std::uint64_t static_schedule_digest() const;
 
   // -- checkpointing (src/persist/, docs/checkpointing.md) --------------
   /// The snapshot's field list, section by section: "meta" (a
   /// fingerprint of everything the checkpoint does NOT store but a
   /// resume must be handed unchanged: trace shape, workload config,
-  /// fault plan, router identity), "sim", "cursor", then rng, workload,
-  /// counters, packets, nodes, stations, ledger, faults, router.
+  /// fault plan, router identity), "sim", "cursor", then workload (the
+  /// static schedule's digest), counters, packets, nodes, stations,
+  /// ledger, faults, router.
   template <class Ar>
   void fields(Ar& ar, trace::TraceCursor& cursor);
   /// Full serial-format snapshot of the live run (requires an active
@@ -398,10 +400,11 @@ class Network {
   bool checkpoint_step();
   void load_checkpoint(const std::vector<std::uint8_t>& bytes,
                        trace::TraceCursor& cursor);
-  /// Load check of the restored queue: every pending event's payload
-  /// names what its kind indexes in this run (workload entry and its
-  /// source, manual packet, node or station, scheduled fault), and no
-  /// trace event sits in the queue.  Throws FormatError otherwise.
+  /// Load check of the restored queue: every pending event is a fault
+  /// event (trace, packet, sweep and tick events never sit in the
+  /// queue) whose payload names a node or station of this run and a
+  /// scheduled window or stochastic process of its plan.  Throws
+  /// FormatError otherwise.
   void check_pending_events() const;
   /// Auditor check: when a snapshot exists for exactly this simulation
   /// point, a fresh serialization of live state must reproduce its
@@ -427,6 +430,9 @@ class Network {
   [[nodiscard]] std::uint32_t ledger_slot(PacketId pid) const;
   void ledger_erase(PacketId pid);
   void audit_fault_state(sim::AuditReport& report) const;
+  /// The "network.sweep_watermark" check: every packet below the TTL
+  /// sweep's watermark is terminal.
+  void audit_sweep_watermark(sim::AuditReport& report) const;
 
   struct NodeState {
     BundleStore buffer;
@@ -480,7 +486,6 @@ class Network {
   WorkloadConfig cfg_;
   sim::Simulator sim_;
   sim::InvariantAuditor auditor_;
-  Rng rng_;
   /// Engaged iff cfg_.faults is set; owns the outage sets and all
   /// fault randomness (its streams are split from the plan seed, so the
   /// workload RNG above never sees a fault-dependent draw).
@@ -528,8 +533,10 @@ class Network {
   trace::TraceCursor* batch_source_ = nullptr;
   RunCounters counters_;
 
-  /// Pre-drawn Poisson workload (build_workload), rank order.
-  std::vector<WorkloadEntry> workload_;
+  /// Every packet below this index is terminal (is_terminal never turns
+  /// false again), so the TTL sweep starts here instead of at packet 0.
+  DTN_CKPT_SKIP("derived from the packet table; a load recomputes it")
+  std::size_t sweep_watermark_ = 0;
 
   // -- active checkpointed run (see docs/checkpointing.md) --------------
   persist::CheckpointManager* ckpt_mgr_ = nullptr;

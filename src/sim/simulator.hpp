@@ -2,16 +2,20 @@
 //
 // Every event is dispatched through a single function-pointer
 // dispatcher installed by the owning engine.  `run_until` is the one
-// event-merge loop: it optionally merges a lazy event source (the trace
-// cursor) with the queue — at each iteration the earlier of (queue
-// head, source head) in (time, seq) order executes — which is what lets
-// a month-scale trace replay run without materializing millions of
-// upfront events.  An optional step observer sees every batch boundary
-// and may suspend the loop; checkpointing and periodic auditing hang
-// off it.
+// event-merge loop over three sources, each already in (time, seq)
+// order: a lazy event source (the trace cursor), the static schedule
+// (every event known before the run, presorted once) and the queue,
+// which holds only the events scheduled while the run goes.  The
+// earliest head executes next; that is what lets a month-scale replay
+// run without pushing its trace or its pre-drawn workload through a
+// heap.  An optional step observer sees every batch boundary and may
+// suspend the loop; checkpointing and periodic auditing hang off it.
 #pragma once
 
 #include <cstdint>
+#include <limits>
+#include <span>
+#include <vector>
 
 #include "sim/event.hpp"
 #include "sim/event_queue.hpp"
@@ -30,8 +34,18 @@ class Simulator {
     dispatch_ctx_ = ctx;
   }
 
-  /// Reserve seqs [0, floor) for an event source (see EventQueue).
+  /// Reserve seqs [0, floor) for the event source and the static
+  /// schedule (see EventQueue).
   void set_seq_floor(std::uint64_t floor) { queue_.set_seq_floor(floor); }
+
+  /// Install the static schedule: events sorted by (time, seq), whose
+  /// seqs lie above the source's and below the queue's floor.  Required
+  /// before the first run_until and before load (which restores only
+  /// the position in it); may be empty.
+  void set_static_schedule(std::vector<Event> events);
+  [[nodiscard]] std::span<const Event> static_schedule() const {
+    return static_;
+  }
 
   /// Current simulation time (time of the event being processed, or the
   /// initial time before the first event).
@@ -55,14 +69,17 @@ class Simulator {
     bool operator()() const { return true; }
   };
 
-  /// Run until the queue (and `source`, when given) empties or the
-  /// clock passes `end_time`.  Events exactly at `end_time` still run.
+  /// Run until the source, the static schedule and the queue are all
+  /// exhausted or the clock passes `end_time`.  Events exactly at
+  /// `end_time` still run.
   ///
   /// `Source` is a lazy stream with exhausted()/peek()/advance() whose
   /// events come in strictly increasing (time, seq) order, with seqs
-  /// below the queue's floor (set_seq_floor) so they win same-time
-  /// ties; the replay engine passes its trace::TraceCursor, so the
-  /// per-event calls inline.
+  /// below the static schedule's; the replay engine passes its
+  /// trace::TraceCursor, so the per-event calls inline.  The three seq
+  /// ranges are disjoint and ordered — source, then static, then queue
+  /// — so an equal-time tie goes to the source, then to the static
+  /// schedule, and the heads' times alone decide the merge.
   ///
   /// `step()` runs after every dispatch().  A dispatch is one batch: the
   /// dispatcher may consume the same-time successors of the event it
@@ -74,23 +91,29 @@ class Simulator {
   /// it.
   template <class Source = NoSource, class Step = NoStep>
   bool run_until(double end_time, Source* source = nullptr, Step step = {}) {
+    enum class From { kNone, kSource, kStatic, kQueue };
     while (true) {
-      const bool queue_ready =
-          !queue_.empty() && queue_.next_time() <= end_time;
-      const bool source_ready = source != nullptr && !source->exhausted() &&
-                                source->peek().time <= end_time;
-      if (!queue_ready && !source_ready) break;
-      bool take_source = source_ready;
-      if (queue_ready && source_ready) {
-        const Event& head = source->peek();
-        take_source = head.time < queue_.next_time() ||
-                      (head.time == queue_.next_time() &&
-                       head.seq < queue_.next_seq());
+      double t = std::numeric_limits<double>::infinity();
+      From from = From::kNone;
+      if (source != nullptr && !source->exhausted()) {
+        t = source->peek().time;
+        from = From::kSource;
       }
+      if (static_next_ < static_.size() && static_[static_next_].time < t) {
+        t = static_[static_next_].time;
+        from = From::kStatic;
+      }
+      if (!queue_.empty() && queue_.next_time() < t) {
+        t = queue_.next_time();
+        from = From::kQueue;
+      }
+      if (from == From::kNone || t > end_time) break;
       Event ev;
-      if (take_source) {
+      if (from == From::kSource) {
         ev = source->peek();
         source->advance();
+      } else if (from == From::kStatic) {
+        ev = static_[static_next_++];
       } else {
         ev = queue_.pop();
       }
@@ -114,16 +137,16 @@ class Simulator {
   void absorb_external_event() { ++executed_; }
   [[nodiscard]] std::size_t pending() const { return queue_.size(); }
 
-  /// Pre-size the queue storage.
-  void reserve(std::size_t n) { queue_.reserve(n); }
-
   /// Read access to the underlying queue for invariant audits
   /// (EventQueue::audit) and introspection.
   [[nodiscard]] const EventQueue& queue() const { return queue_; }
 
   // -- checkpointing (src/persist/, docs/checkpointing.md) --------------
-  /// `load` needs a simulator that has not run; the owner reinstalls the
-  /// dispatcher.
+  /// The image holds the clock, the executed count, the static position
+  /// and the queue.  `load` needs a simulator that has not run, with
+  /// its static schedule already installed; it refuses a position past
+  /// the schedule or out of step with the clock.  The owner reinstalls
+  /// the dispatcher.
   void save(persist::Writer& w) const;
   void load(persist::Reader& r);
 
@@ -136,6 +159,10 @@ class Simulator {
     dispatch_(dispatch_ctx_, ev);
   }
 
+  DTN_CKPT_SKIP("rebuilt from the run's inputs before load; the image "
+                "holds the position in it")
+  std::vector<Event> static_;
+  std::size_t static_next_ = 0;  // static events already dispatched
   EventQueue queue_;
   DTN_CKPT_SKIP("dispatch hook; the owner re-registers it before resume")
   DispatchFn dispatch_ = nullptr;

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "core/dtn_flow_router.hpp"
 #include "net/network.hpp"
@@ -256,7 +257,7 @@ TEST(BatchDispatch, TieHeavyTraceMatchesUnbatchedBitForBit) {
 
 // Executed-event counts (1-based) of the first and last member of a
 // same-(time, landmark) departure run, derived from the trace and the
-// workload alone: trace events come out of the cursor, and queue
+// workload alone: trace events come out of the cursor, and static
 // events (manual packets, sweep + tick pairs; tie_workload() draws no
 // Poisson traffic) precede a trace event exactly when they are earlier
 // — at equal times the cursor's seqs sort first.
@@ -265,7 +266,7 @@ struct DepartureRun {
   std::uint64_t last = 0;
 };
 
-std::uint64_t queue_events_before(const WorkloadConfig& cfg, double t) {
+std::uint64_t static_events_before(const WorkloadConfig& cfg, double t) {
   std::uint64_t n = 0;
   for (const auto& mp : cfg.manual_packets) n += mp.time < t ? 1 : 0;
   // The tie-heavy trace starts at t = 0, so unit u ends at u * time_unit.
@@ -295,7 +296,7 @@ DepartureRun first_departure_run_after(const trace::Trace& trace,
       ++len;
     }
     if (len < 2) continue;
-    const std::uint64_t before = queue_events_before(cfg, head.time);
+    const std::uint64_t before = static_events_before(cfg, head.time);
     return {consumed + before, consumed + len - 1 + before};
   }
   return {};
@@ -313,7 +314,7 @@ TEST(BatchDispatch, CheckpointedRunSnapshotsAtTheEndOfADepartureRun) {
   const RunResult full = run(trace, cfg);
   // The event model above accounts for every event of the replay.
   ASSERT_EQ(full.events, trace::TraceCursor(trace).total_events() +
-                             queue_events_before(cfg, full.now + 1.0));
+                             static_events_before(cfg, full.now + 1.0));
 
   // A run with packets in flight: past the first manual packets.
   const DepartureRun dep = first_departure_run_after(trace, cfg, 2.5 * kDay);
@@ -365,6 +366,160 @@ TEST(BatchDispatch, AuditedRunBatchesAndMatchesUnauditedRun) {
   // batches leave fewer boundaries than events.
   EXPECT_LT(net.auditor().audits_run(), net.events_executed());
   expect_equal(plain, result_of(net, router));
+}
+
+// -- tie order across the three event sources ----------------------------
+
+// One instant carrying an event of every static and dynamic kind.  The
+// trace cursor, the static schedule and the fault queue each hold part
+// of it, and their merge must dispatch it exactly as one queue ordered
+// by schedule sequence would: trace, manual packet, TTL sweep, tick,
+// workload generation, fault.
+
+constexpr double kTieDays = 4.0;
+constexpr double kTieManualTtl = 3.0 * kDay;  // tells the manual packet apart
+
+// Logs every hook that fires at `at`: which event it stands for, the
+// executed-event count (so an event without a hook, the sweep, shows as
+// a gap) and the TTL drops so far (the sweep's effect).  Stateless for
+// the replay, so checkpointable with an empty image.
+class TieRecorder : public net::Router {
+ public:
+  struct Entry {
+    std::string what;
+    std::uint64_t executed;
+    std::uint64_t dropped_ttl;
+    friend bool operator==(const Entry&, const Entry&) = default;
+  };
+
+  explicit TieRecorder(double at) : at_(at) {}
+  [[nodiscard]] std::string name() const override { return "TieRecorder"; }
+  [[nodiscard]] bool checkpointable() const override { return true; }
+
+  void on_arrival(Network& net, net::NodeId, net::LandmarkId) override {
+    note(net, "arrival");
+  }
+  void on_packet_generated(Network& net, net::PacketId pid) override {
+    if (first_generation < 0.0) first_generation = net.now();
+    note(net, net.packet(pid).ttl == kTieManualTtl ? "manual" : "generation");
+  }
+  void on_time_unit(Network& net, std::size_t) override { note(net, "tick"); }
+  void on_node_crash(Network& net, net::NodeId) override {
+    note(net, "crash");
+  }
+
+  std::vector<Entry> log;
+  double first_generation = -1.0;
+
+ private:
+  void note(const Network& net, const char* what) {
+    if (net.now() != at_) return;
+    log.push_back({what, net.events_executed(), net.counters().dropped_ttl});
+  }
+  double at_;
+};
+
+// Node 0 pins the trace to [0, 4 days]; node 1, when `arrival_at` >= 0,
+// adds one visit starting exactly then.
+trace::Trace tie_order_trace(double arrival_at) {
+  trace::Trace t(2, 2);
+  t.add_visit({0, 0, 0.0, kHour});
+  t.add_visit({0, 0, kTieDays * kDay - kHour, kTieDays * kDay});
+  if (arrival_at >= 0.0) t.add_visit({1, 1, arrival_at, arrival_at + kHour});
+  t.finalize();
+  return t;
+}
+
+WorkloadConfig tie_order_workload() {
+  WorkloadConfig cfg;
+  cfg.packets_per_landmark_per_day = 1.0;
+  cfg.warmup_fraction = 0.0;
+  cfg.ttl = kTieDays * kDay;
+  cfg.seed = 11;
+  return cfg;
+}
+
+TEST(BatchDispatch, OneInstantDispatchesTraceStaticThenDynamicEvents) {
+  // The first Poisson generation depends only on the seed, the rate and
+  // the trace's span and landmark count, so a probe replay finds it.
+  double at = -1.0;
+  {
+    const auto probe_trace = tie_order_trace(-1.0);
+    TieRecorder probe(-1.0);
+    Network net(probe_trace, probe, tie_order_workload());
+    net.run();
+    at = probe.first_generation;
+  }
+  ASSERT_GT(at, 2.0 * kHour);
+  ASSERT_LT(at, kTieDays * kDay - 3.0 * kHour);
+
+  // Everything else is placed at `at`: node 1 arrives, a manual packet
+  // is generated, the first sweep/tick pair falls due (the trace starts
+  // at 0), and node 0 crashes.  A manual packet from `at` / 2 expires
+  // before `at`, so only the sweep can drop it.
+  const auto trace = tie_order_trace(at);
+  WorkloadConfig cfg = tie_order_workload();
+  cfg.time_unit = at;
+  cfg.manual_packets.push_back({0, 1, at / 2.0, at / 4.0});
+  cfg.manual_packets.push_back({0, 1, at, kTieManualTtl});
+  sim::FaultPlan plan;
+  plan.node_crashes.push_back({0, at, kHour});
+  cfg.faults = plan;
+
+  net::RunCounters full_counters;
+  std::uint64_t full_events = 0;
+  std::vector<TieRecorder::Entry> full_log;
+  {
+    TieRecorder router(at);
+    Network net(trace, router, cfg);
+    net.run();
+    full_counters = net.counters();
+    full_events = net.events_executed();
+    full_log = router.log;
+  }
+  ASSERT_EQ(full_log.size(), 5u);
+  const std::uint64_t k = full_log.front().executed;
+  // The sweep is event k + 2: it has no hook, but it drops the early
+  // manual packet between the manual packet and the tick.
+  const std::vector<TieRecorder::Entry> want = {{"arrival", k, 0},
+                                                {"manual", k + 1, 0},
+                                                {"tick", k + 3, 1},
+                                                {"generation", k + 4, 1},
+                                                {"crash", k + 5, 1}};
+  EXPECT_EQ(full_log, want);
+  EXPECT_EQ(full_counters.dropped_ttl, 1u);
+  EXPECT_EQ(full_counters.node_crashes, 1u);
+
+  // Suspending after each event of the instant and resuming reproduces
+  // the uninterrupted run: the counters, the event count and, pieced
+  // together from both processes, the dispatch order.
+  for (std::uint64_t stop = k; stop < k + 5; ++stop) {
+    SCOPED_TRACE("suspended after event " + std::to_string(stop));
+    persist::CheckpointConfig cc;
+    cc.dir = (std::filesystem::path(::testing::TempDir()) /
+              "dtn_tie_order_ckpt")
+                 .string();
+    std::filesystem::remove_all(cc.dir);
+    cc.stop_after_events = stop;
+    std::vector<TieRecorder::Entry> log;
+    {
+      persist::CheckpointManager mgr(cc);
+      TieRecorder router(at);
+      Network net(trace, router, cfg);
+      ASSERT_FALSE(net.run(mgr));
+      EXPECT_EQ(net.events_executed(), stop);
+      log = router.log;
+    }
+    cc.stop_after_events = 0;
+    persist::CheckpointManager mgr(cc);
+    TieRecorder router(at);
+    Network net(trace, router, cfg);
+    ASSERT_TRUE(net.run(mgr));
+    log.insert(log.end(), router.log.begin(), router.log.end());
+    EXPECT_EQ(log, full_log);
+    EXPECT_EQ(net.counters(), full_counters);
+    EXPECT_EQ(net.events_executed(), full_events);
+  }
 }
 
 }  // namespace

@@ -672,10 +672,12 @@ TEST(CheckpointEdge, OlderSchemaSnapshotsAreRefused) {
   // held every routing table's dense advertised matrix and its derived
   // routes and dirty bookkeeping.  Schema 3 predictor images held the
   // argmax, the stamp and the dense successor index of every node.
-  // Schema 4 has none of these, so an image stamped with an older
+  // Schema 4 images held every pending packet, sweep and tick event in
+  // the queue, the pre-drawn workload table and the workload RNG.
+  // Schema 5 has none of these, so an image stamped with an older
   // version must be refused up front rather than misparsed.
-  ASSERT_EQ(persist::kSchemaVersion, 4u);
-  for (const std::uint8_t older : {1, 2, 3}) {
+  ASSERT_EQ(persist::kSchemaVersion, 5u);
+  for (const std::uint8_t older : {1, 2, 3, 4}) {
     expect_patched_snapshot_refused(
         "schema_" + std::to_string(older),
         [&](std::vector<std::uint8_t>& bytes, const WorkloadConfig&) {
@@ -964,7 +966,8 @@ TEST(CheckpointEdge, PendingEventsNamingNothingOfTheRunAreRefused) {
   const std::vector<std::uint8_t> image = mid_run_image(run, dir);
   ASSERT_TRUE(restores(run, image));
 
-  // Where each pending event's kind, a and b sit in the image.
+  // Where the static position, the static schedule's size and each
+  // pending event's kind, a and b sit in the image.
   persist::Recorder rec;
   ASSERT_TRUE(restores(run, image, &rec));
   struct Queued {
@@ -973,9 +976,15 @@ TEST(CheckpointEdge, PendingEventsNamingNothingOfTheRunAreRefused) {
     std::size_t kind_at, a_at, b_at;
   };
   std::vector<Queued> queued;
+  std::size_t position_at = 0;
+  std::uint64_t static_events = 0;
   for (const persist::FieldSpan& f : rec.fields()) {
     const std::string name = f.name;
-    if (name == "queue event kind") {
+    if (name == "static schedule position") {
+      position_at = f.offset;
+    } else if (name == "static event count") {
+      static_events = load_le(image, f.offset, 8);
+    } else if (name == "queue event kind") {
       queued.push_back({static_cast<sim::EventKind>(image[f.offset]), 0, 0,
                         f.offset, 0, 0});
     } else if (name == "queue event a") {
@@ -986,17 +995,18 @@ TEST(CheckpointEdge, PendingEventsNamingNothingOfTheRunAreRefused) {
       queued.back().b_at = f.offset;
     }
   }
+  // A mid-run image: static events both behind and ahead of its clock,
+  // so position 0 names an event behind the clock and the end of the
+  // schedule follows events ahead of it.
+  ASSERT_NE(position_at, 0u);
+  const std::uint64_t position = load_le(image, position_at, 8);
+  ASSERT_GT(position, 0u);
+  ASSERT_LT(position, static_events);
   const auto first = [&](auto pred) {
     const auto it = std::find_if(queued.begin(), queued.end(), pred);
     EXPECT_NE(it, queued.end());
     return it == queued.end() ? Queued{} : *it;
   };
-  const Queued gen = first(
-      [](const Queued& q) { return q.kind == sim::EventKind::kPacketGen; });
-  const Queued tick = first([](const Queued& q) {
-    return q.kind == sim::EventKind::kTtlSweep ||
-           q.kind == sim::EventKind::kTimeUnitTick;
-  });
   const Queued crash = first([](const Queued& q) {
     return q.kind == sim::EventKind::kNodeCrash ||
            q.kind == sim::EventKind::kNodeReboot;
@@ -1021,9 +1031,11 @@ TEST(CheckpointEdge, PendingEventsNamingNothingOfTheRunAreRefused) {
     return static_cast<std::uint64_t>(k);
   };
   const std::vector<Patch> patches = {
-      {"generation whose source is not its workload entry's",
-       {{gen.a_at, 4, (gen.a + 1) % landmarks}}},
-      {"generation past the workload table", {{gen.b_at, 4, 1u << 30}}},
+      {"static position past the end of the schedule",
+       {{position_at, 8, static_events + 1}}},
+      {"static position behind the clock", {{position_at, 8, 0}}},
+      {"static position ahead of the clock",
+       {{position_at, 8, static_events}}},
       {"crash of a node the trace does not have", {{crash.a_at, 4, nodes}}},
       // The plan schedules no crash, so b names no scheduled window.
       {"crash naming a scheduled crash the plan lacks", {{crash.b_at, 4, 1}}},
@@ -1031,13 +1043,19 @@ TEST(CheckpointEdge, PendingEventsNamingNothingOfTheRunAreRefused) {
        {{outage.a_at, 4, landmarks}}},
       {"outage naming a scheduled outage the plan lacks",
        {{outage.b_at, 4, 1}}},
+      // Only fault events are ever queued.
       {"trace arrival in the queue",
-       {{tick.kind_at, 1, kind(sim::EventKind::kArrival)}}},
+       {{crash.kind_at, 1, kind(sim::EventKind::kArrival)}}},
       {"trace departure in the queue",
-       {{tick.kind_at, 1, kind(sim::EventKind::kDeparture)}}},
-      {"manual packet the workload lacks",
-       {{tick.kind_at, 1, kind(sim::EventKind::kManualPacket)},
-        {tick.a_at, 4, run.cfg.manual_packets.size()}}},
+       {{crash.kind_at, 1, kind(sim::EventKind::kDeparture)}}},
+      {"generation in the queue",
+       {{crash.kind_at, 1, kind(sim::EventKind::kPacketGen)}}},
+      {"manual packet in the queue",
+       {{crash.kind_at, 1, kind(sim::EventKind::kManualPacket)}}},
+      {"TTL sweep in the queue",
+       {{crash.kind_at, 1, kind(sim::EventKind::kTtlSweep)}}},
+      {"time-unit tick in the queue",
+       {{crash.kind_at, 1, kind(sim::EventKind::kTimeUnitTick)}}},
   };
   for (const Patch& p : patches) {
     SCOPED_TRACE(p.what);

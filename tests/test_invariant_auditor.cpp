@@ -232,7 +232,7 @@ TEST(NetworkAudit, HealthyRunPassesAllChecks) {
   DtnFlowRouter router;
   Network net(trace, router, chain_workload());
   net.run();
-  EXPECT_EQ(net.auditor().checks_registered(), 7u);
+  EXPECT_EQ(net.auditor().checks_registered(), 8u);
   AuditReport report;
   net.audit(report);
   EXPECT_TRUE(report.ok()) << report.to_string();
@@ -250,44 +250,58 @@ TEST(NetworkAudit, DetectsBufferByteCorruption) {
   EXPECT_TRUE(any_failure_mentions(report, "buffer")) << report.to_string();
 }
 
-// Present-set corruption is only observable while nodes are present, so
-// it must be seeded mid-run: this router corrupts the index inside an
-// arrival callback, audits, then reverts so the rest of the replay (and
-// its swap-remove departures) stays sound.
+// Present-set corruption is only observable while nodes are present,
+// and a misplaced sweep watermark only while packets are live, so both
+// are seeded mid-run: this router corrupts inside the first arrival
+// callback that finds eligible state, audits, then reverts so the rest
+// of the replay (and its swap-remove departures) stays sound.
 class MidRunCorruptingRouter : public net::Router {
  public:
+  explicit MidRunCorruptingRouter(Network::Corruption kind) : kind_(kind) {}
   [[nodiscard]] std::string name() const override { return "Corruptor"; }
 
   void on_arrival(Network& net, net::NodeId node, net::LandmarkId l) override {
     (void)node;
     (void)l;
     if (fired_) return;
+    if (!net.debug_corrupt_for_test(kind_)) return;  // nothing to corrupt yet
     fired_ = true;
-    ASSERT_TRUE(net.debug_corrupt_for_test(Network::Corruption::kPresentPos));
     net.audit(corrupted_report_);
-    ASSERT_TRUE(
-        net.debug_corrupt_for_test(Network::Corruption::kPresentPos, -1));
+    ASSERT_TRUE(net.debug_corrupt_for_test(kind_, -1));
     net.audit(reverted_report_);
   }
 
+  Network::Corruption kind_;
   bool fired_ = false;
   AuditReport corrupted_report_;
   AuditReport reverted_report_;
 };
 
-TEST(NetworkAudit, DetectsPresentPositionCorruptionMidRun) {
+void expect_mid_run_corruption_detected(Network::Corruption kind,
+                                        const std::string& mention) {
   const auto trace = relay_chain_trace(2.0);
-  MidRunCorruptingRouter router;
+  MidRunCorruptingRouter router(kind);
   Network net(trace, router, chain_workload());
   net.run();
   ASSERT_TRUE(router.fired_);
   EXPECT_FALSE(router.corrupted_report_.ok());
-  EXPECT_TRUE(any_failure_mentions(router.corrupted_report_, "present"))
+  EXPECT_TRUE(any_failure_mentions(router.corrupted_report_, mention))
       << router.corrupted_report_.to_string();
   // After the revert the very same checks pass again — the failure came
   // from the seeded corruption, not from ambient state.
   EXPECT_TRUE(router.reverted_report_.ok())
       << router.reverted_report_.to_string();
+}
+
+TEST(NetworkAudit, DetectsPresentPositionCorruptionMidRun) {
+  expect_mid_run_corruption_detected(Network::Corruption::kPresentPos,
+                                     "present");
+}
+
+TEST(NetworkAudit, DetectsSweepWatermarkCorruptionMidRun) {
+  // A live packet below the watermark is one no TTL sweep would expire.
+  expect_mid_run_corruption_detected(Network::Corruption::kSweepWatermark,
+                                     "sweep watermark");
 }
 
 // -- periodic auditing during a replay ----------------------------------
