@@ -83,7 +83,6 @@ void DtnFlowRouter::on_init(Network& net) {
     landmarks_[l].carrier_cache.assign(m, {});
   }
   distribution_scratch_.clear();
-  epoch_prepaid_ = 0;
   station_down_.assign(m, 0);
   needs_reconvergence_.assign(m, 0);
   accuracy_ = FlatMatrix<double>(n, m, cfg_.accuracy_init);
@@ -191,13 +190,6 @@ void DtnFlowRouter::audit(const net::Network& net,
         }
       }
     }
-  }
-  // Audits run at event boundaries, where every departure batch has
-  // consumed its prepaid epoch advances in full.
-  report.set_context("router.batch_epoch");
-  if (epoch_prepaid_ != 0) {
-    report.fail("prepaid epoch balance " + std::to_string(epoch_prepaid_) +
-                " left over after a departure batch");
   }
   // The outage mirror (read by choose_next_hop, which has no Network
   // access) must agree with the injector's ground truth.
@@ -705,29 +697,10 @@ void DtnFlowRouter::on_arrival(Network& net, NodeId node, LandmarkId l) {
   }
 }
 
-void DtnFlowRouter::on_departure_batch_begin(Network& net, LandmarkId l,
-                                             std::size_t count) {
-  (void)net;
-  // Advance the epoch for the whole batch at once — by exactly `count`,
-  // so serialized epoch values match unbatched replay bit-for-bit —
-  // and bank the balance for the per-node hooks to consume.  Nothing
-  // in on_departure consults the carrier cache, so no entry is ever
-  // built against the prepaid epoch while the present set still
-  // shrinks (contract in net/router.hpp).
-  landmarks_[l].present_epoch += count;
-  epoch_prepaid_ += count;
-}
-
 void DtnFlowRouter::on_departure(Network& net, NodeId node, LandmarkId l) {
   NodeState& ns = nodes_[node];
   // The departing node leaves the present set once this hook returns.
-  // Inside a batch the epoch advance was prepaid by
-  // on_departure_batch_begin; consume the balance instead of bumping.
-  if (epoch_prepaid_ > 0) {
-    --epoch_prepaid_;
-  } else {
-    ++landmarks_[l].present_epoch;
-  }
+  ++landmarks_[l].present_epoch;
   // A crashed node departs carrying nothing new (its crash already
   // dropped the control state it held).
   if (net.node_down(node)) return;

@@ -175,13 +175,6 @@ class DtnFlowRouter final : public net::Router {
                   net::LandmarkId l) override;
   void on_departure(net::Network& net, net::NodeId node,
                     net::LandmarkId l) override;
-  /// Batched contact dispatch (docs/event-engine.md): prepay the
-  /// present-epoch advance for a whole same-(time, l) departure batch
-  /// so on_departure skips its per-node bump; serialized epoch values
-  /// stay identical to unbatched replay.  The prepaid balance is always
-  /// zero at event boundaries (audited).
-  void on_departure_batch_begin(net::Network& net, net::LandmarkId l,
-                                std::size_t count) override;
   /// Contacts matter only with node-to-node relay on.
   [[nodiscard]] bool observes_contacts() const override {
     return cfg_.node_to_node_relay;
@@ -441,11 +434,6 @@ class DtnFlowRouter final : public net::Router {
   /// Set only by debug_offer_every_packet_for_test.
   DTN_CKPT_SKIP("test-only switch, never set in a replay")
   bool offer_every_packet_ = false;
-  /// Present-epoch advances prepaid by on_departure_batch_begin and
-  /// consumed by on_departure.  Always zero at event boundaries —
-  /// audited, never serialized.
-  DTN_CKPT_SKIP("always zero at event boundaries (audited)")
-  std::uint64_t epoch_prepaid_ = 0;
 };
 
 }  // namespace dtn::core

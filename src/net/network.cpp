@@ -38,30 +38,14 @@ Network::Network(const trace::Trace& trace, Router& router,
     acfg.period_events = cfg_.audit_period_events;
     auditor_ = sim::InvariantAuditor(acfg);
   }
-  auditor_.register_check(
-      "event_queue.heap",
-      [this](sim::AuditReport& r) { sim_.queue().audit(r); });
-  auditor_.register_check(
-      "network.present_sets",
-      [this](sim::AuditReport& r) { audit_present_sets(r); });
-  auditor_.register_check(
-      "network.buffer_accounting",
-      [this](sim::AuditReport& r) { audit_buffer_accounting(r); });
-  auditor_.register_check(
-      "router.state",
-      [this](sim::AuditReport& r) { router_.audit(*this, r); });
-  auditor_.register_check(
-      "network.fault_state",
-      [this](sim::AuditReport& r) { audit_fault_state(r); });
+  // audit() names each of its checks itself.  The CRC check stays out
+  // of it: load_checkpoint runs audit() right after re-serializing the
+  // restored state, and the CRC check would serialize it once more.
+  auditor_.register_check("network",
+                          [this](sim::AuditReport& r) { audit(r); });
   auditor_.register_check(
       "network.checkpoint_crc",
       [this](sim::AuditReport& r) { audit_checkpoint_crc(r); });
-  auditor_.register_check(
-      "network.bundle_store",
-      [this](sim::AuditReport& r) { audit_bundle_stores(r); });
-  auditor_.register_check(
-      "network.sweep_watermark",
-      [this](sim::AuditReport& r) { audit_sweep_watermark(r); });
   // Fault plan: engage the injector (which validates the plan against
   // the trace's node/landmark universe, throwing std::invalid_argument
   // on malformed config).
@@ -294,16 +278,12 @@ bool Network::replay(persist::CheckpointManager* ckpt) {
   ckpt_last_events_ = sim_.events_executed();
   ckpt_last_time_ = sim_.now();
 
-  // Batched contact dispatch drains same-time runs from the cursor, so
-  // the step below only ever observes coherent state.
-  batch_source_ = &cursor;
   const bool completed =
       sim_.run_until(trace_end_, &cursor, [this, ckpt] {
         if (ckpt != nullptr && !checkpoint_step()) return false;
         auditor_.on_boundary(sim_.events_executed());
         return true;
       });
-  batch_source_ = nullptr;
   ckpt_mgr_ = nullptr;
   if (completed) {
     drop_expired();
@@ -662,14 +642,11 @@ void Network::audit_checkpoint_crc(sim::AuditReport& report) const {
 
 void Network::dispatch(const sim::Event& ev) {
   switch (ev.kind) {
-    case sim::EventKind::kArrival: {
-      const trace::Visit& visit = trace_.visits(ev.a)[ev.b];
-      handle_arrival(visit);
-      drain_arrival_batch(ev.time, visit.landmark);
+    case sim::EventKind::kArrival:
+      handle_arrival(trace_.visits(ev.a)[ev.b]);
       break;
-    }
     case sim::EventKind::kDeparture:
-      dispatch_departure_batched(ev);
+      handle_departure(trace_.visits(ev.a)[ev.b]);
       break;
     case sim::EventKind::kPacketGen:
       generate_packet(ev.a, ev.b, cfg_.ttl);
@@ -1274,62 +1251,6 @@ void Network::account_control(double entries) {
 }
 
 void Network::validate_invariants() const {
-  std::uint64_t active = 0;
-  for (const Packet& p : packets_) {
-    if (is_terminal(p.state)) continue;
-    ++active;
-    switch (p.state) {
-      case PacketState::kAtOrigin: {
-        const auto& origin = stations_[p.holder].origin;
-        DTN_ASSERT(std::find(origin.begin(), origin.end(), p.id) !=
-                   origin.end());
-        break;
-      }
-      case PacketState::kAtStation:
-        DTN_ASSERT(stations_[p.holder].storage.contains(p.id));
-        break;
-      case PacketState::kOnNode:
-        DTN_ASSERT(nodes_[p.holder].buffer.contains(p.id));
-        break;
-      default:
-        DTN_ASSERT(false);
-    }
-  }
-  // Every buffered id points back to a packet naming that buffer.
-  std::uint64_t buffered = 0;
-  for (std::size_t n = 0; n < nodes_.size(); ++n) {
-    for (const PacketId pid : nodes_[n].buffer.packets()) {
-      DTN_ASSERT(packets_[pid].state == PacketState::kOnNode);
-      DTN_ASSERT(packets_[pid].holder == n);
-      ++buffered;
-    }
-  }
-  for (std::size_t l = 0; l < stations_.size(); ++l) {
-    for (const PacketId pid : stations_[l].storage.packets()) {
-      DTN_ASSERT(packets_[pid].state == PacketState::kAtStation);
-      DTN_ASSERT(packets_[pid].holder == l);
-      ++buffered;
-    }
-    // Spilled bundles are still live station-held packets; only their
-    // bytes moved to disk.
-    for (const PacketId pid : stations_[l].storage.spilled_ids()) {
-      DTN_ASSERT(packets_[pid].state == PacketState::kAtStation);
-      DTN_ASSERT(packets_[pid].holder == l);
-      ++buffered;
-    }
-    for (const PacketId pid : stations_[l].origin) {
-      DTN_ASSERT(packets_[pid].state == PacketState::kAtOrigin);
-      DTN_ASSERT(packets_[pid].holder == l);
-      ++buffered;
-    }
-  }
-  DTN_ASSERT(buffered == active);
-  // Terminal accounting: originals are generated; every delivered
-  // logical was counted exactly once.
-  DTN_ASSERT(counters_.delivered == counters_.delivery_delays.size());
-  DTN_ASSERT(counters_.delivered <= counters_.generated);
-  // The auditor's checks (heap property, present-set index, byte
-  // accounting, router state) are part of the contract too.
   sim::AuditReport report;
   audit(report);
   if (!report.ok()) {
@@ -1345,6 +1266,8 @@ void Network::audit(sim::AuditReport& report) const {
   sim_.queue().audit(report);
   report.set_context("network.present_sets");
   audit_present_sets(report);
+  report.set_context("network.packet_table");
+  audit_packet_table(report);
   report.set_context("network.buffer_accounting");
   audit_buffer_accounting(report);
   report.set_context("network.bundle_store");
@@ -1494,6 +1417,64 @@ void Network::audit_present_sets(sim::AuditReport& report) const {
                   std::to_string(nodes_[n].location) +
                   " but missing from that station's present list");
     }
+  }
+}
+
+void Network::audit_packet_table(sim::AuditReport& report) const {
+  // Direction 1: every held id names a packet whose state and holder
+  // point back at the store holding it.  Spilled bundles are still
+  // live station-held packets; only their bytes moved to disk.
+  std::vector<std::uint8_t> held(packets_.size(), 0);
+  std::uint64_t held_count = 0;
+  const auto note = [&](std::span<const PacketId> ids, PacketState state,
+                        std::size_t holder, const char* what) {
+    for (const PacketId pid : ids) {
+      if (pid >= packets_.size()) continue;  // buffer_accounting reports it
+      const Packet& p = packets_[pid];
+      if (p.state != state || p.holder != holder) {
+        report.fail(std::string(what) + " " + std::to_string(holder) +
+                    " holds packet " + std::to_string(pid) +
+                    " whose state and holder name another store");
+        continue;
+      }
+      held[pid] = 1;
+      ++held_count;
+    }
+  };
+  for (std::size_t n = 0; n < nodes_.size(); ++n) {
+    note(nodes_[n].buffer.packets(), PacketState::kOnNode, n, "node");
+  }
+  for (std::size_t l = 0; l < stations_.size(); ++l) {
+    const StationState& st = stations_[l];
+    note(st.storage.packets(), PacketState::kAtStation, l, "station");
+    note(st.storage.spilled_ids(), PacketState::kAtStation, l, "station");
+    note(st.origin, PacketState::kAtOrigin, l, "origin queue");
+  }
+  // Direction 2: every live packet is held by the store it names.
+  std::uint64_t live = 0;
+  for (std::size_t pid = 0; pid < packets_.size(); ++pid) {
+    const Packet& p = packets_[pid];
+    if (is_terminal(p.state)) continue;
+    ++live;
+    if (held[pid] == 0) {
+      report.fail("live packet " + std::to_string(pid) +
+                  " is missing from the store its holder " +
+                  std::to_string(p.holder) + " names");
+    }
+  }
+  if (held_count != live) {
+    report.fail("stores hold " + std::to_string(held_count) +
+                " packets but " + std::to_string(live) + " are live");
+  }
+  // Terminal accounting: every delivered logical was counted once.
+  if (counters_.delivered != counters_.delivery_delays.size()) {
+    report.fail("delivered counter " + std::to_string(counters_.delivered) +
+                " but " + std::to_string(counters_.delivery_delays.size()) +
+                " delivery delays recorded");
+  }
+  if (counters_.delivered > counters_.generated) {
+    report.fail("delivered counter " + std::to_string(counters_.delivered) +
+                " exceeds generated " + std::to_string(counters_.generated));
   }
 }
 
@@ -1720,6 +1701,16 @@ bool Network::debug_corrupt_for_test(Corruption kind, int delta) {
       sweep_watermark_ = static_cast<std::size_t>(
           static_cast<std::int64_t>(sweep_watermark_) + delta);
       return true;
+    case Corruption::kPacketHolder:
+      // The bug class this simulates: a transfer moved the packet into
+      // its new store but left the holder naming the old one.
+      for (Packet& p : packets_) {
+        if (is_terminal(p.state)) continue;
+        p.holder = static_cast<std::uint32_t>(
+            static_cast<std::int64_t>(p.holder) + delta);
+        return true;
+      }
+      return false;
   }
   return false;
 }
@@ -1993,96 +1984,6 @@ void Network::handle_departure(const trace::Visit& visit) {
   node.location = kNoLandmark;
   node.previous = visit.landmark;
   node.history.push_back(visit);
-}
-
-void Network::handle_departure_batch(const trace::Visit* const* visits,
-                                     std::size_t count) {
-  DTN_ASSERT(count >= 2);
-  const LandmarkId l = visits[0]->landmark;
-  StationState& station = stations_[l];
-  // One epoch advance for the whole batch (DtnFlowRouter prepays by
-  // `count`, so serialized epoch values stay identical to departing one
-  // node at a time); the per-node hooks below then skip their bumps.
-  router_.on_departure_batch_begin(*this, l, count);
-  std::size_t min_pos = station.present.size();
-  for (std::size_t i = 0; i < count; ++i) {
-    const trace::Visit& visit = *visits[i];
-    NodeState& node = nodes_[visit.node];
-    DTN_ASSERT(node.location == visit.landmark);
-    // Exact per-event interleaving: each hook runs with every earlier
-    // batch member already erased from the present set.
-    router_.on_departure(*this, visit.node, visit.landmark);
-    // The full suffix renumber is deferred to the end of the batch, but
-    // the *members'* own entries are kept exact as the vector shrinks
-    // (next loop): each member then reads its true position here, and
-    // its entry goes stale at exactly the value repeated
-    // handle_departure calls leave behind — present_pos_ is serialized
-    // stale entries and all, so even departed nodes' leftovers must
-    // match bit-for-bit.
-    const std::uint32_t pos = present_pos_[visit.node];
-    DTN_ASSERT(pos < station.present.size() &&
-               station.present[pos] == visit.node);
-    station.present.erase(station.present.begin() + pos);
-    if (pos < min_pos) min_pos = pos;
-    for (std::size_t j = i + 1; j < count; ++j) {
-      std::uint32_t& later = present_pos_[visits[j]->node];
-      if (later > pos) --later;
-    }
-    node.location = kNoLandmark;
-    node.previous = visit.landmark;
-    node.history.push_back(visit);
-  }
-  // One suffix renumber for the whole batch instead of one per erase.
-  for (std::size_t i = min_pos; i < station.present.size(); ++i) {
-    present_pos_[station.present[i]] = static_cast<std::uint32_t>(i);
-  }
-}
-
-void Network::drain_arrival_batch(double time, LandmarkId l) {
-  // Arrivals keep their per-event hook work — on_arrival observes the
-  // incrementally growing present set — so grouping them only saves the
-  // simulator merge step per event.  Queue events cannot interleave: at
-  // equal times their seqs sit above the cursor's range (seq floor).
-  while (!batch_source_->exhausted()) {
-    const sim::Event& next = batch_source_->peek();
-    if (next.kind != sim::EventKind::kArrival || next.time != time) break;
-    const trace::Visit& visit = trace_.visits(next.a)[next.b];
-    if (visit.landmark != l) break;
-    batch_source_->advance();
-    sim_.absorb_external_event();
-    handle_arrival(visit);
-  }
-}
-
-void Network::dispatch_departure_batched(const sim::Event& ev) {
-  const trace::Visit& first = trace_.visits(ev.a)[ev.b];
-  if (batch_source_->exhausted()) {
-    handle_departure(first);
-    return;
-  }
-  // Cheap single-peek fast path: ties of distinct visits at one exact
-  // timestamp are rare in continuous-time traces.
-  {
-    const sim::Event& next = batch_source_->peek();
-    if (next.kind != sim::EventKind::kDeparture || next.time != ev.time ||
-        trace_.visits(next.a)[next.b].landmark != first.landmark) {
-      handle_departure(first);
-      return;
-    }
-  }
-  std::vector<const trace::Visit*>& batch = batch_scratch_;
-  batch.clear();
-  batch.push_back(&first);
-  while (!batch_source_->exhausted()) {
-    const sim::Event& next = batch_source_->peek();
-    if (next.kind != sim::EventKind::kDeparture || next.time != ev.time) break;
-    const trace::Visit& visit = trace_.visits(next.a)[next.b];
-    if (visit.landmark != first.landmark) break;
-    batch_source_->advance();
-    sim_.absorb_external_event();
-    batch.push_back(&visit);
-  }
-  handle_departure_batch(batch.data(), batch.size());
 }
 
 }  // namespace dtn::net

@@ -58,10 +58,8 @@ struct WorkloadConfig {
   double time_unit = 3.0 * trace::kDay;
   std::uint64_t seed = 7;
 
-  /// >0 runs the invariant auditor every N dispatched events during the
-  /// replay, at the first batch boundary once N events have passed
-  /// (a same-(time, landmark) contact run is dispatched as one batch,
-  /// docs/event-engine.md); see invariant_auditor.hpp.  DTN_AUDIT /
+  /// >0 runs the invariant auditor after every N-th dispatched event of
+  /// the replay; see invariant_auditor.hpp.  DTN_AUDIT /
   /// DTN_AUDIT_PERIOD in the environment also enable it.  0 = disabled
   /// (default).
   std::uint64_t audit_period_events = 0;
@@ -167,9 +165,8 @@ class Network {
   /// newest snapshot when one exists (throwing persist::FormatError if
   /// it is corrupt or was taken under a different configuration),
   /// otherwise starts fresh; writes snapshots at the cadence in
-  /// ckpt.config().  Cadence and stop_after_events fire at the first
-  /// batch boundary at or after their event count, so a snapshot never
-  /// splits a same-(time, landmark) contact run.  Returns true when the
+  /// ckpt.config().  Cadence and stop_after_events fire right after the
+  /// event that reaches their count.  Returns true when the
   /// replay reached the trace horizon, false when it suspended after
   /// CheckpointConfig::stop_after_events (a snapshot of the suspension
   /// point is on disk, so a later process finishes the run — the
@@ -263,16 +260,16 @@ class Network {
   /// Record control-information transfer of `entries` table entries.
   void account_control(double entries);
 
-  /// Audit internal invariants (every active packet in exactly the
-  /// buffer its holder field names; counters consistent).  Aborts via
-  /// DTN_ASSERT on violation; cheap enough for tests after every run.
+  /// Run audit() and, on any violation, print the report and abort via
+  /// DTN_ASSERT; cheap enough for tests after every run.
   void validate_invariants() const;
 
   // -- invariant auditing (debug tooling, see invariant_auditor.hpp) ----
   /// Run every engine-level invariant check into `report` (no abort):
   /// event-queue heap property, station present-set vs present-position
-  /// index consistency, buffer byte accounting, plus the router's own
-  /// audit hook.  The periodic auditor runs exactly these checks.
+  /// index consistency, the packet table against the stores, buffer
+  /// byte accounting, plus the router's own audit hook.  The periodic
+  /// auditor runs these checks and, besides, the checkpoint CRC check.
   void audit(sim::AuditReport& report) const;
 
   /// The periodic auditor driving this run (enabled via
@@ -306,6 +303,8 @@ class Network {
     /// Move the TTL sweep's watermark past the oldest live packet (first
     /// advancing it to that packet; needs one).
     kSweepWatermark,
+    /// Re-point the first live packet's holder field.
+    kPacketHolder,
   };
   /// Seed `kind` by skewing the targeted counter by `delta`; returns
   /// false when no eligible state exists (e.g. no node is present
@@ -323,9 +322,9 @@ class Network {
 
  private:
   /// The serial replay behind run() and run(CheckpointManager&): one
-  /// Simulator::run_until over the trace cursor whose step, at every
-  /// batch boundary, snapshots when `ckpt` is attached and its cadence
-  /// is due, then runs the periodic audit when that is due.  Returns
+  /// Simulator::run_until over the trace cursor whose step, after every
+  /// event, snapshots when `ckpt` is attached and its cadence is due,
+  /// then runs the periodic audit when that is due.  Returns
   /// false when the checkpoint cadence suspended the run.
   bool replay(persist::CheckpointManager* ckpt);
   /// Typed-event dispatch: the simulator hands every engine event
@@ -350,23 +349,6 @@ class Network {
   void advance_sweep_watermark();
   void handle_arrival(const trace::Visit& visit);
   void handle_departure(const trace::Visit& visit);
-
-  // -- batched contact dispatch (docs/event-engine.md) ------------------
-  /// Depart every visit in `visits` (all same (time, landmark),
-  /// consecutive in the merged event order) with the exact per-node
-  /// hook -> erase interleaving of repeated handle_departure calls, but
-  /// only one present_pos_ suffix renumber and one carrier-cache epoch
-  /// advance (Router::on_departure_batch_begin) for the whole batch.
-  void handle_departure_batch(const trace::Visit* const* visits,
-                              std::size_t count);
-  /// Serial-path drains: while the next cursor event continues the
-  /// current same-(time, kind, landmark) run, consume it inside this
-  /// dispatch.  Sound because static and queue events can never
-  /// interleave — at equal times the cursor's seqs sort first
-  /// (Simulator::run_until), so consecutive same-time cursor events are
-  /// adjacent in the merged order.
-  void drain_arrival_batch(double time, LandmarkId l);
-  void dispatch_departure_batched(const sim::Event& ev);
 
   // -- static schedule (docs/event-engine.md) ---------------------------
   /// Every event known before the run, sorted by (time, seq), with seqs
@@ -455,6 +437,11 @@ class Network {
   };
 
   void audit_present_sets(sim::AuditReport& report) const;
+  /// The "network.packet_table" check: every live packet sits in the
+  /// store its state and holder name, every held id points back at its
+  /// store, held equals live, and delivered equals the number of
+  /// delivery delays.
+  void audit_packet_table(sim::AuditReport& report) const;
   void audit_buffer_accounting(sim::AuditReport& report) const;
   /// The "network.bundle_store" check: every store re-derives its pool
   /// accounting, retained cache, dedup set and spill index.
@@ -526,11 +513,6 @@ class Network {
   bool observes_contacts_ = true;
   /// Reused per-arrival scratch list (avoids an allocation per event).
   std::vector<PacketId> scratch_;
-  /// Reused departure-batch visit list.
-  std::vector<const trace::Visit*> batch_scratch_;
-  /// Live trace cursor to drain same-(time, kind, landmark) runs from,
-  /// set for the duration of a serial replay.
-  trace::TraceCursor* batch_source_ = nullptr;
   RunCounters counters_;
 
   /// Every packet below this index is terminal (is_terminal never turns

@@ -50,15 +50,10 @@ class Router {
     (void)net; (void)node; (void)l;
   }
 
-  /// `count` consecutive same-(time, l) departures are about to be
-  /// processed as one batch: on_departure fires for each node exactly
-  /// as in unbatched replay, but a router that maintains a
-  /// presence-derived cache epoch may advance it here by `count` at
-  /// once (keeping serialized epoch values identical to unbatched
-  /// replay) and skip the per-departure bumps.  An overriding router
-  /// must not consult presence-derived caches from on_departure — the
-  /// prepaid epoch marks them fresh while the present set is still
-  /// shrinking.  Default: no-op (per-departure hooks see no change).
+  /// Never called: the engine dispatches every departure on its own.
+  /// It stays only because perfbench/replay_bench.cpp overrides it, and
+  /// that directory is frozen by BENCHMARK.json; delete it with that
+  /// override at the next change to the benchmark.
   virtual void on_departure_batch_begin(Network& net, LandmarkId l,
                                         std::size_t count) {
     (void)net; (void)l; (void)count;

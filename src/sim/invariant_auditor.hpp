@@ -12,13 +12,12 @@
 // periodically during a replay and/or on demand.
 //
 // Gating: auditing is off by default and costs one predicted branch per
-// replay batch.  It is enabled per run
+// replayed event.  It is enabled per run
 // (net::WorkloadConfig::audit_period_events) or globally via the
 // environment:
 //
 //   DTN_AUDIT=1          enable periodic audits (default period below)
-//   DTN_AUDIT_PERIOD=N   audit every N dispatched events (at the first
-//                        batch boundary once N have passed)
+//   DTN_AUDIT_PERIOD=N   audit after every N-th dispatched event
 //
 // On failure the default is to print every violated invariant and
 // abort (the DTN_ASSERT policy: a corrupt simulation must not keep
@@ -96,10 +95,11 @@ class InvariantAuditor {
   [[nodiscard]] const Config& config() const { return cfg_; }
   void set_enabled(bool on) { cfg_.enabled = on; }
 
-  /// Replay-loop hook: call at every batch boundary with the run's
+  /// Replay-loop hook: call after every event with the run's
   /// dispatched-event count.  Cheap when disabled (one branch); runs a
-  /// full audit at the first boundary at least `period_events` events
-  /// after the previous periodic audit.
+  /// full audit at the first call at least `period_events` events after
+  /// the previous periodic audit, so a replay from the start audits
+  /// after events N, 2N, 3N, ... for a period of N.
   void on_boundary(std::uint64_t executed) {
     if (!cfg_.enabled) return;
     if (executed - last_audit_events_ < cfg_.period_events) return;

@@ -8,7 +8,7 @@
 // which holds only the events scheduled while the run goes.  The
 // earliest head executes next; that is what lets a month-scale replay
 // run without pushing its trace or its pre-drawn workload through a
-// heap.  An optional step observer sees every batch boundary and may
+// heap.  An optional step observer runs after every event and may
 // suspend the loop; checkpointing and periodic auditing hang off it.
 #pragma once
 
@@ -81,14 +81,11 @@ class Simulator {
   /// — so an equal-time tie goes to the source, then to the static
   /// schedule, and the heads' times alone decide the merge.
   ///
-  /// `step()` runs after every dispatch().  A dispatch is one batch: the
-  /// dispatcher may consume the same-time successors of the event it
-  /// was handed straight from the source (absorb_external_event), so
-  /// the step sees batch boundaries only — the points where engine
-  /// state is coherent.  Returning false suspends the loop with the
-  /// clock at the last event's time.  Returns true when the loop ran to
-  /// completion (clock set to `end_time`), false when `step` suspended
-  /// it.
+  /// `step()` runs after every dispatch(), and every dispatch is one
+  /// event, so a step sees each executed-event count exactly once.
+  /// Returning false suspends the loop with the clock at the last
+  /// event's time.  Returns true when the loop ran to completion (clock
+  /// set to `end_time`), false when `step` suspended it.
   template <class Source = NoSource, class Step = NoStep>
   bool run_until(double end_time, Source* source = nullptr, Step step = {}) {
     enum class From { kNone, kSource, kStatic, kQueue };
@@ -127,14 +124,6 @@ class Simulator {
   }
 
   [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
-
-  /// Account one event a dispatcher consumed directly from the active
-  /// source (batched contact dispatch drains same-time runs inside one
-  /// dispatch): events_executed() keeps counting events, not batches,
-  /// so checkpoint images and cadences are the same as if every event
-  /// had gone through the loop.  Only legal from inside a dispatch at
-  /// the current time, so the clock needs no update.
-  void absorb_external_event() { ++executed_; }
   [[nodiscard]] std::size_t pending() const { return queue_.size(); }
 
   /// Read access to the underlying queue for invariant audits

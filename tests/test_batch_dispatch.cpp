@@ -1,21 +1,16 @@
-// Batched contact dispatch is state-transparent (src/net/network.hpp):
-// grouping a same-(time, landmark) run of arrivals or departures into
-// one dispatch — present-set index renumbered once, carrier-score
-// epoch advanced once — must leave every observable bit identical to
-// per-event dispatch: counters, per-packet vectors, router
-// diagnostics, the event count and the clock.
-//
-// Batching is the only replay path, so per-event dispatch survives here
-// as pinned results: each scenario's counters digest, diagnostics
-// checksum, event count and final clock were recorded from per-event
-// runs, and the batched replay must reproduce them.
+// Contact dispatch is one event at a time (src/net/network.hpp): every
+// trace arrival and departure is its own dispatch, including each
+// member of a same-(time, landmark) run.  Each scenario below pins the
+// counters digest (per-packet vectors included), the router diagnostics
+// checksum, the event count and the final clock of a per-event replay.
 //
 // Generated traces draw visit times continuously, so exact ties are
 // rare there; the generator runs below pin the common case, and a
 // hand-built tie-heavy trace (whole cohorts sharing identical visit
-// windows) forces real multi-event batches through the drain.  The
-// same trace shows that checkpointed and audited runs — which observe
-// the replay at batch boundaries — batch too, without changing a bit.
+// windows) puts real same-time departure runs through the engine.  The
+// same trace shows that checkpointed and audited runs observe the
+// replay after every event, a suspension may fall inside a same-time
+// run, and neither changes a bit.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -202,11 +197,9 @@ TEST(BatchDispatch, CityReplayMatchesUnbatchedBitForBit) {
 }
 
 // Cohorts of nodes sharing *identical* visit windows: every contact
-// event at a landmark arrives as a same-timestamp run, so the batched
-// path actually takes the multi-event drain (deferred present-set
-// renumber, prepaid epoch) instead of the single-event fast path.
-// Cohort c visits landmark c over [0, 30 min) and landmark c + 1 over
-// [60, 90 min) of every 2 h period, starting at t = 0.
+// event at a landmark arrives as a same-timestamp run.  Cohort c visits
+// landmark c over [0, 30 min) and landmark c + 1 over [60, 90 min) of
+// every 2 h period, starting at t = 0.
 trace::Trace tie_heavy_trace(double days) {
   constexpr std::uint32_t kCohorts = 3;
   constexpr std::uint32_t kPerCohort = 4;
@@ -253,7 +246,7 @@ TEST(BatchDispatch, TieHeavyTraceMatchesUnbatchedBitForBit) {
                 {0xb69acbc1135ff285ull, 0xc8433a4bd9a1a21dull, 3508, 516600.0});
 }
 
-// -- checkpointed and audited runs batch too ------------------------------
+// -- checkpointed and audited runs observe every event --------------------
 
 // Executed-event counts (1-based) of the first and last member of a
 // same-(time, landmark) departure run, derived from the trace and the
@@ -264,6 +257,7 @@ TEST(BatchDispatch, TieHeavyTraceMatchesUnbatchedBitForBit) {
 struct DepartureRun {
   std::uint64_t first = 0;
   std::uint64_t last = 0;
+  double time = 0.0;
 };
 
 std::uint64_t static_events_before(const WorkloadConfig& cfg, double t) {
@@ -297,7 +291,7 @@ DepartureRun first_departure_run_after(const trace::Trace& trace,
     }
     if (len < 2) continue;
     const std::uint64_t before = static_events_before(cfg, head.time);
-    return {consumed + before, consumed + len - 1 + before};
+    return {consumed + before, consumed + len - 1 + before, head.time};
   }
   return {};
 }
@@ -308,7 +302,7 @@ std::uint64_t executed_from_path(const std::string& path) {
   return std::stoull(base.substr(base.find('-') + 1));
 }
 
-TEST(BatchDispatch, CheckpointedRunSnapshotsAtTheEndOfADepartureRun) {
+TEST(BatchDispatch, CheckpointedRunSuspendsAtEveryEventOfADepartureRun) {
   const auto trace = tie_heavy_trace(6.0);
   const WorkloadConfig cfg = tie_workload();
   const RunResult full = run(trace, cfg);
@@ -320,40 +314,43 @@ TEST(BatchDispatch, CheckpointedRunSnapshotsAtTheEndOfADepartureRun) {
   const DepartureRun dep = first_departure_run_after(trace, cfg, 2.5 * kDay);
   ASSERT_GT(dep.last, dep.first);
 
-  persist::CheckpointConfig cc;
-  cc.dir = (std::filesystem::path(::testing::TempDir()) /
-            "dtn_batch_ckpt_mid_run")
-               .string();
-  std::filesystem::remove_all(cc.dir);
-  // After `first` events the run's first departure has dispatched and
-  // the rest are pending: strictly inside the run.
-  cc.stop_after_events = dep.first;
-  {
+  // Below `last`, part of the run is still pending: the snapshot splits
+  // the same-time run, and the resumed process departs the rest.
+  for (std::uint64_t stop = dep.first; stop <= dep.last; ++stop) {
+    SCOPED_TRACE("suspended after event " + std::to_string(stop));
+    persist::CheckpointConfig cc;
+    cc.dir = (std::filesystem::path(::testing::TempDir()) /
+              "dtn_batch_ckpt_mid_run")
+                 .string();
+    std::filesystem::remove_all(cc.dir);
+    cc.stop_after_events = stop;
+    {
+      persist::CheckpointManager mgr(cc);
+      core::DtnFlowRouter router(router_config());
+      Network net(trace, router, cfg);
+      ASSERT_FALSE(net.run(mgr));
+      EXPECT_EQ(net.events_executed(), stop);
+      EXPECT_EQ(net.now(), dep.time);
+      const auto files = mgr.list();
+      ASSERT_EQ(files.size(), 1u);
+      EXPECT_EQ(executed_from_path(files.front()), stop);
+    }
+    cc.stop_after_events = 0;
     persist::CheckpointManager mgr(cc);
     core::DtnFlowRouter router(router_config());
     Network net(trace, router, cfg);
-    ASSERT_FALSE(net.run(mgr));
-    // The suspension waits for the batch boundary: the run's end.
-    EXPECT_EQ(net.events_executed(), dep.last);
-    const auto files = mgr.list();
-    ASSERT_EQ(files.size(), 1u);
-    EXPECT_EQ(executed_from_path(files.front()), dep.last);
+    ASSERT_TRUE(net.run(mgr));
+    net.validate_invariants();
+    expect_equal(full, result_of(net, router));
   }
-  cc.stop_after_events = 0;
-  persist::CheckpointManager mgr(cc);
-  core::DtnFlowRouter router(router_config());
-  Network net(trace, router, cfg);
-  ASSERT_TRUE(net.run(mgr));
-  net.validate_invariants();
-  expect_equal(full, result_of(net, router));
 }
 
-TEST(BatchDispatch, AuditedRunBatchesAndMatchesUnauditedRun) {
+TEST(BatchDispatch, AuditedRunAuditsEveryEventAndMatchesUnauditedRun) {
   const auto trace = tie_heavy_trace(6.0);
   const RunResult plain = run(trace, tie_workload());
 
   WorkloadConfig cfg = tie_workload();
-  cfg.audit_period_events = 1;  // audit at every batch boundary
+  cfg.audit_period_events = 1;  // audit after every event
   core::DtnFlowRouter router(router_config());
   Network net(trace, router, cfg);
   net.run();  // aborts on the first failed periodic audit
@@ -361,10 +358,8 @@ TEST(BatchDispatch, AuditedRunBatchesAndMatchesUnauditedRun) {
   sim::AuditReport report;
   net.audit(report);
   EXPECT_TRUE(report.ok()) << report.to_string();
-  EXPECT_GT(net.auditor().audits_run(), 0u);
-  // One audit per batch boundary plus the final one: multi-event
-  // batches leave fewer boundaries than events.
-  EXPECT_LT(net.auditor().audits_run(), net.events_executed());
+  // One audit per event, same-time runs included, plus the final one.
+  EXPECT_EQ(net.auditor().audits_run(), net.events_executed() + 1);
   expect_equal(plain, result_of(net, router));
 }
 

@@ -430,8 +430,8 @@ WorkloadConfig city_workload() {
 }
 
 TEST(CheckpointResume, CityRunIsBitIdenticalAcrossSuspensions) {
-  // The city tier: buses and dense same-time contact runs, so
-  // suspensions land between batches of a much busier replay.
+  // The city tier: buses and crowded landmarks, so suspensions land
+  // in a much busier replay.
   const auto trace = small_city_trace();
   const auto cfg = city_workload();
   const RunOutcome full = run_uninterrupted(trace, cfg);

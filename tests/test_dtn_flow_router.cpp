@@ -443,10 +443,6 @@ class ArrivalProbe final : public net::Router {
                     net::LandmarkId l) override {
     inner_.on_departure(net, node, l);
   }
-  void on_departure_batch_begin(Network& net, net::LandmarkId l,
-                                std::size_t count) override {
-    inner_.on_departure_batch_begin(net, l, count);
-  }
   void on_packet_generated(Network& net, net::PacketId pid) override {
     inner_.on_packet_generated(net, pid);
   }

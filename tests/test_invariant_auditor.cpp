@@ -69,8 +69,9 @@ TEST(InvariantAuditor, PeriodGatesOnEvent) {
 }
 
 TEST(InvariantAuditor, PeriodFiresAtFirstBoundaryPastIt) {
-  // Replay batches make boundaries skip event counts: an audit fires at
-  // the first boundary at least one period after the previous audit.
+  // A caller may skip event counts (a resumed replay's first call comes
+  // at its restored count): an audit fires at the first call at least
+  // one period after the previous audit.
   InvariantAuditor auditor({/*enabled=*/true, /*period_events=*/10,
                             /*abort_on_failure=*/false});
   std::vector<std::uint64_t> audited_at;
@@ -232,7 +233,8 @@ TEST(NetworkAudit, HealthyRunPassesAllChecks) {
   DtnFlowRouter router;
   Network net(trace, router, chain_workload());
   net.run();
-  EXPECT_EQ(net.auditor().checks_registered(), 8u);
+  // audit() and the checkpoint CRC check, which a resume leaves out.
+  EXPECT_EQ(net.auditor().checks_registered(), 2u);
   AuditReport report;
   net.audit(report);
   EXPECT_TRUE(report.ok()) << report.to_string();
@@ -251,8 +253,8 @@ TEST(NetworkAudit, DetectsBufferByteCorruption) {
 }
 
 // Present-set corruption is only observable while nodes are present,
-// and a misplaced sweep watermark only while packets are live, so both
-// are seeded mid-run: this router corrupts inside the first arrival
+// and a misplaced sweep watermark or packet holder only while packets
+// are live, so all three are seeded mid-run: this router corrupts inside the first arrival
 // callback that finds eligible state, audits, then reverts so the rest
 // of the replay (and its swap-remove departures) stays sound.
 class MidRunCorruptingRouter : public net::Router {
@@ -302,6 +304,12 @@ TEST(NetworkAudit, DetectsSweepWatermarkCorruptionMidRun) {
   // A live packet below the watermark is one no TTL sweep would expire.
   expect_mid_run_corruption_detected(Network::Corruption::kSweepWatermark,
                                      "sweep watermark");
+}
+
+TEST(NetworkAudit, DetectsPacketHolderCorruptionMidRun) {
+  // A live packet whose holder names a store that does not hold it.
+  expect_mid_run_corruption_detected(Network::Corruption::kPacketHolder,
+                                     "network.packet_table");
 }
 
 // -- periodic auditing during a replay ----------------------------------
@@ -385,7 +393,7 @@ trace::Trace overlapping_trace(double days) {
 // The desync must therefore be seeded from *inside* one of those hooks,
 // right after the inner dispatch ran.  DtnFlowRouter is final; this
 // shim forwards every replay hook to an inner instance and corrupts +
-// audits mid-hook.  Those hooks run between departure batches, so the
+// audits mid-hook.  Those hooks never run inside a departure, so the
 // mid-hook audit never sees a half-done present-set renumber.
 class CacheCorruptingShim : public net::Router {
  public:
@@ -404,10 +412,6 @@ class CacheCorruptingShim : public net::Router {
   void on_departure(Network& net, net::NodeId node,
                     net::LandmarkId l) override {
     inner_.on_departure(net, node, l);
-  }
-  void on_departure_batch_begin(Network& net, net::LandmarkId l,
-                                std::size_t count) override {
-    inner_.on_departure_batch_begin(net, l, count);
   }
   void on_contact(Network& net, net::NodeId arriving, net::NodeId present,
                   net::LandmarkId l) override {

@@ -178,10 +178,6 @@ class ContactObservingShim final : public net::Router {
                     net::LandmarkId l) override {
     inner_.on_departure(net, node, l);
   }
-  void on_departure_batch_begin(net::Network& net, net::LandmarkId l,
-                                std::size_t count) override {
-    inner_.on_departure_batch_begin(net, l, count);
-  }
   void on_contact(net::Network& net, net::NodeId arriving,
                   net::NodeId present, net::LandmarkId l) override {
     inner_.on_contact(net, arriving, present, l);
