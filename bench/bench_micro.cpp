@@ -259,17 +259,18 @@ BENCHMARK(BM_EventQueueScheduleRun);
 
 void BM_TraceCursorReplay(benchmark::State& state) {
   // Pure drain throughput of the presorted trace cursor (no network on
-  // top); the cursor is built once, outside the timed loop.
+  // top); each iteration's cursor is built outside the timed region.
   dtn::trace::CampusTraceConfig cfg;
   cfg.num_nodes = 64;
   cfg.num_landmarks = 16;
   cfg.days = 16.0;
   cfg.seed = 21;
   const auto trace = dtn::trace::generate_campus_trace(cfg);
-  dtn::trace::TraceCursor cursor(trace);
   std::uint64_t events = 0;
   for (auto _ : state) {
-    cursor.reset();
+    state.PauseTiming();
+    dtn::trace::TraceCursor cursor(trace);
+    state.ResumeTiming();
     double t = 0.0;
     while (!cursor.exhausted()) {
       t = cursor.peek().time;

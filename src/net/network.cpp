@@ -25,10 +25,19 @@ constexpr std::size_t kStationPathReserve = 8;
 
 Network::Network(const trace::Trace& trace, Router& router,
                  WorkloadConfig config)
-    : trace_(trace), router_(router), cfg_(config) {
-  DTN_ASSERT(trace.finalized());
+    : trace_(trace), router_(router), cfg_(config), cursor_(trace) {
   DTN_ASSERT(cfg_.warmup_fraction >= 0.0 && cfg_.warmup_fraction < 1.0);
   DTN_ASSERT(cfg_.time_unit > 0.0);
+  trace_begin_ = trace.begin_time();
+  trace_end_ = trace.end_time();
+  workload_start_ =
+      trace_begin_ + cfg_.warmup_fraction * (trace_end_ - trace_begin_);
+  // The cursor owns the sequence range [0, total_events()), so same-time
+  // ties order exactly as the retired eager enumeration did; the static
+  // schedule takes the range above it.  Both are pure functions of the
+  // run's inputs, so a resume rebuilds them too.  Built right after the
+  // cursor, the schedule can take the cursor's freed sort buffers.
+  sim_.set_static_schedule(build_static_schedule(cursor_.total_events()));
   // Periodic invariant auditing: the per-run config can enable it; the
   // DTN_AUDIT environment flag (already folded into the default-constructed
   // auditor) enables it for whole test/CI runs without touching code.
@@ -53,12 +62,12 @@ Network::Network(const trace::Trace& trace, Router& router,
     faults_.emplace(*cfg_.faults, trace.num_nodes(), trace.num_landmarks());
   }
   outage_recovery_pending_.assign(trace.num_landmarks(), -1.0);
-  nodes_.resize(trace.num_nodes());
-  for (NodeState& n : nodes_) {
-    n.buffer.configure(cfg_.node_memory_kb, cfg_.store.policy,
-                       cfg_.store.dedup, /*spill_path=*/{});
+  node_stores_.resize(trace.num_nodes());
+  for (BundleStore& store : node_stores_) {
+    store.configure(cfg_.node_memory_kb, cfg_.store.policy, cfg_.store.dedup,
+                    /*spill_path=*/{});
   }
-  present_pos_.resize(trace.num_nodes(), 0);
+  location_.assign(trace.num_nodes(), kNoLandmark);
   stations_.resize(trace.num_landmarks());
   for (LandmarkId l = 0; l < stations_.size(); ++l) {
     // Spill only applies to bounded stations; BundleStore::configure
@@ -72,10 +81,6 @@ Network::Network(const trace::Trace& trace, Router& router,
                                    cfg_.store.policy, cfg_.store.dedup,
                                    std::move(spill_path));
   }
-  trace_begin_ = trace.begin_time();
-  trace_end_ = trace.end_time();
-  workload_start_ =
-      trace_begin_ + cfg_.warmup_fraction * (trace_end_ - trace_begin_);
 }
 
 std::vector<sim::Event> Network::build_static_schedule(
@@ -243,15 +248,9 @@ bool Network::replay(persist::CheckpointManager* ckpt) {
 
   // Trace replay: arrivals and departures stream out of the cursor's
   // presorted array instead of being pre-scheduled one closure per
-  // visit.  The cursor owns the sequence range [0, total_events()), so
-  // same-time ties order exactly as the retired eager enumeration did.
-  // The static schedule takes the range above it; both are pure
-  // functions of the run's inputs, so a resume rebuilds them too.
-  trace::TraceCursor cursor(trace_);
-  sim_.set_static_schedule(build_static_schedule(cursor.total_events()));
+  // visit.
   sim_.set_dispatcher(&Network::dispatch_trampoline, this);
   ckpt_mgr_ = ckpt;
-  if (ckpt != nullptr) ckpt_cursor_ = &cursor;
   observes_contacts_ = router_.observes_contacts();
 
   if (ckpt != nullptr && ckpt->has_checkpoint()) {
@@ -259,11 +258,11 @@ bool Network::replay(persist::CheckpointManager* ckpt) {
     // seq floor (the restored queue already carries its next_seq), no
     // fault scheduling (its draws already advanced the injector's
     // streams), no on_init (checkpoint_load performs it).
-    load_checkpoint(ckpt->read_latest(), cursor);
+    load_checkpoint(ckpt->read_latest());
   } else {
     router_.on_init(*this);
     const std::size_t static_events = sim_.static_schedule().size();
-    sim_.set_seq_floor(cursor.total_events() + static_events);
+    sim_.set_seq_floor(cursor_.total_events() + static_events);
     // The serial packet table grows by one row per generation event
     // (a static event); without the upfront reservation every
     // reallocation copies the whole table, station_path vectors
@@ -279,7 +278,7 @@ bool Network::replay(persist::CheckpointManager* ckpt) {
   ckpt_last_time_ = sim_.now();
 
   const bool completed =
-      sim_.run_until(trace_end_, &cursor, [this, ckpt] {
+      sim_.run_until(trace_end_, &cursor_, [this, ckpt] {
         if (ckpt != nullptr && !checkpoint_step()) return false;
         auditor_.on_boundary(sim_.events_executed());
         return true;
@@ -293,14 +292,13 @@ bool Network::replay(persist::CheckpointManager* ckpt) {
   }
   // A suspended run's snapshot of this exact point is already on disk
   // (checkpoint_step wrote it before stopping).
-  ckpt_cursor_ = nullptr;
   return completed;
 }
 
 // -- checkpointing (src/persist/, docs/checkpointing.md) ----------------
 
 template <class Ar>
-void Network::fields(Ar& ar, trace::TraceCursor& cursor) {
+void Network::fields(Ar& ar) {
   constexpr bool loading = Ar::loading;
   const std::size_t landmarks = stations_.size();
   const auto all_below = [](const auto& ids, std::size_t n) {
@@ -380,8 +378,15 @@ void Network::fields(Ar& ar, trace::TraceCursor& cursor) {
   if constexpr (loading) check_pending_events();
 
   ar.begin_section("cursor");
-  ar.object(cursor);
+  ar.object(cursor_);
   ar.end_section();
+  if constexpr (loading) {
+    Presence presence = rebuild_presence();
+    location_ = std::move(presence.location);
+    for (std::size_t l = 0; l < landmarks; ++l) {
+      stations_[l].present = std::move(presence.present[l]);
+    }
+  }
 
   // The static schedule is rebuilt from the inputs `meta` pins, not
   // stored; its digest refuses an image whose schedule a different
@@ -429,7 +434,8 @@ void Network::fields(Ar& ar, trace::TraceCursor& cursor) {
     ar.check(p.id == next_id++, "packet table row is out of order");
     ar.index("packet source", p.src, landmarks);
     ar.index("packet destination", p.dst, landmarks);
-    ar.index_or_none("packet destination node", p.dst_node, nodes_.size());
+    ar.index_or_none("packet destination node", p.dst_node,
+                     node_stores_.size());
     ar.value("packet created", p.created);
     ar.value("packet ttl", p.ttl);
     ar.value("packet size", p.size_kb);
@@ -442,8 +448,9 @@ void Network::fields(Ar& ar, trace::TraceCursor& cursor) {
              static_cast<std::size_t>(PacketState::kEvicted) + 1);
     ar.value("packet holder", p.holder);
     ar.check(is_terminal(p.state) ||
-                 p.holder < (p.state == PacketState::kOnNode ? nodes_.size()
-                                                             : landmarks),
+                 p.holder < (p.state == PacketState::kOnNode
+                                 ? node_stores_.size()
+                                 : landmarks),
              "packet holder out of range");
     ar.index_or_none("packet next hop", p.next_hop, landmarks);
     ar.value("packet expected delay", p.expected_delay);
@@ -463,19 +470,11 @@ void Network::fields(Ar& ar, trace::TraceCursor& cursor) {
   ar.end_section();
 
   ar.begin_section("nodes");
-  ar.expect("node count", nodes_.size());
-  for (NodeState& n : nodes_) {
-    ar.object(n.buffer);
-    ar.check(all_below(n.buffer.packets(), packets_.size()),
+  ar.expect("node count", node_stores_.size());
+  for (BundleStore& store : node_stores_) {
+    ar.object(store);
+    ar.check(all_below(store.packets(), packets_.size()),
              "node buffer packet out of range");
-    ar.index_or_none("node location", n.location, landmarks);
-    ar.index_or_none("node previous landmark", n.previous, landmarks);
-    ar.seq("node history", n.history, [&](trace::Visit& v) {
-      ar.index("visit node", v.node, nodes_.size());
-      ar.index("visit landmark", v.landmark, landmarks);
-      ar.value("visit start", v.start);
-      ar.value("visit end", v.end);
-    });
   }
   ar.end_section();
 
@@ -489,11 +488,7 @@ void Network::fields(Ar& ar, trace::TraceCursor& cursor) {
     ar.vec("station origin queue", st.origin);
     ar.check(all_below(st.origin, packets_.size()),
              "station origin queue packet out of range");
-    ar.vec("station present nodes", st.present);
-    ar.check(all_below(st.present, nodes_.size()),
-             "station present node out of range");
   }
-  ar.fixed("present positions", present_pos_);
   ar.end_section();
 
   ar.begin_section("ledger");
@@ -525,9 +520,8 @@ void Network::fields(Ar& ar, trace::TraceCursor& cursor) {
 }
 
 persist::Writer Network::serialize_state() const {
-  DTN_ASSERT(ckpt_cursor_ != nullptr);
   persist::Writer w;
-  const_cast<Network*>(this)->fields(w, *ckpt_cursor_);
+  const_cast<Network*>(this)->fields(w);
   return w;
 }
 
@@ -554,10 +548,9 @@ bool Network::checkpoint_step() {
   return !suspend;
 }
 
-void Network::load_checkpoint(const std::vector<std::uint8_t>& bytes,
-                              trace::TraceCursor& cursor) {
+void Network::load_checkpoint(const std::vector<std::uint8_t>& bytes) {
   persist::Reader r(bytes);
-  fields(r, cursor);
+  fields(r);
   r.finish();
 
   // Restored-state verification: before a single event is dispatched, a
@@ -592,7 +585,7 @@ void Network::check_pending_events() const {
     switch (ev.kind) {
       case sim::EventKind::kNodeCrash:
       case sim::EventKind::kNodeReboot:
-        ok = plan != nullptr && ev.a < nodes_.size() &&
+        ok = plan != nullptr && ev.a < node_stores_.size() &&
              (ev.b == 0 ? plan->node_crash_rate_per_day > 0.0
                         : ev.b <= plan->node_crashes.size() &&
                               plan->node_crashes[ev.b - 1].node == ev.a);
@@ -620,7 +613,7 @@ void Network::audit_checkpoint_crc(sim::AuditReport& report) const {
   // Only decidable when the most recent snapshot captured exactly this
   // simulation point; in between, live state legitimately diverges from
   // the file.
-  if (ckpt_cursor_ == nullptr || last_ckpt_sections_.empty() ||
+  if (last_ckpt_sections_.empty() ||
       last_ckpt_executed_ != sim_.events_executed()) {
     return;
   }
@@ -705,7 +698,7 @@ void Network::schedule_faults() {
   // (in id order, part of the deterministic-replay contract); each
   // reboot/recovery draws the next one.
   if (plan.node_crash_rate_per_day > 0.0) {
-    for (std::uint32_t n = 0; n < nodes_.size(); ++n) {
+    for (std::uint32_t n = 0; n < node_stores_.size(); ++n) {
       const double t = trace_begin_ + faults_->draw_crash_gap();
       if (t > trace_end_) continue;
       sim::Event ev;
@@ -728,7 +721,7 @@ void Network::schedule_faults() {
 
 void Network::apply_node_crash(const sim::Event& ev) {
   const NodeId node = ev.a;
-  DTN_ASSERT(node < nodes_.size());
+  DTN_ASSERT(node < node_stores_.size());
   // Scheduled crashes carry their downtime in the plan; stochastic ones
   // draw it now (dispatch order is deterministic, so so is the draw).
   const double downtime = ev.b != 0
@@ -736,15 +729,15 @@ void Network::apply_node_crash(const sim::Event& ev) {
                               : faults_->draw_downtime();
   ++counters_.node_crashes;
   // Buffer loss: every buffered packet independently survives or dies.
-  NodeState& ns = nodes_[node];
+  BundleStore& store = node_stores_[node];
   std::vector<PacketId>& doomed = scratch_;
   doomed.clear();
-  for (const PacketId pid : ns.buffer.packets()) {
+  for (const PacketId pid : store.packets()) {
     if (faults_->draw_crash_packet_loss()) doomed.push_back(pid);
   }
   for (const PacketId pid : doomed) {
     Packet& p = packets_[pid];
-    ns.buffer.remove(pid, p.size_kb);
+    store.remove(pid, p.size_kb);
     ledger_erase(pid);
     if (logical_delivered_[p.logical] != 0) {
       p.state = PacketState::kObsoleteCopy;
@@ -886,18 +879,22 @@ std::span<const NodeId> Network::nodes_at(LandmarkId l) const {
 }
 
 LandmarkId Network::location(NodeId node) const {
-  DTN_ASSERT(node < nodes_.size());
-  return nodes_[node].location;
+  DTN_ASSERT(node < location_.size());
+  return location_[node];
 }
 
 LandmarkId Network::previous_landmark(NodeId node) const {
-  DTN_ASSERT(node < nodes_.size());
-  return nodes_[node].previous;
+  const auto visits = history(node);
+  return visits.empty() ? kNoLandmark : visits.back().landmark;
 }
 
 std::span<const trace::Visit> Network::history(NodeId node) const {
-  DTN_ASSERT(node < nodes_.size());
-  return nodes_[node].history;
+  // The cursor counts two events per completed visit, plus the arrival
+  // of the current one; it counts a departure before its hook runs,
+  // while the node still has a location, so that visit is not yet
+  // complete.
+  const std::uint32_t located = location(node) != kNoLandmark ? 1 : 0;
+  return trace_.visits(node).first((cursor_.replayed(node) - located) / 2);
 }
 
 Packet& Network::packet(PacketId pid) {
@@ -921,13 +918,12 @@ std::span<const PacketId> Network::station_packets(LandmarkId l) const {
 }
 
 std::span<const PacketId> Network::node_packets(NodeId node) const {
-  DTN_ASSERT(node < nodes_.size());
-  return nodes_[node].buffer.packets();
+  return node_buffer(node).packets();
 }
 
 const BundleStore& Network::node_buffer(NodeId node) const {
-  DTN_ASSERT(node < nodes_.size());
-  return nodes_[node].buffer;
+  DTN_ASSERT(node < node_stores_.size());
+  return node_stores_[node];
 }
 
 const BundleStore& Network::station_store(LandmarkId l) const {
@@ -998,7 +994,7 @@ void Network::set_holder_retention(Packet& p, Retention r) {
       stations_[p.holder].storage.set_retention_if_held(p.id, r);
       break;
     case PacketState::kOnNode:
-      nodes_[p.holder].buffer.set_retention_if_held(p.id, r);
+      node_stores_[p.holder].set_retention_if_held(p.id, r);
       break;
     default:
       break;  // origin-queue and terminal packets carry no store entry
@@ -1018,7 +1014,7 @@ void Network::detach_from_holder(Packet& p) {
       station_remove(p.holder, p.id, p.size_kb);
       break;
     case PacketState::kOnNode:
-      nodes_[p.holder].buffer.remove(p.id, p.size_kb);
+      node_stores_[p.holder].remove(p.id, p.size_kb);
       break;
     default:
       DTN_ASSERT(false);
@@ -1043,7 +1039,7 @@ bool Network::drop_if_expired(PacketId pid) {
 bool Network::pickup_from_origin(NodeId node, PacketId pid) {
   Packet& p = packet(pid);
   DTN_ASSERT(p.state == PacketState::kAtOrigin);
-  DTN_ASSERT(nodes_[node].location == p.holder);
+  DTN_ASSERT(location_[node] == p.holder);
   if (drop_if_expired(pid)) return false;
   if (suppress_delivered_copy(p)) return false;
   if (node_down(node)) {
@@ -1062,7 +1058,7 @@ bool Network::pickup_from_origin(NodeId node, PacketId pid) {
   auto& origin = stations_[p.holder].origin;
   // First pickup of source data: no dedup check (a carrier must be
   // able to take a fresh original even if it relayed a copy before).
-  if (store_admit(nodes_[node].buffer, p, Retention::kNone,
+  if (store_admit(node_stores_[node], p, Retention::kNone,
                   /*allow_spill=*/false,
                   /*check_dedup=*/false) != Admit::kStored) {
     ++counters_.refused_buffer;
@@ -1082,7 +1078,7 @@ bool Network::station_to_node(LandmarkId l, NodeId node, PacketId pid) {
   Packet& p = packet(pid);
   DTN_ASSERT(p.state == PacketState::kAtStation);
   DTN_ASSERT(p.holder == l);
-  DTN_ASSERT(nodes_[node].location == l);
+  DTN_ASSERT(location_[node] == l);
   if (drop_if_expired(pid)) return false;
   if (suppress_delivered_copy(p)) return false;
   if (station_down(l) || node_down(node)) {
@@ -1100,7 +1096,7 @@ bool Network::station_to_node(LandmarkId l, NodeId node, PacketId pid) {
   }
   // Station dispatch onto a carrier: no dedup check — refusing the
   // single-copy backbone's forward path would strand packets.
-  if (store_admit(nodes_[node].buffer, p, Retention::kNone,
+  if (store_admit(node_stores_[node], p, Retention::kNone,
                   /*allow_spill=*/false,
                   /*check_dedup=*/false) != Admit::kStored) {
     ++counters_.refused_buffer;
@@ -1119,7 +1115,7 @@ bool Network::node_to_station(NodeId node, PacketId pid) {
   Packet& p = packet(pid);
   DTN_ASSERT(p.state == PacketState::kOnNode);
   DTN_ASSERT(p.holder == node);
-  const LandmarkId l = nodes_[node].location;
+  const LandmarkId l = location_[node];
   DTN_ASSERT(l != kNoLandmark);
   if (drop_if_expired(pid)) return false;
   if (suppress_delivered_copy(p)) return false;
@@ -1130,9 +1126,9 @@ bool Network::node_to_station(NodeId node, PacketId pid) {
   if (transfer_interrupted(pid)) return false;
   const bool delivers =
       (p.dst == l && p.dst_node == trace::kNoNode) ||
-      (p.dst_node != trace::kNoNode && nodes_[p.dst_node].location == l);
+      (p.dst_node != trace::kNoNode && location_[p.dst_node] == l);
   if (delivers) {
-    nodes_[node].buffer.remove(pid, p.size_kb);
+    node_stores_[node].remove(pid, p.size_kb);
     ++p.hops;
     ++counters_.packet_forwards;
     deliver(pid);
@@ -1149,7 +1145,7 @@ bool Network::node_to_station(NodeId node, PacketId pid) {
     ++counters_.refused_buffer;
     return false;
   }
-  nodes_[node].buffer.remove(pid, p.size_kb);
+  node_stores_[node].remove(pid, p.size_kb);
   ++p.hops;
   ++counters_.packet_forwards;
   p.state = PacketState::kAtStation;
@@ -1164,8 +1160,8 @@ bool Network::node_to_node(NodeId from, NodeId to, PacketId pid) {
   DTN_ASSERT(p.state == PacketState::kOnNode);
   DTN_ASSERT(p.holder == from);
   DTN_ASSERT(from != to);
-  DTN_ASSERT(nodes_[from].location != kNoLandmark);
-  DTN_ASSERT(nodes_[from].location == nodes_[to].location);
+  DTN_ASSERT(location_[from] != kNoLandmark);
+  DTN_ASSERT(location_[from] == location_[to]);
   if (drop_if_expired(pid)) return false;
   if (suppress_delivered_copy(p)) return false;
   if (node_down(from) || node_down(to)) {
@@ -1183,13 +1179,13 @@ bool Network::node_to_node(NodeId from, NodeId to, PacketId pid) {
   // Node-to-node relaying is where copies multiply, so the dedup set
   // applies here: a receiver that already saw this logical refuses it.
   const Admit verdict =
-      store_admit(nodes_[to].buffer, p, Retention::kNone,
+      store_admit(node_stores_[to], p, Retention::kNone,
                   /*allow_spill=*/false, /*check_dedup=*/true);
   if (verdict != Admit::kStored) {
     if (verdict == Admit::kRefusedCapacity) ++counters_.refused_buffer;
     return false;
   }
-  nodes_[from].buffer.remove(pid, p.size_kb);
+  node_stores_[from].remove(pid, p.size_kb);
   p.holder = to;
   ++p.hops;
   ++counters_.packet_forwards;
@@ -1202,8 +1198,8 @@ PacketId Network::replicate_node_to_node(NodeId from, NodeId to,
   DTN_ASSERT(src.state == PacketState::kOnNode);
   DTN_ASSERT(src.holder == from);
   DTN_ASSERT(from != to);
-  DTN_ASSERT(nodes_[from].location != kNoLandmark);
-  DTN_ASSERT(nodes_[from].location == nodes_[to].location);
+  DTN_ASSERT(location_[from] != kNoLandmark);
+  DTN_ASSERT(location_[from] == location_[to]);
   // An already-delivered logical is not just skipped: the offered copy
   // itself retires (duplicate-delivery suppression).
   if (suppress_delivered_copy(src)) return kNoPacket;
@@ -1219,7 +1215,7 @@ PacketId Network::replicate_node_to_node(NodeId from, NodeId to,
   copy.holder = to;
   ++copy.hops;
   const Admit verdict =
-      store_admit(nodes_[to].buffer, copy, Retention::kNone,
+      store_admit(node_stores_[to], copy, Retention::kNone,
                   /*allow_spill=*/false, /*check_dedup=*/true);
   if (verdict != Admit::kStored) {
     if (verdict == Admit::kRefusedCapacity) ++counters_.refused_buffer;
@@ -1233,8 +1229,7 @@ PacketId Network::replicate_node_to_node(NodeId from, NodeId to,
 }
 
 bool Network::node_holds_logical(NodeId node, PacketId logical) const {
-  DTN_ASSERT(node < nodes_.size());
-  for (const PacketId pid : nodes_[node].buffer.packets()) {
+  for (const PacketId pid : node_buffer(node).packets()) {
     if (packets_[pid].logical == logical) return true;
   }
   return false;
@@ -1378,44 +1373,45 @@ void Network::audit_fault_state(sim::AuditReport& report) const {
   }
 }
 
+Network::Presence Network::rebuild_presence() const {
+  Presence out;
+  out.location.assign(node_stores_.size(), kNoLandmark);
+  out.present.resize(stations_.size());
+  for (NodeId n = 0; n < node_stores_.size(); ++n) {
+    const std::uint32_t pos = cursor_.replayed(n);
+    if (pos % 2 == 0) continue;  // in transit
+    const trace::Visit& v = trace_.visits(n)[pos / 2];
+    out.location[n] = v.landmark;
+    out.present[v.landmark].push_back(n);
+  }
+  // Nodes were listed by id, so a stable sort by start yields (start,
+  // node id): the arrival order, since same-time arrivals replay in
+  // node order.
+  const auto start = [this](NodeId n) {
+    return trace_.visits(n)[cursor_.replayed(n) / 2].start;
+  };
+  for (std::vector<NodeId>& present : out.present) {
+    std::stable_sort(
+        present.begin(), present.end(),
+        [&start](NodeId x, NodeId y) { return start(x) < start(y); });
+  }
+  return out;
+}
+
 void Network::audit_present_sets(sim::AuditReport& report) const {
-  // Direction 1: every present-list entry names a node whose location
-  // and indexed position agree with its slot.
-  std::vector<std::uint8_t> listed(nodes_.size(), 0);
+  const Presence expected = rebuild_presence();
   for (std::size_t l = 0; l < stations_.size(); ++l) {
-    const auto& present = stations_[l].present;
-    for (std::size_t i = 0; i < present.size(); ++i) {
-      const NodeId n = present[i];
-      if (n >= nodes_.size()) {
-        report.fail("station " + std::to_string(l) +
-                    " lists an out-of-range node");
-        continue;
-      }
-      if (listed[n] != 0) {
-        report.fail("node " + std::to_string(n) +
-                    " appears in more than one present slot");
-      }
-      listed[n] = 1;
-      if (nodes_[n].location != static_cast<LandmarkId>(l)) {
-        report.fail("node " + std::to_string(n) + " listed present at " +
-                    std::to_string(l) + " but located at " +
-                    std::to_string(nodes_[n].location));
-      }
-      if (present_pos_[n] != i) {
-        report.fail("node " + std::to_string(n) + " at present slot " +
-                    std::to_string(i) + " of station " + std::to_string(l) +
-                    " but present_pos_ says " +
-                    std::to_string(present_pos_[n]));
-      }
+    if (stations_[l].present != expected.present[l]) {
+      report.fail("station " + std::to_string(l) +
+                  " present list differs from the arrivals the trace "
+                  "cursor has replayed");
     }
   }
-  // Direction 2: every node that claims a location is listed there.
-  for (std::size_t n = 0; n < nodes_.size(); ++n) {
-    if (nodes_[n].location == kNoLandmark) continue;
-    if (listed[n] == 0) {
+  for (std::size_t n = 0; n < location_.size(); ++n) {
+    if (location_[n] != expected.location[n]) {
       report.fail("node " + std::to_string(n) + " located at " +
-                  std::to_string(nodes_[n].location) +
-                  " but missing from that station's present list");
+                  std::to_string(location_[n]) + " but the trace cursor " +
+                  "places it at " + std::to_string(expected.location[n]));
     }
   }
 }
@@ -1441,8 +1437,8 @@ void Network::audit_packet_table(sim::AuditReport& report) const {
       ++held_count;
     }
   };
-  for (std::size_t n = 0; n < nodes_.size(); ++n) {
-    note(nodes_[n].buffer.packets(), PacketState::kOnNode, n, "node");
+  for (std::size_t n = 0; n < node_stores_.size(); ++n) {
+    note(node_stores_[n].packets(), PacketState::kOnNode, n, "node");
   }
   for (std::size_t l = 0; l < stations_.size(); ++l) {
     const StationState& st = stations_[l];
@@ -1528,8 +1524,8 @@ void Network::audit_buffer_accounting(sim::AuditReport& report) const {
                   std::to_string(spilled_bytes) + " kB");
     }
   };
-  for (std::size_t n = 0; n < nodes_.size(); ++n) {
-    audit_one(nodes_[n].buffer, "node " + std::to_string(n) + " buffer");
+  for (std::size_t n = 0; n < node_stores_.size(); ++n) {
+    audit_one(node_stores_[n], "node " + std::to_string(n) + " buffer");
   }
   for (std::size_t l = 0; l < stations_.size(); ++l) {
     audit_one(stations_[l].storage,
@@ -1570,12 +1566,12 @@ void Network::audit_bundle_stores(sim::AuditReport& report) const {
       }
     }
   };
-  for (std::size_t n = 0; n < nodes_.size(); ++n) {
+  for (std::size_t n = 0; n < node_stores_.size(); ++n) {
     const std::string what = "node " + std::to_string(n);
-    nodes_[n].buffer.audit(report, what);
-    check_retention(nodes_[n].buffer, false, static_cast<std::uint32_t>(n),
+    node_stores_[n].audit(report, what);
+    check_retention(node_stores_[n], false, static_cast<std::uint32_t>(n),
                     what);
-    if (nodes_[n].buffer.spilled_count() != 0) {
+    if (node_stores_[n].spilled_count() != 0) {
       report.fail(what + ": node stores never spill");
     }
   }
@@ -1591,37 +1587,26 @@ void Network::debug_restore_for_test(const std::vector<std::uint8_t>& image,
                                      persist::Writer* out) {
   DTN_ASSERT(!ran_);
   ran_ = true;
-  trace::TraceCursor cursor(trace_);
-  sim_.set_static_schedule(build_static_schedule(cursor.total_events()));
-  ckpt_cursor_ = &cursor;
-  try {
-    load_checkpoint(image, cursor);
-    if (out != nullptr) fields(*out, cursor);
-  } catch (...) {
-    ckpt_cursor_ = nullptr;  // never left aiming at the local cursor
-    throw;
-  }
-  ckpt_cursor_ = nullptr;
+  load_checkpoint(image);
+  if (out != nullptr) fields(*out);
 }
 
 bool Network::debug_corrupt_for_test(Corruption kind, int delta) {
   switch (kind) {
-    case Corruption::kPresentPos:
+    case Corruption::kPresentOrder:
       for (auto& station : stations_) {
-        if (station.present.empty()) continue;
-        // The bug class this simulates: a departure renumbered the
-        // shifted suffix wrong.
-        present_pos_[station.present.front()] = static_cast<std::uint32_t>(
-            static_cast<std::int64_t>(present_pos_[station.present.front()]) +
-            delta);
+        if (station.present.size() < 2) continue;
+        // The bug class this simulates: a departure erased out of order
+        // (a swap-remove), reordering the contacts routers observe.
+        std::swap(station.present[0], station.present[1]);
         return true;
       }
       return false;
     case Corruption::kBufferBytes:
-      if (nodes_.empty()) return false;
+      if (node_stores_.empty()) return false;
       // The bug class this simulates: a transfer updated the id list
       // but accounted the wrong size.
-      nodes_.front().buffer.debug_corrupt_used_kb_for_test(delta);
+      node_stores_.front().debug_corrupt_used_kb_for_test(delta);
       return true;
     case Corruption::kLedgerIndex:
       if (ledger_.empty()) return false;
@@ -1652,9 +1637,9 @@ bool Network::debug_corrupt_for_test(Corruption kind, int delta) {
     case Corruption::kStoreDedupOrder:
       // The bug class this simulates: an unsorted insert broke the
       // binary-search precondition of the dedup set.
-      for (auto& node : nodes_) {
-        if (node.buffer.dedup_seen_count() == 0) continue;
-        node.buffer.debug_corrupt_dedup_order_for_test(delta);
+      for (auto& store : node_stores_) {
+        if (store.dedup_seen_count() == 0) continue;
+        store.debug_corrupt_dedup_order_for_test(delta);
         return true;
       }
       for (auto& station : stations_) {
@@ -1666,9 +1651,9 @@ bool Network::debug_corrupt_for_test(Corruption kind, int delta) {
     case Corruption::kStorePoolSize:
       // The bug class this simulates: a swap-erase left the metadata
       // slab disagreeing with the Buffer's byte accounting.
-      for (auto& node : nodes_) {
-        if (node.buffer.count() == 0) continue;
-        node.buffer.debug_corrupt_pool_size_for_test(delta);
+      for (auto& store : node_stores_) {
+        if (store.count() == 0) continue;
+        store.debug_corrupt_pool_size_for_test(delta);
         return true;
       }
       for (auto& station : stations_) {
@@ -1680,9 +1665,9 @@ bool Network::debug_corrupt_for_test(Corruption kind, int delta) {
     case Corruption::kStoreIndex:
       // The bug class this simulates: a swap-erase moved the last id
       // but left its index entry at the old position.
-      for (auto& node : nodes_) {
-        if (node.buffer.count() == 0) continue;
-        node.buffer.debug_corrupt_index_for_test(delta);
+      for (auto& store : node_stores_) {
+        if (store.count() == 0) continue;
+        store.debug_corrupt_index_for_test(delta);
         return true;
       }
       for (auto& station : stations_) {
@@ -1763,8 +1748,8 @@ PacketId Network::generate_packet(LandmarkId src, LandmarkId dst, double ttl,
   // A node-addressed packet whose destination node is connected at the
   // source right now is handed over on the spot.
   if (placed.dst_node != trace::kNoNode &&
-      placed.dst_node < nodes_.size() &&
-      nodes_[placed.dst_node].location == src &&
+      placed.dst_node < node_stores_.size() &&
+      location_[placed.dst_node] == src &&
       !node_down(placed.dst_node) &&
       (placed.state != PacketState::kAtStation || !station_down(src))) {
     if (placed.state == PacketState::kAtStation) {
@@ -1830,7 +1815,7 @@ void Network::deliver_node_addressed(NodeId arriving, LandmarkId l) {
   // peer's buffer exactly once instead of re-walking the arriving
   // node's buffer per peer.
   std::size_t arriving_node_addressed = 0;
-  for (const PacketId pid : nodes_[arriving].buffer.packets()) {
+  for (const PacketId pid : node_stores_[arriving].packets()) {
     if (packets_[pid].dst_node != trace::kNoNode) ++arriving_node_addressed;
   }
   std::vector<PacketId> handover;
@@ -1846,13 +1831,13 @@ void Network::deliver_node_addressed(NodeId arriving, LandmarkId l) {
       // contract.)
       if (holder == arriving && arriving_node_addressed == 0) continue;
       handover.clear();
-      for (const PacketId pid : nodes_[holder].buffer.packets()) {
+      for (const PacketId pid : node_stores_[holder].packets()) {
         if (packets_[pid].dst_node == target) handover.push_back(pid);
       }
       for (const PacketId pid : handover) {
         Packet& p = packets_[pid];
         if (p.expired(now)) continue;
-        nodes_[holder].buffer.remove(pid, p.size_kb);
+        node_stores_[holder].remove(pid, p.size_kb);
         ++p.hops;
         ++counters_.packet_forwards;
         deliver(pid);
@@ -1891,7 +1876,7 @@ void Network::drop_expired() {
         station_remove(p.holder, p.id, p.size_kb);
         break;
       case PacketState::kOnNode:
-        nodes_[p.holder].buffer.remove(p.id, p.size_kb);
+        node_stores_[p.holder].remove(p.id, p.size_kb);
         break;
       default:
         break;
@@ -1907,11 +1892,10 @@ void Network::drop_expired() {
 }
 
 void Network::handle_arrival(const trace::Visit& visit) {
-  NodeState& node = nodes_[visit.node];
+  BundleStore& store = node_stores_[visit.node];
   StationState& station = stations_[visit.landmark];
-  DTN_ASSERT(node.location == kNoLandmark);
-  node.location = visit.landmark;
-  present_pos_[visit.node] = static_cast<std::uint32_t>(station.present.size());
+  DTN_ASSERT(location_[visit.node] == kNoLandmark);
+  location_[visit.node] = visit.landmark;
   station.present.push_back(visit.node);
 
   // Automatic delivery: every router hands over packets destined to the
@@ -1927,7 +1911,7 @@ void Network::handle_arrival(const trace::Visit& visit) {
   if (arriving_up && sink_up) {
     std::vector<PacketId>& arrived = scratch_;
     arrived.clear();
-    for (PacketId pid : node.buffer.packets()) {
+    for (PacketId pid : store.packets()) {
       if (packets_[pid].dst == visit.landmark &&
           packets_[pid].dst_node == trace::kNoNode) {
         arrived.push_back(pid);
@@ -1936,7 +1920,7 @@ void Network::handle_arrival(const trace::Visit& visit) {
     for (PacketId pid : arrived) {
       Packet& p = packets_[pid];
       if (p.expired(sim_.now())) continue;  // swept later
-      node.buffer.remove(pid, p.size_kb);
+      store.remove(pid, p.size_kb);
       ++p.hops;
       ++counters_.packet_forwards;
       deliver(pid);
@@ -1964,26 +1948,18 @@ void Network::handle_arrival(const trace::Visit& visit) {
 }
 
 void Network::handle_departure(const trace::Visit& visit) {
-  NodeState& node = nodes_[visit.node];
-  StationState& station = stations_[visit.landmark];
-  DTN_ASSERT(node.location == visit.landmark);
+  DTN_ASSERT(location_[visit.node] == visit.landmark);
 
   router_.on_departure(*this, visit.node, visit.landmark);
 
-  // Indexed removal: `present_pos_` names the slot directly, so no scan.
-  // The erase itself stays order-preserving (a swap-remove would reorder
-  // the contacts routers observe); only the shifted suffix's positions
-  // need renumbering.
-  const std::uint32_t pos = present_pos_[visit.node];
-  DTN_ASSERT(pos < station.present.size() &&
-             station.present[pos] == visit.node);
-  station.present.erase(station.present.begin() + pos);
-  for (std::size_t i = pos; i < station.present.size(); ++i) {
-    present_pos_[station.present[i]] = static_cast<std::uint32_t>(i);
-  }
-  node.location = kNoLandmark;
-  node.previous = visit.landmark;
-  node.history.push_back(visit);
+  // The erase stays order-preserving: a swap-remove would reorder the
+  // contacts routers observe.  Present lists are short, and the scan
+  // touches about as many entries as the erase shifts.
+  std::vector<NodeId>& present = stations_[visit.landmark].present;
+  const auto it = std::find(present.begin(), present.end(), visit.node);
+  DTN_ASSERT(it != present.end());
+  present.erase(it);
+  location_[visit.node] = kNoLandmark;
 }
 
 }  // namespace dtn::net

@@ -22,6 +22,7 @@
 #include "sim/fault_injector.hpp"
 #include "sim/invariant_auditor.hpp"
 #include "sim/simulator.hpp"
+#include "trace/cursor.hpp"
 #include "trace/trace.hpp"
 
 namespace dtn::persist {
@@ -29,10 +30,6 @@ class CheckpointManager;
 class Reader;
 class Writer;
 }  // namespace dtn::persist
-
-namespace dtn::trace {
-class TraceCursor;
-}  // namespace dtn::trace
 
 namespace dtn::net {
 
@@ -182,7 +179,7 @@ class Network {
   [[nodiscard]] std::uint64_t events_executed() const {
     return sim_.events_executed();
   }
-  [[nodiscard]] std::size_t num_nodes() const { return nodes_.size(); }
+  [[nodiscard]] std::size_t num_nodes() const { return node_stores_.size(); }
   [[nodiscard]] std::size_t num_landmarks() const { return stations_.size(); }
   [[nodiscard]] const WorkloadConfig& config() const { return cfg_; }
   [[nodiscard]] const RunCounters& counters() const { return counters_; }
@@ -199,6 +196,7 @@ class Network {
   [[nodiscard]] LandmarkId previous_landmark(NodeId node) const;
   /// Completed visits of `node` so far (online history; grows as the
   /// replay progresses — routers must only read, never assume future).
+  /// A view of the trace prefix the cursor has replayed, not a copy.
   [[nodiscard]] std::span<const trace::Visit> history(NodeId node) const;
 
   [[nodiscard]] Packet& packet(PacketId pid);
@@ -266,10 +264,11 @@ class Network {
 
   // -- invariant auditing (debug tooling, see invariant_auditor.hpp) ----
   /// Run every engine-level invariant check into `report` (no abort):
-  /// event-queue heap property, station present-set vs present-position
-  /// index consistency, the packet table against the stores, buffer
-  /// byte accounting, plus the router's own audit hook.  The periodic
-  /// auditor runs these checks and, besides, the checkpoint CRC check.
+  /// event-queue heap property, station present lists and node
+  /// locations against the trace cursor, the packet table against the
+  /// stores, buffer byte accounting, plus the router's own audit hook.
+  /// The periodic auditor runs these checks and, besides, the
+  /// checkpoint CRC check.
   void audit(sim::AuditReport& report) const;
 
   /// The periodic auditor driving this run (enabled via
@@ -281,8 +280,9 @@ class Network {
 
   /// Test-only fault injection for the auditor's negative tests.
   enum class Corruption {
-    /// Skew the present-position index of one currently present node.
-    kPresentPos,
+    /// Swap the first two entries of the first station present list
+    /// holding two nodes (swapping again reverts it).
+    kPresentOrder,
     /// Skew one node buffer's byte accounting.
     kBufferBytes,
     /// Skew the in-flight transfer ledger's per-packet index (needs a
@@ -307,10 +307,11 @@ class Network {
     kPacketHolder,
   };
   /// Seed `kind` by skewing the targeted counter by `delta`; returns
-  /// false when no eligible state exists (e.g. no node is present
-  /// anywhere for kPresentPos).  Target selection is deterministic, so
-  /// a test can corrupt (+1), observe detection and revert (-1) within
-  /// one callback to leave the replay unharmed.
+  /// false when no eligible state exists (e.g. no station has two
+  /// nodes present for kPresentOrder, which ignores `delta`).  Target
+  /// selection is deterministic, so a test can corrupt (+1), observe
+  /// detection and revert (-1) within one callback to leave the replay
+  /// unharmed.
   bool debug_corrupt_for_test(Corruption kind, int delta = 1);
 
   /// Test seam for checkpoint mutation tests: restore `image` into this
@@ -369,19 +370,18 @@ class Network {
   /// fingerprint of everything the checkpoint does NOT store but a
   /// resume must be handed unchanged: trace shape, workload config,
   /// fault plan, router identity), "sim", "cursor", then workload (the
-  /// static schedule's digest), counters, packets, nodes, stations,
-  /// ledger, faults, router.
+  /// static schedule's digest), counters, packets, nodes (buffers),
+  /// stations (storage, origin queue), ledger, faults, router.  Node
+  /// locations and present lists are rebuilt from the cursor.
   template <class Ar>
-  void fields(Ar& ar, trace::TraceCursor& cursor);
-  /// Full serial-format snapshot of the live run (requires an active
-  /// checkpointed run: ckpt_cursor_ set).
+  void fields(Ar& ar);
+  /// Full serial-format snapshot of the live run.
   [[nodiscard]] persist::Writer serialize_state() const;
   void write_snapshot();
   /// Snapshot when the cadence is due; false once stop_after_events is
   /// reached (the snapshot of that point is written first).
   bool checkpoint_step();
-  void load_checkpoint(const std::vector<std::uint8_t>& bytes,
-                       trace::TraceCursor& cursor);
+  void load_checkpoint(const std::vector<std::uint8_t>& bytes);
   /// Load check of the restored queue: every pending event is a fault
   /// event (trace, packet, sweep and tick events never sit in the
   /// queue) whose payload names a node or station of this run and a
@@ -416,15 +416,6 @@ class Network {
   /// sweep's watermark is terminal.
   void audit_sweep_watermark(sim::AuditReport& report) const;
 
-  struct NodeState {
-    BundleStore buffer;
-    LandmarkId location = kNoLandmark;
-    LandmarkId previous = kNoLandmark;
-    std::vector<trace::Visit> history;  // completed visits
-
-    NodeState() = default;
-  };
-
   struct StationState {
     /// Central station store; unbounded per §V-A.1 unless
     /// WorkloadConfig::store bounds it (docs/bounded-store.md).
@@ -432,10 +423,21 @@ class Network {
     std::vector<PacketId> origin;    // passive origin queue (baselines)
     /// Nodes currently associated, in arrival order (routers observe
     /// this order through nodes_at/on_contact, so it is part of the
-    /// deterministic-replay contract).  Indexed by `present_pos_`.
+    /// deterministic-replay contract).  Rebuilt from the cursor on load.
     std::vector<NodeId> present;
   };
 
+  /// Node locations and station present lists as the cursor's per-node
+  /// positions imply them: a node at an odd position is at the landmark
+  /// of its current visit, and each present list is in arrival order,
+  /// i.e. by (visit start, node id).
+  struct Presence {
+    std::vector<LandmarkId> location;
+    std::vector<std::vector<NodeId>> present;
+  };
+  [[nodiscard]] Presence rebuild_presence() const;
+  /// The "network.present_sets" check: the live locations and present
+  /// lists equal rebuild_presence().
   void audit_present_sets(sim::AuditReport& report) const;
   /// The "network.packet_table" check: every live packet sits in the
   /// store its state and holder name, every held id points back at its
@@ -497,11 +499,17 @@ class Network {
   /// station recovered, or a negative sentinel when none is pending.
   std::vector<double> outage_recovery_pending_;
 
-  std::vector<NodeState> nodes_;
+  /// The replay's event source; its per-node positions are also what
+  /// history(), previous_landmark() and a load's presence rebuild read.
+  trace::TraceCursor cursor_;
+  /// One bundle store per node.
+  std::vector<BundleStore> node_stores_;
+  /// Current landmark per node (kNoLandmark in transit).  Kept beside
+  /// the cursor because the cursor counts a departure before its hook
+  /// runs, while the node stays located through on_departure.
+  DTN_CKPT_SKIP("rebuilt from the cursor on load")
+  std::vector<LandmarkId> location_;
   std::vector<StationState> stations_;
-  /// Position of each present node inside its station's `present`
-  /// vector: turns the departure-time linear scan into an index lookup.
-  std::vector<std::uint32_t> present_pos_;
   std::vector<Packet> packets_;
   std::vector<std::uint8_t> logical_delivered_;
   /// True once any node-addressed packet (dst_node set) exists; while
@@ -522,9 +530,6 @@ class Network {
 
   // -- active checkpointed run (see docs/checkpointing.md) --------------
   persist::CheckpointManager* ckpt_mgr_ = nullptr;
-  /// The serial run's live trace cursor while a checkpointed run is
-  /// active (serialize_state needs its positions); null otherwise.
-  trace::TraceCursor* ckpt_cursor_ = nullptr;
   std::uint64_t ckpt_last_events_ = 0;
   double ckpt_last_time_ = 0.0;
   /// Per-section (name, crc32) of the most recent snapshot and the

@@ -33,6 +33,8 @@
 #include <utility>
 #include <vector>
 
+#include "util/assert.hpp"
+
 namespace dtn::sim {
 
 /// One violated invariant: which registered check saw it, and where.
@@ -73,7 +75,8 @@ class InvariantAuditor {
 
   struct Config {
     bool enabled = false;
-    /// Dispatched events between periodic audits.
+    /// Dispatched events between periodic audits (> 0); audits fire at
+    /// its multiples.
     std::uint64_t period_events = 65536;
     /// Print + abort on any failure (the production stance).  Negative
     /// tests set false and inspect the report.
@@ -85,7 +88,9 @@ class InvariantAuditor {
   static Config config_from_env();
 
   InvariantAuditor() : InvariantAuditor(config_from_env()) {}
-  explicit InvariantAuditor(Config cfg) : cfg_(cfg) {}
+  explicit InvariantAuditor(Config cfg) : cfg_(cfg) {
+    DTN_ASSERT(cfg_.period_events > 0);
+  }
 
   /// Register a named check.  Names appear in failure reports; keep
   /// them stable ("event_queue.heap", "network.present_sets", ...).
@@ -97,13 +102,11 @@ class InvariantAuditor {
 
   /// Replay-loop hook: call after every event with the run's
   /// dispatched-event count.  Cheap when disabled (one branch); runs a
-  /// full audit at the first call at least `period_events` events after
-  /// the previous periodic audit, so a replay from the start audits
-  /// after events N, 2N, 3N, ... for a period of N.
+  /// full audit when the count is a multiple of `period_events`, so a
+  /// replay audits after events N, 2N, 3N, ... for a period of N, and a
+  /// run resumed from a checkpoint audits at the very same counts.
   void on_boundary(std::uint64_t executed) {
-    if (!cfg_.enabled) return;
-    if (executed - last_audit_events_ < cfg_.period_events) return;
-    last_audit_events_ = executed;
+    if (!cfg_.enabled || executed % cfg_.period_events != 0) return;
     audit_now();
   }
 
@@ -120,7 +123,6 @@ class InvariantAuditor {
  private:
   Config cfg_;
   std::vector<std::pair<std::string, Check>> checks_;
-  std::uint64_t last_audit_events_ = 0;
   std::uint64_t audits_run_ = 0;
 };
 

@@ -76,12 +76,6 @@ TraceCursor::TraceCursor(const Trace& trace) {
   }
   seq_base_[n] = order_.size();
   stable_radix_sort(order_);
-  reset();
-}
-
-void TraceCursor::reset() {
-  pos_.assign(pos_.size(), 0);
-  next_ = 0;
   if (!exhausted()) materialize();
 }
 

@@ -54,8 +54,13 @@ class TraceCursor {
   /// Total events the full replay produces (2 per visit).
   [[nodiscard]] std::uint64_t total_events() const { return order_.size(); }
 
-  /// Rewind to the beginning of the trace.
-  void reset();
+  /// Events of `node` already replayed: 2 per completed visit, plus 1
+  /// while the node is at a landmark (its arrival is counted, its
+  /// departure not yet).  An event counts before it is dispatched.
+  [[nodiscard]] std::uint32_t replayed(NodeId node) const {
+    DTN_ASSERT(node < pos_.size());
+    return pos_[node];
+  }
 
   // -- checkpointing (src/persist/, docs/checkpointing.md) --------------
   /// The per-node replay positions (the trace is fingerprinted, not

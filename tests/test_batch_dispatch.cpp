@@ -13,6 +13,7 @@
 // run, and neither changes a bit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <filesystem>
@@ -249,12 +250,12 @@ TEST(BatchDispatch, TieHeavyTraceMatchesUnbatchedBitForBit) {
 // -- checkpointed and audited runs observe every event --------------------
 
 // Executed-event counts (1-based) of the first and last member of a
-// same-(time, landmark) departure run, derived from the trace and the
-// workload alone: trace events come out of the cursor, and static
+// same-(time, landmark) run of arrivals or departures, derived from the
+// trace and the workload alone: trace events come out of the cursor, and static
 // events (manual packets, sweep + tick pairs; tie_workload() draws no
 // Poisson traffic) precede a trace event exactly when they are earlier
 // — at equal times the cursor's seqs sort first.
-struct DepartureRun {
+struct SameTimeRun {
   std::uint64_t first = 0;
   std::uint64_t last = 0;
   double time = 0.0;
@@ -268,22 +269,22 @@ std::uint64_t static_events_before(const WorkloadConfig& cfg, double t) {
   return n;
 }
 
-DepartureRun first_departure_run_after(const trace::Trace& trace,
-                                       const WorkloadConfig& cfg,
-                                       double after) {
+SameTimeRun first_run_after(const trace::Trace& trace,
+                            const WorkloadConfig& cfg, sim::EventKind kind,
+                            double after) {
   trace::TraceCursor cursor(trace);
   std::uint64_t consumed = 0;
   while (!cursor.exhausted()) {
     const sim::Event head = cursor.peek();
     cursor.advance();
     ++consumed;
-    if (head.kind != sim::EventKind::kDeparture || head.time <= after) {
+    if (head.kind != kind || head.time <= after) {
       continue;
     }
     const trace::LandmarkId l = trace.visits(head.a)[head.b].landmark;
     std::uint64_t len = 1;
     while (!cursor.exhausted() &&
-           cursor.peek().kind == sim::EventKind::kDeparture &&
+           cursor.peek().kind == kind &&
            cursor.peek().time == head.time &&
            trace.visits(cursor.peek().a)[cursor.peek().b].landmark == l) {
       cursor.advance();
@@ -311,7 +312,8 @@ TEST(BatchDispatch, CheckpointedRunSuspendsAtEveryEventOfADepartureRun) {
                              static_events_before(cfg, full.now + 1.0));
 
   // A run with packets in flight: past the first manual packets.
-  const DepartureRun dep = first_departure_run_after(trace, cfg, 2.5 * kDay);
+  const SameTimeRun dep = first_run_after(
+      trace, cfg, sim::EventKind::kDeparture, 2.5 * kDay);
   ASSERT_GT(dep.last, dep.first);
 
   // Below `last`, part of the run is still pending: the snapshot splits
@@ -343,6 +345,52 @@ TEST(BatchDispatch, CheckpointedRunSuspendsAtEveryEventOfADepartureRun) {
     net.validate_invariants();
     expect_equal(full, result_of(net, router));
   }
+}
+
+TEST(BatchDispatch, RestoredPresenceMatchesTheLiveRunInsideAnArrivalRun) {
+  // Locations, present lists and histories are not in the image: a
+  // restore rebuilds them from the cursor.  Inside a same-time arrival
+  // run the present list's order comes from node ids alone, and the
+  // rebuild must reproduce it after every member.
+  const auto trace = tie_heavy_trace(6.0);
+  const WorkloadConfig cfg = tie_workload();
+  const SameTimeRun arr =
+      first_run_after(trace, cfg, sim::EventKind::kArrival, 2.5 * kDay);
+  ASSERT_GT(arr.last, arr.first);
+
+  std::size_t longest = 0;  // longest present list seen
+  for (std::uint64_t stop = arr.first; stop <= arr.last; ++stop) {
+    SCOPED_TRACE("suspended after event " + std::to_string(stop));
+    persist::CheckpointConfig cc;
+    cc.dir = (std::filesystem::path(::testing::TempDir()) /
+              "dtn_batch_ckpt_presence")
+                 .string();
+    std::filesystem::remove_all(cc.dir);
+    cc.stop_after_events = stop;
+    persist::CheckpointManager mgr(cc);
+    core::DtnFlowRouter live_router(router_config());
+    Network live(trace, live_router, cfg);
+    ASSERT_FALSE(live.run(mgr));
+    EXPECT_EQ(live.now(), arr.time);
+
+    core::DtnFlowRouter router(router_config());
+    Network restored(trace, router, cfg);
+    restored.debug_restore_for_test(mgr.read_latest());
+    for (trace::LandmarkId l = 0; l < trace.num_landmarks(); ++l) {
+      const auto want = live.nodes_at(l);
+      EXPECT_TRUE(std::ranges::equal(restored.nodes_at(l), want))
+          << "landmark " << l;
+      longest = std::max(longest, want.size());
+    }
+    for (trace::NodeId n = 0; n < trace.num_nodes(); ++n) {
+      SCOPED_TRACE("node " + std::to_string(n));
+      EXPECT_EQ(restored.location(n), live.location(n));
+      EXPECT_EQ(restored.previous_landmark(n), live.previous_landmark(n));
+      EXPECT_TRUE(std::ranges::equal(restored.history(n), live.history(n)));
+      EXPECT_FALSE(live.history(n).empty());
+    }
+  }
+  EXPECT_GT(longest, 1u);
 }
 
 TEST(BatchDispatch, AuditedRunAuditsEveryEventAndMatchesUnauditedRun) {

@@ -340,6 +340,56 @@ TEST(CheckpointResume, CampusRunIsBitIdenticalAcrossSuspensions) {
                                          full.events - 5));
 }
 
+TEST(CheckpointResume, AuditedResumeAuditsAtTheSameCountsAsAPlainRun) {
+  // A probe check logs the executed-event count of every audit.  A run
+  // suspended between two periodic audits and resumed must audit at
+  // exactly the counts the uninterrupted run audits at.
+  const auto trace = campus_trace();
+  WorkloadConfig cfg = campus_workload();
+  cfg.audit_period_events = 200;
+  const auto log_audits = [](Network& net, std::vector<std::uint64_t>& log) {
+    net.auditor().register_check("probe", [&log, &net](sim::AuditReport&) {
+      log.push_back(net.events_executed());
+    });
+  };
+
+  std::vector<std::uint64_t> plain;
+  std::uint64_t total = 0;
+  {
+    DtnFlowRouter router(full_router_config());
+    Network net(trace, router, cfg);
+    log_audits(net, plain);
+    net.run();
+    total = net.events_executed();
+  }
+  ASSERT_GT(total, 2000u);
+  // Every multiple of the period, then the final audit at the horizon.
+  ASSERT_EQ(plain.size(), total / 200 + (total % 200 != 0 ? 1 : 0));
+  for (std::size_t i = 0; i + 1 < plain.size(); ++i) {
+    EXPECT_EQ(plain[i], 200 * (i + 1));
+  }
+
+  CheckpointConfig cc;
+  cc.dir = fresh_dir("audit_cadence").string();
+  cc.stop_after_events = 1050;
+  std::vector<std::uint64_t> resumed;
+  {
+    CheckpointManager mgr(cc);
+    DtnFlowRouter router(full_router_config());
+    Network net(trace, router, cfg);
+    log_audits(net, resumed);
+    ASSERT_FALSE(net.run(mgr));
+  }
+  EXPECT_EQ(resumed, (std::vector<std::uint64_t>{200, 400, 600, 800, 1000}));
+  cc.stop_after_events = 0;
+  CheckpointManager mgr(cc);
+  DtnFlowRouter router(full_router_config());
+  Network net(trace, router, cfg);
+  log_audits(net, resumed);
+  ASSERT_TRUE(net.run(mgr));
+  EXPECT_EQ(resumed, plain);
+}
+
 TEST(CheckpointResume, SurvivesChainedSuspensions) {
   // Suspend, resume, suspend again later, resume again: exercises
   // resume-from-a-resumed-run and picking the newest of several files.
@@ -674,10 +724,12 @@ TEST(CheckpointEdge, OlderSchemaSnapshotsAreRefused) {
   // argmax, the stamp and the dense successor index of every node.
   // Schema 4 images held every pending packet, sweep and tick event in
   // the queue, the pre-drawn workload table and the workload RNG.
-  // Schema 5 has none of these, so an image stamped with an older
-  // version must be refused up front rather than misparsed.
-  ASSERT_EQ(persist::kSchemaVersion, 5u);
-  for (const std::uint8_t older : {1, 2, 3, 4}) {
+  // Schema 5 images held every node's location, previous landmark and
+  // visit history, and every station's present list and the present
+  // positions.  Schema 6 has none of these, so an image stamped with an
+  // older version must be refused up front rather than misparsed.
+  ASSERT_EQ(persist::kSchemaVersion, 6u);
+  for (const std::uint8_t older : {1, 2, 3, 4, 5}) {
     expect_patched_snapshot_refused(
         "schema_" + std::to_string(older),
         [&](std::vector<std::uint8_t>& bytes, const WorkloadConfig&) {

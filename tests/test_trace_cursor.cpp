@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "persist/serializer.hpp"
@@ -76,8 +77,6 @@ TEST(TraceCursor, EmptyTraceIsExhaustedImmediately) {
   TraceCursor cursor(t);
   EXPECT_TRUE(cursor.exhausted());
   EXPECT_EQ(cursor.total_events(), 0u);
-  cursor.reset();  // reset on an empty cursor is a no-op, not a crash
-  EXPECT_TRUE(cursor.exhausted());
 }
 
 TEST(TraceCursor, SingleVisitSingleNode) {
@@ -94,6 +93,28 @@ TEST(TraceCursor, SingleVisitSingleNode) {
   EXPECT_EQ(got[1].kind, sim::EventKind::kDeparture);
   EXPECT_EQ(got[1].time, 25.0);
   EXPECT_EQ(got[1].seq, 1u);
+}
+
+TEST(TraceCursor, ReplayedCountsEachNodesEventsAsTheyAreTaken) {
+  Trace t(2, 2);
+  t.add_visit({0, 0, 1.0, 4.0});
+  t.add_visit({0, 1, 5.0, 6.0});
+  t.add_visit({1, 1, 2.0, 3.0});
+  t.finalize();
+  TraceCursor cursor(t);
+  EXPECT_EQ(cursor.replayed(0), 0u);
+  EXPECT_EQ(cursor.replayed(1), 0u);
+  // Times 1..6: node 0 arrives, node 1 arrives and departs, node 0
+  // departs, arrives and departs again.  An odd count means present.
+  const std::vector<std::pair<std::uint32_t, std::uint32_t>> after = {
+      {1, 0}, {1, 1}, {1, 2}, {2, 2}, {3, 2}, {4, 2}};
+  for (const auto& [n0, n1] : after) {
+    ASSERT_FALSE(cursor.exhausted());
+    cursor.advance();
+    EXPECT_EQ(cursor.replayed(0), n0);
+    EXPECT_EQ(cursor.replayed(1), n1);
+  }
+  EXPECT_TRUE(cursor.exhausted());
 }
 
 TEST(TraceCursor, NodesWithoutVisitsAreSkipped) {
@@ -139,23 +160,6 @@ TEST(TraceCursor, InterleavedVisitsMatchEagerEnumeration) {
   t.add_visit({2, 0, 5.0, 35.0});   // long visit spanning everything
   t.finalize();
   expect_matches_reference(t);
-}
-
-TEST(TraceCursor, ResetReplaysIdenticalStream) {
-  Trace t(3, 2);
-  t.add_visit({0, 0, 1.0, 4.0});
-  t.add_visit({1, 1, 2.0, 3.0});
-  t.add_visit({2, 0, 2.0, 5.0});
-  t.finalize();
-  TraceCursor cursor(t);
-  const auto first = drain(cursor);
-  cursor.reset();
-  const auto second = drain(cursor);
-  ASSERT_EQ(first.size(), second.size());
-  for (std::size_t i = 0; i < first.size(); ++i) {
-    EXPECT_EQ(first[i].seq, second[i].seq);
-    EXPECT_EQ(first[i].time, second[i].time);
-  }
 }
 
 TEST(TraceCursor, RunUntilBoundaryIsInclusive) {
