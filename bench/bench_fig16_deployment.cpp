@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
   }
   dtn::net::Network net2(trace, router, workload);
   net2.run();
-  const auto result = dtn::metrics::summarize(net2, router.name());
+  const auto result = dtn::metrics::summarize(net2, router);
 
   // Fig. 16(a): success rate and delay quantiles.
   std::printf("== Fig. 16(a): deployment success rate and delay ==\n");

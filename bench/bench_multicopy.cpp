@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
       const auto router = dtn::routing::make_router(name);
       dtn::net::Network net(scenario.trace, *router, workload);
       net.run();
-      const auto r = dtn::metrics::summarize(net, router->name());
+      const auto r = dtn::metrics::summarize(net, *router);
       table.add_row(name,
                     {r.success_rate, dtn::bench::to_days(r.avg_delay),
                      r.forwarding_cost,

@@ -25,7 +25,7 @@ Cell run_cell(const dtn::bench::Scenario& scenario,
   dtn::core::DtnFlowRouter router;
   dtn::net::Network net(scenario.trace, router, workload);
   net.run();
-  const auto res = dtn::metrics::summarize(net, router.name());
+  const auto res = dtn::metrics::summarize(net, router);
   return {res.success_rate, net.counters()};
 }
 

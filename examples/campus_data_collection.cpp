@@ -85,7 +85,7 @@ int run(const dtn::CliOptions& opts) {
   dtn::core::DtnFlowRouter router;
   dtn::net::Network net(trace, router, workload);
   net.run();
-  const auto result = dtn::metrics::summarize(net, router.name());
+  const auto result = dtn::metrics::summarize(net, router);
 
   std::printf("\ncollection run: %lu packets, %.1f%% reached the library, "
               "mean delay %.1f h\n",

@@ -19,9 +19,11 @@
 // restore (docs/checkpointing.md): snapshots land in --checkpoint-dir
 // every --checkpoint-every-events events (and/or --checkpoint-every-days
 // of simulated time), and a restarted process resumes from the newest
-// snapshot with bit-identical final metrics.  --serve-exit-after-events N
-// snapshots and exits with status 3 after N events — a deterministic
-// stand-in for kill -9 used by the CI round-trip smoke.
+// snapshot with bit-identical final metrics: the table's `digest` column
+// (metrics::run_digest) matches an uninterrupted run's.
+// --serve-exit-after-events N snapshots and exits with status 3 after N
+// events — a deterministic stand-in for kill -9 used by the CI
+// round-trip smoke.
 //
 // Bad input (an unknown option, an unknown --kind, --router or --fault-*
 // name, a count below the generator's minimum, a negative size or rate,
@@ -34,6 +36,7 @@
 #include <filesystem>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "metrics/experiment.hpp"
 #include "net/bundle_store.hpp"
@@ -46,6 +49,7 @@
 #include "trace/trace_io.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
+#include "util/fnv.hpp"
 #include "util/stats.hpp"
 
 namespace {
@@ -69,6 +73,52 @@ double real_arg(const dtn::CliOptions& opts, const std::string& key,
 
 double days_arg(const dtn::CliOptions& opts, double fallback) {
   return real_arg(opts, "days", fallback, positive, "positive");
+}
+
+/// Prints the results table and mirrors it to --out.  One row per
+/// router: metric means over its replicates, delay quantiles over every
+/// delivered packet, and the run digest (metrics::run_digest; with
+/// replicates, their digests folded in order), which plain, audited and
+/// resumed runs of one input print identically.
+int print_results(
+    const dtn::CliOptions& opts,
+    const std::vector<std::vector<dtn::metrics::RunResult>>& per_router) {
+  dtn::TablePrinter table({"router", "success", "avg delay (d)",
+                           "P50 delay (d)", "P90 delay (d)", "fwd cost",
+                           "total cost", "digest"});
+  for (const auto& runs : per_router) {
+    dtn::RunningStats success, delay, fwd, total;
+    std::vector<double> all_delays;
+    dtn::Fnv1a folded;
+    for (const auto& res : runs) {
+      success.add(res.success_rate);
+      delay.add(res.avg_delay);
+      fwd.add(res.forwarding_cost);
+      total.add(res.total_cost);
+      all_delays.insert(all_delays.end(), res.delivery_delays.begin(),
+                        res.delivery_delays.end());
+      folded.mix(res.digest);
+    }
+    const double p50 =
+        all_delays.empty() ? 0.0 : dtn::quantile(all_delays, 0.5);
+    const double p90 =
+        all_delays.empty() ? 0.0 : dtn::quantile(all_delays, 0.9);
+    std::vector<std::string> row = {runs.front().router};
+    for (const double v : {success.mean(), delay.mean() / dtn::trace::kDay,
+                           p50 / dtn::trace::kDay, p90 / dtn::trace::kDay,
+                           fwd.mean(), total.mean()}) {
+      row.push_back(dtn::format_double(v, 4));
+    }
+    char digest[17];
+    std::snprintf(digest, sizeof(digest), "%016llx",
+                  static_cast<unsigned long long>(
+                      runs.size() == 1 ? runs.front().digest : folded.value()));
+    row.emplace_back(digest);
+    table.add_row(std::move(row));
+  }
+  table.print("simulation results");
+  table.write_csv(opts.get("out", ""));
+  return 0;
 }
 
 dtn::trace::Trace make_trace(const dtn::CliOptions& opts) {
@@ -170,24 +220,7 @@ int run_service(const dtn::CliOptions& opts, const dtn::trace::Trace& trace,
                 static_cast<unsigned long long>(network.events_executed()));
     return 3;
   }
-  const auto res = dtn::metrics::summarize(network, router->name());
-  dtn::TablePrinter table({"router", "success", "avg delay (d)",
-                           "P50 delay (d)", "P90 delay (d)", "fwd cost",
-                           "total cost"});
-  const double p50 = res.delivery_delays.empty()
-                         ? 0.0
-                         : dtn::quantile(res.delivery_delays, 0.5);
-  const double p90 = res.delivery_delays.empty()
-                         ? 0.0
-                         : dtn::quantile(res.delivery_delays, 0.9);
-  table.add_row(router->name(),
-                {res.success_rate, res.avg_delay / dtn::trace::kDay,
-                 p50 / dtn::trace::kDay, p90 / dtn::trace::kDay,
-                 res.forwarding_cost, res.total_cost},
-                4);
-  table.print("simulation results");
-  table.write_csv(opts.get("out", ""));
-  return 0;
+  return print_results(opts, {{dtn::metrics::summarize(network, *router)}});
 }
 
 int run(const dtn::CliOptions& opts) {
@@ -263,12 +296,9 @@ int run(const dtn::CliOptions& opts) {
   }
 
   const std::size_t replicates = opts.get_count("replicates", 1, 1);
-  dtn::TablePrinter table({"router", "success", "avg delay (d)",
-                           "P50 delay (d)", "P90 delay (d)", "fwd cost",
-                           "total cost"});
+  std::vector<std::vector<dtn::metrics::RunResult>> results;
   for (const auto& name : routers) {
-    dtn::RunningStats success, delay, fwd, total;
-    std::vector<double> all_delays;
+    auto& runs = results.emplace_back();
     std::uint64_t crashes = 0, outages = 0, lost = 0, interrupted = 0;
     for (std::size_t r = 0; r < replicates; ++r) {
       auto wl = workload;
@@ -277,14 +307,8 @@ int run(const dtn::CliOptions& opts) {
         wl.faults->seed ^= 0x5bd1e995ULL * (r + 1);
       }
       const auto router = dtn::routing::make_router(name);
-      const auto res =
-          dtn::metrics::run_experiment(trace, *router, wl);
-      success.add(res.success_rate);
-      delay.add(res.avg_delay);
-      fwd.add(res.forwarding_cost);
-      total.add(res.total_cost);
-      all_delays.insert(all_delays.end(), res.delivery_delays.begin(),
-                        res.delivery_delays.end());
+      const auto& res =
+          runs.emplace_back(dtn::metrics::run_experiment(trace, *router, wl));
       crashes += res.node_crashes;
       outages += res.station_outages;
       lost += res.packets_lost_fault;
@@ -298,19 +322,8 @@ int run(const dtn::CliOptions& opts) {
                   static_cast<unsigned long long>(lost),
                   static_cast<unsigned long long>(interrupted));
     }
-    const double p50 =
-        all_delays.empty() ? 0.0 : dtn::quantile(all_delays, 0.5);
-    const double p90 =
-        all_delays.empty() ? 0.0 : dtn::quantile(all_delays, 0.9);
-    table.add_row(name,
-                  {success.mean(), delay.mean() / dtn::trace::kDay,
-                   p50 / dtn::trace::kDay, p90 / dtn::trace::kDay,
-                   fwd.mean(), total.mean()},
-                  4);
   }
-  table.print("simulation results");
-  table.write_csv(opts.get("out", ""));
-  return 0;
+  return print_results(opts, results);
 }
 
 }  // namespace

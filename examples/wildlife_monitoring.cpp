@@ -65,7 +65,7 @@ int run(const dtn::CliOptions& opts) {
   dtn::core::DtnFlowRouter router;
   dtn::net::Network net(trace, router, workload);
   net.run();
-  const auto r = dtn::metrics::summarize(net, router.name());
+  const auto r = dtn::metrics::summarize(net, router);
   std::printf("collection: %lu packets logged, %.1f%% reached the base, "
               "mean latency %.1f h over %.1f hops\n",
               static_cast<unsigned long>(r.generated),

@@ -1035,21 +1035,7 @@ void DtnFlowRouter::fields(Ar& ar) {
   ar.fixed("router station down", station_down_);
   ar.fixed("router needs reconvergence", needs_reconvergence_);
   ar.matrix("router accuracy", accuracy_);
-  DtnFlowDiagnostics& d = diag_;
-  ar.value("transits observed", d.transits_observed);
-  ar.value("predictions scored", d.predictions_scored);
-  ar.value("predictions correct", d.predictions_correct);
-  ar.value("dead ends detected", d.dead_ends_detected);
-  ar.value("loops detected", d.loops_detected);
-  ar.value("loops corrected", d.loops_corrected);
-  ar.value("balancing diversions", d.balancing_diversions);
-  ar.value("station outages seen", d.station_outages_seen);
-  ar.value("station recoveries seen", d.station_recoveries_seen);
-  ar.value("vector carriers lost", d.dv_carriers_lost);
-  ar.value("vector deliveries deferred", d.dv_deliveries_deferred);
-  ar.value("stale origins expired", d.stale_origins_expired);
-  ar.value("fallback next hops", d.fallback_next_hops);
-  ar.value("post-outage reconvergences", d.post_outage_reconvergences);
+  diag_.fields(ar);
 }
 
 void DtnFlowRouter::checkpoint_save(persist::Writer& w) const {

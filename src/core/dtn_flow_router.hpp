@@ -159,6 +159,26 @@ struct DtnFlowDiagnostics {
   /// First accepted distance vector at a landmark after its recovery.
   std::uint64_t post_outage_reconvergences = 0;
 
+  /// The one field list: the router's checkpoint image and
+  /// metrics::run_digest both walk it.
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar.value("transits observed", transits_observed);
+    ar.value("predictions scored", predictions_scored);
+    ar.value("predictions correct", predictions_correct);
+    ar.value("dead ends detected", dead_ends_detected);
+    ar.value("loops detected", loops_detected);
+    ar.value("loops corrected", loops_corrected);
+    ar.value("balancing diversions", balancing_diversions);
+    ar.value("station outages seen", station_outages_seen);
+    ar.value("station recoveries seen", station_recoveries_seen);
+    ar.value("vector carriers lost", dv_carriers_lost);
+    ar.value("vector deliveries deferred", dv_deliveries_deferred);
+    ar.value("stale origins expired", stale_origins_expired);
+    ar.value("fallback next hops", fallback_next_hops);
+    ar.value("post-outage reconvergences", post_outage_reconvergences);
+  }
+
   friend bool operator==(const DtnFlowDiagnostics&,
                          const DtnFlowDiagnostics&) = default;
 };

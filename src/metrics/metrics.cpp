@@ -1,15 +1,52 @@
 #include "metrics/metrics.hpp"
 
+#include "core/dtn_flow_router.hpp"
 #include "util/assert.hpp"
+#include "util/fnv.hpp"
 
 namespace dtn::metrics {
 
-RunResult summarize(const net::Network& network,
-                    const std::string& router_name, const CostModel& cost) {
+namespace {
+
+// Walks a field list (RunCounters::fields, DtnFlowDiagnostics::fields)
+// into the digest: each scalar, and each vector as its size followed by
+// its elements.
+struct DigestArchive {
+  Fnv1a& h;
+  template <typename T>
+  void value(const char* /*name*/, T v) {
+    h.mix(v);
+  }
+  template <typename T>
+  void vec(const char* /*name*/, const std::vector<T>& v) {
+    h.mix(v.size());
+    for (const T x : v) h.mix(x);
+  }
+};
+
+}  // namespace
+
+std::uint64_t run_digest(const net::Network& network,
+                         const net::Router& router) {
+  Fnv1a h;
+  DigestArchive ar{h};
+  // The field lists take their archive's side of a load too; this one
+  // only reads.
+  const_cast<net::RunCounters&>(network.counters()).fields(ar);
+  h.mix(network.events_executed());
+  h.mix(network.now());
+  if (const auto* flow = dynamic_cast<const core::DtnFlowRouter*>(&router)) {
+    const_cast<core::DtnFlowDiagnostics&>(flow->diagnostics()).fields(ar);
+  }
+  return h.value();
+}
+
+RunResult summarize(const net::Network& network, const net::Router& router,
+                    const CostModel& cost) {
   DTN_ASSERT(cost.entries_per_op > 0.0);
   const net::RunCounters& c = network.counters();
   RunResult r;
-  r.router = router_name;
+  r.router = router.name();
   r.generated = c.generated;
   r.delivered = c.delivered;
   r.dropped_ttl = c.dropped_ttl;
@@ -47,6 +84,7 @@ RunResult summarize(const net::Network& network,
     r.mean_outage_recovery =
         total / static_cast<double>(c.outage_recovery_delays.size());
   }
+  r.digest = run_digest(network, router);
   return r;
 }
 
@@ -55,7 +93,7 @@ RunResult run_experiment(const trace::Trace& trace, net::Router& router,
                          const CostModel& cost) {
   net::Network network(trace, router, workload);
   network.run();
-  return summarize(network, router.name(), cost);
+  return summarize(network, router, cost);
 }
 
 }  // namespace dtn::metrics

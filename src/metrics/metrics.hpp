@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "net/network.hpp"
+#include "net/router.hpp"
 #include "trace/trace.hpp"
 
 namespace dtn::metrics {
@@ -52,11 +53,22 @@ struct RunResult {
   /// Mean seconds from a station's recovery to its first successful
   /// transfer (0 when no recovery was exercised).
   double mean_outage_recovery = 0.0;
+
+  /// run_digest of the finished run.
+  std::uint64_t digest = 0;
 };
 
-/// Derive a RunResult from a finished network.
+/// The run's determinism digest: an order-sensitive FNV-1a over every
+/// RunCounters field (each vector's size before its elements), the
+/// executed-event count, the final clock and, for a DTN-FLOW router,
+/// every DtnFlowDiagnostics field.  Plain, audited, checkpoint-resumed
+/// and threaded runs of one input must agree on it bit for bit.
+[[nodiscard]] std::uint64_t run_digest(const net::Network& network,
+                                       const net::Router& router);
+
+/// Derive a RunResult from a network `router` ran to completion.
 [[nodiscard]] RunResult summarize(const net::Network& network,
-                                  const std::string& router_name,
+                                  const net::Router& router,
                                   const CostModel& cost = {});
 
 /// Convenience: build a network over `trace`, run `router`, summarize.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -11,6 +10,7 @@
 #include "persist/checkpoint.hpp"
 #include "persist/serializer.hpp"
 #include "trace/cursor.hpp"
+#include "util/fnv.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 
@@ -225,16 +225,15 @@ std::vector<sim::Event> Network::build_static_schedule(
 }
 
 std::uint64_t Network::static_schedule_digest() const {
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a over every field
-  const auto mix = [&h](std::uint64_t v) { h = (h ^ v) * 1099511628211ull; };
+  Fnv1a h;  // over every field
   for (const sim::Event& ev : sim_.static_schedule()) {
-    mix(std::bit_cast<std::uint64_t>(ev.time));
-    mix(ev.seq);
-    mix(static_cast<std::uint64_t>(ev.kind));
-    mix(ev.a);
-    mix(ev.b);
+    h.mix(ev.time);
+    h.mix(ev.seq);
+    h.mix(static_cast<std::uint64_t>(ev.kind));
+    h.mix(ev.a);
+    h.mix(ev.b);
   }
-  return h;
+  return h.value();
 }
 
 void Network::run() { replay(nullptr); }
@@ -397,34 +396,7 @@ void Network::fields(Ar& ar) {
   ar.end_section();
 
   ar.begin_section("counters");
-  RunCounters& c = counters_;
-  ar.value("generated", c.generated);
-  ar.value("delivered", c.delivered);
-  ar.value("dropped ttl", c.dropped_ttl);
-  ar.value("refused buffer", c.refused_buffer);
-  ar.value("packet forwards", c.packet_forwards);
-  ar.value("replications", c.replications);
-  ar.value("control entries", c.control_entries);
-  ar.value("total delay", c.total_delay);
-  ar.vec("delivery delays", c.delivery_delays);
-  ar.vec("delivery hops", c.delivery_hops);
-  ar.value("evicted policy", c.evicted_policy);
-  ar.value("evicted kb", c.evicted_kb);
-  ar.value("admission shed", c.admission_shed);
-  ar.value("duplicates suppressed", c.duplicates_suppressed);
-  ar.value("dedup refused", c.dedup_refused);
-  ar.value("spilled bundles", c.spilled_bundles);
-  ar.value("recalled bundles", c.recalled_bundles);
-  ar.value("node crashes", c.node_crashes);
-  ar.value("node reboots", c.node_reboots);
-  ar.value("station outages", c.station_outages);
-  ar.value("station recoveries", c.station_recoveries);
-  ar.value("packets lost fault", c.packets_lost_fault);
-  ar.value("kb lost fault", c.kb_lost_fault);
-  ar.value("transfers interrupted", c.transfers_interrupted);
-  ar.value("transfers resumed", c.transfers_resumed);
-  ar.value("transfers blocked fault", c.transfers_blocked_fault);
-  ar.vec("outage recovery delays", c.outage_recovery_delays);
+  counters_.fields(ar);
   ar.end_section();
 
   ar.begin_section("packets");
@@ -1021,18 +993,22 @@ void Network::detach_from_holder(Packet& p) {
   }
 }
 
-bool Network::drop_if_expired(PacketId pid) {
-  Packet& p = packet(pid);
-  DTN_ASSERT(!is_terminal(p.state));
-  if (!p.expired(sim_.now())) return false;
+void Network::retire(Packet& p) {
   detach_from_holder(p);
-  ledger_erase(pid);
+  ledger_erase(p.id);
   if (logical_delivered_[p.logical] != 0) {
     p.state = PacketState::kObsoleteCopy;
   } else {
     p.state = PacketState::kDroppedTtl;
     ++counters_.dropped_ttl;
   }
+}
+
+bool Network::drop_if_expired(PacketId pid) {
+  Packet& p = packet(pid);
+  DTN_ASSERT(!is_terminal(p.state));
+  if (!p.expired(sim_.now())) return false;
+  retire(p);
   return true;
 }
 
@@ -1861,32 +1837,9 @@ void Network::drop_expired() {
   advance_sweep_watermark();
   for (std::size_t pid = sweep_watermark_; pid < packets_.size(); ++pid) {
     Packet& p = packets_[pid];
-    if (is_terminal(p.state)) continue;
-    const bool obsolete = logical_delivered_[p.logical] != 0;
-    if (!obsolete && !p.expired(now)) continue;
-    switch (p.state) {
-      case PacketState::kAtOrigin: {
-        auto& origin = stations_[p.holder].origin;
-        const auto it = std::find(origin.begin(), origin.end(), p.id);
-        DTN_ASSERT(it != origin.end());
-        origin.erase(it);
-        break;
-      }
-      case PacketState::kAtStation:
-        station_remove(p.holder, p.id, p.size_kb);
-        break;
-      case PacketState::kOnNode:
-        node_stores_[p.holder].remove(p.id, p.size_kb);
-        break;
-      default:
-        break;
-    }
-    ledger_erase(p.id);
-    if (obsolete) {
-      p.state = PacketState::kObsoleteCopy;
-    } else {
-      p.state = PacketState::kDroppedTtl;
-      ++counters_.dropped_ttl;
+    if (!is_terminal(p.state) &&
+        (logical_delivered_[p.logical] != 0 || p.expired(now))) {
+      retire(p);
     }
   }
 }

@@ -146,6 +146,39 @@ struct RunCounters {
   /// station transfer there (seconds).
   std::vector<double> outage_recovery_delays;
 
+  /// The one field list: the checkpoint's "counters" section and
+  /// metrics::run_digest both walk it.
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar.value("generated", generated);
+    ar.value("delivered", delivered);
+    ar.value("dropped ttl", dropped_ttl);
+    ar.value("refused buffer", refused_buffer);
+    ar.value("packet forwards", packet_forwards);
+    ar.value("replications", replications);
+    ar.value("control entries", control_entries);
+    ar.value("total delay", total_delay);
+    ar.vec("delivery delays", delivery_delays);
+    ar.vec("delivery hops", delivery_hops);
+    ar.value("evicted policy", evicted_policy);
+    ar.value("evicted kb", evicted_kb);
+    ar.value("admission shed", admission_shed);
+    ar.value("duplicates suppressed", duplicates_suppressed);
+    ar.value("dedup refused", dedup_refused);
+    ar.value("spilled bundles", spilled_bundles);
+    ar.value("recalled bundles", recalled_bundles);
+    ar.value("node crashes", node_crashes);
+    ar.value("node reboots", node_reboots);
+    ar.value("station outages", station_outages);
+    ar.value("station recoveries", station_recoveries);
+    ar.value("packets lost fault", packets_lost_fault);
+    ar.value("kb lost fault", kb_lost_fault);
+    ar.value("transfers interrupted", transfers_interrupted);
+    ar.value("transfers resumed", transfers_resumed);
+    ar.value("transfers blocked fault", transfers_blocked_fault);
+    ar.vec("outage recovery delays", outage_recovery_delays);
+  }
+
   /// Bit-exact comparison, vectors included — two runs with the same
   /// trace, router and seed must compare equal (determinism guard).
   friend bool operator==(const RunCounters&, const RunCounters&) = default;
@@ -339,6 +372,10 @@ class Network {
   /// returns true when dropped.  Transfers call this first so expired
   /// packets never keep moving between sweep ticks.
   bool drop_if_expired(PacketId pid);
+  /// Take a live packet out of circulation: detach it from its holder
+  /// and mark it an obsolete copy when its logical packet was already
+  /// delivered, else a TTL drop.
+  void retire(Packet& p);
   /// Remove `pid` from whatever currently holds it (non-terminal states).
   void detach_from_holder(Packet& p);
   PacketId generate_packet(LandmarkId src, LandmarkId dst, double ttl,

@@ -1,8 +1,9 @@
 // Contact dispatch is one event at a time (src/net/network.hpp): every
 // trace arrival and departure is its own dispatch, including each
 // member of a same-(time, landmark) run.  Each scenario below pins the
-// counters digest (per-packet vectors included), the router diagnostics
-// checksum, the event count and the final clock of a per-event replay.
+// run digest (metrics::run_digest: every counter, per-packet vectors
+// included, the router diagnostics, the event count and the final
+// clock) of a per-event replay.
 //
 // Generated traces draw visit times continuously, so exact ties are
 // rare there; the generator runs below pin the common case, and a
@@ -14,13 +15,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <filesystem>
 #include <string>
 #include <vector>
 
 #include "core/dtn_flow_router.hpp"
+#include "metrics/metrics.hpp"
 #include "net/network.hpp"
 #include "persist/checkpoint.hpp"
 #include "trace/campus_generator.hpp"
@@ -37,96 +38,15 @@ using trace::kDay;
 using trace::kHour;
 using trace::kMinute;
 
-struct RunResult {
-  net::RunCounters counters;
-  core::DtnFlowDiagnostics diag;
+// What a replay's checks read: its run digest and the fields the
+// sanity asserts look at.
+struct Outcome {
+  std::uint64_t digest;
+  std::uint64_t generated;
+  std::uint64_t delivered;
   std::uint64_t events;
   double now;
 };
-
-// Order-sensitive FNV-1a digests.  The counters digest covers every
-// RunCounters field, the per-packet delay/hop vectors included, so
-// "equal digests" means the run reproduces delivery order bit for bit.
-std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
-  h ^= v;
-  h *= 1099511628211ull;
-  return h;
-}
-
-std::uint64_t counters_digest(const net::RunCounters& c) {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](std::uint64_t v) { h = fnv_mix(h, v); };
-  const auto mix_f64 = [&mix](double v) {
-    mix(std::bit_cast<std::uint64_t>(v));
-  };
-  mix(c.generated);
-  mix(c.delivered);
-  mix(c.dropped_ttl);
-  mix(c.refused_buffer);
-  mix(c.packet_forwards);
-  mix(c.replications);
-  mix_f64(c.control_entries);
-  mix_f64(c.total_delay);
-  mix(c.delivery_delays.size());
-  for (double d : c.delivery_delays) mix_f64(d);
-  mix(c.delivery_hops.size());
-  for (std::uint32_t x : c.delivery_hops) mix(x);
-  mix(c.evicted_policy);
-  mix(c.evicted_kb);
-  mix(c.admission_shed);
-  mix(c.duplicates_suppressed);
-  mix(c.dedup_refused);
-  mix(c.spilled_bundles);
-  mix(c.recalled_bundles);
-  mix(c.node_crashes);
-  mix(c.node_reboots);
-  mix(c.station_outages);
-  mix(c.station_recoveries);
-  mix(c.packets_lost_fault);
-  mix(c.kb_lost_fault);
-  mix(c.transfers_interrupted);
-  mix(c.transfers_resumed);
-  mix(c.transfers_blocked_fault);
-  mix(c.outage_recovery_delays.size());
-  for (double d : c.outage_recovery_delays) mix_f64(d);
-  return h;
-}
-
-std::uint64_t diag_checksum(const core::DtnFlowDiagnostics& g) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const std::uint64_t v :
-       {g.transits_observed, g.predictions_scored, g.predictions_correct,
-        g.dead_ends_detected, g.loops_detected, g.loops_corrected,
-        g.balancing_diversions, g.station_outages_seen,
-        g.station_recoveries_seen, g.dv_carriers_lost,
-        g.dv_deliveries_deferred, g.stale_origins_expired,
-        g.fallback_next_hops, g.post_outage_reconvergences}) {
-    h = fnv_mix(h, v);
-  }
-  return h;
-}
-
-// Results of a per-event (unbatched) replay of one scenario.
-struct Pinned {
-  std::uint64_t counters;
-  std::uint64_t diag;
-  std::uint64_t events;
-  double now;
-};
-
-void expect_pinned(const RunResult& r, const Pinned& want) {
-  EXPECT_EQ(counters_digest(r.counters), want.counters);
-  EXPECT_EQ(diag_checksum(r.diag), want.diag);
-  EXPECT_EQ(r.events, want.events);
-  EXPECT_EQ(r.now, want.now);
-}
-
-void expect_equal(const RunResult& a, const RunResult& b) {
-  EXPECT_EQ(a.counters, b.counters);
-  EXPECT_EQ(a.diag, b.diag);
-  EXPECT_EQ(a.events, b.events);
-  EXPECT_EQ(a.now, b.now);
-}
 
 core::DtnFlowConfig router_config() {
   core::DtnFlowConfig rc;
@@ -136,16 +56,16 @@ core::DtnFlowConfig router_config() {
   return rc;
 }
 
-RunResult result_of(const Network& net, const core::DtnFlowRouter& router) {
-  return {net.counters(), router.diagnostics(), net.events_executed(),
-          net.now()};
+Outcome outcome(const Network& net, const core::DtnFlowRouter& router) {
+  return {metrics::run_digest(net, router), net.counters().generated,
+          net.counters().delivered, net.events_executed(), net.now()};
 }
 
-RunResult run(const trace::Trace& trace, const WorkloadConfig& cfg) {
+Outcome run(const trace::Trace& trace, const WorkloadConfig& cfg) {
   core::DtnFlowRouter router(router_config());
   Network net(trace, router, cfg);
   net.run();
-  return result_of(net, router);
+  return outcome(net, router);
 }
 
 WorkloadConfig workload(std::uint32_t seed) {
@@ -168,11 +88,10 @@ TEST(BatchDispatch, CampusReplayMatchesUnbatchedBitForBit) {
   tc.seed = 29;
   const auto trace = trace::generate_campus_trace(tc);
 
-  const RunResult serial = run(trace, workload(3));
-  expect_pinned(serial, {0x8b3c1952a094c982ull, 0x81d4ce391aa94e36ull,
-                         12212, 853200.0});
-  EXPECT_GT(serial.counters.generated, 50u);
-  EXPECT_GT(serial.counters.delivered, 0u);
+  const Outcome serial = run(trace, workload(3));
+  EXPECT_EQ(serial.digest, 0xe1dd6a5e774e808full);
+  EXPECT_GT(serial.generated, 50u);
+  EXPECT_GT(serial.delivered, 0u);
 }
 
 TEST(BatchDispatch, CityReplayMatchesUnbatchedBitForBit) {
@@ -191,10 +110,9 @@ TEST(BatchDispatch, CityReplayMatchesUnbatchedBitForBit) {
   cfg.packets_per_landmark_per_day = 2.0;
   cfg.node_memory_kb = 20;
 
-  const RunResult serial = run(trace, cfg);
-  expect_pinned(serial,
-                {0xa52a1047c44eb632ull, 0x726692af47f9afccull, 12501, 79200.0});
-  EXPECT_GT(serial.counters.delivered, 0u);
+  const Outcome serial = run(trace, cfg);
+  EXPECT_EQ(serial.digest, 0x3390781eab0e9f30ull);
+  EXPECT_GT(serial.delivered, 0u);
 }
 
 // Cohorts of nodes sharing *identical* visit windows: every contact
@@ -239,12 +157,10 @@ WorkloadConfig tie_workload() {
 
 TEST(BatchDispatch, TieHeavyTraceMatchesUnbatchedBitForBit) {
   const auto trace = tie_heavy_trace(8.0);
-  const RunResult serial = run(trace, tie_workload());
-  expect_pinned(serial,
-                {0x76c86bc1135ff285ull, 0x580666bd9ecb62ddull, 4668, 689400.0});
-  EXPECT_GT(serial.counters.delivered, 0u);
-  expect_pinned(run(tie_heavy_trace(6.0), tie_workload()),
-                {0xb69acbc1135ff285ull, 0xc8433a4bd9a1a21dull, 3508, 516600.0});
+  const Outcome serial = run(trace, tie_workload());
+  EXPECT_EQ(serial.digest, 0x5e4f083df1ffd2bfull);
+  EXPECT_GT(serial.delivered, 0u);
+  EXPECT_EQ(run(tie_heavy_trace(6.0), tie_workload()).digest, 0xc0720ddf633ca2e7ull);
 }
 
 // -- checkpointed and audited runs observe every event --------------------
@@ -306,7 +222,7 @@ std::uint64_t executed_from_path(const std::string& path) {
 TEST(BatchDispatch, CheckpointedRunSuspendsAtEveryEventOfADepartureRun) {
   const auto trace = tie_heavy_trace(6.0);
   const WorkloadConfig cfg = tie_workload();
-  const RunResult full = run(trace, cfg);
+  const Outcome full = run(trace, cfg);
   // The event model above accounts for every event of the replay.
   ASSERT_EQ(full.events, trace::TraceCursor(trace).total_events() +
                              static_events_before(cfg, full.now + 1.0));
@@ -343,7 +259,7 @@ TEST(BatchDispatch, CheckpointedRunSuspendsAtEveryEventOfADepartureRun) {
     Network net(trace, router, cfg);
     ASSERT_TRUE(net.run(mgr));
     net.validate_invariants();
-    expect_equal(full, result_of(net, router));
+    EXPECT_EQ(metrics::run_digest(net, router), full.digest);
   }
 }
 
@@ -395,7 +311,7 @@ TEST(BatchDispatch, RestoredPresenceMatchesTheLiveRunInsideAnArrivalRun) {
 
 TEST(BatchDispatch, AuditedRunAuditsEveryEventAndMatchesUnauditedRun) {
   const auto trace = tie_heavy_trace(6.0);
-  const RunResult plain = run(trace, tie_workload());
+  const Outcome plain = run(trace, tie_workload());
 
   WorkloadConfig cfg = tie_workload();
   cfg.audit_period_events = 1;  // audit after every event
@@ -408,7 +324,7 @@ TEST(BatchDispatch, AuditedRunAuditsEveryEventAndMatchesUnauditedRun) {
   EXPECT_TRUE(report.ok()) << report.to_string();
   // One audit per event, same-time runs included, plus the final one.
   EXPECT_EQ(net.auditor().audits_run(), net.events_executed() + 1);
-  expect_equal(plain, result_of(net, router));
+  EXPECT_EQ(metrics::run_digest(net, router), plain.digest);
 }
 
 // -- tie order across the three event sources ----------------------------
@@ -510,14 +426,14 @@ TEST(BatchDispatch, OneInstantDispatchesTraceStaticThenDynamicEvents) {
   cfg.faults = plan;
 
   net::RunCounters full_counters;
-  std::uint64_t full_events = 0;
+  std::uint64_t full_digest = 0;
   std::vector<TieRecorder::Entry> full_log;
   {
     TieRecorder router(at);
     Network net(trace, router, cfg);
     net.run();
     full_counters = net.counters();
-    full_events = net.events_executed();
+    full_digest = metrics::run_digest(net, router);
     full_log = router.log;
   }
   ASSERT_EQ(full_log.size(), 5u);
@@ -534,8 +450,8 @@ TEST(BatchDispatch, OneInstantDispatchesTraceStaticThenDynamicEvents) {
   EXPECT_EQ(full_counters.node_crashes, 1u);
 
   // Suspending after each event of the instant and resuming reproduces
-  // the uninterrupted run: the counters, the event count and, pieced
-  // together from both processes, the dispatch order.
+  // the uninterrupted run: the run digest and, pieced together from
+  // both processes, the dispatch order.
   for (std::uint64_t stop = k; stop < k + 5; ++stop) {
     SCOPED_TRACE("suspended after event " + std::to_string(stop));
     persist::CheckpointConfig cc;
@@ -560,8 +476,7 @@ TEST(BatchDispatch, OneInstantDispatchesTraceStaticThenDynamicEvents) {
     ASSERT_TRUE(net.run(mgr));
     log.insert(log.end(), router.log.begin(), router.log.end());
     EXPECT_EQ(log, full_log);
-    EXPECT_EQ(net.counters(), full_counters);
-    EXPECT_EQ(net.events_executed(), full_events);
+    EXPECT_EQ(metrics::run_digest(net, router), full_digest);
   }
 }
 

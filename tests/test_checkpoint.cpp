@@ -4,11 +4,12 @@
 //    (magic, schema version, CRC, truncation, section names, trailing
 //    bytes), CheckpointManager discovery/retention/atomic publish;
 //  * scenario — the headline contract: a run suspended at event N and
-//    resumed from its snapshot finishes with bit-identical counters,
-//    diagnostics and delay records vs. the uninterrupted run, on the
-//    campus and city tiers and under a fault plan spanning the
-//    checkpoint; periodic snapshots are the bytes a suspension at the
-//    same event count writes, and a resumed run keeps their cadence;
+//    resumed from its snapshot finishes with the uninterrupted run's
+//    metrics::run_digest (counters, delay records, diagnostics, event
+//    count and clock, bit for bit), on the campus and city tiers and
+//    under a fault plan spanning the checkpoint; periodic snapshots are
+//    the bytes a suspension at the same event count writes, and a
+//    resumed run keeps their cadence;
 //  * edge — empty networks, zero pending events, snapshots exactly on a
 //    unit-tick barrier, fingerprint and schema-version rejection.
 #include <algorithm>
@@ -23,6 +24,7 @@
 
 #include "core/bandwidth.hpp"
 #include "core/dtn_flow_router.hpp"
+#include "metrics/metrics.hpp"
 #include "net/buffer.hpp"
 #include "net/network.hpp"
 #include "persist/checkpoint.hpp"
@@ -37,9 +39,9 @@ namespace dtn {
 namespace {
 
 using core::DtnFlowConfig;
-using core::DtnFlowDiagnostics;
 using core::DtnFlowRouter;
 using dtn::testing::relay_chain_trace;
+using dtn::testing::relay_chain_workload;
 using net::Network;
 using net::RunCounters;
 using net::WorkloadConfig;
@@ -242,18 +244,21 @@ TEST(CheckpointManagerTest, IgnoresForeignFilesAndTempDebris) {
 
 // -- resume equality scenarios -------------------------------------------
 
+// A finished run: its run digest, which the scenarios compare, and what
+// their sanity asserts read.
 struct RunOutcome {
-  RunCounters counters;
-  DtnFlowDiagnostics diag;
+  std::uint64_t digest = 0;
   std::uint64_t events = 0;
-  double now = 0.0;
+  RunCounters counters;
 };
 
+RunOutcome outcome(const Network& net, const DtnFlowRouter& router) {
+  return {metrics::run_digest(net, router), net.events_executed(),
+          net.counters()};
+}
+
 void expect_equal(const RunOutcome& a, const RunOutcome& b) {
-  EXPECT_EQ(a.counters, b.counters);
-  EXPECT_EQ(a.diag, b.diag);
-  EXPECT_EQ(a.events, b.events);
-  EXPECT_EQ(a.now, b.now);
+  EXPECT_EQ(a.digest, b.digest);
 }
 
 WorkloadConfig campus_workload() {
@@ -294,8 +299,7 @@ RunOutcome run_uninterrupted(const trace::Trace& trace,
   Network net(trace, router, cfg);
   net.run();
   net.validate_invariants();
-  return {net.counters(), router.diagnostics(), net.events_executed(),
-          net.now()};
+  return outcome(net, router);
 }
 
 // Suspend at `stop_events`, then resume in a fresh process-equivalent
@@ -321,8 +325,7 @@ RunOutcome run_with_suspension(const trace::Trace& trace,
   Network net(trace, router, cfg);
   EXPECT_TRUE(net.run(mgr));
   net.validate_invariants();
-  return {net.counters(), router.diagnostics(), net.events_executed(),
-          net.now()};
+  return outcome(net, router);
 }
 
 TEST(CheckpointResume, CampusRunIsBitIdenticalAcrossSuspensions) {
@@ -421,8 +424,7 @@ TEST(CheckpointResume, SurvivesChainedSuspensions) {
   Network net(trace, router, cfg);
   EXPECT_TRUE(net.run(mgr));
   net.validate_invariants();
-  expect_equal(full, {net.counters(), router.diagnostics(),
-                      net.events_executed(), net.now()});
+  expect_equal(full, outcome(net, router));
 }
 
 TEST(CheckpointResume, FaultPlanSpanningTheCheckpointIsBitIdentical) {
@@ -430,15 +432,7 @@ TEST(CheckpointResume, FaultPlanSpanningTheCheckpointIsBitIdentical) {
   // faults, so the checkpoint lands mid-outage: injector RNG streams,
   // down sets and the retry ledger must all survive the round trip.
   const auto trace = relay_chain_trace(10.0);
-  WorkloadConfig cfg;
-  cfg.packets_per_landmark_per_day = 0.0;
-  cfg.warmup_fraction = 0.0;
-  cfg.time_unit = 0.5 * kDay;
-  cfg.node_memory_kb = 10;
-  cfg.ttl = 2.0 * kDay;
-  for (int i = 0; i < 40; ++i) {
-    cfg.manual_packets.push_back({0, 3, 4.0 * kDay + i * 10.0 * kMinute, 0.0});
-  }
+  WorkloadConfig cfg = relay_chain_workload();
   cfg.faults.emplace();
   cfg.faults->seed = 77;
   cfg.faults->node_crashes.push_back(
@@ -512,8 +506,7 @@ RunOutcome run_periodic(const trace::Trace& trace, const WorkloadConfig& cfg,
   DtnFlowRouter router(full_router_config());
   Network net(trace, router, cfg);
   net.run(mgr);
-  return {net.counters(), router.diagnostics(), net.events_executed(),
-          net.now()};
+  return outcome(net, router);
 }
 
 TEST(CheckpointResume, PeriodicSnapshotsMatchSuspensionSnapshotsByteForByte) {

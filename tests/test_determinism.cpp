@@ -5,7 +5,8 @@
 // bit-identical results, and (3) a fixed no-RNG scenario matches golden
 // counters recorded under the *previous* (type-erased closure) event
 // engine — any engine rework that shifts tie order, RNG draw order or
-// float accumulation order trips this test.
+// float accumulation order trips this test.  Run outputs compare by
+// metrics::run_digest; the router-state digests below share its mixer.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -16,67 +17,25 @@
 #include "net/network.hpp"
 #include "routing/factory.hpp"
 #include "sim/fault_injector.hpp"
+#include "test_helpers.hpp"
 #include "trace/trace.hpp"
+#include "util/fnv.hpp"
 
 namespace dtn {
 namespace {
 
-// Three relay nodes shuttling between home landmark n and n+1 every two
-// hours: a fully deterministic topology (no trace RNG).
-trace::Trace relay_chain(double days) {
-  constexpr std::uint32_t kNodes = 3;
-  trace::Trace t(kNodes, kNodes + 1);
-  const auto periods =
-      static_cast<std::size_t>(days * trace::kDay / (2.0 * trace::kHour));
-  for (std::uint32_t n = 0; n < kNodes; ++n) {
-    for (std::size_t p = 0; p < periods; ++p) {
-      const double base = static_cast<double>(p) * 2.0 * trace::kHour;
-      t.add_visit({n, n, base, base + 30.0 * trace::kMinute});
-      t.add_visit({n, n + 1, base + 60.0 * trace::kMinute,
-                   base + 90.0 * trace::kMinute});
-    }
-  }
-  t.finalize();
-  return t;
-}
+struct ChainRun {
+  net::RunCounters counters;
+  std::uint64_t digest = 0;
+};
 
-// Manual-packet workload over the chain: no Poisson generation, so the
-// whole run is RNG-free and the counters below are exact by design, not
-// merely reproducible.
-net::WorkloadConfig chain_workload() {
-  net::WorkloadConfig cfg;
-  cfg.packets_per_landmark_per_day = 0.0;
-  cfg.warmup_fraction = 0.0;
-  cfg.time_unit = 0.5 * trace::kDay;
-  cfg.node_memory_kb = 10;
-  cfg.ttl = 2.0 * trace::kDay;
-  for (int i = 0; i < 40; ++i) {
-    cfg.manual_packets.push_back(
-        {0, 3, 4.0 * trace::kDay + i * 10.0 * trace::kMinute, 0.0});
-  }
-  return cfg;
-}
-
-net::RunCounters run_chain(const std::string& router_name) {
-  const auto chain = relay_chain(10.0);
+ChainRun run_chain(const std::string& router_name) {
+  const auto chain = testing::relay_chain_trace(10.0);
   auto router = routing::make_router(router_name);
-  net::Network net(chain, *router, chain_workload());
+  net::Network net(chain, *router, testing::relay_chain_workload());
   net.run();
   net.validate_invariants();
-  return net.counters();
-}
-
-// Order-sensitive FNV-1a digest over the per-packet vectors, matching
-// the probe that recorded the golden values.
-std::uint64_t digest(const net::RunCounters& c) {
-  std::uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  for (double d : c.delivery_delays) mix(std::bit_cast<std::uint64_t>(d));
-  for (std::uint32_t x : c.delivery_hops) mix(x);
-  return h;
+  return {net.counters(), metrics::run_digest(net, *router)};
 }
 
 // Digest of the router's prediction state after the chain replay:
@@ -85,25 +44,21 @@ std::uint64_t digest(const net::RunCounters& c) {
 // predictor store; the flat transition store must reproduce every bit.
 std::uint64_t predictor_digest(const core::DtnFlowRouter& router,
                                const net::Network& net) {
-  std::uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
+  Fnv1a h;
   for (net::NodeId n = 0; n < net.num_nodes(); ++n) {
     const auto& p = router.predictor(n);
-    mix(p.history_length());
-    mix(p.current());
-    mix(p.predict());
-    mix(p.can_predict() ? 1 : 0);
+    h.mix(p.history_length());
+    h.mix(p.current());
+    h.mix(p.predict());
+    h.mix(p.can_predict() ? 1 : 0);
     for (net::LandmarkId l = 0; l < net.num_landmarks(); ++l) {
-      mix(std::bit_cast<std::uint64_t>(p.probability_of(l)));
+      h.mix(p.probability_of(l));
     }
     for (const double d : p.next_distribution()) {
-      mix(std::bit_cast<std::uint64_t>(d));
+      h.mix(d);
     }
   }
-  return h;
+  return h.value();
 }
 
 // Digest of every landmark's route set, backups and pins included.
@@ -111,30 +66,26 @@ std::uint64_t predictor_digest(const core::DtnFlowRouter& router,
 // dirty-column recompute must reproduce every bit.
 std::uint64_t routing_digest(const core::DtnFlowRouter& router,
                              const net::Network& net) {
-  std::uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
+  Fnv1a h;
   for (net::LandmarkId l = 0; l < net.num_landmarks(); ++l) {
     const auto& table = router.routing_table(l);
     for (net::LandmarkId d = 0; d < net.num_landmarks(); ++d) {
       const core::Route r = table.route(d);
-      mix(r.next);
-      mix(std::bit_cast<std::uint64_t>(r.delay));
-      mix(r.backup_next);
-      mix(std::bit_cast<std::uint64_t>(r.backup_delay));
-      mix(table.is_pinned(d) ? 1 : 0);
+      h.mix(r.next);
+      h.mix(r.delay);
+      h.mix(r.backup_next);
+      h.mix(r.backup_delay);
+      h.mix(table.is_pinned(d) ? 1 : 0);
     }
-    mix(std::bit_cast<std::uint64_t>(table.coverage()));
+    h.mix(table.coverage());
   }
-  return h;
+  return h.value();
 }
 
 TEST(Determinism, GoldenPredictorAndRoutingStateStable) {
-  const auto chain = relay_chain(10.0);
+  const auto chain = testing::relay_chain_trace(10.0);
   core::DtnFlowRouter router;
-  net::Network net(chain, router, chain_workload());
+  net::Network net(chain, router, testing::relay_chain_workload());
   net.run();
   net.validate_invariants();
   // Spot checks (readable failures before the digests trip).
@@ -150,24 +101,24 @@ TEST(Determinism, GoldenPredictorAndRoutingStateStable) {
 TEST(Determinism, RepeatedRunsAreBitIdentical) {
   const auto a = run_chain("DTN-FLOW");
   const auto b = run_chain("DTN-FLOW");
-  EXPECT_EQ(a, b);  // defaulted operator==: every field, vectors included
+  EXPECT_EQ(a.digest, b.digest);
 }
 
 // The fault injector's zero-impact contract: attaching a FaultPlan with
 // nothing to inject (no scheduled faults, every rate and probability at
-// zero) is bit-identical to attaching no plan at all — same counters,
-// same per-packet digests, same golden router-state digests.  The
+// zero) is bit-identical to attaching no plan at all — same run digest,
+// same golden router-state digests.  The
 // injector owns its own RNG streams precisely so that an inert plan
 // never perturbs a workload draw.
 TEST(Determinism, EmptyFaultPlanIsBitIdenticalToNoPlan) {
-  const auto chain = relay_chain(10.0);
+  const auto chain = testing::relay_chain_trace(10.0);
 
   core::DtnFlowRouter baseline_router;
-  net::Network baseline(chain, baseline_router, chain_workload());
+  net::Network baseline(chain, baseline_router, testing::relay_chain_workload());
   baseline.run();
   baseline.validate_invariants();
 
-  auto faulted_cfg = chain_workload();
+  auto faulted_cfg = testing::relay_chain_workload();
   faulted_cfg.faults.emplace();  // default plan: zero-probability faults
   ASSERT_FALSE(faulted_cfg.faults->any());
   core::DtnFlowRouter faulted_router;
@@ -175,14 +126,15 @@ TEST(Determinism, EmptyFaultPlanIsBitIdenticalToNoPlan) {
   faulted.run();
   faulted.validate_invariants();
 
-  EXPECT_EQ(baseline.counters(), faulted.counters());
-  EXPECT_EQ(digest(baseline.counters()), digest(faulted.counters()));
-  // The faulted run must still hit the pre-fault-subsystem golden
-  // digests (the same values GoldenPredictorAndRoutingStateStable pins).
+  const std::uint64_t digest = metrics::run_digest(faulted, faulted_router);
+  EXPECT_EQ(metrics::run_digest(baseline, baseline_router), digest);
+  // The faulted run must still hit the golden digests (the values
+  // GoldenPredictorAndRoutingStateStable and
+  // GoldenCountersStableAcrossEngineGenerations pin).
   EXPECT_EQ(predictor_digest(faulted_router, faulted),
             0x8f5ef46e87227297ull);
   EXPECT_EQ(routing_digest(faulted_router, faulted), 0x2bce8bffc466e3ccull);
-  EXPECT_EQ(digest(faulted.counters()), 0x02c0425471db77c3ull);
+  EXPECT_EQ(digest, 0x178839abf30d3eecull);
   // No fault ever fired, and nothing was charged to the fault counters.
   EXPECT_EQ(faulted.counters().node_crashes, 0u);
   EXPECT_EQ(faulted.counters().station_outages, 0u);
@@ -194,7 +146,8 @@ TEST(Determinism, GoldenCountersStableAcrossEngineGenerations) {
   // Recorded under the pre-rework engine (type-erased std::function
   // heap, eager trace scheduling).  The typed-event engine must
   // reproduce every bit: tie order, float accumulation order, digests.
-  const auto flow = run_chain("DTN-FLOW");
+  const auto flow_run = run_chain("DTN-FLOW");
+  const net::RunCounters& flow = flow_run.counters;
   EXPECT_EQ(flow.generated, 40u);
   EXPECT_EQ(flow.delivered, 40u);
   EXPECT_EQ(flow.dropped_ttl, 0u);
@@ -207,19 +160,20 @@ TEST(Determinism, GoldenCountersStableAcrossEngineGenerations) {
             std::bit_cast<std::uint64_t>(0x1.b06cp+19));
   EXPECT_EQ(flow.delivery_delays.size(), 40u);
   EXPECT_EQ(flow.delivery_hops.size(), 40u);
-  EXPECT_EQ(digest(flow), 0x02c0425471db77c3ull);
+  EXPECT_EQ(flow_run.digest, 0x178839abf30d3eecull);
 
-  const auto prophet = run_chain("PROPHET");
+  const auto prophet_run = run_chain("PROPHET");
+  const net::RunCounters& prophet = prophet_run.counters;
   EXPECT_EQ(prophet.generated, 40u);
   EXPECT_EQ(prophet.delivered, 0u);
   EXPECT_EQ(prophet.dropped_ttl, 40u);
   EXPECT_EQ(prophet.packet_forwards, 10u);
-  EXPECT_EQ(digest(prophet), 0x14650fb0739d0383ull);  // empty-vector basis
+  EXPECT_EQ(prophet_run.digest, 0xea426c2453963f25ull);
 }
 
 TEST(Determinism, SerialAndThreadedSweepsAreBitIdentical) {
-  const auto chain = relay_chain(10.0);
-  net::WorkloadConfig base = chain_workload();
+  const auto chain = testing::relay_chain_trace(10.0);
+  net::WorkloadConfig base = testing::relay_chain_workload();
   // Add a Poisson component so replicate seeds actually matter.
   base.packets_per_landmark_per_day = 6.0;
   base.seed = 19;
@@ -251,26 +205,8 @@ TEST(Determinism, SerialAndThreadedSweepsAreBitIdentical) {
               std::bit_cast<std::uint64_t>(t.sweep_value));
     ASSERT_EQ(s.replicates.size(), t.replicates.size());
     for (std::size_t r = 0; r < s.replicates.size(); ++r) {
-      const auto& sr = s.replicates[r];
-      const auto& tr = t.replicates[r];
-      EXPECT_EQ(sr.generated, tr.generated);
-      EXPECT_EQ(sr.delivered, tr.delivered);
-      EXPECT_EQ(sr.dropped_ttl, tr.dropped_ttl);
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(sr.success_rate),
-                std::bit_cast<std::uint64_t>(tr.success_rate));
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(sr.avg_delay),
-                std::bit_cast<std::uint64_t>(tr.avg_delay));
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(sr.overall_delay),
-                std::bit_cast<std::uint64_t>(tr.overall_delay));
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(sr.forwarding_cost),
-                std::bit_cast<std::uint64_t>(tr.forwarding_cost));
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(sr.total_cost),
-                std::bit_cast<std::uint64_t>(tr.total_cost));
-      ASSERT_EQ(sr.delivery_delays.size(), tr.delivery_delays.size());
-      for (std::size_t d = 0; d < sr.delivery_delays.size(); ++d) {
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(sr.delivery_delays[d]),
-                  std::bit_cast<std::uint64_t>(tr.delivery_delays[d]));
-      }
+      EXPECT_EQ(s.replicates[r].digest, t.replicates[r].digest)
+          << "replicate " << r;
     }
   }
 }

@@ -33,6 +33,7 @@ namespace {
 using core::DtnFlowConfig;
 using core::DtnFlowRouter;
 using dtn::testing::relay_chain_trace;
+using dtn::testing::relay_chain_workload;
 using net::Network;
 using net::WorkloadConfig;
 using sim::AuditReport;
@@ -41,21 +42,6 @@ using sim::FaultPlan;
 using trace::kDay;
 using trace::kHour;
 using trace::kMinute;
-
-// Manual-packet workload over the relay chain (mirrors the determinism
-// suite's): 40 packets L0 -> L3, RNG-free.
-WorkloadConfig chain_workload() {
-  WorkloadConfig cfg;
-  cfg.packets_per_landmark_per_day = 0.0;
-  cfg.warmup_fraction = 0.0;
-  cfg.time_unit = 0.5 * kDay;
-  cfg.node_memory_kb = 10;
-  cfg.ttl = 2.0 * kDay;
-  for (int i = 0; i < 40; ++i) {
-    cfg.manual_packets.push_back({0, 3, 4.0 * kDay + i * 10.0 * kMinute, 0.0});
-  }
-  return cfg;
-}
 
 std::string validation_error(const FaultPlan& plan, std::size_t nodes = 3,
                              std::size_t landmarks = 4) {
@@ -249,7 +235,7 @@ TEST(FaultPlan, MixedCrashPlanIsRefusedInsteadOfAbortingMidRun) {
 
 TEST(FaultPlan, NetworkConstructionRejectsMalformedPlan) {
   const auto trace = relay_chain_trace(2.0);
-  auto cfg = chain_workload();
+  auto cfg = relay_chain_workload();
   cfg.faults.emplace();
   cfg.faults->node_crashes.push_back({99, 1.0 * kDay, kHour});
   DtnFlowRouter router;
@@ -391,7 +377,7 @@ TEST(FaultInjectorDeathTest, DoubleCrashAborts) {
 
 TEST(FaultRun, ScheduledCrashLosesBufferedPackets) {
   const auto trace = relay_chain_trace(10.0);
-  auto cfg = chain_workload();
+  auto cfg = relay_chain_workload();
   cfg.faults.emplace();
   // Node 0 ferries every packet off L0; crash it mid-transit (after it
   // leaves L0 loaded, before it can upload at L1) with full buffer loss
@@ -417,7 +403,7 @@ TEST(FaultRun, ScheduledCrashLosesBufferedPackets) {
 
 TEST(FaultRun, CrashWithoutBufferLossPreservesPackets) {
   const auto trace = relay_chain_trace(10.0);
-  auto cfg = chain_workload();
+  auto cfg = relay_chain_workload();
   cfg.faults.emplace();
   cfg.faults->node_crashes.push_back(
       {0, 4.0 * kDay + 45.0 * kMinute, 2.0 * kHour});
@@ -433,7 +419,7 @@ TEST(FaultRun, CrashWithoutBufferLossPreservesPackets) {
 
 TEST(FaultRun, ScheduledOutageIsMeasuredThroughRecovery) {
   const auto trace = relay_chain_trace(10.0);
-  auto cfg = chain_workload();
+  auto cfg = relay_chain_workload();
   cfg.faults.emplace();
   // Take the mid-chain station down across the packet burst.
   cfg.faults->station_outages.push_back({1, 4.0 * kDay, 4.5 * kDay});
@@ -459,7 +445,7 @@ TEST(FaultRun, ScheduledOutageIsMeasuredThroughRecovery) {
 
 TEST(FaultRun, TransferFailuresRetryAndResume) {
   const auto trace = relay_chain_trace(10.0);
-  auto cfg = chain_workload();
+  auto cfg = relay_chain_workload();
   cfg.faults.emplace();
   cfg.faults->transfer_failure_prob = 0.2;
   cfg.faults->retry_backoff = 10.0 * kMinute;
@@ -479,7 +465,7 @@ TEST(FaultRun, TransferFailuresRetryAndResume) {
 
 TEST(FaultRun, CertainTransferFailureBlocksEverything) {
   const auto trace = relay_chain_trace(10.0);
-  auto cfg = chain_workload();
+  auto cfg = relay_chain_workload();
   cfg.faults.emplace();
   cfg.faults->transfer_failure_prob = 1.0;
   cfg.faults->retry_backoff = 30.0 * kDay;  // never retries within TTL
@@ -498,7 +484,7 @@ TEST(FaultRun, CertainTransferFailureBlocksEverything) {
 
 TEST(FaultRun, FaultedRunsAreBitReproducible) {
   const auto trace = relay_chain_trace(10.0);
-  auto cfg = chain_workload();
+  auto cfg = relay_chain_workload();
   cfg.packets_per_landmark_per_day = 4.0;  // add RNG-driven workload too
   cfg.faults.emplace();
   cfg.faults->seed = 99;
@@ -526,7 +512,7 @@ TEST(FaultRun, FaultedRunsAreBitReproducible) {
 
 TEST(FaultRun, DifferentFaultSeedsDiverge) {
   const auto trace = relay_chain_trace(10.0);
-  auto cfg = chain_workload();
+  auto cfg = relay_chain_workload();
   cfg.faults.emplace();
   cfg.faults->node_crash_rate_per_day = 0.5;
   cfg.faults->station_outage_rate_per_day = 0.5;
@@ -547,7 +533,7 @@ TEST(FaultRun, DifferentFaultSeedsDiverge) {
 
 TEST(FaultRun, DvLossStarvesRoutingConvergence) {
   const auto trace = relay_chain_trace(10.0);
-  auto cfg = chain_workload();
+  auto cfg = relay_chain_workload();
   cfg.faults.emplace();
   cfg.faults->dv_loss_prob = 1.0;  // every carried DV dies in transit
   DtnFlowRouter router;
@@ -558,14 +544,14 @@ TEST(FaultRun, DvLossStarvesRoutingConvergence) {
   // With no DV ever delivered, remote routes never form and control
   // traffic stays below the healthy run's.
   DtnFlowRouter healthy_router;
-  Network healthy(trace, healthy_router, chain_workload());
+  Network healthy(trace, healthy_router, relay_chain_workload());
   healthy.run();
   EXPECT_LT(net.counters().control_entries, healthy.counters().control_entries);
 }
 
 TEST(FaultRun, DvDelayDefersButEventuallyConverges) {
   const auto trace = relay_chain_trace(10.0);
-  auto cfg = chain_workload();
+  auto cfg = relay_chain_workload();
   cfg.faults.emplace();
   cfg.faults->dv_delay_prob = 0.5;
   DtnFlowRouter router;
@@ -579,7 +565,7 @@ TEST(FaultRun, DvDelayDefersButEventuallyConverges) {
 
 TEST(FaultRun, StalenessExpiryWithdrawsSilentOrigins) {
   const auto trace = relay_chain_trace(14.0);
-  auto cfg = chain_workload();
+  auto cfg = relay_chain_workload();
   cfg.faults.emplace();
   // L1 goes dark for 4 days: its DVs stop arriving anywhere, so with
   // staleness expiry on (2 units = 1 day) the other landmarks withdraw
@@ -651,7 +637,7 @@ TEST(FaultRun, LoopCorrectionSurvivesCarrierCrash) {
   // while the correction machinery is active.
   rc.loop_injections = {{3, {0, 1}, 8}};
   DtnFlowRouter router(rc);
-  auto cfg = chain_workload();
+  auto cfg = relay_chain_workload();
   cfg.ttl = 6.0 * kDay;
   cfg.manual_packets.clear();
   cfg.manual_packets.push_back({0, 3, 6.0 * kDay, 0.0});
@@ -747,7 +733,7 @@ TEST(FaultRun, DeadEndDetectionIgnoresCrashedCarriers) {
   DtnFlowConfig rc;
   rc.dead_end_prevention = true;
   DtnFlowRouter router(rc);
-  auto cfg = chain_workload();
+  auto cfg = relay_chain_workload();
   cfg.audit_period_events = 256;  // periodic audits throughout the run
   cfg.faults.emplace();
   cfg.faults->node_crashes.push_back({1, 4.0 * kDay, 2.0 * kDay});
@@ -773,7 +759,7 @@ bool any_failure_mentions(const AuditReport& report, const std::string& what) {
 
 TEST(FaultAudit, HealthyFaultedRunPassesEveryCheck) {
   const auto trace = relay_chain_trace(10.0);
-  auto cfg = chain_workload();
+  auto cfg = relay_chain_workload();
   cfg.faults.emplace();
   cfg.faults->node_crashes.push_back({0, 4.0 * kDay, 12.0 * kHour});
   cfg.faults->transfer_failure_prob = 0.2;
@@ -787,7 +773,7 @@ TEST(FaultAudit, HealthyFaultedRunPassesEveryCheck) {
 
 TEST(FaultAudit, DetectsLedgerIndexCorruption) {
   const auto trace = relay_chain_trace(10.0);
-  auto cfg = chain_workload();
+  auto cfg = relay_chain_workload();
   cfg.faults.emplace();
   // Every attempt fails and both the backoff and the TTL outlive the
   // trace: the ledger still holds live entries when the run ends (a TTL
@@ -818,7 +804,7 @@ TEST(FaultAudit, DetectsLedgerIndexCorruption) {
 
 TEST(FaultAudit, DetectsLossCounterCorruption) {
   const auto trace = relay_chain_trace(10.0);
-  auto cfg = chain_workload();
+  auto cfg = relay_chain_workload();
   cfg.faults.emplace();
   cfg.faults->node_crashes.push_back(
       {0, 4.0 * kDay + 45.0 * kMinute, 1.0 * kDay});

@@ -1,4 +1,4 @@
-// Shared deterministic trace builders for router tests.
+// Shared deterministic trace and workload builders for router tests.
 //
 // The "relay chain" topology is the paper's Fig. 1(b) in miniature:
 // node A shuttles L0<->L1, node B shuttles L1<->L2, node C shuttles
@@ -8,6 +8,7 @@
 // baselines are structurally unable to deliver them.
 #pragma once
 
+#include "net/network.hpp"
 #include "trace/trace.hpp"
 
 namespace dtn::testing {
@@ -38,6 +39,22 @@ inline Trace relay_chain_trace(double days, std::size_t num_nodes = 3) {
   }
   t.finalize();
   return t;
+}
+
+/// Manual-packet workload over the relay chain: 40 packets L0 -> L3, one
+/// every 10 minutes from day 4, and no Poisson traffic, so a replay is
+/// RNG-free (the determinism suite's golden scenario).
+inline net::WorkloadConfig relay_chain_workload() {
+  net::WorkloadConfig cfg;
+  cfg.packets_per_landmark_per_day = 0.0;
+  cfg.warmup_fraction = 0.0;
+  cfg.time_unit = 0.5 * kDay;
+  cfg.node_memory_kb = 10;
+  cfg.ttl = 2.0 * kDay;
+  for (int i = 0; i < 40; ++i) {
+    cfg.manual_packets.push_back({0, 3, 4.0 * kDay + i * 10.0 * kMinute, 0.0});
+  }
+  return cfg;
 }
 
 }  // namespace dtn::testing

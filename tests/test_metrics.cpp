@@ -44,7 +44,7 @@ TEST(Summarize, SuccessRateAndDelays) {
                         {0, 2, 2.0 * kDay + 6.0 * kMinute, 0.0}};  // fails
   net::Network net(trace, router, cfg);
   net.run();
-  const RunResult r = summarize(net, router.name());
+  const RunResult r = summarize(net, router);
   EXPECT_EQ(r.generated, 2u);
   EXPECT_EQ(r.delivered, 1u);
   EXPECT_DOUBLE_EQ(r.success_rate, 0.5);
@@ -63,9 +63,9 @@ TEST(Summarize, CostModelConvertsEntries) {
   net.run();
   CostModel cm;
   cm.entries_per_op = 50.0;
-  const RunResult r50 = summarize(net, router.name(), cm);
+  const RunResult r50 = summarize(net, router, cm);
   cm.entries_per_op = 25.0;
-  const RunResult r25 = summarize(net, router.name(), cm);
+  const RunResult r25 = summarize(net, router, cm);
   EXPECT_NEAR(r25.control_cost, 2.0 * r50.control_cost, 1e-9);
   EXPECT_DOUBLE_EQ(r50.total_cost, r50.forwarding_cost + r50.control_cost);
 }
@@ -75,7 +75,7 @@ TEST(Summarize, EmptyWorkloadIsAllZero) {
   routing::DirectDeliveryRouter router;
   net::Network net(trace, router, quiet());
   net.run();
-  const RunResult r = summarize(net, router.name());
+  const RunResult r = summarize(net, router);
   EXPECT_EQ(r.generated, 0u);
   EXPECT_DOUBLE_EQ(r.success_rate, 0.0);
   EXPECT_DOUBLE_EQ(r.avg_delay, 0.0);
