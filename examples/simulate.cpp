@@ -28,12 +28,15 @@
 // Bad input (an unknown option, an unknown --kind, --router or --fault-*
 // name, a count below the generator's minimum, a negative size or rate,
 // a non-positive --days, --ttl-days or --unit-days, a --warmup outside
-// [0, 1), an --input trace CSV that fails validation) exits with status
-// 2 and a one-line message, like CliOptions' own usage errors.
+// [0, 1), an --input trace CSV that fails validation, an --out path that
+// cannot be opened) exits with status 2 and a one-line message, like
+// CliOptions' own usage errors.  --out is opened before the replay, so
+// an unwritable path costs no run.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -75,13 +78,25 @@ double days_arg(const dtn::CliOptions& opts, double fallback) {
   return real_arg(opts, "days", fallback, positive, "positive");
 }
 
-/// Prints the results table and mirrors it to --out.  One row per
+/// Opens the --out CSV (none when the option is absent); a path that
+/// cannot be opened is a usage error.
+std::optional<dtn::CsvWriter> open_out(const dtn::CliOptions& opts) {
+  const std::string path = opts.get("out", "");
+  if (path.empty()) return std::nullopt;
+  try {
+    return std::optional<dtn::CsvWriter>(std::in_place, path);
+  } catch (const std::runtime_error&) {
+    throw std::invalid_argument("cannot open --out " + path);
+  }
+}
+
+/// Prints the results table and mirrors it to `out`.  One row per
 /// router: metric means over its replicates, delay quantiles over every
 /// delivered packet, and the run digest (metrics::run_digest; with
 /// replicates, their digests folded in order), which plain, audited and
 /// resumed runs of one input print identically.
 int print_results(
-    const dtn::CliOptions& opts,
+    std::optional<dtn::CsvWriter>& out,
     const std::vector<std::vector<dtn::metrics::RunResult>>& per_router) {
   dtn::TablePrinter table({"router", "success", "avg delay (d)",
                            "P50 delay (d)", "P90 delay (d)", "fwd cost",
@@ -117,7 +132,7 @@ int print_results(
     table.add_row(std::move(row));
   }
   table.print("simulation results");
-  table.write_csv(opts.get("out", ""));
+  if (out.has_value()) table.write_csv(*out);
   return 0;
 }
 
@@ -173,7 +188,8 @@ dtn::trace::Trace make_trace(const dtn::CliOptions& opts) {
 // bypasses run_experiment so the Network object survives a suspension.
 int run_service(const dtn::CliOptions& opts, const dtn::trace::Trace& trace,
                 const dtn::net::WorkloadConfig& workload,
-                const std::string& router_name) {
+                const std::string& router_name,
+                std::optional<dtn::CsvWriter>& out) {
   dtn::persist::CheckpointConfig cc;
   cc.dir = opts.get("checkpoint-dir", "");
   if (cc.dir.empty()) {
@@ -220,7 +236,7 @@ int run_service(const dtn::CliOptions& opts, const dtn::trace::Trace& trace,
                 static_cast<unsigned long long>(network.events_executed()));
     return 3;
   }
-  return print_results(opts, {{dtn::metrics::summarize(network, *router)}});
+  return print_results(out, {{dtn::metrics::summarize(network, *router)}});
 }
 
 int run(const dtn::CliOptions& opts) {
@@ -274,6 +290,7 @@ int run(const dtn::CliOptions& opts) {
                 workload.faults->transfer_failure_prob);
   }
 
+  std::optional<dtn::CsvWriter> out = open_out(opts);
   const std::string choice = opts.get("router", "DTN-FLOW");
   if (opts.has("serve")) {
     if (choice == "all") {
@@ -285,7 +302,7 @@ int run(const dtn::CliOptions& opts) {
       std::fprintf(stderr, "simulate: --serve is single-replicate\n");
       return 2;
     }
-    return run_service(opts, trace, workload, choice);
+    return run_service(opts, trace, workload, choice, out);
   }
 
   std::vector<std::string> routers;
@@ -323,7 +340,7 @@ int run(const dtn::CliOptions& opts) {
                   static_cast<unsigned long long>(interrupted));
     }
   }
-  return print_results(opts, results);
+  return print_results(out, results);
 }
 
 }  // namespace

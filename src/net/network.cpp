@@ -1004,6 +1004,13 @@ void Network::retire(Packet& p) {
   }
 }
 
+void Network::deliver_from_holder(Packet& p) {
+  detach_from_holder(p);
+  ++p.hops;
+  ++counters_.packet_forwards;
+  deliver(p.id);
+}
+
 bool Network::drop_if_expired(PacketId pid) {
   Packet& p = packet(pid);
   DTN_ASSERT(!is_terminal(p.state));
@@ -1025,10 +1032,7 @@ bool Network::pickup_from_origin(NodeId node, PacketId pid) {
   if (transfer_interrupted(pid)) return false;
   if (p.dst_node == node) {
     // Picked up by its destination: delivered on the spot.
-    detach_from_holder(p);
-    ++p.hops;
-    ++counters_.packet_forwards;
-    deliver(pid);
+    deliver_from_holder(p);
     return true;
   }
   auto& origin = stations_[p.holder].origin;
@@ -1063,10 +1067,7 @@ bool Network::station_to_node(LandmarkId l, NodeId node, PacketId pid) {
   }
   if (transfer_interrupted(pid)) return false;
   if (p.dst_node == node) {
-    detach_from_holder(p);
-    ++p.hops;
-    ++counters_.packet_forwards;
-    deliver(pid);
+    deliver_from_holder(p);
     note_station_activity(l);
     return true;
   }
@@ -1104,10 +1105,7 @@ bool Network::node_to_station(NodeId node, PacketId pid) {
       (p.dst == l && p.dst_node == trace::kNoNode) ||
       (p.dst_node != trace::kNoNode && location_[p.dst_node] == l);
   if (delivers) {
-    node_stores_[node].remove(pid, p.size_kb);
-    ++p.hops;
-    ++counters_.packet_forwards;
-    deliver(pid);
+    deliver_from_holder(p);
     note_station_activity(l);
     return true;
   }
@@ -1146,10 +1144,7 @@ bool Network::node_to_node(NodeId from, NodeId to, PacketId pid) {
   }
   if (transfer_interrupted(pid)) return false;
   if (p.dst_node == to) {
-    detach_from_holder(p);
-    ++p.hops;
-    ++counters_.packet_forwards;
-    deliver(pid);
+    deliver_from_holder(p);
     return true;
   }
   // Node-to-node relaying is where copies multiply, so the dedup set
@@ -1777,10 +1772,7 @@ void Network::deliver_node_addressed(NodeId arriving, LandmarkId l) {
     for (const PacketId pid : ready) {
       Packet& p = packets_[pid];
       if (p.expired(now)) continue;
-      station_remove(l, pid, p.size_kb);
-      ++p.hops;
-      ++counters_.packet_forwards;
-      deliver(pid);
+      deliver_from_holder(p);
     }
   }
   // Packets carried by co-located nodes and addressed to the arriving
@@ -1813,10 +1805,7 @@ void Network::deliver_node_addressed(NodeId arriving, LandmarkId l) {
       for (const PacketId pid : handover) {
         Packet& p = packets_[pid];
         if (p.expired(now)) continue;
-        node_stores_[holder].remove(pid, p.size_kb);
-        ++p.hops;
-        ++counters_.packet_forwards;
-        deliver(pid);
+        deliver_from_holder(p);
       }
     }
   }
@@ -1873,10 +1862,7 @@ void Network::handle_arrival(const trace::Visit& visit) {
     for (PacketId pid : arrived) {
       Packet& p = packets_[pid];
       if (p.expired(sim_.now())) continue;  // swept later
-      store.remove(pid, p.size_kb);
-      ++p.hops;
-      ++counters_.packet_forwards;
-      deliver(pid);
+      deliver_from_holder(p);
     }
   }
 

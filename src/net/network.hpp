@@ -378,6 +378,9 @@ class Network {
   void retire(Packet& p);
   /// Remove `pid` from whatever currently holds it (non-terminal states).
   void detach_from_holder(Packet& p);
+  /// Hand a live packet to its destination: detach it from its holder,
+  /// count the final hop and forward, and deliver it.
+  void deliver_from_holder(Packet& p);
   PacketId generate_packet(LandmarkId src, LandmarkId dst, double ttl,
                            NodeId dst_node = trace::kNoNode);
   void deliver_node_addressed(NodeId arriving, LandmarkId l);

@@ -94,6 +94,10 @@ void TablePrinter::print(std::string_view title) const {
 void TablePrinter::write_csv(const std::string& path) const {
   if (path.empty()) return;
   CsvWriter w(path);
+  write_csv(w);
+}
+
+void TablePrinter::write_csv(CsvWriter& w) const {
   w.write_row(headers_);
   for (const auto& row : rows_) w.write_row(row);
 }

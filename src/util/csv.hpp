@@ -45,6 +45,8 @@ class TablePrinter {
 
   /// Write headers+rows to a CSV file (no-op if path empty).
   void write_csv(const std::string& path) const;
+  /// Write headers+rows through an already opened writer.
+  void write_csv(CsvWriter& w) const;
 
   [[nodiscard]] std::size_t rows() const { return rows_.size(); }
 

@@ -140,8 +140,8 @@ TEST(EventQueueAudit, CleanQueuePasses) {
 
 TEST(EventQueueAudit, DetectsHeapPropertyViolation) {
   auto q = filled_queue();
-  // Rewrite a deep slot to a time earlier than its parent's: the packed
-  // keys no longer form a min-heap.
+  // Rewrite a deep slot to a time earlier than its parent's: the event
+  // array no longer forms a min-heap.
   q.debug_corrupt_key_for_test(q.size() - 1, 0.5);
   AuditReport report;
   q.audit(report);
