@@ -60,7 +60,6 @@ int main(int argc, char** argv) {
   workload.packets_per_landmark_per_day = 75.0;
   workload.ttl = 3.0 * kDay;
   workload.node_memory_kb = 50;
-  workload.packet_size_kb = 1;
   workload.time_unit = 12.0 * kHour;
   workload.warmup_fraction = 0.25;
   workload.seed = opts.get_seed(21) * 7 + 1;

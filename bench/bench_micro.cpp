@@ -287,10 +287,10 @@ void BM_BufferAddRemove(benchmark::State& state) {
   dtn::net::Buffer buffer(4096);
   for (auto _ : state) {
     for (dtn::net::PacketId p = 0; p < 256; ++p) {
-      benchmark::DoNotOptimize(buffer.add(p, 1));
+      benchmark::DoNotOptimize(buffer.add(p));
     }
     for (dtn::net::PacketId p = 0; p < 256; ++p) {
-      buffer.remove(p, 1);
+      buffer.remove(p);
     }
   }
 }
@@ -323,7 +323,7 @@ void BM_StationStoreTransfer(benchmark::State& state) {
     // Remove the resident half in admission order while admitting the
     // other half, then swap halves for the next round.
     for (std::size_t i = 0; i < kHeld; ++i) {
-      store.remove(ids[i], 1);
+      store.remove(ids[i]);
       admit(ids[kHeld + i]);
     }
     std::rotate(ids.begin(), ids.begin() + kHeld, ids.end());

@@ -184,6 +184,19 @@ dtn::trace::Trace make_trace(const dtn::CliOptions& opts) {
   return dtn::trace::generate_campus_trace(cfg);
 }
 
+// Replicate `r` of `base`: its own workload seed and, when a fault plan is
+// attached, its own fault stream.  Replicate 0 is what a single run and
+// a --serve run replay.
+dtn::net::WorkloadConfig replicate_workload(
+    const dtn::net::WorkloadConfig& base, std::size_t r) {
+  auto wl = base;
+  wl.seed = base.seed + r * 1237;
+  if (wl.faults.has_value()) {
+    wl.faults->seed ^= 0x5bd1e995ULL * (r + 1);
+  }
+  return wl;
+}
+
 // One router, one replicate, snapshots on: the service path deliberately
 // bypasses run_experiment so the Network object survives a suspension.
 int run_service(const dtn::CliOptions& opts, const dtn::trace::Trace& trace,
@@ -212,7 +225,7 @@ int run_service(const dtn::CliOptions& opts, const dtn::trace::Trace& trace,
                  router_name.c_str());
     return 2;
   }
-  dtn::net::Network network(trace, *router, workload);
+  dtn::net::Network network(trace, *router, replicate_workload(workload, 0));
   if (mgr.has_checkpoint()) {
     std::string from;
     mgr.read_latest(&from);
@@ -318,14 +331,9 @@ int run(const dtn::CliOptions& opts) {
     auto& runs = results.emplace_back();
     std::uint64_t crashes = 0, outages = 0, lost = 0, interrupted = 0;
     for (std::size_t r = 0; r < replicates; ++r) {
-      auto wl = workload;
-      wl.seed = workload.seed + r * 1237;
-      if (wl.faults.has_value()) {
-        wl.faults->seed ^= 0x5bd1e995ULL * (r + 1);
-      }
       const auto router = dtn::routing::make_router(name);
-      const auto& res =
-          runs.emplace_back(dtn::metrics::run_experiment(trace, *router, wl));
+      const auto& res = runs.emplace_back(dtn::metrics::run_experiment(
+          trace, *router, replicate_workload(workload, r)));
       crashes += res.node_crashes;
       outages += res.station_outages;
       lost += res.packets_lost_fault;

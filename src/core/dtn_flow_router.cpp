@@ -371,7 +371,7 @@ bool DtnFlowRouter::dispatch_packet(Network& net, LandmarkId l, PacketId pid) {
     const CarrierScores& cs = carrier_scores(net, l, p.dst);
     for (std::size_t i = 0; i < cs.size(); ++i) {
       if (cs.predicted_to[i] == 0) continue;
-      if (!net.node_buffer(cs.node[i]).has_space(p.size_kb)) continue;
+      if (!net.node_buffer(cs.node[i]).has_space()) continue;
       if (cs.overall[i] > best_p) {
         best_p = cs.overall[i];
         best = cs.node[i];
@@ -399,7 +399,7 @@ bool DtnFlowRouter::dispatch_packet(Network& net, LandmarkId l, PacketId pid) {
   double best_p = 0.0;
   const CarrierScores& cs = carrier_scores(net, l, next);
   for (std::size_t i = 0; i < cs.size(); ++i) {
-    if (!net.node_buffer(cs.node[i]).has_space(p.size_kb)) continue;
+    if (!net.node_buffer(cs.node[i]).has_space()) continue;
     // Only plausible carriers qualify: handing packets to visitors with
     // a token transit probability toward the next hop just bounces them
     // between stations and wandering nodes.
@@ -461,9 +461,9 @@ void DtnFlowRouter::offer_packets_to_node(Network& net, LandmarkId l,
     offer_keys_.push_back({ttl_left, pid, r.delay <= ttl_left});
   }
   // The walk breaks at the first packet the node has no space for, yet
-  // no non-candidate can end it early: every packet of a run has the
-  // same size (Network enforces it, on load too), so a non-candidate
-  // finds no space exactly where the next candidate would not either.
+  // no non-candidate can end it early: space is a free packet slot, so a
+  // non-candidate finds no space exactly where the next candidate would
+  // not either.
 
   // Sort the candidates by the §IV-D.5 forwarding priority: packets
   // whose expected delay fits the remaining TTL first, by smallest
@@ -488,7 +488,7 @@ void DtnFlowRouter::offer_packets_to_node(Network& net, LandmarkId l,
     Packet& p = net.packet(pid);
     if (p.state != net::PacketState::kAtStation) continue;  // moved already
     if (p.dst == l && p.dst_node != trace::kNoNode) continue;  // waiting here
-    if (!net.node_buffer(n).has_space(p.size_kb)) break;
+    if (!net.node_buffer(n).has_space()) break;
 
     if (cfg_.direct_delivery && nodes_[n].predicted_next == p.dst) {
       const double table_delay = landmarks_[l].table->delay_to(p.dst);
@@ -899,7 +899,7 @@ void DtnFlowRouter::relay_between_nodes(Network& net, NodeId from,
   const std::vector<PacketId> pids(carried.begin(), carried.end());
   for (const PacketId pid : pids) {
     const Packet& p = net.packet(pid);
-    if (!net.node_buffer(to).has_space(p.size_kb)) continue;
+    if (!net.node_buffer(to).has_space()) continue;
     // A peer predicted to transit straight to the destination is always
     // an upgrade (§IV-D.2 applied between carriers)...
     const bool direct_upgrade =

@@ -64,24 +64,21 @@ void Buffer::SlotIndex::grow() {
 
 // -- Buffer ------------------------------------------------------------
 
-bool Buffer::add(PacketId pid, std::uint32_t size_kb) {
-  if (!has_space(size_kb)) return false;
-  append(pid, size_kb);
+bool Buffer::add(PacketId pid) {
+  if (!has_space()) return false;
+  append(pid);
   return true;
 }
 
-void Buffer::append(PacketId pid, std::uint32_t size_kb) {
-  DTN_ASSERT(has_space(size_kb));
+void Buffer::append(PacketId pid) {
+  DTN_ASSERT(has_space());
   index_.insert(pid, static_cast<std::uint32_t>(packets_.size()));
   packets_.push_back(pid);
-  used_kb_ += size_kb;
 }
 
-void Buffer::remove(PacketId pid, std::uint32_t size_kb) {
-  remove_at(index_of(pid), size_kb);
-}
+void Buffer::remove(PacketId pid) { remove_at(index_of(pid)); }
 
-void Buffer::remove_at(std::size_t i, std::uint32_t size_kb) {
+void Buffer::remove_at(std::size_t i) {
   DTN_ASSERT(i < packets_.size());
   // Swap-erase: buffer order is not meaningful; routers that need a
   // priority order sort a copy.
@@ -91,8 +88,6 @@ void Buffer::remove_at(std::size_t i, std::uint32_t size_kb) {
     index_.move(packets_[i], static_cast<std::uint32_t>(i));
   }
   packets_.pop_back();
-  DTN_ASSERT(used_kb_ >= size_kb);
-  used_kb_ -= size_kb;
 }
 
 void Buffer::debug_corrupt_index_for_test(int delta) {
@@ -104,10 +99,10 @@ void Buffer::debug_corrupt_index_for_test(int delta) {
 
 template <class Ar>
 void Buffer::fields(Ar& ar) {
-  ar.value("buffer capacity", capacity_kb_);
-  ar.value("buffer used", used_kb_);
   ar.vec("buffer packets", packets_);
   if constexpr (Ar::loading) {
+    ar.check(unbounded() || packets_.size() <= capacity_kb_,
+             "buffer holds more packets than its capacity");
     index_ = {};
     for (std::size_t i = 0; i < packets_.size(); ++i) {
       ar.check(packets_[i] != kNoPacket &&

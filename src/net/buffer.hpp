@@ -24,18 +24,14 @@ namespace dtn::net {
 
 class Buffer {
  public:
-  /// capacity_kb == 0 means unbounded.
+  /// Capacity in kB, i.e. in packets (every packet is 1 kB); 0 means
+  /// unbounded.
   explicit Buffer(std::uint64_t capacity_kb = 0) : capacity_kb_(capacity_kb) {}
 
   [[nodiscard]] std::uint64_t capacity_kb() const { return capacity_kb_; }
-  [[nodiscard]] std::uint64_t used_kb() const { return used_kb_; }
   [[nodiscard]] bool unbounded() const { return capacity_kb_ == 0; }
-  [[nodiscard]] bool has_space(std::uint32_t size_kb) const {
-    // Compare by subtraction: `used_kb_ + size_kb` can wrap for
-    // adversarial capacities near UINT64_MAX (e.g. loaded from a
-    // hostile checkpoint), which would admit into a full buffer.
-    return unbounded() ||
-           (used_kb_ <= capacity_kb_ && size_kb <= capacity_kb_ - used_kb_);
+  [[nodiscard]] bool has_space() const {
+    return unbounded() || packets_.size() < capacity_kb_;
   }
   [[nodiscard]] std::size_t count() const { return packets_.size(); }
   [[nodiscard]] bool empty() const { return packets_.empty(); }
@@ -53,33 +49,25 @@ class Buffer {
   /// (BundleStore::audit cross-checks the two).
   [[nodiscard]] std::size_t indexed_count() const { return index_.size(); }
 
-  /// Insert; returns false (and leaves the buffer unchanged) on overflow.
+  /// Insert; returns false (and leaves the buffer unchanged) when full.
   /// Inserting an id the buffer already holds aborts.
-  [[nodiscard]] bool add(PacketId pid, std::uint32_t size_kb);
-  /// Insert a packet that fits.  The index insert aborts on an id the
-  /// buffer already holds, so callers need no check of their own.
-  void append(PacketId pid, std::uint32_t size_kb);
+  [[nodiscard]] bool add(PacketId pid);
+  /// Insert into a buffer with space.  The index insert aborts on an id
+  /// the buffer already holds, so callers need no check of their own.
+  void append(PacketId pid);
 
   /// Remove a packet that must be present.
-  void remove(PacketId pid, std::uint32_t size_kb);
+  void remove(PacketId pid);
   /// Remove by known position (swap-erase).
-  void remove_at(std::size_t i, std::uint32_t size_kb);
+  void remove_at(std::size_t i);
 
   // -- checkpointing (src/persist/, docs/checkpointing.md) --------------
   /// The id list is stored in order: TTL sweeps and crash flushes
   /// iterate it.  The index is not stored: load rebuilds it and refuses
-  /// an id list that names a packet twice.
+  /// an id list that names a packet twice or overfills the capacity.
   void save(persist::Writer& w) const;
   void load(persist::Reader& r);
 
-  /// Test-only fault injection for the invariant auditor's negative
-  /// tests: skew the byte accounting without touching the id list (the
-  /// bug class this simulates is a transfer that accounted the wrong
-  /// packet size).
-  void debug_corrupt_used_kb_for_test(int delta) {
-    used_kb_ = static_cast<std::uint64_t>(
-        static_cast<std::int64_t>(used_kb_) + delta);
-  }
   /// Test-only: re-point the first id's index entry by `delta` slots
   /// (the bug class: a swap-erase renumbered the moved id wrong).
   void debug_corrupt_index_for_test(int delta);
@@ -134,8 +122,8 @@ class Buffer {
   template <class Ar>
   void fields(Ar& ar);
 
+  DTN_CKPT_SKIP("configuration, pinned by the config fingerprint")
   std::uint64_t capacity_kb_;
-  std::uint64_t used_kb_ = 0;
   std::vector<PacketId> packets_;
   DTN_CKPT_SKIP("derived: load rebuilds it from the id list")
   SlotIndex index_;

@@ -1,9 +1,10 @@
 // Packets and their lifecycle.
 //
 // Following §III-A.2 the network routes fixed-size, single-copy packets
-// between landmarks; a packet is delivered the moment it reaches its
-// destination landmark (station or carrying node arriving there) and is
-// dropped when its TTL expires.
+// between landmarks; every packet is 1 kB, so a store of N kB holds N
+// packets.  A packet is delivered the moment it reaches its destination
+// landmark (station or carrying node arriving there) and is dropped
+// when its TTL expires.
 #pragma once
 
 #include <cstdint>
@@ -55,7 +56,6 @@ struct Packet {
   NodeId dst_node = trace::kNoNode;
   double created = 0.0;
   double ttl = 0.0;  ///< lifetime in seconds from `created`
-  std::uint32_t size_kb = 1;
 
   /// Logical packet this is a copy of (== `id` for originals).
   /// Multi-copy routers replicate packets; success/delay count once per

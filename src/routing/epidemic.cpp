@@ -10,7 +10,7 @@ void EpidemicRouter::on_arrival(net::Network& net, net::NodeId node,
   const auto origin = net.origin_packets(l);
   const std::vector<net::PacketId> waiting(origin.begin(), origin.end());
   for (const net::PacketId pid : waiting) {
-    if (!net.node_buffer(node).has_space(net.packet(pid).size_kb)) break;
+    if (!net.node_buffer(node).has_space()) break;
     (void)net.pickup_from_origin(node, pid);
   }
 }
@@ -46,7 +46,7 @@ void EpidemicRouter::infect_one_way(net::Network& net, net::NodeId from,
     // skip peers that already carried this logical, before spending a
     // replication on an admission the store would refuse.
     if (net.node_buffer(to).seen_logical(p.logical)) continue;
-    if (!net.node_buffer(to).has_space(p.size_kb)) continue;
+    if (!net.node_buffer(to).has_space()) continue;
     (void)net.replicate_node_to_node(from, to, pid);
   }
 }

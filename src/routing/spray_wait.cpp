@@ -21,7 +21,7 @@ void SprayAndWaitRouter::on_arrival(net::Network& net, net::NodeId node,
   const auto origin = net.origin_packets(l);
   const std::vector<net::PacketId> waiting(origin.begin(), origin.end());
   for (const net::PacketId pid : waiting) {
-    if (!net.node_buffer(node).has_space(net.packet(pid).size_kb)) break;
+    if (!net.node_buffer(node).has_space()) break;
     if (net.pickup_from_origin(node, pid)) {
       tickets_[pid] = cfg_.initial_copies;
     }

@@ -14,8 +14,7 @@ void UtilityRouter::on_arrival(Network& net, NodeId node, LandmarkId l) {
   const auto origin = net.origin_packets(l);
   std::vector<PacketId> waiting(origin.begin(), origin.end());
   for (const PacketId pid : waiting) {
-    const Packet& p = net.packet(pid);
-    if (!net.node_buffer(node).has_space(p.size_kb)) break;
+    if (!net.node_buffer(node).has_space()) break;
     (void)net.pickup_from_origin(node, pid);
   }
 }
@@ -28,7 +27,7 @@ void UtilityRouter::on_packet_generated(Network& net, PacketId pid) {
   NodeId best = kNoNode;
   double best_u = -1.0;
   for (const NodeId n : present) {
-    if (!net.node_buffer(n).has_space(p.size_kb)) continue;
+    if (!net.node_buffer(n).has_space()) continue;
     const double u = utility(net, n, p);
     if (u > best_u) {
       best_u = u;
@@ -56,7 +55,7 @@ void UtilityRouter::exchange_one_way(Network& net, NodeId from, NodeId to) {
   std::vector<PacketId> candidates(carried.begin(), carried.end());
   for (const PacketId pid : candidates) {
     const Packet& p = net.packet(pid);
-    if (!net.node_buffer(to).has_space(p.size_kb)) continue;
+    if (!net.node_buffer(to).has_space()) continue;
     if (!should_forward(net, from, to, p)) continue;
     (void)net.node_to_node(from, to, pid);
   }

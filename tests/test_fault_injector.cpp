@@ -394,7 +394,7 @@ TEST(FaultRun, ScheduledCrashLosesBufferedPackets) {
   EXPECT_EQ(c.node_crashes, 1u);
   EXPECT_EQ(c.node_reboots, 1u);
   EXPECT_GT(c.packets_lost_fault, 0u);
-  EXPECT_GE(c.kb_lost_fault, c.packets_lost_fault);  // >=1 kB per packet
+  EXPECT_EQ(c.kb_lost_fault, c.packets_lost_fault);  // 1 kB per packet
   EXPECT_EQ(c.delivered + c.packets_lost_fault + c.dropped_ttl, c.generated);
   // The crash also destroys any distance vector the node was carrying
   // (or at least fires the router's crash hook).

@@ -241,18 +241,6 @@ TEST(NetworkAudit, HealthyRunPassesAllChecks) {
   EXPECT_TRUE(report.ok()) << report.to_string();
 }
 
-TEST(NetworkAudit, DetectsBufferByteCorruption) {
-  const auto trace = relay_chain_trace(6.0);
-  DtnFlowRouter router;
-  Network net(trace, router, chain_workload());
-  net.run();
-  ASSERT_TRUE(net.debug_corrupt_for_test(Network::Corruption::kBufferBytes));
-  AuditReport report;
-  net.audit(report);
-  EXPECT_FALSE(report.ok());
-  EXPECT_TRUE(any_failure_mentions(report, "buffer")) << report.to_string();
-}
-
 // Present-set corruption is only observable while nodes are present,
 // and a misplaced sweep watermark or packet holder only while packets
 // are live, so all three are seeded mid-run: this router corrupts inside the first arrival
@@ -361,7 +349,7 @@ class AbortingCorruptRouter : public net::Router {
     (void)l;
     if (fired_) return;
     fired_ = true;
-    (void)net.debug_corrupt_for_test(Network::Corruption::kBufferBytes);
+    (void)net.debug_corrupt_for_test(Network::Corruption::kFaultLossCounter);
   }
   bool fired_ = false;
 };
