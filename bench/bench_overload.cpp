@@ -7,7 +7,9 @@
 // sheds and evicts nothing (every bundle survives on disk awaiting
 // recall) and edges out the in-memory drop policies on success.
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <string>
 
 #include "bench_common.hpp"
 #include "core/dtn_flow_router.hpp"
@@ -41,10 +43,16 @@ int main(int argc, char** argv) {
   auto workload = scenario.workload;
   workload.packets_per_landmark_per_day *= 3.0;
 
-  const auto spill_dir =
-      std::filesystem::temp_directory_path() / "dtn_bench_overload_spill";
-  std::filesystem::remove_all(spill_dir);
-  std::filesystem::create_directories(spill_dir);
+  // A fresh directory per process, so concurrent runs never share spill
+  // files.
+  std::string spill_template = (std::filesystem::temp_directory_path() /
+                                "dtn_bench_overload_spill.XXXXXX")
+                                   .string();
+  if (::mkdtemp(spill_template.data()) == nullptr) {
+    std::perror("bench_overload: cannot create a spill directory");
+    return 1;
+  }
+  const std::filesystem::path spill_dir = spill_template;
 
   dtn::TablePrinter table({"station kB / policy", "success", "delivered",
                            "evicted", "shed", "spilled"});

@@ -23,6 +23,30 @@ namespace {
 // head to the next hop to still be usable as its carrier.
 constexpr double kCarrierProbabilityFloor = 0.30;
 
+// Per-(node, landmark) prediction accuracy (§IV-D.4): its starting
+// value, and the multipliers on a correct and an incorrect prediction.
+constexpr double kAccuracyInit = 0.5;
+constexpr double kAccuracyGain = 1.1;
+constexpr double kAccuracyLoss = 0.9;
+
+// Completed stays a node needs before dead-end detection engages
+// (§IV-E.1; keeps cold nodes from false positives).
+constexpr std::uint32_t kDeadEndMinRecords = 5;
+
+// Bounded rounds of the post-detection re-convergence exchange (§IV-E.2).
+constexpr std::size_t kLoopCorrectionRounds = 8;
+
+// Link overload factor lambda (§IV-E.3): incoming rate above lambda x
+// outgoing rate diverts to the backup next hop.
+constexpr double kOverloadLambda = 2.0;
+
+// §IV-D.5 channel modes: switch to uploading when station/(packets on
+// nodes) drops below T_u, back to forwarding when it exceeds T_d; in
+// uploading mode a node uploads at most B_up packets per association.
+constexpr double kUploadThreshold = 0.5;
+constexpr double kDownloadThreshold = 2.0;
+constexpr std::size_t kMaxUploadsPerArrival = 50;
+
 // The route leads somewhere at a finite delay.
 bool routable(const Route& r) {
   return r.reachable() && r.delay != kInfiniteDelay;
@@ -49,9 +73,7 @@ DtnFlowRouter::DtnFlowRouter(DtnFlowConfig config) : cfg_(config) {
   DTN_ASSERT(cfg_.predictor_order >= 1 && cfg_.predictor_order <= 3);
   DTN_ASSERT(cfg_.bandwidth_rho > 0.0 && cfg_.bandwidth_rho <= 1.0);
   DTN_ASSERT(cfg_.dead_end_theta >= 1.0);
-  DTN_ASSERT(cfg_.overload_lambda >= 1.0);
   DTN_ASSERT(cfg_.dv_exchange_every >= 1);
-  DTN_ASSERT(cfg_.route_staleness_units >= 0.0);
 }
 
 void DtnFlowRouter::on_init(Network& net) {
@@ -85,7 +107,7 @@ void DtnFlowRouter::on_init(Network& net) {
   distribution_scratch_.clear();
   station_down_.assign(m, 0);
   needs_reconvergence_.assign(m, 0);
-  accuracy_ = FlatMatrix<double>(n, m, cfg_.accuracy_init);
+  accuracy_ = FlatMatrix<double>(n, m, kAccuracyInit);
   diag_ = DtnFlowDiagnostics{};
 }
 
@@ -288,7 +310,7 @@ bool DtnFlowRouter::link_overloaded(const LandmarkState& ls,
   // capacity within this unit is the link overloaded — the first
   // capacity-worth of packets each unit always uses the primary route.
   const double out = std::max(ls.prev_outgoing[neighbor], 1.0);
-  return ls.incoming[neighbor] > cfg_.overload_lambda * out;
+  return ls.incoming[neighbor] > kOverloadLambda * out;
 }
 
 bool DtnFlowRouter::choose_next_hop(LandmarkId l, LandmarkId dst,
@@ -478,12 +500,7 @@ void DtnFlowRouter::offer_packets_to_node(Network& net, LandmarkId l,
               return a.pid < b.pid;
             });
 
-  std::size_t handed = 0;
   for (const OfferKey& key : offer_keys_) {
-    if (cfg_.max_downloads_per_arrival != 0 &&
-        handed >= cfg_.max_downloads_per_arrival) {
-      break;
-    }
     const PacketId pid = key.pid;
     Packet& p = net.packet(pid);
     if (p.state != net::PacketState::kAtStation) continue;  // moved already
@@ -497,7 +514,6 @@ void DtnFlowRouter::offer_packets_to_node(Network& net, LandmarkId l,
         p.next_hop = p.dst;
         p.expected_delay = std::min(table_delay, link_delay);
         landmarks_[l].outgoing[p.dst] += 1.0;
-        ++handed;
       }
       continue;
     }
@@ -513,7 +529,6 @@ void DtnFlowRouter::offer_packets_to_node(Network& net, LandmarkId l,
       p.next_hop = next;
       p.expected_delay = delay;
       landmarks_[l].outgoing[next] += 1.0;
-      ++handed;
     }
   }
 }
@@ -568,9 +583,9 @@ void DtnFlowRouter::update_channel_mode(const Network& net, LandmarkId l) {
   const double ratio = on_nodes > 0.0
                            ? station / on_nodes
                            : (station > 0.0 ? kInfiniteDelay : 0.0);
-  if (ratio < cfg_.upload_threshold) {
+  if (ratio < kUploadThreshold) {
     ls.uploading_mode = true;
-  } else if (ratio > cfg_.download_threshold) {
+  } else if (ratio > kDownloadThreshold) {
     ls.uploading_mode = false;
   }
   // Between the thresholds the previous mode persists (hysteresis).
@@ -615,9 +630,9 @@ void DtnFlowRouter::on_arrival(Network& net, NodeId node, LandmarkId l) {
       double& acc = accuracy_.at(node, prev);
       if (ns.predicted_next == l) {
         ++diag_.predictions_correct;
-        acc = std::min(1.0, acc * cfg_.accuracy_gain);
+        acc = std::min(1.0, acc * kAccuracyGain);
       } else {
-        acc = std::max(0.05, acc * cfg_.accuracy_loss);
+        acc = std::max(0.05, acc * kAccuracyLoss);
       }
     }
   }
@@ -631,8 +646,7 @@ void DtnFlowRouter::on_arrival(Network& net, NodeId node, LandmarkId l) {
       ++diag_.dv_deliveries_deferred;
     } else {
       net.account_control(static_cast<double>(ns.carried_dv->entries()));
-      const bool merged =
-          landmarks_[l].table->merge(*ns.carried_dv, net.now());
+      const bool merged = landmarks_[l].table->merge(*ns.carried_dv);
       if (merged && needs_reconvergence_[l] != 0) {
         needs_reconvergence_[l] = 0;
         ++diag_.post_outage_reconvergences;
@@ -668,7 +682,7 @@ void DtnFlowRouter::on_arrival(Network& net, NodeId node, LandmarkId l) {
     const bool uploading = landmarks_[l].uploading_mode;
     for (const PacketId pid :
          upload_packets(net, node, l, /*force_all=*/false,
-                        uploading ? cfg_.max_uploads_per_arrival : 0,
+                        uploading ? kMaxUploadsPerArrival : 0,
                         /*only_reached_hop=*/!uploading)) {
       if (net.packet(pid).state == net::PacketState::kAtStation) {
         dispatch_packet(net, l, pid);
@@ -785,7 +799,7 @@ void DtnFlowRouter::on_station_recovery(Network& net, LandmarkId l) {
 
 bool DtnFlowRouter::stay_is_dead_end(const NodeState& ns, LandmarkId l,
                                      double stay) const {
-  if (ns.total_stays < cfg_.dead_end_min_records) return false;
+  if (ns.total_stays < kDeadEndMinRecords) return false;
   const double avg_all =
       ns.total_stay / static_cast<double>(ns.total_stays);
   if (stay > cfg_.dead_end_theta * avg_all) return true;
@@ -853,7 +867,7 @@ void DtnFlowRouter::correct_loop(Network& net, LandmarkId dst,
     if (station_down_[lm] != 0) continue;
     landmarks_[lm].table->unpin(dst);
   }
-  for (std::size_t round = 0; round < cfg_.loop_correction_rounds; ++round) {
+  for (std::size_t round = 0; round < kLoopCorrectionRounds; ++round) {
     bool changed = false;
     for (const LandmarkId from : cycle) {
       if (station_down_[from] != 0) continue;
@@ -862,7 +876,7 @@ void DtnFlowRouter::correct_loop(Network& net, LandmarkId dst,
         if (to == from || station_down_[to] != 0) continue;
         net.account_control(static_cast<double>(dv.entries()));
         const auto before = landmarks_[to].table->route(dst).next;
-        landmarks_[to].table->merge(dv, net.now());
+        landmarks_[to].table->merge(dv);
         if (landmarks_[to].table->route(dst).next != before) changed = true;
       }
     }
@@ -928,8 +942,7 @@ void DtnFlowRouter::on_time_unit(Network& net, std::size_t unit_index) {
   for (LandmarkId l = 0; l < m; ++l) {
     LandmarkState& ls = landmarks_[l];
     // A station in an outage is frozen whole: no link refresh, no
-    // monitor roll, no expiry sweep — it resumes with its durable
-    // pre-outage state (and stale routes age out naturally afterwards).
+    // monitor roll — it resumes with its durable pre-outage state.
     if (station_down_[l] != 0) continue;
     for (LandmarkId j = 0; j < m; ++j) {
       if (j == l) continue;
@@ -940,13 +953,6 @@ void DtnFlowRouter::on_time_unit(Network& net, std::size_t unit_index) {
     ls.prev_outgoing.swap(ls.outgoing);
     std::fill(ls.incoming.begin(), ls.incoming.end(), 0.0);
     std::fill(ls.outgoing.begin(), ls.outgoing.end(), 0.0);
-    // Graceful degradation: withdraw routes advertised by landmarks
-    // that have stayed silent too long (e.g. through a dead station).
-    if (cfg_.route_staleness_units > 0.0) {
-      const double cutoff =
-          net.now() - cfg_.route_staleness_units * time_unit_;
-      diag_.stale_origins_expired += ls.table->expire_stale(cutoff);
-    }
   }
   if (cfg_.dead_end_prevention) {
     for (NodeId n = 0; n < nodes_.size(); ++n) {

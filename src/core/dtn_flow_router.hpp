@@ -75,53 +75,21 @@ struct DtnFlowConfig {
   /// Multiply transit probability by the node's measured prediction
   /// accuracy when ranking carriers (§IV-D.4).
   bool refine_carrier_selection = true;
-  double accuracy_init = 0.5;
-  double accuracy_gain = 1.1;  ///< multiplier on a correct prediction
-  double accuracy_loss = 0.9;  ///< multiplier on an incorrect prediction
 
   // -- extensions (§IV-E) ----------------------------------------------
   bool dead_end_prevention = false;
   /// Stay-time factor theta; a stay theta x longer than the node's
   /// average (overall or at this landmark) flags a dead end.
   double dead_end_theta = 2.0;
-  /// Completed stays required before dead-end detection engages
-  /// (prevents false positives on cold nodes).
-  std::size_t dead_end_min_records = 5;
-
   bool loop_correction = false;
-  /// Bounded iterations of the post-detection re-convergence exchange.
-  std::size_t loop_correction_rounds = 8;
-
+  /// Divert traffic to the backup next hop while a link is overloaded.
   bool load_balancing = false;
-  /// Link overload factor lambda: incoming rate > lambda x outgoing
-  /// rate diverts to the backup next hop.
-  double overload_lambda = 2.0;
-
-  /// Packets handed to one arriving node per association
-  /// (§IV-D.5's B_up); 0 = unlimited.
-  std::size_t max_downloads_per_arrival = 0;
 
   // -- communication scheduling (§IV-D.5) -------------------------------
   /// Model the serialized landmark channel: each landmark is either in
   /// packet-uploading or packet-forwarding mode depending on the ratio
   /// of station-held packets to packets on connected nodes.
   bool scheduled_communication = false;
-  /// Switch to uploading mode when station/(packets on nodes) < T_u.
-  double upload_threshold = 0.5;
-  /// Switch back to forwarding mode when the ratio > T_d.
-  double download_threshold = 2.0;
-  /// Packets a node may upload per association in uploading mode
-  /// (§IV-D.5's B_up); 0 = unlimited.
-  std::size_t max_uploads_per_arrival = 50;
-
-  // -- graceful degradation under faults (docs/fault-injection.md) ------
-  /// Expire routes learned from landmarks that have stayed silent for
-  /// this many measurement units (their advertised rows are withdrawn,
-  /// so traffic stops being steered through a dead station on ancient
-  /// promises).  0 disables expiry — with no fault plan attached the
-  /// replay is bit-identical either way, since nothing ever goes
-  /// silent for a full unit in a healthy run only when enabled.
-  double route_staleness_units = 0.0;
 
   /// Scheduled fault injection (Table VII): at time unit `at_unit`, pin
   /// the routing cycle `cycle` for destination `dst`.
@@ -151,8 +119,6 @@ struct DtnFlowDiagnostics {
   /// Distance vectors whose delivery was deferred to a later landmark
   /// by an injected propagation delay.
   std::uint64_t dv_deliveries_deferred = 0;
-  /// Origins whose advertised routes were withdrawn by staleness expiry.
-  std::uint64_t stale_origins_expired = 0;
   /// Dispatches that fell back to the backup next hop because the
   /// primary next hop's station was down.
   std::uint64_t fallback_next_hops = 0;
@@ -174,7 +140,6 @@ struct DtnFlowDiagnostics {
     ar.value("station recoveries seen", station_recoveries_seen);
     ar.value("vector carriers lost", dv_carriers_lost);
     ar.value("vector deliveries deferred", dv_deliveries_deferred);
-    ar.value("stale origins expired", stale_origins_expired);
     ar.value("fallback next hops", fallback_next_hops);
     ar.value("post-outage reconvergences", post_outage_reconvergences);
   }

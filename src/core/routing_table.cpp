@@ -17,8 +17,6 @@ RoutingTable::RoutingTable(LandmarkId self, std::size_t num_landmarks)
       unheard_(row_of(std::make_shared<const std::vector<double>>(
           num_landmarks, kInfiniteDelay))),
       last_seq_(num_landmarks, 0),
-      advertised_time_(num_landmarks, 0.0),
-      expired_(num_landmarks, 0),
       pinned_(num_landmarks, 0),
       pin_route_(num_landmarks),
       routes_(num_landmarks),
@@ -81,26 +79,23 @@ double RoutingTable::link_delay(LandmarkId neighbor) const {
   return link_delay_[neighbor];
 }
 
-bool RoutingTable::merge(const DistanceVector& dv, double now) {
+bool RoutingTable::merge(const DistanceVector& dv) {
   DTN_ASSERT(dv.origin < link_delay_.size());
   DTN_ASSERT(dv.payload != nullptr && dv.entries() == link_delay_.size());
   if (dv.origin == self_) return false;
   const LandmarkId origin = dv.origin;
   if (dv.seq + 1 <= last_seq_[origin]) return false;  // stale
   last_seq_[origin] = dv.seq + 1;
-  advertised_time_[origin] = now;
   // The row already is this payload: payloads are immutable, and the
   // row's reference keeps the address from being reused by another one.
   const double* in = dv.delay().data();
   if (rows_[origin].get() == in) return true;
-  const bool revived = expired_[origin] != 0;
-  expired_[origin] = 0;  // a fresh vector revives a withdrawn origin
   const Row old = std::exchange(rows_[origin], row_of(dv.payload));
   const std::size_t n = dv.entries();
   const double* was = old.get();
   // Cells are visited in ascending destination order, each changed one
   // handed to the column's upkeep.  The origin's own cell is not read
-  // from the row: it changes only when the vector revives the origin.
+  // from the row: advertised() holds it at 0.
   const auto apply = [&](std::size_t d) {
     if (was[d] != in[d]) update_cell(origin, static_cast<LandmarkId>(d));
   };
@@ -118,7 +113,6 @@ bool RoutingTable::merge(const DistanceVector& dv, double now) {
     for (; d < hi; ++d) apply(d);
   };
   sweep(0, origin);
-  if (revived) update_cell(origin, origin);
   sweep(origin + 1, n);
   return true;
 }
@@ -300,33 +294,6 @@ std::vector<LandmarkId> RoutingTable::next_hops() const {
   return out;
 }
 
-std::size_t RoutingTable::expire_stale(double cutoff) {
-  const std::size_t n = link_delay_.size();
-  std::size_t expired = 0;
-  for (std::size_t o = 0; o < n; ++o) {
-    if (o == self_) continue;
-    if (last_seq_[o] == 0) continue;  // never advertised: bootstrap row stays
-    if (expired_[o] != 0) continue;
-    if (advertised_time_[o] >= cutoff) continue;
-    rows_[o] = unheard_;
-    expired_[o] = 1;
-    ++expired;
-  }
-  // A withdrawn origin can have been the best hop toward any column.
-  if (expired != 0) mark_all_dirty();
-  return expired;
-}
-
-bool RoutingTable::origin_expired(LandmarkId origin) const {
-  DTN_ASSERT(origin < link_delay_.size());
-  return expired_[origin] != 0;
-}
-
-double RoutingTable::advertised_time(LandmarkId origin) const {
-  DTN_ASSERT(origin < link_delay_.size());
-  return advertised_time_[origin];
-}
-
 void RoutingTable::pin(LandmarkId dst, LandmarkId next, double fake_delay) {
   DTN_ASSERT(dst < link_delay_.size());
   DTN_ASSERT(next < link_delay_.size());
@@ -473,8 +440,6 @@ void RoutingTable::fields(Ar& ar) {
     }
   }
   ar.array("routing table last seq", last_seq_);
-  ar.array("routing table advertised time", advertised_time_);
-  ar.array("routing table expired", expired_);
   ar.array("routing table pinned", pinned_);
   for (Route& rt : pin_route_) {
     ar.index_or_none("routing table next hop", rt.next, n);

@@ -103,26 +103,11 @@ class RoutingTable {
   [[nodiscard]] double link_delay(LandmarkId neighbor) const;
 
   /// Merge a neighbor's advertised vector; returns false when the
-  /// vector is stale (or self-originated) and was discarded.  `now`
-  /// stamps the origin's row for the staleness expiry below (callers
-  /// without a clock pass the default and never expire anything).  A
-  /// fresh vector carrying the very payload the origin's row holds only
-  /// stamps the origin: nothing in the row can change.
-  bool merge(const DistanceVector& dv, double now = 0.0);
-
-  // -- graceful degradation under faults (docs/fault-injection.md) ------
-  /// Withdraw every route advertised by origins whose last merged
-  /// vector is older than `cutoff`: their whole advertised row (the
-  /// origin's own delay-0 cell included) goes to infinity, so
-  /// routes *to* and *through* a silent — possibly dead — landmark
-  /// expire instead of being trusted forever.  Origins that never
-  /// advertised keep their bootstrap delay 0 to themselves (direct links
-  /// stay usable before the first exchange).  A later fresh vector from
-  /// the origin restores it.  Returns how many origins were expired.
-  std::size_t expire_stale(double cutoff);
-  [[nodiscard]] bool origin_expired(LandmarkId origin) const;
-  /// Time of the last accepted vector from `origin` (0 before any).
-  [[nodiscard]] double advertised_time(LandmarkId origin) const;
+  /// vector is stale (or self-originated) and was discarded.  A fresh
+  /// vector carrying the very payload the origin's row holds only
+  /// advances the origin's sequence number: nothing in the row can
+  /// change.
+  bool merge(const DistanceVector& dv);
 
   /// Best/backup route toward `dst` (self -> {self, 0}).
   [[nodiscard]] Route route(LandmarkId dst) const;
@@ -130,7 +115,7 @@ class RoutingTable {
 
   /// Produce the vector to advertise; each call increments the sequence
   /// number (one snapshot per carrying node).  The delays are published
-  /// once per table version: while no merge, link, pin or expiry change
+  /// once per table version: while no merge, link or pin change
   /// has touched the routes since the last publish, every snapshot
   /// shares that payload.  A change re-checks the routes and publishes a
   /// new payload only when some advertised delay differs bit for bit, so
@@ -188,10 +173,9 @@ class RoutingTable {
   void fields(Ar& ar);
 
   /// Cell (origin, dst) of the advertised rows.  An origin advertises 0
-  /// to itself, or infinity while it is expired, whatever its row holds.
+  /// to itself, whatever its row holds.
   [[nodiscard]] double advertised(LandmarkId origin, LandmarkId dst) const {
-    if (origin == dst) return expired_[origin] != 0 ? kInfiniteDelay : 0.0;
-    return rows_[origin].get()[dst];
+    return origin == dst ? 0.0 : rows_[origin].get()[dst];
   }
   /// Bring every dirty destination column up to date (no-op when clean).
   void recompute() const;
@@ -227,8 +211,8 @@ class RoutingTable {
     return {payload, payload->data()};
   }
   /// Per origin, the payload last merged from it, or `unheard_` for an
-  /// origin never heard from or expired.  Payloads are immutable, so a
-  /// row is never written: a merge swaps the pointer.
+  /// origin never heard from.  Payloads are immutable, so a row is never
+  /// written: a merge swaps the pointer.
   std::vector<Row> rows_;
   /// All infinite; the row of every origin with nothing to advertise.
   Row unheard_;
@@ -238,8 +222,6 @@ class RoutingTable {
   DTN_CKPT_SKIP("derived from link_delay_; load rebuilds it")
   std::vector<LandmarkId> neighbours_;
   std::vector<std::uint64_t> last_seq_;  // last merged seq + 1 per origin
-  std::vector<double> advertised_time_;  // when each origin last advertised
-  std::vector<std::uint8_t> expired_;    // origins withdrawn by expire_stale
   std::vector<std::uint8_t> pinned_;
   std::vector<Route> pin_route_;
   std::uint64_t seq_ = 0;

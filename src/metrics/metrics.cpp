@@ -75,7 +75,6 @@ RunResult summarize(const net::Network& network, const net::Router& router,
   r.node_crashes = c.node_crashes;
   r.station_outages = c.station_outages;
   r.packets_lost_fault = c.packets_lost_fault;
-  r.kb_lost_fault = static_cast<double>(c.kb_lost_fault);
   r.transfers_interrupted = c.transfers_interrupted;
   r.transfers_resumed = c.transfers_resumed;
   if (!c.outage_recovery_delays.empty()) {

@@ -47,7 +47,6 @@ struct RunResult {
   std::uint64_t node_crashes = 0;
   std::uint64_t station_outages = 0;
   std::uint64_t packets_lost_fault = 0;
-  double kb_lost_fault = 0.0;
   std::uint64_t transfers_interrupted = 0;
   std::uint64_t transfers_resumed = 0;
   /// Mean seconds from a station's recovery to its first successful

@@ -710,7 +710,6 @@ void Network::apply_node_crash(const sim::Event& ev) {
     } else {
       p.state = PacketState::kLostFault;
       ++counters_.packets_lost_fault;
-      ++counters_.kb_lost_fault;
     }
   }
   faults_->mark_node_down(node);
@@ -929,7 +928,6 @@ void Network::finalize_evictions(std::vector<PacketId>& victims) {
     v.state = logical_delivered_[v.logical] != 0 ? PacketState::kObsoleteCopy
                                                  : PacketState::kEvicted;
     ++counters_.evicted_policy;
-    ++counters_.evicted_kb;
   }
   victims.clear();
 }
@@ -1295,7 +1293,7 @@ void Network::audit_fault_state(sim::AuditReport& report) const {
                   " has zero attempts");
     }
   }
-  // Fault-loss counters must match a recount over the packet table.
+  // The fault-loss counter must match a recount over the packet table.
   std::uint64_t lost = 0;
   for (const Packet& p : packets_) {
     if (p.state == PacketState::kLostFault) ++lost;
@@ -1305,11 +1303,6 @@ void Network::audit_fault_state(sim::AuditReport& report) const {
                 std::to_string(counters_.packets_lost_fault) +
                 " but packet table holds " + std::to_string(lost) +
                 " fault-lost packets");
-  }
-  if (lost != counters_.kb_lost_fault) {
-    report.fail("kb_lost_fault counter " +
-                std::to_string(counters_.kb_lost_fault) + " but " +
-                std::to_string(lost) + " fault-lost 1 kB packets");
   }
   if (faults_.has_value()) {
     faults_->audit(report);

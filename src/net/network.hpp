@@ -113,8 +113,6 @@ struct RunCounters {
   //    default unbounded, policy-off store configuration) ---------------
   /// Victims dropped by an eviction policy to admit an incoming bundle.
   std::uint64_t evicted_policy = 0;
-  /// kB those victims held (one per packet).
-  std::uint64_t evicted_kb = 0;
   /// Generated packets shed at admission because their origin station
   /// was full (graceful load shedding; they still count as generated).
   std::uint64_t admission_shed = 0;
@@ -132,10 +130,8 @@ struct RunCounters {
   std::uint64_t node_reboots = 0;
   std::uint64_t station_outages = 0;
   std::uint64_t station_recoveries = 0;
-  /// Packets destroyed by crash buffer loss, and the kB they held (one
-  /// per packet).
+  /// Packets destroyed by crash buffer loss.
   std::uint64_t packets_lost_fault = 0;
-  std::uint64_t kb_lost_fault = 0;
   /// Transfer attempts broken mid-contact, and packets that later made
   /// it across after at least one such break (retry/backoff resumption).
   std::uint64_t transfers_interrupted = 0;
@@ -162,7 +158,6 @@ struct RunCounters {
     ar.vec("delivery delays", delivery_delays);
     ar.vec("delivery hops", delivery_hops);
     ar.value("evicted policy", evicted_policy);
-    ar.value("evicted kb", evicted_kb);
     ar.value("admission shed", admission_shed);
     ar.value("duplicates suppressed", duplicates_suppressed);
     ar.value("dedup refused", dedup_refused);
@@ -173,7 +168,6 @@ struct RunCounters {
     ar.value("station outages", station_outages);
     ar.value("station recoveries", station_recoveries);
     ar.value("packets lost fault", packets_lost_fault);
-    ar.value("kb lost fault", kb_lost_fault);
     ar.value("transfers interrupted", transfers_interrupted);
     ar.value("transfers resumed", transfers_resumed);
     ar.value("transfers blocked fault", transfers_blocked_fault);

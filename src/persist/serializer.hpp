@@ -60,7 +60,7 @@
 
 namespace dtn::persist {
 
-inline constexpr std::uint32_t kSchemaVersion = 7;
+inline constexpr std::uint32_t kSchemaVersion = 8;
 inline constexpr std::size_t kMagicSize = 8;
 
 const std::uint8_t* magic();  // kMagicSize bytes

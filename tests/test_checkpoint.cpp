@@ -749,11 +749,13 @@ TEST(CheckpointEdge, OlderSchemaSnapshotsAreRefused) {
   // Schema 5 images held every node's location, previous landmark and
   // visit history, and every station's present list and the present
   // positions.  Schema 6 images held every packet's size, every store's
-  // capacity and used bytes, and every bundle's size.  Schema 7 has
-  // none of these, so an image stamped with an older version must be
-  // refused up front rather than misparsed.
-  ASSERT_EQ(persist::kSchemaVersion, 7u);
-  for (const std::uint8_t older : {1, 2, 3, 4, 5, 6}) {
+  // capacity and used bytes, and every bundle's size.  Schema 7 images
+  // held every routing table's per-origin advertised times and expired
+  // flags, and the evicted-kB and kB-lost counters.  Schema 8 has none
+  // of these, so an image stamped with an older version must be refused
+  // up front rather than misparsed.
+  ASSERT_EQ(persist::kSchemaVersion, 8u);
+  for (const std::uint8_t older : {1, 2, 3, 4, 5, 6, 7}) {
     expect_patched_snapshot_refused(
         "schema_" + std::to_string(older),
         [&](std::vector<std::uint8_t>& bytes, const WorkloadConfig&) {
@@ -765,10 +767,10 @@ TEST(CheckpointEdge, OlderSchemaSnapshotsAreRefused) {
 
 TEST(CheckpointEdge, PacketOfAnotherSizeIsRefused) {
   // Schema 6 packet rows carried a u32 size between the TTL and the
-  // logical id; schema 7 rows carry none (every packet is 1 kB).  A
-  // packet table whose first row has that field spliced back in (a
-  // schema 6 row under a schema 7 stamp, section CRC resealed) must be
-  // refused, not read with every later field shifted.
+  // logical id; later rows carry none (every packet is 1 kB).  A packet
+  // table whose first row has that field spliced back in (a schema 6 row
+  // under the current stamp, section CRC resealed) must be refused, not
+  // read with every later field shifted.
   expect_patched_snapshot_refused(
       "packet_size",
       [](std::vector<std::uint8_t>& bytes, const WorkloadConfig&) {

@@ -51,8 +51,6 @@ std::vector<Variant> variants() {
   {
     DtnFlowConfig c;
     c.scheduled_communication = true;
-    c.max_uploads_per_arrival = 5;
-    c.max_downloads_per_arrival = 5;
     out.push_back({"scheduled", c});
   }
   {

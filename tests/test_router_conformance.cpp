@@ -244,7 +244,7 @@ TEST(RouterContactDeclaration, DtnFlowObservesContactsOnlyWithNodeRelay) {
 
 const char* const kClassifierCases[] = {
     "default",        "load_balancing",    "loop_correction",
-    "scheduled_caps", "dead_end",          "no_direct_delivery",
+    "scheduled",      "dead_end",          "no_direct_delivery",
     "no_refinement",  "tiny_node_memory",  "station_reject",
     "station_drop_oldest", "station_drop_largest_delay",
     "station_ttl_expire",  "station_outages"};
@@ -265,14 +265,11 @@ ClassifierSetup classifier_setup(const std::string& name) {
   };
   if (name == "load_balancing") {
     s.router.load_balancing = true;
-    s.router.overload_lambda = 1.0;
   } else if (name == "loop_correction") {
     s.router.loop_correction = true;
     s.router.loop_injections = {{3, {0, 1}, 4}};
-  } else if (name == "scheduled_caps") {
+  } else if (name == "scheduled") {
     s.router.scheduled_communication = true;
-    s.router.max_uploads_per_arrival = 3;
-    s.router.max_downloads_per_arrival = 2;
   } else if (name == "dead_end") {
     s.router.dead_end_prevention = true;
   } else if (name == "no_direct_delivery") {
@@ -331,6 +328,10 @@ TEST_P(DtnFlowClassifierTest, FilteredWalksMatchFullSortedWalks) {
   const ClassifierOutcome filtered = run_classifier_case(trace, setup, false);
   const ClassifierOutcome full = run_classifier_case(trace, setup, true);
   EXPECT_GT(filtered.counters.packet_forwards, 0u);
+  if (setup.router.load_balancing) {
+    // The diversion rule must fire, or the case would not check it.
+    EXPECT_GT(filtered.diagnostics.balancing_diversions, 0u);
+  }
   EXPECT_EQ(filtered.counters, full.counters);
   EXPECT_EQ(filtered.diagnostics, full.diagnostics);
   ASSERT_EQ(filtered.packets.size(), full.packets.size());
