@@ -5,6 +5,9 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
+#include <string>
 
 #include "core/bandwidth.hpp"
 #include "core/markov_predictor.hpp"
@@ -543,6 +546,18 @@ dtn::net::WorkloadConfig bench_checkpoint_workload() {
   return wl;
 }
 
+// A fresh directory per benchmark run, so concurrent bench_micro
+// processes never write into or delete each other's snapshots.
+std::filesystem::path fresh_temp_dir(const char* stem) {
+  std::string path =
+      (std::filesystem::temp_directory_path() / stem).string() + ".XXXXXX";
+  if (::mkdtemp(path.data()) == nullptr) {
+    std::perror("bench_micro: cannot create a temp directory");
+    std::abort();
+  }
+  return path;
+}
+
 void BM_CheckpointWrite(benchmark::State& state) {
   // Atomic snapshot publish (temp + rename + retention pruning) of a
   // realistic mid-run image.  A suspended campus run produces the image
@@ -557,8 +572,7 @@ void BM_CheckpointWrite(benchmark::State& state) {
   cfg.days = 6.0;
   cfg.seed = 9;
   const auto trace = dtn::trace::generate_campus_trace(cfg);
-  const fs::path dir = fs::temp_directory_path() / "dtn_bench_ckpt_write";
-  fs::remove_all(dir);
+  const fs::path dir = fresh_temp_dir("dtn_bench_ckpt_write");
   dtn::persist::CheckpointConfig seed_cc;
   seed_cc.dir = (dir / "seed").string();
   seed_cc.stop_after_events = 2000;
@@ -603,8 +617,7 @@ void BM_CheckpointRestore(benchmark::State& state) {
     net.run();
     total = net.events_executed();
   }
-  const fs::path dir = fs::temp_directory_path() / "dtn_bench_ckpt_restore";
-  fs::remove_all(dir);
+  const fs::path dir = fresh_temp_dir("dtn_bench_ckpt_restore");
   dtn::persist::CheckpointConfig cc;
   cc.dir = dir.string();
   cc.stop_after_events = total - 100;

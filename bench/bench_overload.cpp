@@ -1,14 +1,9 @@
 // Overload degradation sweep (docs/bounded-store.md; not a paper
 // figure).  Bound the landmark stations well below the offered load and
 // compare how each eviction policy degrades: a bounded replay must shed
-// or evict traffic deterministically instead of growing without limit,
-// and the spill backend should absorb the overflow that the in-memory
-// policies drop.  Success rates shrink with capacity; the spill row
-// sheds and evicts nothing (every bundle survives on disk awaiting
-// recall) and edges out the in-memory drop policies on success.
+// or evict traffic deterministically instead of growing without limit.
+// Success rates shrink with capacity.
 #include <cstdio>
-#include <cstdlib>
-#include <filesystem>
 #include <string>
 
 #include "bench_common.hpp"
@@ -43,25 +38,13 @@ int main(int argc, char** argv) {
   auto workload = scenario.workload;
   workload.packets_per_landmark_per_day *= 3.0;
 
-  // A fresh directory per process, so concurrent runs never share spill
-  // files.
-  std::string spill_template = (std::filesystem::temp_directory_path() /
-                                "dtn_bench_overload_spill.XXXXXX")
-                                   .string();
-  if (::mkdtemp(spill_template.data()) == nullptr) {
-    std::perror("bench_overload: cannot create a spill directory");
-    return 1;
-  }
-  const std::filesystem::path spill_dir = spill_template;
-
   dtn::TablePrinter table({"station kB / policy", "success", "delivered",
-                           "evicted", "shed", "spilled"});
+                           "evicted", "shed"});
   const auto add_cell = [&](const std::string& label, const Cell& cell) {
     table.add_row(label,
                   {cell.success, static_cast<double>(cell.counters.delivered),
                    static_cast<double>(cell.counters.evicted_policy),
-                   static_cast<double>(cell.counters.admission_shed),
-                   static_cast<double>(cell.counters.spilled_bundles)},
+                   static_cast<double>(cell.counters.admission_shed)},
                   3);
   };
 
@@ -79,19 +62,10 @@ int main(int argc, char** argv) {
                run_cell(scenario, wl));
     }
   }
-  // Spill backend: bounded memory, overflow to disk instead of refusal.
-  {
-    auto wl = workload;
-    wl.store.station_memory_kb = 10;
-    wl.store.spill_dir = spill_dir.string();
-    add_cell("10 / spill-to-disk", run_cell(scenario, wl));
-  }
 
   table.print("overload degradation sweep (DART, 3x offered load)");
   table.write_csv(dtn::bench::csv_path(opts, "overload"));
   std::printf("\n(shape check: success falls as stations shrink; eviction "
-              "policies beat reject; spill-to-disk sheds and evicts "
-              "nothing and edges out the in-memory drop policies)\n");
-  std::filesystem::remove_all(spill_dir);
+              "policies beat reject)\n");
   return 0;
 }

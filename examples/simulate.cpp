@@ -7,8 +7,8 @@
 //         [--input trace.csv] [--replicates 3] [--seed 1]
 //         [--fault-node-crash-rate 0.05 --fault-station-outage-rate 0.1
 //          --fault-transfer-fail 0.02 ...]   (docs/fault-injection.md)
-//         [--station-memory 20 --store-policy drop-oldest --store-dedup
-//          --spill-dir spill/]               (docs/bounded-store.md)
+//         [--station-memory 20 --store-policy drop-oldest --store-dedup]
+//                                            (docs/bounded-store.md)
 //
 // Routers: DTN-FLOW, SimBet, PROPHET, PGR, GeoComm, PER, Direct,
 // Epidemic, SprayWait, or "all".
@@ -35,7 +35,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <filesystem>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -281,17 +280,12 @@ int run(const dtn::CliOptions& opts) {
     return 2;
   }
   workload.store.dedup = opts.has("store-dedup");
-  workload.store.spill_dir = opts.get("spill-dir", "");
-  if (!workload.store.spill_dir.empty()) {
-    std::filesystem::create_directories(workload.store.spill_dir);
-  }
   if (workload.store.station_memory_kb > 0) {
-    std::printf("stations: bounded to %llu kB, policy %s%s%s\n",
+    std::printf("stations: bounded to %llu kB, policy %s%s\n",
                 static_cast<unsigned long long>(
                     workload.store.station_memory_kb),
                 dtn::net::to_string(workload.store.policy),
-                workload.store.dedup ? ", dedup on" : "",
-                workload.store.spill_dir.empty() ? "" : ", spill enabled");
+                workload.store.dedup ? ", dedup on" : "");
   }
   workload.faults = dtn::sim::fault_plan_from_cli(opts);
   if (workload.faults.has_value()) {
@@ -362,7 +356,7 @@ int main(int argc, char** argv) {
       {"kind", "input", "nodes", "buses", "landmarks", "districts",
        "communities", "days", "seed", "router", "replicates", "rate",
        "ttl-days", "memory", "unit-days", "warmup", "station-memory",
-       "store-policy", "store-dedup", "spill-dir", "out", "serve",
+       "store-policy", "store-dedup", "out", "serve",
        "checkpoint-dir", "checkpoint-every-events", "checkpoint-every-days",
        "checkpoint-keep", "serve-exit-after-events", "fault-*"});
   try {

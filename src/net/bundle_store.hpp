@@ -27,20 +27,15 @@
 //  * A received-id dedup set (sorted flat vector, deterministic
 //    iteration) letting multicopy routers suppress re-admission of
 //    logicals this store already carried.
-//  * An optional spill-to-disk backend for over-subscribed stations:
-//    overflow bundles append persist::Writer-framed records to a
-//    per-station file and are recalled FIFO as memory frees up.
-//    Spilled entries count toward contains()/spilled_count() but are
-//    invisible to packets() — carriers only see in-memory bundles.
 //
-// Every bundle is one 1 kB packet, so a full store frees room for an
-// incoming bundle by evicting exactly one victim.
+// Every bundle is one 1 kB packet, so a full store either evicts
+// exactly one retention-free victim by policy or refuses the incoming
+// bundle.  There is no disk tier: everything a store holds is in memory.
 #pragma once
 
 #include <cstdint>
 #include <limits>
 #include <span>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -92,18 +87,11 @@ struct BundleStoreConfig {
   EvictionPolicy policy = EvictionPolicy::kReject;
   /// Received-id duplicate suppression for multicopy routers.
   bool dedup = false;
-  /// When non-empty and stations are bounded, station overflow spills
-  /// to `<spill_dir>/station_<l>.spill` instead of being refused.  The
-  /// directory is relocatable across checkpoint resume (the resumed
-  /// process rewrites its spill files from the snapshot), so it is not
-  /// part of the config fingerprint beyond the enabled bit.
-  std::string spill_dir;
 };
 
 /// Outcome of one admission attempt.
 enum class Admit : std::uint8_t {
-  kStored,            ///< admitted in memory (possibly after evictions)
-  kSpilled,           ///< written to the spill backend
+  kStored,            ///< admitted (possibly after an eviction)
   kRefusedCapacity,   ///< no space and the policy could not make any
   kRefusedDuplicate,  ///< dedup set already saw this logical id
 };
@@ -124,15 +112,13 @@ class BundleStore {
     /// Consult the dedup set (callers skip this for e.g. a copy
     /// returning to a store that legitimately re-hosts it).
     bool check_dedup = true;
-    /// Station call sites allow spill; node stores never spill.
-    bool allow_spill = false;
   };
 
-  /// Applies policy/dedup/spill and reconfigures capacity.  Called once
-  /// per store before the replay starts (config is fingerprinted, not
-  /// checkpointed).  Truncates any stale spill file at `spill_path`.
-  void configure(std::uint64_t capacity_kb, EvictionPolicy policy, bool dedup,
-                 std::string spill_path);
+  /// Applies policy/dedup and reconfigures capacity.  Called once per
+  /// store before the replay starts (config is fingerprinted, not
+  /// checkpointed).
+  void configure(std::uint64_t capacity_kb, EvictionPolicy policy,
+                 bool dedup);
 
   // -- Buffer-compatible read surface (routers compile unchanged) ------
   [[nodiscard]] std::uint64_t capacity_kb() const {
@@ -140,21 +126,18 @@ class BundleStore {
   }
   [[nodiscard]] bool unbounded() const { return core_.unbounded(); }
   [[nodiscard]] bool has_space() const { return core_.has_space(); }
-  /// In-memory bundles only (what carriers can pick up).
   [[nodiscard]] std::size_t count() const { return core_.count(); }
-  [[nodiscard]] bool empty() const {
-    return core_.empty() && spill_.empty();
-  }
+  [[nodiscard]] bool empty() const { return core_.empty(); }
   [[nodiscard]] std::span<const PacketId> packets() const {
     return core_.packets();
   }
-  /// True for in-memory *and* spilled bundles (the packet table's
-  /// holder invariant covers both).
-  [[nodiscard]] bool contains(PacketId pid) const;
+  [[nodiscard]] bool contains(PacketId pid) const {
+    return core_.contains(pid);
+  }
 
   // -- admission / removal ---------------------------------------------
   /// Buffer-compatible convenience: admit with default metadata and no
-  /// dedup/spill involvement.  False on refusal.
+  /// dedup involvement.  False on refusal.
   [[nodiscard]] bool add(PacketId pid);
 
   /// Full admission path.  On kStored after an eviction, the victim id
@@ -164,18 +147,13 @@ class BundleStore {
   [[nodiscard]] Admit admit(const AdmitRequest& req,
                             std::vector<PacketId>* evicted_out);
 
-  /// Remove a bundle that must be present (in memory or spilled).
-  /// Removing an in-memory bundle recalls spilled bundles FIFO while
-  /// they fit; recalled ids are appended to `recalled_out` (may be
-  /// null) so callers can count them.
-  void remove(PacketId pid, std::vector<PacketId>* recalled_out = nullptr);
+  /// Remove a bundle that must be present.
+  void remove(PacketId pid);
 
   // -- retention ---------------------------------------------------------
-  /// Updates the retention constraint if `pid` is held in memory;
-  /// no-op otherwise (spilled bundles are never transfer candidates, so
-  /// they never acquire forward-pending status).
+  /// Updates the retention constraint if `pid` is held; no-op otherwise.
   void set_retention_if_held(PacketId pid, Retention r);
-  /// Retention of an in-memory bundle (kNone when absent or spilled).
+  /// Retention of a held bundle (kNone when absent).
   [[nodiscard]] Retention retention(PacketId pid) const;
   [[nodiscard]] std::uint64_t retained_count() const { return retained_; }
 
@@ -186,28 +164,18 @@ class BundleStore {
   [[nodiscard]] bool seen_logical(PacketId logical) const;
   [[nodiscard]] std::size_t dedup_seen_count() const { return seen_.size(); }
 
-  // -- spill -------------------------------------------------------------
-  [[nodiscard]] bool spill_enabled() const { return !spill_path_.empty(); }
-  [[nodiscard]] std::size_t spilled_count() const { return spill_.size(); }
-  [[nodiscard]] bool spilled(PacketId pid) const;
-  /// Spilled packet ids in FIFO (recall) order.
-  [[nodiscard]] std::vector<PacketId> spilled_ids() const;
-
   [[nodiscard]] EvictionPolicy policy() const { return policy_; }
 
   // -- checkpointing (src/persist/, docs/checkpointing.md) --------------
-  /// The spill index is stored without file offsets: load rewrites a
-  /// compacted spill file and recomputes them.
   void save(persist::Writer& w) const;
   void load(persist::Reader& r);
 
   // -- invariant auditing (sim/invariant_auditor.hpp) -------------------
   /// Re-derives the pool accounting (metadata slab parallel to the id
   /// list, capacity bound), the id -> position index (every id found at
-  /// its own position, no other id indexed), the retained-count cache,
-  /// the dedup set's sorted-unique and membership invariants, and the
-  /// spill index (strictly increasing offsets, id disjointness from
-  /// memory).  `label` prefixes failure details ("node 3", "station 7").
+  /// its own position, no other id indexed), the retained-count cache
+  /// and the dedup set's sorted-unique and membership invariants.
+  /// `label` prefixes failure details ("node 3", "station 7").
   void audit(sim::AuditReport& report, std::string_view label) const;
 
   /// Test-only seeded corruption for the auditor's negative tests; each
@@ -235,42 +203,21 @@ class BundleStore {
     PacketId logical = kNoPacket;
     Retention retention = Retention::kNone;
 
-    /// The bundle metadata image, shared by snapshots and spill records.
+    /// The bundle metadata image.
     template <class Ar>
     void fields(Ar& ar);
-  };
-  /// Spill index row: full metadata lives here (the checkpoint
-  /// serializes the index, not the file), plus where the framed record
-  /// sits in the spill file for recall-time verification.
-  struct SpillRecord {
-    Entry entry;
-    PacketId pid = kNoPacket;
-    std::uint64_t offset = 0;
-    std::uint64_t length = 0;
   };
 
   template <class Ar>
   void fields(Ar& ar);
 
   void note_seen(PacketId logical);
-  /// Store `pid` in memory with `e`'s metadata.  Space must exist and
-  /// `pid` must be absent (the Buffer's index insert aborts otherwise).
-  void place(PacketId pid, const Entry& e);
   /// Evicts one retention-free victim per `policy_`; false (store
-  /// unchanged) when every resident is retained.  Evicting recalls
-  /// nothing: the space it frees is the incoming bundle's.
+  /// unchanged) when every resident is retained.
   bool evict_for(std::vector<PacketId>* evicted_out);
-  /// Drop the in-memory bundle at id-list position `i` (no recall).
+  /// Drop the bundle at id-list position `i`.
   void erase_resident(std::size_t i);
   [[nodiscard]] std::size_t pick_victim() const;
-  void spill_out(PacketId pid, const Entry& e);
-  void recall_while_fits(std::vector<PacketId>* recalled_out);
-  /// Appends one framed record to the spill file; returns its length.
-  std::uint64_t spill_append(PacketId pid, Entry e);
-  /// Reads a record back and cross-checks it against the index row.
-  [[nodiscard]] Entry spill_fetch(const SpillRecord& rec) const;
-  /// Truncate/create the spill file and reset the append tail.
-  void spill_reset();
 
   Buffer core_;
   /// Pooled entry slab, parallel to core_.packets() (same swap-erase).
@@ -280,16 +227,10 @@ class BundleStore {
   std::uint64_t retained_ = 0;
   /// Sorted unique logical ids this store has admitted (dedup set).
   std::vector<PacketId> seen_;
-  /// FIFO of spilled bundles (front recalled first).
-  std::vector<SpillRecord> spill_;
-  DTN_CKPT_SKIP("derived: next append offset of the rewritten spill file")
-  std::uint64_t spill_tail_ = 0;
   DTN_CKPT_SKIP("configuration, pinned by the config fingerprint")
   EvictionPolicy policy_ = EvictionPolicy::kReject;
   DTN_CKPT_SKIP("configuration, pinned by the config fingerprint")
   bool dedup_ = false;
-  DTN_CKPT_SKIP("configuration, pinned by the config fingerprint")
-  std::string spill_path_;
 };
 
 }  // namespace dtn::net

@@ -64,22 +64,13 @@ Network::Network(const trace::Trace& trace, Router& router,
   outage_recovery_pending_.assign(trace.num_landmarks(), -1.0);
   node_stores_.resize(trace.num_nodes());
   for (BundleStore& store : node_stores_) {
-    store.configure(cfg_.node_memory_kb, cfg_.store.policy, cfg_.store.dedup,
-                    /*spill_path=*/{});
+    store.configure(cfg_.node_memory_kb, cfg_.store.policy, cfg_.store.dedup);
   }
   location_.assign(trace.num_nodes(), kNoLandmark);
   stations_.resize(trace.num_landmarks());
-  for (LandmarkId l = 0; l < stations_.size(); ++l) {
-    // Spill only applies to bounded stations; BundleStore::configure
-    // drops the path again when the capacity is 0 (unbounded §V-A.1).
-    std::string spill_path;
-    if (!cfg_.store.spill_dir.empty() && cfg_.store.station_memory_kb > 0) {
-      spill_path = cfg_.store.spill_dir + "/station_" + std::to_string(l) +
-                   ".spill";
-    }
-    stations_[l].storage.configure(cfg_.store.station_memory_kb,
-                                   cfg_.store.policy, cfg_.store.dedup,
-                                   std::move(spill_path));
+  for (StationState& st : stations_) {
+    st.storage.configure(cfg_.store.station_memory_kb, cfg_.store.policy,
+                         cfg_.store.dedup);
   }
 }
 
@@ -317,14 +308,10 @@ void Network::fields(Ar& ar) {
   ar.expect("workload packet rate", cfg_.packets_per_landmark_per_day);
   ar.expect("packet TTL", cfg_.ttl);
   ar.expect("node memory", cfg_.node_memory_kb);
-  // Bounded-store configuration (docs/bounded-store.md).  The spill
-  // *directory* is deliberately excluded: resume rewrites its spill
-  // files from the snapshot, so the directory is relocatable — only
-  // whether spilling is enabled is pinned.
+  // Bounded-store configuration (docs/bounded-store.md).
   ar.expect("station memory", cfg_.store.station_memory_kb);
   ar.expect("eviction policy", cfg_.store.policy);
   ar.expect("store dedup", cfg_.store.dedup);
-  ar.expect("store spill enabled", !cfg_.store.spill_dir.empty());
   ar.expect("warmup fraction", cfg_.warmup_fraction);
   ar.expect("time unit", cfg_.time_unit);
   ar.expect("workload seed", cfg_.seed);
@@ -448,8 +435,7 @@ void Network::fields(Ar& ar) {
   ar.expect("station count", stations_.size());
   for (StationState& st : stations_) {
     ar.object(st.storage);
-    ar.check(all_below(st.storage.packets(), packets_.size()) &&
-                 all_below(st.storage.spilled_ids(), packets_.size()),
+    ar.check(all_below(st.storage.packets(), packets_.size()),
              "station storage packet out of range");
     ar.vec("station origin queue", st.origin);
     ar.check(all_below(st.origin, packets_.size()),
@@ -899,7 +885,7 @@ const BundleStore& Network::station_store(LandmarkId l) const {
 // -- bounded-store admission (docs/bounded-store.md) --------------------
 
 Admit Network::store_admit(BundleStore& store, Packet& p, Retention retention,
-                           bool allow_spill, bool check_dedup) {
+                           bool check_dedup) {
   BundleStore::AdmitRequest req;
   req.pid = p.id;
   req.logical = p.logical;
@@ -907,13 +893,11 @@ Admit Network::store_admit(BundleStore& store, Packet& p, Retention retention,
   req.expected_delay = p.expected_delay;
   req.deadline = p.deadline();
   req.check_dedup = check_dedup;
-  req.allow_spill = allow_spill;
   // Function-local victim list: it only ever allocates when a policy
   // actually evicts.
   std::vector<PacketId> evicted;
   const Admit verdict = store.admit(req, &evicted);
   finalize_evictions(evicted);
-  if (verdict == Admit::kSpilled) ++counters_.spilled_bundles;
   if (verdict == Admit::kRefusedDuplicate) ++counters_.dedup_refused;
   return verdict;
 }
@@ -930,12 +914,6 @@ void Network::finalize_evictions(std::vector<PacketId>& victims) {
     ++counters_.evicted_policy;
   }
   victims.clear();
-}
-
-void Network::station_remove(LandmarkId l, PacketId pid) {
-  std::vector<PacketId> recalled;  // allocates only when a recall fires
-  stations_[l].storage.remove(pid, &recalled);
-  counters_.recalled_bundles += recalled.size();
 }
 
 bool Network::suppress_delivered_copy(Packet& p) {
@@ -973,7 +951,7 @@ void Network::detach_from_holder(Packet& p) {
       break;
     }
     case PacketState::kAtStation:
-      station_remove(p.holder, p.id);
+      stations_[p.holder].storage.remove(p.id);
       break;
     case PacketState::kOnNode:
       node_stores_[p.holder].remove(p.id);
@@ -1029,7 +1007,6 @@ bool Network::pickup_from_origin(NodeId node, PacketId pid) {
   // First pickup of source data: no dedup check (a carrier must be
   // able to take a fresh original even if it relayed a copy before).
   if (store_admit(node_stores_[node], p, Retention::kNone,
-                  /*allow_spill=*/false,
                   /*check_dedup=*/false) != Admit::kStored) {
     ++counters_.refused_buffer;
     return false;
@@ -1064,12 +1041,11 @@ bool Network::station_to_node(LandmarkId l, NodeId node, PacketId pid) {
   // Station dispatch onto a carrier: no dedup check — refusing the
   // single-copy backbone's forward path would strand packets.
   if (store_admit(node_stores_[node], p, Retention::kNone,
-                  /*allow_spill=*/false,
                   /*check_dedup=*/false) != Admit::kStored) {
     ++counters_.refused_buffer;
     return false;
   }
-  station_remove(l, pid);
+  stations_[l].storage.remove(pid);
   p.state = PacketState::kOnNode;
   p.holder = node;
   ++p.hops;
@@ -1099,13 +1075,11 @@ bool Network::node_to_station(NodeId node, PacketId pid) {
     note_station_activity(l);
     return true;
   }
-  // Admission first: a bounded station may evict per policy, spill the
-  // incoming bundle, or refuse it — refusal leaves the packet on the
-  // carrier (unbounded stations always admit, the §V-A.1 default).
-  const Admit verdict =
-      store_admit(stations_[l].storage, p, Retention::kNone,
-                  /*allow_spill=*/true, /*check_dedup=*/false);
-  if (verdict != Admit::kStored && verdict != Admit::kSpilled) {
+  // Admission first: a bounded station may evict per policy or refuse
+  // the incoming bundle — refusal leaves the packet on the carrier
+  // (unbounded stations always admit, the §V-A.1 default).
+  if (store_admit(stations_[l].storage, p, Retention::kNone,
+                  /*check_dedup=*/false) != Admit::kStored) {
     ++counters_.refused_buffer;
     return false;
   }
@@ -1141,7 +1115,7 @@ bool Network::node_to_node(NodeId from, NodeId to, PacketId pid) {
   // applies here: a receiver that already saw this logical refuses it.
   const Admit verdict =
       store_admit(node_stores_[to], p, Retention::kNone,
-                  /*allow_spill=*/false, /*check_dedup=*/true);
+                  /*check_dedup=*/true);
   if (verdict != Admit::kStored) {
     if (verdict == Admit::kRefusedCapacity) ++counters_.refused_buffer;
     return false;
@@ -1177,7 +1151,7 @@ PacketId Network::replicate_node_to_node(NodeId from, NodeId to,
   ++copy.hops;
   const Admit verdict =
       store_admit(node_stores_[to], copy, Retention::kNone,
-                  /*allow_spill=*/false, /*check_dedup=*/true);
+                  /*check_dedup=*/true);
   if (verdict != Admit::kStored) {
     if (verdict == Admit::kRefusedCapacity) ++counters_.refused_buffer;
     return kNoPacket;
@@ -1370,8 +1344,7 @@ void Network::audit_present_sets(sim::AuditReport& report) const {
 
 void Network::audit_packet_table(sim::AuditReport& report) const {
   // Direction 1: every held id names a packet whose state and holder
-  // point back at the store holding it.  Spilled bundles are still
-  // live station-held packets; only their bytes moved to disk.
+  // point back at the store holding it.
   std::vector<std::uint8_t> held(packets_.size(), 0);
   std::uint64_t held_count = 0;
   const auto note = [&](std::span<const PacketId> ids, PacketState state,
@@ -1395,7 +1368,6 @@ void Network::audit_packet_table(sim::AuditReport& report) const {
   for (std::size_t l = 0; l < stations_.size(); ++l) {
     const StationState& st = stations_[l];
     note(st.storage.packets(), PacketState::kAtStation, l, "station");
-    note(st.storage.spilled_ids(), PacketState::kAtStation, l, "station");
     note(st.origin, PacketState::kAtOrigin, l, "origin queue");
   }
   // Direction 2: every live packet is held by the store it names.
@@ -1427,9 +1399,9 @@ void Network::audit_packet_table(sim::AuditReport& report) const {
 }
 
 void Network::audit_buffer_accounting(sim::AuditReport& report) const {
-  // Every id a store holds, in memory or spilled, names a packet, and no
-  // packet is held by two stores.  Each store audits its own capacity
-  // bound (BundleStore::audit).
+  // Every id a store holds names a packet, and no packet is held by two
+  // stores.  Each store audits its own capacity bound
+  // (BundleStore::audit).
   std::vector<std::uint8_t> held(packets_.size(), 0);
   const auto note = [&](PacketId pid, const std::string& what) {
     if (pid >= packets_.size()) {
@@ -1444,7 +1416,6 @@ void Network::audit_buffer_accounting(sim::AuditReport& report) const {
   };
   const auto audit_one = [&](const BundleStore& buf, const std::string& what) {
     for (const PacketId pid : buf.packets()) note(pid, what);
-    for (const PacketId pid : buf.spilled_ids()) note(pid, what + " spill");
   };
   for (std::size_t n = 0; n < node_stores_.size(); ++n) {
     audit_one(node_stores_[n], "node " + std::to_string(n) + " buffer");
@@ -1456,8 +1427,8 @@ void Network::audit_buffer_accounting(sim::AuditReport& report) const {
 }
 
 void Network::audit_bundle_stores(sim::AuditReport& report) const {
-  // Each store re-derives its own pool, retained-count, dedup-set and
-  // spill-index invariants (BundleStore::audit); the network-level part
+  // Each store re-derives its own pool, retained-count and dedup-set
+  // invariants (BundleStore::audit); the network-level part
   // cross-checks retention constraints against the packet table and the
   // fault ledger.
   const auto check_retention = [&](const BundleStore& store, bool is_station,
@@ -1493,9 +1464,6 @@ void Network::audit_bundle_stores(sim::AuditReport& report) const {
     node_stores_[n].audit(report, what);
     check_retention(node_stores_[n], false, static_cast<std::uint32_t>(n),
                     what);
-    if (node_stores_[n].spilled_count() != 0) {
-      report.fail(what + ": node stores never spill");
-    }
   }
   for (std::size_t l = 0; l < stations_.size(); ++l) {
     const std::string what = "station " + std::to_string(l);
@@ -1623,14 +1591,12 @@ PacketId Network::generate_packet(LandmarkId src, LandmarkId dst, double ttl,
   p.holder = src;
   if (router_.uses_stations()) {
     // Source data enters dispatch-pending: a bounded origin station may
-    // evict relayed traffic (or spill) to make room, but never sheds
-    // another packet's source data for it.  When nothing can make room
-    // the new packet itself is shed — graceful load shedding, the
-    // overload regime's intended failure mode (docs/bounded-store.md).
-    const Admit verdict =
-        store_admit(stations_[src].storage, p, Retention::kDispatchPending,
-                    /*allow_spill=*/true, /*check_dedup=*/false);
-    if (verdict == Admit::kStored || verdict == Admit::kSpilled) {
+    // evict relayed traffic to make room, but never sheds another
+    // packet's source data for it.  When nothing can make room the new
+    // packet itself is shed — graceful load shedding, the overload
+    // regime's intended failure mode (docs/bounded-store.md).
+    if (store_admit(stations_[src].storage, p, Retention::kDispatchPending,
+                    /*check_dedup=*/false) == Admit::kStored) {
       p.state = PacketState::kAtStation;
       // One allocation for the whole path record instead of one per
       // doubling: on the quick-scale campus replay 99% of paths end
@@ -1662,7 +1628,7 @@ PacketId Network::generate_packet(LandmarkId src, LandmarkId dst, double ttl,
       !node_down(placed.dst_node) &&
       (placed.state != PacketState::kAtStation || !station_down(src))) {
     if (placed.state == PacketState::kAtStation) {
-      station_remove(src, pid);
+      stations_[src].storage.remove(pid);
     } else {
       // The packet was appended to the origin queue just above, so it
       // is the tail: removing it is a pop, no scan or shift.

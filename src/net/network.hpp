@@ -42,7 +42,7 @@ struct WorkloadConfig {
   std::uint64_t node_memory_kb = 2000;
   /// Bounded-store behaviour (src/net/bundle_store.hpp,
   /// docs/bounded-store.md): station capacity, eviction policy,
-  /// received-id dedup, spill-to-disk.  The default bounds nothing and
+  /// received-id dedup.  The default bounds nothing and
   /// enables nothing — replays stay bit-identical to the unbounded
   /// §V-A.1 model.
   BundleStoreConfig store;
@@ -121,9 +121,6 @@ struct RunCounters {
   std::uint64_t duplicates_suppressed = 0;
   /// Admissions refused by a store's received-id dedup set.
   std::uint64_t dedup_refused = 0;
-  /// Bundles spilled to / recalled from a station's disk backend.
-  std::uint64_t spilled_bundles = 0;
-  std::uint64_t recalled_bundles = 0;
 
   // -- resilience counters (all zero unless a FaultPlan is attached) ----
   std::uint64_t node_crashes = 0;
@@ -161,8 +158,6 @@ struct RunCounters {
     ar.value("admission shed", admission_shed);
     ar.value("duplicates suppressed", duplicates_suppressed);
     ar.value("dedup refused", dedup_refused);
-    ar.value("spilled bundles", spilled_bundles);
-    ar.value("recalled bundles", recalled_bundles);
     ar.value("node crashes", node_crashes);
     ar.value("node reboots", node_reboots);
     ar.value("station outages", station_outages);
@@ -475,27 +470,23 @@ class Network {
   /// store, held equals live, and delivered equals the number of
   /// delivery delays.
   void audit_packet_table(sim::AuditReport& report) const;
-  /// The "network.buffer_accounting" check: every id a store holds, in
-  /// memory or spilled, names a packet, and no packet is held twice.
+  /// The "network.buffer_accounting" check: every id a store holds names
+  /// a packet, and no packet is held twice.
   void audit_buffer_accounting(sim::AuditReport& report) const;
   /// The "network.bundle_store" check: every store re-derives its pool
-  /// accounting, retained cache, dedup set and spill index.
+  /// accounting, retained cache and dedup set.
   void audit_bundle_stores(sim::AuditReport& report) const;
 
   // -- bounded-store admission (docs/bounded-store.md) ------------------
   /// Admission wrapper the transfer and generation paths funnel
   /// through: builds the AdmitRequest from the packet table (retention,
-  /// expected delay, deadline), lets the store evict or spill per
-  /// policy, retires eviction victims and counts every outcome.  True
-  /// when `p` ended up in the store (memory or spill).
+  /// expected delay, deadline), lets the store evict per policy,
+  /// retires eviction victims and counts the dedup refusals.
   Admit store_admit(BundleStore& store, Packet& p, Retention retention,
-                    bool allow_spill, bool check_dedup);
+                    bool check_dedup);
   /// Retire eviction victims: each leaves circulation as kEvicted (or
   /// kObsoleteCopy when its logical was already delivered).
   void finalize_evictions(std::vector<PacketId>& victims);
-  /// Station-store removal wrapper: counts the spill recalls the freed
-  /// space triggers.
-  void station_remove(LandmarkId l, PacketId pid);
   /// A transfer admission point saw a copy of an already-delivered
   /// logical packet: retire it instead of re-admitting (satellite:
   /// duplicate-delivery suppression).  True when retired.

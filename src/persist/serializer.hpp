@@ -55,12 +55,11 @@
 //   rng(name, g), object(x)  generator state; x.save / x.load
 //
 // Adding a field is one line.  Loading work beyond reading (derived
-// indices, spill-file rewrites) is an `if constexpr (Ar::loading)`
-// step in the same list.
+// indices) is an `if constexpr (Ar::loading)` step in the same list.
 
 namespace dtn::persist {
 
-inline constexpr std::uint32_t kSchemaVersion = 8;
+inline constexpr std::uint32_t kSchemaVersion = 9;
 inline constexpr std::size_t kMagicSize = 8;
 
 const std::uint8_t* magic();  // kMagicSize bytes

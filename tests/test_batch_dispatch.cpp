@@ -89,7 +89,7 @@ TEST(BatchDispatch, CampusReplayMatchesUnbatchedBitForBit) {
   const auto trace = trace::generate_campus_trace(tc);
 
   const Outcome serial = run(trace, workload(3));
-  EXPECT_EQ(serial.digest, 0x6928b777daa237a5ull);
+  EXPECT_EQ(serial.digest, 0x9313fa92421d6e55ull);
   EXPECT_GT(serial.generated, 50u);
   EXPECT_GT(serial.delivered, 0u);
 }
@@ -111,7 +111,7 @@ TEST(BatchDispatch, CityReplayMatchesUnbatchedBitForBit) {
   cfg.node_memory_kb = 20;
 
   const Outcome serial = run(trace, cfg);
-  EXPECT_EQ(serial.digest, 0x1f237b62e0d660e0ull);
+  EXPECT_EQ(serial.digest, 0x35a006e0053a62f0ull);
   EXPECT_GT(serial.delivered, 0u);
 }
 
@@ -158,9 +158,9 @@ WorkloadConfig tie_workload() {
 TEST(BatchDispatch, TieHeavyTraceMatchesUnbatchedBitForBit) {
   const auto trace = tie_heavy_trace(8.0);
   const Outcome serial = run(trace, tie_workload());
-  EXPECT_EQ(serial.digest, 0xc2a5be33bf8be78dull);
+  EXPECT_EQ(serial.digest, 0x75b5e76863e055d5ull);
   EXPECT_GT(serial.delivered, 0u);
-  EXPECT_EQ(run(tie_heavy_trace(6.0), tie_workload()).digest, 0x2725ba6243efe0d5ull);
+  EXPECT_EQ(run(tie_heavy_trace(6.0), tie_workload()).digest, 0xd8939711b19e480dull);
 }
 
 // -- checkpointed and audited runs observe every event --------------------

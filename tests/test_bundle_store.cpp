@@ -2,20 +2,18 @@
 //
 // Three layers of coverage:
 //  * unit — admission, eviction-policy victim selection (property
-//    style), retention constraints, the received-id dedup set, the
-//    spill backend's FIFO recall, and checkpoint round-trips that span
-//    a spill file;
+//    style), retention constraints, the received-id dedup set, and a
+//    differential run against a reference set with checkpoint reloads;
 //  * audit — every seeded store corruption is detected and the revert
 //    passes again, standalone and through Network::debug_corrupt_for_test;
 //  * system — overloaded replays degrade gracefully (shed/evict instead
-//    of dying), stay bit-identical across reruns, and resume from
-//    checkpoints spanning spill files.
+//    of dying), stay bit-identical across reruns, and resume from a
+//    mid-run checkpoint bit-identically.
 #include "net/bundle_store.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <deque>
 #include <filesystem>
 #include <iterator>
 #include <map>
@@ -53,7 +51,7 @@ using persist::CheckpointManager;
 using sim::AuditReport;
 using trace::kDay;
 
-// Fresh per-test spill/checkpoint directory under the gtest temp root.
+// Fresh per-test checkpoint directory under the gtest temp root.
 std::filesystem::path fresh_dir(const std::string& name) {
   const auto dir =
       std::filesystem::path(::testing::TempDir()) / ("dtn_store_" + name);
@@ -67,6 +65,24 @@ BundleStore::AdmitRequest request(PacketId pid) {
   req.pid = pid;
   req.logical = pid;
   return req;
+}
+
+// The checkpoint image of one store, framed as its own section.
+std::vector<std::uint8_t> store_image(const BundleStore& store) {
+  persist::Writer w;
+  w.begin_section("store");
+  store.save(w);
+  w.end_section();
+  w.finish();
+  return w.buffer();
+}
+
+void load_image(BundleStore& into, const std::vector<std::uint8_t>& bytes) {
+  persist::Reader r(bytes);
+  r.expect_section("store");
+  into.load(r);
+  r.end_section();
+  r.finish();
 }
 
 // -- policies / parsing --------------------------------------------------
@@ -88,7 +104,7 @@ TEST(BundleStore, PolicyNamesRoundTrip) {
 
 TEST(BundleStore, RejectPolicyRefusesWhenFull) {
   BundleStore s;
-  s.configure(2, EvictionPolicy::kReject, false, {});
+  s.configure(2, EvictionPolicy::kReject, false);
   std::vector<PacketId> evicted;
   EXPECT_EQ(s.admit(request(0), &evicted), Admit::kStored);
   EXPECT_EQ(s.admit(request(1), &evicted), Admit::kStored);
@@ -99,7 +115,7 @@ TEST(BundleStore, RejectPolicyRefusesWhenFull) {
 
 TEST(BundleStore, DropOldestEvictsSmallestAdmissionSequence) {
   BundleStore s;
-  s.configure(3, EvictionPolicy::kDropOldest, false, {});
+  s.configure(3, EvictionPolicy::kDropOldest, false);
   std::vector<PacketId> evicted;
   ASSERT_EQ(s.admit(request(10), &evicted), Admit::kStored);
   ASSERT_EQ(s.admit(request(11), &evicted), Admit::kStored);
@@ -116,7 +132,7 @@ TEST(BundleStore, DropOldestEvictsSmallestAdmissionSequence) {
 
 TEST(BundleStore, DropLargestExpectedDelayEvictsWorstTiesToOldest) {
   BundleStore s;
-  s.configure(3, EvictionPolicy::kDropLargestExpectedDelay, false, {});
+  s.configure(3, EvictionPolicy::kDropLargestExpectedDelay, false);
   std::vector<PacketId> evicted;
   auto with_delay = [](PacketId pid, double delay) {
     auto req = request(pid);
@@ -133,7 +149,7 @@ TEST(BundleStore, DropLargestExpectedDelayEvictsWorstTiesToOldest) {
 
 TEST(BundleStore, TtlExpireEvictsEarliestDeadline) {
   BundleStore s;
-  s.configure(3, EvictionPolicy::kTtlExpire, false, {});
+  s.configure(3, EvictionPolicy::kTtlExpire, false);
   std::vector<PacketId> evicted;
   auto with_deadline = [](PacketId pid, double deadline) {
     auto req = request(pid);
@@ -149,7 +165,7 @@ TEST(BundleStore, TtlExpireEvictsEarliestDeadline) {
 
 TEST(BundleStore, EachAdmissionIntoAFullStoreEvictsExactlyOneVictim) {
   BundleStore s;
-  s.configure(4, EvictionPolicy::kDropOldest, false, {});
+  s.configure(4, EvictionPolicy::kDropOldest, false);
   std::vector<PacketId> evicted;
   for (PacketId pid = 0; pid < 4; ++pid) {
     ASSERT_EQ(s.admit(request(pid), &evicted), Admit::kStored);
@@ -163,7 +179,7 @@ TEST(BundleStore, EachAdmissionIntoAFullStoreEvictsExactlyOneVictim) {
 
 TEST(BundleStore, RetainedEntriesAreNeverVictims) {
   BundleStore s;
-  s.configure(2, EvictionPolicy::kDropOldest, false, {});
+  s.configure(2, EvictionPolicy::kDropOldest, false);
   std::vector<PacketId> evicted;
   auto retained = request(0);
   retained.retention = Retention::kDispatchPending;
@@ -180,7 +196,7 @@ TEST(BundleStore, FullyRetainedStoreRefusesAndStaysUntouched) {
   // When every resident is retained there is no victim: the store
   // refuses and keeps all of them.
   BundleStore s;
-  s.configure(2, EvictionPolicy::kDropOldest, false, {});
+  s.configure(2, EvictionPolicy::kDropOldest, false);
   std::vector<PacketId> evicted;
   auto pinned = request(0);
   pinned.retention = Retention::kForwardPending;
@@ -202,7 +218,7 @@ TEST(BundleStore, FullyRetainedStoreRefusesAndStaysUntouched) {
 
 TEST(BundleStore, RetentionClearsAndRecounts) {
   BundleStore s;
-  s.configure(4, EvictionPolicy::kDropOldest, false, {});
+  s.configure(4, EvictionPolicy::kDropOldest, false);
   std::vector<PacketId> evicted;
   ASSERT_EQ(s.admit(request(0), &evicted), Admit::kStored);
   EXPECT_EQ(s.retention(0), Retention::kNone);
@@ -220,7 +236,7 @@ TEST(BundleStore, RetentionClearsAndRecounts) {
 
 TEST(BundleStore, DedupRefusesReadmittedLogical) {
   BundleStore s;
-  s.configure(8, EvictionPolicy::kReject, /*dedup=*/true, {});
+  s.configure(8, EvictionPolicy::kReject, /*dedup=*/true);
   std::vector<PacketId> evicted;
   auto original = request(5);
   original.logical = 5;
@@ -238,168 +254,125 @@ TEST(BundleStore, DedupRefusesReadmittedLogical) {
 
 TEST(BundleStore, DedupDisabledSeesNothing) {
   BundleStore s;
-  s.configure(8, EvictionPolicy::kReject, /*dedup=*/false, {});
+  s.configure(8, EvictionPolicy::kReject, /*dedup=*/false);
   std::vector<PacketId> evicted;
   ASSERT_EQ(s.admit(request(5), &evicted), Admit::kStored);
   EXPECT_FALSE(s.seen_logical(5));
   EXPECT_EQ(s.dedup_seen_count(), 0u);
 }
 
-// -- spill backend -------------------------------------------------------
+// -- removal -------------------------------------------------------------
 
-TEST(BundleStore, SpillOverflowRecallsFifo) {
-  const auto dir = fresh_dir("fifo");
+TEST(BundleStore, RemovingAResidentMakesRoomWithoutEviction) {
+  // A full reject store refuses the overflow outright; nothing is held
+  // for it elsewhere.  Once a resident leaves, the same bundle fits.
   BundleStore s;
-  s.configure(2, EvictionPolicy::kReject, false,
-              (dir / "station.spill").string());
-  ASSERT_TRUE(s.spill_enabled());
+  s.configure(2, EvictionPolicy::kReject, false);
   std::vector<PacketId> evicted;
   ASSERT_EQ(s.admit(request(0), &evicted), Admit::kStored);
   ASSERT_EQ(s.admit(request(1), &evicted), Admit::kStored);
-  auto overflow = request(2);
-  overflow.allow_spill = true;
-  EXPECT_EQ(s.admit(overflow, &evicted), Admit::kSpilled);
-  auto overflow2 = request(3);
-  overflow2.allow_spill = true;
-  EXPECT_EQ(s.admit(overflow2, &evicted), Admit::kSpilled);
-  EXPECT_EQ(s.spilled_count(), 2u);
-  // Spilled bundles are held but invisible to carriers.
-  EXPECT_TRUE(s.contains(2));
-  EXPECT_FALSE(s.spilled(0));
-  EXPECT_TRUE(s.spilled(3));
+  EXPECT_EQ(s.admit(request(2), &evicted), Admit::kRefusedCapacity);
+  EXPECT_FALSE(s.contains(2));
+  EXPECT_FALSE(s.has_space());
+  s.remove(0);
+  EXPECT_TRUE(s.has_space());
+  EXPECT_EQ(s.admit(request(2), &evicted), Admit::kStored);
+  EXPECT_TRUE(evicted.empty());
   EXPECT_EQ(s.count(), 2u);
-  // Freeing memory recalls in spill order: 2 first, then 3.
-  std::vector<PacketId> recalled;
-  s.remove(0, &recalled);
-  EXPECT_EQ(recalled, std::vector<PacketId>{2});
-  EXPECT_FALSE(s.spilled(2));
-  EXPECT_TRUE(s.contains(2));
-  recalled.clear();
-  s.remove(1, &recalled);
-  EXPECT_EQ(recalled, std::vector<PacketId>{3});
-  EXPECT_EQ(s.spilled_count(), 0u);
-}
-
-TEST(BundleStore, RemovingASpilledBundleSkipsTheFile) {
-  const auto dir = fresh_dir("remove_spilled");
-  BundleStore s;
-  s.configure(1, EvictionPolicy::kReject, false,
-              (dir / "station.spill").string());
-  std::vector<PacketId> evicted;
-  ASSERT_EQ(s.admit(request(0), &evicted), Admit::kStored);
-  for (PacketId pid : {1u, 2u, 3u}) {
-    auto req = request(pid);
-    req.allow_spill = true;
-    ASSERT_EQ(s.admit(req, &evicted), Admit::kSpilled);
-  }
-  // A TTL sweep removes a spilled bundle directly (middle of the FIFO).
-  s.remove(2);
-  EXPECT_EQ(s.spilled_count(), 2u);
-  // Recall order of the survivors is unchanged.
-  std::vector<PacketId> recalled;
-  s.remove(0, &recalled);
-  EXPECT_EQ(recalled, std::vector<PacketId>{1});
   AuditReport report;
   s.audit(report, "store");
   EXPECT_TRUE(report.ok()) << report.to_string();
 }
 
-TEST(BundleStore, CheckpointRoundTripSpansSpillFile) {
-  const auto dir = fresh_dir("ckpt");
+TEST(BundleStore, RemovingFromTheMiddleKeepsEvictionOrder) {
+  // The swap-erase moves the last entry's metadata with its id, so the
+  // admission order that drop-oldest follows survives a removal.
+  BundleStore s;
+  s.configure(3, EvictionPolicy::kDropOldest, false);
+  std::vector<PacketId> evicted;
+  for (PacketId pid : {0u, 1u, 2u}) {
+    ASSERT_EQ(s.admit(request(pid), &evicted), Admit::kStored);
+  }
+  s.remove(1);
+  ASSERT_EQ(s.admit(request(3), &evicted), Admit::kStored);
+  EXPECT_TRUE(evicted.empty());
+  for (PacketId pid : {4u, 5u, 6u}) {
+    ASSERT_EQ(s.admit(request(pid), &evicted), Admit::kStored);
+  }
+  EXPECT_EQ(evicted, (std::vector<PacketId>{0, 2, 3}));
+  AuditReport report;
+  s.audit(report, "store");
+  EXPECT_TRUE(report.ok()) << report.to_string();
+}
+
+// -- checkpoint round trip -----------------------------------------------
+
+TEST(BundleStore, CheckpointRoundTripKeepsRetentionDedupAndVictimOrder) {
   BundleStore a;
-  a.configure(2, EvictionPolicy::kDropOldest, /*dedup=*/true,
-              (dir / "a.spill").string());
+  a.configure(2, EvictionPolicy::kDropOldest, /*dedup=*/true);
   std::vector<PacketId> evicted;
   ASSERT_EQ(a.admit(request(0), &evicted), Admit::kStored);
   auto pinned = request(1);
   pinned.retention = Retention::kDispatchPending;
   ASSERT_EQ(a.admit(pinned, &evicted), Admit::kStored);
-  for (PacketId pid : {2u, 3u}) {
-    auto req = request(pid);
-    req.allow_spill = true;
-    ASSERT_EQ(a.admit(req, &evicted), Admit::kSpilled);
-  }
-  persist::Writer wa;
-  wa.begin_section("store");
-  a.save(wa);
-  wa.end_section();
-  wa.finish();
 
-  // Resume into a different spill directory: the snapshot, not the
-  // original machine's file, is the source of truth.
   BundleStore b;
-  b.configure(2, EvictionPolicy::kDropOldest, /*dedup=*/true,
-              (dir / "b.spill").string());
-  {
-    persist::Reader r(wa.buffer());
-    r.expect_section("store");
-    b.load(r);
-    r.end_section();
-    r.finish();
-  }
-  persist::Writer wb;
-  wb.begin_section("store");
-  b.save(wb);
-  wb.end_section();
-  wb.finish();
-  // save -> load -> save is byte-identical.
-  EXPECT_EQ(wa.buffer(), wb.buffer());
-  EXPECT_EQ(b.spilled_count(), 2u);
+  b.configure(2, EvictionPolicy::kDropOldest, /*dedup=*/true);
+  load_image(b, store_image(a));
+  EXPECT_EQ(store_image(b), store_image(a));
+  EXPECT_EQ(b.retention(1), Retention::kDispatchPending);
   EXPECT_EQ(b.retained_count(), 1u);
-  EXPECT_TRUE(b.seen_logical(3));
-  AuditReport report;
-  b.audit(report, "resumed");
-  EXPECT_TRUE(report.ok()) << report.to_string();
-  // The rewritten spill file really holds the records: recall reads it.
-  std::vector<PacketId> recalled;
-  b.remove(0, &recalled);
-  EXPECT_EQ(recalled, std::vector<PacketId>{2});
+  EXPECT_TRUE(b.seen_logical(0));
+  EXPECT_TRUE(b.seen_logical(1));
+
+  // The resumed store picks the same victim as the original: the
+  // retained bundle stays, the free one goes.
+  for (BundleStore* s : {&a, &b}) {
+    evicted.clear();
+    EXPECT_EQ(s->admit(request(2), &evicted), Admit::kStored);
+    EXPECT_EQ(evicted, std::vector<PacketId>{0});
+  }
+  EXPECT_EQ(store_image(b), store_image(a));
+  // The dedup set came along: a copy of an evicted logical is refused.
+  auto copy = request(9);
+  copy.logical = 0;
+  EXPECT_EQ(b.admit(copy, &evicted), Admit::kRefusedDuplicate);
 }
 
-TEST(BundleStore, LoadRejectsSpilledRecordsWithoutSpillBackend) {
-  const auto dir = fresh_dir("reject_spill");
-  BundleStore a;
-  a.configure(1, EvictionPolicy::kReject, false,
-              (dir / "a.spill").string());
+TEST(BundleStore, LoadRejectsAnImageOverItsCapacity) {
+  BundleStore big;
+  big.configure(3, EvictionPolicy::kReject, false);
   std::vector<PacketId> evicted;
-  ASSERT_EQ(a.admit(request(0), &evicted), Admit::kStored);
-  auto req = request(1);
-  req.allow_spill = true;
-  ASSERT_EQ(a.admit(req, &evicted), Admit::kSpilled);
-  persist::Writer w;
-  w.begin_section("store");
-  a.save(w);
-  w.end_section();
-  w.finish();
-  BundleStore b;
-  b.configure(1, EvictionPolicy::kReject, false, {});
-  persist::Reader r(w.buffer());
-  r.expect_section("store");
-  EXPECT_THROW(b.load(r), persist::FormatError);
+  for (PacketId pid : {0u, 1u, 2u}) {
+    ASSERT_EQ(big.admit(request(pid), &evicted), Admit::kStored);
+  }
+  const auto bytes = store_image(big);
+  BundleStore same;
+  same.configure(3, EvictionPolicy::kReject, false);
+  load_image(same, bytes);
+  EXPECT_EQ(same.count(), 3u);
+  BundleStore small;
+  small.configure(2, EvictionPolicy::kReject, false);
+  EXPECT_THROW(load_image(small, bytes), persist::FormatError);
 }
 
 // -- differential test against a reference set ---------------------------
 
 // What the store should hold, tracked from the outcomes it reports:
-// memory entries and the spill FIFO (id -> retention) and, with dedup
-// on, the logicals it has admitted.
+// its entries (id -> retention) and, with dedup on, the logicals it has
+// admitted.
 struct ReferenceStore {
   std::map<PacketId, Retention> memory;
-  std::deque<std::pair<PacketId, Retention>> spill;
   std::set<PacketId> seen;
 
-  [[nodiscard]] bool spilled(PacketId pid) const {
-    return std::any_of(spill.begin(), spill.end(),
-                       [pid](const auto& e) { return e.first == pid; });
-  }
   [[nodiscard]] bool holds(PacketId pid) const {
-    return memory.count(pid) != 0 || spilled(pid);
+    return memory.count(pid) != 0;
   }
 };
 
 // Compares every observable of `s` with `ref`: membership of `probes`,
-// the id list, per-id retention, the retention total, the spill FIFO,
-// and the audit (which cross-checks the index).
+// the id list, per-id retention, the retention total, and the audit
+// (which cross-checks the index).
 void expect_matches(const BundleStore& s, const ReferenceStore& ref,
                     const std::vector<PacketId>& probes) {
   ASSERT_EQ(s.count(), ref.memory.size());
@@ -411,195 +384,131 @@ void expect_matches(const BundleStore& s, const ReferenceStore& ref,
     ASSERT_EQ(s.retention(pid), retention) << "packet " << pid;
     retained += retention != Retention::kNone ? 1 : 0;
   }
-  std::vector<PacketId> spilled;
-  for (const auto& entry : ref.spill) spilled.push_back(entry.first);
-  ASSERT_EQ(s.spilled_ids(), spilled);
-  // Only in-memory bundles count as retained.
   ASSERT_EQ(s.retained_count(), retained);
   for (const PacketId pid : probes) {
     ASSERT_EQ(s.contains(pid), ref.holds(pid)) << "packet " << pid;
-    ASSERT_EQ(s.spilled(pid), ref.spilled(pid)) << "packet " << pid;
   }
   AuditReport report;
   s.audit(report, "store");
   ASSERT_TRUE(report.ok()) << report.to_string();
 }
 
-// save -> load into a fresh store with the same configuration (and
-// another spill file); the reloaded store must save the same bytes.
+// save -> load into a fresh store with the same configuration; the
+// reloaded store must save the same bytes.
 void reload(BundleStore& s, std::uint64_t capacity, EvictionPolicy policy,
-            bool dedup, const std::string& spill_path) {
-  const auto image = [](const BundleStore& store) {
-    persist::Writer w;
-    w.begin_section("store");
-    store.save(w);
-    w.end_section();
-    w.finish();
-    return w.buffer();
-  };
-  const std::vector<std::uint8_t> bytes = image(s);
+            bool dedup) {
+  const std::vector<std::uint8_t> bytes = store_image(s);
   BundleStore fresh;
-  fresh.configure(capacity, policy, dedup, spill_path);
-  persist::Reader r(bytes);
-  r.expect_section("store");
-  fresh.load(r);
-  r.end_section();
-  r.finish();
-  ASSERT_EQ(image(fresh), bytes);
+  fresh.configure(capacity, policy, dedup);
+  load_image(fresh, bytes);
+  ASSERT_EQ(store_image(fresh), bytes);
   s = std::move(fresh);
 }
 
 TEST(BundleStoreDifferential, MatchesAReferenceSetUnderRandomTraffic) {
-  const auto dir = fresh_dir("differential");
   constexpr PacketId kUniverse = 700;
   constexpr int kOps = 2000;
   std::vector<PacketId> everything(kUniverse);
   for (PacketId pid = 0; pid < kUniverse; ++pid) everything[pid] = pid;
   // Unbounded stores grow the index to a few hundred ids; bounded ones
-  // evict, spill and recall.
+  // evict or refuse.
   for (const std::uint64_t capacity : {0u, 24u, 300u}) {
     for (const EvictionPolicy policy :
          {EvictionPolicy::kReject, EvictionPolicy::kDropOldest,
           EvictionPolicy::kDropLargestExpectedDelay,
           EvictionPolicy::kTtlExpire}) {
-      for (const bool spill : {false, true}) {
-        for (const bool dedup : {false, true}) {
-          SCOPED_TRACE("capacity " + std::to_string(capacity) + " policy " +
-                       to_string(policy) + " spill " + std::to_string(spill) +
-                       " dedup " + std::to_string(dedup));
-          Rng rng(capacity * 131 + static_cast<std::uint64_t>(policy) * 17 +
-                  (spill ? 2 : 0) + (dedup ? 1 : 0));
-          int generation = 0;
-          const auto spill_path = [&] {
-            return spill ? (dir / ("s" + std::to_string(generation % 2) +
-                                   ".spill"))
-                               .string()
-                         : std::string();
-          };
-          BundleStore s;
-          s.configure(capacity, policy, dedup, spill_path());
-          ReferenceStore ref;
-          std::size_t evictions = 0;
-          std::size_t recalls = 0;
-          std::size_t peak = 0;
-          PacketId touched = 0;
-          for (int op = 0; op < kOps; ++op) {
-            peak = std::max(peak, ref.memory.size());
-            // Everything every 25 steps; every 250, all ids and a
-            // save -> load -> continue.
-            if (op % 25 == 0) expect_matches(s, ref, {touched});
-            if (op % 250 == 0 && op > 0) {
-              expect_matches(s, ref, everything);
-              ++generation;
-              reload(s, capacity, policy, dedup, spill_path());
-              expect_matches(s, ref, everything);
+      for (const bool dedup : {false, true}) {
+        SCOPED_TRACE("capacity " + std::to_string(capacity) + " policy " +
+                     to_string(policy) + " dedup " + std::to_string(dedup));
+        Rng rng(capacity * 131 + static_cast<std::uint64_t>(policy) * 17 +
+                (dedup ? 1 : 0));
+        BundleStore s;
+        s.configure(capacity, policy, dedup);
+        ReferenceStore ref;
+        std::size_t evictions = 0;
+        std::size_t peak = 0;
+        PacketId touched = 0;
+        for (int op = 0; op < kOps; ++op) {
+          peak = std::max(peak, ref.memory.size());
+          // Everything every 25 steps; every 250, all ids and a
+          // save -> load -> continue.
+          if (op % 25 == 0) expect_matches(s, ref, {touched});
+          if (op % 250 == 0 && op > 0) {
+            expect_matches(s, ref, everything);
+            reload(s, capacity, policy, dedup);
+            expect_matches(s, ref, everything);
+          }
+          const std::uint64_t roll = rng.uniform_index(100);
+          // Mostly admissions for the first half of the run (until
+          // the store is full; unbounded ones stop at 350 ids), then
+          // mostly churn.
+          const std::uint64_t admit_share = op < kOps / 2 ? 85 : 55;
+          if (roll < admit_share &&
+              (capacity != 0 || ref.memory.size() < 350)) {
+            const auto pid =
+                static_cast<PacketId>(rng.uniform_index(kUniverse));
+            if (ref.holds(pid)) continue;
+            BundleStore::AdmitRequest req;
+            req.pid = pid;
+            req.logical = pid;
+            req.retention = rng.bernoulli(0.15) ? Retention::kDispatchPending
+                                                : Retention::kNone;
+            req.expected_delay = static_cast<double>(rng.uniform_index(50));
+            req.deadline = static_cast<double>(rng.uniform_index(50));
+            req.check_dedup = rng.bernoulli(0.5);
+            const bool seen = ref.seen.count(pid) != 0;
+            std::vector<PacketId> evicted;
+            const Admit verdict = s.admit(req, &evicted);
+            evictions += evicted.size();
+            for (const PacketId v : evicted) {
+              const auto it = ref.memory.find(v);
+              ASSERT_NE(it, ref.memory.end()) << "evicted absent " << v;
+              ASSERT_EQ(it->second, Retention::kNone);
+              ref.memory.erase(it);
             }
-            const std::uint64_t roll = rng.uniform_index(100);
-            // Mostly admissions for the first half of the run (until
-            // the store is full; unbounded ones stop at 350 ids), then
-            // mostly churn.
-            const std::uint64_t admit_share = op < kOps / 2 ? 85 : 55;
-            if (roll < admit_share &&
-                (capacity != 0 || ref.memory.size() < 350)) {
-              const auto pid =
-                  static_cast<PacketId>(rng.uniform_index(kUniverse));
-              if (ref.holds(pid)) continue;
-              BundleStore::AdmitRequest req;
-              req.pid = pid;
-              req.logical = pid;
-              req.retention = rng.bernoulli(0.15) ? Retention::kDispatchPending
-                                                  : Retention::kNone;
-              req.expected_delay = static_cast<double>(rng.uniform_index(50));
-              req.deadline = static_cast<double>(rng.uniform_index(50));
-              req.check_dedup = rng.bernoulli(0.5);
-              req.allow_spill = rng.bernoulli(0.5);
-              const bool seen = ref.seen.count(pid) != 0;
-              std::vector<PacketId> evicted;
-              const Admit verdict = s.admit(req, &evicted);
-              evictions += evicted.size();
-              for (const PacketId v : evicted) {
-                const auto it = ref.memory.find(v);
-                ASSERT_NE(it, ref.memory.end()) << "evicted absent " << v;
-                ASSERT_EQ(it->second, Retention::kNone);
-                ref.memory.erase(it);
-              }
-              switch (verdict) {
-                case Admit::kStored:
-                  ASSERT_FALSE(dedup && req.check_dedup && seen);
-                  ref.memory[pid] = req.retention;
-                  break;
-                case Admit::kSpilled:
-                  ASSERT_TRUE(spill && capacity != 0 && req.allow_spill);
-                  ref.spill.emplace_back(pid, req.retention);
-                  break;
-                case Admit::kRefusedDuplicate:
-                  ASSERT_TRUE(dedup && req.check_dedup && seen);
-                  break;
-                case Admit::kRefusedCapacity:
-                  ASSERT_TRUE(evicted.empty());
-                  ASSERT_FALSE(s.has_space());
-                  break;
-              }
-              if (dedup && (verdict == Admit::kStored ||
-                            verdict == Admit::kSpilled)) {
-                ref.seen.insert(pid);
-              }
-              touched = pid;
-            } else if (roll < 90) {
-              // A held id, half the time a spilled one (TTL sweeps
-              // reach them through the packet table).
-              if (ref.memory.empty() && ref.spill.empty()) continue;
-              const bool from_spill =
-                  ref.memory.empty() ||
-                  (!ref.spill.empty() && rng.bernoulli(0.5));
-              PacketId pid = net::kNoPacket;
-              if (!from_spill) {
-                auto it = ref.memory.begin();
-                std::advance(it, static_cast<std::ptrdiff_t>(
-                                     rng.uniform_index(ref.memory.size())));
-                pid = it->first;
-                ref.memory.erase(it);
-              } else {
-                const auto it = ref.spill.begin() +
-                                static_cast<std::ptrdiff_t>(
-                                    rng.uniform_index(ref.spill.size()));
-                pid = it->first;
-                ref.spill.erase(it);
-              }
-              std::vector<PacketId> recalled;
-              s.remove(pid, &recalled);
-              recalls += recalled.size();
-              for (const PacketId r : recalled) {
-                ASSERT_FALSE(ref.spill.empty());
-                ASSERT_EQ(ref.spill.front().first, r) << "recall is FIFO";
-                ref.memory[r] = ref.spill.front().second;
-                ref.spill.pop_front();
-              }
-              touched = pid;
-            } else if (!ref.memory.empty()) {
-              auto it = ref.memory.begin();
-              std::advance(it, static_cast<std::ptrdiff_t>(
-                                   rng.uniform_index(ref.memory.size())));
-              const auto r = static_cast<Retention>(rng.uniform_index(3));
-              s.set_retention_if_held(it->first, r);
-              it->second = r;
-              touched = it->first;
+            switch (verdict) {
+              case Admit::kStored:
+                ASSERT_FALSE(dedup && req.check_dedup && seen);
+                ref.memory[pid] = req.retention;
+                break;
+              case Admit::kRefusedDuplicate:
+                ASSERT_TRUE(dedup && req.check_dedup && seen);
+                break;
+              case Admit::kRefusedCapacity:
+                ASSERT_TRUE(evicted.empty());
+                ASSERT_FALSE(s.has_space());
+                break;
             }
-            ASSERT_EQ(s.contains(touched), ref.holds(touched));
-            ASSERT_EQ(s.count(), ref.memory.size());
+            if (dedup && verdict == Admit::kStored) ref.seen.insert(pid);
+            touched = pid;
+          } else if (roll < 90) {
+            if (ref.memory.empty()) continue;
+            auto it = ref.memory.begin();
+            std::advance(it, static_cast<std::ptrdiff_t>(
+                                 rng.uniform_index(ref.memory.size())));
+            const PacketId pid = it->first;
+            ref.memory.erase(it);
+            s.remove(pid);
+            touched = pid;
+          } else if (!ref.memory.empty()) {
+            auto it = ref.memory.begin();
+            std::advance(it, static_cast<std::ptrdiff_t>(
+                                 rng.uniform_index(ref.memory.size())));
+            const auto r = static_cast<Retention>(rng.uniform_index(3));
+            s.set_retention_if_held(it->first, r);
+            it->second = r;
+            touched = it->first;
           }
-          expect_matches(s, ref, everything);
-          // Every configuration exercised what it exists for.
-          if (capacity == 0) {
-            EXPECT_GE(peak, 300u);
-          }
-          if (capacity != 0 && spill) {
-            EXPECT_GT(recalls, 0u);
-          }
-          // Spilling stores evict too: on admissions that may not spill.
-          if (capacity != 0 && policy != EvictionPolicy::kReject) {
-            EXPECT_GT(evictions, 0u);
-          }
+          ASSERT_EQ(s.contains(touched), ref.holds(touched));
+          ASSERT_EQ(s.count(), ref.memory.size());
+        }
+        expect_matches(s, ref, everything);
+        // Every configuration exercised what it exists for.
+        if (capacity == 0) {
+          EXPECT_GE(peak, 300u);
+        }
+        if (capacity != 0 && policy != EvictionPolicy::kReject) {
+          EXPECT_GT(evictions, 0u);
         }
       }
     }
@@ -609,22 +518,11 @@ TEST(BundleStoreDifferential, MatchesAReferenceSetUnderRandomTraffic) {
 TEST(BundleStoreDeath, DoubleAdmissionAborts) {
   // In memory: the admission check and the index insert both refuse.
   BundleStore s;
-  s.configure(10, EvictionPolicy::kReject, false, {});
+  s.configure(10, EvictionPolicy::kReject, false);
   std::vector<PacketId> evicted;
   ASSERT_EQ(s.admit(request(1), &evicted), Admit::kStored);
   EXPECT_DEATH((void)s.admit(request(1), &evicted), "DTN_ASSERT");
   EXPECT_DEATH((void)s.add(1), "DTN_ASSERT");
-
-  // Spilled: the bundle is in no id list, yet it is still held.
-  const auto dir = fresh_dir("double_admission");
-  BundleStore t;
-  t.configure(1, EvictionPolicy::kReject, false,
-              (dir / "t.spill").string());
-  ASSERT_EQ(t.admit(request(0), &evicted), Admit::kStored);
-  auto over = request(1);
-  over.allow_spill = true;
-  ASSERT_EQ(t.admit(over, &evicted), Admit::kSpilled);
-  EXPECT_DEATH((void)t.admit(over, &evicted), "DTN_ASSERT");
 }
 
 // -- standalone audit negatives -----------------------------------------
@@ -632,18 +530,16 @@ TEST(BundleStoreDeath, DoubleAdmissionAborts) {
 // Build a store exercising every feature, seed each corruption, prove
 // the audit reports it, revert, prove it passes again.
 TEST(BundleStoreAudit, EverySeededCorruptionIsDetectedAndRevertible) {
-  const auto dir = fresh_dir("audit");
   BundleStore s;
-  s.configure(2, EvictionPolicy::kDropOldest, /*dedup=*/true,
-              (dir / "s.spill").string());
+  s.configure(2, EvictionPolicy::kDropOldest, /*dedup=*/true);
   std::vector<PacketId> evicted;
   auto pinned = request(0);
   pinned.retention = Retention::kDispatchPending;
   ASSERT_EQ(s.admit(pinned, &evicted), Admit::kStored);
   ASSERT_EQ(s.admit(request(1), &evicted), Admit::kStored);
-  auto over = request(2);
-  over.allow_spill = true;
-  ASSERT_EQ(s.admit(over, &evicted), Admit::kSpilled);
+  // Full: the next admission evicts the only retention-free resident.
+  ASSERT_EQ(s.admit(request(2), &evicted), Admit::kStored);
+  ASSERT_EQ(evicted, std::vector<PacketId>{1});
 
   const auto audit_ok = [&s]() {
     AuditReport report;
@@ -921,19 +817,18 @@ TEST(Overload, EvictionPoliciesDivergeButEachIsDeterministic) {
   EXPECT_EQ(run_overload(cfg), ttl);
 }
 
-TEST(Overload, SpillAbsorbsOverflowInsteadOfShedding) {
+TEST(Overload, RejectStationsShedInsteadOfEvicting) {
+  // Without an eviction policy a full station has one outcome for an
+  // overflowing bundle: refusal.  Generated traffic is shed, nothing is
+  // evicted, and the replay still completes deterministically.
   auto cfg = overload_workload();
   cfg.store.station_memory_kb = 12;
   cfg.store.policy = EvictionPolicy::kReject;
-  cfg.store.spill_dir = fresh_dir("absorb").string();
-  const auto spilled = run_overload(cfg);
-  EXPECT_GT(spilled.spilled_bundles, 0u);
-  EXPECT_GT(spilled.recalled_bundles, 0u);
-  // Spill-enabled station admission never sheds generated traffic.
-  EXPECT_EQ(spilled.admission_shed, 0u);
-  EXPECT_GT(spilled.delivered, 0u);
-  // Bit-identical rerun over the same (truncated-on-configure) files.
-  EXPECT_EQ(run_overload(cfg), spilled);
+  const auto rejected = run_overload(cfg);
+  EXPECT_EQ(rejected.evicted_policy, 0u);
+  EXPECT_GT(rejected.admission_shed, 0u);
+  EXPECT_GT(rejected.delivered, 0u);
+  EXPECT_EQ(run_overload(cfg), rejected);
 }
 
 TEST(Overload, GenerationShedsOnlyWhenNothingCanMakeRoom) {
@@ -958,14 +853,14 @@ TEST(Overload, GenerationShedsOnlyWhenNothingCanMakeRoom) {
             net.counters().admission_shed + net.counters().evicted_policy);
 }
 
-// -- checkpoint resume across a spill file ------------------------------
+// -- checkpoint resume of a bounded run --------------------------------
 
-TEST(Overload, CheckpointResumeSpansSpillFile) {
+TEST(Overload, CheckpointResumeOfBoundedStationsIsBitIdentical) {
   const auto trace = overload_trace();
   auto cfg = overload_workload();
   cfg.store.station_memory_kb = 12;
-  cfg.store.policy = EvictionPolicy::kReject;
-  cfg.store.spill_dir = fresh_dir("ckpt_full").string();
+  cfg.store.policy = EvictionPolicy::kDropOldest;
+  cfg.store.dedup = true;
 
   std::uint64_t full_digest = 0;
   std::uint64_t events = 0;
@@ -974,33 +869,28 @@ TEST(Overload, CheckpointResumeSpansSpillFile) {
     Network net(trace, router, cfg);
     net.run();
     net.validate_invariants();
-    ASSERT_GT(net.counters().spilled_bundles, 0u);
     full_digest = metrics::run_digest(net, router);
     events = net.events_executed();
   }
 
-  // Suspend mid-run (spill files populated), then resume in a fresh
-  // process-equivalent pointed at a DIFFERENT spill directory: the
-  // snapshot, not the original files, must carry the spilled bundles.
+  // Suspend mid-run, after the stations have started evicting, then
+  // resume in a fresh process-equivalent.
   CheckpointConfig cc;
   cc.dir = fresh_dir("ckpt_snaps").string();
   cc.stop_after_events = events / 2;
-  auto suspended_cfg = cfg;
-  suspended_cfg.store.spill_dir = fresh_dir("ckpt_before").string();
   {
     CheckpointManager mgr(cc);
     DtnFlowRouter router;
-    Network net(trace, router, suspended_cfg);
+    Network net(trace, router, cfg);
     ASSERT_FALSE(net.run(mgr));  // suspended, snapshot written
     ASSERT_TRUE(mgr.has_checkpoint());
+    ASSERT_GT(net.counters().evicted_policy, 0u);
   }
   CheckpointConfig resume = cc;
   resume.stop_after_events = 0;
-  auto resumed_cfg = cfg;
-  resumed_cfg.store.spill_dir = fresh_dir("ckpt_after").string();
   CheckpointManager mgr(resume);
   DtnFlowRouter router;
-  Network net(trace, router, resumed_cfg);
+  Network net(trace, router, cfg);
   ASSERT_TRUE(net.run(mgr));
   net.validate_invariants();
   EXPECT_EQ(metrics::run_digest(net, router), full_digest);

@@ -751,11 +751,14 @@ TEST(CheckpointEdge, OlderSchemaSnapshotsAreRefused) {
   // positions.  Schema 6 images held every packet's size, every store's
   // capacity and used bytes, and every bundle's size.  Schema 7 images
   // held every routing table's per-origin advertised times and expired
-  // flags, and the evicted-kB and kB-lost counters.  Schema 8 has none
-  // of these, so an image stamped with an older version must be refused
-  // up front rather than misparsed.
-  ASSERT_EQ(persist::kSchemaVersion, 8u);
-  for (const std::uint8_t older : {1, 2, 3, 4, 5, 6, 7}) {
+  // flags, and the evicted-kB and kB-lost counters.  Schema 8 images
+  // held every store's on-disk overflow index, the two counters of
+  // bundles written to and read back from disk, and the disk tier's
+  // enabled bit in the configuration fingerprint.
+  // Schema 9 has none of these, so an image stamped with an older
+  // version must be refused up front rather than misparsed.
+  ASSERT_EQ(persist::kSchemaVersion, 9u);
+  for (const std::uint8_t older : {1, 2, 3, 4, 5, 6, 7, 8}) {
     expect_patched_snapshot_refused(
         "schema_" + std::to_string(older),
         [&](std::vector<std::uint8_t>& bytes, const WorkloadConfig&) {
@@ -856,14 +859,14 @@ TEST(Serializer, ForgedEventCountIsRefused) {
 
 // A small campus run whose every snapshot section is non-trivial: a
 // fault plan, and bounded drop-oldest stations that deduplicate and
-// spill.
+// evict.
 struct MutationRun {
   trace::Trace trace;
   WorkloadConfig cfg;
   DtnFlowConfig router;
 };
 
-MutationRun mutation_run(const std::string& spill_dir) {
+MutationRun mutation_run() {
   trace::CampusTraceConfig tc;
   tc.num_nodes = 16;
   tc.num_landmarks = 8;
@@ -877,7 +880,6 @@ MutationRun mutation_run(const std::string& spill_dir) {
   run.cfg.store.station_memory_kb = 6;
   run.cfg.store.policy = net::EvictionPolicy::kDropOldest;
   run.cfg.store.dedup = true;
-  run.cfg.store.spill_dir = spill_dir;
   sim::FaultPlan plan;
   plan.seed = 5;
   plan.node_crash_rate_per_day = 0.3;
@@ -930,7 +932,7 @@ std::vector<std::uint8_t> mid_run_image(const MutationRun& run,
     net.run();
     cc.stop_after_events = net.events_executed() / 2;
     const RunCounters& c = net.counters();
-    EXPECT_GT(c.spilled_bundles, 0u);
+    EXPECT_GT(c.evicted_policy, 0u);
     EXPECT_GT(c.dedup_refused, 0u);
     EXPECT_GT(c.node_crashes, 0u);
     EXPECT_GT(c.station_outages, 0u);
@@ -946,8 +948,7 @@ std::vector<std::uint8_t> mid_run_image(const MutationRun& run,
 
 TEST(CheckpointEdge, FieldBoundaryMutationsAreFormatErrorsOrLoad) {
   const auto dir = fresh_dir("mutation");
-  std::filesystem::create_directories(dir / "spill");
-  const MutationRun run = mutation_run((dir / "spill").string());
+  const MutationRun run = mutation_run();
   const std::vector<std::uint8_t> image = mid_run_image(run, dir);
 
   // Map the image: restoring it and re-serializing into a Recorder must
@@ -1039,8 +1040,7 @@ TEST(CheckpointEdge, FieldBoundaryMutationsAreFormatErrorsOrLoad) {
 
 TEST(CheckpointEdge, PendingEventsNamingNothingOfTheRunAreRefused) {
   const auto dir = fresh_dir("queue_events");
-  std::filesystem::create_directories(dir / "spill");
-  const MutationRun run = mutation_run((dir / "spill").string());
+  const MutationRun run = mutation_run();
   const std::vector<std::uint8_t> image = mid_run_image(run, dir);
   ASSERT_TRUE(restores(run, image));
 

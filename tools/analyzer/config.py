@@ -40,7 +40,7 @@ REQUIRED_COVERED_FILES = (
     "src/persist/checkpoint.hpp",
     "src/persist/checkpoint.cpp",
     # The bounded bundle store picks eviction victims and orders its
-    # dedup/spill structures (docs/bounded-store.md).
+    # dedup set (docs/bounded-store.md).
     "src/net/bundle_store.hpp",
     "src/net/bundle_store.cpp",
 )
