@@ -215,9 +215,8 @@ BENCHMARK(BM_RoutingTableSnapshotDirty);
 void BM_CarrierSelect(benchmark::State& state) {
   // Carrier-selection-dominated end-to-end run: few landmarks, dense
   // presence and a heavy packet workload, so nearly all the time goes
-  // into the departure/dispatch scans that score present nodes as
-  // carriers (the path the per-(landmark, next-hop) score cache
-  // serves).
+  // into the dispatch scans that score every present node as a carrier
+  // afresh for each station packet.
   dtn::trace::CampusTraceConfig cfg;
   cfg.num_nodes = 96;
   cfg.num_landmarks = 8;

@@ -1,7 +1,6 @@
 #include "core/dtn_flow_router.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <string>
 
@@ -101,8 +100,6 @@ void DtnFlowRouter::on_init(Network& net) {
     landmarks_[l].prev_incoming.assign(m, 0.0);
     landmarks_[l].prev_outgoing.assign(m, 0.0);
     landmarks_[l].divert_toggle.assign(m, 0);
-    landmarks_[l].present_epoch = 1;
-    landmarks_[l].carrier_cache.assign(m, {});
   }
   distribution_scratch_.clear();
   station_down_.assign(m, 0);
@@ -144,74 +141,6 @@ void DtnFlowRouter::audit(const net::Network& net,
       report.set_context("router.routing_table[" + std::to_string(l) + "]");
       ls.table->audit(report);
     }
-    // Carrier-cache epoch discipline: an entry may only be *valid*
-    // (epoch equal) or *stale* (epoch behind); a valid entry must mirror
-    // the present set and the per-node probabilities bit for bit, since
-    // every input of a score bumps present_epoch when it changes.
-    report.set_context("router.carrier_cache[" + std::to_string(l) + "]");
-    const auto present = net.nodes_at(static_cast<net::LandmarkId>(l));
-    for (std::size_t to = 0; to < ls.carrier_cache.size(); ++to) {
-      const CarrierScores& entry = ls.carrier_cache[to];
-      if (entry.epoch > ls.present_epoch) {
-        report.fail("target " + std::to_string(to) + ": cache epoch " +
-                    std::to_string(entry.epoch) +
-                    " is ahead of the present epoch " +
-                    std::to_string(ls.present_epoch));
-        continue;
-      }
-      if (entry.epoch != ls.present_epoch) continue;  // legitimately stale
-      // The SoA columns must stay the same length as each other and as
-      // the present set (a column updated without its siblings is the
-      // mirror-desync bug class).
-      if (entry.node.size() != present.size() ||
-          entry.overall.size() != entry.node.size() ||
-          entry.raw.size() != entry.node.size() ||
-          entry.predicted_to.size() != entry.node.size()) {
-        report.fail("target " + std::to_string(to) +
-                    ": valid cache columns (node " +
-                    std::to_string(entry.node.size()) + ", overall " +
-                    std::to_string(entry.overall.size()) + ", raw " +
-                    std::to_string(entry.raw.size()) + ", predicted_to " +
-                    std::to_string(entry.predicted_to.size()) +
-                    ") disagree with " + std::to_string(present.size()) +
-                    " present nodes");
-        continue;
-      }
-      for (std::size_t i = 0; i < present.size(); ++i) {
-        const NodeId n = present[i];
-        const NodeState& ns = nodes_[n];
-        double raw = 0.0;
-        double overall = 0.0;
-        bool predicted_to = false;
-        // Mirror carrier_scores exactly (scalar — doubles as a
-        // SIMD-vs-scalar cross-check of the fused refinement sweep): a
-        // crashed node scores zero.
-        if (!net.node_down(n)) {
-          raw = ns.predictor->probability_of(static_cast<LandmarkId>(to));
-          overall = raw;
-          if (raw > 0.0 && cfg_.refine_carrier_selection) {
-            overall = raw * accuracy_.at(n, static_cast<LandmarkId>(l));
-          } else if (raw <= 0.0) {
-            overall = 0.0;
-          }
-          predicted_to = ns.predicted_next == static_cast<LandmarkId>(to);
-        }
-        if (entry.node[i] != n ||
-            std::bit_cast<std::uint64_t>(entry.raw[i]) !=
-                std::bit_cast<std::uint64_t>(raw) ||
-            std::bit_cast<std::uint64_t>(entry.overall[i]) !=
-                std::bit_cast<std::uint64_t>(overall) ||
-            (entry.predicted_to[i] != 0) != predicted_to) {
-          report.fail("target " + std::to_string(to) + ", slot " +
-                      std::to_string(i) + ": valid cached score (node " +
-                      std::to_string(entry.node[i]) + ", overall " +
-                      std::to_string(entry.overall[i]) +
-                      ") disagrees with recomputation (node " +
-                      std::to_string(n) + ", overall " +
-                      std::to_string(overall) + ")");
-        }
-      }
-    }
   }
   // The outage mirror (read by choose_next_hop, which has no Network
   // access) must agree with the injector's ground truth.
@@ -236,64 +165,6 @@ double DtnFlowRouter::overall_transit_probability(const Network& net, NodeId n,
   const LandmarkId here = net.location(n);
   if (here == kNoLandmark) return p;
   return p * accuracy_.at(n, here);
-}
-
-
-const DtnFlowRouter::CarrierScores& DtnFlowRouter::carrier_scores(
-    const Network& net, LandmarkId l, LandmarkId to) {
-  // Split so the dominant cache-hit path (two indexed loads + an epoch
-  // compare, once per packet) inlines into the dispatch scans while
-  // the rebuild below stays out of line.
-  LandmarkState& ls = landmarks_[l];
-  CarrierScores& entry = ls.carrier_cache[to];
-  if (entry.epoch == ls.present_epoch) [[likely]] return entry;
-  return rebuild_carrier_scores(net, ls, entry, l, to);
-}
-
-const DtnFlowRouter::CarrierScores& DtnFlowRouter::rebuild_carrier_scores(
-    const Network& net, LandmarkState& ls, CarrierScores& entry, LandmarkId l,
-    LandmarkId to) {
-  entry.epoch = ls.present_epoch;
-  const auto present = net.nodes_at(l);
-  const std::size_t k = present.size();
-  entry.node.assign(present.begin(), present.end());
-  entry.raw.resize(k);
-  entry.overall.resize(k);
-  entry.predicted_to.resize(k);
-  // Every present node reads its own predictor and accuracy cell.  The
-  // ranking key is the same arithmetic as overall_transit_probability (a
-  // present node's location is l), so cached scores compare
-  // bit-identically.
-  const bool refine = cfg_.refine_carrier_selection;
-  for (std::size_t i = 0; i < k; ++i) {
-    const NodeId n = present[i];
-    // A crashed node is no carrier at all; Network bumps the present
-    // epoch through the crash/reboot hooks, so the zero score is
-    // invalidated the instant the radio comes back.
-    if (net.node_down(n)) {
-      entry.raw[i] = 0.0;
-      entry.overall[i] = 0.0;
-      entry.predicted_to[i] = 0;
-      continue;
-    }
-    const NodeState& ns = nodes_[n];
-    const double raw = ns.predictor->probability_of(to);
-    entry.raw[i] = raw;
-    entry.overall[i] =
-        raw > 0.0 ? (refine ? raw * accuracy_.at(n, l) : raw) : 0.0;
-    entry.predicted_to[i] = ns.predicted_next == to ? 1 : 0;
-  }
-  return entry;
-}
-
-bool DtnFlowRouter::debug_corrupt_carrier_cache_for_test(LandmarkId l,
-                                                         LandmarkId to) {
-  DTN_ASSERT(l < landmarks_.size());
-  LandmarkState& ls = landmarks_[l];
-  CarrierScores& entry = ls.carrier_cache[to];
-  if (entry.epoch != ls.present_epoch || entry.overall.empty()) return false;
-  entry.overall[0] += 0.125;  // desync one column from its siblings
-  return true;
 }
 
 double DtnFlowRouter::link_expected_delay(LandmarkId from,
@@ -385,20 +256,40 @@ bool DtnFlowRouter::dispatch_packet(Network& net, LandmarkId l, PacketId pid) {
   const auto present = net.nodes_at(l);
   if (present.empty()) return false;
 
+  // The up node with buffer space and the highest overall transit
+  // probability toward `to` that carrier_accepts admits (the first in
+  // present order on ties); `predicted_only` also requires the node to
+  // be predicted to go to `to`.
+  const bool refine = cfg_.refine_carrier_selection;
+  const auto best_carrier = [&](LandmarkId to, bool predicted_only) {
+    NodeId best = trace::kNoNode;
+    double best_p = 0.0;
+    for (const NodeId n : present) {
+      if (net.node_down(n)) continue;  // a crashed radio carries nothing
+      const NodeState& ns = nodes_[n];
+      if (predicted_only && ns.predicted_next != to) continue;
+      if (!net.node_buffer(n).has_space()) continue;
+      // Only plausible carriers qualify: handing packets to visitors
+      // with a token transit probability toward the next hop just
+      // bounces them between stations and wandering nodes.
+      if (!carrier_accepts(ns.predicted_next, to,
+                           ns.predictor->probability_of(to),
+                           refine ? accuracy_.at(n, l) : 1.0)) {
+        continue;
+      }
+      const double overall = overall_transit_probability(net, n, to);
+      if (overall > best_p) {
+        best_p = overall;
+        best = n;
+      }
+    }
+    return best;
+  };
+
   // Step 2: direct-delivery opportunity — a connected node predicted to
   // transit straight to the destination landmark.
   if (cfg_.direct_delivery) {
-    NodeId best = trace::kNoNode;
-    double best_p = 0.0;
-    const CarrierScores& cs = carrier_scores(net, l, p.dst);
-    for (std::size_t i = 0; i < cs.size(); ++i) {
-      if (cs.predicted_to[i] == 0) continue;
-      if (!net.node_buffer(cs.node[i]).has_space()) continue;
-      if (cs.overall[i] > best_p) {
-        best_p = cs.overall[i];
-        best = cs.node[i];
-      }
-    }
+    const NodeId best = best_carrier(p.dst, /*predicted_only=*/true);
     if (best != trace::kNoNode) {
       const double table_delay = landmarks_[l].table->delay_to(p.dst);
       const double link_delay = link_expected_delay(l, p.dst);
@@ -416,23 +307,7 @@ bool DtnFlowRouter::dispatch_packet(Network& net, LandmarkId l, PacketId pid) {
   LandmarkId next = kNoLandmark;
   double delay = kInfiniteDelay;
   if (!choose_next_hop(l, p.dst, next, delay)) return false;
-
-  NodeId best = trace::kNoNode;
-  double best_p = 0.0;
-  const CarrierScores& cs = carrier_scores(net, l, next);
-  for (std::size_t i = 0; i < cs.size(); ++i) {
-    if (!net.node_buffer(cs.node[i]).has_space()) continue;
-    // Only plausible carriers qualify: handing packets to visitors with
-    // a token transit probability toward the next hop just bounces them
-    // between stations and wandering nodes.
-    if (cs.predicted_to[i] == 0 && cs.raw[i] < kCarrierProbabilityFloor) {
-      continue;
-    }
-    if (cs.overall[i] > best_p) {
-      best_p = cs.overall[i];
-      best = cs.node[i];
-    }
-  }
+  const NodeId best = best_carrier(next, /*predicted_only=*/false);
   if (best == trace::kNoNode) return false;
   if (!net.station_to_node(l, best, pid)) return false;
   p.next_hop = next;
@@ -599,9 +474,6 @@ bool DtnFlowRouter::landmark_uploading_mode(LandmarkId l) const {
 void DtnFlowRouter::on_arrival(Network& net, NodeId node, LandmarkId l) {
   NodeState& ns = nodes_[node];
   const LandmarkId prev = net.previous_landmark(node);
-  // The present set (and the newcomer's prediction state, below) is
-  // changing: invalidate l's carrier-score cache.
-  ++landmarks_[l].present_epoch;
 
   // A crashed node associates with nothing: its radio is dead.  The
   // stay clock still starts (the body is physically here).
@@ -713,8 +585,6 @@ void DtnFlowRouter::on_arrival(Network& net, NodeId node, LandmarkId l) {
 
 void DtnFlowRouter::on_departure(Network& net, NodeId node, LandmarkId l) {
   NodeState& ns = nodes_[node];
-  // The departing node leaves the present set once this hook returns.
-  ++landmarks_[l].present_epoch;
   // A crashed node departs carrying nothing new (its crash already
   // dropped the control state it held).
   if (net.node_down(node)) return;
@@ -767,6 +637,7 @@ void DtnFlowRouter::on_departure(Network& net, NodeId node, LandmarkId l) {
 }
 
 void DtnFlowRouter::on_node_crash(Network& net, NodeId node) {
+  (void)net;
   NodeState& ns = nodes_[node];
   // Control state in transit dies with the carrier.
   if (ns.carried_dv.has_value()) {
@@ -774,14 +645,6 @@ void DtnFlowRouter::on_node_crash(Network& net, NodeId node) {
     ++diag_.dv_carriers_lost;
   }
   ns.carried_token.reset();
-  // A present node's carrier score just collapsed to zero.
-  const LandmarkId here = net.location(node);
-  if (here != kNoLandmark) ++landmarks_[here].present_epoch;
-}
-
-void DtnFlowRouter::on_node_reboot(Network& net, NodeId node) {
-  const LandmarkId here = net.location(node);
-  if (here != kNoLandmark) ++landmarks_[here].present_epoch;
 }
 
 void DtnFlowRouter::on_station_outage(Network& net, LandmarkId l) {
@@ -1035,8 +898,6 @@ void DtnFlowRouter::fields(Ar& ar) {
     ar.fixed("landmark previous outgoing rates", ls.prev_outgoing);
     ar.fixed("landmark divert toggles", ls.divert_toggle);
     ar.value("landmark uploading mode", ls.uploading_mode);
-    ar.value("landmark present epoch", ls.present_epoch);
-    ar.check(ls.present_epoch != 0, "landmark present epoch is zero");
   }
   ar.fixed("router station down", station_down_);
   ar.fixed("router needs reconvergence", needs_reconvergence_);
@@ -1050,9 +911,7 @@ void DtnFlowRouter::checkpoint_save(persist::Writer& w) const {
 
 void DtnFlowRouter::checkpoint_load(persist::Reader& r, Network& net) {
   // Size every container from the configuration first, then overwrite.
-  // The carrier caches and scratch buffers stay fresh: their entries are
-  // born with epoch 0, stale against every serialized present_epoch
-  // (>= 1), so they rebuild lazily with identical contents.
+  // The scratch buffers stay fresh: every use refills them.
   on_init(net);
   fields(r);
 }

@@ -169,13 +169,11 @@ class DtnFlowRouter final : public net::Router {
   void on_packet_generated(net::Network& net, net::PacketId pid) override;
   void on_time_unit(net::Network& net, std::size_t unit_index) override;
   void on_node_crash(net::Network& net, net::NodeId node) override;
-  void on_node_reboot(net::Network& net, net::NodeId node) override;
   void on_station_outage(net::Network& net, net::LandmarkId l) override;
   void on_station_recovery(net::Network& net, net::LandmarkId l) override;
 
   // -- checkpointing (src/persist/, docs/checkpointing.md) --------------
-  /// The carrier-score cache and scratch buffers are not stored: they
-  /// rebuild lazily from the stored state.
+  /// The scratch buffers are not stored: every use refills them.
   [[nodiscard]] bool checkpointable() const override { return true; }
   void checkpoint_save(persist::Writer& w) const override;
   void checkpoint_load(persist::Reader& r, net::Network& net) override;
@@ -183,7 +181,7 @@ class DtnFlowRouter final : public net::Router {
   /// Invariant audit hook (debug tooling, see invariant_auditor.hpp):
   /// audits every node predictor (flat store + incremental argmax),
   /// every landmark routing table (dirty bookkeeping + clean columns vs
-  /// from-scratch recompute) and the carrier-cache epoch discipline.
+  /// from-scratch recompute) and the station-outage mirror.
   void audit(const net::Network& net, sim::AuditReport& report) const override;
 
   // -- introspection (tests / benches / figures) ------------------------
@@ -206,14 +204,6 @@ class DtnFlowRouter final : public net::Router {
   /// for `dst` through `cycle` (cycle[i] -> cycle[i+1], wrapping).
   void inject_loop(net::LandmarkId dst,
                    std::span<const net::LandmarkId> cycle);
-
-  /// Test-only fault injection: desynchronize one column of a *valid*
-  /// carrier-cache entry without bumping the present epoch (the
-  /// SoA-mirror bug class — a score column updated without its
-  /// siblings).  Returns false when the cache entry is not currently
-  /// valid (nothing to corrupt).
-  bool debug_corrupt_carrier_cache_for_test(net::LandmarkId l,
-                                            net::LandmarkId to);
 
   /// Test-only: classify every station packet of an offer as a
   /// candidate, so the walk visits the full sorted queue.  Conformance
@@ -248,28 +238,6 @@ class DtnFlowRouter final : public net::Router {
     std::uint32_t total_stays = 0;
   };
 
-  /// The present nodes' cached suitability as carriers toward a given
-  /// target landmark, snapshotted in present order (the scan order the
-  /// deterministic-replay contract fixes).  Structure-of-arrays: each
-  /// score component is one contiguous column, so the dispatch scans
-  /// read packed doubles instead of striding over an array of structs
-  /// (docs/routing-hot-path.md).  Valid iff `epoch` matches the owning
-  /// landmark's present_epoch.
-  struct CarrierScores {
-    std::uint64_t epoch = 0;
-    /// Present nodes, in present order.
-    std::vector<net::NodeId> node;
-    /// Overall transit probability (raw x accuracy refinement) — the
-    /// ranking key of §IV-D.3/4.
-    std::vector<double> overall;
-    /// Raw P(next = target | node's context), for the §IV-D.3
-    /// plausibility floor.
-    std::vector<double> raw;
-    /// Node's predicted next landmark equals the target (§IV-D.2).
-    std::vector<std::uint8_t> predicted_to;
-    [[nodiscard]] std::size_t size() const { return node.size(); }
-  };
-
   struct LandmarkState {
     std::optional<RoutingTable> table;
     // Per-neighbor packet rates for load balancing (current open unit
@@ -284,44 +252,18 @@ class DtnFlowRouter final : public net::Router {
     /// §IV-D.5 channel mode (meaningful when scheduled_communication):
     /// true = uplink serves node uploads, false = downlink forwards.
     bool uploading_mode = true;
-
-    /// Present-set epoch: bumped on every arrival/departure at this
-    /// landmark.  Prediction state of a *present* node only changes on
-    /// its own arrival, so the epoch covers every input of the carrier
-    /// scores below.
-    std::uint64_t present_epoch = 1;
-    /// Per-target-landmark carrier-score cache (lazy; entry valid iff
-    /// its epoch matches present_epoch).  Departure-time dispatch scans
-    /// reuse the scores across every packet of an association instead
-    /// of re-deriving per-candidate probabilities per packet.
-    std::vector<CarrierScores> carrier_cache;
   };
 
-  /// The node's overall probability of transiting to `to` from its
-  /// current landmark (transit probability, optionally x accuracy).
   template <class Ar>
   void fields(Ar& ar);
 
+  /// The node's overall probability of transiting to `to` from its
+  /// current landmark (transit probability, optionally x accuracy): the
+  /// carrier ranking key of §IV-D.3/4 for station dispatch and
+  /// node-to-node relay alike.
   [[nodiscard]] double overall_transit_probability(const net::Network& net,
                                                    net::NodeId n,
                                                    net::LandmarkId to) const;
-
-  /// Cached carrier scores of the nodes present at `l` toward target
-  /// landmark `to`, in present order; rebuilt lazily when the present
-  /// set mutates (scalar gather of per-node predictor/accuracy reads,
-  /// then one fused SIMD select/multiply sweep over the packed
-  /// columns).  The returned reference is valid until the next arrival
-  /// or departure at `l`.
-  const CarrierScores& carrier_scores(const net::Network& net,
-                                      net::LandmarkId l, net::LandmarkId to);
-
-  /// The out-of-line rebuild half of carrier_scores (the epoch-hit fast
-  /// path stays small enough for the dispatch scans to inline).
-  const CarrierScores& rebuild_carrier_scores(const net::Network& net,
-                                              LandmarkState& ls,
-                                              CarrierScores& entry,
-                                              net::LandmarkId l,
-                                              net::LandmarkId to);
 
   /// Choose the next hop (and expected delay) for `dst` at landmark `l`,
   /// applying load balancing.  Returns false when unreachable.
@@ -331,7 +273,9 @@ class DtnFlowRouter final : public net::Router {
   [[nodiscard]] bool link_overloaded(const LandmarkState& ls,
                                      net::LandmarkId neighbor) const;
 
-  /// Try to hand one station packet to the best connected carrier.
+  /// Try to hand one station packet to the best connected carrier,
+  /// scoring the present nodes afresh (docs/routing-hot-path.md,
+  /// "Carrier selection").
   bool dispatch_packet(net::Network& net, net::LandmarkId l,
                        net::PacketId pid);
 

@@ -711,7 +711,6 @@ void Network::apply_node_reboot(const sim::Event& ev) {
   const NodeId node = ev.a;
   faults_->mark_node_up(node);
   ++counters_.node_reboots;
-  router_.on_node_reboot(*this, node);
   // A stochastic crash chain continues after the reboot (never while
   // down, so a double crash is impossible by construction).
   if (ev.b == 0 && faults_->plan().node_crash_rate_per_day > 0.0) {

@@ -91,11 +91,6 @@ class Router {
   virtual void on_node_crash(Network& net, NodeId node) {
     (void)net; (void)node;
   }
-  /// A crashed node rebooted (radio live again, learned state intact —
-  /// the device restarted, the protocol history did not reset).
-  virtual void on_node_reboot(Network& net, NodeId node) {
-    (void)net; (void)node;
-  }
   /// Landmark `l`'s station went down: storage is frozen (durable, not
   /// wiped) and all station transfers at `l` are refused until recovery.
   virtual void on_station_outage(Network& net, LandmarkId l) {

@@ -2,8 +2,8 @@
 //
 // PRs 1-2 replaced safe structures with sharp ones on every hot path:
 // packed bit-cast heap keys, interned Markov context keys with an
-// incrementally maintained argmax, epoch-stamped carrier-score caches,
-// dirty-column incremental routing-table recompute.  Each of those
+// incrementally maintained argmax, dirty-column incremental
+// routing-table recompute.  Each of those
 // carries an invariant that, if silently violated, corrupts simulation
 // results without crashing.  This subsystem makes the invariants
 // *checkable at runtime*: subsystems register named check callbacks

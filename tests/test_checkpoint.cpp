@@ -754,11 +754,12 @@ TEST(CheckpointEdge, OlderSchemaSnapshotsAreRefused) {
   // flags, and the evicted-kB and kB-lost counters.  Schema 8 images
   // held every store's on-disk overflow index, the two counters of
   // bundles written to and read back from disk, and the disk tier's
-  // enabled bit in the configuration fingerprint.
-  // Schema 9 has none of these, so an image stamped with an older
-  // version must be refused up front rather than misparsed.
-  ASSERT_EQ(persist::kSchemaVersion, 9u);
-  for (const std::uint8_t older : {1, 2, 3, 4, 5, 6, 7, 8}) {
+  // enabled bit in the configuration fingerprint.  Schema 9 images
+  // held every landmark's present epoch, the stamp of a carrier-score
+  // cache.  Schema 10 has none of these, so an image stamped with an
+  // older version must be refused up front rather than misparsed.
+  ASSERT_EQ(persist::kSchemaVersion, 10u);
+  for (const std::uint8_t older : {1, 2, 3, 4, 5, 6, 7, 8, 9}) {
     expect_patched_snapshot_refused(
         "schema_" + std::to_string(older),
         [&](std::vector<std::uint8_t>& bytes, const WorkloadConfig&) {

@@ -724,7 +724,7 @@ TEST(FaultRun, DeadEndRescueWaitsOutStationOutage) {
 TEST(FaultRun, DeadEndDetectionIgnoresCrashedCarriers) {
   // A crashed node must not be flagged as a dead-ended carrier while it
   // is down: the §IV-E.1 rescue scan skips down nodes, and the run's
-  // invariants (including the carrier-score cache audit) stay clean.
+  // invariants stay clean under periodic audits.
   const auto trace = relay_chain_trace(12.0);
   DtnFlowConfig rc;
   rc.dead_end_prevention = true;
@@ -739,6 +739,110 @@ TEST(FaultRun, DeadEndDetectionIgnoresCrashedCarriers) {
   net.validate_invariants();
   EXPECT_GT(net.auditor().audits_run(), 0u);
   EXPECT_EQ(net.counters().node_crashes, 1u);
+}
+
+// Forwards to a DtnFlowRouter (which is final) the hooks a one-node run
+// without station outages reaches, and records what station dispatch
+// did with each newly generated packet: the node that took it (kNoNode
+// when it stayed at the station), whether node 0 was down, and how many
+// station transfers the fault layer refused.
+class GeneratedDispatchRecorder final : public net::Router {
+ public:
+  struct Dispatch {
+    net::NodeId carrier;
+    bool node0_down;
+    std::uint64_t blocked;
+  };
+
+  explicit GeneratedDispatchRecorder(DtnFlowRouter& inner) : inner_(inner) {}
+
+  [[nodiscard]] std::string name() const override { return inner_.name(); }
+  [[nodiscard]] bool uses_stations() const override {
+    return inner_.uses_stations();
+  }
+  void on_init(Network& net) override { inner_.on_init(net); }
+  void on_arrival(Network& net, net::NodeId node, net::LandmarkId l) override {
+    inner_.on_arrival(net, node, l);
+  }
+  void on_departure(Network& net, net::NodeId node,
+                    net::LandmarkId l) override {
+    inner_.on_departure(net, node, l);
+  }
+  void on_packet_generated(Network& net, net::PacketId pid) override {
+    const std::uint64_t blocked = net.counters().transfers_blocked_fault;
+    inner_.on_packet_generated(net, pid);
+    const net::Packet& p = net.packet(pid);
+    dispatches.push_back(
+        {p.state == net::PacketState::kOnNode ? p.holder : trace::kNoNode,
+         net.node_down(0), net.counters().transfers_blocked_fault - blocked});
+  }
+  void on_time_unit(Network& net, std::size_t unit_index) override {
+    inner_.on_time_unit(net, unit_index);
+  }
+  void on_node_crash(Network& net, net::NodeId node) override {
+    inner_.on_node_crash(net, node);
+  }
+  void audit(const Network& net, AuditReport& report) const override {
+    inner_.audit(net, report);
+  }
+
+  std::vector<Dispatch> dispatches;
+
+ private:
+  DtnFlowRouter& inner_;
+};
+
+TEST(FaultRun, StationDispatchSkipsACrashedNodeUntilItsReboot) {
+  // One node shuttles L0 <-> L1 for two days, so at L0 it is predicted
+  // to go to L1, then sits at L0 for six hours.  It crashes one hour
+  // into that visit and reboots two hours later; nothing else arrives
+  // at L0 meanwhile.  Station dispatch scores the present nodes per
+  // packet: the node takes the packet before the crash, is never chosen
+  // (so no transfer to it is even tried) while down, and takes a new
+  // packet again after the reboot although no arrival happened since.
+  const double period = 2.0 * kHour;
+  const double park = 2.0 * kDay;
+  trace::Trace t(1, 2);
+  for (double base = 0.0; base + period <= park; base += period) {
+    t.add_visit({0, 0, base, base + 30.0 * kMinute});
+    t.add_visit({0, 1, base + 60.0 * kMinute, base + 90.0 * kMinute});
+  }
+  t.add_visit({0, 0, park, park + 6.0 * kHour});
+  t.add_visit({0, 1, park + 7.0 * kHour, park + 8.0 * kHour});
+  t.finalize();
+
+  WorkloadConfig cfg;
+  cfg.packets_per_landmark_per_day = 0.0;
+  cfg.warmup_fraction = 0.0;
+  cfg.time_unit = 0.5 * kDay;
+  cfg.node_memory_kb = 10;
+  cfg.ttl = 2.0 * kDay;
+  for (const double at : {0.5, 1.5, 2.0, 3.5}) {
+    cfg.manual_packets.push_back({0, 1, park + at * kHour, 0.0});
+  }
+  cfg.faults.emplace();
+  cfg.faults->node_crashes.push_back({0, park + 1.0 * kHour, 2.0 * kHour});
+  cfg.faults->crash_buffer_loss = 0.0;
+
+  DtnFlowRouter inner;
+  GeneratedDispatchRecorder router(inner);
+  Network net(t, router, cfg);
+  net.run();
+  net.validate_invariants();
+  ASSERT_EQ(net.counters().node_crashes, 1u);
+  ASSERT_EQ(net.counters().node_reboots, 1u);
+
+  const auto& d = router.dispatches;
+  ASSERT_EQ(d.size(), 4u);
+  EXPECT_FALSE(d[0].node0_down);
+  EXPECT_EQ(d[0].carrier, 0u);
+  for (const std::size_t i : {1u, 2u}) {
+    EXPECT_TRUE(d[i].node0_down) << "packet " << i;
+    EXPECT_EQ(d[i].carrier, trace::kNoNode) << "packet " << i;
+    EXPECT_EQ(d[i].blocked, 0u) << "packet " << i;
+  }
+  EXPECT_FALSE(d[3].node0_down);
+  EXPECT_EQ(d[3].carrier, 0u);
 }
 
 // -- fault-state invariant auditing (negative tests) ---------------------

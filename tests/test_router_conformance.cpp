@@ -191,9 +191,6 @@ class ContactObservingShim final : public net::Router {
   void on_node_crash(net::Network& net, net::NodeId node) override {
     inner_.on_node_crash(net, node);
   }
-  void on_node_reboot(net::Network& net, net::NodeId node) override {
-    inner_.on_node_reboot(net, node);
-  }
   void on_station_outage(net::Network& net, net::LandmarkId l) override {
     inner_.on_station_outage(net, l);
   }
