@@ -89,9 +89,10 @@ void DtnFlowRouter::on_init(Network& net) {
   landmarks_.assign(m, LandmarkState{});
   for (NodeId i = 0; i < n; ++i) {
     nodes_[i].predictor.emplace(m, cfg_.predictor_order);
-    nodes_[i].stay_sum.assign(m, 0.0);
-    nodes_[i].stay_count.assign(m, 0);
-    nodes_[i].departures_since_dv.assign(m, 0);
+    NodeTransits& t = nodes_[i].transits;
+    t.stay_sum.assign(m, 0.0);
+    t.stay_count.assign(m, 0);
+    t.departures_since_dv.assign(m, 0);
   }
   for (LandmarkId l = 0; l < m; ++l) {
     landmarks_[l].table.emplace(l, m);
@@ -125,6 +126,11 @@ const MarkovPredictor& DtnFlowRouter::predictor(NodeId n) const {
 
 double DtnFlowRouter::accuracy(NodeId n, LandmarkId l) const {
   return accuracy_.at(n, l);
+}
+
+const NodeTransits& DtnFlowRouter::transits(NodeId n) const {
+  DTN_ASSERT(n < nodes_.size());
+  return nodes_[n].transits;
 }
 
 void DtnFlowRouter::audit(const net::Network& net,
@@ -267,12 +273,13 @@ bool DtnFlowRouter::dispatch_packet(Network& net, LandmarkId l, PacketId pid) {
     for (const NodeId n : present) {
       if (net.node_down(n)) continue;  // a crashed radio carries nothing
       const NodeState& ns = nodes_[n];
-      if (predicted_only && ns.predicted_next != to) continue;
+      const LandmarkId predicted = ns.transits.predicted_next;
+      if (predicted_only && predicted != to) continue;
       if (!net.node_buffer(n).has_space()) continue;
       // Only plausible carriers qualify: handing packets to visitors
       // with a token transit probability toward the next hop just
       // bounces them between stations and wandering nodes.
-      if (!carrier_accepts(ns.predicted_next, to,
+      if (!carrier_accepts(predicted, to,
                            ns.predictor->probability_of(to),
                            refine ? accuracy_.at(n, l) : 1.0)) {
         continue;
@@ -329,7 +336,7 @@ void DtnFlowRouter::offer_packets_to_node(Network& net, LandmarkId l,
   const double acc_here = cfg_.refine_carrier_selection
                               ? accuracy_.at(n, l)
                               : 1.0;
-  const LandmarkId predicted = nodes_[n].predicted_next;
+  const LandmarkId predicted = nodes_[n].transits.predicted_next;
   const RoutingTable& table = *landmarks_[l].table;
 
   // Classify (docs/routing-hot-path.md, "Arrival offers and uploads"):
@@ -382,7 +389,7 @@ void DtnFlowRouter::offer_packets_to_node(Network& net, LandmarkId l,
     if (p.dst == l && p.dst_node != trace::kNoNode) continue;  // waiting here
     if (!net.node_buffer(n).has_space()) break;
 
-    if (cfg_.direct_delivery && nodes_[n].predicted_next == p.dst) {
+    if (cfg_.direct_delivery && predicted == p.dst) {
       const double table_delay = landmarks_[l].table->delay_to(p.dst);
       const double link_delay = link_expected_delay(l, p.dst);
       if (net.station_to_node(l, n, pid)) {
@@ -396,7 +403,7 @@ void DtnFlowRouter::offer_packets_to_node(Network& net, LandmarkId l,
     LandmarkId next = kNoLandmark;
     double delay = kInfiniteDelay;
     if (!choose_next_hop(l, p.dst, next, delay)) continue;
-    if (!carrier_accepts(nodes_[n].predicted_next, next,
+    if (!carrier_accepts(predicted, next,
                          distribution_scratch_[next], acc_here)) {
       continue;
     }
@@ -471,42 +478,80 @@ bool DtnFlowRouter::landmark_uploading_mode(LandmarkId l) const {
   return landmarks_[l].uploading_mode;
 }
 
+DtnFlowRouter::Scored DtnFlowRouter::note_arrival(NodeId node, LandmarkId prev,
+                                                  LandmarkId l, double now,
+                                                  bool node_down,
+                                                  bool station_down) {
+  NodeState& ns = nodes_[node];
+  NodeTransits& t = ns.transits;
+  t.arrived_at = now;
+  if (node_down || station_down) return Scored::kNone;
+  // Score the prediction made when the node sat at `prev`.
+  Scored scored = Scored::kNone;
+  if (prev != kNoLandmark && prev != l && t.predicted_from == prev &&
+      t.predicted_next != kNoLandmark) {
+    double& acc = accuracy_.at(node, prev);
+    if (t.predicted_next == l) {
+      scored = Scored::kHit;
+      acc = std::min(1.0, acc * kAccuracyGain);
+    } else {
+      scored = Scored::kMiss;
+      acc = std::max(0.05, acc * kAccuracyLoss);
+    }
+  }
+  ns.predictor->record_visit(l);
+  t.predicted_next = ns.predictor->predict();
+  t.predicted_from = l;
+  return scored;
+}
+
+bool DtnFlowRouter::note_departure(NodeId node, LandmarkId l, double now,
+                                   bool node_down, bool station_down) {
+  if (node_down) return false;
+  NodeTransits& t = nodes_[node].transits;
+  // Stay-time statistics (completed stay; a stay through a station
+  // outage completes normally too).
+  const double stay = now - t.arrived_at;
+  if (stay > 0.0) {
+    t.stay_sum[l] += stay;
+    t.stay_count[l] += 1;
+    t.total_stay += stay;
+    t.total_stays += 1;
+  }
+  if (station_down) return false;
+  // Carry the table to every k-th departure *from this landmark* when
+  // the §IV-C.3 maintenance saving is on.
+  if (++t.departures_since_dv[l] < cfg_.dv_exchange_every) return false;
+  t.departures_since_dv[l] = 0;
+  return true;
+}
+
 void DtnFlowRouter::on_arrival(Network& net, NodeId node, LandmarkId l) {
   NodeState& ns = nodes_[node];
   const LandmarkId prev = net.previous_landmark(node);
+  const bool node_down = net.node_down(node);
+  const bool station_down = station_down_[l] != 0;
+  const Scored scored =
+      note_arrival(node, prev, l, net.now(), node_down, station_down);
 
-  // A crashed node associates with nothing: its radio is dead.  The
-  // stay clock still starts (the body is physically here).
-  if (net.node_down(node)) {
-    ns.arrived_at = net.now();
-    return;
-  }
-  // Station outage: the whole association protocol (measurement,
-  // vector exchange, uploads, offers) runs through the station, so the
-  // visit is a no-op.  The node keeps any carried distance vector — it
-  // will deliver it wherever it next finds a live station, which is
-  // exactly the delayed propagation an outage causes.
-  if (station_down_[l] != 0) {
-    ns.arrived_at = net.now();
-    return;
-  }
+  // A crashed node associates with nothing: its radio is dead (the stay
+  // clock still started: the body is physically here).  Station outage:
+  // the whole association protocol (measurement, vector exchange,
+  // uploads, offers) runs through the station, so the visit is a no-op.
+  // The node keeps any carried distance vector — it will deliver it
+  // wherever it next finds a live station, which is exactly the delayed
+  // propagation an outage causes.
+  if (node_down || station_down) return;
 
   if (prev != kNoLandmark && prev != l) {
     // Transit observed: bandwidth measurement (arrival side).
     bw_.record_transit(prev, l);
     if (dbw_.has_value()) dbw_->record_arrival(prev, l);
     ++diag_.transits_observed;
-    // Score the prediction made when the node sat at `prev`.
-    if (ns.predicted_from == prev && ns.predicted_next != kNoLandmark) {
-      ++diag_.predictions_scored;
-      double& acc = accuracy_.at(node, prev);
-      if (ns.predicted_next == l) {
-        ++diag_.predictions_correct;
-        acc = std::min(1.0, acc * kAccuracyGain);
-      } else {
-        acc = std::max(0.05, acc * kAccuracyLoss);
-      }
-    }
+  }
+  if (scored != Scored::kNone) {
+    ++diag_.predictions_scored;
+    if (scored == Scored::kHit) ++diag_.predictions_correct;
   }
 
   // Deliver the distance vector carried from the previous landmark.
@@ -538,11 +583,6 @@ void DtnFlowRouter::on_arrival(Network& net, NodeId node, LandmarkId l) {
     }
     ns.carried_token.reset();
   }
-
-  ns.arrived_at = net.now();
-  ns.predictor->record_visit(l);
-  ns.predicted_next = ns.predictor->predict();
-  ns.predicted_from = l;
 
   // Step 5 uploads, then re-dispatch what landed at the station; with
   // §IV-D.5 scheduling the serialized channel serves either the uplink
@@ -584,28 +624,17 @@ void DtnFlowRouter::on_arrival(Network& net, NodeId node, LandmarkId l) {
 }
 
 void DtnFlowRouter::on_departure(Network& net, NodeId node, LandmarkId l) {
-  NodeState& ns = nodes_[node];
+  const bool node_down = net.node_down(node);
+  const bool station_down = station_down_[l] != 0;
+  const bool carry_dv =
+      note_departure(node, l, net.now(), node_down, station_down);
   // A crashed node departs carrying nothing new (its crash already
-  // dropped the control state it held).
-  if (net.node_down(node)) return;
-  if (station_down_[l] != 0) {
-    // No station to snapshot from; any vector still carried (deferred
-    // delivery) rides along.  The stay completed normally.
-    const double outage_stay = net.now() - ns.arrived_at;
-    if (outage_stay > 0.0) {
-      ns.stay_sum[l] += outage_stay;
-      ns.stay_count[l] += 1;
-      ns.total_stay += outage_stay;
-      ns.total_stays += 1;
-    }
-    return;
-  }
-  // Snapshot the table for carriage (accounted once per leg), thinned
-  // to every k-th departure *from this landmark* when the §IV-C.3
-  // maintenance saving is on.
-  ++ns.departures_since_dv[l];
-  if (ns.departures_since_dv[l] >= cfg_.dv_exchange_every) {
-    ns.departures_since_dv[l] = 0;
+  // dropped the control state it held).  A down station has no table to
+  // snapshot; any vector still carried (deferred delivery) rides along.
+  if (node_down || station_down) return;
+  NodeState& ns = nodes_[node];
+  // Snapshot the table for carriage (accounted once per leg).
+  if (carry_dv) {
     ns.carried_dv = landmarks_[l].table->snapshot();
     net.account_control(static_cast<double>(ns.carried_dv->entries()));
     // Injected control-plane loss: the carrier picked the vector up but
@@ -621,18 +650,10 @@ void DtnFlowRouter::on_departure(Network& net, NodeId node, LandmarkId l) {
 
   // Hand the departing node the bandwidth report for the link it is
   // predicted to close (§IV-C.1).
-  if (dbw_.has_value() && ns.predicted_from == l &&
-      ns.predicted_next != kNoLandmark) {
-    ns.carried_token = dbw_->issue_token(l, ns.predicted_next);
-  }
-
-  // Stay-time statistics (completed stay).
-  const double stay = net.now() - ns.arrived_at;
-  if (stay > 0.0) {
-    ns.stay_sum[l] += stay;
-    ns.stay_count[l] += 1;
-    ns.total_stay += stay;
-    ns.total_stays += 1;
+  const NodeTransits& t = ns.transits;
+  if (dbw_.has_value() && t.predicted_from == l &&
+      t.predicted_next != kNoLandmark) {
+    ns.carried_token = dbw_->issue_token(l, t.predicted_next);
   }
 }
 
@@ -660,15 +681,14 @@ void DtnFlowRouter::on_station_recovery(Network& net, LandmarkId l) {
   ++diag_.station_recoveries_seen;
 }
 
-bool DtnFlowRouter::stay_is_dead_end(const NodeState& ns, LandmarkId l,
+bool DtnFlowRouter::stay_is_dead_end(const NodeTransits& t, LandmarkId l,
                                      double stay) const {
-  if (ns.total_stays < kDeadEndMinRecords) return false;
-  const double avg_all =
-      ns.total_stay / static_cast<double>(ns.total_stays);
+  if (t.total_stays < kDeadEndMinRecords) return false;
+  const double avg_all = t.total_stay / static_cast<double>(t.total_stays);
   if (stay > cfg_.dead_end_theta * avg_all) return true;
-  if (ns.stay_count[l] > 0) {
+  if (t.stay_count[l] > 0) {
     const double avg_here =
-        ns.stay_sum[l] / static_cast<double>(ns.stay_count[l]);
+        t.stay_sum[l] / static_cast<double>(t.stay_count[l]);
     if (stay > cfg_.dead_end_theta * avg_here) return true;
   }
   return false;
@@ -681,9 +701,8 @@ void DtnFlowRouter::check_parked_dead_end(Network& net, NodeId n) {
   // A crashed node can't hand anything over, and a down station can't
   // receive the §IV-E.1 force-upload; re-checked after recovery.
   if (net.node_down(n) || station_down_[here] != 0) return;
-  NodeState& ns = nodes_[n];
-  const double stay = net.now() - ns.arrived_at;
-  if (!stay_is_dead_end(ns, here, stay)) return;
+  const NodeTransits& t = nodes_[n].transits;
+  if (!stay_is_dead_end(t, here, net.now() - t.arrived_at)) return;
   ++diag_.dead_ends_detected;
   // Hand everything to the station; the landmark re-routes (§IV-E.1).
   for (const PacketId pid : upload_packets(net, n, here, /*force_all=*/true)) {
@@ -780,8 +799,9 @@ void DtnFlowRouter::relay_between_nodes(Network& net, NodeId from,
     // A peer predicted to transit straight to the destination is always
     // an upgrade (§IV-D.2 applied between carriers)...
     const bool direct_upgrade =
-        cfg_.direct_delivery && nodes_[to].predicted_next == p.dst &&
-        nodes_[from].predicted_next != p.dst;
+        cfg_.direct_delivery &&
+        nodes_[to].transits.predicted_next == p.dst &&
+        nodes_[from].transits.predicted_next != p.dst;
     // ...otherwise require a strictly better overall transit
     // probability toward the packet's chosen next hop.
     bool better = direct_upgrade;
@@ -854,11 +874,9 @@ void DtnFlowRouter::fields(Ar& ar) {
   ar.object(bw_);
   ar.expect("router distributed bandwidth", dbw_.has_value());
   if (dbw_.has_value()) ar.object(*dbw_);
+  // Per node, only the control state in transit: the predictor, the
+  // accuracy row and NodeTransits are folded from the trace on load.
   for (NodeState& ns : nodes_) {
-    ar.object(*ns.predictor);
-    ar.index_or_none("node predicted next", ns.predicted_next, m);
-    ar.index_or_none("node predicted from", ns.predicted_from, m);
-    ar.value("node arrival time", ns.arrived_at);
     bool has_dv = ns.carried_dv.has_value();
     ar.value("node carries a vector", has_dv);
     if (has_dv) {
@@ -884,11 +902,6 @@ void DtnFlowRouter::fields(Ar& ar) {
       ar.value("carried token count", tok.count);
       ar.value("carried token unit", tok.unit);
     }
-    ar.fixed("node departures since vector", ns.departures_since_dv);
-    ar.fixed("node stay sums", ns.stay_sum);
-    ar.fixed("node stay counts", ns.stay_count);
-    ar.value("node total stay", ns.total_stay);
-    ar.value("node stays", ns.total_stays);
   }
   for (LandmarkState& ls : landmarks_) {
     ar.object(*ls.table);
@@ -899,9 +912,7 @@ void DtnFlowRouter::fields(Ar& ar) {
     ar.fixed("landmark divert toggles", ls.divert_toggle);
     ar.value("landmark uploading mode", ls.uploading_mode);
   }
-  ar.fixed("router station down", station_down_);
   ar.fixed("router needs reconvergence", needs_reconvergence_);
-  ar.matrix("router accuracy", accuracy_);
   diag_.fields(ar);
 }
 
@@ -914,6 +925,43 @@ void DtnFlowRouter::checkpoint_load(persist::Reader& r, Network& net) {
   // The scratch buffers stay fresh: every use refills them.
   on_init(net);
   fields(r);
+  for (LandmarkId l = 0; l < station_down_.size(); ++l) {
+    station_down_[l] = net.station_down(l) ? 1 : 0;
+  }
+  rebuild_node_state(net);
+}
+
+void DtnFlowRouter::rebuild_node_state(const Network& net) {
+  // Each id's transition times, in log (time) order.  Every id starts
+  // up and alternates, and trace events run before fault events of the
+  // same time, so an id was down at a trace event at time t iff an odd
+  // number of its transitions came before t.
+  std::vector<std::vector<double>> node_flips(nodes_.size());
+  std::vector<std::vector<double>> station_flips(landmarks_.size());
+  if (const sim::FaultInjector* faults = net.faults()) {
+    for (const auto& t : faults->log()) {
+      (t.node() ? node_flips : station_flips)[t.id].push_back(t.time);
+    }
+  }
+  const auto down_at = [](const std::vector<double>& flips, double time) {
+    return (std::lower_bound(flips.begin(), flips.end(), time) -
+            flips.begin()) % 2 != 0;
+  };
+  for (NodeId node = 0; node < nodes_.size(); ++node) {
+    const std::vector<double>& flips = node_flips[node];
+    LandmarkId prev = kNoLandmark;
+    const auto arrive = [&](const trace::Visit& v) {
+      note_arrival(node, prev, v.landmark, v.start, down_at(flips, v.start),
+                   down_at(station_flips[v.landmark], v.start));
+      prev = v.landmark;
+    };
+    for (const trace::Visit& v : net.history(node)) {
+      arrive(v);
+      note_departure(node, v.landmark, v.end, down_at(flips, v.end),
+                     down_at(station_flips[v.landmark], v.end));
+    }
+    if (const trace::Visit* v = net.current_visit(node)) arrive(*v);
+  }
 }
 
 }  // namespace dtn::core

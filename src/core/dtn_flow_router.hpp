@@ -148,6 +148,25 @@ struct DtnFlowDiagnostics {
                          const DtnFlowDiagnostics&) = default;
 };
 
+/// A node's transit statistics: its last prediction (§IV-B), arrival
+/// time, vector-exchange thinning counters (§IV-C.3) and stay times
+/// (§IV-E.1).  Like its predictor and accuracy row, they are a fold of
+/// the node's visits and the fault log: a load rebuilds them.
+struct NodeTransits {
+  LandmarkId predicted_next = kNoLandmark;
+  LandmarkId predicted_from = kNoLandmark;
+  double arrived_at = 0.0;
+  /// Departures from each landmark since the node last carried its
+  /// vector (per landmark, so shuttles serve both directions).
+  std::vector<std::uint32_t> departures_since_dv;
+  std::vector<double> stay_sum;
+  std::vector<std::uint32_t> stay_count;
+  double total_stay = 0.0;
+  std::uint32_t total_stays = 0;
+
+  friend bool operator==(const NodeTransits&, const NodeTransits&) = default;
+};
+
 class DtnFlowRouter final : public net::Router {
  public:
   explicit DtnFlowRouter(DtnFlowConfig config = {});
@@ -173,7 +192,9 @@ class DtnFlowRouter final : public net::Router {
   void on_station_recovery(net::Network& net, net::LandmarkId l) override;
 
   // -- checkpointing (src/persist/, docs/checkpointing.md) --------------
-  /// The scratch buffers are not stored: every use refills them.
+  /// The scratch buffers are not stored: every use refills them.  Nor
+  /// is any node's predictor, accuracy row or NodeTransits: a load folds
+  /// them from the node's visits and the fault log (rebuild_node_state).
   [[nodiscard]] bool checkpointable() const override { return true; }
   void checkpoint_save(persist::Writer& w) const override;
   void checkpoint_load(persist::Reader& r, net::Network& net) override;
@@ -196,6 +217,7 @@ class DtnFlowRouter final : public net::Router {
   [[nodiscard]] RoutingTable& mutable_routing_table(net::LandmarkId l);
   [[nodiscard]] const MarkovPredictor& predictor(net::NodeId n) const;
   [[nodiscard]] double accuracy(net::NodeId n, net::LandmarkId l) const;
+  [[nodiscard]] const NodeTransits& transits(net::NodeId n) const;
   [[nodiscard]] const DtnFlowDiagnostics& diagnostics() const {
     return diag_;
   }
@@ -218,24 +240,15 @@ class DtnFlowRouter final : public net::Router {
       const net::Network& net, net::NodeId node, std::size_t count);
 
  private:
+  /// The carried vector and token come right after the predictor: an
+  /// arrival reads all three, and this order replayed perfbench city
+  /// faster than one with the transits between them.
   struct NodeState {
     std::optional<MarkovPredictor> predictor;
-    LandmarkId predicted_next = kNoLandmark;
-    LandmarkId predicted_from = kNoLandmark;
-    double arrived_at = 0.0;
     std::optional<DistanceVector> carried_dv;
     /// §IV-C.1 reverse-notification token picked up at departure.
     std::optional<BandwidthToken> carried_token;
-    /// Departures from each landmark since this node last couriered
-    /// that landmark's distance vector (§IV-C.3 exchange thinning).
-    /// Per-landmark so alternating shuttles still serve both
-    /// directions.
-    std::vector<std::uint32_t> departures_since_dv;
-    // Stay-time statistics for dead-end detection.
-    std::vector<double> stay_sum;
-    std::vector<std::uint32_t> stay_count;
-    double total_stay = 0.0;
-    std::uint32_t total_stays = 0;
+    NodeTransits transits;
   };
 
   struct LandmarkState {
@@ -256,6 +269,25 @@ class DtnFlowRouter final : public net::Router {
 
   template <class Ar>
   void fields(Ar& ar);
+
+  /// How an arrival scored the node's previous prediction (§IV-D.4).
+  enum class Scored : std::uint8_t { kNone, kHit, kMiss };
+
+  /// The per-node writes of an arrival (on_arrival's and the load's):
+  /// the stay clock starts; unless the node or the station is down, the
+  /// last prediction is scored into the accuracy row, the predictor
+  /// records `l` and predicts again.
+  Scored note_arrival(net::NodeId node, net::LandmarkId prev,
+                      net::LandmarkId l, double now, bool node_down,
+                      bool station_down);
+  /// The per-node writes of a departure: none for a crashed node, else
+  /// the stay is recorded and, with the station up, the thinning
+  /// counter advances.  True when the node is due to carry l's vector.
+  bool note_departure(net::NodeId node, net::LandmarkId l, double now,
+                      bool node_down, bool station_down);
+  /// Fold every node's completed visits and current arrival through
+  /// note_arrival / note_departure under the fault log's down flags.
+  void rebuild_node_state(const net::Network& net);
 
   /// The node's overall probability of transiting to `to` from its
   /// current landmark (transit probability, optionally x accuracy): the
@@ -323,7 +355,7 @@ class DtnFlowRouter final : public net::Router {
   void check_loop(net::Network& net, net::LandmarkId l, net::PacketId pid);
   void correct_loop(net::Network& net, net::LandmarkId dst,
                     std::span<const net::LandmarkId> cycle);
-  bool stay_is_dead_end(const NodeState& ns, net::LandmarkId l,
+  bool stay_is_dead_end(const NodeTransits& t, net::LandmarkId l,
                         double stay) const;
   void check_parked_dead_end(net::Network& net, net::NodeId n);
 
@@ -341,10 +373,13 @@ class DtnFlowRouter final : public net::Router {
   /// fault hooks; all zeros without a fault plan).  choose_next_hop has
   /// no Network access, so the fallback check reads this mirror — the
   /// audit hook cross-checks it against the injector's ground truth.
+  DTN_CKPT_SKIP("copied from the injector's down sets on load")
   std::vector<std::uint8_t> station_down_;
   /// Landmarks recovered from an outage and waiting for their first
   /// accepted distance vector (re-convergence accounting).
   std::vector<std::uint8_t> needs_reconvergence_;
+  /// Per-(node, landmark) prediction accuracy (§IV-D.4).
+  DTN_CKPT_SKIP("folded from the node's visits on load")
   FlatMatrix<double> accuracy_;
   DtnFlowDiagnostics diag_;
   double time_unit_ = trace::kDay;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <string>
 
-#include "persist/serializer.hpp"
 #include "sim/invariant_auditor.hpp"
 #include "util/assert.hpp"
 
@@ -183,85 +182,6 @@ std::string MarkovPredictor::row_defect(const Row& row,
   }
   return defect;
 }
-
-template <class Ar>
-void MarkovPredictor::fields(Ar& ar) {
-  constexpr bool loading = Ar::loading;
-  ar.expect("predictor landmark count", num_landmarks_);
-  ar.expect("predictor order", order_);
-  ar.value("predictor history length", history_len_);
-  ar.value("predictor context length", context_len_);
-  ar.check(context_len_ == std::min(order_, history_len_),
-           "predictor context length disagrees with its history");
-  for (std::size_t i = 0; i < context_len_; ++i) {
-    ar.index("predictor context landmark", context_[i], num_landmarks_);
-  }
-  // Every context id came from a visit, so there are at most as many
-  // as the history is long.  Rows and probe slots then grow one read
-  // row at a time, so a forged count runs into the end of the section
-  // before it can claim memory.
-  std::size_t contexts = rows_.size();
-  ar.count("predictor contexts", contexts, 16);  // key, N(c), row length
-  ar.check(contexts <= history_len_,
-           "predictor has more contexts than visits");
-  if constexpr (loading) {
-    rows_.clear();
-    probe_.assign(kInitialProbeCap, Probe{kEmptyProbe, 0});
-  }
-  std::vector<std::uint8_t> seen(loading ? num_landmarks_ : 0);
-  for (std::uint32_t id = 0; id < contexts; ++id) {
-    if constexpr (loading) rows_.emplace_back();
-    Row& row = rows_[id];
-    ar.value("predictor context key", row.key);
-    if constexpr (loading) {
-      // A valid key has exactly `order_` 20-bit slots, so it can never
-      // equal the empty-slot sentinel either (the shift is <= 60 bits).
-      ar.check((row.key >> (kSlotBits * order_)) == 0,
-               "predictor context key out of range");
-      Probe& slot = probe_[probe_slot(row.key)];
-      ar.check(slot.key != row.key, "predictor has duplicate context keys");
-      slot = Probe{row.key, id};
-    }
-    ar.value("predictor context count", row.n);
-    auto len = static_cast<std::uint32_t>(row.succ.size());
-    ar.value("predictor row length", len);
-    ar.check(len <= num_landmarks_,
-             "predictor row length above the landmark count");
-    if constexpr (loading) row.succ.resize(len);
-    for (Succ& s : row.succ) {
-      ar.value("predictor successor landmark", s.landmark);
-      ar.value("predictor successor count", s.count);
-    }
-    if constexpr (loading) {
-      if (const std::string defect = row_defect(row, seen); !defect.empty()) {
-        ar.fail("predictor context " + std::to_string(id) + ": " + defect);
-      }
-      for (const Succ& s : row.succ) {
-        raise_argmax(row.best, row.best_count, s.landmark, s.count);
-      }
-      if (2 * rows_.size() >= probe_.size()) probe_rehash(2 * probe_.size());
-    }
-  }
-  ar.value("predictor current context", current_ctx_);
-  if constexpr (loading) {
-    // A context that is not yet full has no id; a full one has its key's.
-    ar.check(context_len_ < order_ || current_ctx_ < rows_.size(),
-             "predictor current context id out of range");
-    ar.check(context_len_ < order_
-                 ? current_ctx_ == kNoContext
-                 : rows_[current_ctx_].key == context_key(),
-             "predictor current context id is not its context's id");
-    indexed_at_ = kNotIndexed;
-    indexed_ctx_ = kNoContext;
-    std::fill(index_prob_.begin(), index_prob_.end(), 0.0);
-  }
-}
-
-void MarkovPredictor::save(persist::Writer& w) const {
-  const_cast<MarkovPredictor*>(this)->fields(w);
-}
-
-void MarkovPredictor::load(persist::Reader& r) { fields(r); }
 
 void MarkovPredictor::audit(sim::AuditReport& report) const {
   const std::size_t contexts = rows_.size();

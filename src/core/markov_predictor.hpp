@@ -31,17 +31,11 @@
 #include <vector>
 
 #include "trace/trace.hpp"
-#include "util/annotations.hpp"
 #include "util/assert.hpp"
 
 namespace dtn::sim {
 class AuditReport;
 }
-
-namespace dtn::persist {
-class Writer;
-class Reader;
-}  // namespace dtn::persist
 
 namespace dtn::core {
 
@@ -106,14 +100,6 @@ class MarkovPredictor {
     return context_len_ == 0 ? kNoLandmark : context_[context_len_ - 1];
   }
 
-  // -- checkpointing (src/persist/, docs/checkpointing.md) --------------
-  /// The image holds inputs only; argmax, probe table and query index
-  /// are rebuilt.  `load` needs the same (num_landmarks, order) and
-  /// throws persist::FormatError on any field `save` could not have
-  /// written, before the field is used.
-  void save(persist::Writer& w) const;
-  void load(persist::Reader& r);
-
   // -- invariant auditing (debug tooling, see invariant_auditor.hpp) ----
   /// Re-derive every incrementally maintained structure from the rows
   /// and compare: per-context argmax (count + smaller-id tie-break),
@@ -129,9 +115,6 @@ class MarkovPredictor {
   bool debug_corrupt_argmax_for_test();
 
  private:
-  template <class Ar>
-  void fields(Ar& ar);
-
   /// A successor observed after some context, with its (k+1)-gram count
   /// N(c . l).
   struct Succ {
@@ -195,9 +178,7 @@ class MarkovPredictor {
 
   /// Packed key -> dense id: open-addressing linear-probe table
   /// (power-of-two capacity, all-ones empty sentinel — valid keys fit in
-  /// 60 bits).  Never serialized (slot order is capacity-dependent);
-  /// probed on the update path only, never by a query.
-  DTN_CKPT_SKIP("probe table derived from the row keys; load rebuilds it")
+  /// 60 bits), probed on the update path only, never by a query.
   std::vector<Probe> probe_;
 
   // -- on-demand query index of the current row -------------------------
@@ -207,11 +188,8 @@ class MarkovPredictor {
   /// transit bumps the history, so the index is current iff
   /// `indexed_at_ == history_len_`; rows change only when left and only
   /// grow, so clearing the old row's successors zeroes the index.
-  DTN_CKPT_SKIP("query index derived from the current row; rebuilt on demand")
   mutable std::size_t indexed_at_ = kNotIndexed;
-  DTN_CKPT_SKIP("query index derived from the current row; rebuilt on demand")
   mutable std::uint32_t indexed_ctx_ = kNoContext;
-  DTN_CKPT_SKIP("query index derived from the current row; rebuilt on demand")
   mutable std::vector<double> index_prob_;
 };
 

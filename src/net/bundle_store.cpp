@@ -82,7 +82,6 @@ Admit BundleStore::admit(const AdmitRequest& req,
   e.retention = req.retention;
   core_.append(req.pid);
   meta_.push_back(e);
-  if (e.retention != Retention::kNone) ++retained_;
   note_seen(e.logical);
   return Admit::kStored;
 }
@@ -131,10 +130,6 @@ bool BundleStore::evict_for(std::vector<PacketId>* evicted_out) {
 }
 
 void BundleStore::erase_resident(std::size_t i) {
-  if (meta_[i].retention != Retention::kNone) {
-    DTN_ASSERT(retained_ > 0);
-    --retained_;
-  }
   core_.remove_at(i);
   // Mirror the Buffer's swap-erase so the slab stays parallel.
   meta_[i] = meta_.back();
@@ -150,10 +145,7 @@ void BundleStore::remove(PacketId pid) {
 void BundleStore::set_retention_if_held(PacketId pid, Retention r) {
   const std::size_t i = core_.index_of(pid);
   if (i == core_.count()) return;
-  Entry& e = meta_[i];
-  if (e.retention != Retention::kNone) --retained_;
-  e.retention = r;
-  if (e.retention != Retention::kNone) ++retained_;
+  meta_[i].retention = r;
 }
 
 Retention BundleStore::retention(PacketId pid) const {
@@ -179,7 +171,6 @@ void BundleStore::fields(Ar& ar) {
   if constexpr (Ar::loading) meta_.resize(core_.count());
   for (Entry& e : meta_) e.fields(ar);
   ar.value("store admission counter", next_admit_seq_);
-  ar.value("store retained count", retained_);
   ar.vec("store dedup set", seen_);
 }
 
@@ -208,9 +199,7 @@ void BundleStore::audit(sim::AuditReport& report,
          " bundles, above its capacity " +
          std::to_string(core_.capacity_kb()));
   }
-  std::uint64_t retained = 0;
   for (std::size_t i = 0; i < meta_.size(); ++i) {
-    if (meta_[i].retention != Retention::kNone) ++retained;
     if (meta_[i].admit_seq >= next_admit_seq_) {
       fail("entry " + std::to_string(core_.packets()[i]) +
            " admit_seq beyond the admission counter");
@@ -228,10 +217,6 @@ void BundleStore::audit(sim::AuditReport& report,
   if (core_.indexed_count() != core_.count()) {
     fail("index holds " + std::to_string(core_.indexed_count()) +
          " ids for " + std::to_string(core_.count()) + " in the id list");
-  }
-  if (retained != retained_) {
-    fail("retained cache " + std::to_string(retained_) + " != recount " +
-         std::to_string(retained));
   }
   // Dedup set: sorted unique; every resident logical is a member.
   if (!std::is_sorted(seen_.begin(), seen_.end()) ||

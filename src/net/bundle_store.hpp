@@ -155,7 +155,6 @@ class BundleStore {
   void set_retention_if_held(PacketId pid, Retention r);
   /// Retention of a held bundle (kNone when absent).
   [[nodiscard]] Retention retention(PacketId pid) const;
-  [[nodiscard]] std::uint64_t retained_count() const { return retained_; }
 
   // -- dedup -------------------------------------------------------------
   [[nodiscard]] bool dedup_enabled() const { return dedup_; }
@@ -173,17 +172,13 @@ class BundleStore {
   // -- invariant auditing (sim/invariant_auditor.hpp) -------------------
   /// Re-derives the pool accounting (metadata slab parallel to the id
   /// list, capacity bound), the id -> position index (every id found at
-  /// its own position, no other id indexed), the retained-count cache
-  /// and the dedup set's sorted-unique and membership invariants.
+  /// its own position, no other id indexed) and the dedup set's
+  /// sorted-unique and membership invariants.
   /// `label` prefixes failure details ("node 3", "station 7").
   void audit(sim::AuditReport& report, std::string_view label) const;
 
   /// Test-only seeded corruption for the auditor's negative tests; each
   /// is exactly revertible by the opposite sign.
-  void debug_corrupt_retained_for_test(int delta) {
-    retained_ = static_cast<std::uint64_t>(
-        static_cast<std::int64_t>(retained_) + delta);
-  }
   /// +1: duplicate the first seen id at the back (breaks sortedness);
   /// -1: undo.
   void debug_corrupt_dedup_order_for_test(int delta);
@@ -223,8 +218,6 @@ class BundleStore {
   /// Pooled entry slab, parallel to core_.packets() (same swap-erase).
   std::vector<Entry> meta_;
   std::uint64_t next_admit_seq_ = 0;
-  /// Cache of entries with retention != kNone (audit() recounts it).
-  std::uint64_t retained_ = 0;
   /// Sorted unique logical ids this store has admitted (dedup set).
   std::vector<PacketId> seen_;
   DTN_CKPT_SKIP("configuration, pinned by the config fingerprint")

@@ -275,6 +275,10 @@ bool Network::replay(persist::CheckpointManager* ckpt) {
       });
   ckpt_mgr_ = nullptr;
   if (completed) {
+    // The final sweep is no event: live state leaves the last snapshot
+    // without the executed count moving, so the CRC check must not
+    // compare the two any more.
+    last_ckpt_sections_.clear();
     drop_expired();
     // One final audit so short runs (fewer events than the period)
     // still get checked at least once when auditing is on.
@@ -413,11 +417,7 @@ void Network::fields(Ar& ar) {
     ar.value("packet hops", p.hops);
     ar.value("packet delivered at", p.delivered_at);
   });
-  if constexpr (loading) {
-    logical_delivered_.resize(packets_.size());
-    sweep_watermark_ = 0;
-    advance_sweep_watermark();
-  }
+  if constexpr (loading) logical_delivered_.resize(packets_.size());
   ar.fixed("logical delivered flags", logical_delivered_);
   ar.value("any node addressed", any_node_addressed_);
   ar.end_section();
@@ -444,12 +444,21 @@ void Network::fields(Ar& ar) {
   ar.end_section();
 
   ar.begin_section("ledger");
+  // The packet -> slot index is derived from the entries: a load
+  // rebuilds it, refusing a packet the table lacks or one named twice.
+  if constexpr (loading) ledger_index_.clear();
   ar.seq("ledger entries", ledger_, [&](LedgerEntry& e) {
     ar.value("ledger packet", e.pid);
     ar.value("ledger attempts", e.attempts);
     ar.value("ledger next retry", e.next_retry);
+    if constexpr (loading) {
+      ar.check(e.pid < packets_.size(), "ledger packet out of range");
+      ledger_index_.resize(packets_.size(), kNoLedgerSlot);
+      ar.check(ledger_index_[e.pid] == kNoLedgerSlot,
+               "ledger names a packet twice");
+      ledger_index_[e.pid] = static_cast<std::uint32_t>(ledger_.size() - 1);
+    }
   });
-  ar.vec("ledger index", ledger_index_);
   ar.fixed("outage recovery pending", outage_recovery_pending_);
   ar.end_section();
 
@@ -698,7 +707,7 @@ void Network::apply_node_crash(const sim::Event& ev) {
       ++counters_.packets_lost_fault;
     }
   }
-  faults_->mark_node_down(node);
+  faults_->mark_node_down(node, sim_.now());
   router_.on_node_crash(*this, node);
   sim::Event up;
   up.kind = sim::EventKind::kNodeReboot;
@@ -709,7 +718,7 @@ void Network::apply_node_crash(const sim::Event& ev) {
 
 void Network::apply_node_reboot(const sim::Event& ev) {
   const NodeId node = ev.a;
-  faults_->mark_node_up(node);
+  faults_->mark_node_up(node, sim_.now());
   ++counters_.node_reboots;
   // A stochastic crash chain continues after the reboot (never while
   // down, so a double crash is impossible by construction).
@@ -729,7 +738,7 @@ void Network::apply_station_down(const sim::Event& ev) {
   ++counters_.station_outages;
   // A pending recovery-time measurement dies with the new outage.
   outage_recovery_pending_[l] = -1.0;
-  faults_->mark_station_down(l);
+  faults_->mark_station_down(l, sim_.now());
   router_.on_station_outage(*this, l);
   const double end = ev.b != 0
                          ? faults_->plan().station_outages[ev.b - 1].end
@@ -743,7 +752,7 @@ void Network::apply_station_down(const sim::Event& ev) {
 
 void Network::apply_station_up(const sim::Event& ev) {
   const LandmarkId l = ev.a;
-  faults_->mark_station_up(l);
+  faults_->mark_station_up(l, sim_.now());
   ++counters_.station_recoveries;
   outage_recovery_pending_[l] = sim_.now();
   router_.on_station_recovery(*this, l);
@@ -845,6 +854,11 @@ std::span<const trace::Visit> Network::history(NodeId node) const {
   // complete.
   const std::uint32_t located = location(node) != kNoLandmark ? 1 : 0;
   return trace_.visits(node).first((cursor_.replayed(node) - located) / 2);
+}
+
+const trace::Visit* Network::current_visit(NodeId node) const {
+  if (location(node) == kNoLandmark) return nullptr;
+  return &trace_.visits(node)[history(node).size()];
 }
 
 Packet& Network::packet(PacketId pid) {
@@ -1205,26 +1219,6 @@ void Network::audit(sim::AuditReport& report) const {
   router_.audit(*this, report);
   report.set_context("network.fault_state");
   audit_fault_state(report);
-  report.set_context("network.sweep_watermark");
-  audit_sweep_watermark(report);
-}
-
-void Network::audit_sweep_watermark(sim::AuditReport& report) const {
-  if (sweep_watermark_ > packets_.size()) {
-    report.fail("sweep watermark " + std::to_string(sweep_watermark_) +
-                " is past the packet table (" +
-                std::to_string(packets_.size()) + " packets)");
-    return;
-  }
-  for (std::size_t pid = 0; pid < sweep_watermark_; ++pid) {
-    if (!is_terminal(packets_[pid].state)) {
-      report.fail("packet " + std::to_string(pid) +
-                  " is live below the sweep watermark " +
-                  std::to_string(sweep_watermark_) +
-                  ": TTL sweeps would never reach it");
-      return;
-    }
-  }
 }
 
 void Network::audit_fault_state(sim::AuditReport& report) const {
@@ -1426,7 +1420,7 @@ void Network::audit_buffer_accounting(sim::AuditReport& report) const {
 }
 
 void Network::audit_bundle_stores(sim::AuditReport& report) const {
-  // Each store re-derives its own pool, retained-count and dedup-set
+  // Each store re-derives its own pool, index and dedup-set
   // invariants (BundleStore::audit); the network-level part
   // cross-checks retention constraints against the packet table and the
   // fault ledger.
@@ -1505,12 +1499,6 @@ bool Network::debug_corrupt_for_test(Corruption kind, int delta) {
       counters_.packets_lost_fault = static_cast<std::uint64_t>(
           static_cast<std::int64_t>(counters_.packets_lost_fault) + delta);
       return true;
-    case Corruption::kStoreRetention:
-      if (stations_.empty()) return false;
-      // The bug class this simulates: an eviction (or retention flip)
-      // updated entry metadata but not the retained-count cache.
-      stations_.front().storage.debug_corrupt_retained_for_test(delta);
-      return true;
     case Corruption::kStoreDedupOrder:
       // The bug class this simulates: an unsorted insert broke the
       // binary-search precondition of the dedup set.
@@ -1553,16 +1541,6 @@ bool Network::debug_corrupt_for_test(Corruption kind, int delta) {
         return true;
       }
       return false;
-    case Corruption::kSweepWatermark:
-      // The bug class this simulates: the watermark advanced past a
-      // packet that was still live, so no sweep would expire it.
-      if (delta > 0) {
-        advance_sweep_watermark();
-        if (sweep_watermark_ == packets_.size()) return false;
-      }
-      sweep_watermark_ = static_cast<std::size_t>(
-          static_cast<std::int64_t>(sweep_watermark_) + delta);
-      return true;
     case Corruption::kPacketHolder:
       // The bug class this simulates: a transfer moved the packet into
       // its new store but left the holder naming the old one.
@@ -1714,26 +1692,29 @@ void Network::deliver_node_addressed(NodeId arriving, LandmarkId l) {
   }
 }
 
-void Network::advance_sweep_watermark() {
-  while (sweep_watermark_ < packets_.size() &&
-         is_terminal(packets_[sweep_watermark_].state)) {
-    ++sweep_watermark_;
-  }
-}
-
 void Network::drop_expired() {
   const double now = sim_.now();
-  // Packets leave circulation roughly in creation order (one TTL for
-  // the whole workload), so the terminal prefix grows with the clock
-  // and the sweep only walks the packets younger than it.
-  advance_sweep_watermark();
-  for (std::size_t pid = sweep_watermark_; pid < packets_.size(); ++pid) {
-    Packet& p = packets_[pid];
-    if (!is_terminal(p.state) &&
-        (logical_delivered_[p.logical] != 0 || p.expired(now))) {
-      retire(p);
+  // Every live packet sits in one store or origin queue, so the sweep
+  // reads those, not the whole packet table.  The due ids retire in
+  // ascending order, the order a table scan meets them, so the stores'
+  // swap-erases leave them as a scan would.
+  std::vector<PacketId>& due = scratch_;
+  due.clear();
+  const auto collect = [&](std::span<const PacketId> held) {
+    for (const PacketId pid : held) {
+      const Packet& p = packets_[pid];
+      if (logical_delivered_[p.logical] != 0 || p.expired(now)) {
+        due.push_back(pid);
+      }
     }
+  };
+  for (const BundleStore& store : node_stores_) collect(store.packets());
+  for (const StationState& station : stations_) {
+    collect(station.storage.packets());
+    collect(station.origin);
   }
+  std::sort(due.begin(), due.end());
+  for (const PacketId pid : due) retire(packets_[pid]);
 }
 
 void Network::handle_arrival(const trace::Visit& visit) {

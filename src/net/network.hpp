@@ -221,6 +221,9 @@ class Network {
   /// replay progresses — routers must only read, never assume future).
   /// A view of the trace prefix the cursor has replayed, not a copy.
   [[nodiscard]] std::span<const trace::Visit> history(NodeId node) const;
+  /// The visit `node` is in (arrival replayed, departure hook not yet
+  /// run), or nullptr while it is in transit.
+  [[nodiscard]] const trace::Visit* current_visit(NodeId node) const;
 
   [[nodiscard]] Packet& packet(PacketId pid);
   [[nodiscard]] const Packet& packet(PacketId pid) const;
@@ -311,17 +314,12 @@ class Network {
     kLedgerIndex,
     /// Skew the packets_lost_fault counter away from the recount.
     kFaultLossCounter,
-    /// Skew the first non-empty store's retained-count cache.
-    kStoreRetention,
     /// Break the first non-empty dedup set's sorted-unique invariant.
     kStoreDedupOrder,
     /// Grow the first non-empty store's metadata slab past its id list.
     kStorePoolSize,
     /// Re-point the first non-empty store's id -> position index entry.
     kStoreIndex,
-    /// Move the TTL sweep's watermark past the oldest live packet (first
-    /// advancing it to that packet; needs one).
-    kSweepWatermark,
     /// Re-point the first live packet's holder field.
     kPacketHolder,
   };
@@ -371,9 +369,9 @@ class Network {
                            NodeId dst_node = trace::kNoNode);
   void deliver_node_addressed(NodeId arriving, LandmarkId l);
   void deliver(PacketId pid);
+  /// TTL sweep: retire every held packet whose TTL lapsed or whose
+  /// logical packet was delivered by another copy.
   void drop_expired();
-  /// Advance sweep_watermark_ past the terminal packets it points at.
-  void advance_sweep_watermark();
   void handle_arrival(const trace::Visit& visit);
   void handle_departure(const trace::Visit& visit);
 
@@ -438,9 +436,6 @@ class Network {
   [[nodiscard]] std::uint32_t ledger_slot(PacketId pid) const;
   void ledger_erase(PacketId pid);
   void audit_fault_state(sim::AuditReport& report) const;
-  /// The "network.sweep_watermark" check: every packet below the TTL
-  /// sweep's watermark is terminal.
-  void audit_sweep_watermark(sim::AuditReport& report) const;
 
   struct StationState {
     /// Central station store; unbounded per §V-A.1 unless
@@ -474,7 +469,7 @@ class Network {
   /// a packet, and no packet is held twice.
   void audit_buffer_accounting(sim::AuditReport& report) const;
   /// The "network.bundle_store" check: every store re-derives its pool
-  /// accounting, retained cache and dedup set.
+  /// accounting, index and dedup set.
   void audit_bundle_stores(sim::AuditReport& report) const;
 
   // -- bounded-store admission (docs/bounded-store.md) ------------------
@@ -509,7 +504,8 @@ class Network {
   /// the earliest retry time (exponential backoff).  `ledger_index_`
   /// maps packet id -> slot (kNoLedgerSlot when absent); removal
   /// swap-erases, which is fine because replay never iterates the
-  /// ledger (only the auditor does, order-insensitively).
+  /// ledger (only the auditor does, order-insensitively).  The index is
+  /// not stored: a load rebuilds it from the entries.
   struct LedgerEntry {
     PacketId pid = kNoPacket;
     std::uint32_t attempts = 0;
@@ -518,6 +514,7 @@ class Network {
   static constexpr std::uint32_t kNoLedgerSlot =
       static_cast<std::uint32_t>(-1);
   std::vector<LedgerEntry> ledger_;
+  DTN_CKPT_SKIP("derived from the ledger entries; a load rebuilds it")
   std::vector<std::uint32_t> ledger_index_;
   /// Per-landmark pending recovery-time measurement: the time the
   /// station recovered, or a negative sentinel when none is pending.
@@ -546,11 +543,6 @@ class Network {
   /// Reused per-arrival scratch list (avoids an allocation per event).
   std::vector<PacketId> scratch_;
   RunCounters counters_;
-
-  /// Every packet below this index is terminal (is_terminal never turns
-  /// false again), so the TTL sweep starts here instead of at packet 0.
-  DTN_CKPT_SKIP("derived from the packet table; a load recomputes it")
-  std::size_t sweep_watermark_ = 0;
 
   // -- active checkpointed run (see docs/checkpointing.md) --------------
   persist::CheckpointManager* ckpt_mgr_ = nullptr;

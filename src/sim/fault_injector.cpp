@@ -1,6 +1,7 @@
 #include "sim/fault_injector.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -176,37 +177,27 @@ FaultInjector::FaultInjector(const FaultPlan& plan, std::size_t num_nodes,
   control_rng_ = base.split(4);
 }
 
-void FaultInjector::mark_node_down(std::uint32_t node) {
-  DTN_ASSERT(node < node_down_.size());
-  // Double crash: the plan crashed a node that is already down
-  // (validate() refuses every plan that could).
-  DTN_ASSERT(node_down_[node] == 0);
-  node_down_[node] = 1;
-  ++nodes_down_count_;
+const char* FaultInjector::flip(const Transition& t) {
+  std::vector<std::uint8_t>& set = t.node() ? node_down_ : station_down_;
+  std::size_t& count = t.node() ? nodes_down_count_ : stations_down_count_;
+  if (t.id >= set.size()) return "names an id out of range";
+  if ((set[t.id] != 0) == t.down()) {
+    return t.down() ? "downs an id that is already down"
+                    : "raises an id that is already up";
+  }
+  set[t.id] = t.down() ? 1 : 0;
+  count = t.down() ? count + 1 : count - 1;
+  return nullptr;
 }
 
-void FaultInjector::mark_node_up(std::uint32_t node) {
-  DTN_ASSERT(node < node_down_.size());
-  DTN_ASSERT(node_down_[node] != 0);
-  node_down_[node] = 0;
-  --nodes_down_count_;
-}
-
-void FaultInjector::mark_station_down(std::uint32_t station) {
-  DTN_ASSERT(station < station_down_.size());
-  // Overlapping outages: validated away for schedules and for mixes of
-  // scheduled and stochastic outages, impossible for the stochastic
-  // process alone (the next outage is drawn at recovery).
-  DTN_ASSERT(station_down_[station] == 0);
-  station_down_[station] = 1;
-  ++stations_down_count_;
-}
-
-void FaultInjector::mark_station_up(std::uint32_t station) {
-  DTN_ASSERT(station < station_down_.size());
-  DTN_ASSERT(station_down_[station] != 0);
-  station_down_[station] = 0;
-  --stations_down_count_;
+void FaultInjector::record(const Transition& t) {
+  DTN_ASSERT(log_.empty() || t.time >= log_.back().time);
+  // Double crash or overlapping outages: the plan downed an id that is
+  // already down (validate() refuses every plan that could, and the
+  // stochastic processes draw the next window only at recovery).
+  const char* defect = flip(t);
+  DTN_ASSERT(defect == nullptr);
+  log_.push_back(t);
 }
 
 bool FaultInjector::draw_transfer_failure() {
@@ -284,10 +275,28 @@ void FaultInjector::fields(Ar& ar) {
   ar.rng("outage rng", outage_rng_);
   ar.rng("transfer rng", transfer_rng_);
   ar.rng("control rng", control_rng_);
-  ar.fixed("down nodes", node_down_);
-  ar.fixed("down stations", station_down_);
-  ar.value("down node count", nodes_down_count_);
-  ar.value("down station count", stations_down_count_);
+  // The down sets are the log's running result: a load replays it.
+  if constexpr (Ar::loading) {
+    std::fill(node_down_.begin(), node_down_.end(), 0);
+    std::fill(station_down_.begin(), station_down_.end(), 0);
+    nodes_down_count_ = 0;
+    stations_down_count_ = 0;
+  }
+  [[maybe_unused]] double last = -std::numeric_limits<double>::infinity();
+  ar.seq("fault transitions", log_, [&](Transition& t) {
+    ar.value("transition time", t.time);
+    ar.value("transition id", t.id);
+    ar.index("transition kind", t.kind,
+             static_cast<std::size_t>(Transition::Kind::kStationUp) + 1);
+    if constexpr (Ar::loading) {
+      // NaN fails the comparison too.
+      ar.check(t.time >= last, "fault transition goes back in time");
+      last = t.time;
+      const char* defect = flip(t);
+      ar.check(defect == nullptr, "fault transition ",
+               defect == nullptr ? "" : defect);
+    }
+  });
 }
 
 void FaultInjector::save(persist::Writer& w) const {

@@ -22,11 +22,14 @@
 // The injector also owns the authoritative up/down state ("outage
 // sets"): the engine asks `node_down` / `station_down` before any radio
 // operation, and the invariant auditor cross-checks the bitsets against
-// the counters and the router's own degraded-mode view.
+// the counters and the router's own degraded-mode view.  The sets are
+// the running result of an append-only transition log, which is what a
+// checkpoint stores.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "util/annotations.hpp"
@@ -125,11 +128,32 @@ struct FaultPlan {
     const CliOptions& opts);
 
 /// Runtime state machine of one replay's faults: owns the RNG streams,
-/// the node/station down bitsets and the draw helpers.  The engine
-/// (net::Network) drives it from fault events and consults it before
-/// every radio operation.
+/// the node/station down bitsets, their transition log and the draw
+/// helpers.  The engine (net::Network) drives it from fault events and
+/// consults it before every radio operation.
 class FaultInjector {
  public:
+  /// One entry of the transition log: at `time`, node or station `id`
+  /// went down or came back up.
+  struct Transition {
+    enum class Kind : std::uint8_t {
+      kNodeDown,
+      kNodeUp,
+      kStationDown,
+      kStationUp,
+    };
+    double time = 0.0;
+    std::uint32_t id = 0;
+    Kind kind = Kind::kNodeDown;
+
+    [[nodiscard]] bool node() const {
+      return kind == Kind::kNodeDown || kind == Kind::kNodeUp;
+    }
+    [[nodiscard]] bool down() const {
+      return kind == Kind::kNodeDown || kind == Kind::kStationDown;
+    }
+  };
+
   FaultInjector(const FaultPlan& plan, std::size_t num_nodes,
                 std::size_t num_landmarks);
 
@@ -147,14 +171,27 @@ class FaultInjector {
     return stations_down_count_;
   }
 
-  /// Crash bookkeeping; a double crash of an already-down node is a
-  /// plan bug and aborts via DTN_ASSERT (stochastic crashes cannot
-  /// double-fire by construction; scheduled ones, alone or mixed with
-  /// the stochastic process, are validated).
-  void mark_node_down(std::uint32_t node);
-  void mark_node_up(std::uint32_t node);
-  void mark_station_down(std::uint32_t station);
-  void mark_station_up(std::uint32_t station);
+  /// Crash and outage bookkeeping at simulation time `time`: flip one
+  /// down bit and log the transition.  Downing a down id (a plan bug
+  /// validate() refuses), raising an up one or going back in time
+  /// aborts via DTN_ASSERT.
+  void mark_node_down(std::uint32_t node, double time) {
+    record({time, node, Transition::Kind::kNodeDown});
+  }
+  void mark_node_up(std::uint32_t node, double time) {
+    record({time, node, Transition::Kind::kNodeUp});
+  }
+  void mark_station_down(std::uint32_t station, double time) {
+    record({time, station, Transition::Kind::kStationDown});
+  }
+  void mark_station_up(std::uint32_t station, double time) {
+    record({time, station, Transition::Kind::kStationUp});
+  }
+
+  /// Every transition so far, in time order.  Trace events run before
+  /// fault events of the same time, so the down sets a trace event at
+  /// time t saw are the result of the transitions with time < t.
+  [[nodiscard]] std::span<const Transition> log() const { return log_; }
 
   // -- deterministic draws ----------------------------------------------
   // Each family draws from its own split stream, and only when its
@@ -187,7 +224,11 @@ class FaultInjector {
 
   // -- checkpointing (src/persist/, docs/checkpointing.md) --------------
   /// Runtime state only: the plan is configuration, fingerprinted by the
-  /// engine, so a resume must be handed the plan it crashed under.
+  /// engine, so a resume must be handed the plan it crashed under.  The
+  /// image holds the RNG streams and the log; `load` rebuilds the down
+  /// sets from the log and throws persist::FormatError on a log that
+  /// goes back in time, names an id out of range, downs an id that is
+  /// already down or raises one that is already up.
   void save(persist::Writer& w) const;
   void load(persist::Reader& r);
 
@@ -195,15 +236,27 @@ class FaultInjector {
   template <class Ar>
   void fields(Ar& ar);
 
+  /// Apply `t` to the down sets; returns what is wrong with it (an id
+  /// out of range, a down id downed, an up id raised) and leaves the
+  /// sets unchanged, or nullptr once applied.
+  const char* flip(const Transition& t);
+  /// Apply `t` (which must be sound) and append it to the log.
+  void record(const Transition& t);
+
   DTN_CKPT_SKIP("construction-time plan; resume rebuilds the injector from it")
   FaultPlan plan_;
   Rng crash_rng_;
   Rng outage_rng_;
   Rng transfer_rng_;
   Rng control_rng_;
+  std::vector<Transition> log_;
+  DTN_CKPT_SKIP("rebuilt from the transition log on load")
   std::vector<std::uint8_t> node_down_;
+  DTN_CKPT_SKIP("rebuilt from the transition log on load")
   std::vector<std::uint8_t> station_down_;
+  DTN_CKPT_SKIP("rebuilt from the transition log on load")
   std::size_t nodes_down_count_ = 0;
+  DTN_CKPT_SKIP("rebuilt from the transition log on load")
   std::size_t stations_down_count_ = 0;
 };
 

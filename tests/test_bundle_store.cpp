@@ -185,7 +185,8 @@ TEST(BundleStore, RetainedEntriesAreNeverVictims) {
   retained.retention = Retention::kDispatchPending;
   ASSERT_EQ(s.admit(retained, &evicted), Admit::kStored);
   ASSERT_EQ(s.admit(request(1), &evicted), Admit::kStored);
-  EXPECT_EQ(s.retained_count(), 1u);
+  EXPECT_EQ(s.retention(0), Retention::kDispatchPending);
+  EXPECT_EQ(s.retention(1), Retention::kNone);
   // Oldest is retained: the free entry (1) is the victim instead.
   EXPECT_EQ(s.admit(request(2), &evicted), Admit::kStored);
   EXPECT_EQ(evicted, std::vector<PacketId>{1});
@@ -216,7 +217,7 @@ TEST(BundleStore, FullyRetainedStoreRefusesAndStaysUntouched) {
   EXPECT_EQ(evicted, std::vector<PacketId>{1});
 }
 
-TEST(BundleStore, RetentionClearsAndRecounts) {
+TEST(BundleStore, RetentionSetsAndClears) {
   BundleStore s;
   s.configure(4, EvictionPolicy::kDropOldest, false);
   std::vector<PacketId> evicted;
@@ -224,12 +225,13 @@ TEST(BundleStore, RetentionClearsAndRecounts) {
   EXPECT_EQ(s.retention(0), Retention::kNone);
   s.set_retention_if_held(0, Retention::kForwardPending);
   EXPECT_EQ(s.retention(0), Retention::kForwardPending);
-  EXPECT_EQ(s.retained_count(), 1u);
   s.set_retention_if_held(0, Retention::kNone);
-  EXPECT_EQ(s.retained_count(), 0u);
-  // Absent ids are a no-op, not an error.
+  EXPECT_EQ(s.retention(0), Retention::kNone);
+  // Absent ids are a no-op, not an error: they stay absent and report
+  // no retention.
   s.set_retention_if_held(99, Retention::kForwardPending);
-  EXPECT_EQ(s.retained_count(), 0u);
+  EXPECT_FALSE(s.contains(99));
+  EXPECT_EQ(s.retention(99), Retention::kNone);
 }
 
 // -- dedup ---------------------------------------------------------------
@@ -320,8 +322,8 @@ TEST(BundleStore, CheckpointRoundTripKeepsRetentionDedupAndVictimOrder) {
   b.configure(2, EvictionPolicy::kDropOldest, /*dedup=*/true);
   load_image(b, store_image(a));
   EXPECT_EQ(store_image(b), store_image(a));
+  EXPECT_EQ(b.retention(0), Retention::kNone);
   EXPECT_EQ(b.retention(1), Retention::kDispatchPending);
-  EXPECT_EQ(b.retained_count(), 1u);
   EXPECT_TRUE(b.seen_logical(0));
   EXPECT_TRUE(b.seen_logical(1));
 
@@ -371,20 +373,17 @@ struct ReferenceStore {
 };
 
 // Compares every observable of `s` with `ref`: membership of `probes`,
-// the id list, per-id retention, the retention total, and the audit
-// (which cross-checks the index).
+// the id list, per-id retention, and the audit (which cross-checks the
+// index).
 void expect_matches(const BundleStore& s, const ReferenceStore& ref,
                     const std::vector<PacketId>& probes) {
   ASSERT_EQ(s.count(), ref.memory.size());
   const std::set<PacketId> listed(s.packets().begin(), s.packets().end());
   ASSERT_EQ(listed.size(), ref.memory.size());
-  std::uint64_t retained = 0;
   for (const auto& [pid, retention] : ref.memory) {
     ASSERT_TRUE(listed.count(pid) != 0) << "packet " << pid;
     ASSERT_EQ(s.retention(pid), retention) << "packet " << pid;
-    retained += retention != Retention::kNone ? 1 : 0;
   }
-  ASSERT_EQ(s.retained_count(), retained);
   for (const PacketId pid : probes) {
     ASSERT_EQ(s.contains(pid), ref.holds(pid)) << "packet " << pid;
   }
@@ -548,11 +547,6 @@ TEST(BundleStoreAudit, EverySeededCorruptionIsDetectedAndRevertible) {
   };
   ASSERT_TRUE(audit_ok());
 
-  s.debug_corrupt_retained_for_test(+1);
-  EXPECT_FALSE(audit_ok());
-  s.debug_corrupt_retained_for_test(-1);
-  EXPECT_TRUE(audit_ok());
-
   s.debug_corrupt_dedup_order_for_test(+1);
   EXPECT_FALSE(audit_ok());
   s.debug_corrupt_dedup_order_for_test(-1);
@@ -594,25 +588,6 @@ WorkloadConfig chain_workload() {
   cfg.node_memory_kb = 50;
   cfg.ttl = 2.0 * kDay;
   return cfg;
-}
-
-TEST(NetworkStoreAudit, DetectsRetainedCacheCorruption) {
-  const auto trace = relay_chain_trace(4.0);
-  DtnFlowRouter router;
-  Network net(trace, router, chain_workload());
-  net.run();
-  ASSERT_TRUE(
-      net.debug_corrupt_for_test(Network::Corruption::kStoreRetention));
-  AuditReport corrupted;
-  net.audit(corrupted);
-  EXPECT_FALSE(corrupted.ok());
-  EXPECT_TRUE(any_failure_mentions(corrupted, "retained"))
-      << corrupted.to_string();
-  ASSERT_TRUE(
-      net.debug_corrupt_for_test(Network::Corruption::kStoreRetention, -1));
-  AuditReport reverted;
-  net.audit(reverted);
-  EXPECT_TRUE(reverted.ok()) << reverted.to_string();
 }
 
 // Dedup-set and index corruption are only observable while packets

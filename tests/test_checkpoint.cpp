@@ -24,6 +24,7 @@
 
 #include "core/bandwidth.hpp"
 #include "core/dtn_flow_router.hpp"
+#include "core/markov_predictor.hpp"
 #include "metrics/metrics.hpp"
 #include "net/buffer.hpp"
 #include "net/network.hpp"
@@ -572,6 +573,197 @@ TEST(CheckpointResume, ResumedPeriodicRunWritesTheSameSnapshots) {
   }
 }
 
+// -- per-node state folded from the trace on load ------------------------
+
+// A replay whose per-node DTN-FLOW state a load must rebuild: the node's
+// predictor, accuracy row and NodeTransits are not in the image.
+struct FoldScenario {
+  const char* name;
+  trace::Trace trace;
+  WorkloadConfig cfg;
+  DtnFlowConfig router;
+};
+
+// The CI fault-sweep plan: crashes and station outages drawn over the
+// whole run, so arrivals and departures fall inside down windows.
+sim::FaultPlan sweep_fault_plan() {
+  sim::FaultPlan plan;
+  plan.seed = 7;
+  plan.node_crash_rate_per_day = 0.2;
+  plan.station_outage_rate_per_day = 0.2;
+  plan.transfer_failure_prob = 0.05;
+  plan.dv_loss_prob = 0.02;
+  plan.dv_delay_prob = 0.05;
+  return plan;
+}
+
+FoldScenario fold_scenario(const std::string& name) {
+  if (name == "campus") {
+    return {"campus", campus_trace(), campus_workload(),
+            full_router_config()};
+  }
+  if (name == "city") {
+    return {"city", small_city_trace(), city_workload(), full_router_config()};
+  }
+  trace::CampusTraceConfig tc;
+  tc.num_nodes = 24;
+  tc.num_landmarks = 10;
+  tc.days = 8.0;
+  tc.seed = 2;
+  FoldScenario s{"fault_sweep", generate_campus_trace(tc), campus_workload(),
+                 full_router_config()};
+  s.cfg.faults = sweep_fault_plan();
+  if (name == "thinned_dead_end") {
+    // Every third departure carries a vector, stays feed the dead-end
+    // check, and outages interrupt both.
+    s.name = "thinned_dead_end";
+    s.router = DtnFlowConfig{};
+    s.router.dv_exchange_every = 3;
+    s.router.dead_end_prevention = true;
+  }
+  return s;
+}
+
+// Restores `image` into a fresh router and expects every node's folded
+// state to equal that of `live`, the router the image was saved from.
+void expect_fold_matches(const FoldScenario& s,
+                         const std::vector<std::uint8_t>& image,
+                         const DtnFlowRouter& live) {
+  DtnFlowRouter restored(s.router);
+  Network net(s.trace, restored, s.cfg);
+  net.debug_restore_for_test(image);
+  for (net::NodeId n = 0; n < s.trace.num_nodes(); ++n) {
+    SCOPED_TRACE("node " + std::to_string(n));
+    EXPECT_TRUE(restored.transits(n) == live.transits(n));
+    const core::MarkovPredictor& a = restored.predictor(n);
+    const core::MarkovPredictor& b = live.predictor(n);
+    EXPECT_EQ(a.history_length(), b.history_length());
+    EXPECT_EQ(a.current(), b.current());
+    EXPECT_EQ(a.predict(), b.predict());
+    EXPECT_EQ(a.next_distribution(), b.next_distribution());
+    for (net::LandmarkId l = 0; l < s.trace.num_landmarks(); ++l) {
+      EXPECT_EQ(restored.accuracy(n, l), live.accuracy(n, l)) << "at " << l;
+    }
+  }
+}
+
+class NodeStateFold : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(NodeStateFold, RestoredNodesMatchTheLiveRunAndResumeBitIdentically) {
+  const FoldScenario s = fold_scenario(GetParam());
+  DtnFlowRouter plain_router(s.router);
+  Network plain(s.trace, plain_router, s.cfg);
+  plain.run();
+  const std::uint64_t digest = metrics::run_digest(plain, plain_router);
+  const std::uint64_t every = plain.events_executed() / 16;
+  ASSERT_GT(every, 0u);
+  if (s.cfg.faults.has_value()) {
+    ASSERT_GT(plain.counters().node_crashes, 0u);
+    ASSERT_GT(plain.counters().station_outages, 0u);
+  }
+
+  // A snapshot every `every` events; right after each one the audit
+  // hook restores it and compares the restored nodes with the live ones.
+  CheckpointConfig cc;
+  cc.dir = fresh_dir(std::string("fold_") + s.name).string();
+  cc.every_events = every;
+  cc.keep = 1000;
+  WorkloadConfig audited = s.cfg;
+  audited.audit_period_events = every;
+  {
+    CheckpointManager mgr(cc);
+    DtnFlowRouter router(s.router);
+    Network net(s.trace, router, audited);
+    std::size_t points = 0;
+    net.auditor().register_check("fold", [&](sim::AuditReport&) {
+      if (net.events_executed() % every != 0) return;  // the final audit
+      SCOPED_TRACE("suspension at event " +
+                   std::to_string(net.events_executed()));
+      expect_fold_matches(s, mgr.read_latest(), router);
+      ++points;
+    });
+    ASSERT_TRUE(net.run(mgr));
+    EXPECT_GE(points, 16u);
+    EXPECT_EQ(metrics::run_digest(net, router), digest);
+  }
+
+  // Each snapshot, resumed alone, finishes with the plain run's digest.
+  for (const std::string& file : CheckpointManager(cc).list()) {
+    const std::uint64_t at = executed_from_path(file);
+    SCOPED_TRACE("resumed from event " + std::to_string(at));
+    CheckpointConfig one;
+    one.dir = fresh_dir(std::string("fold_") + s.name + "_" +
+                        std::to_string(at))
+                  .string();
+    std::filesystem::create_directories(one.dir);
+    std::filesystem::copy_file(
+        file, std::filesystem::path(one.dir) / std::filesystem::path(file)
+                                                   .filename());
+    CheckpointManager mgr(one);
+    DtnFlowRouter router(s.router);
+    Network net(s.trace, router, s.cfg);
+    ASSERT_TRUE(net.run(mgr));
+    EXPECT_EQ(metrics::run_digest(net, router), digest);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Scenarios, NodeStateFold,
+                         ::testing::Values("campus", "city", "fault_sweep",
+                                           "thinned_dead_end"),
+                         [](const auto& info) {
+                           return std::string(info.param);
+                         });
+
+TEST(CheckpointResume, CrashAtAnArrivalTimeFoldsAsAfterThatArrival) {
+  // Trace events run before fault events of the same time, so a node
+  // crashing exactly when it arrives associates first: its predictor
+  // records the visit.  The departure half an hour later finds it down.
+  // A load must fold both events the way the run saw them.
+  const auto trace = relay_chain_trace(6.0);
+  WorkloadConfig cfg = relay_chain_workload();
+  const trace::Visit& v = trace.visits(1)[10];
+  cfg.faults.emplace();
+  cfg.faults->node_crashes.push_back({1, v.start, 1.0 * kDay});
+  DtnFlowConfig rc;
+  rc.dead_end_prevention = true;
+  FoldScenario s{"crash_tie", trace, cfg, rc};
+
+  CheckpointConfig cc;
+  cc.dir = fresh_dir("crash_tie").string();
+  cc.every_events = 1;
+  cc.keep = 1;
+  WorkloadConfig audited = cfg;
+  audited.audit_period_events = 1;
+  CheckpointManager mgr(cc);
+  DtnFlowRouter router(rc);
+  Network net(trace, router, audited);
+  const double reboot = v.start + 1.0 * kDay;
+  std::size_t checked = 0;
+  net.auditor().register_check("fold", [&](sim::AuditReport&) {
+    // From the crashing arrival to past the reboot.
+    if (net.now() < v.start || net.now() > reboot + 0.5 * kDay) return;
+    SCOPED_TRACE("event " + std::to_string(net.events_executed()));
+    if (net.now() == v.start && net.location(1) == v.landmark) {
+      // Associated before the crash: predicted from here.
+      EXPECT_EQ(router.transits(1).predicted_from, v.landmark);
+    }
+    expect_fold_matches(s, mgr.read_latest(), router);
+    ++checked;
+  });
+  ASSERT_TRUE(net.run(mgr));
+  EXPECT_GT(checked, 4u);
+  EXPECT_EQ(net.counters().node_crashes, 1u);
+  // Nodes 0 and 1 shuttle on one timetable; node 1 completes no stay
+  // whose departure falls in (crash, reboot].
+  std::uint32_t lost = 0;
+  for (const trace::Visit& w : trace.visits(1)) {
+    lost += w.end > v.start && w.end <= reboot ? 1 : 0;
+  }
+  ASSERT_GT(lost, 0u);
+  EXPECT_EQ(router.transits(1).total_stays,
+            router.transits(0).total_stays - lost);
+}
+
 // -- edge cases ----------------------------------------------------------
 
 TEST(CheckpointEdge, EmptyNetworkCompletesWithoutSnapshots) {
@@ -756,10 +948,15 @@ TEST(CheckpointEdge, OlderSchemaSnapshotsAreRefused) {
   // bundles written to and read back from disk, and the disk tier's
   // enabled bit in the configuration fingerprint.  Schema 9 images
   // held every landmark's present epoch, the stamp of a carrier-score
-  // cache.  Schema 10 has none of these, so an image stamped with an
-  // older version must be refused up front rather than misparsed.
-  ASSERT_EQ(persist::kSchemaVersion, 10u);
-  for (const std::uint8_t older : {1, 2, 3, 4, 5, 6, 7, 8, 9}) {
+  // cache.  Schema 10 images held every node's predictor, predicted
+  // transit, arrival time, exchange-thinning counters and stay
+  // statistics, the router's accuracy matrix and station-outage mirror,
+  // the injector's down sets and counts, every store's retained count
+  // and the retry ledger's packet index.  Schema 11 has none of these,
+  // so an image stamped with an older version must be refused up front
+  // rather than misparsed.
+  ASSERT_EQ(persist::kSchemaVersion, 11u);
+  for (const std::uint8_t older : {1, 2, 3, 4, 5, 6, 7, 8, 9, 10}) {
     expect_patched_snapshot_refused(
         "schema_" + std::to_string(older),
         [&](std::vector<std::uint8_t>& bytes, const WorkloadConfig&) {
@@ -1037,6 +1234,93 @@ TEST(CheckpointEdge, FieldBoundaryMutationsAreFormatErrorsOrLoad) {
       restore(longest, "maximal length of");
     }
   }
+}
+
+// The FormatError a restore of `image` throws, or "" when it loads.
+std::string restore_error(const MutationRun& run,
+                          const std::vector<std::uint8_t>& image) {
+  DtnFlowRouter router(run.router);
+  Network net(run.trace, router, run.cfg);
+  try {
+    net.debug_restore_for_test(image);
+  } catch (const FormatError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// Where each retry-ledger entry's packet id sits in a real faulted
+// mid-run image, and the packet table's size.
+struct LedgerImage {
+  std::vector<std::uint8_t> image;
+  std::vector<std::size_t> packet_at;
+  std::uint64_t packets = 0;
+};
+
+LedgerImage ledger_image(const std::string& name) {
+  const MutationRun run = mutation_run();
+  LedgerImage li{mid_run_image(run, fresh_dir(name)), {}, 0};
+  persist::Recorder rec;
+  EXPECT_TRUE(restores(run, li.image, &rec));
+  for (const persist::FieldSpan& f : rec.fields()) {
+    const std::string field = f.name;
+    if (field == "ledger packet") li.packet_at.push_back(f.offset);
+    if (field == "packets" && f.length) {
+      li.packets = load_le(li.image, f.offset, 8);
+    }
+  }
+  return li;
+}
+
+TEST(CheckpointEdge, LedgerNamingAPacketTwiceIsRefused) {
+  // The packet -> slot index is rebuilt from the entries on load; two
+  // entries for one packet have no index.
+  LedgerImage li = ledger_image("ledger_twice");
+  ASSERT_GE(li.packet_at.size(), 2u) << "no two pending retries to patch";
+  const std::uint64_t first = load_le(li.image, li.packet_at[0], 4);
+  store_le(li.image, li.packet_at[1], 4, first);
+  edit_section(li.image, "ledger", [](std::size_t) {});
+  EXPECT_NE(restore_error(mutation_run(), li.image)
+                .find("ledger names a packet twice"),
+            std::string::npos);
+}
+
+TEST(CheckpointEdge, LedgerPacketOutOfRangeIsRefused) {
+  LedgerImage li = ledger_image("ledger_range");
+  ASSERT_GE(li.packet_at.size(), 1u) << "no pending retry to patch";
+  ASSERT_GT(li.packets, 0u);
+  store_le(li.image, li.packet_at[0], 4, li.packets);
+  edit_section(li.image, "ledger", [](std::size_t) {});
+  EXPECT_NE(restore_error(mutation_run(), li.image)
+                .find("ledger packet out of range"),
+            std::string::npos);
+}
+
+TEST(CheckpointEdge, ImageHoldsNoStateTheInputsRegenerate) {
+  // A faulted, bounded mid-run image maps to no per-node router field,
+  // no predictor, no down set, retained count or ledger index: a load
+  // folds or rebuilds all of them.  The fault log and ledger stay.
+  const MutationRun run = mutation_run();
+  const auto image = mid_run_image(run, fresh_dir("image_map"));
+  persist::Recorder rec;
+  ASSERT_TRUE(restores(run, image, &rec));
+  std::vector<std::string> names;
+  for (const persist::FieldSpan& f : rec.fields()) names.emplace_back(f.name);
+  const auto has = [&](const std::string& prefix) {
+    return std::any_of(names.begin(), names.end(), [&](const auto& n) {
+      return n.rfind(prefix, 0) == 0;
+    });
+  };
+  for (const char* gone :
+       {"predictor", "node predicted", "node arrival time",
+        "node departures since vector", "node stay", "node total stay",
+        "router accuracy", "router station down", "down node",
+        "down station", "store retained count", "ledger index"}) {
+    EXPECT_FALSE(has(gone)) << "image still holds '" << gone << "'";
+  }
+  EXPECT_TRUE(has("transition time"));
+  EXPECT_TRUE(has("ledger packet"));
+  EXPECT_TRUE(has("node carries a vector"));
 }
 
 TEST(CheckpointEdge, PendingEventsNamingNothingOfTheRunAreRefused) {

@@ -109,6 +109,33 @@ TEST(DtnFlowRouter, PredictionsNearPerfectOnDeterministicShuttles) {
   EXPECT_GT(router.accuracy(1, 1), 0.9);
 }
 
+TEST(DtnFlowRouter, TransitsFoldEveryVisit) {
+  // Every completed visit is a stay, every arrival a prediction from
+  // its landmark, and with k = 3 every third departure from a landmark
+  // carries its vector.
+  const auto trace = relay_chain_trace(4.0);
+  DtnFlowConfig rc;
+  rc.dv_exchange_every = 3;
+  DtnFlowRouter router(rc);
+  Network net(trace, router, chain_workload());
+  net.run();
+  for (net::NodeId n = 0; n < 3; ++n) {
+    SCOPED_TRACE("node " + std::to_string(n));
+    const auto visits = trace.visits(n);
+    const core::NodeTransits& t = router.transits(n);
+    EXPECT_EQ(t.total_stays, visits.size());
+    EXPECT_DOUBLE_EQ(t.total_stay,
+                     static_cast<double>(visits.size()) * 30.0 * kMinute);
+    EXPECT_EQ(t.stay_count[n] + t.stay_count[n + 1], visits.size());
+    EXPECT_EQ(t.arrived_at, visits.back().start);
+    EXPECT_EQ(t.predicted_from, visits.back().landmark);
+    EXPECT_EQ(t.predicted_next, router.predictor(n).predict());
+    for (const net::LandmarkId l : {n, n + 1}) {
+      EXPECT_EQ(t.departures_since_dv[l], t.stay_count[l] % 3) << l;
+    }
+  }
+}
+
 TEST(DtnFlowRouter, WorksWithoutDirectDeliveryAndRefinement) {
   const auto trace = relay_chain_trace(10.0);
   DtnFlowConfig rc;

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -22,6 +23,7 @@
 
 #include "core/dtn_flow_router.hpp"
 #include "net/network.hpp"
+#include "persist/serializer.hpp"
 #include "sim/invariant_auditor.hpp"
 #include "test_helpers.hpp"
 #include "trace/campus_generator.hpp"
@@ -312,16 +314,16 @@ TEST(FaultInjectorUnit, OutageSetBookkeeping) {
   FaultInjector inj(FaultPlan{}, 3, 4);
   EXPECT_EQ(inj.nodes_down(), 0u);
   EXPECT_EQ(inj.stations_down(), 0u);
-  inj.mark_node_down(1);
-  inj.mark_station_down(2);
-  inj.mark_station_down(3);
+  inj.mark_node_down(1, 10.0);
+  inj.mark_station_down(2, 10.0);
+  inj.mark_station_down(3, 20.0);
   EXPECT_TRUE(inj.node_down(1));
   EXPECT_FALSE(inj.node_down(0));
   EXPECT_TRUE(inj.station_down(2));
   EXPECT_EQ(inj.nodes_down(), 1u);
   EXPECT_EQ(inj.stations_down(), 2u);
-  inj.mark_node_up(1);
-  inj.mark_station_up(2);
+  inj.mark_node_up(1, 30.0);
+  inj.mark_station_up(2, 30.0);
   EXPECT_FALSE(inj.node_down(1));
   EXPECT_EQ(inj.stations_down(), 1u);
 
@@ -367,11 +369,138 @@ TEST(FaultInjectorDeathTest, DoubleCrashAborts) {
   EXPECT_DEATH(
       {
         FaultInjector inj(FaultPlan{}, 3, 4);
-        inj.mark_node_down(0);
-        inj.mark_node_down(0);  // plan bug: node is already down
+        inj.mark_node_down(0, 1.0);
+        inj.mark_node_down(0, 2.0);  // plan bug: node is already down
       },
       "");
 }
+
+// -- the transition log ---------------------------------------------------
+
+using Transition = FaultInjector::Transition;
+using Kind = FaultInjector::Transition::Kind;
+
+TEST(FaultLog, RecordsEveryTransitionInOrder) {
+  FaultInjector inj(FaultPlan{}, 3, 4);
+  inj.mark_node_down(1, 10.0);
+  inj.mark_station_down(2, 10.0);
+  inj.mark_node_up(1, 25.0);
+  inj.mark_station_up(2, 40.0);
+  inj.mark_node_down(1, 40.0);
+  const std::vector<Transition> log(inj.log().begin(), inj.log().end());
+  ASSERT_EQ(log.size(), 5u);
+  const std::vector<std::tuple<double, std::uint32_t, Kind>> expected = {
+      {10.0, 1, Kind::kNodeDown},
+      {10.0, 2, Kind::kStationDown},
+      {25.0, 1, Kind::kNodeUp},
+      {40.0, 2, Kind::kStationUp},
+      {40.0, 1, Kind::kNodeDown}};
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    EXPECT_EQ(std::make_tuple(log[i].time, log[i].id, log[i].kind),
+              expected[i])
+        << "entry " << i;
+  }
+  EXPECT_TRUE(inj.node_down(1));
+  EXPECT_FALSE(inj.station_down(2));
+}
+
+// The image of an injector whose log is: node 0 down at 1, node 1 down
+// at 2, station 0 down at 3, node 0 up at 4, station 0 up at 5, station
+// 1 down at 6.  `patch` edits entry `entry` (time f64, id u32, kind u8;
+// 13 bytes each) before the load.
+constexpr std::size_t kLogEntries = 6;
+
+std::vector<std::uint8_t> log_image() {
+  FaultInjector inj(FaultPlan{}, 3, 4);
+  inj.mark_node_down(0, 1.0);
+  inj.mark_node_down(1, 2.0);
+  inj.mark_station_down(0, 3.0);
+  inj.mark_node_up(0, 4.0);
+  inj.mark_station_up(0, 5.0);
+  inj.mark_station_down(1, 6.0);
+  persist::Writer w;
+  inj.save(w);
+  return w.buffer();
+}
+
+// Offset of entry `i`: past the stream header, four RNG states of four
+// u64 words and the entry count.
+std::size_t entry_at(std::size_t i) {
+  return persist::kMagicSize + 8 + 4 * 4 * 8 + 8 + 13 * i;
+}
+
+void put(std::vector<std::uint8_t>& bytes, std::size_t at, std::uint64_t v,
+         std::size_t width) {
+  for (std::size_t i = 0; i < width; ++i) {
+    bytes[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+
+TEST(FaultLog, LoadRebuildsTheDownSets) {
+  const std::vector<std::uint8_t> image = log_image();
+  ASSERT_EQ(image.size(), entry_at(kLogEntries));
+  FaultInjector inj(FaultPlan{}, 3, 4);
+  inj.mark_node_down(2, 0.5);  // state the load must replace
+  persist::Reader r(image);
+  inj.load(r);
+  EXPECT_EQ(inj.log().size(), kLogEntries);
+  EXPECT_FALSE(inj.node_down(0));
+  EXPECT_TRUE(inj.node_down(1));
+  EXPECT_FALSE(inj.node_down(2));
+  EXPECT_FALSE(inj.station_down(0));
+  EXPECT_TRUE(inj.station_down(1));
+  EXPECT_EQ(inj.nodes_down(), 1u);
+  EXPECT_EQ(inj.stations_down(), 1u);
+  persist::Writer w;
+  inj.save(w);
+  EXPECT_EQ(w.buffer(), image);
+}
+
+struct LogForgery {
+  const char* name;
+  std::size_t entry;
+  std::size_t field;  // 0 time, 8 id, 12 kind
+  std::uint64_t value;
+  std::size_t width;
+  const char* message;
+};
+
+class FaultLogLoad : public ::testing::TestWithParam<LogForgery> {};
+
+TEST_P(FaultLogLoad, RefusesAForgedLog) {
+  const LogForgery& f = GetParam();
+  std::vector<std::uint8_t> image = log_image();
+  put(image, entry_at(f.entry) + f.field, f.value, f.width);
+  FaultInjector inj(FaultPlan{}, 3, 4);
+  persist::Reader r(image);
+  try {
+    inj.load(r);
+    ADD_FAILURE() << "forged log loaded; expected \"" << f.message << "\"";
+  } catch (const persist::FormatError& e) {
+    EXPECT_NE(std::string(e.what()).find(f.message), std::string::npos)
+        << e.what();
+  }
+}
+
+std::uint64_t bits(double d) { return std::bit_cast<std::uint64_t>(d); }
+std::uint64_t kind(Kind k) { return static_cast<std::uint64_t>(k); }
+
+INSTANTIATE_TEST_SUITE_P(
+    Forgeries, FaultLogLoad,
+    ::testing::Values(
+        LogForgery{"BackInTime", 3, 0, bits(2.5), 8, "goes back in time"},
+        LogForgery{"NanTime", 1, 0,
+                   bits(std::numeric_limits<double>::quiet_NaN()), 8,
+                   "goes back in time"},
+        LogForgery{"NodeOutOfRange", 1, 8, 3, 4, "out of range"},
+        LogForgery{"StationOutOfRange", 5, 8, 4, 4, "out of range"},
+        LogForgery{"DownsADownNode", 1, 8, 0, 4, "already down"},
+        LogForgery{"RaisesAnUpNode", 3, 8, 2, 4, "already up"},
+        LogForgery{"DownsADownStation", 4, 12, kind(Kind::kStationDown), 1,
+                   "already down"},
+        LogForgery{"RaisesAnUpStation", 4, 8, 1, 4, "already up"},
+        LogForgery{"UnknownKind", 0, 12, 4, 1, "transition kind"}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 // -- scenarios over the relay chain -------------------------------------
 

@@ -304,12 +304,6 @@ TEST(NetworkAudit, DetectsPresentOrderCorruptionMidRun) {
                                      "network.present_sets", t);
 }
 
-TEST(NetworkAudit, DetectsSweepWatermarkCorruptionMidRun) {
-  // A live packet below the watermark is one no TTL sweep would expire.
-  expect_mid_run_corruption_detected(Network::Corruption::kSweepWatermark,
-                                     "sweep watermark");
-}
-
 TEST(NetworkAudit, DetectsPacketHolderCorruptionMidRun) {
   // A live packet whose holder names a store that does not hold it.
   expect_mid_run_corruption_detected(Network::Corruption::kPacketHolder,

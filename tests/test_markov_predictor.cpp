@@ -2,11 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <numeric>
-#include <string>
 
-#include "persist/serializer.hpp"
 #include "util/rng.hpp"
 
 namespace dtn::core {
@@ -268,171 +265,6 @@ TEST_P(PredictorOrderTest, PredictIsModeOfDistribution) {
 
 INSTANTIATE_TEST_SUITE_P(Orders, PredictorOrderTest,
                          ::testing::Values(1u, 2u, 3u));
-
-// -- checkpoint images ----------------------------------------------------
-//
-// Each PredictorLoad test saves a trained predictor, patches one field of
-// the image and expects the load to refuse it with the message of the
-// check that guards that field (so the test fails if that check goes:
-// the image then loads, or a later check or out-of-bounds access trips
-// instead).
-
-constexpr std::size_t kLoadLandmarks = 6;
-
-// A saved order-1 predictor with the byte offset of every field the
-// tests patch.  Image layout (schema 4), after the 16-byte stream
-// header: num_landmarks, order, history length u64 | context length u64
-// + one u32 per landmark | context count u64 | per context: key u64,
-// N(c) u32, row length u32, then (landmark, count) u32 pairs | current
-// context id u32.
-struct PredictorImage {
-  std::vector<std::uint8_t> bytes;
-  std::size_t history = 0;
-  std::size_t context = 0;   // the (single) context landmark
-  std::size_t contexts = 0;  // the context count
-  std::size_t n = 0;         // N(c) of row 0
-  std::size_t len = 0;       // row length of row 0
-  std::size_t pairs = 0;     // row 0's first (landmark, count) pair
-  std::size_t current = 0;
-
-  std::uint32_t get32(std::size_t at) const {
-    std::uint32_t v = 0;
-    for (std::size_t i = 0; i < 4; ++i) {
-      v |= std::uint32_t{bytes[at + i]} << (8 * i);
-    }
-    return v;
-  }
-  void put(std::size_t at, std::uint64_t v, std::size_t width) {
-    for (std::size_t i = 0; i < width; ++i) {
-      bytes[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
-    }
-  }
-};
-
-MarkovPredictor trained_for_load() {
-  MarkovPredictor p(kLoadLandmarks, 1);
-  Rng rng(41);
-  for (int i = 0; i < 200; ++i) {
-    p.record_visit(static_cast<LandmarkId>(rng.uniform_index(kLoadLandmarks)));
-  }
-  return p;
-}
-
-std::vector<std::uint8_t> image_bytes(const MarkovPredictor& p) {
-  persist::Writer w;
-  p.save(w);
-  return w.buffer();
-}
-
-PredictorImage save_image(const MarkovPredictor& p) {
-  PredictorImage img;
-  img.bytes = image_bytes(p);
-  constexpr std::size_t kHeader = persist::kMagicSize + 8;
-  img.history = kHeader + 16;
-  img.context = kHeader + 32;
-  img.contexts = img.context + 4;
-  img.n = img.contexts + 16;
-  img.len = img.n + 4;
-  img.pairs = img.len + 4;
-  img.current = img.bytes.size() - 4;
-  return img;
-}
-
-void expect_refused(const std::function<void(PredictorImage&)>& patch,
-                    const std::string& message) {
-  PredictorImage img = save_image(trained_for_load());
-  ASSERT_GE(img.get32(img.len), 2u) << "row 0 needs two successors";
-  patch(img);
-  persist::Reader r(img.bytes);
-  MarkovPredictor q(kLoadLandmarks, 1);
-  try {
-    q.load(r);
-    ADD_FAILURE() << "patched image loaded; expected \"" << message << "\"";
-  } catch (const persist::FormatError& e) {
-    EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
-        << "got \"" << e.what() << "\", expected \"" << message << "\"";
-  }
-}
-
-TEST(PredictorLoad, UnpatchedImageRoundTrips) {
-  const MarkovPredictor p = trained_for_load();
-  const PredictorImage img = save_image(p);
-  persist::Reader r(img.bytes);
-  MarkovPredictor q(kLoadLandmarks, 1);
-  q.load(r);
-  EXPECT_EQ(image_bytes(q), img.bytes);
-  EXPECT_EQ(q.predict(), p.predict());
-  EXPECT_EQ(q.next_distribution(), p.next_distribution());
-}
-
-TEST(PredictorLoad, RejectsRowLongerThanLandmarkCount) {
-  expect_refused(
-      [](PredictorImage& img) { img.put(img.len, kLoadLandmarks + 1, 4); },
-      "row length above the landmark count");
-}
-
-TEST(PredictorLoad, RejectsMoreContextsThanVisits) {
-  expect_refused(
-      [](PredictorImage& img) {
-        img.put(img.history, img.get32(img.contexts) - 1, 8);
-      },
-      "more contexts than visits");
-}
-
-TEST(PredictorLoad, RejectsContextLandmarkOutOfRange) {
-  expect_refused(
-      [](PredictorImage& img) { img.put(img.context, kLoadLandmarks, 4); },
-      "context landmark out of range");
-}
-
-TEST(PredictorLoad, RejectsSuccessorLandmarkOutOfRange) {
-  expect_refused(
-      [](PredictorImage& img) { img.put(img.pairs, kLoadLandmarks, 4); },
-      "out-of-range successor landmark");
-}
-
-TEST(PredictorLoad, RejectsDuplicateSuccessor) {
-  expect_refused(
-      [](PredictorImage& img) {
-        img.put(img.pairs + 8, img.get32(img.pairs), 4);
-      },
-      "duplicate successor");
-}
-
-TEST(PredictorLoad, RejectsZeroCount) {
-  expect_refused([](PredictorImage& img) { img.put(img.pairs + 4, 0, 4); },
-                 "zero count");
-}
-
-TEST(PredictorLoad, RejectsRowSumAboveContextCount) {
-  expect_refused(
-      [](PredictorImage& img) {
-        img.put(img.pairs + 4, img.get32(img.pairs + 4) + img.get32(img.n), 4);
-      },
-      "exceed N(c)");
-}
-
-TEST(PredictorLoad, RejectsZeroContextCount) {
-  expect_refused([](PredictorImage& img) { img.put(img.n, 0, 4); },
-                 "N(c) == 0");
-}
-
-TEST(PredictorLoad, RejectsCurrentContextIdOutOfRange) {
-  expect_refused(
-      [](PredictorImage& img) {
-        img.put(img.current, img.get32(img.contexts), 4);
-      },
-      "current context id out of range");
-}
-
-TEST(PredictorLoad, RejectsCurrentContextIdOfAnotherContext) {
-  expect_refused(
-      [](PredictorImage& img) {
-        const std::uint32_t contexts = img.get32(img.contexts);
-        img.put(img.current, (img.get32(img.current) + 1) % contexts, 4);
-      },
-      "current context id is not its context's id");
-}
 
 }  // namespace
 }  // namespace dtn::core

@@ -218,6 +218,32 @@ TEST(Network, TtlExpiryDropsFromNodeBuffer) {
   EXPECT_TRUE(net.node_packets(1).empty());
 }
 
+TEST(Network, TtlSweepRetiresFromEveryHolderInIdOrder) {
+  // Node 1 picks up p0, p3, p4 and p5 at L0 (t = 5); p1 waits at L2's
+  // origin and p2 at L1's.  The sweep at t = 15 retires p0, p1 and p3, in id order:
+  // removing p0 moves p5 into its slot, then removing p3 moves p4.
+  const auto trace = script_trace();
+  RecordingRouter router;
+  router.pickup_on_arrival = true;
+  auto cfg = quiet_workload();
+  cfg.time_unit = 15.0;
+  cfg.manual_packets = {{0, 1, 1.0, /*ttl=*/8.0},   {2, 0, 2.0, 8.0},
+                        {1, 0, 3.0, 100.0},          {0, 2, 4.0, 7.0},
+                        {0, 1, 4.2, 100.0},          {0, 1, 4.4, 100.0}};
+  Network net(trace, router, cfg);
+  net.run();
+  EXPECT_EQ(net.counters().dropped_ttl, 3u);
+  for (const PacketId pid : {0u, 1u, 3u}) {
+    EXPECT_EQ(net.packet(pid).state, PacketState::kDroppedTtl) << pid;
+  }
+  const auto held = net.node_packets(1);
+  EXPECT_EQ(std::vector<PacketId>(held.begin(), held.end()),
+            (std::vector<PacketId>{5, 4}));
+  EXPECT_TRUE(net.origin_packets(2).empty());
+  // p2 outlives the sweep at L1's origin; node 0 picks it up at t = 20.
+  EXPECT_EQ(net.packet(2).state, PacketState::kOnNode);
+}
+
 TEST(Network, NodeToNodeTransfer) {
   const auto trace = script_trace();
   class Forwarder : public RecordingRouter {
