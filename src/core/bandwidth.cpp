@@ -1,6 +1,5 @@
 #include "core/bandwidth.hpp"
 
-#include "persist/serializer.hpp"
 #include "util/assert.hpp"
 
 namespace dtn::core {
@@ -59,19 +58,5 @@ std::uint32_t BandwidthEstimator::open_unit_count(trace::LandmarkId from,
                                                   trace::LandmarkId to) const {
   return counts_.at(from, to);
 }
-
-template <class Ar>
-void BandwidthEstimator::fields(Ar& ar) {
-  ar.value("bandwidth rho", rho_);
-  ar.matrix("bandwidth open counts", counts_);
-  ar.matrix("bandwidth ewma", ewma_);
-  ar.value("bandwidth units closed", units_closed_);
-}
-
-void BandwidthEstimator::save(persist::Writer& w) const {
-  const_cast<BandwidthEstimator*>(this)->fields(w);
-}
-
-void BandwidthEstimator::load(persist::Reader& r) { fields(r); }
 
 }  // namespace dtn::core

@@ -26,11 +26,6 @@
 #include "trace/trace.hpp"
 #include "util/flat_matrix.hpp"
 
-namespace dtn::persist {
-class Writer;
-class Reader;
-}  // namespace dtn::persist
-
 namespace dtn::core {
 
 class BandwidthEstimator {
@@ -71,14 +66,11 @@ class BandwidthEstimator {
     return std::numeric_limits<double>::infinity();
   }
 
-  // -- checkpointing (src/persist/, docs/checkpointing.md) --------------
-  void save(persist::Writer& w) const;
-  void load(persist::Reader& r);
+  // Not checkpointed: the transits the landmarks observed are a fold of
+  // the trace and the fault log, and a load replays them unit by unit
+  // (DtnFlowRouter::rebuild_node_state).
 
  private:
-  template <class Ar>
-  void fields(Ar& ar);
-
   double rho_;
   FlatMatrix<std::uint32_t> counts_;
   FlatMatrix<double> ewma_;

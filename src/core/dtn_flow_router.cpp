@@ -1,6 +1,7 @@
 #include "core/dtn_flow_router.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <string>
 
@@ -58,6 +59,14 @@ bool backup_balances(const Route& r) {
          r.backup_delay <= 3.0 * r.delay;
 }
 
+// An arrival from `prev` at `l` is a transit the bandwidth estimators
+// count (§IV-C.1): it changes landmark, and neither the node nor the
+// station is down.  on_arrival and the load's fold both ask here.
+bool counts_as_transit(LandmarkId prev, LandmarkId l, bool node_down,
+                       bool station_down) {
+  return prev != kNoLandmark && prev != l && !node_down && !station_down;
+}
+
 // An arriving node carries packets toward `next` when it is predicted to
 // go there or its raw transit probability `raw` reaches the floor, and
 // the probability and its product with the node's accuracy are positive.
@@ -95,12 +104,14 @@ void DtnFlowRouter::on_init(Network& net) {
     t.departures_since_dv.assign(m, 0);
   }
   for (LandmarkId l = 0; l < m; ++l) {
-    landmarks_[l].table.emplace(l, m);
-    landmarks_[l].incoming.assign(m, 0.0);
-    landmarks_[l].outgoing.assign(m, 0.0);
-    landmarks_[l].prev_incoming.assign(m, 0.0);
-    landmarks_[l].prev_outgoing.assign(m, 0.0);
-    landmarks_[l].divert_toggle.assign(m, 0);
+    LandmarkState& ls = landmarks_[l];
+    ls.table.emplace(l, m);
+    if (cfg_.load_balancing) {
+      ls.incoming.assign(m, 0.0);
+      ls.outgoing.assign(m, 0.0);
+      ls.prev_outgoing.assign(m, 0.0);
+      ls.divert_toggle.assign(m, 0);
+    }
   }
   distribution_scratch_.clear();
   station_down_.assign(m, 0);
@@ -146,6 +157,36 @@ void DtnFlowRouter::audit(const net::Network& net,
     if (ls.table.has_value()) {
       report.set_context("router.routing_table[" + std::to_string(l) + "]");
       ls.table->audit(report);
+    }
+  }
+  // Every station up at the last dispatched tick set its table's direct
+  // links from the estimator then, and the estimator changes only at a
+  // tick, so those links still read link_expected_delay.  Fault
+  // transitions at a tick's instant run after it.
+  report.set_context("router.link_delays");
+  const std::vector<double> ticks = net.dispatched_tick_times();
+  if (!ticks.empty()) {
+    std::vector<std::uint8_t> down_at_tick(landmarks_.size(), 0);
+    if (const sim::FaultInjector* faults = net.faults()) {
+      for (const auto& t : faults->log()) {
+        if (t.time >= ticks.back()) break;
+        if (!t.node()) down_at_tick[t.id] ^= 1;
+      }
+    }
+    for (LandmarkId l = 0; l < landmarks_.size(); ++l) {
+      if (down_at_tick[l] != 0) continue;
+      for (LandmarkId j = 0; j < landmarks_.size(); ++j) {
+        if (j == l) continue;
+        const double held = landmarks_[l].table->link_delay(j);
+        const double estimated = link_expected_delay(l, j);
+        if (std::bit_cast<std::uint64_t>(held) !=
+            std::bit_cast<std::uint64_t>(estimated)) {
+          report.fail("table " + std::to_string(l) + ": link to " +
+                      std::to_string(j) + " holds delay " +
+                      std::to_string(held) + " but the estimator gives " +
+                      std::to_string(estimated));
+        }
+      }
     }
   }
   // The outage mirror (read by choose_next_hop, which has no Network
@@ -234,6 +275,7 @@ bool DtnFlowRouter::choose_next_hop(LandmarkId l, LandmarkId dst,
 
 void DtnFlowRouter::note_station_ingress(Network& net, LandmarkId l,
                                          PacketId pid) {
+  if (!cfg_.load_balancing) return;
   // Load-balancing incoming-rate monitor: which link would this packet
   // take out of l (pre-diversion best route)?
   const Packet& p = net.packet(pid);
@@ -241,6 +283,10 @@ void DtnFlowRouter::note_station_ingress(Network& net, LandmarkId l,
   if (r.reachable() && r.delay != kInfiniteDelay) {
     landmarks_[l].incoming[r.next] += 1.0;
   }
+}
+
+void DtnFlowRouter::note_station_egress(LandmarkId l, LandmarkId next) {
+  if (cfg_.load_balancing) landmarks_[l].outgoing[next] += 1.0;
 }
 
 void DtnFlowRouter::on_packet_generated(Network& net, PacketId pid) {
@@ -303,7 +349,7 @@ bool DtnFlowRouter::dispatch_packet(Network& net, LandmarkId l, PacketId pid) {
       if (net.station_to_node(l, best, pid)) {
         p.next_hop = p.dst;
         p.expected_delay = std::min(table_delay, link_delay);
-        landmarks_[l].outgoing[p.dst] += 1.0;
+        note_station_egress(l, p.dst);
         return true;
       }
     }
@@ -319,7 +365,7 @@ bool DtnFlowRouter::dispatch_packet(Network& net, LandmarkId l, PacketId pid) {
   if (!net.station_to_node(l, best, pid)) return false;
   p.next_hop = next;
   p.expected_delay = delay;
-  landmarks_[l].outgoing[next] += 1.0;
+  note_station_egress(l, next);
   return true;
 }
 
@@ -395,7 +441,7 @@ void DtnFlowRouter::offer_packets_to_node(Network& net, LandmarkId l,
       if (net.station_to_node(l, n, pid)) {
         p.next_hop = p.dst;
         p.expected_delay = std::min(table_delay, link_delay);
-        landmarks_[l].outgoing[p.dst] += 1.0;
+        note_station_egress(l, p.dst);
       }
       continue;
     }
@@ -410,7 +456,7 @@ void DtnFlowRouter::offer_packets_to_node(Network& net, LandmarkId l,
     if (net.station_to_node(l, n, pid)) {
       p.next_hop = next;
       p.expected_delay = delay;
-      landmarks_[l].outgoing[next] += 1.0;
+      note_station_egress(l, next);
     }
   }
 }
@@ -533,6 +579,7 @@ void DtnFlowRouter::on_arrival(Network& net, NodeId node, LandmarkId l) {
   const bool station_down = station_down_[l] != 0;
   const Scored scored =
       note_arrival(node, prev, l, net.now(), node_down, station_down);
+  const bool transit = counts_as_transit(prev, l, node_down, station_down);
 
   // A crashed node associates with nothing: its radio is dead (the stay
   // clock still started: the body is physically here).  Station outage:
@@ -543,7 +590,7 @@ void DtnFlowRouter::on_arrival(Network& net, NodeId node, LandmarkId l) {
   // propagation an outage causes.
   if (node_down || station_down) return;
 
-  if (prev != kNoLandmark && prev != l) {
+  if (transit) {
     // Transit observed: bandwidth measurement (arrival side).
     bw_.record_transit(prev, l);
     if (dbw_.has_value()) dbw_->record_arrival(prev, l);
@@ -831,11 +878,11 @@ void DtnFlowRouter::on_time_unit(Network& net, std::size_t unit_index) {
       if (j == l) continue;
       ls.table->set_link_delay(j, link_expected_delay(l, j));
     }
-    // Roll the load-balancing monitors.
-    ls.prev_incoming.swap(ls.incoming);
-    ls.prev_outgoing.swap(ls.outgoing);
-    std::fill(ls.incoming.begin(), ls.incoming.end(), 0.0);
-    std::fill(ls.outgoing.begin(), ls.outgoing.end(), 0.0);
+    if (cfg_.load_balancing) {  // roll the monitors
+      ls.prev_outgoing.swap(ls.outgoing);
+      std::fill(ls.incoming.begin(), ls.incoming.end(), 0.0);
+      std::fill(ls.outgoing.begin(), ls.outgoing.end(), 0.0);
+    }
   }
   if (cfg_.dead_end_prevention) {
     for (NodeId n = 0; n < nodes_.size(); ++n) {
@@ -870,9 +917,31 @@ void DtnFlowRouter::fields(Ar& ar) {
   const std::size_t m = landmarks_.size();
   ar.expect("router node count", nodes_.size());
   ar.expect("router landmark count", m);
-  ar.value("router time unit", time_unit_);
-  ar.object(bw_);
-  ar.expect("router distributed bandwidth", dbw_.has_value());
+  // The configuration: the fold, the monitors' presence and every hook
+  // follow it, so a resume must be handed the one the image was saved
+  // under.
+  ar.expect("router predictor order", cfg_.predictor_order);
+  ar.expect("router bandwidth rho", cfg_.bandwidth_rho);
+  ar.expect("router distributed bandwidth", cfg_.distributed_bandwidth);
+  ar.expect("router vector exchange every", cfg_.dv_exchange_every);
+  ar.expect("router node-to-node relay", cfg_.node_to_node_relay);
+  ar.expect("router direct delivery", cfg_.direct_delivery);
+  ar.expect("router refined carrier selection",
+            cfg_.refine_carrier_selection);
+  ar.expect("router dead-end prevention", cfg_.dead_end_prevention);
+  ar.expect("router dead-end theta", cfg_.dead_end_theta);
+  ar.expect("router loop correction", cfg_.loop_correction);
+  ar.expect("router load balancing", cfg_.load_balancing);
+  ar.expect("router scheduled communication", cfg_.scheduled_communication);
+  ar.expect("router loop injection count", cfg_.loop_injections.size());
+  for (const DtnFlowConfig::LoopInjection& inj : cfg_.loop_injections) {
+    ar.expect("router loop injection destination", inj.dst);
+    ar.expect("router loop injection unit", inj.at_unit);
+    ar.expect("router loop injection cycle length", inj.cycle.size());
+    for (const LandmarkId l : inj.cycle) {
+      ar.expect("router loop injection cycle", l);
+    }
+  }
   if (dbw_.has_value()) ar.object(*dbw_);
   // Per node, only the control state in transit: the predictor, the
   // accuracy row and NodeTransits are folded from the trace on load.
@@ -905,11 +974,12 @@ void DtnFlowRouter::fields(Ar& ar) {
   }
   for (LandmarkState& ls : landmarks_) {
     ar.object(*ls.table);
-    ar.fixed("landmark incoming rates", ls.incoming);
-    ar.fixed("landmark outgoing rates", ls.outgoing);
-    ar.fixed("landmark previous incoming rates", ls.prev_incoming);
-    ar.fixed("landmark previous outgoing rates", ls.prev_outgoing);
-    ar.fixed("landmark divert toggles", ls.divert_toggle);
+    if (cfg_.load_balancing) {
+      ar.fixed("landmark incoming rates", ls.incoming);
+      ar.fixed("landmark outgoing rates", ls.outgoing);
+      ar.fixed("landmark previous outgoing rates", ls.prev_outgoing);
+      ar.fixed("landmark divert toggles", ls.divert_toggle);
+    }
     ar.value("landmark uploading mode", ls.uploading_mode);
   }
   ar.fixed("router needs reconvergence", needs_reconvergence_);
@@ -947,12 +1017,28 @@ void DtnFlowRouter::rebuild_node_state(const Network& net) {
     return (std::lower_bound(flips.begin(), flips.end(), time) -
             flips.begin()) % 2 != 0;
   };
+  // Each transit goes to the unit whose tick closes it.  Trace events
+  // run before the tick of the same instant, so an arrival at a tick's
+  // time counts in the unit that tick closes; the ticks are the
+  // dispatched ones, so a snapshot between such an arrival and its tick
+  // leaves that unit open.
+  const std::vector<double> ticks = net.dispatched_tick_times();
+  std::vector<std::vector<std::pair<LandmarkId, LandmarkId>>> transits(
+      ticks.size() + 1);
   for (NodeId node = 0; node < nodes_.size(); ++node) {
     const std::vector<double>& flips = node_flips[node];
     LandmarkId prev = kNoLandmark;
     const auto arrive = [&](const trace::Visit& v) {
-      note_arrival(node, prev, v.landmark, v.start, down_at(flips, v.start),
-                   down_at(station_flips[v.landmark], v.start));
+      const bool node_down = down_at(flips, v.start);
+      const bool station_down = down_at(station_flips[v.landmark], v.start);
+      note_arrival(node, prev, v.landmark, v.start, node_down, station_down);
+      if (counts_as_transit(prev, v.landmark, node_down, station_down)) {
+        const auto unit =
+            std::lower_bound(ticks.begin(), ticks.end(), v.start) -
+            ticks.begin();
+        transits[static_cast<std::size_t>(unit)].emplace_back(prev,
+                                                              v.landmark);
+      }
       prev = v.landmark;
     };
     for (const trace::Visit& v : net.history(node)) {
@@ -961,6 +1047,12 @@ void DtnFlowRouter::rebuild_node_state(const Network& net) {
                      down_at(station_flips[v.landmark], v.end));
     }
     if (const trace::Visit* v = net.current_visit(node)) arrive(*v);
+  }
+  // Eq. 4 unit by unit, as the ticks applied it (so bit for bit), then
+  // the open unit's counts.
+  for (std::size_t u = 0; u < transits.size(); ++u) {
+    for (const auto& [from, to] : transits[u]) bw_.record_transit(from, to);
+    if (u < ticks.size()) bw_.close_unit();
   }
 }
 

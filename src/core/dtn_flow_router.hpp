@@ -23,7 +23,8 @@
 //
 //  time-unit tick (on_time_unit): close the bandwidth unit, refresh
 //  every landmark's direct-link delays, roll the load-balancing rate
-//  monitors (§IV-E.3) and re-check parked nodes for dead ends.
+//  monitors (§IV-E.3, kept only with load balancing on) and re-check
+//  parked nodes for dead ends.
 //
 // Routing loops are detected from the packet's station path and
 // corrected by re-converging the distance vectors of the looped
@@ -193,8 +194,9 @@ class DtnFlowRouter final : public net::Router {
 
   // -- checkpointing (src/persist/, docs/checkpointing.md) --------------
   /// The scratch buffers are not stored: every use refills them.  Nor
-  /// is any node's predictor, accuracy row or NodeTransits: a load folds
-  /// them from the node's visits and the fault log (rebuild_node_state).
+  /// is any node's predictor, accuracy row or NodeTransits, nor the
+  /// centralized bandwidth estimator: a load folds them from the nodes'
+  /// visits and the fault log (rebuild_node_state).
   [[nodiscard]] bool checkpointable() const override { return true; }
   void checkpoint_save(persist::Writer& w) const override;
   void checkpoint_load(persist::Reader& r, net::Network& net) override;
@@ -202,7 +204,9 @@ class DtnFlowRouter final : public net::Router {
   /// Invariant audit hook (debug tooling, see invariant_auditor.hpp):
   /// audits every node predictor (flat store + incremental argmax),
   /// every landmark routing table (dirty bookkeeping + clean columns vs
-  /// from-scratch recompute) and the station-outage mirror.
+  /// from-scratch recompute), the station-outage mirror, and the link
+  /// delays of every table whose station was up at the last tick
+  /// against the estimator's (which changes only at a tick).
   void audit(const net::Network& net, sim::AuditReport& report) const override;
 
   // -- introspection (tests / benches / figures) ------------------------
@@ -253,11 +257,12 @@ class DtnFlowRouter final : public net::Router {
 
   struct LandmarkState {
     std::optional<RoutingTable> table;
-    // Per-neighbor packet rates for load balancing (current open unit
-    // and previous closed unit).
+    // Per-neighbor packet counts for load balancing (§IV-E.3): incoming
+    // and outgoing in the open unit, outgoing in the last closed one.
+    // link_overloaded is their only reader, so they are sized (and
+    // checkpointed) only with load balancing on.
     std::vector<double> incoming;
     std::vector<double> outgoing;
-    std::vector<double> prev_incoming;
     std::vector<double> prev_outgoing;
     /// Alternation counter per overloaded link (diverts every other
     /// packet to the backup next hop).
@@ -286,7 +291,9 @@ class DtnFlowRouter final : public net::Router {
   bool note_departure(net::NodeId node, net::LandmarkId l, double now,
                       bool node_down, bool station_down);
   /// Fold every node's completed visits and current arrival through
-  /// note_arrival / note_departure under the fault log's down flags.
+  /// note_arrival / note_departure under the fault log's down flags,
+  /// and replay the transits among them into the bandwidth estimator,
+  /// unit by unit, through the last dispatched tick.
   void rebuild_node_state(const net::Network& net);
 
   /// The node's overall probability of transiting to `to` from its
@@ -350,8 +357,11 @@ class DtnFlowRouter final : public net::Router {
 
  private:
 
+  /// Load-balancing monitors: a packet entered l's station / left it
+  /// toward `next` (no-ops with load balancing off).
   void note_station_ingress(net::Network& net, net::LandmarkId l,
                             net::PacketId pid);
+  void note_station_egress(net::LandmarkId l, net::LandmarkId next);
   void check_loop(net::Network& net, net::LandmarkId l, net::PacketId pid);
   void correct_loop(net::Network& net, net::LandmarkId dst,
                     std::span<const net::LandmarkId> cycle);
@@ -363,8 +373,9 @@ class DtnFlowRouter final : public net::Router {
   [[nodiscard]] double link_expected_delay(net::LandmarkId from,
                                            net::LandmarkId to) const;
 
-  DTN_CKPT_SKIP("pinned by the checkpoint config fingerprint")
+  DTN_CKPT_SKIP("pinned by the router section's config fingerprint")
   DtnFlowConfig cfg_;
+  DTN_CKPT_SKIP("folded from the nodes' transits on load")
   BandwidthEstimator bw_{1, 0.5};  // re-initialized in on_init
   std::optional<DistributedBandwidth> dbw_;
   std::vector<NodeState> nodes_;
@@ -382,6 +393,7 @@ class DtnFlowRouter final : public net::Router {
   DTN_CKPT_SKIP("folded from the node's visits on load")
   FlatMatrix<double> accuracy_;
   DtnFlowDiagnostics diag_;
+  DTN_CKPT_SKIP("set by on_init from the fingerprinted workload")
   double time_unit_ = trace::kDay;
   /// Scratch buffer for per-node conditional distributions (reused by
   /// offer_packets_to_node; avoids a vector allocation per offer).

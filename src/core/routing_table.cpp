@@ -17,8 +17,7 @@ RoutingTable::RoutingTable(LandmarkId self, std::size_t num_landmarks)
       unheard_(row_of(std::make_shared<const std::vector<double>>(
           num_landmarks, kInfiniteDelay))),
       last_seq_(num_landmarks, 0),
-      pinned_(num_landmarks, 0),
-      pin_route_(num_landmarks),
+      pins_(num_landmarks),
       routes_(num_landmarks),
       column_dirty_(num_landmarks, 0) {
   DTN_ASSERT(self < num_landmarks);
@@ -152,13 +151,11 @@ Route self_route(LandmarkId self) {
 }  // namespace
 
 Route RoutingTable::finish_column(LandmarkId dst, const Route& organic) const {
-  if (pinned_[dst] == 0) return organic;
+  const Pin& pin = pins_[dst];
+  if (pin.next == kNoLandmark) return organic;
   // The pinned (injected) route replaces the best; the organically
   // computed best becomes the backup so load balancing still works.
-  Route pr = pin_route_[dst];
-  pr.backup_next = organic.next;
-  pr.backup_delay = organic.delay;
-  return pr;
+  return {pin.next, pin.delay, organic.next, organic.delay};
 }
 
 Route RoutingTable::compute_column_scalar(LandmarkId dst) const {
@@ -195,7 +192,7 @@ void RoutingTable::update_cell(LandmarkId v, LandmarkId dst) {
   const double cost = link_delay_[v] + advertised(v, dst);
   // A pinned column holds the organic best in its backup slot, and a
   // rise in the best's or backup's cost leaves the next one unknown.
-  if (pinned_[dst] != 0 || (v == r.next && cost > r.delay) ||
+  if (pins_[dst].next != kNoLandmark || (v == r.next && cost > r.delay) ||
       (v == r.backup_next && cost > r.backup_delay)) {
     mark_dirty(dst);
     return;
@@ -298,25 +295,21 @@ void RoutingTable::pin(LandmarkId dst, LandmarkId next, double fake_delay) {
   DTN_ASSERT(dst < link_delay_.size());
   DTN_ASSERT(next < link_delay_.size());
   DTN_ASSERT(dst != self_);
-  pinned_[dst] = 1;
-  Route r;
-  r.next = next;
-  r.delay = fake_delay;
-  pin_route_[dst] = r;
+  pins_[dst] = {next, fake_delay};
   mark_dirty(dst);
 }
 
 void RoutingTable::unpin(LandmarkId dst) {
   DTN_ASSERT(dst < link_delay_.size());
-  if (pinned_[dst] != 0) {
-    pinned_[dst] = 0;
+  if (is_pinned(dst)) {
+    pins_[dst] = Pin{};
     mark_dirty(dst);
   }
 }
 
 bool RoutingTable::is_pinned(LandmarkId dst) const {
   DTN_ASSERT(dst < link_delay_.size());
-  return pinned_[dst] != 0;
+  return pins_[dst].next != kNoLandmark;
 }
 
 void RoutingTable::audit(sim::AuditReport& report) const {
@@ -440,13 +433,31 @@ void RoutingTable::fields(Ar& ar) {
     }
   }
   ar.array("routing table last seq", last_seq_);
-  ar.array("routing table pinned", pinned_);
-  for (Route& rt : pin_route_) {
-    ar.index_or_none("routing table next hop", rt.next, n);
-    ar.value("routing table pinned delay", rt.delay);
-    ar.index_or_none("routing table backup next hop", rt.backup_next, n);
-    ar.value("routing table pinned backup delay", rt.backup_delay);
+  // The pinned destinations, ascending, each with its pin.
+  struct PinEntry {
+    LandmarkId dst = 0;
+    Pin pin;
+  };
+  std::vector<PinEntry> pinned;
+  if constexpr (Ar::loading) {
+    std::fill(pins_.begin(), pins_.end(), Pin{});
+  } else {
+    for (LandmarkId d = 0; d < n; ++d) {
+      if (is_pinned(d)) pinned.push_back({d, pins_[d]});
+    }
   }
+  [[maybe_unused]] std::size_t next_dst = 0;
+  ar.seq("routing table pins", pinned, [&](PinEntry& e) {
+    ar.index("routing table pinned destination", e.dst, n);
+    ar.index("routing table pinned next hop", e.pin.next, n);
+    ar.non_negative("routing table pinned delay", e.pin.delay);
+    if constexpr (Ar::loading) {
+      ar.check(e.dst >= next_dst && e.dst != self_,
+               "routing table pinned destination", " out of order or self");
+      next_dst = std::size_t{e.dst} + 1;
+      pins_[e.dst] = e.pin;
+    }
+  });
   ar.value("routing table seq", seq_);
   // The neighbor list is derived state, absent from the image.
   if constexpr (Ar::loading) neighbours_ = finite_links();

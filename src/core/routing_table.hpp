@@ -222,8 +222,14 @@ class RoutingTable {
   DTN_CKPT_SKIP("derived from link_delay_; load rebuilds it")
   std::vector<LandmarkId> neighbours_;
   std::vector<std::uint64_t> last_seq_;  // last merged seq + 1 per origin
-  std::vector<std::uint8_t> pinned_;
-  std::vector<Route> pin_route_;
+  /// A pin: the forced next hop and its fake delay.  finish_column fills
+  /// the backup from the organic route.
+  struct Pin {
+    LandmarkId next = kNoLandmark;  ///< kNoLandmark: not pinned
+    double delay = kInfiniteDelay;
+  };
+  /// Per destination; the image lists only the pinned ones.
+  std::vector<Pin> pins_;
   std::uint64_t seq_ = 0;
 
   DTN_CKPT_SKIP("derived routes; load marks every column dirty")

@@ -364,7 +364,6 @@ void Network::fields(Ar& ar) {
   ar.begin_section("sim");
   ar.object(sim_);
   ar.end_section();
-  if constexpr (loading) check_pending_events();
 
   ar.begin_section("cursor");
   ar.object(cursor_);
@@ -469,6 +468,9 @@ void Network::fields(Ar& ar) {
   ar.expect("fault injector presence", faults_.has_value());
   if (faults_.has_value()) ar.object(*faults_);
   ar.end_section();
+  // The queue came with "sim"; its fault events are judged against the
+  // down sets the log just rebuilt.
+  if constexpr (loading) check_pending_events();
 
   ar.begin_section("router");
   ar.expect("router", router_.name());
@@ -567,6 +569,38 @@ void Network::check_pending_events() const {
           " (a " + std::to_string(ev.a) + ", b " + std::to_string(ev.b) +
           ") names nothing of this run");
     }
+  }
+  if (!faults_.has_value()) return;  // then the queue is empty
+  // Each id's pending transitions, in (time, seq) order from the state
+  // the fault log left it in, must be ones FaultInjector::record accepts
+  // (no downing a down id, no raising an up one), up to its first down:
+  // the rise that one schedules is not queued yet.
+  enum : std::uint8_t { kUp, kDown, kJudgedLater };
+  std::vector<std::uint8_t> node_state(node_stores_.size());
+  std::vector<std::uint8_t> station_state(stations_.size());
+  for (NodeId n = 0; n < node_state.size(); ++n) {
+    node_state[n] = faults_->node_down(n) ? kDown : kUp;
+  }
+  for (LandmarkId l = 0; l < station_state.size(); ++l) {
+    station_state[l] = faults_->station_down(l) ? kDown : kUp;
+  }
+  std::vector<sim::Event> pending(sim_.queue().pending().begin(),
+                                  sim_.queue().pending().end());
+  std::sort(pending.begin(), pending.end(), sim::happens_before);
+  for (const sim::Event& ev : pending) {
+    const bool node = ev.kind == sim::EventKind::kNodeCrash ||
+                      ev.kind == sim::EventKind::kNodeReboot;
+    const bool down = ev.kind == sim::EventKind::kNodeCrash ||
+                      ev.kind == sim::EventKind::kStationDown;
+    std::uint8_t& state = (node ? node_state : station_state)[ev.a];
+    if (state == kJudgedLater) continue;
+    if ((state == kDown) == down) {
+      persist::Reader::fail(
+          std::string("queue event ") + (down ? "downs " : "raises ") +
+          (node ? "node " : "station ") + std::to_string(ev.a) +
+          ", which the fault log leaves " + (down ? "down" : "up"));
+    }
+    state = down ? kJudgedLater : kUp;
   }
 }
 
@@ -840,6 +874,14 @@ std::span<const NodeId> Network::nodes_at(LandmarkId l) const {
 LandmarkId Network::location(NodeId node) const {
   DTN_ASSERT(node < location_.size());
   return location_[node];
+}
+
+std::vector<double> Network::dispatched_tick_times() const {
+  std::vector<double> times;
+  for (const sim::Event& ev : sim_.static_dispatched()) {
+    if (ev.kind == sim::EventKind::kTimeUnitTick) times.push_back(ev.time);
+  }
+  return times;
 }
 
 LandmarkId Network::previous_landmark(NodeId node) const {

@@ -210,6 +210,10 @@ class Network {
   [[nodiscard]] double trace_end() const { return trace_end_; }
   /// Time packet generation starts (end of warmup).
   [[nodiscard]] double workload_start() const { return workload_start_; }
+  /// Times of the time-unit ticks dispatched so far, in order (read from
+  /// the static schedule's position, so a snapshot between an arrival
+  /// and the tick at the same instant lists no such tick yet).
+  [[nodiscard]] std::vector<double> dispatched_tick_times() const;
 
   /// Nodes currently associated with landmark `l`.
   [[nodiscard]] std::span<const NodeId> nodes_at(LandmarkId l) const;
@@ -406,11 +410,12 @@ class Network {
   /// reached (the snapshot of that point is written first).
   bool checkpoint_step();
   void load_checkpoint(const std::vector<std::uint8_t>& bytes);
-  /// Load check of the restored queue: every pending event is a fault
-  /// event (trace, packet, sweep and tick events never sit in the
-  /// queue) whose payload names a node or station of this run and a
-  /// scheduled window or stochastic process of its plan.  Throws
-  /// FormatError otherwise.
+  /// Load check of the restored queue, once the fault log is restored:
+  /// every pending event is a fault event (trace, packet, sweep and tick
+  /// events never sit in the queue) whose payload names a node or
+  /// station of this run and a scheduled window or stochastic process of
+  /// its plan, and no id's pending transitions would down it while down
+  /// or raise it while up.  Throws FormatError otherwise.
   void check_pending_events() const;
   /// Auditor check: when a snapshot exists for exactly this simulation
   /// point, a fresh serialization of live state must reproduce its

@@ -59,7 +59,7 @@
 
 namespace dtn::persist {
 
-inline constexpr std::uint32_t kSchemaVersion = 11;
+inline constexpr std::uint32_t kSchemaVersion = 12;
 inline constexpr std::size_t kMagicSize = 8;
 
 const std::uint8_t* magic();  // kMagicSize bytes

@@ -46,6 +46,10 @@ class Simulator {
   [[nodiscard]] std::span<const Event> static_schedule() const {
     return static_;
   }
+  /// The static events dispatched so far: a prefix of the schedule.
+  [[nodiscard]] std::span<const Event> static_dispatched() const {
+    return std::span<const Event>(static_).first(static_next_);
+  }
 
   /// Current simulation time (time of the event being processed, or the
   /// initial time before the first event).

@@ -13,9 +13,11 @@
 //  * edge — empty networks, zero pending events, snapshots exactly on a
 //    unit-tick barrier, fingerprint and schema-version rejection.
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -23,6 +25,7 @@
 #include <gtest/gtest.h>
 
 #include "core/bandwidth.hpp"
+#include "core/distributed_bandwidth.hpp"
 #include "core/dtn_flow_router.hpp"
 #include "core/markov_predictor.hpp"
 #include "metrics/metrics.hpp"
@@ -624,14 +627,35 @@ FoldScenario fold_scenario(const std::string& name) {
   return s;
 }
 
+// Expects the centralized estimator `restored` folded on load to equal
+// the live run's: every link's smoothed bandwidth bit for bit, its
+// open-unit count, and the closed-unit count.
+void expect_bandwidth_matches(const core::BandwidthEstimator& restored,
+                              const core::BandwidthEstimator& live) {
+  EXPECT_EQ(restored.units_closed(), live.units_closed());
+  ASSERT_EQ(restored.num_landmarks(), live.num_landmarks());
+  for (net::LandmarkId i = 0; i < live.num_landmarks(); ++i) {
+    for (net::LandmarkId j = 0; j < live.num_landmarks(); ++j) {
+      if (i == j) continue;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(restored.bandwidth(i, j)),
+                std::bit_cast<std::uint64_t>(live.bandwidth(i, j)))
+          << "link " << i << " -> " << j;
+      EXPECT_EQ(restored.open_unit_count(i, j), live.open_unit_count(i, j))
+          << "link " << i << " -> " << j;
+    }
+  }
+}
+
 // Restores `image` into a fresh router and expects every node's folded
-// state to equal that of `live`, the router the image was saved from.
+// state, and the folded bandwidth estimator, to equal that of `live`,
+// the router the image was saved from.
 void expect_fold_matches(const FoldScenario& s,
                          const std::vector<std::uint8_t>& image,
                          const DtnFlowRouter& live) {
   DtnFlowRouter restored(s.router);
   Network net(s.trace, restored, s.cfg);
   net.debug_restore_for_test(image);
+  expect_bandwidth_matches(restored.bandwidth(), live.bandwidth());
   for (net::NodeId n = 0; n < s.trace.num_nodes(); ++n) {
     SCOPED_TRACE("node " + std::to_string(n));
     EXPECT_TRUE(restored.transits(n) == live.transits(n));
@@ -764,6 +788,62 @@ TEST(CheckpointResume, CrashAtAnArrivalTimeFoldsAsAfterThatArrival) {
             router.transits(0).total_stays - lost);
 }
 
+TEST(CheckpointResume, SuspensionBetweenAnArrivalAndItsTickFoldsTheOpenUnit) {
+  // Every half day each relay-chain shuttle arrives home exactly when
+  // the unit tick fires, a transit from its other landmark.  Trace
+  // events run before the tick of the same instant, so the tick closes
+  // a unit that holds those arrivals; a snapshot taken after them but
+  // before the tick holds them in the open unit, and a load must fold
+  // them there, not into the unit the clock says has ended.
+  const auto trace = relay_chain_trace(6.0);
+  const WorkloadConfig cfg = relay_chain_workload();
+  const DtnFlowConfig rc;
+  const FoldScenario s{"arrival_tick", trace, cfg, rc};
+  DtnFlowRouter plain_router(rc);
+  Network plain(trace, plain_router, cfg);
+  plain.run();
+  const std::uint64_t digest = metrics::run_digest(plain, plain_router);
+
+  // The events after which the clock sits on the instant of a tick that
+  // has not run yet.
+  std::vector<std::uint64_t> between;
+  {
+    WorkloadConfig audited = cfg;
+    audited.audit_period_events = 1;
+    DtnFlowRouter router(rc);
+    Network net(trace, router, audited);
+    net.auditor().register_check("between", [&](sim::AuditReport&) {
+      const auto ticks = net.dispatched_tick_times().size();
+      if (net.now() == static_cast<double>(ticks + 1) * cfg.time_unit) {
+        between.push_back(net.events_executed());
+      }
+    });
+    net.run();
+  }
+  ASSERT_GE(between.size(), 20u);
+
+  for (const std::uint64_t at : between) {
+    SCOPED_TRACE("suspended at event " + std::to_string(at));
+    CheckpointConfig cc;
+    cc.dir = fresh_dir("arrival_tick_" + std::to_string(at)).string();
+    cc.stop_after_events = at;
+    {
+      CheckpointManager mgr(cc);
+      DtnFlowRouter router(rc);
+      Network net(trace, router, cfg);
+      ASSERT_FALSE(net.run(mgr));
+      ASSERT_GT(router.bandwidth().open_unit_count(1, 0), 0u);
+      expect_fold_matches(s, mgr.read_latest(), router);
+    }
+    cc.stop_after_events = 0;
+    CheckpointManager mgr(cc);
+    DtnFlowRouter router(rc);
+    Network net(trace, router, cfg);
+    ASSERT_TRUE(net.run(mgr));
+    EXPECT_EQ(metrics::run_digest(net, router), digest);
+  }
+}
+
 // -- edge cases ----------------------------------------------------------
 
 TEST(CheckpointEdge, EmptyNetworkCompletesWithoutSnapshots) {
@@ -823,6 +903,77 @@ TEST(CheckpointEdge, FingerprintMismatchIsRejected) {
   DtnFlowRouter router;
   Network net(trace, router, changed);
   EXPECT_THROW(net.run(mgr), FormatError);
+}
+
+TEST(CheckpointEdge, RouterConfigurationMismatchIsRefused) {
+  // The router section fingerprints every DtnFlowConfig field: the fold,
+  // the monitors' presence and every hook follow the configuration, so a
+  // resume under any other value must be refused, not run.
+  const auto trace = relay_chain_trace(6.0);
+  const WorkloadConfig cfg = relay_chain_workload();
+  DtnFlowConfig saved;
+  saved.loop_injections = {{3, {1, 2}, 2}};
+  CheckpointConfig cc;
+  cc.dir = fresh_dir("router_config").string();
+  cc.stop_after_events = 40;
+  {
+    CheckpointManager mgr(cc);
+    DtnFlowRouter router(saved);
+    Network net(trace, router, cfg);
+    ASSERT_FALSE(net.run(mgr));
+  }
+  cc.stop_after_events = 0;
+  using Change = std::function<void(DtnFlowConfig&)>;
+  const std::vector<std::pair<const char*, Change>> changes = {
+      {"predictor order", [](DtnFlowConfig& c) { c.predictor_order = 2; }},
+      {"bandwidth rho", [](DtnFlowConfig& c) { c.bandwidth_rho = 0.3; }},
+      {"distributed bandwidth",
+       [](DtnFlowConfig& c) { c.distributed_bandwidth = true; }},
+      {"vector exchange every",
+       [](DtnFlowConfig& c) { c.dv_exchange_every = 2; }},
+      {"node-to-node relay",
+       [](DtnFlowConfig& c) { c.node_to_node_relay = true; }},
+      {"direct delivery", [](DtnFlowConfig& c) { c.direct_delivery = false; }},
+      {"refined carrier selection",
+       [](DtnFlowConfig& c) { c.refine_carrier_selection = false; }},
+      {"dead-end prevention",
+       [](DtnFlowConfig& c) { c.dead_end_prevention = true; }},
+      {"dead-end theta", [](DtnFlowConfig& c) { c.dead_end_theta = 3.0; }},
+      {"loop correction", [](DtnFlowConfig& c) { c.loop_correction = true; }},
+      {"load balancing", [](DtnFlowConfig& c) { c.load_balancing = true; }},
+      {"scheduled communication",
+       [](DtnFlowConfig& c) { c.scheduled_communication = true; }},
+      {"loop injection count",
+       [](DtnFlowConfig& c) { c.loop_injections.clear(); }},
+      {"loop injection destination",
+       [](DtnFlowConfig& c) { c.loop_injections[0].dst = 0; }},
+      {"loop injection unit",
+       [](DtnFlowConfig& c) { c.loop_injections[0].at_unit = 3; }},
+      {"loop injection cycle",
+       [](DtnFlowConfig& c) { c.loop_injections[0].cycle = {2, 1}; }},
+      {"loop injection cycle length",
+       [](DtnFlowConfig& c) { c.loop_injections[0].cycle.push_back(0); }},
+  };
+  for (const auto& [field, change] : changes) {
+    SCOPED_TRACE(field);
+    DtnFlowConfig resumed = saved;
+    change(resumed);
+    CheckpointManager mgr(cc);
+    DtnFlowRouter router(resumed);
+    Network net(trace, router, cfg);
+    try {
+      net.run(mgr);
+      ADD_FAILURE() << "resumed under another " << field;
+    } catch (const FormatError& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("router ") + field),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  CheckpointManager mgr(cc);
+  DtnFlowRouter router(saved);
+  Network net(trace, router, cfg);
+  EXPECT_TRUE(net.run(mgr));
 }
 
 // Suspends a small relay-chain run after 40 events, lets `patch` edit
@@ -952,11 +1103,15 @@ TEST(CheckpointEdge, OlderSchemaSnapshotsAreRefused) {
   // transit, arrival time, exchange-thinning counters and stay
   // statistics, the router's accuracy matrix and station-outage mirror,
   // the injector's down sets and counts, every store's retained count
-  // and the retry ledger's packet index.  Schema 11 has none of these,
-  // so an image stamped with an older version must be refused up front
-  // rather than misparsed.
-  ASSERT_EQ(persist::kSchemaVersion, 11u);
-  for (const std::uint8_t older : {1, 2, 3, 4, 5, 6, 7, 8, 9, 10}) {
+  // and the retry ledger's packet index.  Schema 11 images held the
+  // centralized bandwidth estimator, every landmark's previous incoming
+  // rates, the load-balancing monitors and toggles of runs without load
+  // balancing, a pin flag and a four-field pin route per destination of
+  // every routing table, and the router's time unit.  Schema 12 has none
+  // of these, so an image stamped with an older version must be refused
+  // up front rather than misparsed.
+  ASSERT_EQ(persist::kSchemaVersion, 12u);
+  for (const std::uint8_t older : {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}) {
     expect_patched_snapshot_refused(
         "schema_" + std::to_string(older),
         [&](std::vector<std::uint8_t>& bytes, const WorkloadConfig&) {
@@ -1020,14 +1175,15 @@ void expect_forged_image_refused(const T& object, T& into, Patch patch) {
 }
 
 TEST(Serializer, ForgedMatrixShapeIsRefused) {
-  // rho f64, then the counts matrix: rows u64, cols u64.  2^32 x 2^32
-  // cells wrap to a zero-sized allocation if the shape is trusted.
-  const core::BandwidthEstimator est(4, 0.5);
-  core::BandwidthEstimator into(4, 0.5);
+  // rho f64, unit u64, then the open counts matrix: rows u64, cols u64.
+  // 2^32 x 2^32 cells wrap to a zero-sized allocation if the shape is
+  // trusted.
+  const core::DistributedBandwidth est(4, 0.5);
+  core::DistributedBandwidth into(4, 0.5);
   expect_forged_image_refused(
       est, into, [](std::vector<std::uint8_t>& bytes, std::size_t at) {
-        store_le(bytes, at + 8, 8, std::uint64_t{1} << 32);
         store_le(bytes, at + 16, 8, std::uint64_t{1} << 32);
+        store_le(bytes, at + 24, 8, std::uint64_t{1} << 32);
       });
 }
 
@@ -1321,6 +1477,136 @@ TEST(CheckpointEdge, ImageHoldsNoStateTheInputsRegenerate) {
   EXPECT_TRUE(has("transition time"));
   EXPECT_TRUE(has("ledger packet"));
   EXPECT_TRUE(has("node carries a vector"));
+  // Router state nothing reads, or that the trace regenerates: the
+  // centralized estimator is folded on load, so only the distributed
+  // one (this run's) leaves fields named "bandwidth".
+  const auto named = [&](const std::string& name) {
+    return std::find(names.begin(), names.end(), name) != names.end();
+  };
+  for (const char* gone :
+       {"router time unit", "landmark previous incoming rates",
+        "routing table pinned", "routing table next hop",
+        "routing table backup next hop", "routing table pinned backup delay",
+        "bandwidth units closed", "bandwidth ewma"}) {
+    EXPECT_FALSE(named(gone)) << "image still holds '" << gone << "'";
+  }
+  EXPECT_TRUE(named("routing table pins"));
+  EXPECT_TRUE(named("landmark divert toggles"));  // load balancing is on
+
+  // With load balancing and the distributed estimator off, neither the
+  // monitors nor any bandwidth field is left.
+  MutationRun plain = run;
+  plain.router.load_balancing = false;
+  plain.router.distributed_bandwidth = false;
+  const auto plain_image = mid_run_image(plain, fresh_dir("image_map_plain"));
+  persist::Recorder plain_rec;
+  ASSERT_TRUE(restores(plain, plain_image, &plain_rec));
+  names.clear();
+  for (const persist::FieldSpan& f : plain_rec.fields()) {
+    names.emplace_back(f.name);
+  }
+  for (const char* gone :
+       {"bandwidth", "landmark incoming rates", "landmark outgoing rates",
+        "landmark previous outgoing rates", "landmark divert toggles",
+        "router time unit", "landmark previous incoming rates"}) {
+    EXPECT_FALSE(has(gone)) << "image still holds '" << gone << "'";
+  }
+}
+
+TEST(CheckpointEdge, LinkDelayOffTheFoldedEstimatorIsRefused) {
+  // The estimator is not in the image but folded on load; the tables'
+  // link delays are.  A table whose station was up at the last tick
+  // took its links from the estimator then, so one patched delay
+  // disagrees with the fold and the load's audit refuses the image.
+  MutationRun run = mutation_run();
+  run.router.distributed_bandwidth = false;  // the fold drives the links
+  std::vector<std::uint8_t> image = mid_run_image(run, fresh_dir("link_delay"));
+  persist::Recorder rec;
+  ASSERT_TRUE(restores(run, image, &rec));
+  // A station the fault log never downed was up at every tick.
+  const std::size_t landmarks = run.trace.num_landmarks();
+  std::vector<bool> ever_down(landmarks, false);
+  {
+    DtnFlowRouter router(run.router);
+    Network net(run.trace, router, run.cfg);
+    net.debug_restore_for_test(image);
+    for (const auto& t : net.faults()->log()) {
+      if (!t.node()) ever_down[t.id] = true;
+    }
+  }
+  const auto up = std::find(ever_down.begin(), ever_down.end(), false);
+  ASSERT_NE(up, ever_down.end()) << "every station had an outage";
+  const auto table = static_cast<std::size_t>(up - ever_down.begin());
+  // The table's delay of its link to another landmark.
+  std::vector<std::size_t> delays;
+  for (const persist::FieldSpan& f : rec.fields()) {
+    if (std::string(f.name) == "routing table link delay") {
+      delays.push_back(f.offset);
+    }
+  }
+  ASSERT_EQ(delays.size(), landmarks * landmarks);
+  const std::size_t at = delays[table * landmarks + (table == 0 ? 1 : 0)];
+  const double held = std::bit_cast<double>(load_le(image, at, 8));
+  store_le(image, at, 8,
+           std::bit_cast<std::uint64_t>(held == 3600.0 ? 7200.0 : 3600.0));
+  edit_section(image, "router", [](std::size_t) {});
+  const std::string error = restore_error(run, image);
+  EXPECT_NE(error.find("router.link_delays"), std::string::npos) << error;
+}
+
+TEST(CheckpointEdge, FaultLogContradictingTheQueuedEventsIsRefused) {
+  // A fault log whose last entry downs a node whose crash is still
+  // queued: the resumed run would crash a crashed node, a transition
+  // the injector refuses mid-run.  The load compares each id's queued
+  // transitions with the down sets the log rebuilds, and refuses.
+  const MutationRun run = mutation_run();
+  std::vector<std::uint8_t> image = mid_run_image(run, fresh_dir("fault_log"));
+  persist::Recorder rec;
+  ASSERT_TRUE(restores(run, image, &rec));
+  std::vector<std::pair<sim::EventKind, std::uint32_t>> queued;  // kind, a
+  std::size_t count_at = 0;
+  std::size_t log_end = 0;
+  double last_time = 0.0;
+  for (const persist::FieldSpan& f : rec.fields()) {
+    const std::string name = f.name;
+    if (name == "queue event kind") {
+      queued.emplace_back(static_cast<sim::EventKind>(image[f.offset]), 0);
+    } else if (name == "queue event a") {
+      queued.back().second =
+          static_cast<std::uint32_t>(load_le(image, f.offset, 4));
+    } else if (name == "fault transitions" && f.length) {
+      count_at = f.offset;
+      log_end = f.offset + f.width;
+    } else if (name == "transition time") {
+      last_time = std::bit_cast<double>(load_le(image, f.offset, 8));
+    } else if (name == "transition kind") {
+      log_end = f.offset + f.width;
+    }
+  }
+  // Node 3 (or the first node after it) with a crash queued is up.
+  std::uint32_t node = 3;
+  const auto crash_queued = [&](std::uint32_t n) {
+    return std::find(queued.begin(), queued.end(),
+                     std::pair{sim::EventKind::kNodeCrash, n}) !=
+           queued.end();
+  };
+  while (node < run.trace.num_nodes() && !crash_queued(node)) ++node;
+  ASSERT_LT(node, run.trace.num_nodes()) << "no queued crash";
+  ASSERT_NE(count_at, 0u);
+  // Append "node down" at the log's last time (a log may not go back).
+  store_le(image, count_at, 8, load_le(image, count_at, 8) + 1);
+  std::vector<std::uint8_t> entry(13, 0);
+  store_le(entry, 0, 8, std::bit_cast<std::uint64_t>(last_time));
+  store_le(entry, 8, 4, node);
+  entry[12] = static_cast<std::uint8_t>(
+      sim::FaultInjector::Transition::Kind::kNodeDown);
+  std::size_t payload = 0;
+  edit_section(image, "faults", [&](std::size_t at) { payload = at; });
+  splice_section(image, "faults", log_end - payload, entry);
+  const std::string error = restore_error(run, image);
+  EXPECT_NE(error.find("downs node " + std::to_string(node)),
+            std::string::npos)
+      << error;
 }
 
 TEST(CheckpointEdge, PendingEventsNamingNothingOfTheRunAreRefused) {

@@ -361,9 +361,8 @@ TEST(RoutingTableUpkeep, TieHeavyOpStreamStaysAuditClean) {
 
 // Checkpoint payload layout written by save(): self u32 | n u64 | link
 // delays n x f64 | per origin a heard flag u8, then for a heard row
-// n x f64 | last seq n x u64 | pinned n x u8 | pin routes n x Route |
-// seq u64; a Route is next u32, delay f64, backup_next u32,
-// backup_delay f64.
+// n x f64 | last seq n x u64 | pin count u64 | per pinned destination,
+// ascending: destination u32, next hop u32, delay f64 | seq u64.
 class Layout {
  public:
   /// Offsets into `image`, whose heard flags place every later field.
@@ -383,8 +382,9 @@ class Layout {
   [[nodiscard]] std::size_t cell(std::size_t o, std::size_t d) const {
     return rows_[o] + 1 + 8 * d;
   }
-  [[nodiscard]] std::size_t pin_route(std::size_t d) const {
-    return seqs_ + 9 * n_ + 24 * d;
+  /// The i-th pin's destination; its next hop follows at +4.
+  [[nodiscard]] std::size_t pin(std::size_t i) const {
+    return seqs_ + 8 * n_ + 8 + 16 * i;
   }
 
  private:
@@ -550,10 +550,18 @@ TEST(RoutingTableLoad, ImageHoldsInputsNotTheQuerySchedule) {
 }
 
 TEST(RoutingTableLoad, RejectsNextHopsOutOfRange) {
+  // The image's one pin, destination 3 -> next hop 2: neither may name
+  // a landmark the table lacks, nor none at all, and the destination is
+  // never the table's own landmark.
   const Layout at(saved_payload(image_source()));
-  for (const std::size_t field : {at.pin_route(2), at.pin_route(2) + 12,
-                                  at.pin_route(3), at.pin_route(3) + 12}) {
-    for (const std::uint32_t hop : {4u, kNoLandmark - 1}) {
+  {
+    auto bytes = saved_payload(image_source());
+    patch_u32(bytes, at.pin(0), 0);
+    RoutingTable t(0, 4);
+    EXPECT_THROW(load_payload(t, bytes), persist::FormatError) << "self";
+  }
+  for (const std::size_t field : {at.pin(0), at.pin(0) + 4}) {
+    for (const std::uint32_t hop : {4u, kNoLandmark - 1, kNoLandmark}) {
       auto bytes = saved_payload(image_source());
       patch_u32(bytes, field, hop);
       RoutingTable t(0, 4);

@@ -117,9 +117,9 @@ class MutationTest(unittest.TestCase):
     template body and follows `const_cast<T*>(this)->fields(w)`."""
 
     DROPS = (
-        ("src/core/bandwidth.cpp",
-         '  ar.matrix("bandwidth ewma", ewma_);\n', "ewma_",
-         "BandwidthEstimator"),
+        ("src/core/distributed_bandwidth.cpp",
+         '  ar.matrix("bandwidth outgoing ewma", outgoing_ewma_);\n',
+         "outgoing_ewma_", "DistributedBandwidth"),
         ("src/core/dtn_flow_router.cpp",
          '  ar.fixed("router needs reconvergence", needs_reconvergence_);\n',
          "needs_reconvergence_", "DtnFlowRouter"),
