@@ -286,7 +286,8 @@ void BM_TraceCursorReplay(benchmark::State& state) {
 BENCHMARK(BM_TraceCursorReplay);
 
 void BM_BufferAddRemove(benchmark::State& state) {
-  dtn::net::Buffer buffer(4096);
+  dtn::net::Buffer::Column column;
+  dtn::net::Buffer buffer(4096, column);
   for (auto _ : state) {
     for (dtn::net::PacketId p = 0; p < 256; ++p) {
       benchmark::DoNotOptimize(buffer.add(p));
@@ -301,7 +302,8 @@ BENCHMARK(BM_BufferAddRemove);
 // One station-to-node transfer's store work, repeated: a ~300-bundle
 // unbounded station store (the busiest campus stations) removes one
 // bundle and admits another, ids in shuffled order so removals land at
-// scattered positions.  Not gated (no baseline entry).
+// scattered positions, over a position column as in a network.  Not
+// gated (no baseline entry).
 void BM_StationStoreTransfer(benchmark::State& state) {
   constexpr std::size_t kHeld = 300;
   std::vector<dtn::net::PacketId> ids(2 * kHeld);
@@ -312,7 +314,9 @@ void BM_StationStoreTransfer(benchmark::State& state) {
   for (std::size_t i = ids.size() - 1; i > 0; --i) {
     std::swap(ids[i], ids[rng.uniform_index(i + 1)]);
   }
+  dtn::net::Buffer::Column column;
   dtn::net::BundleStore store;
+  store.configure(0, dtn::net::EvictionPolicy::kReject, false, column);
   dtn::net::BundleStore::AdmitRequest req;
   req.check_dedup = false;
   const auto admit = [&](dtn::net::PacketId pid) {

@@ -234,14 +234,6 @@ void RoutingTable::recompute() const {
   dirty_ = false;
 }
 
-Route RoutingTable::route(LandmarkId dst) const {
-  DTN_ASSERT(dst < link_delay_.size());
-  recompute();
-  return routes_[dst];
-}
-
-double RoutingTable::delay_to(LandmarkId dst) const { return route(dst).delay; }
-
 void RoutingTable::publish() {
   publish_stale_ = false;
   const std::size_t n = routes_.size();

@@ -36,6 +36,7 @@
 
 #include "trace/trace.hpp"
 #include "util/annotations.hpp"
+#include "util/assert.hpp"
 
 namespace dtn::sim {
 class AuditReport;
@@ -109,9 +110,17 @@ class RoutingTable {
   /// change.
   bool merge(const DistanceVector& dv);
 
-  /// Best/backup route toward `dst` (self -> {self, 0}).
-  [[nodiscard]] Route route(LandmarkId dst) const;
-  [[nodiscard]] double delay_to(LandmarkId dst) const;
+  /// Best/backup route toward `dst` (self -> {self, 0}).  Defined here
+  /// so the router's per-packet queries inline; only a stale table
+  /// calls out to recompute().
+  [[nodiscard]] Route route(LandmarkId dst) const {
+    DTN_ASSERT(dst < link_delay_.size());
+    if (dirty_) recompute();
+    return routes_[dst];
+  }
+  [[nodiscard]] double delay_to(LandmarkId dst) const {
+    return route(dst).delay;
+  }
 
   /// Produce the vector to advertise; each call increments the sequence
   /// number (one snapshot per carrying node).  The delays are published

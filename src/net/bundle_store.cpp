@@ -37,9 +37,9 @@ bool parse_eviction_policy(std::string_view s, EvictionPolicy* out) {
 }
 
 void BundleStore::configure(std::uint64_t capacity_kb, EvictionPolicy policy,
-                            bool dedup) {
+                            bool dedup, Buffer::Column& column) {
   DTN_ASSERT(core_.empty());
-  core_ = Buffer(capacity_kb);
+  core_ = Buffer(capacity_kb, column);
   policy_ = policy;
   dedup_ = dedup;
 }
@@ -125,11 +125,11 @@ bool BundleStore::evict_for(std::vector<PacketId>* evicted_out) {
   const std::size_t victim = pick_victim();
   if (victim == meta_.size()) return false;  // every resident is retained
   evicted_out->push_back(core_.packets()[victim]);
-  erase_resident(victim);
+  remove_at(victim);
   return true;
 }
 
-void BundleStore::erase_resident(std::size_t i) {
+void BundleStore::remove_at(std::size_t i) {
   core_.remove_at(i);
   // Mirror the Buffer's swap-erase so the slab stays parallel.
   meta_[i] = meta_.back();
@@ -139,7 +139,7 @@ void BundleStore::erase_resident(std::size_t i) {
 void BundleStore::remove(PacketId pid) {
   const std::size_t i = core_.index_of(pid);
   DTN_ASSERT(i != core_.count() && "remove: packet not in store");
-  erase_resident(i);
+  remove_at(i);
 }
 
 void BundleStore::set_retention_if_held(PacketId pid, Retention r) {
@@ -205,18 +205,15 @@ void BundleStore::audit(sim::AuditReport& report,
            " admit_seq beyond the admission counter");
     }
   }
-  // Index: every id found at its own position, and nothing else in it.
+  // Column: every id found at its own position (a broken entry reads as
+  // absent, position count()).
   for (std::size_t i = 0; i < core_.count(); ++i) {
     const std::size_t at = core_.index_of(core_.packets()[i]);
     if (at != i) {
-      fail("index maps packet " + std::to_string(core_.packets()[i]) +
+      fail("position index maps packet " + std::to_string(core_.packets()[i]) +
            " to position " + std::to_string(at) + ", id list holds it at " +
            std::to_string(i));
     }
-  }
-  if (core_.indexed_count() != core_.count()) {
-    fail("index holds " + std::to_string(core_.indexed_count()) +
-         " ids for " + std::to_string(core_.count()) + " in the id list");
   }
   // Dedup set: sorted unique; every resident logical is a member.
   if (!std::is_sorted(seen_.begin(), seen_.end()) ||

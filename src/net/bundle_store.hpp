@@ -1,9 +1,10 @@
 // Bounded-memory bundle store (docs/bounded-store.md).
 //
 // Replaces naive per-packet Buffer entries on nodes and (newly
-// boundable) landmark stations.  The id list, its id -> position index
-// and the capacity stay in the embedded net::Buffer — its
-// swap-erase order is the replay contract routers observe — and a
+// boundable) landmark stations.  The id list and the capacity stay in
+// the embedded net::Buffer — its swap-erase order is the replay
+// contract routers observe, and its positions live in the network-wide
+// column every store shares — and a
 // parallel slab of POD entry metadata (admission sequence, retention
 // constraint, expected delay, TTL deadline, logical id) rides along
 // under the same swap-erase.  Admission, removal and membership are
@@ -99,7 +100,6 @@ enum class Admit : std::uint8_t {
 class BundleStore {
  public:
   BundleStore() = default;
-  explicit BundleStore(std::uint64_t capacity_kb) : core_(capacity_kb) {}
 
   /// Everything an admission decision needs, captured at the call site
   /// so the store never reaches back into the packet table.
@@ -114,11 +114,12 @@ class BundleStore {
     bool check_dedup = true;
   };
 
-  /// Applies policy/dedup and reconfigures capacity.  Called once per
-  /// store before the replay starts (config is fingerprinted, not
-  /// checkpointed).
-  void configure(std::uint64_t capacity_kb, EvictionPolicy policy,
-                 bool dedup);
+  /// Applies policy/dedup, reconfigures capacity and attaches the
+  /// position column shared by every store of the network (it must
+  /// outlive the store).  Called once per store before the replay
+  /// starts (config is fingerprinted, not checkpointed).
+  void configure(std::uint64_t capacity_kb, EvictionPolicy policy, bool dedup,
+                 Buffer::Column& column);
 
   // -- Buffer-compatible read surface (routers compile unchanged) ------
   [[nodiscard]] std::uint64_t capacity_kb() const {
@@ -133,6 +134,10 @@ class BundleStore {
   }
   [[nodiscard]] bool contains(PacketId pid) const {
     return core_.contains(pid);
+  }
+  /// Position of `pid` in packets(), or count() when absent.
+  [[nodiscard]] std::size_t index_of(PacketId pid) const {
+    return core_.index_of(pid);
   }
 
   // -- admission / removal ---------------------------------------------
@@ -149,6 +154,10 @@ class BundleStore {
 
   /// Remove a bundle that must be present.
   void remove(PacketId pid);
+  /// Remove the bundle at packets() position `i`.  A transfer reads the
+  /// source position before admitting into the target (both share the
+  /// column), then removes by it.
+  void remove_at(std::size_t i);
 
   // -- retention ---------------------------------------------------------
   /// Updates the retention constraint if `pid` is held; no-op otherwise.
@@ -171,9 +180,9 @@ class BundleStore {
 
   // -- invariant auditing (sim/invariant_auditor.hpp) -------------------
   /// Re-derives the pool accounting (metadata slab parallel to the id
-  /// list, capacity bound), the id -> position index (every id found at
-  /// its own position, no other id indexed) and the dedup set's
-  /// sorted-unique and membership invariants.
+  /// list, capacity bound), the position column (every id found at its
+  /// own position) and the dedup set's sorted-unique and membership
+  /// invariants.
   /// `label` prefixes failure details ("node 3", "station 7").
   void audit(sim::AuditReport& report, std::string_view label) const;
 
@@ -185,7 +194,7 @@ class BundleStore {
   /// +1: append a copy of the first entry to the metadata slab (the slab
   /// outgrows the id list); -1: undo.
   void debug_corrupt_pool_size_for_test(int delta);
-  /// Re-point the first id's index entry by `delta` slots.
+  /// Re-point the first id's column entry by `delta` slots.
   void debug_corrupt_index_for_test(int delta) {
     core_.debug_corrupt_index_for_test(delta);
   }
@@ -210,8 +219,6 @@ class BundleStore {
   /// Evicts one retention-free victim per `policy_`; false (store
   /// unchanged) when every resident is retained.
   bool evict_for(std::vector<PacketId>* evicted_out);
-  /// Drop the bundle at id-list position `i`.
-  void erase_resident(std::size_t i);
   [[nodiscard]] std::size_t pick_victim() const;
 
   Buffer core_;

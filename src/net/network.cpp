@@ -64,13 +64,14 @@ Network::Network(const trace::Trace& trace, Router& router,
   outage_recovery_pending_.assign(trace.num_landmarks(), -1.0);
   node_stores_.resize(trace.num_nodes());
   for (BundleStore& store : node_stores_) {
-    store.configure(cfg_.node_memory_kb, cfg_.store.policy, cfg_.store.dedup);
+    store.configure(cfg_.node_memory_kb, cfg_.store.policy, cfg_.store.dedup,
+                    store_position_);
   }
   location_.assign(trace.num_nodes(), kNoLandmark);
   stations_.resize(trace.num_landmarks());
   for (StationState& st : stations_) {
     st.storage.configure(cfg_.store.station_memory_kb, cfg_.store.policy,
-                         cfg_.store.dedup);
+                         cfg_.store.dedup, store_position_);
   }
 }
 
@@ -421,21 +422,21 @@ void Network::fields(Ar& ar) {
   ar.value("any node addressed", any_node_addressed_);
   ar.end_section();
 
+  // The store position column is derived from the id lists: each store
+  // load writes its ids' positions, refusing an id outside the packet
+  // table or one an earlier store (or this one) already lists.
+  if constexpr (loading) {
+    store_position_.assign(packets_.size(), Buffer::kAbsent);
+  }
   ar.begin_section("nodes");
   ar.expect("node count", node_stores_.size());
-  for (BundleStore& store : node_stores_) {
-    ar.object(store);
-    ar.check(all_below(store.packets(), packets_.size()),
-             "node buffer packet out of range");
-  }
+  for (BundleStore& store : node_stores_) ar.object(store);
   ar.end_section();
 
   ar.begin_section("stations");
   ar.expect("station count", stations_.size());
   for (StationState& st : stations_) {
     ar.object(st.storage);
-    ar.check(all_below(st.storage.packets(), packets_.size()),
-             "station storage packet out of range");
     ar.vec("station origin queue", st.origin);
     ar.check(all_below(st.origin, packets_.size()),
              "station origin queue packet out of range");
@@ -866,16 +867,6 @@ void Network::note_station_activity(LandmarkId l) {
   pending = -1.0;
 }
 
-std::span<const NodeId> Network::nodes_at(LandmarkId l) const {
-  DTN_ASSERT(l < stations_.size());
-  return stations_[l].present;
-}
-
-LandmarkId Network::location(NodeId node) const {
-  DTN_ASSERT(node < location_.size());
-  return location_[node];
-}
-
 std::vector<double> Network::dispatched_tick_times() const {
   std::vector<double> times;
   for (const sim::Event& ev : sim_.static_dispatched()) {
@@ -903,33 +894,9 @@ const trace::Visit* Network::current_visit(NodeId node) const {
   return &trace_.visits(node)[history(node).size()];
 }
 
-Packet& Network::packet(PacketId pid) {
-  DTN_ASSERT(pid < packets_.size());
-  return packets_[pid];
-}
-
-const Packet& Network::packet(PacketId pid) const {
-  DTN_ASSERT(pid < packets_.size());
-  return packets_[pid];
-}
-
 std::span<const PacketId> Network::origin_packets(LandmarkId l) const {
   DTN_ASSERT(l < stations_.size());
   return stations_[l].origin;
-}
-
-std::span<const PacketId> Network::station_packets(LandmarkId l) const {
-  DTN_ASSERT(l < stations_.size());
-  return stations_[l].storage.packets();
-}
-
-std::span<const PacketId> Network::node_packets(NodeId node) const {
-  return node_buffer(node).packets();
-}
-
-const BundleStore& Network::node_buffer(NodeId node) const {
-  DTN_ASSERT(node < node_stores_.size());
-  return node_stores_[node];
 }
 
 const BundleStore& Network::station_store(LandmarkId l) const {
@@ -1094,13 +1061,17 @@ bool Network::station_to_node(LandmarkId l, NodeId node, PacketId pid) {
     return true;
   }
   // Station dispatch onto a carrier: no dedup check — refusing the
-  // single-copy backbone's forward path would strand packets.
+  // single-copy backbone's forward path would strand packets.  The
+  // source position is read before the target's append re-points the
+  // shared column.
+  BundleStore& source = stations_[l].storage;
+  const std::size_t at = source.index_of(pid);
   if (store_admit(node_stores_[node], p, Retention::kNone,
                   /*check_dedup=*/false) != Admit::kStored) {
     ++counters_.refused_buffer;
     return false;
   }
-  stations_[l].storage.remove(pid);
+  source.remove_at(at);
   p.state = PacketState::kOnNode;
   p.holder = node;
   ++p.hops;
@@ -1133,12 +1104,14 @@ bool Network::node_to_station(NodeId node, PacketId pid) {
   // Admission first: a bounded station may evict per policy or refuse
   // the incoming bundle — refusal leaves the packet on the carrier
   // (unbounded stations always admit, the §V-A.1 default).
+  BundleStore& source = node_stores_[node];
+  const std::size_t at = source.index_of(pid);
   if (store_admit(stations_[l].storage, p, Retention::kNone,
                   /*check_dedup=*/false) != Admit::kStored) {
     ++counters_.refused_buffer;
     return false;
   }
-  node_stores_[node].remove(pid);
+  source.remove_at(at);
   ++p.hops;
   ++counters_.packet_forwards;
   p.state = PacketState::kAtStation;
@@ -1168,6 +1141,8 @@ bool Network::node_to_node(NodeId from, NodeId to, PacketId pid) {
   }
   // Node-to-node relaying is where copies multiply, so the dedup set
   // applies here: a receiver that already saw this logical refuses it.
+  BundleStore& source = node_stores_[from];
+  const std::size_t at = source.index_of(pid);
   const Admit verdict =
       store_admit(node_stores_[to], p, Retention::kNone,
                   /*check_dedup=*/true);
@@ -1175,7 +1150,7 @@ bool Network::node_to_node(NodeId from, NodeId to, PacketId pid) {
     if (verdict == Admit::kRefusedCapacity) ++counters_.refused_buffer;
     return false;
   }
-  node_stores_[from].remove(pid);
+  source.remove_at(at);
   p.holder = to;
   ++p.hops;
   ++counters_.packet_forwards;
@@ -1462,7 +1437,7 @@ void Network::audit_buffer_accounting(sim::AuditReport& report) const {
 }
 
 void Network::audit_bundle_stores(sim::AuditReport& report) const {
-  // Each store re-derives its own pool, index and dedup-set
+  // Each store re-derives its own pool, column-entry and dedup-set
   // invariants (BundleStore::audit); the network-level part
   // cross-checks retention constraints against the packet table and the
   // fault ledger.
@@ -1571,7 +1546,7 @@ bool Network::debug_corrupt_for_test(Corruption kind, int delta) {
       return false;
     case Corruption::kStoreIndex:
       // The bug class this simulates: a swap-erase moved the last id
-      // but left its index entry at the old position.
+      // but left its column entry at the old position.
       for (auto& store : node_stores_) {
         if (store.count() == 0) continue;
         store.debug_corrupt_index_for_test(delta);

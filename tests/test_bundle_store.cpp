@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <filesystem>
 #include <iterator>
 #include <map>
@@ -40,6 +41,7 @@ using core::DtnFlowRouter;
 using dtn::testing::relay_chain_trace;
 using net::Admit;
 using net::BundleStore;
+using Column = net::Buffer::Column;
 using net::EvictionPolicy;
 using net::Network;
 using net::PacketId;
@@ -103,8 +105,9 @@ TEST(BundleStore, PolicyNamesRoundTrip) {
 // -- admission / eviction -----------------------------------------------
 
 TEST(BundleStore, RejectPolicyRefusesWhenFull) {
+  Column column;
   BundleStore s;
-  s.configure(2, EvictionPolicy::kReject, false);
+  s.configure(2, EvictionPolicy::kReject, false, column);
   std::vector<PacketId> evicted;
   EXPECT_EQ(s.admit(request(0), &evicted), Admit::kStored);
   EXPECT_EQ(s.admit(request(1), &evicted), Admit::kStored);
@@ -114,8 +117,9 @@ TEST(BundleStore, RejectPolicyRefusesWhenFull) {
 }
 
 TEST(BundleStore, DropOldestEvictsSmallestAdmissionSequence) {
+  Column column;
   BundleStore s;
-  s.configure(3, EvictionPolicy::kDropOldest, false);
+  s.configure(3, EvictionPolicy::kDropOldest, false, column);
   std::vector<PacketId> evicted;
   ASSERT_EQ(s.admit(request(10), &evicted), Admit::kStored);
   ASSERT_EQ(s.admit(request(11), &evicted), Admit::kStored);
@@ -131,8 +135,9 @@ TEST(BundleStore, DropOldestEvictsSmallestAdmissionSequence) {
 }
 
 TEST(BundleStore, DropLargestExpectedDelayEvictsWorstTiesToOldest) {
+  Column column;
   BundleStore s;
-  s.configure(3, EvictionPolicy::kDropLargestExpectedDelay, false);
+  s.configure(3, EvictionPolicy::kDropLargestExpectedDelay, false, column);
   std::vector<PacketId> evicted;
   auto with_delay = [](PacketId pid, double delay) {
     auto req = request(pid);
@@ -148,8 +153,9 @@ TEST(BundleStore, DropLargestExpectedDelayEvictsWorstTiesToOldest) {
 }
 
 TEST(BundleStore, TtlExpireEvictsEarliestDeadline) {
+  Column column;
   BundleStore s;
-  s.configure(3, EvictionPolicy::kTtlExpire, false);
+  s.configure(3, EvictionPolicy::kTtlExpire, false, column);
   std::vector<PacketId> evicted;
   auto with_deadline = [](PacketId pid, double deadline) {
     auto req = request(pid);
@@ -164,8 +170,9 @@ TEST(BundleStore, TtlExpireEvictsEarliestDeadline) {
 }
 
 TEST(BundleStore, EachAdmissionIntoAFullStoreEvictsExactlyOneVictim) {
+  Column column;
   BundleStore s;
-  s.configure(4, EvictionPolicy::kDropOldest, false);
+  s.configure(4, EvictionPolicy::kDropOldest, false, column);
   std::vector<PacketId> evicted;
   for (PacketId pid = 0; pid < 4; ++pid) {
     ASSERT_EQ(s.admit(request(pid), &evicted), Admit::kStored);
@@ -178,8 +185,9 @@ TEST(BundleStore, EachAdmissionIntoAFullStoreEvictsExactlyOneVictim) {
 }
 
 TEST(BundleStore, RetainedEntriesAreNeverVictims) {
+  Column column;
   BundleStore s;
-  s.configure(2, EvictionPolicy::kDropOldest, false);
+  s.configure(2, EvictionPolicy::kDropOldest, false, column);
   std::vector<PacketId> evicted;
   auto retained = request(0);
   retained.retention = Retention::kDispatchPending;
@@ -196,8 +204,9 @@ TEST(BundleStore, RetainedEntriesAreNeverVictims) {
 TEST(BundleStore, FullyRetainedStoreRefusesAndStaysUntouched) {
   // When every resident is retained there is no victim: the store
   // refuses and keeps all of them.
+  Column column;
   BundleStore s;
-  s.configure(2, EvictionPolicy::kDropOldest, false);
+  s.configure(2, EvictionPolicy::kDropOldest, false, column);
   std::vector<PacketId> evicted;
   auto pinned = request(0);
   pinned.retention = Retention::kForwardPending;
@@ -218,8 +227,9 @@ TEST(BundleStore, FullyRetainedStoreRefusesAndStaysUntouched) {
 }
 
 TEST(BundleStore, RetentionSetsAndClears) {
+  Column column;
   BundleStore s;
-  s.configure(4, EvictionPolicy::kDropOldest, false);
+  s.configure(4, EvictionPolicy::kDropOldest, false, column);
   std::vector<PacketId> evicted;
   ASSERT_EQ(s.admit(request(0), &evicted), Admit::kStored);
   EXPECT_EQ(s.retention(0), Retention::kNone);
@@ -237,8 +247,9 @@ TEST(BundleStore, RetentionSetsAndClears) {
 // -- dedup ---------------------------------------------------------------
 
 TEST(BundleStore, DedupRefusesReadmittedLogical) {
+  Column column;
   BundleStore s;
-  s.configure(8, EvictionPolicy::kReject, /*dedup=*/true);
+  s.configure(8, EvictionPolicy::kReject, /*dedup=*/true, column);
   std::vector<PacketId> evicted;
   auto original = request(5);
   original.logical = 5;
@@ -255,8 +266,9 @@ TEST(BundleStore, DedupRefusesReadmittedLogical) {
 }
 
 TEST(BundleStore, DedupDisabledSeesNothing) {
+  Column column;
   BundleStore s;
-  s.configure(8, EvictionPolicy::kReject, /*dedup=*/false);
+  s.configure(8, EvictionPolicy::kReject, /*dedup=*/false, column);
   std::vector<PacketId> evicted;
   ASSERT_EQ(s.admit(request(5), &evicted), Admit::kStored);
   EXPECT_FALSE(s.seen_logical(5));
@@ -268,8 +280,9 @@ TEST(BundleStore, DedupDisabledSeesNothing) {
 TEST(BundleStore, RemovingAResidentMakesRoomWithoutEviction) {
   // A full reject store refuses the overflow outright; nothing is held
   // for it elsewhere.  Once a resident leaves, the same bundle fits.
+  Column column;
   BundleStore s;
-  s.configure(2, EvictionPolicy::kReject, false);
+  s.configure(2, EvictionPolicy::kReject, false, column);
   std::vector<PacketId> evicted;
   ASSERT_EQ(s.admit(request(0), &evicted), Admit::kStored);
   ASSERT_EQ(s.admit(request(1), &evicted), Admit::kStored);
@@ -289,8 +302,9 @@ TEST(BundleStore, RemovingAResidentMakesRoomWithoutEviction) {
 TEST(BundleStore, RemovingFromTheMiddleKeepsEvictionOrder) {
   // The swap-erase moves the last entry's metadata with its id, so the
   // admission order that drop-oldest follows survives a removal.
+  Column column;
   BundleStore s;
-  s.configure(3, EvictionPolicy::kDropOldest, false);
+  s.configure(3, EvictionPolicy::kDropOldest, false, column);
   std::vector<PacketId> evicted;
   for (PacketId pid : {0u, 1u, 2u}) {
     ASSERT_EQ(s.admit(request(pid), &evicted), Admit::kStored);
@@ -310,16 +324,20 @@ TEST(BundleStore, RemovingFromTheMiddleKeepsEvictionOrder) {
 // -- checkpoint round trip -----------------------------------------------
 
 TEST(BundleStore, CheckpointRoundTripKeepsRetentionDedupAndVictimOrder) {
+  Column a_column;
   BundleStore a;
-  a.configure(2, EvictionPolicy::kDropOldest, /*dedup=*/true);
+  a.configure(2, EvictionPolicy::kDropOldest, /*dedup=*/true, a_column);
   std::vector<PacketId> evicted;
   ASSERT_EQ(a.admit(request(0), &evicted), Admit::kStored);
   auto pinned = request(1);
   pinned.retention = Retention::kDispatchPending;
   ASSERT_EQ(a.admit(pinned, &evicted), Admit::kStored);
 
+  // A load places ids inside its column, which a network sizes to the
+  // packet table.
+  Column b_column(2, net::Buffer::kAbsent);
   BundleStore b;
-  b.configure(2, EvictionPolicy::kDropOldest, /*dedup=*/true);
+  b.configure(2, EvictionPolicy::kDropOldest, /*dedup=*/true, b_column);
   load_image(b, store_image(a));
   EXPECT_EQ(store_image(b), store_image(a));
   EXPECT_EQ(b.retention(0), Retention::kNone);
@@ -342,19 +360,22 @@ TEST(BundleStore, CheckpointRoundTripKeepsRetentionDedupAndVictimOrder) {
 }
 
 TEST(BundleStore, LoadRejectsAnImageOverItsCapacity) {
+  Column big_column;
   BundleStore big;
-  big.configure(3, EvictionPolicy::kReject, false);
+  big.configure(3, EvictionPolicy::kReject, false, big_column);
   std::vector<PacketId> evicted;
   for (PacketId pid : {0u, 1u, 2u}) {
     ASSERT_EQ(big.admit(request(pid), &evicted), Admit::kStored);
   }
   const auto bytes = store_image(big);
+  Column same_column(3, net::Buffer::kAbsent);
   BundleStore same;
-  same.configure(3, EvictionPolicy::kReject, false);
+  same.configure(3, EvictionPolicy::kReject, false, same_column);
   load_image(same, bytes);
   EXPECT_EQ(same.count(), 3u);
+  Column small_column;
   BundleStore small;
-  small.configure(2, EvictionPolicy::kReject, false);
+  small.configure(2, EvictionPolicy::kReject, false, small_column);
   EXPECT_THROW(load_image(small, bytes), persist::FormatError);
 }
 
@@ -374,7 +395,7 @@ struct ReferenceStore {
 
 // Compares every observable of `s` with `ref`: membership of `probes`,
 // the id list, per-id retention, and the audit (which cross-checks the
-// index).
+// position column).
 void expect_matches(const BundleStore& s, const ReferenceStore& ref,
                     const std::vector<PacketId>& probes) {
   ASSERT_EQ(s.count(), ref.memory.size());
@@ -392,25 +413,62 @@ void expect_matches(const BundleStore& s, const ReferenceStore& ref,
   ASSERT_TRUE(report.ok()) << report.to_string();
 }
 
-// save -> load into a fresh store with the same configuration; the
-// reloaded store must save the same bytes.
-void reload(BundleStore& s, std::uint64_t capacity, EvictionPolicy policy,
-            bool dedup) {
-  const std::vector<std::uint8_t> bytes = store_image(s);
-  BundleStore fresh;
-  fresh.configure(capacity, policy, dedup);
-  load_image(fresh, bytes);
-  ASSERT_EQ(store_image(fresh), bytes);
-  s = std::move(fresh);
+// save -> load of both stores into fresh stores with the same
+// configuration over a cleared column, as a network load does; the
+// reloaded stores must save the same bytes.
+void reload(std::array<BundleStore, 2>& stores, Column& column,
+            std::uint64_t capacity, EvictionPolicy policy, bool dedup) {
+  const std::array<std::vector<std::uint8_t>, 2> bytes = {
+      store_image(stores[0]), store_image(stores[1])};
+  column.assign(column.size(), net::Buffer::kAbsent);
+  for (std::size_t k = 0; k < 2; ++k) {
+    BundleStore fresh;
+    fresh.configure(capacity, policy, dedup, column);
+    load_image(fresh, bytes[k]);
+    ASSERT_EQ(store_image(fresh), bytes[k]);
+    stores[k] = std::move(fresh);
+  }
+}
+
+// Applies an admission's outcome to `ref`: evicted victims leave it, a
+// stored bundle enters it.
+void note_admission(ReferenceStore& ref, const BundleStore& s,
+                    const BundleStore::AdmitRequest& req, Admit verdict,
+                    const std::vector<PacketId>& evicted, bool seen) {
+  for (const PacketId v : evicted) {
+    const auto it = ref.memory.find(v);
+    ASSERT_NE(it, ref.memory.end()) << "evicted absent " << v;
+    ASSERT_EQ(it->second, Retention::kNone);
+    ref.memory.erase(it);
+  }
+  const bool dedup = s.dedup_enabled();
+  switch (verdict) {
+    case Admit::kStored:
+      ASSERT_FALSE(dedup && req.check_dedup && seen);
+      ref.memory[req.pid] = req.retention;
+      break;
+    case Admit::kRefusedDuplicate:
+      ASSERT_TRUE(dedup && req.check_dedup && seen);
+      break;
+    case Admit::kRefusedCapacity:
+      ASSERT_TRUE(evicted.empty());
+      ASSERT_FALSE(s.has_space());
+      break;
+  }
+  if (dedup && verdict == Admit::kStored) ref.seen.insert(req.logical);
 }
 
 TEST(BundleStoreDifferential, MatchesAReferenceSetUnderRandomTraffic) {
+  // Two stores share one position column, as every store of a network
+  // does, and bundles move between them in a transfer's order: read the
+  // source position, admit into the target, then remove by that
+  // position.  A packet sits in at most one of them.
   constexpr PacketId kUniverse = 700;
   constexpr int kOps = 2000;
   std::vector<PacketId> everything(kUniverse);
   for (PacketId pid = 0; pid < kUniverse; ++pid) everything[pid] = pid;
-  // Unbounded stores grow the index to a few hundred ids; bounded ones
-  // evict or refuse.
+  // Unbounded stores place a few hundred ids in the column; bounded
+  // ones evict or refuse.
   for (const std::uint64_t capacity : {0u, 24u, 300u}) {
     for (const EvictionPolicy policy :
          {EvictionPolicy::kReject, EvictionPolicy::kDropOldest,
@@ -421,66 +479,99 @@ TEST(BundleStoreDifferential, MatchesAReferenceSetUnderRandomTraffic) {
                      to_string(policy) + " dedup " + std::to_string(dedup));
         Rng rng(capacity * 131 + static_cast<std::uint64_t>(policy) * 17 +
                 (dedup ? 1 : 0));
-        BundleStore s;
-        s.configure(capacity, policy, dedup);
-        ReferenceStore ref;
+        Column column(kUniverse, net::Buffer::kAbsent);
+        std::array<BundleStore, 2> stores;
+        for (BundleStore& s : stores) s.configure(capacity, policy, dedup, column);
+        std::array<ReferenceStore, 2> refs;
+        const auto held_anywhere = [&](PacketId pid) {
+          return refs[0].holds(pid) || refs[1].holds(pid);
+        };
+        const auto random_request = [&](PacketId pid) {
+          BundleStore::AdmitRequest req;
+          req.pid = pid;
+          req.logical = pid;
+          req.retention = rng.bernoulli(0.15) ? Retention::kDispatchPending
+                                              : Retention::kNone;
+          req.expected_delay = static_cast<double>(rng.uniform_index(50));
+          req.deadline = static_cast<double>(rng.uniform_index(50));
+          req.check_dedup = rng.bernoulli(0.5);
+          return req;
+        };
+        // Ids both stores hold, i.e. live entries of the column.
+        const auto column_load = [&refs] {
+          return refs[0].memory.size() + refs[1].memory.size();
+        };
         std::size_t evictions = 0;
+        std::size_t moves = 0;
         std::size_t peak = 0;
         PacketId touched = 0;
         for (int op = 0; op < kOps; ++op) {
-          peak = std::max(peak, ref.memory.size());
-          // Everything every 25 steps; every 250, all ids and a
-          // save -> load -> continue.
-          if (op % 25 == 0) expect_matches(s, ref, {touched});
+          peak = std::max(peak, column_load());
+          // Every 250 steps, all ids and a save -> load -> continue.
           if (op % 250 == 0 && op > 0) {
-            expect_matches(s, ref, everything);
-            reload(s, capacity, policy, dedup);
-            expect_matches(s, ref, everything);
+            for (std::size_t k = 0; k < 2; ++k) {
+              expect_matches(stores[k], refs[k], everything);
+            }
+            reload(stores, column, capacity, policy, dedup);
+            for (std::size_t k = 0; k < 2; ++k) {
+              expect_matches(stores[k], refs[k], everything);
+            }
           }
+          // Most traffic enters store 0; store 1 fills through moves.
+          const std::size_t k = rng.bernoulli(0.8) ? 0 : 1;
+          BundleStore& s = stores[k];
+          ReferenceStore& ref = refs[k];
           const std::uint64_t roll = rng.uniform_index(100);
           // Mostly admissions for the first half of the run (until
           // the store is full; unbounded ones stop at 350 ids), then
-          // mostly churn.
-          const std::uint64_t admit_share = op < kOps / 2 ? 85 : 55;
+          // mostly churn: moves, removals, retention changes.
+          const bool filling = op < kOps / 2;
+          const std::uint64_t admit_share = filling ? 85 : 55;
+          const std::uint64_t move_end = filling ? 90 : 75;
+          const std::uint64_t remove_end = filling ? 95 : 90;
           if (roll < admit_share &&
               (capacity != 0 || ref.memory.size() < 350)) {
             const auto pid =
                 static_cast<PacketId>(rng.uniform_index(kUniverse));
-            if (ref.holds(pid)) continue;
-            BundleStore::AdmitRequest req;
-            req.pid = pid;
-            req.logical = pid;
-            req.retention = rng.bernoulli(0.15) ? Retention::kDispatchPending
-                                                : Retention::kNone;
-            req.expected_delay = static_cast<double>(rng.uniform_index(50));
-            req.deadline = static_cast<double>(rng.uniform_index(50));
-            req.check_dedup = rng.bernoulli(0.5);
+            if (held_anywhere(pid)) continue;
+            const BundleStore::AdmitRequest req = random_request(pid);
             const bool seen = ref.seen.count(pid) != 0;
             std::vector<PacketId> evicted;
             const Admit verdict = s.admit(req, &evicted);
             evictions += evicted.size();
-            for (const PacketId v : evicted) {
-              const auto it = ref.memory.find(v);
-              ASSERT_NE(it, ref.memory.end()) << "evicted absent " << v;
-              ASSERT_EQ(it->second, Retention::kNone);
-              ref.memory.erase(it);
-            }
-            switch (verdict) {
-              case Admit::kStored:
-                ASSERT_FALSE(dedup && req.check_dedup && seen);
-                ref.memory[pid] = req.retention;
-                break;
-              case Admit::kRefusedDuplicate:
-                ASSERT_TRUE(dedup && req.check_dedup && seen);
-                break;
-              case Admit::kRefusedCapacity:
-                ASSERT_TRUE(evicted.empty());
-                ASSERT_FALSE(s.has_space());
-                break;
-            }
-            if (dedup && verdict == Admit::kStored) ref.seen.insert(pid);
+            note_admission(ref, s, req, verdict, evicted, seen);
             touched = pid;
-          } else if (roll < 90) {
+          } else if (roll < move_end) {
+            // A transfer to the other store.
+            if (ref.memory.empty()) continue;
+            auto it = ref.memory.begin();
+            std::advance(it, static_cast<std::ptrdiff_t>(
+                                 rng.uniform_index(ref.memory.size())));
+            const PacketId pid = it->first;
+            BundleStore& target = stores[1 - k];
+            ReferenceStore& target_ref = refs[1 - k];
+            const std::size_t at = s.index_of(pid);
+            ASSERT_NE(at, s.count());
+            BundleStore::AdmitRequest req = random_request(pid);
+            req.retention = Retention::kNone;
+            const bool seen = target_ref.seen.count(pid) != 0;
+            std::vector<PacketId> evicted;
+            const Admit verdict = target.admit(req, &evicted);
+            evictions += evicted.size();
+            note_admission(target_ref, target, req, verdict, evicted, seen);
+            if (verdict == Admit::kStored) {
+              // The target's append re-pointed the shared column; the
+              // source still lists the bundle at `at`.
+              ASSERT_EQ(s.packets()[at], pid);
+              s.remove_at(at);
+              ref.memory.erase(pid);
+              ++moves;
+            } else {
+              // A refused admission leaves the source untouched.
+              ASSERT_EQ(s.index_of(pid), at);
+            }
+            touched = pid;
+          } else if (roll < remove_end) {
             if (ref.memory.empty()) continue;
             auto it = ref.memory.begin();
             std::advance(it, static_cast<std::ptrdiff_t>(
@@ -498,11 +589,15 @@ TEST(BundleStoreDifferential, MatchesAReferenceSetUnderRandomTraffic) {
             it->second = r;
             touched = it->first;
           }
-          ASSERT_EQ(s.contains(touched), ref.holds(touched));
-          ASSERT_EQ(s.count(), ref.memory.size());
+          for (std::size_t j = 0; j < 2; ++j) {
+            expect_matches(stores[j], refs[j], {touched});
+          }
         }
-        expect_matches(s, ref, everything);
+        for (std::size_t j = 0; j < 2; ++j) {
+          expect_matches(stores[j], refs[j], everything);
+        }
         // Every configuration exercised what it exists for.
+        EXPECT_GT(moves, 20u);
         if (capacity == 0) {
           EXPECT_GE(peak, 300u);
         }
@@ -515,9 +610,10 @@ TEST(BundleStoreDifferential, MatchesAReferenceSetUnderRandomTraffic) {
 }
 
 TEST(BundleStoreDeath, DoubleAdmissionAborts) {
-  // In memory: the admission check and the index insert both refuse.
+  // In memory: the admission check and the append both refuse.
+  Column column;
   BundleStore s;
-  s.configure(10, EvictionPolicy::kReject, false);
+  s.configure(10, EvictionPolicy::kReject, false, column);
   std::vector<PacketId> evicted;
   ASSERT_EQ(s.admit(request(1), &evicted), Admit::kStored);
   EXPECT_DEATH((void)s.admit(request(1), &evicted), "DTN_ASSERT");
@@ -529,8 +625,9 @@ TEST(BundleStoreDeath, DoubleAdmissionAborts) {
 // Build a store exercising every feature, seed each corruption, prove
 // the audit reports it, revert, prove it passes again.
 TEST(BundleStoreAudit, EverySeededCorruptionIsDetectedAndRevertible) {
+  Column column;
   BundleStore s;
-  s.configure(2, EvictionPolicy::kDropOldest, /*dedup=*/true);
+  s.configure(2, EvictionPolicy::kDropOldest, /*dedup=*/true, column);
   std::vector<PacketId> evicted;
   auto pinned = request(0);
   pinned.retention = Retention::kDispatchPending;
@@ -869,6 +966,36 @@ TEST(Overload, CheckpointResumeOfBoundedStationsIsBitIdentical) {
   ASSERT_TRUE(net.run(mgr));
   net.validate_invariants();
   EXPECT_EQ(metrics::run_digest(net, router), full_digest);
+}
+
+// -- node -> node moves over the shared position column ---------------
+
+TEST(SharedColumn, NodeToNodeRelayAuditedAtEveryEventMatchesThePlainRun) {
+  // Node -> node relaying moves a bundle between two stores of the same
+  // kind, both over the network's one position column.  The audit after
+  // every event checks each store's ids against the column, and the
+  // audited run must stay bit-identical to the plain one.
+  const auto trace = overload_trace();
+  WorkloadConfig cfg = overload_workload();
+  core::DtnFlowConfig rc;
+  rc.node_to_node_relay = true;
+  const auto digest_of = [&](const core::DtnFlowConfig& router_cfg,
+                             std::uint64_t audit_period) {
+    DtnFlowRouter router(router_cfg);
+    WorkloadConfig run_cfg = cfg;
+    run_cfg.audit_period_events = audit_period;
+    Network net(trace, router, run_cfg);
+    net.run();
+    net.validate_invariants();
+    if (audit_period == 1) {
+      EXPECT_GE(net.auditor().audits_run(), net.events_executed());
+    }
+    return metrics::run_digest(net, router);
+  };
+  const std::uint64_t plain = digest_of(rc, 0);
+  EXPECT_EQ(digest_of(rc, 1), plain);
+  // The relay moved bundles: without it the run differs.
+  EXPECT_NE(digest_of(core::DtnFlowConfig{}, 0), plain);
 }
 
 }  // namespace

@@ -1189,9 +1189,11 @@ TEST(Serializer, ForgedMatrixShapeIsRefused) {
 
 TEST(Serializer, ForgedBufferCountIsRefused) {
   // The id count u64 comes first.
-  net::Buffer buf(100);
+  net::Buffer::Column column;
+  net::Buffer buf(100, column);
   ASSERT_TRUE(buf.add(3));
-  net::Buffer into;
+  net::Buffer::Column into_column(4, net::Buffer::kAbsent);
+  net::Buffer into(100, into_column);
   expect_forged_image_refused(
       buf, into, [](std::vector<std::uint8_t>& bytes, std::size_t at) {
         store_le(bytes, at, 8, std::uint64_t{1} << 62);
@@ -1450,6 +1452,39 @@ TEST(CheckpointEdge, LedgerPacketOutOfRangeIsRefused) {
   EXPECT_NE(restore_error(mutation_run(), li.image)
                 .find("ledger packet out of range"),
             std::string::npos);
+}
+
+TEST(CheckpointEdge, PacketListedByANodeAndAStationStoreIsRefused) {
+  // Every store writes its ids' positions into one network-wide column,
+  // so a packet that two stores list would need two positions there.
+  // Splice a node-held id over the first id of a station store's list:
+  // the load refuses the image and names the packet.
+  const MutationRun run = mutation_run();
+  std::vector<std::uint8_t> image = mid_run_image(run, fresh_dir("splice"));
+  persist::Recorder rec;
+  ASSERT_TRUE(restores(run, image, &rec));
+  std::size_t stations_at = 0;
+  for (const persist::FieldSpan& f : rec.fields()) {
+    if (std::string(f.name) == "station count") stations_at = f.offset;
+  }
+  ASSERT_NE(stations_at, 0u);
+  std::size_t node_ids = 0;
+  std::size_t station_ids = 0;
+  for (const persist::FieldSpan& f : rec.fields()) {
+    if (std::string(f.name) != "buffer packets" || f.length) continue;
+    std::size_t& first = f.offset < stations_at ? node_ids : station_ids;
+    if (first == 0) first = f.offset;
+  }
+  ASSERT_NE(node_ids, 0u) << "no node store holds a packet";
+  ASSERT_NE(station_ids, 0u) << "no station store holds a packet";
+  const std::uint64_t pid = load_le(image, node_ids, 4);
+  store_le(image, station_ids, 4, pid);
+  edit_section(image, "stations", [](std::size_t) {});
+  const std::string error = restore_error(run, image);
+  EXPECT_NE(error.find("packet " + std::to_string(pid) +
+                       " is held by two stores"),
+            std::string::npos)
+      << error;
 }
 
 TEST(CheckpointEdge, ImageHoldsNoStateTheInputsRegenerate) {
