@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "core/bandwidth.hpp"
 #include "core/markov_predictor.hpp"
@@ -20,6 +21,7 @@
 #include "core/dtn_flow_router.hpp"
 #include "net/network.hpp"
 #include "persist/checkpoint.hpp"
+#include "persist/serializer.hpp"
 #include "trace/campus_generator.hpp"
 #include "trace/city_generator.hpp"
 #include "trace/cursor.hpp"
@@ -641,6 +643,20 @@ void BM_CheckpointRestore(benchmark::State& state) {
   fs::remove_all(dir);
 }
 BENCHMARK(BM_CheckpointRestore);
+
+void BM_Crc32(benchmark::State& state) {
+  // The per-section checksum of every snapshot write and verified load,
+  // over a 2 MB payload.
+  std::vector<std::uint8_t> buf(2U << 20U);
+  dtn::Rng rng(5);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next_u64());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dtn::persist::crc32(buf));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(buf.size()));
+}
+BENCHMARK(BM_Crc32);
 
 }  // namespace
 

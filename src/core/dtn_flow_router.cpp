@@ -98,10 +98,13 @@ void DtnFlowRouter::on_init(Network& net) {
   landmarks_.assign(m, LandmarkState{});
   for (NodeId i = 0; i < n; ++i) {
     nodes_[i].predictor.emplace(m, cfg_.predictor_order);
+    // Per-(node, landmark) state exists only when its feature reads it.
     NodeTransits& t = nodes_[i].transits;
-    t.stay_sum.assign(m, 0.0);
-    t.stay_count.assign(m, 0);
-    t.departures_since_dv.assign(m, 0);
+    if (cfg_.dead_end_prevention) {
+      t.stay_sum.assign(m, 0.0);
+      t.stay_count.assign(m, 0);
+    }
+    if (cfg_.dv_exchange_every > 1) t.departures_since_dv.assign(m, 0);
   }
   for (LandmarkId l = 0; l < m; ++l) {
     LandmarkState& ls = landmarks_[l];
@@ -555,18 +558,21 @@ bool DtnFlowRouter::note_departure(NodeId node, LandmarkId l, double now,
                                    bool node_down, bool station_down) {
   if (node_down) return false;
   NodeTransits& t = nodes_[node].transits;
-  // Stay-time statistics (completed stay; a stay through a station
-  // outage completes normally too).
-  const double stay = now - t.arrived_at;
-  if (stay > 0.0) {
-    t.stay_sum[l] += stay;
-    t.stay_count[l] += 1;
-    t.total_stay += stay;
-    t.total_stays += 1;
+  // Stay-time statistics for the dead-end check (completed stay; a stay
+  // through a station outage completes normally too).
+  if (cfg_.dead_end_prevention) {
+    const double stay = now - t.arrived_at;
+    if (stay > 0.0) {
+      t.stay_sum[l] += stay;
+      t.stay_count[l] += 1;
+      t.total_stay += stay;
+      t.total_stays += 1;
+    }
   }
   if (station_down) return false;
   // Carry the table to every k-th departure *from this landmark* when
-  // the §IV-C.3 maintenance saving is on.
+  // the §IV-C.3 maintenance saving is on; with k = 1, every departure.
+  if (cfg_.dv_exchange_every == 1) return true;
   if (++t.departures_since_dv[l] < cfg_.dv_exchange_every) return false;
   t.departures_since_dv[l] = 0;
   return true;
@@ -730,6 +736,7 @@ void DtnFlowRouter::on_station_recovery(Network& net, LandmarkId l) {
 
 bool DtnFlowRouter::stay_is_dead_end(const NodeTransits& t, LandmarkId l,
                                      double stay) const {
+  DTN_ASSERT(l < t.stay_count.size() && l < t.stay_sum.size());
   if (t.total_stays < kDeadEndMinRecords) return false;
   const double avg_all = t.total_stay / static_cast<double>(t.total_stays);
   if (stay > cfg_.dead_end_theta * avg_all) return true;

@@ -152,7 +152,10 @@ struct DtnFlowDiagnostics {
 /// A node's transit statistics: its last prediction (§IV-B), arrival
 /// time, vector-exchange thinning counters (§IV-C.3) and stay times
 /// (§IV-E.1).  Like its predictor and accuracy row, they are a fold of
-/// the node's visits and the fault log: a load rebuilds them.
+/// the node's visits and the fault log: a load rebuilds them.  The
+/// per-landmark arrays exist only when their feature reads them: the
+/// thinning counters with `dv_exchange_every > 1`, the stay times with
+/// `dead_end_prevention`; otherwise they stay empty (and the totals 0).
 struct NodeTransits {
   LandmarkId predicted_next = kNoLandmark;
   LandmarkId predicted_from = kNoLandmark;
@@ -286,8 +289,9 @@ class DtnFlowRouter final : public net::Router {
                       net::LandmarkId l, double now, bool node_down,
                       bool station_down);
   /// The per-node writes of a departure: none for a crashed node, else
-  /// the stay is recorded and, with the station up, the thinning
-  /// counter advances.  True when the node is due to carry l's vector.
+  /// the stay is recorded (with dead-end prevention) and, with the
+  /// station up, the thinning counter advances (with k > 1).  True when
+  /// the node is due to carry l's vector.
   bool note_departure(net::NodeId node, net::LandmarkId l, double now,
                       bool node_down, bool station_down);
   /// Fold every node's completed visits and current arrival through

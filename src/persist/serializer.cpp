@@ -12,16 +12,34 @@ namespace {
 constexpr std::array<std::uint8_t, kMagicSize> kMagic = {
     'D', 'T', 'N', 'C', 'K', 'P', 'T', '\n'};
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+// Slicing-by-8 tables for the reflected CRC-32 polynomial 0xEDB88320:
+// tables[0] is the bytewise table, and tables[k][b] is the CRC of byte b
+// followed by k zero bytes, so eight table reads fold eight input bytes.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+CrcTables make_crc_tables() {
+  CrcTables tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1U) != 0 ? 0xEDB88320U ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < tables.size(); ++k) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      const std::uint32_t prev = tables[k - 1][i];
+      tables[k][i] = tables[0][prev & 0xFFU] ^ (prev >> 8);
+    }
+  }
+  return tables;
+}
+
+std::uint32_t load_le32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
 }
 
 void store_u64_at(std::vector<std::uint8_t>& buf, std::size_t pos,
@@ -37,10 +55,19 @@ void store_u64_at(std::vector<std::uint8_t>& buf, std::size_t pos,
 const std::uint8_t* magic() { return kMagic.data(); }
 
 std::uint32_t crc32(std::span<const std::uint8_t> data) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
+  static const CrcTables t = make_crc_tables();
   std::uint32_t crc = 0xFFFFFFFFU;
-  for (const std::uint8_t b : data) {
-    crc = table[(crc ^ b) & 0xFFU] ^ (crc >> 8);
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = crc ^ load_le32(p);
+    const std::uint32_t hi = load_le32(p + 4);
+    crc = t[7][lo & 0xFFU] ^ t[6][(lo >> 8) & 0xFFU] ^
+          t[5][(lo >> 16) & 0xFFU] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFU] ^
+          t[2][(hi >> 8) & 0xFFU] ^ t[1][(hi >> 16) & 0xFFU] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    crc = t[0][(crc ^ *p) & 0xFFU] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFU;
 }

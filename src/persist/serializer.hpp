@@ -70,6 +70,7 @@ class FormatError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), slicing-by-8.
 std::uint32_t crc32(std::span<const std::uint8_t> data);
 
 /// Encoded width of a scalar field of type T.

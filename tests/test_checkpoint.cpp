@@ -122,6 +122,38 @@ TEST(Serializer, SectionsReportNamesAndCrcsInWriteOrder) {
   EXPECT_NE(other.sections()[0].second, s[0].second);
 }
 
+// The bytewise CRC-32 the sliced one must reproduce.
+std::uint32_t reference_crc32(std::span<const std::uint8_t> data) {
+  std::uint32_t crc = 0xFFFFFFFFU;
+  for (const std::uint8_t b : data) {
+    crc ^= b;
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1U) != 0 ? 0xEDB88320U ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xFFFFFFFFU;
+}
+
+TEST(Serializer, Crc32MatchesTheBytewiseReference) {
+  const std::string check = "123456789";
+  EXPECT_EQ(persist::crc32(std::span<const std::uint8_t>(
+                reinterpret_cast<const std::uint8_t*>(check.data()),
+                check.size())),
+            0xCBF43926U);
+  // Every length through a few 8-byte blocks plus a tail, at every
+  // alignment of the first byte.
+  Rng rng(36);
+  std::vector<std::uint8_t> buf(1031 + 8);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next_u64());
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 1031; ++len) {
+      const std::span<const std::uint8_t> data(buf.data() + offset, len);
+      ASSERT_EQ(persist::crc32(data), reference_crc32(data))
+          << "offset " << offset << ", length " << len;
+    }
+  }
+}
+
 TEST(Serializer, RejectsBadMagic) {
   auto bytes = sample_stream();
   bytes[0] ^= 0xff;

@@ -112,10 +112,11 @@ TEST(DtnFlowRouter, PredictionsNearPerfectOnDeterministicShuttles) {
 TEST(DtnFlowRouter, TransitsFoldEveryVisit) {
   // Every completed visit is a stay, every arrival a prediction from
   // its landmark, and with k = 3 every third departure from a landmark
-  // carries its vector.
+  // carries its vector.  Stays are kept only for the dead-end check.
   const auto trace = relay_chain_trace(4.0);
   DtnFlowConfig rc;
   rc.dv_exchange_every = 3;
+  rc.dead_end_prevention = true;
   DtnFlowRouter router(rc);
   Network net(trace, router, chain_workload());
   net.run();
@@ -132,6 +133,34 @@ TEST(DtnFlowRouter, TransitsFoldEveryVisit) {
     EXPECT_EQ(t.predicted_next, router.predictor(n).predict());
     for (const net::LandmarkId l : {n, n + 1}) {
       EXPECT_EQ(t.departures_since_dv[l], t.stay_count[l] % 3) << l;
+    }
+  }
+}
+
+TEST(DtnFlowRouter, TransitArraysExistOnlyWithTheirFeature) {
+  // The stay times feed only the dead-end check and the departure
+  // counters only exchange thinning: without those features a node
+  // keeps neither, and with them both span every landmark.
+  const auto trace = relay_chain_trace(2.0);
+  for (const bool on : {false, true}) {
+    SCOPED_TRACE(on ? "features on" : "default config");
+    DtnFlowConfig rc;
+    if (on) {
+      rc.dv_exchange_every = 2;
+      rc.dead_end_prevention = true;
+    }
+    DtnFlowRouter router(rc);
+    Network net(trace, router, chain_workload());
+    net.run();
+    const std::size_t want = on ? trace.num_landmarks() : 0;
+    for (net::NodeId n = 0; n < trace.num_nodes(); ++n) {
+      const core::NodeTransits& t = router.transits(n);
+      EXPECT_EQ(t.stay_sum.size(), want) << n;
+      EXPECT_EQ(t.stay_count.size(), want) << n;
+      EXPECT_EQ(t.departures_since_dv.size(), want) << n;
+      if (!on) {
+        EXPECT_EQ(t.total_stays, 0u) << n;
+      }
     }
   }
 }
