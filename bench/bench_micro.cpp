@@ -13,7 +13,6 @@
 #include "core/bandwidth.hpp"
 #include "core/markov_predictor.hpp"
 #include "core/routing_table.hpp"
-#include "net/buffer.hpp"
 #include "net/bundle_store.hpp"
 #include "sim/event_queue.hpp"
 #include <filesystem>
@@ -287,15 +286,22 @@ void BM_TraceCursorReplay(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceCursorReplay);
 
+// A node store's admit/remove cycle: 256 bundles into a bounded reject
+// store with default metadata, then out again in admission order.
 void BM_BufferAddRemove(benchmark::State& state) {
-  dtn::net::Buffer::Column column;
-  dtn::net::Buffer buffer(4096, column);
+  dtn::net::BundleStore::Column column;
+  dtn::net::BundleStore store(4096, dtn::net::EvictionPolicy::kReject, false,
+                              column);
+  dtn::net::BundleStore::AdmitRequest req;
+  req.check_dedup = false;
   for (auto _ : state) {
     for (dtn::net::PacketId p = 0; p < 256; ++p) {
-      benchmark::DoNotOptimize(buffer.add(p));
+      req.pid = p;
+      req.logical = p;
+      benchmark::DoNotOptimize(store.admit(req, nullptr));
     }
     for (dtn::net::PacketId p = 0; p < 256; ++p) {
-      buffer.remove(p);
+      store.remove(p);
     }
   }
 }
@@ -316,9 +322,9 @@ void BM_StationStoreTransfer(benchmark::State& state) {
   for (std::size_t i = ids.size() - 1; i > 0; --i) {
     std::swap(ids[i], ids[rng.uniform_index(i + 1)]);
   }
-  dtn::net::Buffer::Column column;
-  dtn::net::BundleStore store;
-  store.configure(0, dtn::net::EvictionPolicy::kReject, false, column);
+  dtn::net::BundleStore::Column column;
+  dtn::net::BundleStore store(0, dtn::net::EvictionPolicy::kReject, false,
+                              column);
   dtn::net::BundleStore::AdmitRequest req;
   req.check_dedup = false;
   const auto admit = [&](dtn::net::PacketId pid) {

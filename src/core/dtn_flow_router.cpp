@@ -128,11 +128,6 @@ const RoutingTable& DtnFlowRouter::routing_table(LandmarkId l) const {
   return *landmarks_[l].table;
 }
 
-RoutingTable& DtnFlowRouter::mutable_routing_table(LandmarkId l) {
-  DTN_ASSERT(l < landmarks_.size());
-  return *landmarks_[l].table;
-}
-
 const MarkovPredictor& DtnFlowRouter::predictor(NodeId n) const {
   DTN_ASSERT(n < nodes_.size());
   return *nodes_[n].predictor;

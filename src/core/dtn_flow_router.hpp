@@ -221,7 +221,6 @@ class DtnFlowRouter final : public net::Router {
     return *dbw_;
   }
   [[nodiscard]] const RoutingTable& routing_table(net::LandmarkId l) const;
-  [[nodiscard]] RoutingTable& mutable_routing_table(net::LandmarkId l);
   [[nodiscard]] const MarkovPredictor& predictor(net::NodeId n) const;
   [[nodiscard]] double accuracy(net::NodeId n, net::LandmarkId l) const;
   [[nodiscard]] const NodeTransits& transits(net::NodeId n) const;

@@ -147,12 +147,6 @@ void MarkovPredictor::next_distribution(std::vector<double>& out) const {
   }
 }
 
-std::vector<double> MarkovPredictor::next_distribution() const {
-  std::vector<double> dist;
-  next_distribution(dist);
-  return dist;
-}
-
 std::string MarkovPredictor::row_defect(const Row& row,
                                         std::vector<std::uint8_t>& seen) const {
   // N(c) counts every occurrence of the context, including trailing

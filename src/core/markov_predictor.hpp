@@ -89,12 +89,6 @@ class MarkovPredictor {
   /// scratch buffer across calls.
   void next_distribution(std::vector<double>& out) const;
 
-  /// Allocating convenience overload of the above.  TEST-ONLY: replay
-  /// code must use the scratch-buffer overload (the semantic analyzer's
-  /// `policy` check rejects this spelling in replay code — see
-  /// docs/static-analysis.md).
-  [[nodiscard]] std::vector<double> next_distribution() const;
-
   /// The landmark of the most recent visit (kNoLandmark before any).
   [[nodiscard]] LandmarkId current() const {
     return context_len_ == 0 ? kNoLandmark : context_[context_len_ - 1];

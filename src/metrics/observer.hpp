@@ -27,8 +27,9 @@ struct TimeSample {
   std::size_t node_buffered_total = 0;
 };
 
-/// Decorator router: forwards every event to the wrapped router and
-/// records a TimeSample per time unit.
+/// Decorator router: forwards every hook that can change behaviour to
+/// the wrapped router and records a TimeSample per time unit.  It is not
+/// checkpointable: its samples are not in the image.
 class ObservedRouter final : public net::Router {
  public:
   explicit ObservedRouter(std::unique_ptr<net::Router> inner);
@@ -47,6 +48,22 @@ class ObservedRouter final : public net::Router {
                   net::NodeId present, net::LandmarkId l) override;
   void on_packet_generated(net::Network& net, net::PacketId pid) override;
   void on_time_unit(net::Network& net, std::size_t unit_index) override;
+  [[nodiscard]] bool observes_contacts() const override {
+    return inner_->observes_contacts();
+  }
+  void on_node_crash(net::Network& net, net::NodeId node) override {
+    inner_->on_node_crash(net, node);
+  }
+  void on_station_outage(net::Network& net, net::LandmarkId l) override {
+    inner_->on_station_outage(net, l);
+  }
+  void on_station_recovery(net::Network& net, net::LandmarkId l) override {
+    inner_->on_station_recovery(net, l);
+  }
+  void audit(const net::Network& net,
+             sim::AuditReport& report) const override {
+    inner_->audit(net, report);
+  }
 
   [[nodiscard]] const std::vector<TimeSample>& samples() const {
     return samples_;

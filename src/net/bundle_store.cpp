@@ -36,22 +36,6 @@ bool parse_eviction_policy(std::string_view s, EvictionPolicy* out) {
   return false;
 }
 
-void BundleStore::configure(std::uint64_t capacity_kb, EvictionPolicy policy,
-                            bool dedup, Buffer::Column& column) {
-  DTN_ASSERT(core_.empty());
-  core_ = Buffer(capacity_kb, column);
-  policy_ = policy;
-  dedup_ = dedup;
-}
-
-bool BundleStore::add(PacketId pid) {
-  AdmitRequest req;
-  req.pid = pid;
-  req.logical = pid;
-  req.check_dedup = false;
-  return admit(req, nullptr) == Admit::kStored;
-}
-
 void BundleStore::note_seen(PacketId logical) {
   if (!dedup_ || logical == kNoPacket) return;
   const auto it = std::lower_bound(seen_.begin(), seen_.end(), logical);
@@ -66,11 +50,13 @@ bool BundleStore::seen_logical(PacketId logical) const {
 Admit BundleStore::admit(const AdmitRequest& req,
                          std::vector<PacketId>* evicted_out) {
   DTN_ASSERT(req.pid != kNoPacket);
-  DTN_ASSERT(!contains(req.pid));
+  // The always-on duplicate-admission check: one store never holds a
+  // packet twice.
+  DTN_ASSERT(!contains(req.pid) && "store: packet already present");
   if (req.check_dedup && seen_logical(req.logical)) {
     return Admit::kRefusedDuplicate;
   }
-  if (!core_.has_space() &&
+  if (!has_space() &&
       (policy_ == EvictionPolicy::kReject || !evict_for(evicted_out))) {
     return Admit::kRefusedCapacity;
   }
@@ -80,7 +66,12 @@ Admit BundleStore::admit(const AdmitRequest& req,
   e.deadline = req.deadline;
   e.logical = req.logical;
   e.retention = req.retention;
-  core_.append(req.pid);
+  Column& column = *column_;
+  if (req.pid >= column.size()) {
+    column.resize(std::size_t{req.pid} + 1, kAbsent);
+  }
+  column[req.pid] = static_cast<std::uint32_t>(packets_.size());
+  packets_.push_back(req.pid);
   meta_.push_back(e);
   note_seen(e.logical);
   return Admit::kStored;
@@ -124,33 +115,39 @@ bool BundleStore::evict_for(std::vector<PacketId>* evicted_out) {
   DTN_ASSERT(evicted_out != nullptr);
   const std::size_t victim = pick_victim();
   if (victim == meta_.size()) return false;  // every resident is retained
-  evicted_out->push_back(core_.packets()[victim]);
+  evicted_out->push_back(packets_[victim]);
   remove_at(victim);
   return true;
 }
 
 void BundleStore::remove_at(std::size_t i) {
-  core_.remove_at(i);
-  // Mirror the Buffer's swap-erase so the slab stays parallel.
-  meta_[i] = meta_.back();
+  DTN_ASSERT(i < packets_.size());
+  // Swap-erase of the id list and the slab alike: store order is not
+  // meaningful; routers that need a priority order sort a copy.
+  if (i + 1 != packets_.size()) {
+    packets_[i] = packets_.back();
+    (*column_)[packets_[i]] = static_cast<std::uint32_t>(i);
+    meta_[i] = meta_.back();
+  }
+  packets_.pop_back();
   meta_.pop_back();
 }
 
 void BundleStore::remove(PacketId pid) {
-  const std::size_t i = core_.index_of(pid);
-  DTN_ASSERT(i != core_.count() && "remove: packet not in store");
+  const std::size_t i = index_of(pid);
+  DTN_ASSERT(i != packets_.size() && "remove: packet not in store");
   remove_at(i);
 }
 
 void BundleStore::set_retention_if_held(PacketId pid, Retention r) {
-  const std::size_t i = core_.index_of(pid);
-  if (i == core_.count()) return;
+  const std::size_t i = index_of(pid);
+  if (i == packets_.size()) return;
   meta_[i].retention = r;
 }
 
 Retention BundleStore::retention(PacketId pid) const {
-  const std::size_t i = core_.index_of(pid);
-  return i == core_.count() ? Retention::kNone : meta_[i].retention;
+  const std::size_t i = index_of(pid);
+  return i == packets_.size() ? Retention::kNone : meta_[i].retention;
 }
 
 // -- checkpointing -----------------------------------------------------
@@ -167,8 +164,23 @@ void BundleStore::Entry::fields(Ar& ar) {
 
 template <class Ar>
 void BundleStore::fields(Ar& ar) {
-  ar.object(core_);
-  if constexpr (Ar::loading) meta_.resize(core_.count());
+  ar.vec("buffer packets", packets_);
+  if constexpr (Ar::loading) {
+    ar.check(unbounded() || packets_.size() <= capacity_kb_,
+             "buffer holds more packets than its capacity");
+    Column& column = *column_;
+    for (std::size_t i = 0; i < packets_.size(); ++i) {
+      const PacketId pid = packets_[i];
+      ar.check(pid < column.size(), "buffer packet out of range");
+      if (const std::uint32_t at = column[pid]; at != kAbsent) {
+        ar.check(at >= i || packets_[at] != pid,
+                 "buffer holds a packet id twice");
+        Ar::fail("packet " + std::to_string(pid) + " is held by two stores");
+      }
+      column[pid] = static_cast<std::uint32_t>(i);
+    }
+    meta_.resize(packets_.size());
+  }
   for (Entry& e : meta_) e.fields(ar);
   ar.value("store admission counter", next_admit_seq_);
   ar.vec("store dedup set", seen_);
@@ -189,28 +201,27 @@ void BundleStore::audit(sim::AuditReport& report,
     report.fail(who + ": " + detail);
   };
   // Pool accounting: slab parallel to the id list, capacity bound.
-  if (meta_.size() != core_.count()) {
+  if (meta_.size() != packets_.size()) {
     fail("entry slab has " + std::to_string(meta_.size()) +
-         " entries for " + std::to_string(core_.count()) + " ids");
+         " entries for " + std::to_string(packets_.size()) + " ids");
     return;  // the per-entry checks below index meta_ by id position
   }
-  if (!core_.unbounded() && core_.count() > core_.capacity_kb()) {
-    fail("holds " + std::to_string(core_.count()) +
-         " bundles, above its capacity " +
-         std::to_string(core_.capacity_kb()));
+  if (!unbounded() && packets_.size() > capacity_kb_) {
+    fail("holds " + std::to_string(packets_.size()) +
+         " bundles, above its capacity " + std::to_string(capacity_kb_));
   }
   for (std::size_t i = 0; i < meta_.size(); ++i) {
     if (meta_[i].admit_seq >= next_admit_seq_) {
-      fail("entry " + std::to_string(core_.packets()[i]) +
+      fail("entry " + std::to_string(packets_[i]) +
            " admit_seq beyond the admission counter");
     }
   }
   // Column: every id found at its own position (a broken entry reads as
   // absent, position count()).
-  for (std::size_t i = 0; i < core_.count(); ++i) {
-    const std::size_t at = core_.index_of(core_.packets()[i]);
+  for (std::size_t i = 0; i < packets_.size(); ++i) {
+    const std::size_t at = index_of(packets_[i]);
     if (at != i) {
-      fail("position index maps packet " + std::to_string(core_.packets()[i]) +
+      fail("position index maps packet " + std::to_string(packets_[i]) +
            " to position " + std::to_string(at) + ", id list holds it at " +
            std::to_string(i));
     }
@@ -227,6 +238,12 @@ void BundleStore::audit(sim::AuditReport& report,
       }
     }
   }
+}
+
+void BundleStore::debug_corrupt_index_for_test(int delta) {
+  DTN_ASSERT(!packets_.empty());
+  std::uint32_t& at = (*column_)[packets_.front()];
+  at = static_cast<std::uint32_t>(static_cast<std::int64_t>(at) + delta);
 }
 
 void BundleStore::debug_corrupt_dedup_order_for_test(int delta) {

@@ -1,15 +1,17 @@
-// Bounded-memory bundle store (docs/bounded-store.md).
+// Bounded-memory bundle store of a mobile node or a landmark station
+// (docs/bounded-store.md).  Stations are unbounded by default, as in
+// §V-A.1 ("the memory of the landmark was not limited").
 //
-// Replaces naive per-packet Buffer entries on nodes and (newly
-// boundable) landmark stations.  The id list and the capacity stay in
-// the embedded net::Buffer — its swap-erase order is the replay
-// contract routers observe, and its positions live in the network-wide
-// column every store shares — and a
-// parallel slab of POD entry metadata (admission sequence, retention
-// constraint, expected delay, TTL deadline, logical id) rides along
-// under the same swap-erase.  Admission, removal and membership are
-// O(1) with no per-entry allocation; only eviction scans the slab for
-// a victim.
+// The id list keeps swap-erase order: the replay contract routers
+// observe.  A packet's position in it lives in a position column indexed
+// by packet id, which every store of one network shares: packets are
+// single-copy, so each id sits in at most one store at a time, and one
+// network-wide column makes contains(), index_of() and remove() a column
+// read plus a check that the id list holds the id there.  A parallel
+// slab of POD entry metadata (admission sequence, retention constraint,
+// expected delay, TTL deadline, logical id) rides along under the same
+// swap-erase.  Admission, removal and membership are O(1) with no
+// per-entry allocation; only eviction scans the slab for a victim.
 //
 // On top of the pooled entries sit the robustness features, all off by
 // default so the stock configuration replays bit-identical to the
@@ -40,7 +42,6 @@
 #include <string_view>
 #include <vector>
 
-#include "net/buffer.hpp"
 #include "net/packet.hpp"
 #include "util/annotations.hpp"
 
@@ -99,7 +100,23 @@ enum class Admit : std::uint8_t {
 
 class BundleStore {
  public:
-  BundleStore() = default;
+  /// Packet id -> position in the id list of the store holding it.  An
+  /// entry is meaningful only where that store's id list holds the id at
+  /// that position; a store grows the column to cover every id it
+  /// admits, and a load expects the ids it lists to be kAbsent.
+  using Column = std::vector<std::uint32_t>;
+  static constexpr std::uint32_t kAbsent = static_cast<std::uint32_t>(-1);
+
+  /// Capacity in kB, i.e. in packets (every packet is 1 kB); 0 means
+  /// unbounded.  `column` is the position column shared by every store
+  /// of the network and must outlive the store.  Configuration is
+  /// fingerprinted, not checkpointed.
+  BundleStore(std::uint64_t capacity_kb, EvictionPolicy policy, bool dedup,
+              Column& column)
+      : capacity_kb_(capacity_kb),
+        column_(&column),
+        policy_(policy),
+        dedup_(dedup) {}
 
   /// Everything an admission decision needs, captured at the call site
   /// so the store never reaches back into the packet table.
@@ -114,49 +131,42 @@ class BundleStore {
     bool check_dedup = true;
   };
 
-  /// Applies policy/dedup, reconfigures capacity and attaches the
-  /// position column shared by every store of the network (it must
-  /// outlive the store).  Called once per store before the replay
-  /// starts (config is fingerprinted, not checkpointed).
-  void configure(std::uint64_t capacity_kb, EvictionPolicy policy, bool dedup,
-                 Buffer::Column& column);
-
-  // -- Buffer-compatible read surface (routers compile unchanged) ------
-  [[nodiscard]] std::uint64_t capacity_kb() const {
-    return core_.capacity_kb();
+  [[nodiscard]] std::uint64_t capacity_kb() const { return capacity_kb_; }
+  [[nodiscard]] bool unbounded() const { return capacity_kb_ == 0; }
+  [[nodiscard]] bool has_space() const {
+    return unbounded() || packets_.size() < capacity_kb_;
   }
-  [[nodiscard]] bool unbounded() const { return core_.unbounded(); }
-  [[nodiscard]] bool has_space() const { return core_.has_space(); }
-  [[nodiscard]] std::size_t count() const { return core_.count(); }
-  [[nodiscard]] bool empty() const { return core_.empty(); }
-  [[nodiscard]] std::span<const PacketId> packets() const {
-    return core_.packets();
-  }
+  [[nodiscard]] std::size_t count() const { return packets_.size(); }
+  [[nodiscard]] bool empty() const { return packets_.empty(); }
+  [[nodiscard]] std::span<const PacketId> packets() const { return packets_; }
   [[nodiscard]] bool contains(PacketId pid) const {
-    return core_.contains(pid);
+    return index_of(pid) != packets_.size();
   }
   /// Position of `pid` in packets(), or count() when absent.
   [[nodiscard]] std::size_t index_of(PacketId pid) const {
-    return core_.index_of(pid);
+    if (pid < column_->size()) {
+      const std::uint32_t at = (*column_)[pid];
+      if (at < packets_.size() && packets_[at] == pid) return at;
+    }
+    return packets_.size();
   }
 
   // -- admission / removal ---------------------------------------------
-  /// Buffer-compatible convenience: admit with default metadata and no
-  /// dedup involvement.  False on refusal.
-  [[nodiscard]] bool add(PacketId pid);
-
-  /// Full admission path.  On kStored after an eviction, the victim id
-  /// (already removed from the store) is appended to `evicted_out` for
-  /// the caller to retire; `evicted_out` may be null when the policy is
-  /// kReject.  Never evicts bundles whose retention != kNone.
+  /// Admits `req.pid` unless dedup or capacity refuses it; admitting an
+  /// id the store already holds aborts.  On kStored after an eviction,
+  /// the victim id (already removed from the store) is appended to
+  /// `evicted_out` for the caller to retire; `evicted_out` may be null
+  /// when the policy is kReject.  Never evicts bundles whose retention
+  /// != kNone.
   [[nodiscard]] Admit admit(const AdmitRequest& req,
                             std::vector<PacketId>* evicted_out);
 
   /// Remove a bundle that must be present.
   void remove(PacketId pid);
-  /// Remove the bundle at packets() position `i`.  A transfer reads the
-  /// source position before admitting into the target (both share the
-  /// column), then removes by it.
+  /// Remove the bundle at packets() position `i` (swap-erase of the id
+  /// list and the slab).  Only the id moved into the hole gets a column
+  /// write, so a transfer reads the source position, admits into the
+  /// target (both share the column), then removes by that position.
   void remove_at(std::size_t i);
 
   // -- retention ---------------------------------------------------------
@@ -175,6 +185,11 @@ class BundleStore {
   [[nodiscard]] EvictionPolicy policy() const { return policy_; }
 
   // -- checkpointing (src/persist/, docs/checkpointing.md) --------------
+  /// The id list is stored in order: TTL sweeps and crash flushes
+  /// iterate it.  The column is not stored: load writes each listed
+  /// id's position and refuses an id outside the column, an id list
+  /// that overfills the capacity, and an id the column already places
+  /// (named twice in this list, or held by a store loaded before).
   void save(persist::Writer& w) const;
   void load(persist::Reader& r);
 
@@ -194,10 +209,9 @@ class BundleStore {
   /// +1: append a copy of the first entry to the metadata slab (the slab
   /// outgrows the id list); -1: undo.
   void debug_corrupt_pool_size_for_test(int delta);
-  /// Re-point the first id's column entry by `delta` slots.
-  void debug_corrupt_index_for_test(int delta) {
-    core_.debug_corrupt_index_for_test(delta);
-  }
+  /// Re-point the first id's column entry by `delta` slots (the bug
+  /// class: a swap-erase renumbered the moved id wrong).
+  void debug_corrupt_index_for_test(int delta);
 
  private:
   struct Entry {
@@ -221,16 +235,20 @@ class BundleStore {
   bool evict_for(std::vector<PacketId>* evicted_out);
   [[nodiscard]] std::size_t pick_victim() const;
 
-  Buffer core_;
-  /// Pooled entry slab, parallel to core_.packets() (same swap-erase).
+  DTN_CKPT_SKIP("configuration, pinned by the config fingerprint")
+  std::uint64_t capacity_kb_;
+  std::vector<PacketId> packets_;
+  DTN_CKPT_SKIP("shared with every store; load writes this store's ids")
+  Column* column_;
+  /// Pooled entry slab, parallel to packets_ (same swap-erase).
   std::vector<Entry> meta_;
   std::uint64_t next_admit_seq_ = 0;
   /// Sorted unique logical ids this store has admitted (dedup set).
   std::vector<PacketId> seen_;
   DTN_CKPT_SKIP("configuration, pinned by the config fingerprint")
-  EvictionPolicy policy_ = EvictionPolicy::kReject;
+  EvictionPolicy policy_;
   DTN_CKPT_SKIP("configuration, pinned by the config fingerprint")
-  bool dedup_ = false;
+  bool dedup_;
 };
 
 }  // namespace dtn::net

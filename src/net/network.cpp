@@ -62,17 +62,16 @@ Network::Network(const trace::Trace& trace, Router& router,
     faults_.emplace(*cfg_.faults, trace.num_nodes(), trace.num_landmarks());
   }
   outage_recovery_pending_.assign(trace.num_landmarks(), -1.0);
-  node_stores_.resize(trace.num_nodes());
-  for (BundleStore& store : node_stores_) {
-    store.configure(cfg_.node_memory_kb, cfg_.store.policy, cfg_.store.dedup,
-                    store_position_);
-  }
+  node_stores_.assign(trace.num_nodes(),
+                     BundleStore(cfg_.node_memory_kb, cfg_.store.policy,
+                                 cfg_.store.dedup, store_position_));
   location_.assign(trace.num_nodes(), kNoLandmark);
-  stations_.resize(trace.num_landmarks());
-  for (StationState& st : stations_) {
-    st.storage.configure(cfg_.store.station_memory_kb, cfg_.store.policy,
-                         cfg_.store.dedup, store_position_);
-  }
+  stations_.assign(trace.num_landmarks(),
+                   StationState{{},
+                                BundleStore(cfg_.store.station_memory_kb,
+                                            cfg_.store.policy,
+                                            cfg_.store.dedup, store_position_),
+                                {}});
 }
 
 std::vector<sim::Event> Network::build_static_schedule(
@@ -426,7 +425,7 @@ void Network::fields(Ar& ar) {
   // load writes its ids' positions, refusing an id outside the packet
   // table or one an earlier store (or this one) already lists.
   if constexpr (loading) {
-    store_position_.assign(packets_.size(), Buffer::kAbsent);
+    store_position_.assign(packets_.size(), BundleStore::kAbsent);
   }
   ar.begin_section("nodes");
   ar.expect("node count", node_stores_.size());

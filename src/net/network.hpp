@@ -15,7 +15,6 @@
 #include <utility>
 #include <vector>
 
-#include "net/buffer.hpp"
 #include "net/bundle_store.hpp"
 #include "net/packet.hpp"
 #include "net/router.hpp"
@@ -563,7 +562,7 @@ class Network {
   /// shared by every store (docs/bounded-store.md): a packet is in at
   /// most one store, so one column replaces a per-store index.
   DTN_CKPT_SKIP("derived from the stores' id lists; a load rebuilds it")
-  Buffer::Column store_position_;
+  BundleStore::Column store_position_;
   /// Current landmark per node (kNoLandmark in transit).  Kept beside
   /// the cursor because the cursor counts a departure before its hook
   /// runs, while the node stays located through on_departure.

@@ -72,8 +72,9 @@ std::uint32_t crc32(std::span<const std::uint8_t> data) {
   return crc ^ 0xFFFFFFFFU;
 }
 
-Writer::Writer() {
-  buf_.insert(buf_.end(), kMagic.begin(), kMagic.end());
+// buf_ starts as the magic: GCC 12 at -O3 reports a bogus
+// -Wstringop-overflow for an insert of it into the empty vector.
+Writer::Writer() : buf_(kMagic.begin(), kMagic.end()) {
   u32(kSchemaVersion);
   u32(0);  // flags, reserved
 }

@@ -98,7 +98,6 @@ class InvariantAuditor {
 
   [[nodiscard]] bool enabled() const { return cfg_.enabled; }
   [[nodiscard]] const Config& config() const { return cfg_; }
-  void set_enabled(bool on) { cfg_.enabled = on; }
 
   /// Replay-loop hook: call after every event with the run's
   /// dispatched-event count.  Cheap when disabled (one branch); runs a

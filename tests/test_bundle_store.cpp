@@ -17,6 +17,7 @@
 #include <array>
 #include <filesystem>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -41,8 +42,9 @@ using core::DtnFlowRouter;
 using dtn::testing::relay_chain_trace;
 using net::Admit;
 using net::BundleStore;
-using Column = net::Buffer::Column;
+using Column = BundleStore::Column;
 using net::EvictionPolicy;
+using net::kNoPacket;
 using net::Network;
 using net::PacketId;
 using net::PacketState;
@@ -102,12 +104,268 @@ TEST(BundleStore, PolicyNamesRoundTrip) {
   EXPECT_FALSE(net::parse_eviction_policy("fifo", &parsed));
 }
 
+// -- capacity, membership and the position column ------------------------
+
+// Admission with default metadata into a reject store: true when stored.
+bool admitted(BundleStore& s, PacketId pid) {
+  return s.admit(request(pid), nullptr) == Admit::kStored;
+}
+
+TEST(BundleStore, UnboundedAcceptsEverything) {
+  Column column;
+  BundleStore s(0, EvictionPolicy::kReject, false, column);
+  EXPECT_TRUE(s.unbounded());
+  for (PacketId i = 0; i < 1000; ++i) {
+    EXPECT_TRUE(admitted(s, i));
+  }
+  EXPECT_EQ(s.count(), 1000u);
+}
+
+TEST(BundleStore, HasSpaceQuery) {
+  Column column;
+  BundleStore s(2, EvictionPolicy::kReject, false, column);
+  EXPECT_TRUE(s.has_space());
+  ASSERT_TRUE(admitted(s, 0));
+  EXPECT_TRUE(s.has_space());
+  ASSERT_TRUE(admitted(s, 1));
+  EXPECT_FALSE(s.has_space());
+}
+
+constexpr std::array<EvictionPolicy, 4> kAllPolicies = {
+    EvictionPolicy::kReject, EvictionPolicy::kDropOldest,
+    EvictionPolicy::kDropLargestExpectedDelay, EvictionPolicy::kTtlExpire};
+
+TEST(BundleStore, CapacityEnforced) {
+  // Whatever the policy, a full store never holds more than its
+  // capacity: reject refuses the overflow, the others evict one each.
+  for (const EvictionPolicy policy : kAllPolicies) {
+    Column column;
+    BundleStore s(2, policy, false, column);
+    std::vector<PacketId> evicted;
+    for (PacketId pid = 0; pid < 6; ++pid) {
+      const Admit got = s.admit(request(pid), &evicted);
+      EXPECT_EQ(got, pid < 2 || policy != EvictionPolicy::kReject
+                         ? Admit::kStored
+                         : Admit::kRefusedCapacity)
+          << net::to_string(policy) << " pid " << pid;
+      EXPECT_LE(s.count(), 2u) << net::to_string(policy);
+    }
+    EXPECT_EQ(s.count(), 2u) << net::to_string(policy);
+    EXPECT_EQ(evicted.size(), policy == EvictionPolicy::kReject ? 0u : 4u)
+        << net::to_string(policy);
+  }
+}
+
+TEST(BundleStore, RemoveFreesSpace) {
+  // A removal makes room under every policy: the next admission stores
+  // without choosing a victim.
+  for (const EvictionPolicy policy : kAllPolicies) {
+    Column column;
+    BundleStore s(1, policy, false, column);
+    std::vector<PacketId> evicted;
+    ASSERT_EQ(s.admit(request(7), &evicted), Admit::kStored);
+    EXPECT_FALSE(s.has_space());
+    s.remove(7);
+    EXPECT_EQ(s.count(), 0u);
+    EXPECT_TRUE(s.has_space());
+    EXPECT_EQ(s.admit(request(8), &evicted), Admit::kStored);
+    EXPECT_TRUE(evicted.empty()) << net::to_string(policy);
+    EXPECT_TRUE(s.contains(8));
+    EXPECT_FALSE(s.contains(7));
+  }
+}
+
+TEST(BundleStore, ContainsTracksMembership) {
+  Column column;
+  BundleStore s(10, EvictionPolicy::kReject, false, column);
+  EXPECT_FALSE(s.contains(1));
+  ASSERT_TRUE(admitted(s, 1));
+  EXPECT_TRUE(s.contains(1));
+  s.remove(1);
+  EXPECT_FALSE(s.contains(1));
+}
+
+TEST(BundleStore, PacketsSpanReflectsContents) {
+  // packets() lists ids in admission order; remove_at swap-erases the
+  // id and its metadata together, and the column follows the moved id.
+  Column column;
+  BundleStore s(10, EvictionPolicy::kReject, false, column);
+  std::vector<PacketId> evicted;
+  ASSERT_EQ(s.admit(request(3), &evicted), Admit::kStored);
+  ASSERT_EQ(s.admit(request(5), &evicted), Admit::kStored);
+  auto retained = request(8);
+  retained.retention = Retention::kForwardPending;
+  ASSERT_EQ(s.admit(retained, &evicted), Admit::kStored);
+  EXPECT_EQ(std::vector<PacketId>(s.packets().begin(), s.packets().end()),
+            (std::vector<PacketId>{3, 5, 8}));
+  s.remove_at(0);
+  EXPECT_EQ(std::vector<PacketId>(s.packets().begin(), s.packets().end()),
+            (std::vector<PacketId>{8, 5}));
+  EXPECT_FALSE(s.contains(3));
+  EXPECT_EQ(s.index_of(8), 0u);
+  EXPECT_EQ(s.retention(8), Retention::kForwardPending);
+  EXPECT_EQ(s.retention(5), Retention::kNone);
+  AuditReport report;
+  s.audit(report, "store");
+  EXPECT_TRUE(report.ok()) << report.to_string();
+}
+
+// Loads an image listing `ids` (default metadata, empty dedup set) into
+// a reject store of `capacity_kb` over `column`: such states can only
+// enter through a checkpoint, which is exactly where adversarial values
+// come from.  The column is sized as a network sizes it to its packet
+// table: to cover every id in `ids` but kNoPacket.
+BundleStore store_from_image(Column& column, std::uint64_t capacity_kb,
+                             const std::vector<PacketId>& ids) {
+  std::size_t table = 0;
+  for (const PacketId pid : ids) {
+    if (pid != kNoPacket) table = std::max<std::size_t>(table, pid + 1);
+  }
+  column.assign(table, BundleStore::kAbsent);
+  persist::Writer w;
+  w.begin_section("store");
+  w.u64(ids.size());
+  for (const PacketId pid : ids) w.u32(pid);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    w.u64(i);                                        // admit seq
+    w.f64(0.0);                                      // expected delay
+    w.f64(std::numeric_limits<double>::infinity());  // deadline
+    w.u32(ids[i]);                                   // logical id
+    w.u8(static_cast<std::uint8_t>(Retention::kNone));
+  }
+  w.u64(ids.size());  // admission counter
+  w.u64(0);           // dedup set
+  w.end_section();
+  w.finish();
+  BundleStore s(capacity_kb, EvictionPolicy::kReject, false, column);
+  load_image(s, w.buffer());
+  return s;
+}
+
+TEST(BundleStore, HasSpaceDoesNotWrapNearUint64Max) {
+  // A capacity at or near UINT64_MAX (or past 32 bits) is a bound, not
+  // "unbounded": no comparison may narrow or wrap it.
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  for (const std::uint64_t cap : {kMax, kMax - 1, std::uint64_t{1} << 32}) {
+    Column column;
+    BundleStore s = store_from_image(column, cap, {1, 2});
+    EXPECT_FALSE(s.unbounded()) << cap;
+    EXPECT_EQ(s.capacity_kb(), cap);
+    EXPECT_TRUE(s.has_space()) << cap;
+    EXPECT_TRUE(admitted(s, 3)) << cap;
+  }
+}
+
+TEST(BundleStore, HasSpaceRejectsOverfullAccounting) {
+  // An image that fills the capacity loads full: nothing more fits
+  // until a packet leaves.  (An overfull image is refused at load.)
+  Column column;
+  BundleStore s = store_from_image(column, 2, {4, 5});
+  EXPECT_FALSE(s.has_space());
+  EXPECT_FALSE(admitted(s, 6));
+  EXPECT_EQ(s.count(), 2u);
+  s.remove(4);
+  EXPECT_TRUE(s.has_space());
+  EXPECT_TRUE(admitted(s, 6));
+}
+
+TEST(BundleStore, LoadKeepsTheConfiguredCapacity) {
+  // The image holds no capacity: it is configuration, pinned by the
+  // config fingerprint, so a loaded store keeps the one it was built
+  // with.
+  Column saved_column;
+  BundleStore saved(100, EvictionPolicy::kReject, false, saved_column);
+  ASSERT_TRUE(admitted(saved, 3));
+  Column column(4, BundleStore::kAbsent);
+  BundleStore s(2, EvictionPolicy::kReject, false, column);
+  load_image(s, store_image(saved));
+  EXPECT_EQ(s.capacity_kb(), 2u);
+  EXPECT_TRUE(s.contains(3));
+  EXPECT_TRUE(s.has_space());
+}
+
+TEST(BundleStore, LoadRefusesMorePacketsThanTheCapacity) {
+  Column column;
+  EXPECT_NO_THROW((void)store_from_image(column, 2, {4, 5}));
+  EXPECT_THROW((void)store_from_image(column, 2, {4, 5, 6}),
+               persist::FormatError);
+  EXPECT_NO_THROW((void)store_from_image(column, 0, {4, 5, 6}));
+}
+
+TEST(BundleStore, IndexOfMatchesStdFindAfterEverySwapErase) {
+  // Every position of every length up to 70 is removed once, from a
+  // store built afresh over its own column.
+  constexpr PacketId kAbsent = 999;
+  for (std::size_t len = 0; len <= 70; ++len) {
+    std::vector<PacketId> ids;
+    for (std::size_t i = 0; i < len; ++i) {
+      ids.push_back(static_cast<PacketId>(7 * i + 3));
+    }
+    const auto filled = [&ids](Column& column) {
+      BundleStore s(0, EvictionPolicy::kReject, false, column);
+      for (const PacketId pid : ids) EXPECT_TRUE(admitted(s, pid));
+      return s;
+    };
+    Column column;
+    const BundleStore s = filled(column);
+    EXPECT_EQ(s.index_of(kAbsent), len);
+    EXPECT_FALSE(s.contains(kAbsent));
+    EXPECT_FALSE(s.contains(kNoPacket));
+    for (std::size_t pos = 0; pos < len; ++pos) {
+      ASSERT_EQ(s.index_of(ids[pos]), pos) << "len " << len;
+      EXPECT_TRUE(s.contains(ids[pos]));
+
+      // remove() is a swap-erase at the found position, and the column
+      // follows the moved id.
+      Column removed_column;
+      BundleStore removed = filled(removed_column);
+      removed.remove(ids[pos]);
+      std::vector<PacketId> want = ids;
+      want[pos] = want.back();
+      want.pop_back();
+      ASSERT_TRUE(std::equal(want.begin(), want.end(),
+                             removed.packets().begin(),
+                             removed.packets().end()))
+          << "len " << len << " pos " << pos;
+      EXPECT_FALSE(removed.contains(ids[pos]));
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        ASSERT_EQ(removed.index_of(want[i]), i)
+            << "len " << len << " pos " << pos;
+      }
+    }
+  }
+}
+
+TEST(BundleStore, LoadRebuildsTheIndex) {
+  Column column;
+  const BundleStore s = store_from_image(column, 0, {40, 7, 100003});
+  EXPECT_EQ(s.index_of(40), 0u);
+  EXPECT_EQ(s.index_of(7), 1u);
+  EXPECT_EQ(s.index_of(100003), 2u);
+  EXPECT_FALSE(s.contains(8));
+}
+
+TEST(BundleStore, LoadRefusesAnIdListNamingAPacketTwice) {
+  // Only a checkpoint image can hold a duplicate; one store never
+  // holds a packet twice, so the image is corrupt.
+  Column column;
+  EXPECT_THROW((void)store_from_image(column, 0, {5, 9, 5}),
+               persist::FormatError);
+  EXPECT_THROW((void)store_from_image(column, 0, {kNoPacket}),
+               persist::FormatError);
+}
+
+TEST(BundleStoreDeath, RemovingAbsentPacketRejected) {
+  Column column;
+  BundleStore s(10, EvictionPolicy::kReject, false, column);
+  EXPECT_DEATH(s.remove(42), "DTN_ASSERT");
+}
+
 // -- admission / eviction -----------------------------------------------
 
 TEST(BundleStore, RejectPolicyRefusesWhenFull) {
   Column column;
-  BundleStore s;
-  s.configure(2, EvictionPolicy::kReject, false, column);
+  BundleStore s(2, EvictionPolicy::kReject, false, column);
   std::vector<PacketId> evicted;
   EXPECT_EQ(s.admit(request(0), &evicted), Admit::kStored);
   EXPECT_EQ(s.admit(request(1), &evicted), Admit::kStored);
@@ -118,8 +376,7 @@ TEST(BundleStore, RejectPolicyRefusesWhenFull) {
 
 TEST(BundleStore, DropOldestEvictsSmallestAdmissionSequence) {
   Column column;
-  BundleStore s;
-  s.configure(3, EvictionPolicy::kDropOldest, false, column);
+  BundleStore s(3, EvictionPolicy::kDropOldest, false, column);
   std::vector<PacketId> evicted;
   ASSERT_EQ(s.admit(request(10), &evicted), Admit::kStored);
   ASSERT_EQ(s.admit(request(11), &evicted), Admit::kStored);
@@ -136,8 +393,7 @@ TEST(BundleStore, DropOldestEvictsSmallestAdmissionSequence) {
 
 TEST(BundleStore, DropLargestExpectedDelayEvictsWorstTiesToOldest) {
   Column column;
-  BundleStore s;
-  s.configure(3, EvictionPolicy::kDropLargestExpectedDelay, false, column);
+  BundleStore s(3, EvictionPolicy::kDropLargestExpectedDelay, false, column);
   std::vector<PacketId> evicted;
   auto with_delay = [](PacketId pid, double delay) {
     auto req = request(pid);
@@ -154,8 +410,7 @@ TEST(BundleStore, DropLargestExpectedDelayEvictsWorstTiesToOldest) {
 
 TEST(BundleStore, TtlExpireEvictsEarliestDeadline) {
   Column column;
-  BundleStore s;
-  s.configure(3, EvictionPolicy::kTtlExpire, false, column);
+  BundleStore s(3, EvictionPolicy::kTtlExpire, false, column);
   std::vector<PacketId> evicted;
   auto with_deadline = [](PacketId pid, double deadline) {
     auto req = request(pid);
@@ -171,8 +426,7 @@ TEST(BundleStore, TtlExpireEvictsEarliestDeadline) {
 
 TEST(BundleStore, EachAdmissionIntoAFullStoreEvictsExactlyOneVictim) {
   Column column;
-  BundleStore s;
-  s.configure(4, EvictionPolicy::kDropOldest, false, column);
+  BundleStore s(4, EvictionPolicy::kDropOldest, false, column);
   std::vector<PacketId> evicted;
   for (PacketId pid = 0; pid < 4; ++pid) {
     ASSERT_EQ(s.admit(request(pid), &evicted), Admit::kStored);
@@ -186,8 +440,7 @@ TEST(BundleStore, EachAdmissionIntoAFullStoreEvictsExactlyOneVictim) {
 
 TEST(BundleStore, RetainedEntriesAreNeverVictims) {
   Column column;
-  BundleStore s;
-  s.configure(2, EvictionPolicy::kDropOldest, false, column);
+  BundleStore s(2, EvictionPolicy::kDropOldest, false, column);
   std::vector<PacketId> evicted;
   auto retained = request(0);
   retained.retention = Retention::kDispatchPending;
@@ -205,8 +458,7 @@ TEST(BundleStore, FullyRetainedStoreRefusesAndStaysUntouched) {
   // When every resident is retained there is no victim: the store
   // refuses and keeps all of them.
   Column column;
-  BundleStore s;
-  s.configure(2, EvictionPolicy::kDropOldest, false, column);
+  BundleStore s(2, EvictionPolicy::kDropOldest, false, column);
   std::vector<PacketId> evicted;
   auto pinned = request(0);
   pinned.retention = Retention::kForwardPending;
@@ -228,8 +480,7 @@ TEST(BundleStore, FullyRetainedStoreRefusesAndStaysUntouched) {
 
 TEST(BundleStore, RetentionSetsAndClears) {
   Column column;
-  BundleStore s;
-  s.configure(4, EvictionPolicy::kDropOldest, false, column);
+  BundleStore s(4, EvictionPolicy::kDropOldest, false, column);
   std::vector<PacketId> evicted;
   ASSERT_EQ(s.admit(request(0), &evicted), Admit::kStored);
   EXPECT_EQ(s.retention(0), Retention::kNone);
@@ -248,8 +499,7 @@ TEST(BundleStore, RetentionSetsAndClears) {
 
 TEST(BundleStore, DedupRefusesReadmittedLogical) {
   Column column;
-  BundleStore s;
-  s.configure(8, EvictionPolicy::kReject, /*dedup=*/true, column);
+  BundleStore s(8, EvictionPolicy::kReject, /*dedup=*/true, column);
   std::vector<PacketId> evicted;
   auto original = request(5);
   original.logical = 5;
@@ -267,8 +517,7 @@ TEST(BundleStore, DedupRefusesReadmittedLogical) {
 
 TEST(BundleStore, DedupDisabledSeesNothing) {
   Column column;
-  BundleStore s;
-  s.configure(8, EvictionPolicy::kReject, /*dedup=*/false, column);
+  BundleStore s(8, EvictionPolicy::kReject, /*dedup=*/false, column);
   std::vector<PacketId> evicted;
   ASSERT_EQ(s.admit(request(5), &evicted), Admit::kStored);
   EXPECT_FALSE(s.seen_logical(5));
@@ -281,8 +530,7 @@ TEST(BundleStore, RemovingAResidentMakesRoomWithoutEviction) {
   // A full reject store refuses the overflow outright; nothing is held
   // for it elsewhere.  Once a resident leaves, the same bundle fits.
   Column column;
-  BundleStore s;
-  s.configure(2, EvictionPolicy::kReject, false, column);
+  BundleStore s(2, EvictionPolicy::kReject, false, column);
   std::vector<PacketId> evicted;
   ASSERT_EQ(s.admit(request(0), &evicted), Admit::kStored);
   ASSERT_EQ(s.admit(request(1), &evicted), Admit::kStored);
@@ -303,8 +551,7 @@ TEST(BundleStore, RemovingFromTheMiddleKeepsEvictionOrder) {
   // The swap-erase moves the last entry's metadata with its id, so the
   // admission order that drop-oldest follows survives a removal.
   Column column;
-  BundleStore s;
-  s.configure(3, EvictionPolicy::kDropOldest, false, column);
+  BundleStore s(3, EvictionPolicy::kDropOldest, false, column);
   std::vector<PacketId> evicted;
   for (PacketId pid : {0u, 1u, 2u}) {
     ASSERT_EQ(s.admit(request(pid), &evicted), Admit::kStored);
@@ -325,8 +572,7 @@ TEST(BundleStore, RemovingFromTheMiddleKeepsEvictionOrder) {
 
 TEST(BundleStore, CheckpointRoundTripKeepsRetentionDedupAndVictimOrder) {
   Column a_column;
-  BundleStore a;
-  a.configure(2, EvictionPolicy::kDropOldest, /*dedup=*/true, a_column);
+  BundleStore a(2, EvictionPolicy::kDropOldest, /*dedup=*/true, a_column);
   std::vector<PacketId> evicted;
   ASSERT_EQ(a.admit(request(0), &evicted), Admit::kStored);
   auto pinned = request(1);
@@ -335,9 +581,8 @@ TEST(BundleStore, CheckpointRoundTripKeepsRetentionDedupAndVictimOrder) {
 
   // A load places ids inside its column, which a network sizes to the
   // packet table.
-  Column b_column(2, net::Buffer::kAbsent);
-  BundleStore b;
-  b.configure(2, EvictionPolicy::kDropOldest, /*dedup=*/true, b_column);
+  Column b_column(2, BundleStore::kAbsent);
+  BundleStore b(2, EvictionPolicy::kDropOldest, /*dedup=*/true, b_column);
   load_image(b, store_image(a));
   EXPECT_EQ(store_image(b), store_image(a));
   EXPECT_EQ(b.retention(0), Retention::kNone);
@@ -361,21 +606,18 @@ TEST(BundleStore, CheckpointRoundTripKeepsRetentionDedupAndVictimOrder) {
 
 TEST(BundleStore, LoadRejectsAnImageOverItsCapacity) {
   Column big_column;
-  BundleStore big;
-  big.configure(3, EvictionPolicy::kReject, false, big_column);
+  BundleStore big(3, EvictionPolicy::kReject, false, big_column);
   std::vector<PacketId> evicted;
   for (PacketId pid : {0u, 1u, 2u}) {
     ASSERT_EQ(big.admit(request(pid), &evicted), Admit::kStored);
   }
   const auto bytes = store_image(big);
-  Column same_column(3, net::Buffer::kAbsent);
-  BundleStore same;
-  same.configure(3, EvictionPolicy::kReject, false, same_column);
+  Column same_column(3, BundleStore::kAbsent);
+  BundleStore same(3, EvictionPolicy::kReject, false, same_column);
   load_image(same, bytes);
   EXPECT_EQ(same.count(), 3u);
   Column small_column;
-  BundleStore small;
-  small.configure(2, EvictionPolicy::kReject, false, small_column);
+  BundleStore small(2, EvictionPolicy::kReject, false, small_column);
   EXPECT_THROW(load_image(small, bytes), persist::FormatError);
 }
 
@@ -420,10 +662,9 @@ void reload(std::array<BundleStore, 2>& stores, Column& column,
             std::uint64_t capacity, EvictionPolicy policy, bool dedup) {
   const std::array<std::vector<std::uint8_t>, 2> bytes = {
       store_image(stores[0]), store_image(stores[1])};
-  column.assign(column.size(), net::Buffer::kAbsent);
+  column.assign(column.size(), BundleStore::kAbsent);
   for (std::size_t k = 0; k < 2; ++k) {
-    BundleStore fresh;
-    fresh.configure(capacity, policy, dedup, column);
+    BundleStore fresh(capacity, policy, dedup, column);
     load_image(fresh, bytes[k]);
     ASSERT_EQ(store_image(fresh), bytes[k]);
     stores[k] = std::move(fresh);
@@ -479,9 +720,10 @@ TEST(BundleStoreDifferential, MatchesAReferenceSetUnderRandomTraffic) {
                      to_string(policy) + " dedup " + std::to_string(dedup));
         Rng rng(capacity * 131 + static_cast<std::uint64_t>(policy) * 17 +
                 (dedup ? 1 : 0));
-        Column column(kUniverse, net::Buffer::kAbsent);
-        std::array<BundleStore, 2> stores;
-        for (BundleStore& s : stores) s.configure(capacity, policy, dedup, column);
+        Column column(kUniverse, BundleStore::kAbsent);
+        std::array<BundleStore, 2> stores = {
+            BundleStore(capacity, policy, dedup, column),
+            BundleStore(capacity, policy, dedup, column)};
         std::array<ReferenceStore, 2> refs;
         const auto held_anywhere = [&](PacketId pid) {
           return refs[0].holds(pid) || refs[1].holds(pid);
@@ -610,14 +852,15 @@ TEST(BundleStoreDifferential, MatchesAReferenceSetUnderRandomTraffic) {
 }
 
 TEST(BundleStoreDeath, DoubleAdmissionAborts) {
-  // In memory: the admission check and the append both refuse.
+  // In memory: the admission check refuses, whether or not the store
+  // has space left.
   Column column;
-  BundleStore s;
-  s.configure(10, EvictionPolicy::kReject, false, column);
+  BundleStore s(2, EvictionPolicy::kReject, false, column);
   std::vector<PacketId> evicted;
   ASSERT_EQ(s.admit(request(1), &evicted), Admit::kStored);
   EXPECT_DEATH((void)s.admit(request(1), &evicted), "DTN_ASSERT");
-  EXPECT_DEATH((void)s.add(1), "DTN_ASSERT");
+  ASSERT_EQ(s.admit(request(2), &evicted), Admit::kStored);
+  EXPECT_DEATH((void)s.admit(request(1), &evicted), "DTN_ASSERT");
 }
 
 // -- standalone audit negatives -----------------------------------------
@@ -626,8 +869,7 @@ TEST(BundleStoreDeath, DoubleAdmissionAborts) {
 // the audit reports it, revert, prove it passes again.
 TEST(BundleStoreAudit, EverySeededCorruptionIsDetectedAndRevertible) {
   Column column;
-  BundleStore s;
-  s.configure(2, EvictionPolicy::kDropOldest, /*dedup=*/true, column);
+  BundleStore s(2, EvictionPolicy::kDropOldest, /*dedup=*/true, column);
   std::vector<PacketId> evicted;
   auto pinned = request(0);
   pinned.retention = Retention::kDispatchPending;

@@ -29,7 +29,7 @@
 #include "core/dtn_flow_router.hpp"
 #include "core/markov_predictor.hpp"
 #include "metrics/metrics.hpp"
-#include "net/buffer.hpp"
+#include "net/bundle_store.hpp"
 #include "net/network.hpp"
 #include "persist/checkpoint.hpp"
 #include "persist/serializer.hpp"
@@ -696,7 +696,11 @@ void expect_fold_matches(const FoldScenario& s,
     EXPECT_EQ(a.history_length(), b.history_length());
     EXPECT_EQ(a.current(), b.current());
     EXPECT_EQ(a.predict(), b.predict());
-    EXPECT_EQ(a.next_distribution(), b.next_distribution());
+    std::vector<double> a_dist;
+    std::vector<double> b_dist;
+    a.next_distribution(a_dist);
+    b.next_distribution(b_dist);
+    EXPECT_EQ(a_dist, b_dist);
     for (net::LandmarkId l = 0; l < s.trace.num_landmarks(); ++l) {
       EXPECT_EQ(restored.accuracy(n, l), live.accuracy(n, l)) << "at " << l;
     }
@@ -1220,14 +1224,17 @@ TEST(Serializer, ForgedMatrixShapeIsRefused) {
 }
 
 TEST(Serializer, ForgedBufferCountIsRefused) {
-  // The id count u64 comes first.
-  net::Buffer::Column column;
-  net::Buffer buf(100, column);
-  ASSERT_TRUE(buf.add(3));
-  net::Buffer::Column into_column(4, net::Buffer::kAbsent);
-  net::Buffer into(100, into_column);
+  // A store image opens with the id count u64.
+  using net::BundleStore;
+  BundleStore::Column column;
+  BundleStore store(100, net::EvictionPolicy::kReject, false, column);
+  BundleStore::AdmitRequest req;
+  req.pid = 3;
+  ASSERT_EQ(store.admit(req, nullptr), net::Admit::kStored);
+  BundleStore::Column into_column(4, BundleStore::kAbsent);
+  BundleStore into(100, net::EvictionPolicy::kReject, false, into_column);
   expect_forged_image_refused(
-      buf, into, [](std::vector<std::uint8_t>& bytes, std::size_t at) {
+      store, into, [](std::vector<std::uint8_t>& bytes, std::size_t at) {
         store_le(bytes, at, 8, std::uint64_t{1} << 62);
       });
 }

@@ -11,6 +11,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <vector>
 
 #include "core/dtn_flow_router.hpp"
 #include "metrics/experiment.hpp"
@@ -45,6 +46,7 @@ ChainRun run_chain(const std::string& router_name) {
 std::uint64_t predictor_digest(const core::DtnFlowRouter& router,
                                const net::Network& net) {
   Fnv1a h;
+  std::vector<double> dist;
   for (net::NodeId n = 0; n < net.num_nodes(); ++n) {
     const auto& p = router.predictor(n);
     h.mix(p.history_length());
@@ -54,7 +56,8 @@ std::uint64_t predictor_digest(const core::DtnFlowRouter& router,
     for (net::LandmarkId l = 0; l < net.num_landmarks(); ++l) {
       h.mix(p.probability_of(l));
     }
-    for (const double d : p.next_distribution()) {
+    p.next_distribution(dist);
+    for (const double d : dist) {
       h.mix(d);
     }
   }

@@ -2,13 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
+#include "core/dtn_flow_router.hpp"
 #include "routing/factory.hpp"
+#include "sim/fault_injector.hpp"
+#include "sim/invariant_auditor.hpp"
 #include "test_helpers.hpp"
 
 namespace dtn::metrics {
 namespace {
 
 using dtn::testing::relay_chain_trace;
+using dtn::testing::relay_chain_workload;
 using trace::kDay;
 
 net::WorkloadConfig workload() {
@@ -81,6 +88,56 @@ TEST(ObservedRouter, StationBacklogOnlyForStationRouters) {
   }
   EXPECT_FALSE(direct.uses_stations());
   EXPECT_EQ(direct.name(), "Direct");
+}
+
+TEST(ObservedRouter, ForwardsFaultHooksUnchanged) {
+  // Overlapping outages of the two middle stations while the relay
+  // chain's packets are in flight: the router reroutes around them and
+  // counts what it saw, so a wrapper that drops the fault hooks shows.
+  const auto trace = relay_chain_trace(8.0);
+  net::WorkloadConfig cfg = relay_chain_workload();
+  sim::FaultPlan plan;
+  plan.station_outages.push_back({1, 4.05 * kDay, 4.6 * kDay});
+  plan.station_outages.push_back({2, 4.3 * kDay, 4.9 * kDay});
+  cfg.faults = plan;
+
+  const auto plain_router = routing::make_router("DTN-FLOW");
+  net::Network plain(trace, *plain_router, cfg);
+  plain.run();
+
+  ObservedRouter observed(routing::make_router("DTN-FLOW"));
+  net::Network wrapped(trace, observed, cfg);
+  wrapped.run();
+
+  EXPECT_EQ(plain.counters().station_outages, 2u);
+  EXPECT_TRUE(plain.counters() == wrapped.counters());
+  const auto& plain_diag =
+      dynamic_cast<const core::DtnFlowRouter&>(*plain_router).diagnostics();
+  const auto& wrapped_diag =
+      dynamic_cast<const core::DtnFlowRouter&>(observed.inner()).diagnostics();
+  EXPECT_EQ(plain_diag.station_outages_seen, 2u);
+  EXPECT_TRUE(plain_diag == wrapped_diag);
+}
+
+// A router whose audit always fails.
+class FailingAudit final : public net::Router {
+ public:
+  [[nodiscard]] std::string name() const override { return "FailingAudit"; }
+  void audit(const net::Network& /*net*/,
+             sim::AuditReport& report) const override {
+    report.fail("inner router audited");
+  }
+};
+
+TEST(ObservedRouter, ForwardsTheRouterAudit) {
+  const auto trace = relay_chain_trace(2.0);
+  ObservedRouter observed(std::make_unique<FailingAudit>());
+  net::Network net(trace, observed, workload());
+  sim::AuditReport report;
+  net.audit(report);
+  EXPECT_NE(report.to_string().find("inner router audited"),
+            std::string::npos)
+      << report.to_string();
 }
 
 }  // namespace

@@ -5,7 +5,7 @@ identical whichever frontend produced the facts.  Every function takes
 the model plus an `Options` describing which files are replay-critical
 for this run (fixture files passed explicitly on the command line are
 forced replay-critical so seeded violations fire without living under
-src/).  Ambient and test-only calls are findings anywhere under src/;
+src/).  Ambient calls are findings anywhere under src/;
 unordered iteration and checkpoint coverage only in the replay-critical
 directories.
 """
@@ -38,7 +38,7 @@ def is_replay_critical(path: str, opts: Options) -> bool:
 
 
 def is_checked_source(path: str, opts: Options) -> bool:
-    """Where the src/-wide rules (ambient and test-only calls) apply."""
+    """Where the src/-wide rule (ambient calls) applies."""
     if path in opts.forced_critical:
         return True
     return path not in cfg.RNG_ALLOWLIST and _under(path, cfg.SOURCE_DIR)
@@ -229,16 +229,6 @@ def check_policy(model: Model, opts: Options) -> list[Finding]:
                     "replay-critical: moved or renamed without updating "
                     "REQUIRED_COVERED_FILES, or its directory left "
                     "REPLAY_CRITICAL_DIRS?"))
-    for file, calls in model.test_only_calls.items():
-        if not is_checked_source(file, opts):
-            continue
-        for call in calls:
-            if _suppressed(model, "det-lint", file, call.line):
-                continue
-            _, why = cfg.TEST_ONLY_CALLS[call.callee]
-            findings.append(Finding(
-                file, call.line, "policy",
-                f"test-only `{call.callee}` called from src/: {why}"))
     for file, per_marker in model.bare_suppressions.items():
         for marker, lines in per_marker.items():
             findings.extend(Finding(

@@ -1,15 +1,15 @@
 """Repo policy for the semantic analyzer (docs/static-analysis.md).
 
 Kept in one place so the CLI, the checks and the tests agree on what is
-replay-critical, which files must stay covered, and which ambient and
-test-only calls are banned.
+replay-critical, which files must stay covered, and which ambient
+calls are banned.
 """
 from __future__ import annotations
 
 # Every source under this directory is analyzed.  Ambient
-# nondeterminism, test-only calls and reasonless suppression markers
-# are findings anywhere in it (the trace generators and the replay
-# cursor feed the golden digests too).
+# nondeterminism and reasonless suppression markers are findings
+# anywhere in it (the trace generators and the replay cursor feed the
+# golden digests too).
 SOURCE_DIR = "src"
 
 # Directories whose code runs inside the deterministic replay loop:
@@ -82,17 +82,6 @@ CHECKPOINT_PAIRS = (
     ("checkpoint_save", "checkpoint_load"),
     ("save", "load"),
 )
-
-# Test-only convenience spellings whose use in replay code would put
-# back a hot-path hazard the production spelling was built to avoid:
-# name -> (regex over comment-free source, why).  Matched on member-call
-# syntax only, so the declaration and definition do not trip it.
-TEST_ONLY_CALLS = {
-    "MarkovPredictor::next_distribution()": (
-        r"(?:\.|->)\s*next_distribution\s*\(\s*\)",
-        "it allocates a vector per call; replay code must pass a reused "
-        "scratch buffer"),
-}
 
 # Suppression markers: `// det-lint: ok(reason)`.  The reason is
 # mandatory; a marker without one is itself a finding.

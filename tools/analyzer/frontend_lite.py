@@ -19,8 +19,8 @@ scoped mini-frontend, tuned for this codebase's idiom:
 * member references are recorded per method (for checkpoint
   coverage);
 * call sites are recorded for the taint/reachability closures;
-* suppression markers and test-only call sites are read from the text
-  (`scan_text`, shared with the clang frontend).
+* suppression markers are read from the text (`scan_text`, shared
+  with the clang frontend).
 
 Unresolvable constructs degrade to "unknown type" — the
 analyzer never guesses a finding it cannot ground, so lite-mode
@@ -56,8 +56,6 @@ SUPPRESS_RES = {
                        r":\s*ok(?:\(([^)]*)\))?")
     for marker in cfg.SUPPRESS_MARKERS
 }
-TEST_ONLY_RES = {name: re.compile(rx)
-                 for name, (rx, _) in cfg.TEST_ONLY_CALLS.items()}
 
 TOKEN_RE = re.compile(r"[A-Za-z_]\w*|::|<=>|<<=|>>=|->\*?|\+\+|--|&&|\|\|"
                       r"|[+\-*/%&|^!=<>]=|<<|>>|::|[0-9][\w.+-]*|\S")
@@ -1033,10 +1031,8 @@ def finalize(model: Model) -> None:
 
 def scan_text(model: Model, rel: str, raw: str) -> None:
     """Record the facts read from the text rather than the syntax tree:
-    suppression markers (with or without their reason) and test-only
-    call sites outside comments and strings.  Both frontends call this,
-    so the checks see identical sets."""
-    clean_lines = clean_source(raw).split("\n")
+    suppression markers, with or without their reason.  Both frontends
+    call this, so the checks see identical sets."""
     for line_no, line in enumerate(raw.split("\n"), start=1):
         for marker, rx in SUPPRESS_RES.items():
             m = rx.search(line)
@@ -1045,10 +1041,6 @@ def scan_text(model: Model, rel: str, raw: str) -> None:
             facts = model.suppressions if (m.group(1) or "").strip() \
                 else model.bare_suppressions
             facts.setdefault(rel, {}).setdefault(marker, set()).add(line_no)
-        for name, rx in TEST_ONLY_RES.items():
-            if rx.search(clean_lines[line_no - 1]):
-                model.test_only_calls.setdefault(rel, []).append(
-                    Call(callee=name, line=line_no))
 
 
 def build_model(root: Path, files: list[Path]) -> Model:

@@ -125,8 +125,6 @@ class Model:
     # Same shape: markers missing their mandatory reason.
     bare_suppressions: dict[str, dict[str, set[int]]] = field(
         default_factory=dict)
-    # file -> call sites of config.TEST_ONLY_CALLS (callee = its name).
-    test_only_calls: dict[str, list[Call]] = field(default_factory=dict)
 
     def class_methods(self, cls: str) -> list[Method]:
         return [m for m in self.methods.values() if m.cls == cls]
