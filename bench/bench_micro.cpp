@@ -528,25 +528,20 @@ void BM_PredictorFleetRecordVisit(benchmark::State& state) {
 }
 BENCHMARK(BM_PredictorFleetRecordVisit);
 
-void BM_TraceCursorBuild(benchmark::State& state) {
-  // Per-replay cursor cost on the city trace: build (list + radix sort)
-  // and drain a fresh cursor each iteration.  BM_TraceCursorReplay
-  // reuses one cursor and so times the drain alone.
+void BM_ReplayOrderBuild(benchmark::State& state) {
+  // The once-per-trace cost the first replay over a trace pays: list
+  // and radix-sort the city trace's events.  Later cursors share the
+  // result; BM_TraceCursorReplay times their drain.
   const auto trace = dtn::trace::generate_city_trace(bench_city_config());
   std::uint64_t events = 0;
   for (auto _ : state) {
-    dtn::trace::TraceCursor cursor(trace);
-    double t = 0.0;
-    while (!cursor.exhausted()) {
-      t = cursor.peek().time;
-      cursor.advance();
-      ++events;
-    }
-    benchmark::DoNotOptimize(t);
+    const auto order = dtn::trace::build_replay_order(trace);
+    events += order.entries.size();
+    benchmark::DoNotOptimize(order.entries.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
 }
-BENCHMARK(BM_TraceCursorBuild);
+BENCHMARK(BM_ReplayOrderBuild);
 
 dtn::net::WorkloadConfig bench_checkpoint_workload() {
   dtn::net::WorkloadConfig wl;

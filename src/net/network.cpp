@@ -35,8 +35,9 @@ Network::Network(const trace::Trace& trace, Router& router,
   // The cursor owns the sequence range [0, total_events()), so same-time
   // ties order exactly as the retired eager enumeration did; the static
   // schedule takes the range above it.  Both are pure functions of the
-  // run's inputs, so a resume rebuilds them too.  Built right after the
-  // cursor, the schedule can take the cursor's freed sort buffers.
+  // run's inputs, so a resume rebuilds them too.  The cursor shares the
+  // trace's replay order (only the first replay over a trace sorts it);
+  // the schedule is built afresh for this run's workload.
   sim_.set_static_schedule(build_static_schedule(cursor_.total_events()));
   // Periodic invariant auditing: the per-run config can enable it; the
   // DTN_AUDIT environment flag (already folded into the default-constructed
@@ -89,8 +90,7 @@ std::vector<sim::Event> Network::build_static_schedule(
       std::ceil((trace_end_ - trace_begin_) / cfg_.time_unit));
   // Both arrays are sized up front from the workload's expected count
   // (a Poisson total stays within a few percent of its mean): no
-  // reallocation copies, and two large blocks taken while the trace
-  // cursor's freed sort buffers can still serve them.
+  // reallocation copies.
   const double expected =
       std::max(0.0, cfg_.packets_per_landmark_per_day) *
       static_cast<double>(num_landmarks) * (trace_end_ - workload_start_) /

@@ -54,19 +54,20 @@ void stable_radix_sort(std::vector<T>& items) {
 
 }  // namespace
 
-TraceCursor::TraceCursor(const Trace& trace) {
+ReplayOrder build_replay_order(const Trace& trace) {
   DTN_ASSERT(trace.finalized());
   const std::size_t n = trace.num_nodes();
-  pos_.assign(n, 0);
-  seq_base_.resize(n + 1);
-  order_.reserve(2 * trace.total_visits());
+  ReplayOrder order;
+  auto& entries = order.entries;
+  order.seq_base.resize(n + 1);
+  entries.reserve(2 * trace.total_visits());
   // Listed in seq order, so the stable sort breaks time ties by seq.
   for (std::size_t i = 0; i < n; ++i) {
     const auto node = static_cast<NodeId>(i);
-    seq_base_[i] = order_.size();
-    const auto add = [this, node](std::uint32_t index, double t) {
+    order.seq_base[i] = entries.size();
+    const auto add = [&entries, node](std::uint32_t index, double t) {
       DTN_ASSERT(t >= 0.0 && !std::signbit(t));  // the key order needs it
-      order_.push_back({std::bit_cast<std::uint64_t>(t), node, index});
+      entries.push_back({std::bit_cast<std::uint64_t>(t), node, index});
     };
     const auto visits = trace.visits(node);
     for (std::uint32_t v = 0; v < visits.size(); ++v) {
@@ -74,8 +75,16 @@ TraceCursor::TraceCursor(const Trace& trace) {
       add(2 * v + 1, visits[v].end);
     }
   }
-  seq_base_[n] = order_.size();
-  stable_radix_sort(order_);
+  order.seq_base[n] = entries.size();
+  stable_radix_sort(entries);
+  return order;
+}
+
+TraceCursor::TraceCursor(const Trace& trace)
+    : order_(trace.replay_order()),
+      entries_(order_->entries),
+      seq_base_(order_->seq_base),
+      pos_(trace.num_nodes(), 0) {
   if (!exhausted()) materialize();
 }
 
@@ -92,7 +101,7 @@ void TraceCursor::fields(Ar& ar) {
     std::size_t done = 0;
     for (const std::uint32_t p : pos) done += p;
     std::vector<std::uint32_t> seen(pos.size(), 0);
-    for (std::size_t k = 0; k < done; ++k) ++seen[order_[k].node];
+    for (std::size_t k = 0; k < done; ++k) ++seen[entries_[k].node];
     ar.check(seen == pos,
              "cursor positions are no prefix of the trace's replay order");
     pos_ = std::move(pos);

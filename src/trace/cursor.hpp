@@ -2,9 +2,9 @@
 //
 // A finalized Trace stores, per node, a time-sorted, non-overlapping
 // visit list.  Each visit contributes exactly two simulation events —
-// an arrival at `start` and a departure at `end`.  The constructor lists
-// every event once, in sequence order, and stable-sorts the list by
-// time; advance() then walks the array.
+// an arrival at `start` and a departure at `end`.  build_replay_order
+// lists every event once, in sequence order, and stable-sorts the list
+// by time; advance() then walks the array.
 //
 // Sequence numbers replicate the retired eager enumeration exactly
 // (node-major: node 0's visit 0 arrival, visit 0 departure, visit 1
@@ -13,13 +13,17 @@
 // RunCounters bit is unchanged.  The engine must reserve
 // [0, total_events()) for the cursor via Simulator::set_seq_floor.
 //
-// The cursor borrows the immutable Trace (shared across replicate runs)
-// and owns the sorted array (16 B per event) plus the per-node
-// positions a checkpoint stores.
+// The order is a pure function of the immutable trace, so the trace
+// builds it once and every cursor over it (replicate runs, sweep
+// threads, resumes) shares it read-only (Trace::replay_order).  A cursor
+// owns only its read position and the per-node positions a checkpoint
+// stores.
 #pragma once
 
 #include <bit>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "sim/event.hpp"
@@ -32,27 +36,33 @@ class Reader;
 
 namespace dtn::trace {
 
+/// Lists and stable-sorts every event of the finalized `trace`: O(events)
+/// time and memory.  Trace::replay_order memoizes it; call it directly
+/// only to time the build.
+[[nodiscard]] ReplayOrder build_replay_order(const Trace& trace);
+
 /// The replay's event source: Simulator::run_until merges it with the
 /// dynamic event queue.
 class TraceCursor {
  public:
-  /// Lists and sorts every event of `trace`: O(events) time and memory.
+  /// A cursor at the start of `trace`'s replay; builds the trace's
+  /// replay order if no cursor over it has yet.
   explicit TraceCursor(const Trace& trace);
 
-  [[nodiscard]] bool exhausted() const { return next_ == order_.size(); }
+  [[nodiscard]] bool exhausted() const { return next_ == entries_.size(); }
   [[nodiscard]] const sim::Event& peek() const {
     DTN_ASSERT(!exhausted());
     return current_;
   }
   void advance() {
     DTN_ASSERT(!exhausted());
-    ++pos_[order_[next_].node];
+    ++pos_[entries_[next_].node];
     ++next_;
     if (!exhausted()) materialize();
   }
 
   /// Total events the full replay produces (2 per visit).
-  [[nodiscard]] std::uint64_t total_events() const { return order_.size(); }
+  [[nodiscard]] std::uint64_t total_events() const { return entries_.size(); }
 
   /// Events of `node` already replayed: 2 per completed visit, plus 1
   /// while the node is at a landmark (its arrival is counted, its
@@ -73,17 +83,8 @@ class TraceCursor {
   template <class Ar>
   void fields(Ar& ar);
 
-  /// One trace event, keyed by its time's IEEE-754 bit pattern: for the
-  /// non-negative finite times a finalized trace holds, the bits order
-  /// exactly like the double.
-  struct Entry {
-    std::uint64_t time_bits;
-    NodeId node;
-    std::uint32_t index;  ///< 2 * visit + {0 arrival, 1 departure}
-  };
-
   void materialize() {
-    const Entry& e = order_[next_];
+    const ReplayOrder::Entry& e = entries_[next_];
     current_.time = std::bit_cast<double>(e.time_bits);
     current_.seq = seq_base_[e.node] + e.index;
     current_.kind = (e.index % 2 == 0) ? sim::EventKind::kArrival
@@ -92,15 +93,14 @@ class TraceCursor {
     current_.b = e.index / 2;  // visit index
   }
 
-  /// Every event in (time, seq) order.
-  std::vector<Entry> order_;
+  /// The trace's shared replay order; the spans view its arrays.
+  std::shared_ptr<const ReplayOrder> order_;
+  std::span<const ReplayOrder::Entry> entries_;
+  std::span<const std::uint64_t> seq_base_;
   std::size_t next_ = 0;
   /// Events of each node already replayed (the checkpoint image).
   std::vector<std::uint32_t> pos_;
-  /// Sequence base per node: 2 * (visits of all lower-numbered nodes);
-  /// one extra entry holds the total.
-  std::vector<std::uint64_t> seq_base_;
-  sim::Event current_;  // materialized order_[next_]
+  sim::Event current_;  // materialized entries_[next_]
 };
 
 }  // namespace dtn::trace

@@ -6,6 +6,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "trace/cursor.hpp"
+
 namespace dtn::trace {
 
 void require_valid_days(double days) {
@@ -37,6 +39,7 @@ void Trace::finalize() {
     }
   }
   finalized_ = true;
+  replay_memo_ = std::make_shared<ReplayMemo>();
 }
 
 std::span<const Visit> Trace::visits(NodeId node) const {
@@ -103,6 +106,15 @@ std::vector<Transit> Trace::all_transits_sorted() const {
   std::sort(all.begin(), all.end(),
             [](const Transit& a, const Transit& b) { return a.arrive < b.arrive; });
   return all;
+}
+
+std::shared_ptr<const ReplayOrder> Trace::replay_order() const {
+  DTN_ASSERT(finalized_);
+  DTN_ASSERT(replay_memo_ != nullptr);  // a moved-from trace has none
+  std::call_once(replay_memo_->built, [this] {
+    replay_memo_->order = build_replay_order(*this);
+  });
+  return {replay_memo_, &replay_memo_->order};
 }
 
 Trace Trace::window(double t0, double t1) const {

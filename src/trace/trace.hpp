@@ -9,6 +9,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -48,6 +50,24 @@ struct Transit {
   LandmarkId to = 0;
   double depart = 0.0;
   double arrive = 0.0;
+};
+
+/// A finalized trace's replay events in `(time, seq)` order, as
+/// trace::build_replay_order lists and sorts them (trace/cursor.hpp).
+struct ReplayOrder {
+  /// One trace event, keyed by its time's IEEE-754 bit pattern: for the
+  /// non-negative finite times a finalized trace holds, the bits order
+  /// exactly like the double.
+  struct Entry {
+    std::uint64_t time_bits;
+    NodeId node;
+    std::uint32_t index;  ///< 2 * visit + {0 arrival, 1 departure}
+  };
+  /// Every event in (time, seq) order.
+  std::vector<Entry> entries;
+  /// Sequence base per node: 2 * (visits of all lower-numbered nodes);
+  /// one extra entry holds the total.
+  std::vector<std::uint64_t> seq_base;
 };
 
 /// Immutable-after-build container of visits for a fixed node/landmark
@@ -96,10 +116,25 @@ class Trace {
   /// window.  Node/landmark universe is preserved.
   [[nodiscard]] Trace window(double t0, double t1) const;
 
+  /// The replay order every trace::TraceCursor over this trace walks.
+  /// Built on first use, never by finalize(), and kept for the trace's
+  /// lifetime: 16 B per event plus 8 B per node.  Thread-safe:
+  /// concurrent first calls build it exactly once, and copies of a
+  /// finalized trace share it.  The returned pointer co-owns it, so it
+  /// outlives the trace if need be.
+  [[nodiscard]] std::shared_ptr<const ReplayOrder> replay_order() const;
+
  private:
+  struct ReplayMemo {
+    std::once_flag built;
+    ReplayOrder order;
+  };
+
   std::size_t num_landmarks_;
   std::vector<std::vector<Visit>> per_node_;
   bool finalized_ = false;
+  /// Made by finalize(); empty before it and in a moved-from trace.
+  std::shared_ptr<ReplayMemo> replay_memo_;
 };
 
 /// The synthetic generators' length check: throws std::invalid_argument

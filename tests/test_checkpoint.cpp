@@ -339,8 +339,10 @@ RunOutcome run_uninterrupted(const trace::Trace& trace,
 }
 
 // Suspend at `stop_events`, then resume in a fresh process-equivalent
-// (new Network + router over the same inputs) until completion.
+// (new Network + router over `resumed`, an equal trace or the same one)
+// until completion.
 RunOutcome run_with_suspension(const trace::Trace& trace,
+                               const trace::Trace& resumed,
                                const WorkloadConfig& cfg,
                                const std::string& dir_tag,
                                std::uint64_t stop_events) {
@@ -358,10 +360,17 @@ RunOutcome run_with_suspension(const trace::Trace& trace,
   resume.stop_after_events = 0;
   CheckpointManager mgr(resume);
   DtnFlowRouter router(full_router_config());
-  Network net(trace, router, cfg);
+  Network net(resumed, router, cfg);
   EXPECT_TRUE(net.run(mgr));
   net.validate_invariants();
   return outcome(net, router);
+}
+
+RunOutcome run_with_suspension(const trace::Trace& trace,
+                               const WorkloadConfig& cfg,
+                               const std::string& dir_tag,
+                               std::uint64_t stop_events) {
+  return run_with_suspension(trace, trace, cfg, dir_tag, stop_events);
 }
 
 TEST(CheckpointResume, CampusRunIsBitIdenticalAcrossSuspensions) {
@@ -377,6 +386,22 @@ TEST(CheckpointResume, CampusRunIsBitIdenticalAcrossSuspensions) {
                                          full.events / 2));
   expect_equal(full, run_with_suspension(trace, cfg, "campus_late",
                                          full.events - 5));
+}
+
+TEST(CheckpointResume, ResumesOverABuiltOrAFreshReplayOrder) {
+  // A trace builds its replay order on first use and shares it.  A run
+  // suspended mid-way must resume to the plain run's digest both over
+  // the same Trace, whose order the earlier runs built, and over an
+  // equal trace generated afresh, whose order the resuming cursor builds.
+  const auto trace = campus_trace();
+  const auto cfg = campus_workload();
+  const RunOutcome full = run_uninterrupted(trace, cfg);
+  expect_equal(full,
+               run_with_suspension(trace, cfg, "order_built", full.events / 2));
+  const auto fresh = campus_trace();
+  expect_equal(full, run_with_suspension(trace, fresh, cfg, "order_fresh",
+                                         full.events / 2));
+  EXPECT_NE(fresh.replay_order().get(), trace.replay_order().get());
 }
 
 TEST(CheckpointResume, AuditedResumeAuditsAtTheSameCountsAsAPlainRun) {

@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <latch>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -24,6 +26,8 @@ struct Expected {
   sim::EventKind kind;
   NodeId node;
   std::uint32_t visit;
+
+  friend bool operator==(const Expected&, const Expected&) = default;
 };
 
 // Reference enumeration: what the old engine scheduled upfront.  Seqs
@@ -199,8 +203,9 @@ TEST(TraceCursor, RunUntilBoundaryIsInclusive) {
   EXPECT_EQ(seen[3], (std::pair{sim::EventKind::kDeparture, 1u}));
 }
 
-TEST(TraceCursor, LargeRandomTraceMatchesEagerEnumeration) {
-  // Property check at a size where ordering bugs would surface.
+// 17 nodes of up to 60 visits each on a coarse time grid, so many
+// events tie across nodes.
+Trace random_trace() {
   Trace t(17, 5);
   std::uint64_t state = 0x243f6a8885a308d3ull;  // fixed xorshift stream
   auto next = [&state] {
@@ -213,7 +218,6 @@ TEST(TraceCursor, LargeRandomTraceMatchesEagerEnumeration) {
     double at = static_cast<double>(next() % 50);
     const int visits = 1 + static_cast<int>(next() % 60);
     for (int v = 0; v < visits; ++v) {
-      // Coarse grid to force many cross-node ties.
       const double start = at + static_cast<double>(next() % 8);
       const double end = start + 1.0 + static_cast<double>(next() % 6);
       t.add_visit({n, static_cast<LandmarkId>(next() % 5), start, end});
@@ -221,7 +225,56 @@ TEST(TraceCursor, LargeRandomTraceMatchesEagerEnumeration) {
     }
   }
   t.finalize();
-  expect_matches_reference(t);
+  return t;
+}
+
+TEST(TraceCursor, LargeRandomTraceMatchesEagerEnumeration) {
+  // Property check at a size where ordering bugs would surface.
+  expect_matches_reference(random_trace());
+}
+
+TEST(TraceCursor, CursorsShareOneReplayOrderPerTrace) {
+  const Trace t = random_trace();
+  const Trace copy = t;  // copied before any cursor built the order
+  TraceCursor a(t);
+  TraceCursor b(t);
+  TraceCursor c(copy);
+  EXPECT_EQ(t.replay_order().get(), copy.replay_order().get());
+
+  const auto expected = reference_stream(t);
+  EXPECT_EQ(drain(a), expected);
+  // Draining one cursor leaves the others at their start.
+  ASSERT_FALSE(b.exhausted());
+  EXPECT_EQ(b.peek().seq, expected.front().seq);
+  EXPECT_EQ(b.replayed(expected.front().node), 0u);
+  EXPECT_EQ(drain(b), expected);
+  EXPECT_EQ(drain(c), expected);
+}
+
+TEST(TraceCursor, ConcurrentFirstUseBuildsTheOrderOnce) {
+  // Four threads, released together, each build a cursor over one
+  // trace whose order no cursor has built yet (a sweep's first
+  // replays).  They must all end up sharing one order.
+  constexpr int kThreads = 4;
+  const Trace t = random_trace();
+  const auto expected = reference_stream(t);
+  std::latch start(kThreads);
+  std::vector<std::vector<Expected>> streams(kThreads);
+  std::vector<const ReplayOrder*> orders(kThreads, nullptr);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      start.arrive_and_wait();
+      TraceCursor cursor(t);
+      streams[i] = drain(cursor);
+      orders[i] = t.replay_order().get();
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (int i = 0; i < kThreads; ++i) {
+    EXPECT_EQ(orders[i], orders[0]) << "thread " << i;
+    EXPECT_EQ(streams[i], expected) << "thread " << i;
+  }
 }
 
 TEST(TraceCursor, FractionalTimesMatchEagerEnumeration) {
@@ -322,6 +375,17 @@ TEST(TraceCursor, SaveLoadResumesTheRemainingStream) {
       EXPECT_EQ(rest[i].visit, want.visit) << "cut " << cut << " event " << i;
     }
   }
+}
+
+TEST(TraceCursorDeathTest, MovedFromTraceHasNoReplayOrder) {
+  // The replay order's holder moves with the trace, so a cursor over
+  // the moved-from husk aborts instead of replaying nothing.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Trace t = tied_trace();
+  const Trace taken = std::move(t);
+  EXPECT_EQ(TraceCursor(taken).total_events(), 12u);
+  // NOLINTNEXTLINE(bugprone-use-after-move): the husk is the point.
+  EXPECT_DEATH(TraceCursor{t}, "replay_memo_ != nullptr");
 }
 
 TEST(TraceCursor, LoadRejectsImagesOfAnotherTrace) {
