@@ -500,8 +500,10 @@ void BM_PredictorFleetRecordVisit(benchmark::State& state) {
   // each fed its own visiting sequence (cycled), one visit per iteration
   // on a pseudo-random node.
   // BM_PredictorRecordVisit trains a single L1-resident predictor; here
-  // the fleet's rows do not stay in cache, as in a city replay.  Not in
-  // bench_check.py's gated set.
+  // the fleet's rows do not stay in cache, as in a city replay.  Every
+  // predictor is warmed on its whole sequence first, so the loop times
+  // counting only: it never forms a new context or successor (see
+  // BM_PredictorFleetColdStart).  Not in bench_check.py's gated set.
   const auto trace = dtn::trace::generate_city_trace(bench_city_config());
   std::vector<std::vector<dtn::trace::LandmarkId>> seqs;
   std::vector<dtn::core::MarkovPredictor> fleet;
@@ -527,6 +529,38 @@ void BM_PredictorFleetRecordVisit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PredictorFleetRecordVisit);
+
+void BM_PredictorFleetColdStart(benchmark::State& state) {
+  // The city replay's predictor pattern from cold: each pass builds a
+  // fresh order-1 predictor for every node of the city trace and feeds
+  // all visits in trace-time order.  A one-day trace is mostly cold
+  // start, so new contexts and new successors dominate, which
+  // BM_PredictorFleetRecordVisit's warmed fleet never reaches.  Not in
+  // bench_check.py's gated set.
+  const auto trace = dtn::trace::generate_city_trace(bench_city_config());
+  std::vector<dtn::trace::Visit> visits;
+  for (dtn::trace::NodeId n = 0; n < trace.num_nodes(); ++n) {
+    const auto node_visits = trace.visits(n);
+    visits.insert(visits.end(), node_visits.begin(), node_visits.end());
+  }
+  std::stable_sort(visits.begin(), visits.end(),
+                   [](const dtn::trace::Visit& a, const dtn::trace::Visit& b) {
+                     return a.start < b.start;
+                   });
+  for (auto _ : state) {
+    std::vector<dtn::core::MarkovPredictor> fleet;
+    fleet.reserve(trace.num_nodes());
+    for (dtn::trace::NodeId n = 0; n < trace.num_nodes(); ++n) {
+      fleet.emplace_back(trace.num_landmarks(), 1);
+    }
+    for (const auto& v : visits) fleet[v.node].record_visit(v.landmark);
+    benchmark::DoNotOptimize(fleet.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(visits.size()));
+}
+BENCHMARK(BM_PredictorFleetColdStart);
 
 void BM_ReplayOrderBuild(benchmark::State& state) {
   // The once-per-trace cost the first replay over a trace pays: list

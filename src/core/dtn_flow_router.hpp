@@ -248,7 +248,10 @@ class DtnFlowRouter final : public net::Router {
  private:
   /// The carried vector and token come right after the predictor: an
   /// arrival reads all three, and this order replayed perfbench city
-  /// faster than one with the transits between them.
+  /// faster than one with the transits between them.  With the
+  /// predictor's probe slots inline (~700 B) the order still pays:
+  /// predictor last, right behind the transits, replayed city ~2%
+  /// slower (seed 1, 11 alternating 5 s runs, shared 4-vCPU host).
   struct NodeState {
     std::optional<MarkovPredictor> predictor;
     std::optional<DistanceVector> carried_dv;

@@ -16,7 +16,6 @@ constexpr std::uint64_t kSlotMask = (1ULL << kSlotBits) - 1;
 // Probe-table empty slot: valid packed keys occupy at most 60 bits
 // (order <= 3), so all-ones can never collide with one.
 constexpr std::uint64_t kEmptyProbe = ~0ULL;
-constexpr std::size_t kInitialProbeCap = 64;
 
 // Multiplicative (Fibonacci) mix; the high half decorrelates the
 // low-entropy packed landmark ids before the power-of-two mask.
@@ -35,11 +34,53 @@ inline void raise_argmax(LandmarkId& best, std::uint32_t& best_count,
 }
 }  // namespace
 
+MarkovPredictor::Row::Row(const Row& other)
+    : key(other.key),
+      n(other.n),
+      best(other.best),
+      best_count(other.best_count),
+      size_(other.size_) {
+  if (spilled()) heap_ = {new Succ[other.heap_.capacity], other.heap_.capacity};
+  const std::span<const Succ> from = other.succ();
+  std::copy(from.begin(), from.end(), succ().begin());
+}
+
+MarkovPredictor::Row::Row(Row&& other) noexcept { take(other); }
+
+MarkovPredictor::Row& MarkovPredictor::Row::operator=(Row other) noexcept {
+  if (spilled()) delete[] heap_.data;
+  take(other);
+  return *this;
+}
+
+void MarkovPredictor::Row::take(Row& other) noexcept {
+  key = other.key;
+  n = other.n;
+  best = other.best;
+  best_count = other.best_count;
+  size_ = other.size_;
+  if (spilled()) {
+    heap_ = other.heap_;
+    other.size_ = 0;  // the heap array changed hands
+  } else {
+    std::copy_n(other.inline_.begin(), size_, inline_.begin());
+  }
+}
+
+void MarkovPredictor::Row::grow() {
+  const std::uint32_t capacity = 2 * (spilled() ? heap_.capacity : size_);
+  auto* data = new Succ[capacity];
+  std::copy_n(succ().begin(), size_, data);
+  if (spilled()) delete[] heap_.data;
+  heap_.data = data;
+  heap_.capacity = capacity;
+}
+
 MarkovPredictor::MarkovPredictor(std::size_t num_landmarks, std::size_t order)
-    : num_landmarks_(num_landmarks), order_(order) {
+    : order_(order), num_landmarks_(num_landmarks) {
   DTN_ASSERT(order_ >= 1 && order_ <= 3);
   DTN_ASSERT(num_landmarks_ > 0 && num_landmarks_ < (1ULL << kSlotBits));
-  probe_.assign(kInitialProbeCap, Probe{kEmptyProbe, 0});
+  probe_inline_.fill(Probe{kEmptyProbe, 0});
 }
 
 std::uint64_t MarkovPredictor::context_key() const {
@@ -54,10 +95,11 @@ std::uint64_t MarkovPredictor::context_key() const {
   return key;
 }
 
-std::size_t MarkovPredictor::probe_slot(std::uint64_t key) const {
-  const std::size_t mask = probe_.size() - 1;
+std::size_t MarkovPredictor::probe_slot(std::span<const Probe> table,
+                                        std::uint64_t key) {
+  const std::size_t mask = table.size() - 1;
   std::size_t i = probe_index(key) & mask;
-  while (probe_[i].key != key && probe_[i].key != kEmptyProbe) {
+  while (table[i].key != key && table[i].key != kEmptyProbe) {
     i = (i + 1) & mask;
   }
   return i;
@@ -65,22 +107,24 @@ std::size_t MarkovPredictor::probe_slot(std::uint64_t key) const {
 
 std::uint32_t MarkovPredictor::intern_context(std::uint64_t key) {
   DTN_ASSERT(key != kEmptyProbe);
-  Probe& slot = probe_[probe_slot(key)];
+  const std::span<Probe> table = probes();
+  Probe& slot = table[probe_slot(table, key)];
   if (slot.key == key) return slot.id;
   const auto id = static_cast<std::uint32_t>(rows_.size());
   slot = Probe{key, id};
-  rows_.emplace_back().key = key;
+  rows_.emplace_back(key);
   // Grow at 1/2 load: linear probing stays ~2 slot reads per miss.
-  if (2 * rows_.size() >= probe_.size()) probe_rehash(2 * probe_.size());
+  if (2 * rows_.size() >= table.size()) probe_rehash(2 * table.size());
   return id;
 }
 
 void MarkovPredictor::probe_rehash(std::size_t capacity) {
-  DTN_ASSERT((capacity & (capacity - 1)) == 0 &&
+  DTN_ASSERT((capacity & (capacity - 1)) == 0 && capacity > kInlineProbes &&
              capacity > 2 * rows_.size());
-  probe_.assign(capacity, Probe{kEmptyProbe, 0});
+  probe_heap_.assign(capacity, Probe{kEmptyProbe, 0});
   for (std::uint32_t id = 0; id < rows_.size(); ++id) {
-    probe_[probe_slot(rows_[id].key)] = Probe{rows_[id].key, id};
+    probe_heap_[probe_slot(probe_heap_, rows_[id].key)] =
+        Probe{rows_[id].key, id};
   }
 }
 
@@ -93,13 +137,15 @@ void MarkovPredictor::record_visit(LandmarkId l) {
     // A full context precedes l: count the (k+1)-gram c.l in the
     // outgoing context's row.
     Row& row = rows_[current_ctx_];
-    auto it = std::find_if(row.succ.begin(), row.succ.end(),
-                           [l](const Succ& s) { return s.landmark == l; });
-    if (it == row.succ.end()) it = row.succ.insert(it, Succ{l, 0});
+    const std::span<Succ> succ = row.succ();
+    const auto it = std::find_if(
+        succ.begin(), succ.end(),
+        [l](const Succ& s) { return s.landmark == l; });
+    Succ& s = it != succ.end() ? *it : row.append(l);
     // Maintain the argmax incrementally.  Counts only ever grow by one,
     // so "new count beats the best, or ties it with a smaller id" keeps
     // `best` equal to the full-scan argmax at all times.
-    raise_argmax(row.best, row.best_count, l, ++it->count);
+    raise_argmax(row.best, row.best_count, l, ++s.count);
     std::copy(context_.begin() + 1, context_.begin() + order_,
               context_.begin());
     context_[order_ - 1] = l;
@@ -122,14 +168,14 @@ void MarkovPredictor::record_visit(LandmarkId l) {
 void MarkovPredictor::build_index() const {
   if (index_prob_.empty()) index_prob_.assign(num_landmarks_, 0.0);
   if (indexed_ctx_ != kNoContext) {
-    for (const Succ& s : rows_[indexed_ctx_].succ) {
+    for (const Succ& s : rows_[indexed_ctx_].succ()) {
       index_prob_[s.landmark] = 0.0;
     }
   }
   if (current_ctx_ != kNoContext) {
     const Row& row = rows_[current_ctx_];
     const auto total = static_cast<double>(row.n);
-    for (const Succ& s : row.succ) {
+    for (const Succ& s : row.succ()) {
       index_prob_[s.landmark] = static_cast<double>(s.count) / total;
     }
   }
@@ -142,7 +188,7 @@ void MarkovPredictor::next_distribution(std::vector<double>& out) const {
   if (current_ctx_ == kNoContext) return;
   const Row& row = rows_[current_ctx_];
   const auto total = static_cast<double>(row.n);
-  for (const Succ& s : row.succ) {
+  for (const Succ& s : row.succ()) {
     out[s.landmark] = static_cast<double>(s.count) / total;
   }
 }
@@ -155,7 +201,7 @@ std::string MarkovPredictor::row_defect(const Row& row,
   if (row.n == 0) return "N(c) == 0";
   std::string defect;
   std::uint64_t sum = 0;
-  for (const Succ& s : row.succ) {
+  for (const Succ& s : row.succ()) {
     const char* what =
         s.landmark >= num_landmarks_ ? "out-of-range successor landmark "
         : seen[s.landmark]++ != 0    ? "duplicate successor "
@@ -167,7 +213,7 @@ std::string MarkovPredictor::row_defect(const Row& row,
     }
     sum += s.count;
   }
-  for (const Succ& s : row.succ) {
+  for (const Succ& s : row.succ()) {
     if (s.landmark < num_landmarks_) seen[s.landmark] = 0;
   }
   if (defect.empty() && sum > row.n) {
@@ -179,8 +225,9 @@ std::string MarkovPredictor::row_defect(const Row& row,
 
 void MarkovPredictor::audit(sim::AuditReport& report) const {
   const std::size_t contexts = rows_.size();
+  const std::span<const Probe> table = probes();
   const auto occupied = static_cast<std::size_t>(
-      std::count_if(probe_.begin(), probe_.end(),
+      std::count_if(table.begin(), table.end(),
                     [](const Probe& p) { return p.key != kEmptyProbe; }));
   if (occupied != contexts) {
     report.fail("probe table holds " + std::to_string(occupied) +
@@ -193,7 +240,7 @@ void MarkovPredictor::audit(sim::AuditReport& report) const {
     const std::string ctx = "context " + std::to_string(id);
     // Every key must resolve to its own id through the probe table (the
     // bug class: a rehash or insert that desynchronizes the two).
-    const Probe& slot = probe_[probe_slot(row.key)];
+    const Probe& slot = table[probe_slot(table, row.key)];
     if (slot.key != row.key || slot.id != id) {
       report.fail(ctx + ": key does not resolve to its id");
     }
@@ -205,7 +252,7 @@ void MarkovPredictor::audit(sim::AuditReport& report) const {
     // incrementally; the two must agree at all times.
     LandmarkId best = kNoLandmark;
     std::uint32_t best_count = 0;
-    for (const Succ& s : row.succ) {
+    for (const Succ& s : row.succ()) {
       raise_argmax(best, best_count, s.landmark, s.count);
     }
     if (best != row.best || best_count != row.best_count) {
@@ -233,7 +280,7 @@ void MarkovPredictor::audit(sim::AuditReport& report) const {
 
 bool MarkovPredictor::debug_corrupt_argmax_for_test() {
   for (Row& row : rows_) {
-    if (row.succ.empty()) continue;
+    if (row.succ().empty()) continue;
     ++row.best_count;  // a count the row cannot justify
     return true;
   }

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <numeric>
+#include <optional>
+#include <utility>
 #include <vector>
 
+#include "sim/invariant_auditor.hpp"
 #include "util/rng.hpp"
 
 namespace dtn::core {
@@ -227,6 +231,169 @@ TEST(VisitingSequence, CollapsesDuplicates) {
   EXPECT_EQ(seq[0], 1u);
   EXPECT_EQ(seq[1], 2u);
   EXPECT_EQ(seq[2], 1u);
+}
+
+// -- inline storage and its spill path -----------------------------------
+//
+// The predictor keeps a small model in the object itself (inline probe
+// slots, inline successors per row) and spills each to the heap once it
+// outgrows them.  The tests below drive both sides of each spill.
+
+// The estimator of eqs. (1)-(3) over plain ordered maps: the behaviour
+// the inline-then-spilled store must reproduce exactly.
+class ReferencePredictor {
+ public:
+  ReferencePredictor(std::size_t num_landmarks, std::size_t order)
+      : num_landmarks_(num_landmarks), order_(order) {}
+
+  void record_visit(LandmarkId l) {
+    if (!history_.empty() && history_.back() == l) return;
+    if (history_.size() >= order_) ++grams_[context()][l];
+    history_.push_back(l);
+    if (history_.size() >= order_) ++contexts_[context()];
+  }
+
+  [[nodiscard]] LandmarkId predict() const {
+    LandmarkId best = kNoLandmark;
+    std::uint32_t best_count = 0;
+    for (const auto& [l, count] : successors()) {
+      if (count > best_count) {  // ascending ids: ties keep the smaller
+        best = l;
+        best_count = count;
+      }
+    }
+    return best;
+  }
+
+  [[nodiscard]] std::vector<double> distribution() const {
+    std::vector<double> dist(num_landmarks_, 0.0);
+    if (history_.size() < order_) return dist;
+    const auto total = static_cast<double>(contexts_.at(context()));
+    for (const auto& [l, count] : successors()) {
+      dist[l] = static_cast<double>(count) / total;
+    }
+    return dist;
+  }
+
+ private:
+  using Context = std::vector<LandmarkId>;
+
+  [[nodiscard]] Context context() const {
+    return Context(history_.end() - static_cast<std::ptrdiff_t>(order_),
+                   history_.end());
+  }
+  [[nodiscard]] std::map<LandmarkId, std::uint32_t> successors() const {
+    if (history_.size() < order_) return {};
+    const auto it = grams_.find(context());
+    return it == grams_.end() ? std::map<LandmarkId, std::uint32_t>{}
+                              : it->second;
+  }
+
+  std::size_t num_landmarks_;
+  std::size_t order_;
+  std::vector<LandmarkId> history_;
+  std::map<Context, std::uint32_t> contexts_;
+  std::map<Context, std::map<LandmarkId, std::uint32_t>> grams_;
+};
+
+// Every query entry point of `p` against the reference, plus a clean audit.
+void expect_matches(const MarkovPredictor& p, const ReferencePredictor& ref) {
+  const auto want = ref.distribution();
+  EXPECT_EQ(p.predict(), ref.predict());
+  EXPECT_EQ(distribution(p), want);
+  for (LandmarkId l = 0; l < want.size(); ++l) {
+    ASSERT_EQ(p.probability_of(l), want[l]) << "landmark " << l;
+  }
+  sim::AuditReport report;
+  p.audit(report);
+  EXPECT_TRUE(report.ok()) << report.to_string();
+}
+
+// A random walk over `num_landmarks` landmarks: enough distinct contexts
+// to move the probe table to the heap (more than 16 at order k), and
+// rows with more than three successors beside rows with fewer.
+std::vector<LandmarkId> spilling_walk(std::size_t num_landmarks,
+                                      std::uint64_t seed, int steps) {
+  Rng rng(seed);
+  std::vector<LandmarkId> walk;
+  for (int i = 0; i < steps; ++i) {
+    walk.push_back(static_cast<LandmarkId>(rng.uniform_index(num_landmarks)));
+  }
+  return walk;
+}
+
+class PredictorSpillTest : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(PredictorSpillTest, MatchesAMapReferenceAtEveryStep) {
+  const std::size_t order = GetParam();
+  // Fewer landmarks at higher order keep contexts revisited, so rows
+  // collect successors past the inline ones.
+  const std::size_t num_landmarks = order == 1 ? 40 : order == 2 ? 9 : 5;
+  MarkovPredictor p(num_landmarks, order);
+  ReferencePredictor ref(num_landmarks, order);
+  for (const LandmarkId l : spilling_walk(num_landmarks, order + 40, 1500)) {
+    p.record_visit(l);
+    ref.record_visit(l);
+    ASSERT_NO_FATAL_FAILURE(expect_matches(p, ref));
+  }
+}
+
+TEST_P(PredictorSpillTest, CopiesAndMovesPredictIdentically) {
+  // A copy and a move target, taken before and after the spills, must
+  // carry on exactly like the original: no member may point into the
+  // object, and a copied heap row must not be shared.
+  const std::size_t order = GetParam();
+  const std::size_t num_landmarks = order == 1 ? 40 : order == 2 ? 9 : 5;
+  const auto walk = spilling_walk(num_landmarks, order + 70, 1200);
+  for (const std::size_t split : {std::size_t{5}, walk.size() / 2}) {
+    SCOPED_TRACE("split at " + std::to_string(split));
+    MarkovPredictor original(num_landmarks, order);
+    for (std::size_t i = 0; i < split; ++i) original.record_visit(walk[i]);
+    MarkovPredictor copied(original);
+    MarkovPredictor moved{MarkovPredictor(original)};
+    MarkovPredictor copy_assigned(num_landmarks, order);
+    copy_assigned.record_visit(0);
+    copy_assigned = original;
+    std::optional<MarkovPredictor> move_assigned(std::in_place,
+                                                 num_landmarks, order);
+    move_assigned = MarkovPredictor(original);
+    ReferencePredictor ref(num_landmarks, order);
+    for (std::size_t i = 0; i < split; ++i) ref.record_visit(walk[i]);
+    for (std::size_t i = split; i < walk.size(); ++i) {
+      for (MarkovPredictor* p :
+           {&original, &copied, &moved, &copy_assigned, &*move_assigned}) {
+        p->record_visit(walk[i]);
+      }
+      ref.record_visit(walk[i]);
+      for (const MarkovPredictor* p :
+           {&original, &copied, &moved, &copy_assigned, &*move_assigned}) {
+        ASSERT_NO_FATAL_FAILURE(expect_matches(*p, ref)) << "step " << i;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Orders, PredictorSpillTest,
+                         ::testing::Values(1u, 2u, 3u));
+
+TEST(MarkovPredictorAudit, CorruptArgmaxCaughtOnInlineAndSpilledRows) {
+  // Context 0 (id 0) gets one successor, then four: the corruption hits
+  // an inline row first and a spilled one second.
+  using Walk = std::vector<LandmarkId>;
+  for (const Walk& walk : {Walk{0, 1, 0}, Walk{0, 1, 0, 2, 0, 3, 0, 4, 0}}) {
+    SCOPED_TRACE("walk of " + std::to_string(walk.size()));
+    MarkovPredictor p(5, 1);
+    for (const LandmarkId l : walk) p.record_visit(l);
+    sim::AuditReport clean;
+    p.audit(clean);
+    ASSERT_TRUE(clean.ok()) << clean.to_string();
+    ASSERT_TRUE(p.debug_corrupt_argmax_for_test());
+    sim::AuditReport report;
+    p.audit(report);
+    EXPECT_FALSE(report.ok());
+    EXPECT_NE(report.to_string().find("argmax"), std::string::npos)
+        << report.to_string();
+  }
 }
 
 class PredictorOrderTest : public ::testing::TestWithParam<std::size_t> {};
