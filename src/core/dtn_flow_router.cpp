@@ -341,15 +341,9 @@ bool DtnFlowRouter::dispatch_packet(Network& net, LandmarkId l, PacketId pid) {
   // transit straight to the destination landmark.
   if (cfg_.direct_delivery) {
     const NodeId best = best_carrier(p.dst, /*predicted_only=*/true);
-    if (best != trace::kNoNode) {
-      const double table_delay = landmarks_[l].table->delay_to(p.dst);
-      const double link_delay = link_expected_delay(l, p.dst);
-      if (net.station_to_node(l, best, pid)) {
-        p.next_hop = p.dst;
-        p.expected_delay = std::min(table_delay, link_delay);
-        note_station_egress(l, p.dst);
-        return true;
-      }
+    if (best != trace::kNoNode &&
+        hand_over(net, l, best, p, p.dst, direct_delay(l, p.dst))) {
+      return true;
     }
   }
 
@@ -359,8 +353,17 @@ bool DtnFlowRouter::dispatch_packet(Network& net, LandmarkId l, PacketId pid) {
   double delay = kInfiniteDelay;
   if (!choose_next_hop(l, p.dst, next, delay)) return false;
   const NodeId best = best_carrier(next, /*predicted_only=*/false);
-  if (best == trace::kNoNode) return false;
-  if (!net.station_to_node(l, best, pid)) return false;
+  return best != trace::kNoNode && hand_over(net, l, best, p, next, delay);
+}
+
+double DtnFlowRouter::direct_delay(LandmarkId l, LandmarkId dst) const {
+  return std::min(landmarks_[l].table->delay_to(dst),
+                  link_expected_delay(l, dst));
+}
+
+bool DtnFlowRouter::hand_over(Network& net, LandmarkId l, NodeId n,
+                              Packet& p, LandmarkId next, double delay) {
+  if (!net.station_to_node(l, n, p.id)) return false;
   p.next_hop = next;
   p.expected_delay = delay;
   note_station_egress(l, next);
@@ -434,34 +437,23 @@ void DtnFlowRouter::offer_packets_to_node(Network& net, LandmarkId l,
     if (!net.node_buffer(n).has_space()) break;
 
     if (cfg_.direct_delivery && predicted == p.dst) {
-      const double table_delay = landmarks_[l].table->delay_to(p.dst);
-      const double link_delay = link_expected_delay(l, p.dst);
-      if (net.station_to_node(l, n, pid)) {
-        p.next_hop = p.dst;
-        p.expected_delay = std::min(table_delay, link_delay);
-        note_station_egress(l, p.dst);
-      }
+      (void)hand_over(net, l, n, p, p.dst, direct_delay(l, p.dst));
       continue;
     }
 
     LandmarkId next = kNoLandmark;
     double delay = kInfiniteDelay;
     if (!choose_next_hop(l, p.dst, next, delay)) continue;
-    if (!carrier_accepts(predicted, next,
-                         distribution_scratch_[next], acc_here)) {
-      continue;
-    }
-    if (net.station_to_node(l, n, pid)) {
-      p.next_hop = next;
-      p.expected_delay = delay;
-      note_station_egress(l, next);
+    if (carrier_accepts(predicted, next, distribution_scratch_[next],
+                        acc_here)) {
+      (void)hand_over(net, l, n, p, next, delay);
     }
   }
 }
 
-std::span<const PacketId> DtnFlowRouter::upload_packets(
-    Network& net, NodeId n, LandmarkId l, bool force_all,
-    std::size_t max_count, bool only_reached_hop) {
+void DtnFlowRouter::upload_and_dispatch(Network& net, NodeId n, LandmarkId l,
+                                        bool force_all, std::size_t max_count,
+                                        bool only_reached_hop) {
   std::vector<PacketId>& uploaded = uploaded_;
   uploaded.clear();
   // Most-urgent-first upload order (§IV-D.5): smallest remaining TTL,
@@ -493,7 +485,12 @@ std::span<const PacketId> DtnFlowRouter::upload_packets(
       check_loop(net, l, pid);
     }
   }
-  return uploaded;
+  // Every upload lands before the first re-dispatch.
+  for (const PacketId pid : uploaded) {
+    if (net.packet(pid).state == net::PacketState::kAtStation) {
+      dispatch_packet(net, l, pid);
+    }
+  }
 }
 
 void DtnFlowRouter::update_channel_mode(const Network& net, LandmarkId l) {
@@ -636,31 +633,16 @@ void DtnFlowRouter::on_arrival(Network& net, NodeId node, LandmarkId l) {
   // §IV-D.5 scheduling the serialized channel serves either the uplink
   // (uploading mode: node uploads up to B_up most-urgent packets, no
   // downloads this association) or the downlink (forwarding mode: only
-  // reached-next-hop uploads, then the station forwards).
-  if (cfg_.scheduled_communication) {
-    update_channel_mode(net, l);
-    const bool uploading = landmarks_[l].uploading_mode;
-    for (const PacketId pid :
-         upload_packets(net, node, l, /*force_all=*/false,
-                        uploading ? kMaxUploadsPerArrival : 0,
-                        /*only_reached_hop=*/!uploading)) {
-      if (net.packet(pid).state == net::PacketState::kAtStation) {
-        dispatch_packet(net, l, pid);
-      }
-    }
-    if (!uploading) {
-      offer_packets_to_node(net, l, node);
-    }
-  } else {
-    for (const PacketId pid :
-         upload_packets(net, node, l, /*force_all=*/false)) {
-      if (net.packet(pid).state == net::PacketState::kAtStation) {
-        dispatch_packet(net, l, pid);
-      }
-    }
-    // The landmark offers stored packets to the newcomer.
-    offer_packets_to_node(net, l, node);
-  }
+  // reached-next-hop uploads, then the station forwards).  Without
+  // scheduling the node uploads everything due, then the landmark offers
+  // its stored packets to the newcomer.
+  const bool scheduled = cfg_.scheduled_communication;
+  if (scheduled) update_channel_mode(net, l);
+  const bool uploading = scheduled && landmarks_[l].uploading_mode;
+  upload_and_dispatch(net, node, l, /*force_all=*/false,
+                      uploading ? kMaxUploadsPerArrival : 0,
+                      /*only_reached_hop=*/scheduled && !uploading);
+  if (!uploading) offer_packets_to_node(net, l, node);
 
   // Dead-end extension: arrivals give parked co-located nodes a chance
   // to be checked (a stuck node's stay keeps growing between events).
@@ -754,11 +736,7 @@ void DtnFlowRouter::check_parked_dead_end(Network& net, NodeId n) {
   if (!stay_is_dead_end(t, here, net.now() - t.arrived_at)) return;
   ++diag_.dead_ends_detected;
   // Hand everything to the station; the landmark re-routes (§IV-E.1).
-  for (const PacketId pid : upload_packets(net, n, here, /*force_all=*/true)) {
-    if (net.packet(pid).state == net::PacketState::kAtStation) {
-      dispatch_packet(net, here, pid);
-    }
-  }
+  upload_and_dispatch(net, n, here, /*force_all=*/true);
 }
 
 void DtnFlowRouter::check_loop(Network& net, LandmarkId l, PacketId pid) {

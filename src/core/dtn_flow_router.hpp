@@ -227,6 +227,9 @@ class DtnFlowRouter final : public net::Router {
   [[nodiscard]] const DtnFlowDiagnostics& diagnostics() const {
     return diag_;
   }
+  /// Current channel mode (uploading = true); only meaningful with
+  /// scheduled_communication enabled.
+  [[nodiscard]] bool landmark_uploading_mode(net::LandmarkId l) const;
 
   /// Fault injection for the Table VII experiment: pin a routing cycle
   /// for `dst` through `cycle` (cycle[i] -> cycle[i+1], wrapping).
@@ -323,6 +326,15 @@ class DtnFlowRouter final : public net::Router {
   /// "Carrier selection").
   bool dispatch_packet(net::Network& net, net::LandmarkId l,
                        net::PacketId pid);
+  /// Hand station packet `p` to carrier `n` and stamp the hop it is
+  /// sent toward and the expected delay it carries.  False when the
+  /// transfer failed.
+  bool hand_over(net::Network& net, net::LandmarkId l, net::NodeId n,
+                 net::Packet& p, net::LandmarkId next, double delay);
+  /// The expected delay a direct-delivery handover stamps: the smaller
+  /// of l's table delay and the direct link delay to `dst`.
+  [[nodiscard]] double direct_delay(net::LandmarkId l,
+                                    net::LandmarkId dst) const;
 
   /// Sort keys of one candidate station packet in an arrival offer
   /// (§IV-D.5 forwarding priority).
@@ -339,14 +351,15 @@ class DtnFlowRouter final : public net::Router {
   void offer_packets_to_node(net::Network& net, net::LandmarkId l,
                              net::NodeId n);
 
-  /// Upload from node to station per the step-5 rules; returns the
-  /// uploaded packet ids, a view of a scratch list that the next call
-  /// overwrites.  `max_count` 0 = unlimited; `only_reached_hop`
-  /// restricts to packets whose chosen next hop is this landmark
-  /// (forwarding-mode uplink restriction, §IV-D.5).
-  std::span<const net::PacketId> upload_packets(
-      net::Network& net, net::NodeId n, net::LandmarkId l, bool force_all,
-      std::size_t max_count = 0, bool only_reached_hop = false);
+  /// Upload from node to station per the step-5 rules, then re-dispatch
+  /// every uploaded packet still at the station.  `max_count` 0 =
+  /// unlimited; `only_reached_hop` restricts to packets whose chosen
+  /// next hop is this landmark (forwarding-mode uplink restriction,
+  /// §IV-D.5).
+  void upload_and_dispatch(net::Network& net, net::NodeId n,
+                           net::LandmarkId l, bool force_all,
+                           std::size_t max_count = 0,
+                           bool only_reached_hop = false);
 
   /// Recompute the §IV-D.5 channel mode of landmark `l` with hysteresis.
   void update_channel_mode(const net::Network& net, net::LandmarkId l);
@@ -355,13 +368,6 @@ class DtnFlowRouter final : public net::Router {
   /// to `to` where `to` is the strictly better carrier.
   void relay_between_nodes(net::Network& net, net::NodeId from,
                            net::NodeId to);
-
- public:
-  /// Current channel mode (uploading = true); only meaningful with
-  /// scheduled_communication enabled.  Exposed for tests/benches.
-  [[nodiscard]] bool landmark_uploading_mode(net::LandmarkId l) const;
-
- private:
 
   /// Load-balancing monitors: a packet entered l's station / left it
   /// toward `next` (no-ops with load balancing off).
@@ -405,8 +411,8 @@ class DtnFlowRouter final : public net::Router {
   /// offer_packets_to_node; avoids a vector allocation per offer).
   DTN_CKPT_SKIP("scratch, rebuilt empty on resume")
   std::vector<double> distribution_scratch_;
-  /// Scratch lists of offer_packets_to_node and upload_packets (reused
-  /// so an arrival allocates no key or result vector).
+  /// Scratch lists of offer_packets_to_node and upload_and_dispatch
+  /// (reused so an arrival allocates no key or result vector).
   DTN_CKPT_SKIP("scratch, rebuilt empty on resume")
   std::vector<OfferKey> offer_keys_;
   DTN_CKPT_SKIP("scratch, rebuilt empty on resume")

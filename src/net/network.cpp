@@ -109,6 +109,8 @@ std::vector<sim::Event> Network::build_static_schedule(
     DTN_ASSERT(mp.src < num_landmarks);
     DTN_ASSERT(mp.dst < num_landmarks);
     DTN_ASSERT(mp.src != mp.dst || mp.dst_node != trace::kNoNode);
+    DTN_ASSERT(mp.dst_node == trace::kNoNode ||
+               mp.dst_node < trace_.num_nodes());
     // -0.0 -> +0.0, as the event queue stored it.
     drawn.push_back({mp.time == 0.0 ? 0.0 : mp.time, seq_base + i,
                      sim::EventKind::kManualPacket, i, 0});
@@ -940,46 +942,41 @@ void Network::finalize_evictions(std::vector<PacketId>& victims) {
 bool Network::suppress_delivered_copy(Packet& p) {
   if (logical_delivered_[p.logical] == 0) return false;
   // Duplicate-delivery suppression: another copy of this logical packet
-  // already reached the destination, so retire this one at the
-  // admission point instead of letting it keep consuming buffers.
-  detach_from_holder(p);
-  ledger_erase(p.id);
-  p.state = PacketState::kObsoleteCopy;
+  // already reached the destination, so retire this one (as an obsolete
+  // copy) at the admission point instead of letting it keep consuming
+  // buffers.
+  retire(p);
   ++counters_.duplicates_suppressed;
   return true;
 }
 
-void Network::set_holder_retention(Packet& p, Retention r) {
+BundleStore* Network::store_holding(const Packet& p) {
   switch (p.state) {
     case PacketState::kAtStation:
-      stations_[p.holder].storage.set_retention_if_held(p.id, r);
-      break;
+      return &stations_[p.holder].storage;
     case PacketState::kOnNode:
-      node_stores_[p.holder].set_retention_if_held(p.id, r);
-      break;
+      return &node_stores_[p.holder];
     default:
-      break;  // origin-queue and terminal packets carry no store entry
+      return nullptr;  // origin-queue and terminal packets
+  }
+}
+
+void Network::set_holder_retention(Packet& p, Retention r) {
+  if (BundleStore* store = store_holding(p)) {
+    store->set_retention_if_held(p.id, r);
   }
 }
 
 void Network::detach_from_holder(Packet& p) {
-  switch (p.state) {
-    case PacketState::kAtOrigin: {
-      auto& origin = stations_[p.holder].origin;
-      const auto it = std::find(origin.begin(), origin.end(), p.id);
-      DTN_ASSERT(it != origin.end());
-      origin.erase(it);
-      break;
-    }
-    case PacketState::kAtStation:
-      stations_[p.holder].storage.remove(p.id);
-      break;
-    case PacketState::kOnNode:
-      node_stores_[p.holder].remove(p.id);
-      break;
-    default:
-      DTN_ASSERT(false);
+  if (BundleStore* store = store_holding(p)) {
+    store->remove(p.id);
+    return;
   }
+  DTN_ASSERT(p.state == PacketState::kAtOrigin);
+  auto& origin = stations_[p.holder].origin;
+  const auto it = std::find(origin.begin(), origin.end(), p.id);
+  DTN_ASSERT(it != origin.end());
+  origin.erase(it);
 }
 
 void Network::retire(Packet& p) {
@@ -1000,11 +997,42 @@ void Network::deliver_from_holder(Packet& p) {
   deliver(p.id);
 }
 
-bool Network::drop_if_expired(PacketId pid) {
-  Packet& p = packet(pid);
+bool Network::may_transfer(Packet& p, bool endpoint_down) {
   DTN_ASSERT(!is_terminal(p.state));
-  if (!p.expired(sim_.now())) return false;
-  retire(p);
+  // Expiry first, so an expired packet never keeps moving between sweep
+  // ticks.
+  if (p.expired(sim_.now())) {
+    retire(p);
+    return false;
+  }
+  if (suppress_delivered_copy(p)) return false;
+  if (endpoint_down) {
+    ++counters_.transfers_blocked_fault;
+    return false;
+  }
+  return !transfer_interrupted(p.id);
+}
+
+bool Network::move(Packet& p, BundleStore& target, PacketState state,
+                   std::uint32_t holder, bool check_dedup) {
+  // The source position is read before the target's append re-points
+  // the shared column.
+  BundleStore* source = store_holding(p);
+  const std::size_t at = source != nullptr ? source->index_of(p.id) : 0;
+  const Admit verdict = store_admit(target, p, Retention::kNone, check_dedup);
+  if (verdict != Admit::kStored) {
+    if (verdict == Admit::kRefusedCapacity) ++counters_.refused_buffer;
+    return false;
+  }
+  if (source != nullptr) {
+    source->remove_at(at);
+  } else {
+    detach_from_holder(p);  // still in its origin queue
+  }
+  p.state = state;
+  p.holder = holder;
+  ++p.hops;
+  ++counters_.packet_forwards;
   return true;
 }
 
@@ -1012,34 +1040,16 @@ bool Network::pickup_from_origin(NodeId node, PacketId pid) {
   Packet& p = packet(pid);
   DTN_ASSERT(p.state == PacketState::kAtOrigin);
   DTN_ASSERT(location_[node] == p.holder);
-  if (drop_if_expired(pid)) return false;
-  if (suppress_delivered_copy(p)) return false;
-  if (node_down(node)) {
-    ++counters_.transfers_blocked_fault;
-    return false;
-  }
-  if (transfer_interrupted(pid)) return false;
+  if (!may_transfer(p, node_down(node))) return false;
   if (p.dst_node == node) {
     // Picked up by its destination: delivered on the spot.
     deliver_from_holder(p);
     return true;
   }
-  auto& origin = stations_[p.holder].origin;
   // First pickup of source data: no dedup check (a carrier must be
   // able to take a fresh original even if it relayed a copy before).
-  if (store_admit(node_stores_[node], p, Retention::kNone,
-                  /*check_dedup=*/false) != Admit::kStored) {
-    ++counters_.refused_buffer;
-    return false;
-  }
-  const auto it = std::find(origin.begin(), origin.end(), pid);
-  DTN_ASSERT(it != origin.end());
-  origin.erase(it);
-  p.state = PacketState::kOnNode;
-  p.holder = node;
-  ++p.hops;
-  ++counters_.packet_forwards;
-  return true;
+  return move(p, node_stores_[node], PacketState::kOnNode, node,
+              /*check_dedup=*/false);
 }
 
 bool Network::station_to_node(LandmarkId l, NodeId node, PacketId pid) {
@@ -1047,34 +1057,15 @@ bool Network::station_to_node(LandmarkId l, NodeId node, PacketId pid) {
   DTN_ASSERT(p.state == PacketState::kAtStation);
   DTN_ASSERT(p.holder == l);
   DTN_ASSERT(location_[node] == l);
-  if (drop_if_expired(pid)) return false;
-  if (suppress_delivered_copy(p)) return false;
-  if (station_down(l) || node_down(node)) {
-    ++counters_.transfers_blocked_fault;
-    return false;
-  }
-  if (transfer_interrupted(pid)) return false;
+  if (!may_transfer(p, station_down(l) || node_down(node))) return false;
+  // Station dispatch onto a carrier skips the dedup check: refusing the
+  // single-copy backbone's forward path would strand packets.
   if (p.dst_node == node) {
     deliver_from_holder(p);
-    note_station_activity(l);
-    return true;
-  }
-  // Station dispatch onto a carrier: no dedup check — refusing the
-  // single-copy backbone's forward path would strand packets.  The
-  // source position is read before the target's append re-points the
-  // shared column.
-  BundleStore& source = stations_[l].storage;
-  const std::size_t at = source.index_of(pid);
-  if (store_admit(node_stores_[node], p, Retention::kNone,
-                  /*check_dedup=*/false) != Admit::kStored) {
-    ++counters_.refused_buffer;
+  } else if (!move(p, node_stores_[node], PacketState::kOnNode, node,
+                   /*check_dedup=*/false)) {
     return false;
   }
-  source.remove_at(at);
-  p.state = PacketState::kOnNode;
-  p.holder = node;
-  ++p.hops;
-  ++counters_.packet_forwards;
   note_station_activity(l);
   return true;
 }
@@ -1085,37 +1076,21 @@ bool Network::node_to_station(NodeId node, PacketId pid) {
   DTN_ASSERT(p.holder == node);
   const LandmarkId l = location_[node];
   DTN_ASSERT(l != kNoLandmark);
-  if (drop_if_expired(pid)) return false;
-  if (suppress_delivered_copy(p)) return false;
-  if (node_down(node) || station_down(l)) {
-    ++counters_.transfers_blocked_fault;
-    return false;
-  }
-  if (transfer_interrupted(pid)) return false;
+  if (!may_transfer(p, node_down(node) || station_down(l))) return false;
   const bool delivers =
       (p.dst == l && p.dst_node == trace::kNoNode) ||
       (p.dst_node != trace::kNoNode && location_[p.dst_node] == l);
+  // A bounded station may evict per policy or refuse the incoming
+  // bundle — refusal leaves the packet on the carrier (unbounded
+  // stations always admit, the §V-A.1 default).
   if (delivers) {
     deliver_from_holder(p);
-    note_station_activity(l);
-    return true;
-  }
-  // Admission first: a bounded station may evict per policy or refuse
-  // the incoming bundle — refusal leaves the packet on the carrier
-  // (unbounded stations always admit, the §V-A.1 default).
-  BundleStore& source = node_stores_[node];
-  const std::size_t at = source.index_of(pid);
-  if (store_admit(stations_[l].storage, p, Retention::kNone,
-                  /*check_dedup=*/false) != Admit::kStored) {
-    ++counters_.refused_buffer;
+  } else if (move(p, stations_[l].storage, PacketState::kAtStation, l,
+                  /*check_dedup=*/false)) {
+    p.station_path.push_back(l);
+  } else {
     return false;
   }
-  source.remove_at(at);
-  ++p.hops;
-  ++counters_.packet_forwards;
-  p.state = PacketState::kAtStation;
-  p.holder = l;
-  p.station_path.push_back(l);
   note_station_activity(l);
   return true;
 }
@@ -1127,33 +1102,15 @@ bool Network::node_to_node(NodeId from, NodeId to, PacketId pid) {
   DTN_ASSERT(from != to);
   DTN_ASSERT(location_[from] != kNoLandmark);
   DTN_ASSERT(location_[from] == location_[to]);
-  if (drop_if_expired(pid)) return false;
-  if (suppress_delivered_copy(p)) return false;
-  if (node_down(from) || node_down(to)) {
-    ++counters_.transfers_blocked_fault;
-    return false;
-  }
-  if (transfer_interrupted(pid)) return false;
+  if (!may_transfer(p, node_down(from) || node_down(to))) return false;
   if (p.dst_node == to) {
     deliver_from_holder(p);
     return true;
   }
   // Node-to-node relaying is where copies multiply, so the dedup set
   // applies here: a receiver that already saw this logical refuses it.
-  BundleStore& source = node_stores_[from];
-  const std::size_t at = source.index_of(pid);
-  const Admit verdict =
-      store_admit(node_stores_[to], p, Retention::kNone,
-                  /*check_dedup=*/true);
-  if (verdict != Admit::kStored) {
-    if (verdict == Admit::kRefusedCapacity) ++counters_.refused_buffer;
-    return false;
-  }
-  source.remove_at(at);
-  p.holder = to;
-  ++p.hops;
-  ++counters_.packet_forwards;
-  return true;
+  return move(p, node_stores_[to], PacketState::kOnNode, to,
+              /*check_dedup=*/true);
 }
 
 PacketId Network::replicate_node_to_node(NodeId from, NodeId to,
@@ -1165,14 +1122,14 @@ PacketId Network::replicate_node_to_node(NodeId from, NodeId to,
   DTN_ASSERT(location_[from] != kNoLandmark);
   DTN_ASSERT(location_[from] == location_[to]);
   // An already-delivered logical is not just skipped: the offered copy
-  // itself retires (duplicate-delivery suppression).
-  if (suppress_delivered_copy(src)) return kNoPacket;
-  if (drop_if_expired(pid)) return kNoPacket;
-  if (node_down(from) || node_down(to)) {
-    ++counters_.transfers_blocked_fault;
+  // itself retires (duplicate-delivery suppression).  Checked ahead of
+  // the gate's expiry step, so an expired copy of a delivered logical
+  // counts as suppressed here, where the other transfers retire it
+  // uncounted.
+  if (suppress_delivered_copy(src) ||
+      !may_transfer(src, node_down(from) || node_down(to))) {
     return kNoPacket;
   }
-  if (transfer_interrupted(pid)) return kNoPacket;
   Packet copy = src;  // inherits deadline, routing state, path record
   copy.id = static_cast<PacketId>(packets_.size());
   copy.state = PacketState::kOnNode;
@@ -1616,22 +1573,10 @@ PacketId Network::generate_packet(LandmarkId src, LandmarkId dst, double ttl,
   // A node-addressed packet whose destination node is connected at the
   // source right now is handed over on the spot.
   if (placed.dst_node != trace::kNoNode &&
-      placed.dst_node < node_stores_.size() &&
       location_[placed.dst_node] == src &&
       !node_down(placed.dst_node) &&
       (placed.state != PacketState::kAtStation || !station_down(src))) {
-    if (placed.state == PacketState::kAtStation) {
-      stations_[src].storage.remove(pid);
-    } else {
-      // The packet was appended to the origin queue just above, so it
-      // is the tail: removing it is a pop, no scan or shift.
-      auto& origin = stations_[src].origin;
-      DTN_ASSERT(!origin.empty() && origin.back() == pid);
-      origin.pop_back();
-    }
-    ++placed.hops;
-    ++counters_.packet_forwards;
-    deliver(pid);
+    deliver_from_holder(placed);
     return pid;
   }
   router_.on_packet_generated(*this, pid);

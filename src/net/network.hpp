@@ -288,21 +288,27 @@ class Network {
   // endpoint is down and may break mid-contact under an injected
   // transfer-failure probability (the packet then stays with the sender
   // and retries after an exponential backoff on a later contact).
-  /// Origin queue -> node at the same landmark.  False if no space.
+  // A transfer returns false (kNoPacket for a replication) when the
+  // packet's TTL had lapsed or its logical was already delivered (the
+  // packet then retires), an endpoint was down, the attempt was
+  // interrupted, or the target store refused it (full, or dedup);
+  // otherwise the packet moved.  A receiver that is the packet's
+  // destination node gets it delivered on the spot, except by
+  // replication.
+  /// Origin queue -> node at the same landmark.
   bool pickup_from_origin(NodeId node, PacketId pid);
-  /// Station -> node at the same landmark.  False if no space.
+  /// Station -> node at the same landmark.
   bool station_to_node(LandmarkId l, NodeId node, PacketId pid);
   /// Node -> station of the landmark the node is at; delivers if it is
-  /// the destination.  Stations are unbounded by default (then this
-  /// fails only on TTL expiry or an injected fault); a bounded station
-  /// store may also refuse admission, leaving the packet on the node.
+  /// the destination.  Stations are unbounded by default; a bounded
+  /// station store may refuse admission, leaving the packet on the node.
   bool node_to_station(NodeId node, PacketId pid);
-  /// Node -> node, both at the same landmark.  False if no space.
+  /// Node -> node, both at the same landmark.
   bool node_to_node(NodeId from, NodeId to, PacketId pid);
 
   /// Multi-copy support: duplicate `pid` (held by `from`) into `to`'s
   /// buffer as a new copy of the same logical packet.  Returns the new
-  /// copy's id, or kNoPacket when `to` lacks space / already delivered.
+  /// copy's id.
   PacketId replicate_node_to_node(NodeId from, NodeId to, PacketId pid);
 
   /// Does `node` carry any copy of the logical packet `logical`?
@@ -382,10 +388,21 @@ class Network {
   static void dispatch_trampoline(void* self, const sim::Event& ev) {
     static_cast<Network*>(self)->dispatch(ev);
   }
-  /// Drop `pid` now if its TTL has lapsed (removing it from its holder);
-  /// returns true when dropped.  Transfers call this first so expired
-  /// packets never keep moving between sweep ticks.
-  bool drop_if_expired(PacketId pid);
+  /// The gate every transfer passes, in this order: a lapsed TTL
+  /// retires the packet, a copy of a delivered logical retires
+  /// (duplicates_suppressed), a down endpoint blocks
+  /// (transfers_blocked_fault), an injected break interrupts.  True
+  /// when the transfer may go ahead.
+  bool may_transfer(Packet& p, bool endpoint_down);
+  /// The one store move: admit `p` into `target` (a capacity refusal
+  /// counts in refused_buffer), take it out of its source store or
+  /// origin queue, set its state and holder, and count the hop and the
+  /// forward.  False when the target refused it.
+  bool move(Packet& p, BundleStore& target, PacketState state,
+            std::uint32_t holder, bool check_dedup);
+  /// The store holding `p`, or nullptr for an origin-queue or terminal
+  /// packet.
+  [[nodiscard]] BundleStore* store_holding(const Packet& p);
   /// Take a live packet out of circulation: detach it from its holder
   /// and mark it an obsolete copy when its logical packet was already
   /// delivered, else a TTL drop.

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace dtn::net {
@@ -419,6 +422,403 @@ TEST(Network, DeterministicAcrossRuns) {
     return net.counters().packet_forwards;
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+
+// -- transfer rules -------------------------------------------------------
+//
+// Every transfer passes the same gate before it moves anything: a lapsed
+// TTL retires the packet, a copy of a delivered logical retires as
+// suppressed, a down endpoint blocks, an injected break interrupts.  A
+// transfer that passes hands the packet to a receiver that is its
+// destination node on the spot, else admits it into the target store.
+// The suite pins each rule's return value, packet state and counter
+// deltas, transfer by transfer.
+
+enum class Transfer {
+  kPickup,
+  kStationToNode,
+  kNodeToStation,
+  kNodeToNode,
+  kReplicate
+};
+enum class Case {
+  kMoves,
+  kExpired,
+  kDeliveredCopy,         // another copy of the logical was delivered
+  kDeliveredExpiredCopy,  // ... and this copy's TTL lapsed too
+  kNodeDown,
+  kStationDown,
+  kTargetFull,
+  kDedup,
+  kToDstNode,  // the receiver is the packet's destination node
+  kInterrupted,
+  kMovesAfterRecovery,
+};
+
+// Node and landmark roles of the transfer trace.  Everything happens at
+// landmark kHere; kCourier carries a copy to kThere, the packet's
+// destination; kClock's arrivals at kElsewhere only mark time.
+constexpr NodeId kClock = 0, kA = 1, kB = 2, kCourier = 3, kDstNode = 4;
+constexpr LandmarkId kHere = 0, kThere = 1, kElsewhere = 2;
+constexpr double kActAt = 10.0;
+
+trace::Trace transfer_trace() {
+  trace::Trace t(5, 3);
+  t.add_visit({kClock, kElsewhere, kActAt, kActAt + 1.0});
+  t.add_visit({kA, kHere, 0.0, 100.0});
+  t.add_visit({kB, kHere, 1.0, 100.0});
+  t.add_visit({kCourier, kHere, 2.0, 2.5});
+  t.add_visit({kCourier, kThere, 3.0, 100.0});
+  t.add_visit({kDstNode, kHere, 3.2, 100.0});
+  t.finalize();
+  return t;
+}
+
+// Runs each scripted step on the arrival at its time (every arrival of
+// the transfer trace has its own time).
+class ScriptRouter : public Router {
+ public:
+  [[nodiscard]] std::string name() const override { return "Script"; }
+  [[nodiscard]] bool uses_stations() const override { return stations; }
+  void on_arrival(Network& net, NodeId node, LandmarkId l) override {
+    (void)node;
+    (void)l;
+    for (const auto& [time, step] : steps) {
+      if (time == net.now()) step(net);
+    }
+  }
+
+  bool stations = true;
+  std::vector<std::pair<double, std::function<void(Network&)>>> steps;
+};
+
+struct Deltas {
+  std::uint64_t dropped_ttl = 0;
+  std::uint64_t suppressed = 0;
+  std::uint64_t blocked = 0;
+  std::uint64_t interrupted = 0;
+  std::uint64_t refused_buffer = 0;
+  std::uint64_t dedup_refused = 0;
+  std::uint64_t forwards = 0;
+  std::uint64_t replications = 0;
+  std::uint64_t delivered = 0;
+
+  friend bool operator==(const Deltas&, const Deltas&) = default;
+  friend std::ostream& operator<<(std::ostream& os, const Deltas& d) {
+    return os << "{ttl " << d.dropped_ttl << ", suppressed " << d.suppressed
+              << ", blocked " << d.blocked << ", interrupted "
+              << d.interrupted << ", refused " << d.refused_buffer
+              << ", dedup " << d.dedup_refused << ", forwards " << d.forwards
+              << ", replications " << d.replications << ", delivered "
+              << d.delivered << "}";
+  }
+};
+
+Deltas operator-(const RunCounters& after, const RunCounters& before) {
+  return {after.dropped_ttl - before.dropped_ttl,
+          after.duplicates_suppressed - before.duplicates_suppressed,
+          after.transfers_blocked_fault - before.transfers_blocked_fault,
+          after.transfers_interrupted - before.transfers_interrupted,
+          after.refused_buffer - before.refused_buffer,
+          after.dedup_refused - before.dedup_refused,
+          after.packet_forwards - before.packet_forwards,
+          after.replications - before.replications,
+          after.delivered - before.delivered};
+}
+
+struct Outcome {
+  bool moved = false;
+  /// The packet the transfer left behind: the new copy when a
+  /// replication made one, else packet 0.
+  PacketState state = PacketState::kAtOrigin;
+  std::uint32_t holder = 0;
+  std::uint32_t hops = 0;
+  Deltas deltas;
+  std::vector<double> recovery_delays;
+};
+
+// Packet 0 is generated at kHere for kThere, placed at the transfer's
+// source by t = 2 and handed to the transfer under test at kActAt.
+Outcome run_transfer(Transfer transfer, Case c) {
+  const auto trace = transfer_trace();
+  ScriptRouter router;
+  router.stations = transfer != Transfer::kPickup;
+  auto cfg = quiet_workload();
+  cfg.time_unit = 1000.0;  // no TTL sweep: only the gate retires packets
+  WorkloadConfig::ManualPacket packet{kHere, kThere, 0.5, 0.0};
+  if (c == Case::kExpired || c == Case::kDeliveredExpiredCopy) {
+    packet.ttl = 5.0;  // lapses at 5.5
+  }
+  if (c == Case::kToDstNode) packet.dst_node = kDstNode;
+  cfg.manual_packets = {packet};
+  const bool from_node = transfer == Transfer::kNodeToStation ||
+                         transfer == Transfer::kNodeToNode ||
+                         transfer == Transfer::kReplicate;
+  const NodeId receiver = c == Case::kToDstNode ? kDstNode : kB;
+
+  sim::FaultPlan plan;
+  plan.crash_buffer_loss = 0.0;
+  switch (c) {
+    case Case::kNodeDown:
+      plan.node_crashes = {
+          {transfer == Transfer::kNodeToStation ? kA : kB, 8.0, 10.0}};
+      break;
+    case Case::kStationDown:
+      plan.station_outages = {{kHere, 8.0, 12.0}};
+      break;
+    case Case::kMovesAfterRecovery:
+      plan.station_outages = {{kHere, 5.0, 8.0}};
+      break;
+    case Case::kToDstNode:
+      // The destination node arrives crashed, so the arrival handover
+      // misses the packet and the transfer under test meets it.
+      plan.node_crashes = {{kDstNode, 3.0, 0.5}};
+      break;
+    case Case::kInterrupted:
+      plan.transfer_failure_prob = 1.0;
+      break;
+    default:
+      break;
+  }
+  if (plan.any()) cfg.faults = plan;
+
+  auto& steps = router.steps;
+  const bool copied =
+      c == Case::kDeliveredCopy || c == Case::kDeliveredExpiredCopy;
+  if (from_node || copied) {
+    steps.push_back({1.0, [c](Network& net) {
+                       if (c == Case::kDedup) {
+                         // kB sees the logical before passing it to kA.
+                         ASSERT_TRUE(net.station_to_node(kHere, kB, 0));
+                         ASSERT_TRUE(net.node_to_node(kB, kA, 0));
+                       } else {
+                         ASSERT_TRUE(net.station_to_node(kHere, kA, 0));
+                       }
+                     }});
+  }
+  if (copied) {
+    // The courier takes a copy to kThere, where it is delivered on
+    // arrival at t = 3; the station transfer starts from the station
+    // again.
+    steps.push_back({2.0, [transfer](Network& net) {
+                       ASSERT_NE(net.replicate_node_to_node(kA, kCourier, 0),
+                                 kNoPacket);
+                       if (transfer == Transfer::kStationToNode) {
+                         ASSERT_TRUE(net.node_to_station(kA, 0));
+                       }
+                     }});
+  }
+  if (c == Case::kDedup) cfg.store.dedup = true;
+  if (c == Case::kTargetFull) {
+    cfg.node_memory_kb = 1;
+    if (transfer == Transfer::kNodeToStation) {
+      // A station of one slot, filled once packet 0 left it.
+      cfg.store.station_memory_kb = 1;
+      cfg.manual_packets.push_back({kHere, kThere, 1.5, 0.0});
+    } else {
+      cfg.manual_packets.push_back({kHere, kThere, 0.6, 0.0});
+      steps.push_back({1.0, [transfer](Network& net) {
+                         ASSERT_TRUE(transfer == Transfer::kPickup
+                                         ? net.pickup_from_origin(kB, 1)
+                                         : net.station_to_node(kHere, kB, 1));
+                       }});
+    }
+  }
+
+  Outcome out;
+  steps.push_back({kActAt, [&](Network& net) {
+                     const RunCounters before = net.counters();
+                     PacketId subject = 0;
+                     switch (transfer) {
+                       case Transfer::kPickup:
+                         out.moved = net.pickup_from_origin(receiver, 0);
+                         break;
+                       case Transfer::kStationToNode:
+                         out.moved = net.station_to_node(kHere, receiver, 0);
+                         break;
+                       case Transfer::kNodeToStation:
+                         out.moved = net.node_to_station(kA, 0);
+                         break;
+                       case Transfer::kNodeToNode:
+                         out.moved = net.node_to_node(kA, receiver, 0);
+                         break;
+                       case Transfer::kReplicate: {
+                         const PacketId copy =
+                             net.replicate_node_to_node(kA, receiver, 0);
+                         out.moved = copy != kNoPacket;
+                         if (out.moved) subject = copy;
+                         break;
+                       }
+                     }
+                     out.deltas = net.counters() - before;
+                     const Packet& p = net.packet(subject);
+                     out.state = p.state;
+                     out.holder = p.holder;
+                     out.hops = p.hops;
+                   }});
+  Network net(trace, router, cfg);
+  net.run();
+  out.recovery_delays = net.counters().outage_recovery_delays;
+  net.validate_invariants();
+  return out;
+}
+
+struct Expected {
+  bool moved;
+  PacketState state;
+  std::uint32_t holder;
+  std::uint32_t hops;
+  Deltas deltas;
+};
+
+void expect_transfer(Transfer transfer, Case c, const Expected& want) {
+  SCOPED_TRACE("case " + std::to_string(static_cast<int>(c)));
+  const Outcome got = run_transfer(transfer, c);
+  EXPECT_EQ(got.moved, want.moved);
+  EXPECT_EQ(got.state, want.state);
+  EXPECT_EQ(got.holder, want.holder);
+  EXPECT_EQ(got.hops, want.hops);
+  EXPECT_EQ(got.deltas, want.deltas);
+}
+
+using PS = PacketState;
+
+// An origin packet is never copied, so its logical cannot have been
+// delivered while it waits: the delivered-copy cases do not apply.
+TEST(NetworkTransfer, PickupFromOrigin) {
+  const auto t = Transfer::kPickup;
+  expect_transfer(t, Case::kMoves,
+                  {true, PS::kOnNode, kB, 1, {.forwards = 1}});
+  expect_transfer(t, Case::kExpired,
+                  {false, PS::kDroppedTtl, kHere, 0, {.dropped_ttl = 1}});
+  expect_transfer(t, Case::kNodeDown,
+                  {false, PS::kAtOrigin, kHere, 0, {.blocked = 1}});
+  expect_transfer(t, Case::kTargetFull,
+                  {false, PS::kAtOrigin, kHere, 0, {.refused_buffer = 1}});
+  expect_transfer(t, Case::kToDstNode,
+                  {true, PS::kDelivered, kHere, 1,
+                   {.forwards = 1, .delivered = 1}});
+  expect_transfer(t, Case::kInterrupted,
+                  {false, PS::kAtOrigin, kHere, 0, {.interrupted = 1}});
+}
+
+TEST(NetworkTransfer, StationToNode) {
+  const auto t = Transfer::kStationToNode;
+  expect_transfer(t, Case::kMoves,
+                  {true, PS::kOnNode, kB, 1, {.forwards = 1}});
+  expect_transfer(t, Case::kExpired,
+                  {false, PS::kDroppedTtl, kHere, 0, {.dropped_ttl = 1}});
+  // Back at the station after a round trip through kA: two hops.
+  expect_transfer(t, Case::kDeliveredCopy,
+                  {false, PS::kObsoleteCopy, kHere, 2, {.suppressed = 1}});
+  expect_transfer(t, Case::kDeliveredExpiredCopy,
+                  {false, PS::kObsoleteCopy, kHere, 2, {}});
+  expect_transfer(t, Case::kNodeDown,
+                  {false, PS::kAtStation, kHere, 0, {.blocked = 1}});
+  expect_transfer(t, Case::kStationDown,
+                  {false, PS::kAtStation, kHere, 0, {.blocked = 1}});
+  expect_transfer(t, Case::kTargetFull,
+                  {false, PS::kAtStation, kHere, 0, {.refused_buffer = 1}});
+  expect_transfer(t, Case::kToDstNode,
+                  {true, PS::kDelivered, kHere, 1,
+                   {.forwards = 1, .delivered = 1}});
+  expect_transfer(t, Case::kInterrupted,
+                  {false, PS::kAtStation, kHere, 0, {.interrupted = 1}});
+}
+
+TEST(NetworkTransfer, NodeToStation) {
+  const auto t = Transfer::kNodeToStation;
+  expect_transfer(t, Case::kMoves,
+                  {true, PS::kAtStation, kHere, 2, {.forwards = 1}});
+  expect_transfer(t, Case::kExpired,
+                  {false, PS::kDroppedTtl, kA, 1, {.dropped_ttl = 1}});
+  expect_transfer(t, Case::kDeliveredCopy,
+                  {false, PS::kObsoleteCopy, kA, 1, {.suppressed = 1}});
+  expect_transfer(t, Case::kDeliveredExpiredCopy,
+                  {false, PS::kObsoleteCopy, kA, 1, {}});
+  expect_transfer(t, Case::kNodeDown,
+                  {false, PS::kOnNode, kA, 1, {.blocked = 1}});
+  expect_transfer(t, Case::kStationDown,
+                  {false, PS::kOnNode, kA, 1, {.blocked = 1}});
+  expect_transfer(t, Case::kTargetFull,
+                  {false, PS::kOnNode, kA, 1, {.refused_buffer = 1}});
+  // The destination node is at this landmark: delivered on the spot.
+  expect_transfer(t, Case::kToDstNode,
+                  {true, PS::kDelivered, kA, 2,
+                   {.forwards = 1, .delivered = 1}});
+}
+
+TEST(NetworkTransfer, NodeToNode) {
+  const auto t = Transfer::kNodeToNode;
+  expect_transfer(t, Case::kMoves,
+                  {true, PS::kOnNode, kB, 2, {.forwards = 1}});
+  expect_transfer(t, Case::kExpired,
+                  {false, PS::kDroppedTtl, kA, 1, {.dropped_ttl = 1}});
+  expect_transfer(t, Case::kDeliveredCopy,
+                  {false, PS::kObsoleteCopy, kA, 1, {.suppressed = 1}});
+  expect_transfer(t, Case::kDeliveredExpiredCopy,
+                  {false, PS::kObsoleteCopy, kA, 1, {}});
+  expect_transfer(t, Case::kNodeDown,
+                  {false, PS::kOnNode, kA, 1, {.blocked = 1}});
+  expect_transfer(t, Case::kTargetFull,
+                  {false, PS::kOnNode, kA, 1, {.refused_buffer = 1}});
+  expect_transfer(t, Case::kDedup,
+                  {false, PS::kOnNode, kA, 2, {.dedup_refused = 1}});
+  expect_transfer(t, Case::kToDstNode,
+                  {true, PS::kDelivered, kA, 2,
+                   {.forwards = 1, .delivered = 1}});
+}
+
+// Replication checks suppression before expiry: an expired copy of a
+// delivered logical counts as suppressed here, while the other transfers
+// retire it uncounted.  A copy made for the destination node is not a
+// delivery.
+TEST(NetworkTransfer, ReplicateNodeToNode) {
+  const auto t = Transfer::kReplicate;
+  expect_transfer(t, Case::kMoves,
+                  {true, PS::kOnNode, kB, 2,
+                   {.forwards = 1, .replications = 1}});
+  expect_transfer(t, Case::kExpired,
+                  {false, PS::kDroppedTtl, kA, 1, {.dropped_ttl = 1}});
+  expect_transfer(t, Case::kDeliveredCopy,
+                  {false, PS::kObsoleteCopy, kA, 1, {.suppressed = 1}});
+  expect_transfer(t, Case::kDeliveredExpiredCopy,
+                  {false, PS::kObsoleteCopy, kA, 1, {.suppressed = 1}});
+  expect_transfer(t, Case::kNodeDown,
+                  {false, PS::kOnNode, kA, 1, {.blocked = 1}});
+  expect_transfer(t, Case::kTargetFull,
+                  {false, PS::kOnNode, kA, 1, {.refused_buffer = 1}});
+  expect_transfer(t, Case::kDedup,
+                  {false, PS::kOnNode, kA, 2, {.dedup_refused = 1}});
+  expect_transfer(t, Case::kToDstNode,
+                  {true, PS::kOnNode, kDstNode, 2,
+                   {.forwards = 1, .replications = 1}});
+}
+
+TEST(NetworkTransfer, OnlyStationTransfersCloseARecoveryMeasurement) {
+  // kHere's station recovers at t = 8; the transfer at t = 10 closes
+  // the measurement only if the station takes part.
+  for (const Transfer t : {Transfer::kStationToNode, Transfer::kNodeToStation}) {
+    const Outcome got = run_transfer(t, Case::kMovesAfterRecovery);
+    EXPECT_TRUE(got.moved);
+    EXPECT_EQ(got.recovery_delays, std::vector<double>{2.0});
+  }
+  for (const Transfer t : {Transfer::kPickup, Transfer::kNodeToNode,
+                           Transfer::kReplicate}) {
+    const Outcome got = run_transfer(t, Case::kMovesAfterRecovery);
+    EXPECT_TRUE(got.moved);
+    EXPECT_TRUE(got.recovery_delays.empty());
+  }
+}
+
+TEST(NetworkDeathTest, ManualPacketToAnUnknownNodeAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const auto trace = script_trace();
+  RecordingRouter router;
+  auto cfg = quiet_workload();
+  cfg.manual_packets = {{0, 2, 1.0, 0.0, /*dst_node=*/99}};
+  EXPECT_DEATH({ Network net(trace, router, cfg); }, "dst_node");
 }
 
 }  // namespace
